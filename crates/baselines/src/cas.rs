@@ -936,17 +936,15 @@ impl CasCluster {
             .count()
     }
 
-    /// Repair status of each rank's current incarnation (`None` for servers
-    /// that were never replaced).
-    pub fn repair_statuses(&self) -> Vec<Option<crate::RepairStatus>> {
-        self.servers
-            .iter()
-            .map(|&id| {
-                self.sim
-                    .process_as::<CasServer>(id)
-                    .and_then(|s| s.repair_status())
-            })
-            .collect()
+    /// Repair status of rank `rank`'s current incarnation (`None` for a
+    /// server that was never replaced).
+    ///
+    /// # Panics
+    /// Panics if `rank` is not a server rank of this cluster.
+    pub fn repair_status(&self, rank: usize) -> Option<crate::RepairStatus> {
+        self.sim
+            .process_as::<CasServer>(self.servers[rank])
+            .and_then(|s| s.repair_status())
     }
 
     /// Runs until quiescent.
@@ -979,21 +977,21 @@ impl CasCluster {
     /// Bytes of coded-element data stored at each server, by rank (across all
     /// retained versions).
     pub fn stored_bytes_per_server(&self) -> Vec<u64> {
-        self.servers
-            .iter()
-            .map(|&s| {
-                self.sim
-                    .process_as::<CasServer>(s)
-                    .map(|s| s.stored_bytes() as u64)
-                    .unwrap_or(0)
-            })
-            .collect()
+        self.stored_bytes_by_rank().collect()
     }
 
     /// Total bytes of coded-element data stored across all servers and all
     /// retained versions.
     pub fn total_stored_bytes(&self) -> u64 {
-        self.stored_bytes_per_server().iter().sum()
+        self.stored_bytes_by_rank().sum()
+    }
+
+    fn stored_bytes_by_rank(&self) -> impl Iterator<Item = u64> + '_ {
+        self.servers.iter().map(|&s| {
+            self.sim
+                .process_as::<CasServer>(s)
+                .map_or(0, |s| s.stored_bytes() as u64)
+        })
     }
 
     /// Immutable access to the underlying simulation.
@@ -1024,12 +1022,14 @@ impl CasCluster {
             .collect()
     }
 
-    /// The completed operations of one particular client.
-    pub fn client_records(&self, client: ProcessId) -> Vec<CasOpRecord> {
+    /// The operations one client has completed, in the order it completed
+    /// them — its append-only log, which is also `seq` order because a
+    /// client runs one operation at a time. Empty for a process that is not
+    /// a client of this cluster.
+    pub fn client_records(&self, client: ProcessId) -> &[CasOpRecord] {
         self.sim
             .process_as::<CasClient>(client)
-            .map(|c| c.completed_ops().to_vec())
-            .unwrap_or_default()
+            .map_or(&[], CasClient::completed_ops)
     }
 
     /// Maximum number of versions with stored elements at any single server.

@@ -3,7 +3,7 @@
 use crate::builder::ClusterBuilder;
 use crate::cluster::RegisterCluster;
 use crate::kind::{ClusterDescriptor, ProtocolKind};
-use crate::record::{sort_records, OpKind, OpRecord, PendingWriteRecord, RepairReport};
+use crate::record::{OpKind, OpRecord, PendingWriteRecord, RepairReport};
 use soda_baselines::cas::{CasCluster, CasParams};
 use soda_protocol::MdsCode;
 use soda_simnet::{ProcessId, RunOutcome, SimTime, Stats};
@@ -120,21 +120,14 @@ impl RegisterCluster for CasRegisterCluster {
         self.inner.dead_or_repairing()
     }
 
-    fn repair_reports(&self) -> Vec<RepairReport> {
-        self.inner
-            .repair_statuses()
-            .into_iter()
-            .enumerate()
-            .filter_map(|(rank, status)| {
-                status.map(|s| RepairReport {
-                    rank,
-                    started_at: s.started_at,
-                    completed_at: s.completed_at,
-                    traffic_bytes: s.traffic_bytes,
-                    error: s.failed.then_some(crate::record::RepairError::Unreachable),
-                })
-            })
-            .collect()
+    fn repair_report(&self, rank: usize) -> Option<RepairReport> {
+        self.inner.repair_status(rank).map(|s| RepairReport {
+            rank,
+            started_at: s.started_at,
+            completed_at: s.completed_at,
+            traffic_bytes: s.traffic_bytes,
+            error: s.failed.then_some(crate::record::RepairError::Unreachable),
+        })
     }
 
     fn crash_writer_at(&mut self, at: SimTime, writer: usize) {
@@ -159,34 +152,29 @@ impl RegisterCluster for CasRegisterCluster {
         self.inner.now()
     }
 
-    fn stats(&self) -> Stats {
-        self.inner.stats()
+    fn stats_ref(&self) -> &Stats {
+        self.inner.sim().trace().stats_ref()
     }
 
     fn decode_cache_stats(&self) -> soda_protocol::CodeCacheStats {
         self.inner.config().code().cache_stats()
     }
 
-    fn completed_ops_into(&self, out: &mut Vec<OpRecord>) {
-        let start = out.len();
-        for &client in self.inner.clients() {
-            for record in self.inner.client_records(client) {
-                out.push(OpRecord {
-                    client: client.0 as u64,
-                    seq: record.seq,
-                    kind: if record.is_read {
-                        OpKind::Read
-                    } else {
-                        OpKind::Write
-                    },
-                    invoked_at: record.invoked_at,
-                    completed_at: record.completed_at,
-                    tag: record.tag,
-                    value: Some(record.value),
-                });
-            }
-        }
-        sort_records(&mut out[start..]);
+    fn completed_since(&self, client: ProcessId, from: usize, out: &mut Vec<OpRecord>) {
+        let log = self.inner.client_records(client);
+        out.extend(log.iter().skip(from).map(|record| OpRecord {
+            client: client.0 as u64,
+            seq: record.seq,
+            kind: if record.is_read {
+                OpKind::Read
+            } else {
+                OpKind::Write
+            },
+            invoked_at: record.invoked_at,
+            completed_at: record.completed_at,
+            tag: record.tag,
+            value: Some(record.value.clone()),
+        }));
     }
 
     fn pending_writes(&self) -> Vec<PendingWriteRecord> {
@@ -199,6 +187,10 @@ impl RegisterCluster for CasRegisterCluster {
 
     fn stored_bytes_per_server(&self) -> Vec<u64> {
         self.inner.stored_bytes_per_server()
+    }
+
+    fn total_stored_bytes(&self) -> u64 {
+        self.inner.total_stored_bytes()
     }
 
     fn as_any(&self) -> &dyn Any {

@@ -3,7 +3,8 @@
 
 use crate::kind::ClusterDescriptor;
 use crate::record::{
-    history_from_records, history_with_pending, OpRecord, PendingWriteRecord, RepairReport,
+    history_from_records, history_with_pending, sort_records, OpRecord, PendingWriteRecord,
+    RepairReport,
 };
 use soda_consistency::History;
 use soda_simnet::{ProcessId, RunOutcome, SimTime, Stats};
@@ -78,9 +79,21 @@ pub trait RegisterCluster: Send {
     /// quantity the dynamic fault-tolerance invariant bounds by `f`.
     fn dead_or_repairing(&self) -> usize;
 
+    /// The repair report of rank `rank`, if its *current* incarnation is (or
+    /// was) a replacement: repair bandwidth, latency and outcome. `None` for
+    /// a server that was never replaced.
+    ///
+    /// # Panics
+    /// Panics if `rank >= descriptor().n`.
+    fn repair_report(&self, rank: usize) -> Option<RepairReport>;
+
     /// One report per rank whose *current* incarnation is (or was) a
-    /// replacement, carrying repair bandwidth and latency.
-    fn repair_reports(&self) -> Vec<RepairReport>;
+    /// replacement, in rank order.
+    fn repair_reports(&self) -> Vec<RepairReport> {
+        (0..self.descriptor().n)
+            .filter_map(|rank| self.repair_report(rank))
+            .collect()
+    }
 
     /// Total repair bandwidth (bytes of value / coded-element data received
     /// by replacements) across all ranks' current incarnations.
@@ -103,22 +116,44 @@ pub trait RegisterCluster: Send {
     /// Current simulated time.
     fn now(&self) -> SimTime;
 
-    /// Message statistics accumulated so far.
-    fn stats(&self) -> Stats;
+    /// Message statistics accumulated so far, borrowed: for readers that
+    /// want a few counters and not a copy of the per-process vector.
+    fn stats_ref(&self) -> &Stats;
 
-    /// Appends every operation completed by all clients to `out`, in the
-    /// shared record type, ordered by completion time. Implementations must
-    /// only append — the store's ticket-settling path reuses one scratch
-    /// buffer across every cluster it drains, clearing it between calls
-    /// itself.
-    fn completed_ops_into(&self, out: &mut Vec<OpRecord>);
+    /// An owned snapshot of the message statistics, for windowed
+    /// measurements that outlive further driving of the cluster (see
+    /// [`Stats::since`]).
+    fn stats(&self) -> Stats {
+        self.stats_ref().clone()
+    }
+
+    /// Appends to `out` the operations client process `client` completed
+    /// beyond its first `from`, in the shared record type and in the order
+    /// the client completed them — which is `seq` order, because a client
+    /// runs one operation at a time.
+    ///
+    /// `from` is a cursor the caller owns: a client's log only ever grows at
+    /// its end, so a caller that advances `from` by the number of records
+    /// each call appended sees every completed operation exactly once, and a
+    /// call costs time (and one value copy) per *new* record, not per record
+    /// ever completed. A cursor at or past the end of the log, or a process
+    /// that is not one of this cluster's clients, appends nothing.
+    /// Implementations must only append.
+    fn completed_since(&self, client: ProcessId, from: usize, out: &mut Vec<OpRecord>);
 
     /// All operations completed by all clients, in the shared record type,
-    /// ordered by completion time. Allocating convenience wrapper around
-    /// [`Self::completed_ops_into`].
+    /// ordered by completion time (ties by client id, then `seq`). Copies
+    /// the whole history; callers that follow a cluster over time should
+    /// hold cursors into [`Self::completed_since`] instead.
     fn completed_ops(&self) -> Vec<OpRecord> {
+        let descriptor = self.descriptor();
+        let writers = (0..descriptor.num_writers).map(|w| self.writer_process(w));
+        let readers = (0..descriptor.num_readers).map(|r| self.reader_process(r));
         let mut ops = Vec::new();
-        self.completed_ops_into(&mut ops);
+        for client in writers.chain(readers) {
+            self.completed_since(client, 0, &mut ops);
+        }
+        sort_records(&mut ops);
         ops
     }
 

@@ -209,8 +209,8 @@ pub fn history_with_pending(
     history
 }
 
-/// Sorts records the way every implementation reports them: by completion
-/// time, breaking ties by client id and sequence number.
+/// Sorts records the way [`crate::RegisterCluster::completed_ops`] reports
+/// them: by completion time, breaking ties by client id and sequence number.
 pub(crate) fn sort_records(records: &mut [OpRecord]) {
     records.sort_by_key(|op| (op.completed_at, op.client, op.seq));
 }

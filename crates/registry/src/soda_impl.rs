@@ -3,7 +3,7 @@
 use crate::builder::ClusterBuilder;
 use crate::cluster::RegisterCluster;
 use crate::kind::ClusterDescriptor;
-use crate::record::{sort_records, OpKind, OpRecord, PendingWriteRecord, RepairReport};
+use crate::record::{OpKind, OpRecord, PendingWriteRecord, RepairReport};
 use soda::harness::{ClusterConfig, SodaCluster};
 use soda_protocol::Tag;
 use soda_simnet::{ProcessId, RunOutcome, SimTime, Stats};
@@ -152,22 +152,16 @@ impl RegisterCluster for SodaRegisterCluster {
         self.inner.dead_or_repairing()
     }
 
-    fn repair_reports(&self) -> Vec<RepairReport> {
-        self.inner
-            .repair_statuses()
-            .into_iter()
-            .enumerate()
-            .filter_map(|(rank, status)| {
-                status.map(|s| RepairReport {
-                    rank,
-                    started_at: s.started_at,
-                    completed_at: s.completed_at,
-                    traffic_bytes: s.traffic_bytes,
-                    error: (s.phase == soda::RepairPhase::Failed)
-                        .then_some(crate::record::RepairError::Unreachable),
-                })
-            })
-            .collect()
+    fn repair_report(&self, rank: usize) -> Option<RepairReport> {
+        let status = self.inner.server_state(rank).repair_status()?;
+        Some(RepairReport {
+            rank,
+            started_at: status.started_at,
+            completed_at: status.completed_at,
+            traffic_bytes: status.traffic_bytes,
+            error: (status.phase == soda::RepairPhase::Failed)
+                .then_some(crate::record::RepairError::Unreachable),
+        })
     }
 
     fn crash_writer_at(&mut self, at: SimTime, writer: usize) {
@@ -192,34 +186,28 @@ impl RegisterCluster for SodaRegisterCluster {
         self.inner.now()
     }
 
-    fn stats(&self) -> Stats {
-        self.inner.stats()
+    fn stats_ref(&self) -> &Stats {
+        self.inner.sim().trace().stats_ref()
     }
 
     fn decode_cache_stats(&self) -> soda_protocol::CodeCacheStats {
         self.inner.soda_config().code().cache_stats()
     }
 
-    fn completed_ops_into(&self, out: &mut Vec<OpRecord>) {
-        let start = out.len();
-        out.extend(
-            self.inner
-                .completed_ops()
-                .into_iter()
-                .map(|record| OpRecord {
-                    client: record.op.client.0 as u64,
-                    seq: record.op.seq,
-                    kind: match record.kind {
-                        soda::OpKind::Write => OpKind::Write,
-                        soda::OpKind::Read => OpKind::Read,
-                    },
-                    invoked_at: record.invoked_at,
-                    completed_at: record.completed_at,
-                    tag: record.tag,
-                    value: record.value,
-                }),
-        );
-        sort_records(&mut out[start..]);
+    fn completed_since(&self, client: ProcessId, from: usize, out: &mut Vec<OpRecord>) {
+        let log = self.inner.client_ops(client);
+        out.extend(log.iter().skip(from).map(|record| OpRecord {
+            client: record.op.client.0 as u64,
+            seq: record.op.seq,
+            kind: match record.kind {
+                soda::OpKind::Write => OpKind::Write,
+                soda::OpKind::Read => OpKind::Read,
+            },
+            invoked_at: record.invoked_at,
+            completed_at: record.completed_at,
+            tag: record.tag,
+            value: record.value.clone(),
+        }));
     }
 
     fn pending_writes(&self) -> Vec<PendingWriteRecord> {
@@ -238,6 +226,10 @@ impl RegisterCluster for SodaRegisterCluster {
 
     fn stored_bytes_per_server(&self) -> Vec<u64> {
         self.inner.stored_bytes_per_server()
+    }
+
+    fn total_stored_bytes(&self) -> u64 {
+        self.inner.total_stored_bytes()
     }
 
     fn as_any(&self) -> &dyn Any {

@@ -2,8 +2,8 @@
 //! [`ProtocolKind`] via the [`RegisterCluster`] trait, and every resulting
 //! history is machine-checked for atomicity with `soda_consistency`.
 
-use soda_registry::{ClusterBuilder, ProtocolKind, RegisterCluster};
-use soda_simnet::SimTime;
+use soda_registry::{ClusterBuilder, OpRecord, ProtocolKind, RegisterCluster};
+use soda_simnet::{ProcessId, SimTime};
 
 /// Representative parameters per protocol: `(kind, n, f)` chosen so every
 /// kind is valid and tolerates two crashes where the scenario injects them.
@@ -229,5 +229,148 @@ fn run_until_stops_at_the_deadline() {
         assert!(cluster.now() <= SimTime::from_ticks(2), "{}", kind.name());
         cluster.run_to_quiescence();
         assert_eq!(cluster.completed_ops().len(), 1, "{}", kind.name());
+    }
+}
+
+/// Every field of a record, comparable (`OpRecord` itself is not `PartialEq`).
+fn fields(op: &OpRecord) -> (u64, u64, bool, u64, u64, u64, u64, Option<Vec<u8>>) {
+    (
+        op.client,
+        op.seq,
+        op.kind.is_write(),
+        op.invoked_at.ticks(),
+        op.completed_at.ticks(),
+        op.tag.z,
+        op.tag.writer.0 as u64,
+        op.value.clone(),
+    )
+}
+
+/// A client and everything its advancing cursor saw.
+type Followed = (ProcessId, Vec<OpRecord>);
+
+/// Drives a staged scenario on a 2-writer, 2-reader cluster — concurrent
+/// operations, a server crash, a repair racing a write, a quiet tail — and
+/// follows it the way the store does: after every `run_to_quiescence`, one
+/// `completed_since` per client from the cursor that client's previous reads
+/// left. Returns the cluster and, per client, everything its cursor saw.
+fn follow_with_cursors(
+    kind: ProtocolKind,
+    n: usize,
+    f: usize,
+    seed: u64,
+) -> (Box<dyn RegisterCluster>, Vec<Followed>) {
+    let mut cluster = ClusterBuilder::new(kind, n, f)
+        .with_seed(seed)
+        .with_clients(2, 2)
+        .build()
+        .unwrap();
+    let clients: Vec<ProcessId> = (0..2)
+        .map(|w| cluster.writer_process(w))
+        .chain((0..2).map(|r| cluster.reader_process(r)))
+        .collect();
+    let mut seen: Vec<Followed> = clients.iter().map(|&c| (c, Vec::new())).collect();
+
+    for stage in 0..5u64 {
+        let now = cluster.now();
+        match stage {
+            // Two operations queued per handle, all concurrent.
+            0 => {
+                for handle in 0..2 {
+                    cluster.invoke_write(handle, format!("s0-a-{handle}").into_bytes());
+                    cluster.invoke_write(handle, format!("s0-b-{handle}").into_bytes());
+                    cluster.invoke_read(handle);
+                    cluster.invoke_read(handle);
+                }
+            }
+            // A crash in the middle of a burst.
+            1 => {
+                cluster.crash_server_at(now + 3, 0);
+                for handle in 0..2 {
+                    cluster.invoke_write_at(now + handle as u64, handle, b"s1".to_vec());
+                    cluster.invoke_read_at(now + 5, handle);
+                }
+            }
+            // The repair starts while a write is in flight.
+            2 => {
+                cluster.invoke_write_at(now, 1, b"s2-racing-repair".to_vec());
+                cluster.repair_server_at(now + 1, 0);
+                cluster.invoke_read_at(now + 2, 0);
+            }
+            // One handle only: the other cursors must see nothing new.
+            3 => cluster.invoke_read(1),
+            // Nothing at all.
+            _ => {}
+        }
+        let outcome = cluster.run_to_quiescence();
+        assert!(!outcome.hit_event_cap, "{} stage {stage}", kind.name());
+        for (client, records) in &mut seen {
+            let before = records.len();
+            cluster.completed_since(*client, before, records);
+            if stage == 4 {
+                assert_eq!(records.len(), before, "{}: quiet stage", kind.name());
+            }
+        }
+    }
+    (cluster, seen)
+}
+
+#[test]
+fn advancing_cursors_see_each_completed_op_exactly_once_for_every_kind() {
+    for (kind, n, f) in matrix() {
+        let name = kind.name();
+        let (cluster, seen) = follow_with_cursors(kind, n, f, 17);
+        assert!(
+            cluster
+                .repair_reports()
+                .iter()
+                .all(|r| r.latency().is_some()),
+            "{name}: the repair completed"
+        );
+        let all = cluster.completed_ops();
+        assert_eq!(all.len(), 8 + 4 + 2 + 1, "{name}: every op completed");
+
+        for (client, records) in &seen {
+            // The cursor reads concatenate to the client's projection of the
+            // whole history: same records, same (seq) order, same contents.
+            let projection: Vec<_> = all
+                .iter()
+                .filter(|op| op.client == client.0 as u64)
+                .map(fields)
+                .collect();
+            let followed: Vec<_> = records.iter().map(fields).collect();
+            assert_eq!(followed, projection, "{name}: client {client:?}");
+            assert!(
+                records.windows(2).all(|w| w[0].seq + 1 == w[1].seq),
+                "{name}: client {client:?} is in seq order without gaps"
+            );
+
+            // A cursor at the end, or past it, yields nothing; a cursor in
+            // the middle yields exactly the tail, appended after what the
+            // buffer already held.
+            let mut out = Vec::new();
+            cluster.completed_since(*client, records.len(), &mut out);
+            cluster.completed_since(*client, records.len() + 100, &mut out);
+            assert!(out.is_empty(), "{name}: client {client:?}");
+            cluster.completed_since(*client, 1, &mut out);
+            cluster.completed_since(*client, records.len() - 1, &mut out);
+            let mut expected = followed[1..].to_vec();
+            expected.push(followed[followed.len() - 1].clone());
+            assert_eq!(out.iter().map(fields).collect::<Vec<_>>(), expected);
+        }
+        // A server is not a client: it has completed nothing.
+        let mut out = Vec::new();
+        cluster.completed_since(ProcessId(0), 0, &mut out);
+        assert!(out.is_empty(), "{name}: server process");
+
+        // Replay is bit-identical, cursor read by cursor read.
+        let (_, replay) = follow_with_cursors(kind, n, f, 17);
+        for ((client, a), (_, b)) in seen.iter().zip(&replay) {
+            assert_eq!(
+                a.iter().map(fields).collect::<Vec<_>>(),
+                b.iter().map(fields).collect::<Vec<_>>(),
+                "{name}: client {client:?} replay"
+            );
+        }
     }
 }

@@ -223,6 +223,12 @@ impl Trace {
         self.stats.clone()
     }
 
+    /// Current aggregate statistics, borrowed: for readers that want a few
+    /// counters and not a copy of the per-process vector.
+    pub fn stats_ref(&self) -> &Stats {
+        &self.stats
+    }
+
     /// Recorded events (empty unless detailed tracing was enabled).
     pub fn events(&self) -> &[TraceEvent] {
         &self.events

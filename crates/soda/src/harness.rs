@@ -302,19 +302,28 @@ impl SodaCluster {
         self.sim.now()
     }
 
+    /// The operations one client (writer or reader) has completed, in the
+    /// order it completed them — its append-only log, which is also `seq`
+    /// order because a client runs one operation at a time. Empty for a
+    /// process that is not a client of this cluster.
+    pub fn client_ops(&self, client: ProcessId) -> &[OpRecord] {
+        if let Some(writer) = self.sim.process_as::<WriterProcess>(client) {
+            writer.completed_ops()
+        } else if let Some(reader) = self.sim.process_as::<ReaderProcess>(client) {
+            reader.completed_ops()
+        } else {
+            &[]
+        }
+    }
+
     /// All operations completed by all clients, ordered by completion time.
     pub fn completed_ops(&self) -> Vec<OpRecord> {
-        let mut ops = Vec::new();
-        for &w in &self.writers {
-            if let Some(writer) = self.sim.process_as::<WriterProcess>(w) {
-                ops.extend(writer.completed_ops().iter().cloned());
-            }
-        }
-        for &r in &self.readers {
-            if let Some(reader) = self.sim.process_as::<ReaderProcess>(r) {
-                ops.extend(reader.completed_ops().iter().cloned());
-            }
-        }
+        let mut ops: Vec<OpRecord> = self
+            .writers
+            .iter()
+            .chain(&self.readers)
+            .flat_map(|&client| self.client_ops(client).iter().cloned())
+            .collect();
         ops.sort_by_key(|op| (op.completed_at, op.op));
         ops
     }
@@ -354,15 +363,17 @@ impl SodaCluster {
 
     /// Bytes of coded-element data stored at each server, by rank.
     pub fn stored_bytes_per_server(&self) -> Vec<u64> {
-        (0..self.servers.len())
-            .map(|rank| self.server_state(rank).stored_bytes() as u64)
-            .collect()
+        self.stored_bytes_by_rank().collect()
     }
 
     /// Total bytes of coded-element data stored across all servers (the
     /// numerator of the paper's total storage cost).
     pub fn total_stored_bytes(&self) -> u64 {
-        self.stored_bytes_per_server().iter().sum()
+        self.stored_bytes_by_rank().sum()
+    }
+
+    fn stored_bytes_by_rank(&self) -> impl Iterator<Item = u64> + '_ {
+        (0..self.servers.len()).map(|rank| self.server_state(rank).stored_bytes() as u64)
     }
 
     /// Total number of reader registrations still held by servers. Theorem 5.5

@@ -89,22 +89,42 @@ impl fmt::Display for LatencyHistogram {
     }
 }
 
-/// Metrics for one shard, aggregated over all its per-key clusters.
-#[derive(Clone, Debug)]
+/// Metrics for one shard: which shard, which protocol, and the totals over
+/// all its per-key clusters. The totals' fields read straight off the shard
+/// metrics (`m.completed_puts`) through `Deref`.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ShardMetrics {
     /// Shard index.
     pub shard: usize,
     /// Name of the protocol the shard runs.
     pub protocol: &'static str,
-    /// Distinct keys placed on the shard so far.
+    /// The shard's counters — the same ones the store-wide aggregate sums.
+    pub totals: StoreTotals,
+}
+
+impl std::ops::Deref for ShardMetrics {
+    type Target = StoreTotals;
+
+    fn deref(&self) -> &StoreTotals {
+        &self.totals
+    }
+}
+
+/// Operation counts, message/storage costs and latency histograms summed
+/// over a set of per-key clusters: one shard's
+/// ([`ShardMetrics::totals`]) or the whole store's
+/// ([`StoreMetrics::aggregate`]).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct StoreTotals {
+    /// Distinct keys seen so far.
     pub keys: usize,
     /// Completed put operations.
     pub completed_puts: u64,
     /// Completed get operations.
     pub completed_gets: u64,
-    /// Tickets routed to this shard that have not completed.
+    /// Tickets issued that have not completed.
     pub pending_tickets: u64,
-    /// Messages sent by the shard's clusters.
+    /// Messages sent by the clusters.
     pub messages_sent: u64,
     /// Messages the network adversary dropped.
     pub messages_lost: u64,
@@ -114,14 +134,14 @@ pub struct ShardMetrics {
     /// Object-value data bytes sent (the paper's communication cost,
     /// un-normalized).
     pub data_bytes_sent: u64,
-    /// Object-value bytes currently stored across the shard's servers.
+    /// Object-value bytes currently stored across the servers.
     pub stored_bytes: u64,
     /// Put latency histogram (simulated ticks).
     pub put_latency: LatencyHistogram,
     /// Get latency histogram (simulated ticks).
     pub get_latency: LatencyHistogram,
-    /// Server repairs completed across the shard's clusters (replacement
-    /// servers whose state re-acquisition from survivors finished).
+    /// Server repairs completed (replacement servers whose state
+    /// re-acquisition from survivors finished).
     pub repairs_completed: u64,
     /// Repair bandwidth: bytes of value / coded-element data received by
     /// replacement servers while repairing. For SODA this is bounded by
@@ -135,80 +155,37 @@ pub struct ShardMetrics {
     /// the whole retry budget — e.g. behind a partition window). Failed
     /// repairs are retryable; this counts the give-ups, not the ranks.
     pub repairs_failed: u64,
-    /// Decode-matrix cache hits across the shard's clusters (coded protocols
-    /// only; replication shards report 0).
+    /// Decode-matrix cache hits (coded protocols only; replication shards
+    /// report 0).
     pub decode_cache_hits: u64,
-    /// Decode-matrix cache misses across the shard's clusters.
+    /// Decode-matrix cache misses.
     pub decode_cache_misses: u64,
-    /// Matrix inversions actually performed by the shard's erasure decoders.
-    pub decode_inversions: u64,
-}
-
-/// Aggregate totals across all shards.
-#[derive(Clone, Debug, Default)]
-pub struct StoreTotals {
-    /// Distinct keys store-wide.
-    pub keys: usize,
-    /// Completed puts store-wide.
-    pub completed_puts: u64,
-    /// Completed gets store-wide.
-    pub completed_gets: u64,
-    /// Pending tickets store-wide.
-    pub pending_tickets: u64,
-    /// Messages sent store-wide.
-    pub messages_sent: u64,
-    /// Adversary-dropped messages store-wide.
-    pub messages_lost: u64,
-    /// Partition-window-cut messages store-wide.
-    pub messages_partitioned: u64,
-    /// Data bytes sent store-wide.
-    pub data_bytes_sent: u64,
-    /// Stored bytes store-wide.
-    pub stored_bytes: u64,
-    /// Merged put latency histogram.
-    pub put_latency: LatencyHistogram,
-    /// Merged get latency histogram.
-    pub get_latency: LatencyHistogram,
-    /// Server repairs completed store-wide.
-    pub repairs_completed: u64,
-    /// Repair bandwidth store-wide.
-    pub repair_traffic_bytes: u64,
-    /// Merged repair latency histogram.
-    pub repair_latency: LatencyHistogram,
-    /// Repair give-ups store-wide.
-    pub repairs_failed: u64,
-    /// Decode-matrix cache hits store-wide.
-    pub decode_cache_hits: u64,
-    /// Decode-matrix cache misses store-wide.
-    pub decode_cache_misses: u64,
-    /// Matrix inversions performed store-wide.
+    /// Matrix inversions actually performed by the erasure decoders.
     pub decode_inversions: u64,
 }
 
 impl StoreTotals {
-    pub(crate) fn from_shards(shards: &[ShardMetrics]) -> Self {
-        let mut totals = StoreTotals::default();
-        for m in shards {
-            totals.keys += m.keys;
-            totals.completed_puts += m.completed_puts;
-            totals.completed_gets += m.completed_gets;
-            totals.pending_tickets += m.pending_tickets;
-            totals.messages_sent += m.messages_sent;
-            totals.messages_lost += m.messages_lost;
-            totals.messages_partitioned += m.messages_partitioned;
-            totals.data_bytes_sent += m.data_bytes_sent;
-            totals.stored_bytes += m.stored_bytes;
-            totals.put_latency.merge(&m.put_latency);
-            totals.get_latency.merge(&m.get_latency);
-            totals.repairs_completed += m.repairs_completed;
-            totals.repair_traffic_bytes += m.repair_traffic_bytes;
-            totals.repair_latency.merge(&m.repair_latency);
-            totals.repairs_failed += m.repairs_failed;
-            totals.decode_cache_hits += m.decode_cache_hits;
-            totals.decode_cache_misses += m.decode_cache_misses;
-            totals.decode_inversions += m.decode_inversions;
-        }
-        totals
+    /// Folds `other` into `self` — the one place the field list is summed,
+    /// for shards into the store-wide aggregate.
+    pub(crate) fn add(&mut self, other: &StoreTotals) {
+        self.keys += other.keys;
+        self.completed_puts += other.completed_puts;
+        self.completed_gets += other.completed_gets;
+        self.pending_tickets += other.pending_tickets;
+        self.messages_sent += other.messages_sent;
+        self.messages_lost += other.messages_lost;
+        self.messages_partitioned += other.messages_partitioned;
+        self.data_bytes_sent += other.data_bytes_sent;
+        self.stored_bytes += other.stored_bytes;
+        self.put_latency.merge(&other.put_latency);
+        self.get_latency.merge(&other.get_latency);
+        self.repairs_completed += other.repairs_completed;
+        self.repair_traffic_bytes += other.repair_traffic_bytes;
+        self.repair_latency.merge(&other.repair_latency);
+        self.repairs_failed += other.repairs_failed;
+        self.decode_cache_hits += other.decode_cache_hits;
+        self.decode_cache_misses += other.decode_cache_misses;
+        self.decode_inversions += other.decode_inversions;
     }
 
     /// Completed operations of both kinds.
@@ -219,7 +196,7 @@ impl StoreTotals {
 
 /// Per-shard metrics plus the aggregate, as returned by
 /// [`crate::ShardedStore::metrics`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StoreMetrics {
     /// One entry per shard, in shard order.
     pub per_shard: Vec<ShardMetrics>,
@@ -309,30 +286,27 @@ mod tests {
     }
 
     #[test]
-    fn totals_sum_shards() {
-        let shard = |i: usize, puts: u64| ShardMetrics {
-            shard: i,
-            protocol: "SODA",
+    fn totals_add_field_by_field() {
+        let shard = |puts: u64| StoreTotals {
             keys: 2,
             completed_puts: puts,
             completed_gets: 1,
-            pending_tickets: 0,
             messages_sent: 10,
             messages_lost: 1,
             messages_partitioned: 2,
             data_bytes_sent: 100,
             stored_bytes: 50,
-            put_latency: LatencyHistogram::default(),
-            get_latency: LatencyHistogram::default(),
             repairs_completed: 1,
             repair_traffic_bytes: 30,
-            repair_latency: LatencyHistogram::default(),
             repairs_failed: 1,
             decode_cache_hits: 9,
             decode_cache_misses: 1,
             decode_inversions: 1,
+            ..StoreTotals::default()
         };
-        let totals = StoreTotals::from_shards(&[shard(0, 3), shard(1, 4)]);
+        let mut totals = StoreTotals::default();
+        totals.add(&shard(3));
+        totals.add(&shard(4));
         assert_eq!(totals.keys, 4);
         assert_eq!(totals.completed_puts, 7);
         assert_eq!(totals.completed_ops(), 9);
@@ -345,5 +319,19 @@ mod tests {
         assert_eq!(totals.decode_cache_hits, 18);
         assert_eq!(totals.decode_cache_misses, 2);
         assert_eq!(totals.decode_inversions, 2);
+    }
+
+    #[test]
+    fn shard_metrics_read_their_totals_directly() {
+        let m = ShardMetrics {
+            shard: 3,
+            protocol: "ABD",
+            totals: StoreTotals {
+                completed_gets: 5,
+                ..StoreTotals::default()
+            },
+        };
+        assert_eq!(m.completed_gets, 5);
+        assert_eq!(m.completed_ops(), 5);
     }
 }

@@ -43,6 +43,11 @@ struct PoolShared {
     /// Workers park on this pair when every queue is empty.
     idle: Mutex<()>,
     work_ready: Condvar,
+    /// Tasks submitted whose worker has not yet finished with them — body
+    /// run *and* counters below updated. [`WorkerPool::wait_idle`] parks on
+    /// `all_done` (under `idle`) until this reaches zero.
+    unfinished: AtomicUsize,
+    all_done: Condvar,
     shutdown: AtomicBool,
     /// Tasks whose body panicked. The submitter re-raises once its result
     /// channel disconnects short of the expected count.
@@ -68,6 +73,8 @@ impl WorkerPool {
             queued: AtomicUsize::new(0),
             idle: Mutex::new(()),
             work_ready: Condvar::new(),
+            unfinished: AtomicUsize::new(0),
+            all_done: Condvar::new(),
             shutdown: AtomicBool::new(false),
             panics: AtomicUsize::new(0),
             tasks_executed: AtomicU64::new(0),
@@ -95,14 +102,16 @@ impl WorkerPool {
     }
 
     /// Distributes `tasks` round-robin across the worker deques and wakes
-    /// every worker. Returns immediately; completion is observed through
-    /// whatever channel the tasks capture.
+    /// every worker. Returns immediately; results travel through whatever
+    /// channel the tasks capture, and [`Self::wait_idle`] is the barrier
+    /// after which every submitted task is over and counted.
     pub(crate) fn submit(&self, tasks: Vec<Task>) {
         if tasks.is_empty() {
             return;
         }
         let count = tasks.len();
         let queues = self.shared.queues.len();
+        self.shared.unfinished.fetch_add(count, Ordering::SeqCst);
         for (i, task) in tasks.into_iter().enumerate() {
             self.shared.queues[i % queues]
                 .lock()
@@ -115,6 +124,23 @@ impl WorkerPool {
         // already waiting (the notification reaches it) — no missed wakeups.
         let _idle = self.shared.idle.lock().expect("idle lock poisoned");
         self.shared.work_ready.notify_all();
+    }
+
+    /// Blocks until every task submitted so far has finished: its body has
+    /// returned or unwound, and `panics`, `tasks_executed` and `busy_nanos`
+    /// include it. A task's own completion signal (its channel sender
+    /// dropping) is observable *before* its worker updates those counters,
+    /// and a panicking task may hold no sender at all — so this, not the
+    /// channel, is what makes the counters safe to read.
+    pub(crate) fn wait_idle(&self) {
+        let mut idle = self.shared.idle.lock().expect("idle lock poisoned");
+        while self.shared.unfinished.load(Ordering::SeqCst) > 0 {
+            idle = self
+                .shared
+                .all_done
+                .wait(idle)
+                .expect("idle lock poisoned while waiting");
+        }
     }
 
     /// Tasks whose body panicked since the pool was created.
@@ -160,6 +186,14 @@ fn worker_loop(index: usize, shared: &PoolShared) {
                 .busy_nanos
                 .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
             shared.tasks_executed.fetch_add(1, Ordering::Relaxed);
+            // Last, so that whoever sees `unfinished` reach zero also sees
+            // the counters above. Notify under the idle lock: a waiter is
+            // then either before its own check (it will read zero) or
+            // already waiting (the notification reaches it).
+            if shared.unfinished.fetch_sub(1, Ordering::SeqCst) == 1 {
+                let _idle = shared.idle.lock().expect("idle lock poisoned");
+                shared.all_done.notify_all();
+            }
             continue;
         }
         let idle = shared.idle.lock().expect("idle lock poisoned");
@@ -223,6 +257,7 @@ mod tests {
         let mut seen: Vec<u64> = rx.iter().take(64).collect();
         seen.sort_unstable();
         assert_eq!(seen, (0..64).collect::<Vec<_>>());
+        pool.wait_idle();
         let m = pool.metrics();
         assert_eq!(m.tasks_executed, 64);
         assert_eq!(m.workers, 3);
@@ -239,15 +274,33 @@ mod tests {
                     Box::new(move || tx.send(round * 100 + i).unwrap()) as Task
                 })
                 .collect();
+            // The panicking task holds no sender and is held back until every
+            // result of its round has been received: the interleaving in
+            // which the channel says "done" while a task is still running.
+            let (release, held) = channel::<()>();
             if round == 1 {
-                tasks.push(Box::new(|| panic!("task panic must stay contained")));
+                tasks.push(Box::new(move || {
+                    let _ = held.recv();
+                    panic!("task panic must stay contained")
+                }));
             }
             drop(tx);
             pool.submit(tasks);
             assert_eq!(rx.iter().count(), 8, "round {round}");
+            drop(release);
+            pool.wait_idle();
+            assert_eq!(pool.panics(), usize::from(round >= 1), "round {round}");
         }
-        assert_eq!(pool.panics(), 1);
         assert_eq!(pool.metrics().tasks_executed, 25);
+    }
+
+    #[test]
+    fn wait_idle_returns_at_once_on_an_idle_pool() {
+        let pool = WorkerPool::new(2);
+        pool.wait_idle();
+        pool.submit(Vec::new());
+        pool.wait_idle();
+        assert_eq!(pool.metrics().tasks_executed, 0);
     }
 
     #[test]

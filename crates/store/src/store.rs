@@ -2,12 +2,12 @@
 
 use crate::builder::{ShardSpec, StoreRuntime};
 use crate::map::{fnv1a, ShardMap};
-use crate::metrics::{LatencyHistogram, PoolMetrics, ShardMetrics, StoreMetrics, StoreTotals};
+use crate::metrics::{PoolMetrics, ShardMetrics, StoreMetrics, StoreTotals};
 use crate::pool::{Task, WorkerPool};
 use soda_consistency::{KeyViolation, KeyedHistory, KeyedOp};
 use soda_registry::{OpKind, OpRecord, RegisterCluster};
 use soda_simnet::FastHashMap;
-use soda_simnet::SimTime;
+use soda_simnet::{ProcessId, SimTime};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -187,6 +187,29 @@ pub struct StoreRunOutcome {
     pub hit_event_cap: bool,
 }
 
+/// One client handle of a key cluster: the simulated process behind it and
+/// the store tickets routed through it.
+struct Handle {
+    process: ProcessId,
+    /// Ticket ids in invocation order. A handle's operations complete in
+    /// invocation order (clients queue), so the i-th record of the process's
+    /// completed-op log settles the i-th ticket.
+    tickets: Vec<u64>,
+    /// How many tickets have been settled — which is also the cursor into
+    /// the process's completed-op log that the next harvest resumes from.
+    done: usize,
+}
+
+impl Handle {
+    fn new(process: ProcessId) -> Self {
+        Handle {
+            process,
+            tickets: Vec::new(),
+            done: 0,
+        }
+    }
+}
+
 /// One key's register cluster within a shard, plus the ticket bookkeeping
 /// that maps the cluster's per-client operation records back to store
 /// tickets.
@@ -196,119 +219,64 @@ struct KeyCluster {
     /// Round-robin cursors over the writer/reader handles.
     next_writer: usize,
     next_reader: usize,
-    /// FIFO ticket ids per writer handle, in invocation order. A handle's
-    /// operations complete in invocation order (clients queue), so the i-th
-    /// completed record of the handle's process settles the i-th ticket.
-    writer_tickets: Vec<Vec<u64>>,
-    reader_tickets: Vec<Vec<u64>>,
-    /// How many tickets per handle have already been settled.
-    writer_done: Vec<usize>,
-    reader_done: Vec<usize>,
-}
-
-/// Scratch buffers [`KeyCluster::harvest`] reuses across every cluster of
-/// every drain, replacing the per-call, per-handle record allocations the
-/// old settling path made.
-#[derive(Default)]
-struct HarvestScratch {
-    /// The cluster's completed records (cleared and refilled per cluster).
-    ops: Vec<OpRecord>,
-    /// Indices into `ops` belonging to one client handle, in `seq` order
-    /// (cleared and refilled per handle).
-    order: Vec<usize>,
+    writers: Vec<Handle>,
+    readers: Vec<Handle>,
 }
 
 impl KeyCluster {
-    /// Settles newly completed operations into `outcomes`.
+    /// Settles newly completed operations into `outcomes` and `settled`.
+    ///
+    /// Each handle with tickets outstanding asks the cluster only for the
+    /// records its process completed beyond the ones already settled, so a
+    /// harvest costs time in the operations that finished since the last one,
+    /// not in the cluster's history. `scratch` is an empty buffer reused
+    /// across every handle of every cluster of every drain.
     fn harvest(
         &mut self,
         shard: usize,
-        outcomes: &mut FastHashMap<u64, OpOutcome>,
-        scratch: &mut HarvestScratch,
+        settled: &mut StoreTotals,
+        outcomes: &mut [Option<OpOutcome>],
+        scratch: &mut Vec<OpRecord>,
     ) {
-        if self.settled() == self.issued() {
-            // Every ticket already settled — nothing new can appear, so skip
-            // cloning the cluster's whole record list.
-            return;
-        }
-        scratch.ops.clear();
-        self.cluster.completed_ops_into(&mut scratch.ops);
-        let ops = &scratch.ops;
-        let descriptor = *self.cluster.descriptor();
-        for w in 0..descriptor.num_writers {
-            let client = self.cluster.writer_process(w).0 as u64;
-            let order = &mut scratch.order;
-            order.clear();
-            order.extend(
-                ops.iter()
-                    .enumerate()
-                    .filter(|(_, op)| op.client == client)
-                    .map(|(i, _)| i),
-            );
-            order.sort_unstable_by_key(|&i| ops[i].seq);
-            let settled = order.len().min(self.writer_tickets[w].len());
-            for (&idx, &ticket) in order
-                .iter()
-                .zip(&self.writer_tickets[w])
-                .take(settled)
-                .skip(self.writer_done[w])
-            {
-                let record = &ops[idx];
-                outcomes.insert(
-                    ticket,
-                    OpOutcome {
-                        key: self.key.clone(),
-                        shard,
-                        kind: OpKind::Write,
-                        value: record.value.clone(),
-                        latency_ticks: record.latency(),
-                    },
-                );
+        for handle in self.writers.iter_mut().chain(&mut self.readers) {
+            if handle.done == handle.tickets.len() {
+                continue;
             }
-            self.writer_done[w] = settled;
-        }
-        for r in 0..descriptor.num_readers {
-            let client = self.cluster.reader_process(r).0 as u64;
-            let order = &mut scratch.order;
-            order.clear();
-            order.extend(
-                ops.iter()
-                    .enumerate()
-                    .filter(|(_, op)| op.client == client)
-                    .map(|(i, _)| i),
-            );
-            order.sort_unstable_by_key(|&i| ops[i].seq);
-            let settled = order.len().min(self.reader_tickets[r].len());
-            for (&idx, &ticket) in order
-                .iter()
-                .zip(&self.reader_tickets[r])
-                .take(settled)
-                .skip(self.reader_done[r])
-            {
-                let record = &ops[idx];
-                let value = record.value.clone().filter(|v| !v.is_empty());
-                outcomes.insert(
-                    ticket,
-                    OpOutcome {
-                        key: self.key.clone(),
-                        shard,
-                        kind: OpKind::Read,
-                        value,
-                        latency_ticks: record.latency(),
-                    },
-                );
+            self.cluster
+                .completed_since(handle.process, handle.done, scratch);
+            for (record, &ticket) in scratch.drain(..).zip(&handle.tickets[handle.done..]) {
+                handle.done += 1;
+                let latency_ticks = record.latency();
+                let value = match record.kind {
+                    OpKind::Write => {
+                        settled.completed_puts += 1;
+                        settled.put_latency.record(latency_ticks);
+                        record.value
+                    }
+                    OpKind::Read => {
+                        settled.completed_gets += 1;
+                        settled.get_latency.record(latency_ticks);
+                        record.value.filter(|v| !v.is_empty())
+                    }
+                };
+                outcomes[ticket as usize - 1] = Some(OpOutcome {
+                    key: self.key.clone(),
+                    shard,
+                    kind: record.kind,
+                    value,
+                    latency_ticks,
+                });
             }
-            self.reader_done[r] = settled;
         }
     }
 
-    fn issued(&self) -> usize {
-        self.writer_tickets.iter().map(Vec::len).sum::<usize>()
-            + self.reader_tickets.iter().map(Vec::len).sum::<usize>()
-    }
-
-    fn settled(&self) -> usize {
-        self.writer_done.iter().sum::<usize>() + self.reader_done.iter().sum::<usize>()
+    /// Tickets issued on this cluster that have not settled.
+    fn pending(&self) -> usize {
+        self.writers
+            .iter()
+            .chain(&self.readers)
+            .map(|handle| handle.tickets.len() - handle.done)
+            .sum()
     }
 }
 
@@ -336,6 +304,11 @@ struct Shard {
     /// Ranks whose repair has been scheduled but not yet observed complete in
     /// every existing cluster. They still count against the crash budget.
     repairing: BTreeSet<usize>,
+    /// The counters bumped as tickets settle, so that
+    /// [`ShardedStore::metrics`] never walks an operation log: completed
+    /// puts and gets and their latency histograms. Every other field stays
+    /// zero here and is read off the clusters when metrics are asked for.
+    settled: StoreTotals,
 }
 
 impl Shard {
@@ -359,6 +332,12 @@ impl Shard {
             cluster.crash_server_at(cluster.now(), rank);
         }
         let descriptor = *cluster.descriptor();
+        let writers = (0..descriptor.num_writers)
+            .map(|w| Handle::new(cluster.writer_process(w)))
+            .collect();
+        let readers = (0..descriptor.num_readers)
+            .map(|r| Handle::new(cluster.reader_process(r)))
+            .collect();
         let idx = self.clusters.len();
         self.key_index.insert(key.to_vec(), idx);
         self.clusters.push(KeyCluster {
@@ -366,10 +345,8 @@ impl Shard {
             cluster,
             next_writer: 0,
             next_reader: 0,
-            writer_tickets: vec![Vec::new(); descriptor.num_writers],
-            reader_tickets: vec![Vec::new(); descriptor.num_readers],
-            writer_done: vec![0; descriptor.num_writers],
-            reader_done: vec![0; descriptor.num_readers],
+            writers,
+            readers,
         });
         &mut self.clusters[idx]
     }
@@ -399,9 +376,11 @@ pub struct ShardedStore {
     /// at build time (`None` when the serial loop is the backend — see
     /// [`pool_for`]).
     pool: Option<WorkerPool>,
-    next_ticket: u64,
-    outcomes: FastHashMap<u64, OpOutcome>,
-    scratch: HarvestScratch,
+    /// One slot per ticket issued, filled when the ticket settles. Ticket
+    /// ids are dense (1, 2, 3, …), so ticket `id` lives at index `id - 1`.
+    outcomes: Vec<Option<OpOutcome>>,
+    /// Empty between harvests; see [`KeyCluster::harvest`].
+    scratch: Vec<OpRecord>,
 }
 
 impl std::fmt::Debug for ShardedStore {
@@ -410,8 +389,8 @@ impl std::fmt::Debug for ShardedStore {
             .field("shards", &self.shards.len())
             .field("keys_per_shard", &self.keys_per_shard())
             .field("runtime", &self.runtime)
-            .field("tickets_issued", &(self.next_ticket - 1))
-            .field("tickets_done", &self.outcomes.len())
+            .field("tickets_issued", &self.outcomes.len())
+            .field("tickets_done", &self.completed_tickets())
             .finish()
     }
 }
@@ -434,6 +413,7 @@ impl ShardedStore {
                 key_index: FastHashMap::default(),
                 downed: BTreeSet::new(),
                 repairing: BTreeSet::new(),
+                settled: StoreTotals::default(),
             })
             .collect();
         let pool = pool_for(runtime, specs_len);
@@ -443,9 +423,8 @@ impl ShardedStore {
             seed,
             runtime,
             pool,
-            next_ticket: 1,
-            outcomes: FastHashMap::default(),
-            scratch: HarvestScratch::default(),
+            outcomes: Vec::new(),
+            scratch: Vec::new(),
         }
     }
 
@@ -500,9 +479,14 @@ impl ShardedStore {
     }
 
     fn issue_ticket(&mut self) -> Ticket {
-        let id = self.next_ticket;
-        self.next_ticket += 1;
-        Ticket(id)
+        self.outcomes.push(None);
+        Ticket(self.outcomes.len() as u64)
+    }
+
+    /// Tickets settled so far, store-wide.
+    fn completed_tickets(&self) -> usize {
+        let completed: u64 = self.shards.iter().map(|s| s.settled.completed_ops()).sum();
+        completed as usize
     }
 
     /// Queues a put of `value` under `key`. Empty values are rejected (the
@@ -521,11 +505,11 @@ impl ShardedStore {
         let seed = self.seed;
         let shard = &mut self.shards[shard_idx];
         let kc = shard.cluster_for(&key, seed);
-        let writers = kc.writer_tickets.len();
+        let writers = kc.writers.len();
         assert!(writers > 0, "store built with zero writer handles per key");
         let handle = kc.next_writer;
         kc.next_writer = (kc.next_writer + 1) % writers;
-        kc.writer_tickets[handle].push(ticket.0);
+        kc.writers[handle].tickets.push(ticket.0);
         kc.cluster.invoke_write(handle, value);
         ticket
     }
@@ -540,11 +524,11 @@ impl ShardedStore {
         let seed = self.seed;
         let shard = &mut self.shards[shard_idx];
         let kc = shard.cluster_for(&key, seed);
-        let readers = kc.reader_tickets.len();
+        let readers = kc.readers.len();
         assert!(readers > 0, "store built with zero reader handles per key");
         let handle = kc.next_reader;
         kc.next_reader = (kc.next_reader + 1) % readers;
-        kc.reader_tickets[handle].push(ticket.0);
+        kc.readers[handle].tickets.push(ticket.0);
         kc.cluster.invoke_read(handle);
         ticket
     }
@@ -587,12 +571,11 @@ impl ShardedStore {
     /// # Panics
     /// Panics on a ticket this store never issued.
     pub fn outcome(&self, ticket: Ticket) -> Option<&OpOutcome> {
-        assert!(
-            ticket.0 > 0 && ticket.0 < self.next_ticket,
-            "ticket {} was not issued by this store",
-            ticket.0
-        );
-        self.outcomes.get(&ticket.0)
+        (ticket.0 as usize)
+            .checked_sub(1)
+            .and_then(|slot| self.outcomes.get(slot))
+            .unwrap_or_else(|| panic!("ticket {} was not issued by this store", ticket.0))
+            .as_ref()
     }
 
     /// Drives every shard until no messages remain anywhere, then settles
@@ -624,9 +607,8 @@ impl ShardedStore {
         };
         let scratch = &mut self.scratch;
         for shard in &mut self.shards {
-            let index = shard.index;
             for kc in &mut shard.clusters {
-                kc.harvest(index, &mut self.outcomes, scratch);
+                kc.harvest(shard.index, &mut shard.settled, &mut self.outcomes, scratch);
             }
             // Settle repairs per rank from the clusters' typed repair
             // reports. A rank leaves `repairing` once every cluster that
@@ -644,7 +626,7 @@ impl ShardedStore {
                 'ranks: for &rank in &shard.repairing {
                     let mut any_failed = false;
                     for kc in &shard.clusters {
-                        match kc.cluster.repair_reports().iter().find(|r| r.rank == rank) {
+                        match kc.cluster.repair_report(rank) {
                             Some(report) if report.failed() => any_failed = true,
                             // Still pulling state somewhere (only reachable
                             // when a simulation hit its event cap) — leave
@@ -671,9 +653,10 @@ impl ShardedStore {
                 }
             }
         }
+        let completed_tickets = self.completed_tickets();
         StoreRunOutcome {
-            completed_tickets: self.outcomes.len(),
-            pending_tickets: (self.next_ticket - 1) as usize - self.outcomes.len(),
+            completed_tickets,
+            pending_tickets: self.outcomes.len() - completed_tickets,
             hit_event_cap,
         }
     }
@@ -734,25 +717,28 @@ impl ShardedStore {
         let expected = tasks.len();
         pool.submit(tasks);
         let mut hit_event_cap = false;
-        for collected in 0..expected {
-            // Results arrive in completion order; the staging slots restore
-            // cluster order. A disconnect short of `expected` means a task
-            // panicked instead of reporting (its queued siblings still ran
-            // and their buffered results were received first).
-            let batch = rx.recv().unwrap_or_else(|_| {
-                panic!(
-                    "a store worker task panicked while draining \
-                     ({collected} of {expected} results collected, \
-                     {} panics observed pool-lifetime)",
-                    pool.panics()
-                )
-            });
+        let mut collected = 0;
+        // Results arrive in completion order; the staging slots restore
+        // cluster order. The channel disconnects once every task has
+        // reported or died.
+        for batch in rx {
+            collected += 1;
             hit_event_cap |= batch.hit_cap;
             let slots = &mut staging[batch.shard];
             for (offset, kc) in batch.clusters.into_iter().enumerate() {
                 slots[batch.first + offset] = Some(kc);
             }
         }
+        // The barrier: a task's sender drops before its worker has counted
+        // it, so only now are the pool's counters settled for this drain.
+        pool.wait_idle();
+        assert!(
+            collected == expected,
+            "a store worker task panicked while draining \
+             ({collected} of {expected} results collected, \
+             {} panics observed pool-lifetime)",
+            pool.panics()
+        );
         for (shard, slots) in self.shards.iter_mut().zip(staging) {
             shard.clusters = slots
                 .into_iter()
@@ -930,70 +916,48 @@ impl ShardedStore {
     }
 
     /// Per-shard and aggregate operation counts, message/storage costs and
-    /// latency histograms.
+    /// latency histograms. Operation counts and put/get latencies are
+    /// counters bumped as tickets settle; the rest is read off each cluster's
+    /// current state — so a call costs time in the number of clusters, never
+    /// in the number of operations they have served.
     pub fn metrics(&self) -> StoreMetrics {
+        let mut aggregate = StoreTotals::default();
         let mut per_shard = Vec::with_capacity(self.shards.len());
         for shard in &self.shards {
-            let mut m = ShardMetrics {
-                shard: shard.index,
-                protocol: shard.spec.kind.name(),
+            let mut totals = StoreTotals {
                 keys: shard.clusters.len(),
-                completed_puts: 0,
-                completed_gets: 0,
-                pending_tickets: 0,
-                messages_sent: 0,
-                messages_lost: 0,
-                messages_partitioned: 0,
-                data_bytes_sent: 0,
-                stored_bytes: 0,
-                put_latency: LatencyHistogram::default(),
-                get_latency: LatencyHistogram::default(),
-                repairs_completed: 0,
-                repair_traffic_bytes: 0,
-                repair_latency: LatencyHistogram::default(),
-                repairs_failed: 0,
-                decode_cache_hits: 0,
-                decode_cache_misses: 0,
-                decode_inversions: 0,
+                ..shard.settled.clone()
             };
             for kc in &shard.clusters {
-                let stats = kc.cluster.stats();
+                let stats = kc.cluster.stats_ref();
                 let cache = kc.cluster.decode_cache_stats();
-                m.decode_cache_hits += cache.hits;
-                m.decode_cache_misses += cache.misses;
-                m.decode_inversions += cache.inversions;
-                m.messages_sent += stats.messages_sent;
-                m.messages_lost += stats.messages_lost;
-                m.messages_partitioned += stats.messages_partitioned;
-                m.data_bytes_sent += stats.data_bytes_sent;
-                m.stored_bytes += kc.cluster.total_stored_bytes();
-                m.pending_tickets += (kc.issued() - kc.settled()) as u64;
-                for report in kc.cluster.repair_reports() {
-                    m.repair_traffic_bytes += report.traffic_bytes;
+                totals.decode_cache_hits += cache.hits;
+                totals.decode_cache_misses += cache.misses;
+                totals.decode_inversions += cache.inversions;
+                totals.messages_sent += stats.messages_sent;
+                totals.messages_lost += stats.messages_lost;
+                totals.messages_partitioned += stats.messages_partitioned;
+                totals.data_bytes_sent += stats.data_bytes_sent;
+                totals.stored_bytes += kc.cluster.total_stored_bytes();
+                totals.pending_tickets += kc.pending() as u64;
+                for report in (0..shard.spec.n).filter_map(|rank| kc.cluster.repair_report(rank)) {
+                    totals.repair_traffic_bytes += report.traffic_bytes;
                     if let Some(latency) = report.latency() {
-                        m.repairs_completed += 1;
-                        m.repair_latency.record(latency);
+                        totals.repairs_completed += 1;
+                        totals.repair_latency.record(latency);
                     }
                     if report.failed() {
-                        m.repairs_failed += 1;
-                    }
-                }
-                for op in kc.cluster.completed_ops() {
-                    match op.kind {
-                        OpKind::Write => {
-                            m.completed_puts += 1;
-                            m.put_latency.record(op.latency());
-                        }
-                        OpKind::Read => {
-                            m.completed_gets += 1;
-                            m.get_latency.record(op.latency());
-                        }
+                        totals.repairs_failed += 1;
                     }
                 }
             }
-            per_shard.push(m);
+            aggregate.add(&totals);
+            per_shard.push(ShardMetrics {
+                shard: shard.index,
+                protocol: shard.spec.kind.name(),
+                totals,
+            });
         }
-        let aggregate = StoreTotals::from_shards(&per_shard);
         StoreMetrics {
             per_shard,
             aggregate,
