@@ -10,12 +10,12 @@
 //! Costs (Table I): write cost `n`, read cost `n` (the value travels to/from
 //! every server in the worst case), total storage cost `n`.
 
-use soda_protocol::{value_from, Layout, QuorumTracker, Tag, Value};
-use soda_simnet::{
-    Context, Message, NetworkConfig, Process, ProcessId, RunOutcome, SimTime, Simulation, Stats,
+use soda_protocol::{
+    value_from, Layout, OpKind, OpRecord, PendingWrite, ProtocolSpec, QuorumTracker, RepairDriver,
+    RepairStatus, Tag, Value,
 };
+use soda_simnet::{Context, Message, Process, ProcessId, ProcessStats, SimTime, Simulation};
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 /// Messages of the ABD protocol.
 #[derive(Clone, Debug)]
@@ -74,37 +74,12 @@ impl Message for AbdMsg {
     }
 }
 
-/// A completed ABD operation (mirrors `soda::OpRecord` but lives here to keep
-/// the baseline crate independent of the SODA core).
-#[derive(Clone, Debug)]
-pub struct AbdOpRecord {
-    /// Per-client sequence number.
-    pub seq: u64,
-    /// True if this was a read.
-    pub is_read: bool,
-    /// Invocation time.
-    pub invoked_at: SimTime,
-    /// Response time.
-    pub completed_at: SimTime,
-    /// The tag associated with the operation.
-    pub tag: Tag,
-    /// Written or returned value.
-    pub value: Vec<u8>,
-}
-
 /// In-flight state re-acquisition of a replacement ABD server.
 struct AbdRepair {
     layout: Layout,
     seq: u64,
     tracker: QuorumTracker<(Tag, Value)>,
-    started_at: SimTime,
-    completed_at: Option<SimTime>,
-    traffic_bytes: u64,
-    /// Fan-out attempts so far (the initial send counts as one).
-    attempts: u32,
-    /// The retry budget ran out with the survivors unreachable; the
-    /// replacement halted itself and the rank is plain dead again.
-    failed: bool,
+    driver: RepairDriver,
 }
 
 /// The ABD server: stores the full `(tag, value)` pair.
@@ -145,11 +120,7 @@ impl AbdServer {
                 layout,
                 seq: epoch,
                 tracker: QuorumTracker::new(majority),
-                started_at: SimTime::ZERO,
-                completed_at: None,
-                traffic_bytes: 0,
-                attempts: 0,
-                failed: false,
+                driver: RepairDriver::default(),
             }),
         }
     }
@@ -166,82 +137,34 @@ impl AbdServer {
 
     /// Whether this server is a replacement whose repair has not finished.
     pub fn is_repairing(&self) -> bool {
-        matches!(&self.repair, Some(r) if r.completed_at.is_none() && !r.failed)
-    }
-
-    /// Whether this replacement gave up (retry budget exhausted with the
-    /// survivors unreachable) and halted itself.
-    pub fn repair_failed(&self) -> bool {
-        matches!(&self.repair, Some(r) if r.failed)
+        self.repair.as_ref().is_some_and(|r| r.driver.in_progress())
     }
 
     /// Repair progress, if this server is (or was) a replacement.
-    pub fn repair_status(&self) -> Option<crate::RepairStatus> {
-        self.repair.as_ref().map(|r| crate::RepairStatus {
-            started_at: r.started_at,
-            completed_at: r.completed_at,
-            traffic_bytes: r.traffic_bytes,
-            failed: r.failed,
-        })
-    }
-
-    /// Sends (or re-sends) the repair query fan-out to every peer.
-    fn send_repair_queries(&mut self, ctx: &mut Context<'_, AbdMsg>) {
-        let Some(repair) = self.repair.as_ref() else {
-            return;
-        };
-        let seq = repair.seq;
-        let peers: Vec<ProcessId> = repair
-            .layout
-            .servers()
-            .iter()
-            .copied()
-            .filter(|&p| p != ctx.self_id())
-            .collect();
-        for peer in peers {
-            ctx.send(peer, AbdMsg::Query { seq });
-        }
+    pub fn repair_status(&self) -> Option<RepairStatus> {
+        self.repair.as_ref().map(|r| r.driver.status())
     }
 }
 
 impl Process<AbdMsg> for AbdServer {
     fn on_start(&mut self, ctx: &mut Context<'_, AbdMsg>) {
-        {
-            let Some(repair) = self.repair.as_mut() else {
-                return;
-            };
-            repair.started_at = ctx.now();
-            repair.attempts = 1;
+        if let Some(repair) = self.repair.as_mut() {
+            let (layout, seq) = (&repair.layout, repair.seq);
+            repair.driver.start(ctx, |ctx| {
+                ctx.send_all(layout.peers_of(ctx.self_id()), AbdMsg::Query { seq })
+            });
         }
-        self.send_repair_queries(ctx);
-        ctx.set_timer(crate::REPAIR_RETRY_INTERVAL, crate::REPAIR_RETRY_TOKEN);
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut Context<'_, AbdMsg>) {
-        if token != crate::REPAIR_RETRY_TOKEN {
-            return;
+        if let Some(repair) = self.repair.as_mut() {
+            // Duplicate queries are idempotent: the quorum tracker records
+            // each responder once.
+            let (layout, seq) = (&repair.layout, repair.seq);
+            repair.driver.on_timer(token, ctx, |ctx| {
+                ctx.send_all(layout.peers_of(ctx.self_id()), AbdMsg::Query { seq })
+            });
         }
-        {
-            let Some(repair) = self.repair.as_mut() else {
-                return;
-            };
-            if repair.completed_at.is_some() || repair.failed {
-                return;
-            }
-            if repair.attempts >= crate::REPAIR_MAX_ATTEMPTS {
-                // Survivors unreachable for the whole retry budget: give up
-                // and halt, reverting the rank to plain dead so the
-                // crash-budget slot can be reclaimed by a later repair.
-                repair.failed = true;
-                ctx.halt();
-                return;
-            }
-            repair.attempts += 1;
-        }
-        // Duplicate queries are idempotent: the quorum tracker records each
-        // responder once.
-        self.send_repair_queries(ctx);
-        ctx.set_timer(crate::REPAIR_RETRY_INTERVAL, crate::REPAIR_RETRY_TOKEN);
     }
 
     fn on_message(&mut self, from: ProcessId, msg: AbdMsg, ctx: &mut Context<'_, AbdMsg>) {
@@ -271,10 +194,10 @@ impl Process<AbdMsg> for AbdServer {
                 let Some(repair) = self.repair.as_mut() else {
                     return;
                 };
-                if repair.completed_at.is_some() || seq != repair.seq {
+                if !repair.driver.in_progress() || seq != repair.seq {
                     return;
                 }
-                repair.traffic_bytes += value.len() as u64;
+                repair.driver.add_traffic(value.len());
                 repair.tracker.record(from, (tag, value));
                 if !repair.tracker.is_complete() {
                     return;
@@ -285,7 +208,7 @@ impl Process<AbdMsg> for AbdServer {
                     .max_by_key(|(_, (tag, _))| *tag)
                     .map(|(_, (tag, value))| (*tag, value.clone()))
                     .expect("a complete quorum is non-empty");
-                repair.completed_at = Some(ctx.now());
+                repair.driver.finish(ctx.now());
                 // Monotone adoption: a concurrent write's store may already
                 // have installed a newer pair.
                 if max_tag > self.tag {
@@ -336,7 +259,7 @@ pub struct AbdClient {
     store_value: Option<Value>,
     query_tracker: QuorumTracker<(Tag, Value)>,
     ack_tracker: QuorumTracker<()>,
-    completed: Vec<AbdOpRecord>,
+    completed: Vec<OpRecord>,
 }
 
 impl AbdClient {
@@ -372,25 +295,30 @@ impl AbdClient {
     }
 
     /// Completed operations in completion order.
-    pub fn completed_ops(&self) -> &[AbdOpRecord] {
+    pub fn completed_ops(&self) -> &[OpRecord] {
         &self.completed
     }
 
-    /// The in-flight *write*, if one exists: `(seq, invoked_at, tag, value)`
-    /// where the tag is `None` until the store phase starts (before that, no
-    /// server has seen the value, so no read can have observed it). Needed to
-    /// close operation histories under crash/network faults. In-flight reads
-    /// are not reported: an unfinished read returns nothing.
-    pub fn in_flight_write(&self) -> Option<(u64, SimTime, Option<Tag>, Vec<u8>)> {
+    /// The in-flight *write*, if one exists. Its tag is `None` until the
+    /// store phase starts (before that, no server has seen the value, so no
+    /// read can have observed it). Needed to close operation histories under
+    /// crash/network faults. In-flight reads are not reported: an unfinished
+    /// read returns nothing.
+    pub fn in_flight_write(&self) -> Option<PendingWrite> {
         if self.phase == AbdPhase::Idle || self.current_is_read {
             return None;
         }
-        let value = self
-            .current_value
-            .as_ref()
-            .expect("an in-flight write always carries its value")
-            .to_vec();
-        Some((self.seq, self.invoked_at, self.store_tag, value))
+        Some(PendingWrite {
+            client: u64::from(self.self_id.0),
+            seq: self.seq,
+            invoked_at: self.invoked_at,
+            tag: self.store_tag,
+            value: self
+                .current_value
+                .as_ref()
+                .expect("an in-flight write always carries its value")
+                .to_vec(),
+        })
     }
 
     fn start_next(&mut self, ctx: &mut Context<'_, AbdMsg>) {
@@ -451,17 +379,23 @@ impl AbdClient {
     }
 
     fn complete(&mut self, ctx: &mut Context<'_, AbdMsg>) {
-        let record = AbdOpRecord {
+        let record = OpRecord {
+            client: u64::from(self.self_id.0),
             seq: self.seq,
-            is_read: self.current_is_read,
+            kind: if self.current_is_read {
+                OpKind::Read
+            } else {
+                OpKind::Write
+            },
             invoked_at: self.invoked_at,
             completed_at: ctx.now(),
             tag: self.store_tag.take().expect("store tag set"),
-            value: self
-                .store_value
-                .take()
-                .map(|v| v.to_vec())
-                .unwrap_or_default(),
+            value: Some(
+                self.store_value
+                    .take()
+                    .map(|v| v.to_vec())
+                    .unwrap_or_default(),
+            ),
         };
         self.completed.push(record);
         self.phase = AbdPhase::Idle;
@@ -507,259 +441,128 @@ impl Process<AbdMsg> for AbdClient {
     }
 }
 
-/// Parameters of an ABD deployment.
-///
-/// This replaces the former six-positional-argument `AbdCluster::build`
-/// signature. Application code should not use it directly: build clusters
-/// through `soda_registry::ClusterBuilder`, which validates parameters and
-/// returns the protocol-agnostic `RegisterCluster` facade.
-#[derive(Clone, Debug)]
-pub struct AbdParams {
-    /// Number of servers.
-    pub n: usize,
-    /// Number of server crashes the experiments inject (ABD itself always
-    /// uses majority quorums regardless of `f`).
-    pub f: usize,
-    /// Number of clients (each performs both writes and reads).
-    pub num_clients: usize,
-    /// RNG seed controlling message delays.
-    pub seed: u64,
-    /// Network delay configuration.
-    pub network: NetworkConfig,
-    /// The initial object value `v0`.
-    pub initial_value: Vec<u8>,
+/// One ABD deployment, as the cluster harness sees it.
+pub struct AbdSpec {
+    /// The system layout. ABD itself always uses majority quorums,
+    /// regardless of the layout's `f`.
+    pub layout: Layout,
     /// **Test-only.** Overrides the per-phase quorum size of every client
-    /// (see [`AbdClient::with_quorum`]). `None` (the default) uses the
-    /// correct majority quorum.
+    /// (see [`AbdClient::with_quorum`]). `None` uses the correct majority
+    /// quorum.
     pub quorum_override: Option<usize>,
 }
 
-impl AbdParams {
-    /// Parameters for an `(n, f)` cluster with two clients, seed 0, uniform
-    /// delays in `[1, 10]` and an empty initial value.
-    pub fn new(n: usize, f: usize) -> Self {
-        AbdParams {
-            n,
-            f,
-            num_clients: 2,
-            seed: 0,
-            network: NetworkConfig::uniform(10),
-            initial_value: Vec::new(),
-            quorum_override: None,
-        }
-    }
-}
+impl ProtocolSpec for AbdSpec {
+    type Msg = AbdMsg;
 
-/// A complete simulated ABD deployment.
-pub struct AbdCluster {
-    sim: Simulation<AbdMsg>,
-    layout: Layout,
-    servers: Vec<ProcessId>,
-    clients: Vec<ProcessId>,
-    /// Per-rank incarnation counter for replacement servers.
-    epochs: Vec<u64>,
-}
-
-impl AbdCluster {
-    /// Builds the cluster described by `params`.
-    pub fn build(params: AbdParams) -> Self {
-        let AbdParams {
-            n,
-            f,
-            num_clients,
-            seed,
-            network,
-            initial_value,
-            quorum_override,
-        } = params;
-        let mut sim = Simulation::new(seed, network);
-        let server_ids: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
-        let layout = Layout::new(server_ids.clone(), f);
-        let initial = value_from(initial_value);
-        for _ in 0..n {
-            sim.add_process(Box::new(AbdServer::new(&initial)));
-        }
-        let mut clients = Vec::new();
-        for _ in 0..num_clients {
-            let id = ProcessId(sim.num_processes() as u32);
-            let mut client = AbdClient::new(layout.clone(), id);
-            if let Some(q) = quorum_override {
-                client = client.with_quorum(q);
-            }
-            sim.add_process(Box::new(client));
-            clients.push(id);
-        }
-        let epochs = vec![0; n];
-        AbdCluster {
-            sim,
-            layout,
-            servers: server_ids,
-            clients,
-            epochs,
-        }
+    fn invoke_write(value: Value) -> AbdMsg {
+        AbdMsg::InvokeWrite(value)
     }
 
-    /// Client process ids.
-    pub fn clients(&self) -> &[ProcessId] {
-        &self.clients
+    fn invoke_read() -> AbdMsg {
+        AbdMsg::InvokeRead
     }
 
-    /// Server process ids.
-    pub fn servers(&self) -> &[ProcessId] {
-        &self.servers
+    fn server(&self, _rank: usize, initial: &Value) -> Box<dyn Process<AbdMsg>> {
+        Box::new(AbdServer::new(initial))
     }
 
-    /// Queues a write at client `client`.
-    pub fn invoke_write(&mut self, client: ProcessId, value: Vec<u8>) {
-        self.sim
-            .send_external(client, AbdMsg::InvokeWrite(value_from(value)));
+    fn replacement(&self, _rank: usize, epoch: u64) -> Box<dyn Process<AbdMsg>> {
+        Box::new(AbdServer::replacement(self.layout.clone(), epoch))
     }
 
-    /// Queues a write at a given simulated time.
-    pub fn invoke_write_at(&mut self, at: SimTime, client: ProcessId, value: Vec<u8>) {
-        self.sim
-            .send_external_at(at, client, AbdMsg::InvokeWrite(value_from(value)));
-    }
-
-    /// Queues a read at client `client`.
-    pub fn invoke_read(&mut self, client: ProcessId) {
-        self.sim.send_external(client, AbdMsg::InvokeRead);
-    }
-
-    /// Queues a read at a given simulated time.
-    pub fn invoke_read_at(&mut self, at: SimTime, client: ProcessId) {
-        self.sim.send_external_at(at, client, AbdMsg::InvokeRead);
-    }
-
-    /// Crashes the server with the given rank.
-    pub fn crash_server_at(&mut self, at: SimTime, rank: usize) {
-        let id = self.servers[rank];
-        self.sim.schedule_crash(at, id);
-    }
-
-    /// Crashes an arbitrary process (e.g. a client) at time `at`.
-    pub fn crash_process_at(&mut self, at: SimTime, id: ProcessId) {
-        self.sim.schedule_crash(at, id);
-    }
-
-    /// Schedules the repair of the server with the given rank at time `at`:
-    /// a fresh replacement adopts the majority-maximum `(tag, value)` pair
-    /// from survivors (see [`AbdServer::replacement`]).
-    pub fn repair_server_at(&mut self, at: SimTime, rank: usize) {
-        self.epochs[rank] += 1;
-        let replacement = AbdServer::replacement(self.layout.clone(), self.epochs[rank]);
-        self.sim
-            .schedule_recovery(at, self.servers[rank], Box::new(replacement));
-    }
-
-    /// Number of servers currently dead **or under repair**.
-    pub fn dead_or_repairing(&self) -> usize {
-        self.servers
-            .iter()
-            .filter(|&&id| {
-                self.sim.is_crashed(id)
-                    || self
-                        .sim
-                        .process_as::<AbdServer>(id)
-                        .is_some_and(|s| s.is_repairing())
-            })
-            .count()
-    }
-
-    /// Repair status of rank `rank`'s current incarnation (`None` for a
-    /// server that was never replaced).
-    ///
-    /// # Panics
-    /// Panics if `rank` is not a server rank of this cluster.
-    pub fn repair_status(&self, rank: usize) -> Option<crate::RepairStatus> {
-        self.sim
-            .process_as::<AbdServer>(self.servers[rank])
-            .and_then(|s| s.repair_status())
-    }
-
-    /// Runs until quiescent.
-    pub fn run_to_quiescence(&mut self) -> RunOutcome {
-        self.sim.run_to_quiescence()
-    }
-
-    /// Runs the simulation until the given deadline.
-    pub fn run_until(&mut self, deadline: SimTime) -> RunOutcome {
-        self.sim.run_until(deadline)
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.sim.now()
-    }
-
-    /// Message statistics.
-    pub fn stats(&self) -> Stats {
-        self.sim.stats()
-    }
-
-    /// All completed operations across clients, ordered by completion time.
-    pub fn completed_ops(&self) -> Vec<AbdOpRecord> {
-        let mut ops: Vec<AbdOpRecord> = self
-            .clients
-            .iter()
-            .filter_map(|&c| self.sim.process_as::<AbdClient>(c))
-            .flat_map(|c| c.completed_ops().iter().cloned())
-            .collect();
-        ops.sort_by_key(|op| op.completed_at);
-        ops
-    }
-
-    /// In-flight writes of every client, as `(client, seq, invoked_at, tag,
-    /// value)` tuples (see [`AbdClient::in_flight_write`]).
-    pub fn pending_writes(&self) -> Vec<crate::PendingWriteInfo> {
-        self.clients
-            .iter()
-            .filter_map(|&c| {
-                let client = self.sim.process_as::<AbdClient>(c)?;
-                let (seq, invoked_at, tag, value) = client.in_flight_write()?;
-                Some((c, seq, invoked_at, tag, value))
-            })
-            .collect()
-    }
-
-    /// The operations one client has completed, in the order it completed
-    /// them — its append-only log, which is also `seq` order because a
-    /// client runs one operation at a time. Empty for a process that is not
-    /// a client of this cluster.
-    pub fn client_records(&self, client: ProcessId) -> &[AbdOpRecord] {
-        self.sim
-            .process_as::<AbdClient>(client)
-            .map_or(&[], AbdClient::completed_ops)
-    }
-
-    /// Bytes of value data stored at each server, by rank.
-    pub fn stored_bytes_per_server(&self) -> Vec<u64> {
-        self.stored_bytes_by_rank().collect()
-    }
-
-    /// Total bytes of value data stored across all servers.
-    pub fn total_stored_bytes(&self) -> u64 {
-        self.stored_bytes_by_rank().sum()
-    }
-
-    fn stored_bytes_by_rank(&self) -> impl Iterator<Item = u64> + '_ {
-        self.servers.iter().map(|&s| {
-            self.sim
-                .process_as::<AbdServer>(s)
-                .map_or(0, |s| s.stored_bytes() as u64)
+    fn client(&self, id: ProcessId, _role: OpKind) -> Box<dyn Process<AbdMsg>> {
+        let client = AbdClient::new(self.layout.clone(), id);
+        Box::new(match self.quorum_override {
+            Some(quorum) => client.with_quorum(quorum),
+            None => client,
         })
     }
 
-    /// Immutable access to the underlying simulation.
-    pub fn sim(&self) -> &Simulation<AbdMsg> {
-        &self.sim
+    fn stored_bytes(sim: &Simulation<AbdMsg>, server: ProcessId) -> u64 {
+        sim.process_as::<AbdServer>(server)
+            .map_or(0, |s| s.stored_bytes() as u64)
     }
 
-    /// Mutable access to the underlying simulation.
-    pub fn sim_mut(&mut self) -> &mut Simulation<AbdMsg> {
-        &mut self.sim
+    fn repair_status(sim: &Simulation<AbdMsg>, server: ProcessId) -> Option<RepairStatus> {
+        sim.process_as::<AbdServer>(server)?.repair_status()
+    }
+
+    fn completed_ops(sim: &Simulation<AbdMsg>, client: ProcessId) -> &[OpRecord] {
+        sim.process_as::<AbdClient>(client)
+            .map_or(&[], AbdClient::completed_ops)
+    }
+
+    fn in_flight_write(sim: &Simulation<AbdMsg>, client: ProcessId) -> Option<PendingWrite> {
+        sim.process_as::<AbdClient>(client)?.in_flight_write()
+    }
+
+    /// An ABD read also *sends* the value back to the servers in its
+    /// write-back phase; both directions are part of the read's
+    /// communication cost.
+    fn read_cost_bytes(reader: &ProcessStats) -> u64 {
+        reader.data_bytes_received + reader.data_bytes_sent
     }
 }
 
-/// Shared-pointer alias used by the workload adapters.
-pub type SharedLayout = Arc<Layout>;
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use soda_simnet::testkit::{deliver, start};
+
+    fn t(ticks: u64) -> SimTime {
+        SimTime::from_ticks(ticks)
+    }
+
+    #[test]
+    fn replacement_adopts_the_majority_maximum_and_charges_its_traffic() {
+        let me = ProcessId(0);
+        let writer = ProcessId(9);
+        let layout = Layout::new((0..5u32).map(ProcessId).collect(), 2);
+        let mut s = AbdServer::replacement(layout, 3);
+
+        let started = start(&mut s, me, t(10));
+        let queried: Vec<ProcessId> = started.sends.iter().map(|(to, _)| *to).collect();
+        assert_eq!(queried, (1..5u32).map(ProcessId).collect::<Vec<_>>());
+        assert!(started
+            .sends
+            .iter()
+            .all(|(_, m)| matches!(m, AbdMsg::Query { seq: 3 })));
+        assert_eq!(started.timers.len(), 1, "retry timer armed");
+
+        // Its empty state must not stand in for the crashed server.
+        let asked = deliver(&mut s, me, t(11), writer, AbdMsg::Query { seq: 1 });
+        assert!(asked.sends.is_empty());
+
+        let resp = |seq: u64, z: u64| AbdMsg::QueryResp {
+            seq,
+            tag: Tag::new(z, writer),
+            value: value_from(vec![z as u8; 6]),
+        };
+        // An answer to an earlier incarnation's query is not counted.
+        deliver(&mut s, me, t(12), ProcessId(1), resp(2, 99));
+        for (peer, z) in [(1u32, 4u64), (2, 7)] {
+            deliver(&mut s, me, t(13), ProcessId(peer), resp(3, z));
+            assert!(s.is_repairing(), "two answers are no majority of five");
+        }
+        deliver(&mut s, me, t(14), ProcessId(3), resp(3, 5));
+
+        assert!(!s.is_repairing());
+        assert_eq!(s.stored_tag(), Tag::new(7, writer));
+        assert_eq!(s.stored_bytes(), 6);
+        assert_eq!(
+            s.repair_status(),
+            Some(RepairStatus {
+                started_at: t(10),
+                completed_at: Some(t(14)),
+                traffic_bytes: 18,
+                failed: false,
+            })
+        );
+        let asked = deliver(&mut s, me, t(15), writer, AbdMsg::Query { seq: 2 });
+        assert!(matches!(
+            asked.sends[0].1,
+            AbdMsg::QueryResp { tag, .. } if tag == Tag::new(7, writer)
+        ));
+    }
+}

@@ -17,11 +17,12 @@
 //! total storage cost at `n/(n−2f) · (δ + 1)` — the rigid bound SODA's elastic
 //! per-read cost is compared against in Table I and Section I-B.
 
-use soda_protocol::{value_from, Layout, QuorumTracker, Tag, Value};
-use soda_rs_code::{CodedElement, MdsCode, VandermondeCode};
-use soda_simnet::{
-    Context, Message, NetworkConfig, Process, ProcessId, RunOutcome, SimTime, Simulation, Stats,
+use soda_protocol::{
+    CodeCacheStats, Layout, OpKind, OpRecord, PendingWrite, ProtocolSpec, QuorumTracker,
+    RepairDriver, RepairStatus, Tag, Value,
 };
+use soda_rs_code::{CodedElement, MdsCode, VandermondeCode};
+use soda_simnet::{Context, Message, Process, ProcessId, SimTime, Simulation};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
@@ -190,37 +191,13 @@ impl CasConfig {
     }
 }
 
-/// A completed CAS operation.
-#[derive(Clone, Debug)]
-pub struct CasOpRecord {
-    /// Per-client sequence number.
-    pub seq: u64,
-    /// True if this was a read.
-    pub is_read: bool,
-    /// Invocation time.
-    pub invoked_at: SimTime,
-    /// Response time.
-    pub completed_at: SimTime,
-    /// Tag associated with the operation.
-    pub tag: Tag,
-    /// Written or returned value.
-    pub value: Vec<u8>,
-}
-
 /// In-flight full-replica state transfer of a replacement CAS server.
 struct CasRepair {
     seq: u64,
     responses: QuorumTracker<()>,
     /// Union of survivor state: tag → (elements by index, finalized).
     collected: BTreeMap<Tag, (BTreeMap<usize, CodedElement>, bool)>,
-    started_at: SimTime,
-    completed_at: Option<SimTime>,
-    traffic_bytes: u64,
-    /// Fan-out attempts so far (the initial send counts as one).
-    attempts: u32,
-    /// The retry budget ran out with the survivors unreachable; the
-    /// replacement halted itself and the rank is plain dead again.
-    failed: bool,
+    driver: RepairDriver,
 }
 
 /// A CAS / CASGC server.
@@ -273,53 +250,19 @@ impl CasServer {
                 seq: epoch,
                 responses: QuorumTracker::new(quorum),
                 collected: BTreeMap::new(),
-                started_at: SimTime::ZERO,
-                completed_at: None,
-                traffic_bytes: 0,
-                attempts: 0,
-                failed: false,
+                driver: RepairDriver::default(),
             }),
         }
     }
 
     /// Whether this server is a replacement whose repair has not finished.
     pub fn is_repairing(&self) -> bool {
-        matches!(&self.repair, Some(r) if r.completed_at.is_none() && !r.failed)
-    }
-
-    /// Whether this replacement gave up (retry budget exhausted with the
-    /// survivors unreachable) and halted itself.
-    pub fn repair_failed(&self) -> bool {
-        matches!(&self.repair, Some(r) if r.failed)
+        self.repair.as_ref().is_some_and(|r| r.driver.in_progress())
     }
 
     /// Repair progress, if this server is (or was) a replacement.
-    pub fn repair_status(&self) -> Option<crate::RepairStatus> {
-        self.repair.as_ref().map(|r| crate::RepairStatus {
-            started_at: r.started_at,
-            completed_at: r.completed_at,
-            traffic_bytes: r.traffic_bytes,
-            failed: r.failed,
-        })
-    }
-
-    /// Sends (or re-sends) the repair pull fan-out to every peer.
-    fn send_repair_pulls(&mut self, ctx: &mut Context<'_, CasMsg>) {
-        let Some(repair) = self.repair.as_ref() else {
-            return;
-        };
-        let seq = repair.seq;
-        let peers: Vec<ProcessId> = self
-            .config
-            .layout()
-            .servers()
-            .iter()
-            .copied()
-            .filter(|&p| p != ctx.self_id())
-            .collect();
-        for peer in peers {
-            ctx.send(peer, CasMsg::RepairPull { seq });
-        }
+    pub fn repair_status(&self) -> Option<RepairStatus> {
+        self.repair.as_ref().map(|r| r.driver.status())
     }
 
     /// Merges the collected survivor state into the local store once a
@@ -328,7 +271,7 @@ impl CasServer {
         let Some(repair) = self.repair.as_mut() else {
             return;
         };
-        repair.completed_at = Some(now);
+        repair.driver.finish(now);
         let collected = std::mem::take(&mut repair.collected);
         let k = self.config.k();
         for (tag, (elements, fin)) in collected {
@@ -403,44 +346,24 @@ impl CasServer {
 
 impl Process<CasMsg> for CasServer {
     fn on_start(&mut self, ctx: &mut Context<'_, CasMsg>) {
-        {
-            let Some(repair) = self.repair.as_mut() else {
-                return;
-            };
-            repair.started_at = ctx.now();
-            repair.attempts = 1;
+        if let Some(repair) = self.repair.as_mut() {
+            let (layout, seq) = (self.config.layout(), repair.seq);
+            repair.driver.start(ctx, |ctx| {
+                ctx.send_all(layout.peers_of(ctx.self_id()), CasMsg::RepairPull { seq })
+            });
         }
-        self.send_repair_pulls(ctx);
-        ctx.set_timer(crate::REPAIR_RETRY_INTERVAL, crate::REPAIR_RETRY_TOKEN);
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut Context<'_, CasMsg>) {
-        if token != crate::REPAIR_RETRY_TOKEN {
-            return;
+        if let Some(repair) = self.repair.as_mut() {
+            // Duplicate pulls are idempotent for state: the collected map
+            // merges by tag and element index, and the quorum tracker
+            // records each responder once.
+            let (layout, seq) = (self.config.layout(), repair.seq);
+            repair.driver.on_timer(token, ctx, |ctx| {
+                ctx.send_all(layout.peers_of(ctx.self_id()), CasMsg::RepairPull { seq })
+            });
         }
-        {
-            let Some(repair) = self.repair.as_mut() else {
-                return;
-            };
-            if repair.completed_at.is_some() || repair.failed {
-                return;
-            }
-            if repair.attempts >= crate::REPAIR_MAX_ATTEMPTS {
-                // Survivors unreachable for the whole retry budget: give up
-                // and halt, reverting the rank to plain dead so the
-                // crash-budget slot can be reclaimed by a later repair.
-                repair.failed = true;
-                ctx.halt();
-                return;
-            }
-            repair.attempts += 1;
-        }
-        // Duplicate pulls are idempotent for state (the collected map merges
-        // by tag and element index; the quorum tracker records each
-        // responder once), though re-transferred elements are charged to
-        // `traffic_bytes` — retried repairs genuinely cost that bandwidth.
-        self.send_repair_pulls(ctx);
-        ctx.set_timer(crate::REPAIR_RETRY_INTERVAL, crate::REPAIR_RETRY_TOKEN);
     }
 
     fn on_message(&mut self, from: ProcessId, msg: CasMsg, ctx: &mut Context<'_, CasMsg>) {
@@ -501,14 +424,14 @@ impl Process<CasMsg> for CasServer {
                     let Some(repair) = self.repair.as_mut() else {
                         return;
                     };
-                    if repair.completed_at.is_some() || seq != repair.seq {
+                    if !repair.driver.in_progress() || seq != repair.seq {
                         return;
                     }
                     for (tag, element, fin) in versions {
                         let entry = repair.collected.entry(tag).or_default();
                         entry.1 |= fin;
                         if let Some(element) = element {
-                            repair.traffic_bytes += element.data.len() as u64;
+                            repair.driver.add_traffic(element.data.len());
                             entry.0.insert(element.index, element);
                         }
                     }
@@ -561,7 +484,7 @@ pub struct CasClient {
     ack_tracker: QuorumTracker<()>,
     read_elements: BTreeMap<usize, CodedElement>,
     read_responses: QuorumTracker<()>,
-    completed: Vec<CasOpRecord>,
+    completed: Vec<OpRecord>,
 }
 
 impl CasClient {
@@ -587,24 +510,29 @@ impl CasClient {
     }
 
     /// Completed operations in completion order.
-    pub fn completed_ops(&self) -> &[CasOpRecord] {
+    pub fn completed_ops(&self) -> &[OpRecord] {
         &self.completed
     }
 
-    /// The in-flight *write*, if one exists: `(seq, invoked_at, tag, value)`
-    /// where the tag is `None` until the pre-write phase starts (before
-    /// that, no server has seen the value, so no read can have observed it).
-    /// Needed to close operation histories under crash/network faults.
-    pub fn in_flight_write(&self) -> Option<(u64, SimTime, Option<Tag>, Vec<u8>)> {
+    /// The in-flight *write*, if one exists. Its tag is `None` until the
+    /// pre-write phase starts (before that, no server has seen the value, so
+    /// no read can have observed it). Needed to close operation histories
+    /// under crash/network faults.
+    pub fn in_flight_write(&self) -> Option<PendingWrite> {
         if self.phase == CasPhase::Idle || self.current_is_read {
             return None;
         }
-        let value = self
-            .current_value
-            .as_ref()
-            .expect("an in-flight write always carries its value")
-            .to_vec();
-        Some((self.seq, self.invoked_at, self.current_tag, value))
+        Some(PendingWrite {
+            client: u64::from(self.self_id.0),
+            seq: self.seq,
+            invoked_at: self.invoked_at,
+            tag: self.current_tag,
+            value: self
+                .current_value
+                .as_ref()
+                .expect("an in-flight write always carries its value")
+                .to_vec(),
+        })
     }
 
     fn servers(&self) -> Vec<ProcessId> {
@@ -705,13 +633,18 @@ impl CasClient {
     }
 
     fn complete(&mut self, value: Vec<u8>, ctx: &mut Context<'_, CasMsg>) {
-        let record = CasOpRecord {
+        let record = OpRecord {
+            client: u64::from(self.self_id.0),
             seq: self.seq,
-            is_read: self.current_is_read,
+            kind: if self.current_is_read {
+                OpKind::Read
+            } else {
+                OpKind::Write
+            },
             invoked_at: self.invoked_at,
             completed_at: ctx.now(),
             tag: self.current_tag.expect("tag set"),
-            value,
+            value: Some(value),
         };
         self.completed.push(record);
         self.phase = CasPhase::Idle;
@@ -781,264 +714,124 @@ impl Process<CasMsg> for CasClient {
     }
 }
 
-/// Parameters of a CAS / CASGC deployment.
-///
-/// This replaces the former seven-positional-argument `CasCluster::build`
-/// signature. Application code should not use it directly: build clusters
-/// through `soda_registry::ClusterBuilder`, which validates parameters and
-/// returns the protocol-agnostic `RegisterCluster` facade.
-#[derive(Clone, Debug)]
-pub struct CasParams {
-    /// Number of servers.
-    pub n: usize,
-    /// Tolerated server crashes (the code dimension is `k = n − 2f`).
-    pub f: usize,
-    /// `Some(δ + 1)` keeps at most that many finalized versions with elements
-    /// (CASGC); `None` never garbage-collects (plain CAS).
-    pub gc_versions: Option<usize>,
-    /// Number of clients (each performs both writes and reads).
-    pub num_clients: usize,
-    /// RNG seed controlling message delays.
-    pub seed: u64,
-    /// Network delay configuration.
-    pub network: NetworkConfig,
-    /// The initial object value `v0`.
-    pub initial_value: Vec<u8>,
+/// One CAS / CASGC deployment, as the cluster harness sees it.
+pub struct CasSpec {
+    /// The shared configuration (layout, code, garbage-collection depth).
+    pub config: Arc<CasConfig>,
 }
 
-impl CasParams {
-    /// Parameters for an `(n, f)` CAS cluster (no garbage collection) with
-    /// two clients, seed 0, uniform delays in `[1, 10]` and an empty initial
-    /// value.
-    pub fn new(n: usize, f: usize) -> Self {
-        CasParams {
-            n,
-            f,
-            gc_versions: None,
-            num_clients: 2,
-            seed: 0,
-            network: NetworkConfig::uniform(10),
-            initial_value: Vec::new(),
-        }
-    }
-}
+impl ProtocolSpec for CasSpec {
+    type Msg = CasMsg;
 
-/// A complete simulated CAS / CASGC deployment.
-pub struct CasCluster {
-    sim: Simulation<CasMsg>,
-    config: Arc<CasConfig>,
-    servers: Vec<ProcessId>,
-    clients: Vec<ProcessId>,
-    /// Per-rank incarnation counter for replacement servers.
-    epochs: Vec<u64>,
-}
-
-impl CasCluster {
-    /// Builds the cluster described by `params`.
-    pub fn build(params: CasParams) -> Self {
-        let CasParams {
-            n,
-            f,
-            gc_versions,
-            num_clients,
-            seed,
-            network,
-            initial_value,
-        } = params;
-        let mut sim = Simulation::new(seed, network);
-        let server_ids: Vec<ProcessId> = (0..n as u32).map(ProcessId).collect();
-        let layout = Layout::new(server_ids.clone(), f);
-        let config = CasConfig::new(layout, gc_versions);
-        let initial = value_from(initial_value);
-        for rank in 0..n {
-            sim.add_process(Box::new(CasServer::new(config.clone(), rank, &initial)));
-        }
-        let mut clients = Vec::new();
-        for _ in 0..num_clients {
-            let id = ProcessId(sim.num_processes() as u32);
-            sim.add_process(Box::new(CasClient::new(config.clone(), id)));
-            clients.push(id);
-        }
-        let epochs = vec![0; n];
-        CasCluster {
-            sim,
-            config,
-            servers: server_ids,
-            clients,
-            epochs,
-        }
+    fn invoke_write(value: Value) -> CasMsg {
+        CasMsg::InvokeWrite(value)
     }
 
-    /// Client process ids.
-    pub fn clients(&self) -> &[ProcessId] {
-        &self.clients
+    fn invoke_read() -> CasMsg {
+        CasMsg::InvokeRead
     }
 
-    /// The shared configuration.
-    pub fn config(&self) -> &Arc<CasConfig> {
-        &self.config
+    fn server(&self, rank: usize, initial: &Value) -> Box<dyn Process<CasMsg>> {
+        Box::new(CasServer::new(self.config.clone(), rank, initial))
     }
 
-    /// Queues a write.
-    pub fn invoke_write(&mut self, client: ProcessId, value: Vec<u8>) {
-        self.sim
-            .send_external(client, CasMsg::InvokeWrite(value_from(value)));
+    fn replacement(&self, rank: usize, epoch: u64) -> Box<dyn Process<CasMsg>> {
+        Box::new(CasServer::replacement(self.config.clone(), rank, epoch))
     }
 
-    /// Queues a write at a given time.
-    pub fn invoke_write_at(&mut self, at: SimTime, client: ProcessId, value: Vec<u8>) {
-        self.sim
-            .send_external_at(at, client, CasMsg::InvokeWrite(value_from(value)));
+    fn client(&self, id: ProcessId, _role: OpKind) -> Box<dyn Process<CasMsg>> {
+        Box::new(CasClient::new(self.config.clone(), id))
     }
 
-    /// Queues a read.
-    pub fn invoke_read(&mut self, client: ProcessId) {
-        self.sim.send_external(client, CasMsg::InvokeRead);
+    fn stored_bytes(sim: &Simulation<CasMsg>, server: ProcessId) -> u64 {
+        sim.process_as::<CasServer>(server)
+            .map_or(0, |s| s.stored_bytes() as u64)
     }
 
-    /// Queues a read at a given time.
-    pub fn invoke_read_at(&mut self, at: SimTime, client: ProcessId) {
-        self.sim.send_external_at(at, client, CasMsg::InvokeRead);
+    fn repair_status(sim: &Simulation<CasMsg>, server: ProcessId) -> Option<RepairStatus> {
+        sim.process_as::<CasServer>(server)?.repair_status()
     }
 
-    /// Crashes the server with the given rank.
-    pub fn crash_server_at(&mut self, at: SimTime, rank: usize) {
-        let id = self.servers[rank];
-        self.sim.schedule_crash(at, id);
-    }
-
-    /// Crashes an arbitrary process (e.g. a client) at time `at`.
-    pub fn crash_process_at(&mut self, at: SimTime, id: ProcessId) {
-        self.sim.schedule_crash(at, id);
-    }
-
-    /// Schedules the repair of the server with the given rank at time `at`:
-    /// a fresh replacement pulls every survivor's version store and
-    /// re-encodes its own elements (see [`CasServer::replacement`]).
-    pub fn repair_server_at(&mut self, at: SimTime, rank: usize) {
-        self.epochs[rank] += 1;
-        let replacement = CasServer::replacement(self.config.clone(), rank, self.epochs[rank]);
-        self.sim
-            .schedule_recovery(at, self.servers[rank], Box::new(replacement));
-    }
-
-    /// Number of servers currently dead **or under repair**.
-    pub fn dead_or_repairing(&self) -> usize {
-        self.servers
-            .iter()
-            .filter(|&&id| {
-                self.sim.is_crashed(id)
-                    || self
-                        .sim
-                        .process_as::<CasServer>(id)
-                        .is_some_and(|s| s.is_repairing())
-            })
-            .count()
-    }
-
-    /// Repair status of rank `rank`'s current incarnation (`None` for a
-    /// server that was never replaced).
-    ///
-    /// # Panics
-    /// Panics if `rank` is not a server rank of this cluster.
-    pub fn repair_status(&self, rank: usize) -> Option<crate::RepairStatus> {
-        self.sim
-            .process_as::<CasServer>(self.servers[rank])
-            .and_then(|s| s.repair_status())
-    }
-
-    /// Runs until quiescent.
-    pub fn run_to_quiescence(&mut self) -> RunOutcome {
-        self.sim.run_to_quiescence()
-    }
-
-    /// Runs the simulation until the given deadline.
-    pub fn run_until(&mut self, deadline: SimTime) -> RunOutcome {
-        self.sim.run_until(deadline)
-    }
-
-    /// Message statistics.
-    pub fn stats(&self) -> Stats {
-        self.sim.stats()
-    }
-
-    /// All completed operations, ordered by completion time.
-    pub fn completed_ops(&self) -> Vec<CasOpRecord> {
-        let mut ops: Vec<CasOpRecord> = self
-            .clients
-            .iter()
-            .filter_map(|&c| self.sim.process_as::<CasClient>(c))
-            .flat_map(|c| c.completed_ops().iter().cloned())
-            .collect();
-        ops.sort_by_key(|op| op.completed_at);
-        ops
-    }
-
-    /// Bytes of coded-element data stored at each server, by rank (across all
-    /// retained versions).
-    pub fn stored_bytes_per_server(&self) -> Vec<u64> {
-        self.stored_bytes_by_rank().collect()
-    }
-
-    /// Total bytes of coded-element data stored across all servers and all
-    /// retained versions.
-    pub fn total_stored_bytes(&self) -> u64 {
-        self.stored_bytes_by_rank().sum()
-    }
-
-    fn stored_bytes_by_rank(&self) -> impl Iterator<Item = u64> + '_ {
-        self.servers.iter().map(|&s| {
-            self.sim
-                .process_as::<CasServer>(s)
-                .map_or(0, |s| s.stored_bytes() as u64)
-        })
-    }
-
-    /// Immutable access to the underlying simulation.
-    pub fn sim(&self) -> &Simulation<CasMsg> {
-        &self.sim
-    }
-
-    /// Mutable access to the underlying simulation.
-    pub fn sim_mut(&mut self) -> &mut Simulation<CasMsg> {
-        &mut self.sim
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.sim.now()
-    }
-
-    /// In-flight writes of every client, as `(client, seq, invoked_at, tag,
-    /// value)` tuples (see [`CasClient::in_flight_write`]).
-    pub fn pending_writes(&self) -> Vec<crate::PendingWriteInfo> {
-        self.clients
-            .iter()
-            .filter_map(|&c| {
-                let client = self.sim.process_as::<CasClient>(c)?;
-                let (seq, invoked_at, tag, value) = client.in_flight_write()?;
-                Some((c, seq, invoked_at, tag, value))
-            })
-            .collect()
-    }
-
-    /// The operations one client has completed, in the order it completed
-    /// them — its append-only log, which is also `seq` order because a
-    /// client runs one operation at a time. Empty for a process that is not
-    /// a client of this cluster.
-    pub fn client_records(&self, client: ProcessId) -> &[CasOpRecord] {
-        self.sim
-            .process_as::<CasClient>(client)
+    fn completed_ops(sim: &Simulation<CasMsg>, client: ProcessId) -> &[OpRecord] {
+        sim.process_as::<CasClient>(client)
             .map_or(&[], CasClient::completed_ops)
     }
 
-    /// Maximum number of versions with stored elements at any single server.
-    pub fn max_stored_versions(&self) -> usize {
-        self.servers
+    fn in_flight_write(sim: &Simulation<CasMsg>, client: ProcessId) -> Option<PendingWrite> {
+        sim.process_as::<CasClient>(client)?.in_flight_write()
+    }
+
+    fn decode_cache_stats(&self) -> CodeCacheStats {
+        self.config.code().cache_stats()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use soda_protocol::value_from;
+    use soda_simnet::testkit::{deliver, start};
+
+    fn t(ticks: u64) -> SimTime {
+        SimTime::from_ticks(ticks)
+    }
+
+    #[test]
+    fn replacement_merges_a_quorum_of_survivor_state_and_reencodes_its_element() {
+        let me = ProcessId(0);
+        let writer = ProcessId(9);
+        let layout = Layout::new((0..5u32).map(ProcessId).collect(), 1);
+        let config = CasConfig::new(layout, None); // k = 3, quorum = 4
+        let mut s = CasServer::replacement(config.clone(), 0, 2);
+
+        let started = start(&mut s, me, t(10));
+        assert_eq!(started.sends.len(), 4, "pulls from every peer");
+        assert!(started
+            .sends
             .iter()
-            .filter_map(|&s| self.sim.process_as::<CasServer>(s))
-            .map(|s| s.stored_versions())
-            .max()
-            .unwrap_or(0)
+            .all(|(_, m)| matches!(m, CasMsg::RepairPull { seq: 2 })));
+        assert_eq!(started.timers.len(), 1, "retry timer armed");
+
+        // Its missing `fin` labels must not enter a quorum maximum.
+        let asked = deliver(&mut s, me, t(11), writer, CasMsg::QueryTag { seq: 1 });
+        assert!(asked.sends.is_empty());
+
+        let tag = Tag::new(1, writer);
+        let value = value_from(b"a finalized value".to_vec());
+        let elements = config.code().encode(&value).unwrap();
+        let elem_len = elements[0].data.len();
+        // Three survivors hold the element; only one has seen the finalize.
+        for peer in 1..=4usize {
+            let element = elements.get(peer).filter(|_| peer <= 3).cloned();
+            let versions = vec![(tag, element, peer == 2)];
+            assert!(s.is_repairing());
+            deliver(
+                &mut s,
+                me,
+                t(12),
+                ProcessId(peer as u32),
+                CasMsg::RepairState { seq: 2, versions },
+            );
+        }
+
+        assert!(!s.is_repairing());
+        let status = s.repair_status().unwrap();
+        assert_eq!(status.completed_at, Some(t(12)));
+        assert_eq!(status.traffic_bytes, 3 * elem_len as u64);
+        assert!(!status.failed);
+        // `fin` wins the merge, and rank 0's own element was re-encoded.
+        let asked = deliver(&mut s, me, t(13), writer, CasMsg::QueryTag { seq: 1 });
+        assert!(matches!(
+            asked.sends[0].1,
+            CasMsg::QueryTagResp { tag: max, .. } if max == tag
+        ));
+        let read = CasMsg::ReadFinalize { seq: 1, tag };
+        let served = deliver(&mut s, me, t(14), writer, read);
+        match &served.sends[0].1 {
+            CasMsg::ReadFinalizeResp { element, .. } => {
+                assert_eq!(element.as_ref().unwrap().data, elements[0].data);
+            }
+            other => panic!("expected a read-finalize response, got {other:?}"),
+        }
     }
 }

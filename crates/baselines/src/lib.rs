@@ -16,58 +16,18 @@
 //! cost model as SODA, so the experiment harness can regenerate the paper's
 //! comparison table by running all three side by side.
 //!
-//! Application code should not build `AbdCluster` / `CasCluster` directly:
-//! the `soda-registry` crate's `ClusterBuilder` (with `ProtocolKind::Abd`,
-//! `ProtocolKind::Cas` or `ProtocolKind::Casgc { gc }`) validates parameters
-//! and returns the protocol-agnostic `RegisterCluster` facade; the
-//! [`abd::AbdParams`] / [`cas::CasParams`] constructors here are the backend
-//! it wraps.
+//! Each module holds its protocol's messages, server and client automata,
+//! and a [`soda_protocol::ProtocolSpec`] ([`abd::AbdSpec`], [`cas::CasSpec`])
+//! through which the one generic cluster harness of `soda-registry` builds,
+//! drives and inspects them. The operation records the clients log and the
+//! repair retry loop the replacement servers run are the shared ones of
+//! `soda-protocol`. Application code builds clusters through that crate's
+//! `ClusterBuilder` (with `ProtocolKind::Abd`, `ProtocolKind::Cas` or
+//! `ProtocolKind::Casgc { gc }`), which validates parameters and returns the
+//! protocol-agnostic `RegisterCluster` facade.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod abd;
 pub mod cas;
-
-/// An in-flight (invoked but not completed) write, as reported by
-/// [`abd::AbdCluster::pending_writes`] and [`cas::CasCluster::pending_writes`]:
-/// `(client, seq, invoked_at, tag-once-assigned, value)`. The tag is `None`
-/// while the write is still in its query phase, i.e. before any server has
-/// seen the value.
-pub type PendingWriteInfo = (
-    soda_simnet::ProcessId,
-    u64,
-    soda_simnet::SimTime,
-    Option<soda_protocol::Tag>,
-    Vec<u8>,
-);
-
-/// Progress of a replacement server's state re-acquisition after a
-/// crash–recovery (see [`abd::AbdServer::replacement`] and
-/// [`cas::CasServer::replacement`]). Until `completed_at` is set the
-/// replacement counts against the crash budget `f` and answers no queries
-/// whose staleness could violate atomicity.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RepairStatus {
-    /// When the replacement started pulling state from survivors.
-    pub started_at: soda_simnet::SimTime,
-    /// When the repair finished (`None` while still in progress).
-    pub completed_at: Option<soda_simnet::SimTime>,
-    /// Bytes of value / coded-element data received during the repair.
-    pub traffic_bytes: u64,
-    /// Whether the repair gave up: its retry budget ran out with the
-    /// survivors unreachable (e.g. a partition that outlived every retry).
-    /// The replacement halted itself, so the rank is plain dead again and
-    /// can be repaired anew.
-    pub failed: bool,
-}
-
-/// Ticks between repair retries, shared by the ABD and CAS replacement
-/// servers (the SODA server uses the same cadence). Comfortably above one
-/// network round trip, so a clean-path repair completes before the first
-/// retry fires.
-pub(crate) const REPAIR_RETRY_INTERVAL: u64 = 400;
-/// Total repair attempts (first fan-out + retries) before giving up.
-pub(crate) const REPAIR_MAX_ATTEMPTS: u32 = 8;
-/// Timer token of the repair retry loop.
-pub(crate) const REPAIR_RETRY_TOKEN: u64 = u64::MAX;

@@ -20,10 +20,11 @@
 //!
 //! Each binary prints a fixed-width table (measured vs paper formula) and, if
 //! a path is given as the first CLI argument, also writes the rows as JSON.
-//! The `harness = false` benches in `benches/` measure wall-clock throughput
-//! of the erasure-coding substrate and of end-to-end simulated operations
-//! driven through the `soda_registry::RegisterCluster` facade, using the
-//! [`timeit`] loop below.
+//! The `harness = false` benches in `benches/` are scenario sweeps with
+//! committed outputs (coding throughput, store throughput, repair bandwidth,
+//! partition liveness, exploration throughput); `coding_throughput` uses the
+//! [`timeit`] loop below. Wall-clock numbers per layer come from the
+//! `benchmark` binary, not from these.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

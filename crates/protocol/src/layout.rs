@@ -57,6 +57,12 @@ impl Layout {
         &self.servers
     }
 
+    /// Every server but `id`, in the agreed order: the peers a server fans a
+    /// request out to.
+    pub fn peers_of(&self, id: ProcessId) -> impl Iterator<Item = ProcessId> + '_ {
+        self.servers.iter().copied().filter(move |&s| s != id)
+    }
+
     /// Process id of the server with the given rank (0-based position in the
     /// agreed order).
     pub fn server(&self, rank: usize) -> ProcessId {

@@ -21,6 +21,12 @@
 //!   free).
 //! * [`Value`] — cheaply clonable object values (`Arc<Vec<u8>>`), since the
 //!   simulator clones messages on every hop.
+//! * [`OpRecord`], [`OpKind`], [`PendingWrite`] — the one record vocabulary
+//!   every protocol's clients log their operations in.
+//! * [`RepairDriver`], [`RepairStatus`] — the retry / give-up loop and cost
+//!   accounting of a replacement server's repair.
+//! * [`ProtocolSpec`] — what a protocol supplies so that one generic cluster
+//!   harness can build, drive and inspect it.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -30,11 +36,17 @@ pub mod md;
 
 mod layout;
 mod quorum;
+mod record;
+mod repair;
+mod spec;
 mod tag;
 mod value;
 
 pub use layout::Layout;
 pub use quorum::QuorumTracker;
+pub use record::{OpKind, OpRecord, PendingWrite};
+pub use repair::{RepairDriver, RepairStatus, REPAIR_MAX_ATTEMPTS, REPAIR_RETRY_INTERVAL};
 pub use soda_rs_code::{CodeCacheStats, MdsCode};
+pub use spec::ProtocolSpec;
 pub use tag::Tag;
 pub use value::{value_from, value_len, Value};

@@ -16,7 +16,7 @@
 //!
 //! The types here are *pure* state machines: they compute which messages to
 //! send and what to deliver, and the protocol processes in the `soda` crate
-//! put them on the simulated (or threaded) network. This keeps the primitive
+//! put them on the simulated network. This keeps the primitive
 //! unit-testable in isolation, mirroring how the paper specifies it as a
 //! separate IO automaton composed with the servers.
 //!

@@ -1,16 +1,17 @@
-//! Records of completed client operations.
+//! Records of client operations, shared by every protocol.
 //!
-//! Clients keep a log of every operation they completed, including invocation
-//! and response times and the (tag, value) pair the paper associates with each
-//! operation for the atomicity argument (Section V-A). The consistency checker
-//! and the experiment harness consume these records.
+//! Clients keep an append-only log of the operations they completed, with
+//! invocation and response times and the `(tag, value)` pair the paper
+//! associates with each operation for the atomicity argument (Section V-A).
+//! Every protocol's clients append this one record type, so harnesses,
+//! experiments and the atomicity checker consume histories without knowing
+//! which algorithm produced them, and without a conversion step.
 
-use crate::messages::OpId;
-use soda_protocol::Tag;
+use crate::Tag;
 use soda_simnet::SimTime;
 
 /// Whether an operation was a read or a write.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum OpKind {
     /// A write operation.
     Write,
@@ -33,8 +34,10 @@ impl OpKind {
 /// A completed client operation.
 #[derive(Clone, Debug)]
 pub struct OpRecord {
-    /// The operation id.
-    pub op: OpId,
+    /// Identifier of the invoking client (its simulated process id).
+    pub client: u64,
+    /// Per-client operation sequence number (starts at 1).
+    pub seq: u64,
     /// Read or write.
     pub kind: OpKind,
     /// Simulated time of the invocation step.
@@ -58,19 +61,22 @@ impl OpRecord {
 /// execution ended first, the writer crashed mid-operation, or the network
 /// adversary starved it of responses.
 ///
-/// Atomicity checking under faults needs these: a *completed* read may
-/// legitimately return the value of an uncompleted write (the write then
-/// linearizes at some point after its invocation), so the checker's history
-/// must contain the pending write as an operation whose response never
-/// happened. The tag is `None` while the writer is still in its `write-get`
-/// phase — no server has seen the value yet, so no read can have observed it.
+/// Atomicity is a property of *completed* operations, but a completed read
+/// may legitimately return the value of an uncompleted write (the write then
+/// linearizes at some point after its invocation even though no response
+/// ever happened), so checking a faulty execution needs the history *closed*
+/// under pending writes.
 #[derive(Clone, Debug)]
 pub struct PendingWrite {
-    /// The operation id.
-    pub op: OpId,
+    /// Identifier of the invoking client (its simulated process id).
+    pub client: u64,
+    /// Per-client operation sequence number (starts at 1).
+    pub seq: u64,
     /// Simulated time of the invocation step.
     pub invoked_at: SimTime,
-    /// The tag the writer assigned, once the `write-put` phase started.
+    /// The tag the protocol assigned, once known. `None` while the write is
+    /// still in its query phase — no server has seen the value yet, so no
+    /// read can have observed it.
     pub tag: Option<Tag>,
     /// The value being written.
     pub value: Vec<u8>,
@@ -79,7 +85,6 @@ pub struct PendingWrite {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use soda_simnet::ProcessId;
 
     #[test]
     fn kind_predicates() {
@@ -91,7 +96,8 @@ mod tests {
     #[test]
     fn latency_is_response_minus_invocation() {
         let rec = OpRecord {
-            op: OpId::new(ProcessId(1), 1),
+            client: 1,
+            seq: 1,
             kind: OpKind::Write,
             invoked_at: SimTime::from_ticks(10),
             completed_at: SimTime::from_ticks(35),

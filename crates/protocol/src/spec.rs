@@ -1,0 +1,71 @@
+//! What one register protocol must supply for a generic cluster harness to
+//! run it.
+//!
+//! SODA, SODAerr, ABD, CAS and CASGC share one shape — servers holding the
+//! object, clients running quorum phases against them, replacements that
+//! repair by asking the survivors — over one network model. A harness that
+//! owns the simulation can therefore build, drive, crash, repair and inspect
+//! any of them through this trait, and everything else about a cluster is
+//! written once.
+
+use crate::{CodeCacheStats, OpKind, OpRecord, PendingWrite, RepairStatus, Value};
+use soda_simnet::{Message, Process, ProcessId, ProcessStats, Simulation};
+
+/// One register protocol, as seen by a cluster harness: its message type,
+/// the processes it is made of, and probes into their state.
+///
+/// A spec value carries the deployment's shared configuration (layout, code,
+/// fault switches); the probes are associated functions over the simulation
+/// because a process is only reachable by id through it.
+pub trait ProtocolSpec: Send + 'static {
+    /// The protocol's message type.
+    type Msg: Message;
+
+    /// The message that asks a client to write `value`.
+    fn invoke_write(value: Value) -> Self::Msg;
+
+    /// The message that asks a client to read.
+    fn invoke_read() -> Self::Msg;
+
+    /// The original server of rank `rank`, holding the initial value.
+    fn server(&self, rank: usize, initial: &Value) -> Box<dyn Process<Self::Msg>>;
+
+    /// A replacement for the crashed server of rank `rank`: empty state,
+    /// repairs itself from the survivors on start. `epoch` counts the rank's
+    /// incarnations (1 for the first replacement) and is distinct per
+    /// incarnation.
+    fn replacement(&self, rank: usize, epoch: u64) -> Box<dyn Process<Self::Msg>>;
+
+    /// The client registered under process id `id`, behind a handle that
+    /// performs operations of kind `role`. Protocols whose clients do both
+    /// ignore `role`.
+    fn client(&self, id: ProcessId, role: OpKind) -> Box<dyn Process<Self::Msg>>;
+
+    /// Bytes of object-value data the server stores.
+    fn stored_bytes(sim: &Simulation<Self::Msg>, server: ProcessId) -> u64;
+
+    /// Repair progress of the server, if its current incarnation is (or was)
+    /// a replacement.
+    fn repair_status(sim: &Simulation<Self::Msg>, server: ProcessId) -> Option<RepairStatus>;
+
+    /// The client's append-only log of completed operations, in completion
+    /// order. Empty for a process that is not a client.
+    fn completed_ops(sim: &Simulation<Self::Msg>, client: ProcessId) -> &[OpRecord];
+
+    /// The client's in-flight write, if it has one. Queued invocations that
+    /// have not started are not reported: they have had no effect yet.
+    fn in_flight_write(sim: &Simulation<Self::Msg>, client: ProcessId) -> Option<PendingWrite>;
+
+    /// Decode-matrix cache counters of the deployment's erasure code; all
+    /// zeros for a protocol that never inverts a matrix.
+    fn decode_cache_stats(&self) -> CodeCacheStats {
+        CodeCacheStats::default()
+    }
+
+    /// The value-data bytes a read costs its reader, given the reader's
+    /// counters over a window covering the read. Bytes delivered to the
+    /// reader, unless the protocol's reads also send value data.
+    fn read_cost_bytes(reader: &ProcessStats) -> u64 {
+        reader.data_bytes_received
+    }
+}

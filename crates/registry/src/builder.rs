@@ -1,11 +1,13 @@
 //! One validated constructor for every protocol's cluster.
 
-use crate::abd_impl::AbdRegisterCluster;
-use crate::cas_impl::CasRegisterCluster;
 use crate::cluster::RegisterCluster;
+use crate::harness::{AbdRegisterCluster, CasRegisterCluster, Harness, SodaRegisterCluster};
 use crate::kind::{ClusterDescriptor, ProtocolKind};
-use crate::soda_impl::SodaRegisterCluster;
-use soda_simnet::{NetFaultPlan, NetworkConfig};
+use soda::{SodaConfig, SodaSpec};
+use soda_baselines::abd::AbdSpec;
+use soda_baselines::cas::{CasConfig, CasSpec};
+use soda_protocol::Layout;
+use soda_simnet::{NetFaultPlan, NetworkConfig, ProcessId};
 use std::error::Error;
 use std::fmt;
 
@@ -126,10 +128,8 @@ impl Error for BuildError {}
 /// Builds any [`ProtocolKind`]'s cluster behind the shared
 /// [`RegisterCluster`] API.
 ///
-/// This subsumes the former per-protocol constructors (`SodaCluster::build`
-/// with its `ClusterConfig`, and the positional-argument `AbdCluster::build`
-/// / `CasCluster::build`): all parameters are named, defaulted, validated,
-/// and identical across protocols.
+/// This is the only constructor of clusters: all parameters are named,
+/// defaulted, validated, and identical across protocols.
 ///
 /// ```
 /// use soda_registry::{ClusterBuilder, ProtocolKind};
@@ -316,17 +316,59 @@ impl ClusterBuilder {
         }
     }
 
+    /// The layout every protocol here uses: servers are registered first, so
+    /// rank `i` is `ProcessId(i)`.
+    fn layout(&self) -> Layout {
+        Layout::new((0..self.n as u32).map(ProcessId).collect(), self.f)
+    }
+
+    fn soda_harness(mut self) -> SodaRegisterCluster {
+        let layout = self.layout();
+        let spec = SodaSpec {
+            config: match self.kind.error_budget() {
+                0 => SodaConfig::soda(layout),
+                e => SodaConfig::soda_err(layout, e),
+            },
+            faulty_disks: std::mem::take(&mut self.faulty_disks),
+            relay_enabled: self.relay_enabled,
+        };
+        let mut corruptor = None;
+        if !self.byzantine_servers.is_empty() {
+            let ranks = std::mem::take(&mut self.byzantine_servers);
+            self.net_faults = self
+                .net_faults
+                .with_corrupt_senders(ranks.iter().map(|&r| ProcessId(r as u32)));
+            corruptor = Some(soda::coded_element_corruptor(ranks.into_iter().collect()));
+        }
+        Harness::new(spec, self, corruptor)
+    }
+
+    fn abd_harness(self) -> AbdRegisterCluster {
+        let spec = AbdSpec {
+            layout: self.layout(),
+            quorum_override: self.quorum_override,
+        };
+        Harness::new(spec, self, None)
+    }
+
+    fn cas_harness(self) -> CasRegisterCluster {
+        let gc_versions = match self.kind {
+            ProtocolKind::Casgc { gc } => Some(gc + 1),
+            _ => None,
+        };
+        let spec = CasSpec {
+            config: CasConfig::new(self.layout(), gc_versions),
+        };
+        Harness::new(spec, self, None)
+    }
+
     /// Builds the cluster behind the protocol-agnostic facade.
     pub fn build(self) -> Result<Box<dyn RegisterCluster>, BuildError> {
         self.validate()?;
         Ok(match self.kind {
-            ProtocolKind::Soda | ProtocolKind::SodaErr { .. } => {
-                Box::new(SodaRegisterCluster::from_builder(self))
-            }
-            ProtocolKind::Abd => Box::new(AbdRegisterCluster::from_builder(self)),
-            ProtocolKind::Cas | ProtocolKind::Casgc { .. } => {
-                Box::new(CasRegisterCluster::from_builder(self))
-            }
+            ProtocolKind::Soda | ProtocolKind::SodaErr { .. } => Box::new(self.soda_harness()),
+            ProtocolKind::Abd => Box::new(self.abd_harness()),
+            ProtocolKind::Cas | ProtocolKind::Casgc { .. } => Box::new(self.cas_harness()),
         })
     }
 
@@ -340,7 +382,7 @@ impl ClusterBuilder {
                 actual: self.kind.name(),
             });
         }
-        Ok(SodaRegisterCluster::from_builder(self))
+        Ok(self.soda_harness())
     }
 
     /// Builds an ABD cluster with its concrete type.
@@ -352,7 +394,7 @@ impl ClusterBuilder {
                 actual: self.kind.name(),
             });
         }
-        Ok(AbdRegisterCluster::from_builder(self))
+        Ok(self.abd_harness())
     }
 
     /// Builds a CAS / CASGC cluster with its concrete type, for callers that
@@ -365,7 +407,7 @@ impl ClusterBuilder {
                 actual: self.kind.name(),
             });
         }
-        Ok(CasRegisterCluster::from_builder(self))
+        Ok(self.cas_harness())
     }
 }
 

@@ -2,11 +2,9 @@
 //! deployment.
 
 use crate::kind::ClusterDescriptor;
-use crate::record::{
-    history_from_records, history_with_pending, sort_records, OpRecord, PendingWriteRecord,
-    RepairReport,
-};
+use crate::record::{history_from_records, history_with_pending, sort_records, RepairReport};
 use soda_consistency::History;
+use soda_protocol::{CodeCacheStats, OpRecord, PendingWrite};
 use soda_simnet::{ProcessId, RunOutcome, SimTime, Stats};
 use std::any::Any;
 
@@ -16,8 +14,12 @@ use std::any::Any;
 /// A cluster exposes `num_writers` writer handles and `num_readers` reader
 /// handles, addressed by index. For SODA the two map onto distinct writer and
 /// reader processes; for ABD and CAS (whose clients perform both kinds of
-/// operation) the facade partitions the client processes into a writer range
+/// operation) the harness partitions the client processes into a writer range
 /// and a reader range, so the same scenario code drives all five protocols.
+///
+/// The one implementation is the generic [`Harness`](crate::Harness); the
+/// trait exists so that callers can hold clusters of different protocols
+/// behind one `Box<dyn RegisterCluster>`.
 ///
 /// Invocations are *queued*: asking a busy client for another operation is
 /// legal and the client starts it once the current one completes. Crash
@@ -128,9 +130,8 @@ pub trait RegisterCluster: Send {
     }
 
     /// Appends to `out` the operations client process `client` completed
-    /// beyond its first `from`, in the shared record type and in the order
-    /// the client completed them — which is `seq` order, because a client
-    /// runs one operation at a time.
+    /// beyond its first `from`, in the order the client completed them —
+    /// which is `seq` order, because a client runs one operation at a time.
     ///
     /// `from` is a cursor the caller owns: a client's log only ever grows at
     /// its end, so a caller that advances `from` by the number of records
@@ -141,8 +142,7 @@ pub trait RegisterCluster: Send {
     /// Implementations must only append.
     fn completed_since(&self, client: ProcessId, from: usize, out: &mut Vec<OpRecord>);
 
-    /// All operations completed by all clients, in the shared record type,
-    /// ordered by completion time (ties by client id, then `seq`). Copies
+    /// All operations completed by all clients, ordered by completion time (ties by client id, then `seq`). Copies
     /// the whole history; callers that follow a cluster over time should
     /// hold cursors into [`Self::completed_since`] instead.
     fn completed_ops(&self) -> Vec<OpRecord> {
@@ -162,7 +162,7 @@ pub trait RegisterCluster: Send {
     /// adversary). Writes whose tag the protocol has not assigned yet are
     /// included with `tag: None`; queued-but-unstarted invocations are not
     /// reported at all.
-    fn pending_writes(&self) -> Vec<PendingWriteRecord>;
+    fn pending_writes(&self) -> Vec<PendingWrite>;
 
     /// Bytes of object-value data stored at each server, by rank (the
     /// per-server contribution to the paper's total storage cost).
@@ -176,23 +176,14 @@ pub trait RegisterCluster: Send {
     /// Decode-matrix cache counters of the cluster's erasure code (hits,
     /// misses, inversions). Replication-based protocols, which never invert a
     /// matrix, report all zeros.
-    fn decode_cache_stats(&self) -> soda_protocol::CodeCacheStats {
-        soda_protocol::CodeCacheStats::default()
-    }
+    fn decode_cache_stats(&self) -> CodeCacheStats;
 
     /// The value-data bytes attributable to one read, given a windowed
-    /// [`Stats`] covering it (see [`Stats::since`]).
-    ///
-    /// The default counts bytes *delivered to* the reader. ABD overrides this
-    /// to also count the bytes its write-back phase sends, since the paper
-    /// charges both directions to the read.
-    fn read_cost_bytes(&self, window: &Stats, reader: usize) -> u64 {
-        window
-            .per_process
-            .get(self.reader_process(reader).index())
-            .map(|p| p.data_bytes_received)
-            .unwrap_or(0)
-    }
+    /// [`Stats`] covering it (see [`Stats::since`]): the bytes *delivered to*
+    /// the reader, plus — for ABD, whose reads write the value back — the
+    /// bytes the reader sent, since the paper charges both directions to the
+    /// read.
+    fn read_cost_bytes(&self, window: &Stats, reader: usize) -> u64;
 
     /// Builds the atomicity-checkable history of everything completed so far.
     ///

@@ -1,11 +1,9 @@
 //! One client API over every atomic-register protocol in this workspace.
 //!
 //! The paper's whole argument is comparative — Table I pits SODA/SODAerr
-//! against ABD (Attiya et al.) and CAS/CASGC (Cadambe et al.) — yet each
-//! protocol historically exposed its own incompatible harness
-//! (`soda::harness::SodaCluster`, `AbdCluster` with positional-argument
-//! construction, `CasCluster`). This crate is the facade that makes the
-//! comparison mechanical:
+//! against ABD (Attiya et al.) and CAS/CASGC (Cadambe et al.), and treats
+//! them as variants of one quorum-phase skeleton over one network model.
+//! This crate says so once, which makes the comparison mechanical:
 //!
 //! * [`ProtocolKind`] — the algorithm to run: `Soda`, `SodaErr { e }`, `Abd`,
 //!   `Cas` or `Casgc { gc }`.
@@ -14,14 +12,19 @@
 //!   `k = n − f − 2e < 1`).
 //! * [`RegisterCluster`] — the shared driving API: queue writes and reads
 //!   (optionally at chosen simulated times), inject server and client
-//!   crashes, run to quiescence, and extract [`OpRecord`]s in one shared
-//!   shape, per-server storage occupancy, message statistics, and an
-//!   atomicity-checkable [`soda_consistency::History`].
+//!   crashes, run to quiescence, and extract [`OpRecord`]s, per-server
+//!   storage occupancy, message statistics, and an atomicity-checkable
+//!   [`soda_consistency::History`].
+//! * [`Harness`] — the one implementation of that API, generic over a
+//!   [`soda_protocol::ProtocolSpec`]. It owns the simulation, the process
+//!   ids and the repair epochs; a protocol contributes only its processes
+//!   and a few probes into them, from its own crate.
 //!
 //! Anything protocol-specific (SODA's reader registrations, CASGC's stored
-//! version counts) stays available through the concrete wrapper types
-//! ([`SodaRegisterCluster`], [`AbdRegisterCluster`], [`CasRegisterCluster`])
-//! or [`RegisterCluster::as_any`] downcasting.
+//! version counts) is an inherent method of that protocol's harness type
+//! ([`SodaRegisterCluster`], [`CasRegisterCluster`]), reached through the
+//! typed `ClusterBuilder::build_*` constructors or
+//! [`RegisterCluster::as_any`] downcasting.
 //!
 //! # Quick start
 //!
@@ -45,24 +48,20 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod abd_impl;
 mod builder;
-mod cas_impl;
 mod cluster;
+mod harness;
 mod kind;
 mod record;
-mod soda_impl;
 
-pub use abd_impl::AbdRegisterCluster;
 pub use builder::{BuildError, ClusterBuilder};
-pub use cas_impl::CasRegisterCluster;
 pub use cluster::RegisterCluster;
+pub use harness::{AbdRegisterCluster, CasRegisterCluster, Harness, SodaRegisterCluster};
 pub use kind::{ClusterDescriptor, ProtocolKind};
 pub use record::{
-    history_from_records, history_with_pending, version_of_tag, OpKind, OpRecord,
-    PendingWriteRecord, RepairError, RepairReport,
+    history_from_records, history_with_pending, version_of_tag, RepairError, RepairReport,
 };
-pub use soda_impl::SodaRegisterCluster;
+pub use soda_protocol::{OpKind, OpRecord, PendingWrite};
 
 /// All five protocol kinds with representative parameters, for tests and
 /// sweeps that want to cover the whole matrix. `e` and `gc` are placeholders

@@ -1,100 +1,15 @@
-//! The protocol-independent operation record shared by every
-//! [`RegisterCluster`](crate::RegisterCluster) implementation.
+//! What a cluster reports about itself, in one shape for every protocol.
 //!
-//! Each protocol keeps its own internal record type (`soda::OpRecord`,
-//! `AbdOpRecord`, `CasOpRecord`); the facade converts them all into this one
-//! shape so that scenario runners, experiments and the atomicity checker can
-//! consume histories without knowing which algorithm produced them.
+//! The operation records themselves ([`OpRecord`], [`OpKind`],
+//! [`PendingWrite`]) are the shared vocabulary of `soda-protocol`: every
+//! protocol's clients log them directly, and this crate re-exports them.
+//! This module adds what only the facade knows how to say: the repair report
+//! a cluster gives per rank, and the conversion of records into a history
+//! the atomicity checker of `soda-consistency` accepts.
 
 use soda_consistency::{History, Kind, Version};
-use soda_protocol::Tag;
+use soda_protocol::{OpKind, OpRecord, PendingWrite, Tag};
 use soda_simnet::SimTime;
-
-/// Whether an operation was a read or a write.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum OpKind {
-    /// A write operation.
-    Write,
-    /// A read operation.
-    Read,
-}
-
-impl OpKind {
-    /// True for reads.
-    pub fn is_read(&self) -> bool {
-        matches!(self, OpKind::Read)
-    }
-
-    /// True for writes.
-    pub fn is_write(&self) -> bool {
-        matches!(self, OpKind::Write)
-    }
-}
-
-/// A completed client operation, in the shared shape every protocol's records
-/// are converted into.
-#[derive(Clone, Debug)]
-pub struct OpRecord {
-    /// Identifier of the invoking client (its simulated process id).
-    pub client: u64,
-    /// Per-client operation sequence number (starts at 1).
-    pub seq: u64,
-    /// Read or write.
-    pub kind: OpKind,
-    /// Simulated time of the invocation step.
-    pub invoked_at: SimTime,
-    /// Simulated time of the response step.
-    pub completed_at: SimTime,
-    /// The tag associated with the operation (`tag(π)` in the paper).
-    pub tag: Tag,
-    /// The value written (for writes) or returned (for reads).
-    pub value: Option<Vec<u8>>,
-}
-
-impl OpRecord {
-    /// Operation latency in ticks.
-    pub fn latency(&self) -> u64 {
-        self.completed_at.since(self.invoked_at)
-    }
-}
-
-/// A write that was invoked but never completed — the execution ended first,
-/// the writer crashed mid-operation, or a network adversary starved it of
-/// responses.
-///
-/// Atomicity is a property of *completed* operations, but a completed read
-/// may legitimately return the value of an uncompleted write (the write then
-/// linearizes after its invocation even though no response ever happened).
-/// Checking a faulty execution therefore needs the history *closed* under
-/// pending writes; see [`history_with_pending`] and
-/// [`crate::RegisterCluster::closed_history`].
-#[derive(Clone, Debug)]
-pub struct PendingWriteRecord {
-    /// Identifier of the invoking client (its simulated process id).
-    pub client: u64,
-    /// Per-client operation sequence number (starts at 1).
-    pub seq: u64,
-    /// Simulated time of the invocation step.
-    pub invoked_at: SimTime,
-    /// The tag the protocol assigned, once known. `None` while the write is
-    /// still in its query phase — no server has seen the value yet, so no
-    /// read can have observed it.
-    pub tag: Option<Tag>,
-    /// The value being written.
-    pub value: Vec<u8>,
-}
-
-impl From<soda_baselines::PendingWriteInfo> for PendingWriteRecord {
-    fn from((client, seq, invoked_at, tag, value): soda_baselines::PendingWriteInfo) -> Self {
-        PendingWriteRecord {
-            client: client.0 as u64,
-            seq,
-            invoked_at,
-            tag,
-            value,
-        }
-    }
-}
 
 /// Why a repair gave up (see [`RepairReport::error`]).
 ///
@@ -120,9 +35,10 @@ impl std::fmt::Display for RepairError {
     }
 }
 
-/// Progress report of one server repair, in the shared shape every protocol's
-/// repair bookkeeping is converted into (see
-/// [`crate::RegisterCluster::repair_reports`]).
+/// Progress report of one server repair (see
+/// [`crate::RegisterCluster::repair_reports`]): a replacement's
+/// [`soda_protocol::RepairStatus`], addressed by rank and with its failure
+/// typed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RepairReport {
     /// Rank of the repaired server.
@@ -190,7 +106,7 @@ pub fn history_from_records(initial_value: &[u8], records: &[OpRecord]) -> Histo
 pub fn history_with_pending(
     initial_value: &[u8],
     completed: &[OpRecord],
-    pending: &[PendingWriteRecord],
+    pending: &[PendingWrite],
 ) -> History {
     let mut history = history_from_records(initial_value, completed);
     for write in pending {
@@ -219,13 +135,6 @@ pub(crate) fn sort_records(records: &mut [OpRecord]) {
 mod tests {
     use super::*;
     use soda_simnet::ProcessId;
-
-    #[test]
-    fn kind_predicates() {
-        assert!(OpKind::Read.is_read());
-        assert!(!OpKind::Read.is_write());
-        assert!(OpKind::Write.is_write());
-    }
 
     #[test]
     fn tag_conversion_preserves_order() {
@@ -264,19 +173,5 @@ mod tests {
         assert!(history.check_atomicity().is_ok());
         assert_eq!(history.ops()[0].kind, Kind::Write);
         assert_eq!(history.ops()[1].kind, Kind::Read);
-    }
-
-    #[test]
-    fn latency_is_response_minus_invocation() {
-        let rec = OpRecord {
-            client: 1,
-            seq: 1,
-            kind: OpKind::Write,
-            invoked_at: SimTime::from_ticks(10),
-            completed_at: SimTime::from_ticks(35),
-            tag: Tag::INITIAL,
-            value: None,
-        };
-        assert_eq!(rec.latency(), 25);
     }
 }

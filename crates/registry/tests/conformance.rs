@@ -221,6 +221,37 @@ fn descriptor_reports_the_built_shape() {
 }
 
 #[test]
+fn processes_register_servers_then_writers_then_readers() {
+    // Seeded schedules depend on this order: process ids break ties between
+    // same-tick events, and a client's id is part of every tag it creates.
+    for (kind, n, f) in matrix() {
+        let cluster = ClusterBuilder::new(kind, n, f)
+            .with_clients(3, 2)
+            .build()
+            .unwrap();
+        let ids = |first: usize, count: usize| -> Vec<ProcessId> {
+            (first..first + count)
+                .map(|i| ProcessId(i as u32))
+                .collect()
+        };
+        let writers: Vec<_> = (0..3).map(|w| cluster.writer_process(w)).collect();
+        let readers: Vec<_> = (0..2).map(|r| cluster.reader_process(r)).collect();
+        assert_eq!(writers, ids(n, 3), "{}", kind.name());
+        assert_eq!(readers, ids(n + 3, 2), "{}", kind.name());
+    }
+}
+
+#[test]
+#[should_panic(expected = "reader handle 2 out of range: cluster has 2 readers")]
+fn a_handle_beyond_the_built_clients_panics() {
+    let mut cluster = ClusterBuilder::new(ProtocolKind::Cas, 5, 2)
+        .with_clients(1, 2)
+        .build()
+        .unwrap();
+    cluster.invoke_read(2);
+}
+
+#[test]
 fn run_until_stops_at_the_deadline() {
     for (kind, n, f) in matrix() {
         let mut cluster = build(kind, n, f, 23);

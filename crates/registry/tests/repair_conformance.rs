@@ -4,6 +4,7 @@
 //! write, and never double-count a repaired server's replayed acknowledgements
 //! in the closed history.
 
+use soda_protocol::{REPAIR_MAX_ATTEMPTS, REPAIR_RETRY_INTERVAL};
 use soda_registry::{ClusterBuilder, OpRecord, ProtocolKind, RegisterCluster, RepairError};
 use soda_simnet::{NetFaultPlan, Partition, ProcessId, SimTime};
 use std::collections::BTreeSet;
@@ -290,6 +291,42 @@ fn repair_that_outlives_the_window_fails_retryably_for_every_kind() {
             .closed_history(&[])
             .check_atomicity()
             .unwrap_or_else(|v| panic!("{}: {v}", kind.name()));
+    }
+}
+
+#[test]
+fn every_kind_gives_up_a_cut_off_repair_at_the_same_instant() {
+    // One retry loop drives every protocol's replacement, so a repair whose
+    // survivors stay unreachable fails exactly one retry budget after it
+    // started, whatever the protocol. The give-up is the run's last event.
+    let budget = u64::from(REPAIR_MAX_ATTEMPTS) * REPAIR_RETRY_INTERVAL;
+    for (kind, n, f) in matrix() {
+        let mut cluster = ClusterBuilder::new(kind, n, f)
+            .with_seed(17)
+            .with_clients(1, 2)
+            .with_net_faults(isolate_rank_zero(n, 50, 10_000))
+            .build()
+            .unwrap();
+        cluster.invoke_write_at(SimTime::from_ticks(0), 0, b"cut off".to_vec());
+        cluster.crash_server_at(SimTime::from_ticks(60), 0);
+        cluster.repair_server_at(SimTime::from_ticks(230), 0);
+        cluster.run_to_quiescence();
+
+        let report = cluster.repair_report(0).expect("rank 0 was replaced");
+        assert_eq!(
+            report.started_at,
+            SimTime::from_ticks(230),
+            "{}",
+            kind.name()
+        );
+        assert_eq!(
+            report.error,
+            Some(RepairError::Unreachable),
+            "{}",
+            kind.name()
+        );
+        assert_eq!(report.completed_at, None, "{}", kind.name());
+        assert_eq!(cluster.now(), report.started_at + budget, "{}", kind.name());
     }
 }
 

@@ -1,15 +1,20 @@
-//! SODA / SODAerr behaviour through the facade: the cluster-level tests that
-//! used to live inside `soda::harness`, now driven via `ClusterBuilder`, plus
-//! randomized workload-shape executions (the former property-based suite,
-//! rewritten over the deterministic `rand` shim).
+//! SODA / SODAerr behaviour through the facade: cluster-level tests driven
+//! via `ClusterBuilder` (storage, liveness, cleanup, and repair down to the
+//! re-encoded coded element), plus randomized workload-shape executions (the
+//! former property-based suite, rewritten over the deterministic `rand`
+//! shim).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use soda_registry::{ClusterBuilder, ProtocolKind, RegisterCluster};
+use soda_registry::{ClusterBuilder, OpKind, ProtocolKind, RegisterCluster};
 use soda_simnet::{NetworkConfig, SimTime};
 
 fn soda(n: usize, f: usize) -> ClusterBuilder {
     ClusterBuilder::new(ProtocolKind::Soda, n, f)
+}
+
+fn t(ticks: u64) -> SimTime {
+    SimTime::from_ticks(ticks)
 }
 
 #[test]
@@ -226,4 +231,111 @@ fn quiescent_servers_converge_when_no_reads_run() {
         assert_eq!(ops.len(), num_writes, "seed {seed}");
         assert_eq!(tags[0], ops.last().unwrap().tag, "seed {seed}");
     }
+}
+
+#[test]
+fn crash_then_repair_restores_the_coded_element() {
+    let mut cluster = soda(5, 2)
+        .with_seed(7)
+        .with_initial_value(b"v0".to_vec())
+        .build_soda()
+        .unwrap();
+    let value = b"the written value, long enough to split".to_vec();
+    cluster.invoke_write_at(t(10), 0, value.clone());
+    cluster.run_until(t(500));
+    assert_eq!(cluster.completed_ops().len(), 1, "write completed");
+    let healthy_element = cluster.server_state(1).stored_element().clone();
+    let healthy_tag = cluster.stored_tag(1);
+
+    cluster.crash_server_at(t(600), 1);
+    cluster.run_until(t(700));
+    assert_eq!(cluster.dead_or_repairing(), 1);
+
+    cluster.repair_server_at(t(800), 1);
+    cluster.run_to_quiescence();
+    let repaired = cluster.server_state(1);
+    assert!(!repaired.is_repairing());
+    assert_eq!(repaired.stored_tag(), healthy_tag);
+    assert_eq!(repaired.stored_element().data, healthy_element.data);
+    assert_eq!(cluster.dead_or_repairing(), 0);
+
+    // Repair bandwidth: read_threshold coded elements, well under the
+    // n·(size/k)+metadata acceptance bound.
+    let report = cluster.repair_report(1).expect("was repaired");
+    let elem_len = repaired.stored_bytes() as u64;
+    let config = &cluster.spec().config;
+    assert_eq!(
+        report.traffic_bytes,
+        config.read_threshold() as u64 * elem_len
+    );
+    assert!(report.traffic_bytes <= config.n() as u64 * elem_len);
+    assert_eq!(cluster.repair_traffic_bytes(), report.traffic_bytes);
+
+    // A read after the repair still returns the written value.
+    cluster.invoke_read(0);
+    cluster.run_to_quiescence();
+    let ops = cluster.completed_ops();
+    let read = ops.iter().find(|op| op.kind == OpKind::Read).unwrap();
+    assert_eq!(read.value.as_ref(), Some(&value));
+}
+
+#[test]
+fn repair_during_inflight_write_reaches_the_replacement() {
+    let mut cluster = soda(5, 2)
+        .with_seed(11)
+        .with_initial_value(b"v0".to_vec())
+        .build_soda()
+        .unwrap();
+    cluster.crash_server_at(t(5), 0);
+    // The write starts while rank 0 is down and its replacement repairs
+    // concurrently: the md-value relay must still deliver the new
+    // element to the replacement.
+    cluster.invoke_write_at(t(10), 0, b"concurrent write".to_vec());
+    cluster.repair_server_at(t(12), 0);
+    cluster.run_to_quiescence();
+    assert_eq!(cluster.completed_ops().len(), 1, "write completed");
+    let repaired = cluster.server_state(0);
+    assert!(!repaired.is_repairing());
+    assert_eq!(repaired.stored_tag(), cluster.stored_tag(1));
+    assert_eq!(
+        repaired.stored_element().data,
+        cluster
+            .spec()
+            .config
+            .code()
+            .encode_one(b"concurrent write", 0)
+            .unwrap()
+            .data
+    );
+}
+
+#[test]
+fn sodaerr_repair_collects_k_plus_2e_elements() {
+    let mut cluster = ClusterBuilder::new(ProtocolKind::SodaErr { e: 1 }, 7, 2)
+        .with_seed(3)
+        .with_initial_value(b"seed value".to_vec())
+        .build_soda()
+        .unwrap();
+    cluster.invoke_write_at(t(10), 0, b"sodaerr repair".to_vec());
+    cluster.run_until(t(500));
+    cluster.crash_server_at(t(600), 2);
+    cluster.repair_server_at(t(700), 2);
+    cluster.run_to_quiescence();
+    let repaired = cluster.server_state(2);
+    assert!(!repaired.is_repairing());
+    let report = cluster.repair_report(2).unwrap();
+    let elem_len = repaired.stored_bytes() as u64;
+    // k + 2e = 3 + 2 elements for [7, 3] SODAerr with e = 1.
+    assert_eq!(cluster.spec().config.read_threshold(), 5);
+    assert_eq!(report.traffic_bytes, 5 * elem_len);
+    assert_eq!(
+        repaired.stored_element().data,
+        cluster
+            .spec()
+            .config
+            .code()
+            .encode_one(b"sodaerr repair", 2)
+            .unwrap()
+            .data
+    );
 }

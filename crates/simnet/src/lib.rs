@@ -28,8 +28,6 @@
 //! * [`Trace`] / [`Stats`] — accounting of messages and **data bytes** (bytes
 //!   of object-value payload, excluding metadata) exactly mirroring the
 //!   paper's storage/communication cost model, which ignores metadata.
-//! * [`threaded`] — a shared-memory runtime that executes the same `Process`
-//!   objects on OS threads with real channels, for wall-clock benchmarking.
 //!
 //! # Example
 //!
@@ -72,7 +70,6 @@ mod netfault;
 mod process;
 mod sim;
 pub mod testkit;
-pub mod threaded;
 mod time;
 mod trace;
 mod wheel;
@@ -84,4 +81,4 @@ pub use netfault::{LinkFaults, LinkWindow, NetFaultPlan, Partition};
 pub use process::{Context, Message, Process, ProcessId};
 pub use sim::{CorruptionHook, RunOutcome, Simulation};
 pub use time::SimTime;
-pub use trace::{ProcessStats, Stats, Trace, TraceEvent};
+pub use trace::{ProcessStats, Stats, Trace};

@@ -46,7 +46,7 @@ pub trait Message: Clone + fmt::Debug + Send + 'static {
         0
     }
 
-    /// A short human-readable kind, used in traces.
+    /// A short human-readable kind, for diagnostics and message timelines.
     fn kind(&self) -> &'static str {
         "msg"
     }

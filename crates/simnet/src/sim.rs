@@ -144,7 +144,7 @@ impl<M: Message> Simulation<M> {
             all_started: true,
             scratch_actions: Vec::new(),
             rng: ChaCha12Rng::seed_from_u64(seed),
-            trace: Trace::new(false),
+            trace: Trace::default(),
             event_cap: 50_000_000,
             net_faults: NetFaultPlan::none(),
             net_passthrough: true,
@@ -171,12 +171,6 @@ impl<M: Message> Simulation<M> {
     /// marking senders byzantine has no effect.
     pub fn set_corruption_hook(&mut self, hook: CorruptionHook<M>) {
         self.corruptor = Some(hook);
-    }
-
-    /// Enables detailed per-message tracing (memory grows with the execution).
-    pub fn with_detailed_trace(mut self) -> Self {
-        self.trace = Trace::new(true);
-        self
     }
 
     /// Overrides the safety cap on processed events per run call.
@@ -217,7 +211,7 @@ impl<M: Message> Simulation<M> {
         self.trace.stats()
     }
 
-    /// Access to the trace (for detailed event logs).
+    /// Access to the trace (for borrowed statistics).
     pub fn trace(&self) -> &Trace {
         &self.trace
     }
@@ -255,9 +249,7 @@ impl<M: Message> Simulation<M> {
     pub fn send_external_at(&mut self, at: SimTime, to: ProcessId, msg: M) {
         let at = at.max(self.now);
         let data_bytes = msg.data_bytes();
-        let kind = msg.kind();
-        self.trace
-            .record_send(self.now, at, ProcessId::ENV, to, data_bytes, kind, false);
+        self.trace.record_send(ProcessId::ENV, data_bytes, false);
         let seq = self.next_seq();
         self.queue.push(Event {
             at,
@@ -432,12 +424,10 @@ impl<M: Message> Simulation<M> {
             // sampling to do. A passthrough plan consumes no randomness, so
             // this is the exact same execution as the general path below.
             let data_bytes = msg.data_bytes();
-            let kind = msg.kind();
             let delay = self.config.delay_for(from, to).sample(&mut self.rng);
             let at = self.now + delay;
             let already_crashed = self.is_crashed(to);
-            self.trace
-                .record_send(self.now, at, from, to, data_bytes, kind, already_crashed);
+            self.trace.record_send(from, data_bytes, already_crashed);
             let seq = self.next_seq();
             self.queue.push(Event {
                 at,
@@ -454,10 +444,7 @@ impl<M: Message> Simulation<M> {
         // windows keep their schedules and seeds with windows keep the RNG
         // stream of the still-connected links.
         if self.net_faults.is_partitioned(from, to, self.now) {
-            let data_bytes = msg.data_bytes();
-            let kind = msg.kind();
-            self.trace
-                .record_send(self.now, self.now, from, to, data_bytes, kind, true);
+            self.trace.record_send(from, msg.data_bytes(), true);
             self.trace.record_net_partition();
             return;
         }
@@ -474,11 +461,9 @@ impl<M: Message> Simulation<M> {
             }
         }
         let data_bytes = msg.data_bytes();
-        let kind = msg.kind();
         if faults.sample_drop(&mut self.rng) {
             // The send happened (and is charged) but the channel lost it.
-            self.trace
-                .record_send(self.now, self.now, from, to, data_bytes, kind, true);
+            self.trace.record_send(from, data_bytes, true);
             self.trace.record_net_drop();
             return;
         }
@@ -489,16 +474,15 @@ impl<M: Message> Simulation<M> {
             // communication cost counts what the protocol sends) and shows
             // up only in `messages_duplicated` and the delivery-side
             // counters.
-            self.enqueue_delivery(&faults, from, to, copy, data_bytes, kind, false);
+            self.enqueue_delivery(&faults, from, to, copy, data_bytes, false);
             self.trace.record_net_duplicate();
         }
-        self.enqueue_delivery(&faults, from, to, msg, data_bytes, kind, true);
+        self.enqueue_delivery(&faults, from, to, msg, data_bytes, true);
     }
 
     /// Samples the (possibly adversarially extended) delay for one delivery
     /// and schedules it. `count_send` is false for adversarial duplicates,
     /// which must not inflate the protocol's communication cost.
-    #[allow(clippy::too_many_arguments)]
     fn enqueue_delivery(
         &mut self,
         faults: &crate::netfault::LinkFaults,
@@ -506,7 +490,6 @@ impl<M: Message> Simulation<M> {
         to: ProcessId,
         msg: M,
         data_bytes: usize,
-        kind: &'static str,
         count_send: bool,
     ) {
         let delay = self.config.delay_for(from, to).sample(&mut self.rng)
@@ -514,8 +497,7 @@ impl<M: Message> Simulation<M> {
         let at = self.now + delay;
         let already_crashed = self.is_crashed(to);
         if count_send {
-            self.trace
-                .record_send(self.now, at, from, to, data_bytes, kind, already_crashed);
+            self.trace.record_send(from, data_bytes, already_crashed);
         }
         let seq = self.next_seq();
         self.queue.push(Event {

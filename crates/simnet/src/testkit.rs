@@ -1,5 +1,5 @@
 //! Utilities for unit-testing [`Process`] implementations without a full
-//! simulation: deliver a single message (or the start event) to a process and
+//! simulation: deliver a single message, timer or start event to a process and
 //! observe exactly which sends, timers and halts it produced.
 
 use crate::process::{Action, Context, Message, Process, ProcessId};
@@ -49,20 +49,16 @@ fn run_step<M: Message, P: Process<M> + ?Sized>(
     process: &mut P,
     self_id: ProcessId,
     now: SimTime,
-    seed: u64,
-    event: Option<(ProcessId, M)>,
+    handler: impl FnOnce(&mut P, &mut Context<'_, M>),
 ) -> StepResult<M> {
-    let mut rng = ChaCha12Rng::seed_from_u64(seed);
+    let mut rng = ChaCha12Rng::seed_from_u64(0);
     let mut ctx = Context {
         self_id,
         now,
         actions: Vec::new(),
         rng: &mut rng,
     };
-    match event {
-        None => process.on_start(&mut ctx),
-        Some((from, msg)) => process.on_message(from, msg, &mut ctx),
-    }
+    handler(process, &mut ctx);
     StepResult::from_actions(ctx.actions)
 }
 
@@ -72,7 +68,7 @@ pub fn start<M: Message, P: Process<M> + ?Sized>(
     self_id: ProcessId,
     now: SimTime,
 ) -> StepResult<M> {
-    run_step(process, self_id, now, 0, None)
+    run_step(process, self_id, now, |p, ctx| p.on_start(ctx))
 }
 
 /// Delivers one message to a process and returns its effects.
@@ -83,7 +79,17 @@ pub fn deliver<M: Message, P: Process<M> + ?Sized>(
     from: ProcessId,
     msg: M,
 ) -> StepResult<M> {
-    run_step(process, self_id, now, 0, Some((from, msg)))
+    run_step(process, self_id, now, |p, ctx| p.on_message(from, msg, ctx))
+}
+
+/// Fires the timer `token` on a process and returns its effects.
+pub fn fire_timer<M: Message, P: Process<M> + ?Sized>(
+    process: &mut P,
+    self_id: ProcessId,
+    now: SimTime,
+    token: u64,
+) -> StepResult<M> {
+    run_step(process, self_id, now, |p, ctx| p.on_timer(token, ctx))
 }
 
 #[cfg(test)]

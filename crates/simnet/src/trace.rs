@@ -1,4 +1,4 @@
-//! Message accounting and optional event tracing.
+//! Message accounting.
 //!
 //! The paper's cost model (Section II-h) counts, for communication, the bytes
 //! of object-value data carried in messages and, for storage, the bytes of
@@ -8,26 +8,6 @@
 //! process, with support for windowed measurements via [`Stats`] snapshots.
 
 use crate::process::ProcessId;
-use crate::time::SimTime;
-
-/// A single recorded message transfer (kept only when detailed tracing is on).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Time the message was sent.
-    pub sent_at: SimTime,
-    /// Time the message will be / was delivered.
-    pub delivered_at: SimTime,
-    /// Sender.
-    pub from: ProcessId,
-    /// Receiver.
-    pub to: ProcessId,
-    /// Bytes of object-value data carried.
-    pub data_bytes: usize,
-    /// Message kind label.
-    pub kind: &'static str,
-    /// Whether the message was dropped because the destination had crashed.
-    pub dropped: bool,
-}
 
 /// Per-process message counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -110,25 +90,13 @@ impl Stats {
     }
 }
 
-/// Accumulates statistics (always) and raw events (only when `detailed` is on,
-/// since event logs grow linearly with the execution).
+/// Accumulates the [`Stats`] of one execution.
 #[derive(Debug, Default)]
 pub struct Trace {
     stats: Stats,
-    detailed: bool,
-    events: Vec<TraceEvent>,
 }
 
 impl Trace {
-    /// Creates a trace; `detailed` controls whether individual events are kept.
-    pub fn new(detailed: bool) -> Self {
-        Trace {
-            stats: Stats::default(),
-            detailed,
-            events: Vec::new(),
-        }
-    }
-
     fn ensure_process(&mut self, id: ProcessId) -> Option<&mut ProcessStats> {
         if id == ProcessId::ENV {
             return None;
@@ -142,18 +110,9 @@ impl Trace {
         Some(&mut self.stats.per_process[idx])
     }
 
-    /// Records a message send (called by the simulation at send time).
-    #[allow(clippy::too_many_arguments)] // mirrors the event tuple one-to-one
-    pub fn record_send(
-        &mut self,
-        sent_at: SimTime,
-        delivered_at: SimTime,
-        from: ProcessId,
-        to: ProcessId,
-        data_bytes: usize,
-        kind: &'static str,
-        dropped: bool,
-    ) {
+    /// Records a message send (called by the simulation at send time);
+    /// `dropped` says the message is already known to be undeliverable.
+    pub fn record_send(&mut self, from: ProcessId, data_bytes: usize, dropped: bool) {
         self.stats.messages_sent += 1;
         self.stats.data_bytes_sent += data_bytes as u64;
         if data_bytes == 0 {
@@ -165,17 +124,6 @@ impl Trace {
         if let Some(p) = self.ensure_process(from) {
             p.messages_sent += 1;
             p.data_bytes_sent += data_bytes as u64;
-        }
-        if self.detailed {
-            self.events.push(TraceEvent {
-                sent_at,
-                delivered_at,
-                from,
-                to,
-                data_bytes,
-                kind,
-                dropped,
-            });
         }
     }
 
@@ -228,16 +176,6 @@ impl Trace {
     pub fn stats_ref(&self) -> &Stats {
         &self.stats
     }
-
-    /// Recorded events (empty unless detailed tracing was enabled).
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
-    }
-
-    /// Whether detailed tracing is enabled.
-    pub fn is_detailed(&self) -> bool {
-        self.detailed
-    }
 }
 
 #[cfg(test)]
@@ -246,25 +184,9 @@ mod tests {
 
     #[test]
     fn aggregates_and_per_process_counters() {
-        let mut trace = Trace::new(false);
-        trace.record_send(
-            SimTime::from_ticks(1),
-            SimTime::from_ticks(3),
-            ProcessId(0),
-            ProcessId(1),
-            100,
-            "value",
-            false,
-        );
-        trace.record_send(
-            SimTime::from_ticks(2),
-            SimTime::from_ticks(4),
-            ProcessId(1),
-            ProcessId(0),
-            0,
-            "ack",
-            false,
-        );
+        let mut trace = Trace::default();
+        trace.record_send(ProcessId(0), 100, false);
+        trace.record_send(ProcessId(1), 0, false);
         trace.record_delivery(ProcessId(1), 100);
         let s = trace.stats();
         assert_eq!(s.messages_sent, 2);
@@ -275,39 +197,12 @@ mod tests {
         assert_eq!(s.per_process[0].data_bytes_sent, 100);
         assert_eq!(s.per_process[1].messages_received, 1);
         assert_eq!(s.per_process[1].data_bytes_received, 100);
-        assert!(trace.events().is_empty(), "detailed tracing is off");
-    }
-
-    #[test]
-    fn detailed_trace_keeps_events() {
-        let mut trace = Trace::new(true);
-        assert!(trace.is_detailed());
-        trace.record_send(
-            SimTime::ZERO,
-            SimTime::from_ticks(2),
-            ProcessId(0),
-            ProcessId(2),
-            7,
-            "coded",
-            true,
-        );
-        assert_eq!(trace.events().len(), 1);
-        assert!(trace.events()[0].dropped);
-        assert_eq!(trace.stats().messages_dropped, 1);
     }
 
     #[test]
     fn env_sender_is_not_tracked_per_process() {
-        let mut trace = Trace::new(false);
-        trace.record_send(
-            SimTime::ZERO,
-            SimTime::from_ticks(1),
-            ProcessId::ENV,
-            ProcessId(0),
-            50,
-            "invoke",
-            false,
-        );
+        let mut trace = Trace::default();
+        trace.record_send(ProcessId::ENV, 50, false);
         let s = trace.stats();
         assert_eq!(s.messages_sent, 1);
         // ENV has no per-process slot; only process 0 exists after delivery.
@@ -318,26 +213,10 @@ mod tests {
 
     #[test]
     fn stats_since_computes_window() {
-        let mut trace = Trace::new(false);
-        trace.record_send(
-            SimTime::ZERO,
-            SimTime::from_ticks(1),
-            ProcessId(0),
-            ProcessId(1),
-            10,
-            "a",
-            false,
-        );
+        let mut trace = Trace::default();
+        trace.record_send(ProcessId(0), 10, false);
         let snapshot = trace.stats();
-        trace.record_send(
-            SimTime::from_ticks(5),
-            SimTime::from_ticks(6),
-            ProcessId(0),
-            ProcessId(1),
-            30,
-            "b",
-            false,
-        );
+        trace.record_send(ProcessId(0), 30, false);
         trace.record_delivery(ProcessId(1), 30);
         let window = trace.stats().since(&snapshot);
         assert_eq!(window.messages_sent, 1);

@@ -12,9 +12,10 @@
 //! * the **SODAerr** variant (Section VI): the same protocol with
 //!   `k = n − f − 2e`, tolerating up to `e` silently corrupted coded elements
 //!   served from the servers' local disks during reads;
-//! * a [`harness`] for building complete clusters inside the simulator,
-//!   injecting client operations, and extracting operation histories, storage
-//!   occupancy and cost measurements for the experiment suite.
+//! * [`SodaSpec`], the [`soda_protocol::ProtocolSpec`] through which the
+//!   generic cluster harness of `soda-registry` builds these automata inside
+//!   the simulator and reads their operation logs, storage occupancy and
+//!   repair progress.
 //!
 //! The three process roles map one-to-one onto the paper's automata:
 //!
@@ -30,8 +31,8 @@
 //! directly: the `soda-registry` crate's `RegisterCluster` trait and
 //! `ClusterBuilder` provide the one validated, protocol-agnostic client API
 //! over SODA, SODAerr and the baselines (select this crate's algorithms with
-//! `ProtocolKind::Soda` / `ProtocolKind::SodaErr { e }`). The [`harness`]
-//! module here is the *backend* that facade wraps.
+//! `ProtocolKind::Soda` / `ProtocolKind::SodaErr { e }`). This crate holds
+//! the automata and their [`SodaSpec`]; the harness that runs them is there.
 //!
 //! ```ignore
 //! use soda_registry::{ClusterBuilder, ProtocolKind};
@@ -65,19 +66,18 @@
 #![forbid(unsafe_code)]
 
 pub mod adversary;
-pub mod harness;
 
 mod config;
 mod messages;
 mod reader;
-mod record;
 mod server;
+mod spec;
 mod writer;
 
 pub use adversary::coded_element_corruptor;
 pub use config::{DiskFaultModel, SodaConfig, SodaVariant};
 pub use messages::{MetaPayload, OpId, SodaMsg};
 pub use reader::{ReadPhase, ReaderProcess};
-pub use record::{OpKind, OpRecord, PendingWrite};
-pub use server::{RepairPhase, RepairStatus, ServerProcess};
+pub use server::ServerProcess;
+pub use spec::SodaSpec;
 pub use writer::{WritePhase, WriterProcess};

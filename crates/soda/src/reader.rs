@@ -19,9 +19,8 @@
 
 use crate::config::SodaConfig;
 use crate::messages::{MetaPayload, OpId, SodaMsg};
-use crate::record::{OpKind, OpRecord};
 use soda_protocol::md::{md_meta_send, MessageId};
-use soda_protocol::{QuorumTracker, Tag};
+use soda_protocol::{OpKind, OpRecord, QuorumTracker, Tag};
 use soda_rs_code::CodedElement;
 use soda_simnet::{Context, Process, ProcessId, SimTime};
 use std::collections::{BTreeMap, VecDeque};
@@ -175,7 +174,8 @@ impl ReaderProcess {
             ctx.send(dest, SodaMsg::MdMeta(dispatch.msg));
         }
         self.completed.push(OpRecord {
-            op,
+            client: u64::from(op.client.0),
+            seq: op.seq,
             kind: OpKind::Read,
             invoked_at: self.invoked_at,
             completed_at: ctx.now(),

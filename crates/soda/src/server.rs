@@ -48,55 +48,21 @@
 use crate::config::{DiskFaultModel, SodaConfig};
 use crate::messages::{MetaPayload, OpId, SodaMsg};
 use soda_protocol::md::{md_meta_send, MdMetaRelay, MdValueMsg, MdValueRelay, MessageId};
-use soda_protocol::{QuorumTracker, Tag, Value};
+use soda_protocol::{QuorumTracker, RepairDriver, RepairStatus, Tag, Value};
 use soda_rs_code::CodedElement;
-use soda_simnet::{Context, Process, ProcessId, SimTime};
+use soda_simnet::{Context, Process, ProcessId};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Phase of an in-flight repair (the reader automaton run by a replacement
-/// server).
+/// server). Whether the repair is still in flight at all is the
+/// [`RepairDriver`]'s to say.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RepairPhase {
+enum RepairPhase {
     /// Waiting for a majority of `read-get` responses from the survivors.
     Get,
     /// Registered with the survivors; accumulating coded elements.
     Value,
-    /// Repair finished; the server is a full replica again.
-    Done,
-    /// The retry budget ran out with the survivors still unreachable (e.g. a
-    /// partition that outlived every retry). The replacement halted itself:
-    /// the rank is plain dead again and can be repaired anew.
-    Failed,
-}
-
-/// Ticks between repair retries. Comfortably above one network round trip,
-/// so a clean-path repair completes before the first retry fires (the timer
-/// then finds the repair done and does nothing).
-pub(crate) const REPAIR_RETRY_INTERVAL: u64 = 400;
-/// Total attempts (first try + retries) before a repair gives up. The
-/// product with [`REPAIR_RETRY_INTERVAL`] bounds how long a repair survives
-/// a partition — long enough to straddle the heal of any window the
-/// exploration harness samples, short enough that `run_to_quiescence`
-/// terminates when survivors never come back.
-pub(crate) const REPAIR_MAX_ATTEMPTS: u32 = 8;
-/// Timer token of the repair retry loop.
-const REPAIR_RETRY_TOKEN: u64 = u64::MAX;
-
-/// Progress and cost accounting of a replacement server's repair.
-#[derive(Clone, Debug)]
-pub struct RepairStatus {
-    /// Current phase.
-    pub phase: RepairPhase,
-    /// When the repair started (the replacement's `on_start`).
-    pub started_at: SimTime,
-    /// When the repair finished, if it has.
-    pub completed_at: Option<SimTime>,
-    /// Bytes of coded-element data received for the repair — the repair
-    /// bandwidth. Bounded by `n · ⌈size/k⌉` plus relayed concurrent writes.
-    pub traffic_bytes: u64,
-    /// The tag whose value was decoded and re-encoded, once done.
-    pub repaired_tag: Option<Tag>,
 }
 
 /// Internal repair state machine of a replacement server.
@@ -109,24 +75,10 @@ struct RepairState {
     requested: Option<Tag>,
     /// Elements accumulated, grouped by tag and keyed by sender rank.
     collected: BTreeMap<Tag, BTreeMap<usize, CodedElement>>,
-    started_at: SimTime,
-    completed_at: Option<SimTime>,
-    traffic_bytes: u64,
-    repaired_tag: Option<Tag>,
-    /// Fan-out attempts so far (the initial send counts as one).
-    attempts: u32,
-}
-
-impl RepairState {
-    fn status(&self) -> RepairStatus {
-        RepairStatus {
-            phase: self.phase,
-            started_at: self.started_at,
-            completed_at: self.completed_at,
-            traffic_bytes: self.traffic_bytes,
-            repaired_tag: self.repaired_tag,
-        }
-    }
+    /// Retry cadence, give-up and cost accounting. Its traffic is coded-
+    /// element bytes, bounded by `n · ⌈size/k⌉` plus relayed concurrent
+    /// writes.
+    driver: RepairDriver,
 }
 
 /// A SODA / SODAerr server process.
@@ -160,7 +112,7 @@ pub struct ServerProcess {
     /// concurrent writes.
     relay_enabled: bool,
     /// Repair state machine, present on replacement servers. Stays around
-    /// after completion (`RepairPhase::Done`) so metrics remain inspectable.
+    /// after completion so metrics remain inspectable.
     repair: Option<RepairState>,
     /// Scratch for the reader fan-out of `on_md_value_deliver`, reused across
     /// deliveries so the per-message hot path does not allocate.
@@ -221,11 +173,7 @@ impl ServerProcess {
                 get_tracker: QuorumTracker::new(majority),
                 requested: None,
                 collected: BTreeMap::new(),
-                started_at: SimTime::ZERO,
-                completed_at: None,
-                traffic_bytes: 0,
-                repaired_tag: None,
-                attempts: 0,
+                driver: RepairDriver::default(),
             }),
             scratch_interested: Vec::new(),
         }
@@ -279,34 +227,31 @@ impl ServerProcess {
 
     /// Whether this server is a replacement whose repair has not finished.
     /// While true the server answers no get queries and is still "dead" for
-    /// the purposes of the dynamic fault-tolerance budget.
+    /// the purposes of the dynamic fault-tolerance budget. A replacement that
+    /// gave up has halted itself and is plain dead, not repairing.
     pub fn is_repairing(&self) -> bool {
-        matches!(
-            &self.repair,
-            Some(r) if r.phase != RepairPhase::Done && r.phase != RepairPhase::Failed
-        )
-    }
-
-    /// Whether this replacement gave up: the retry budget ran out with the
-    /// survivors unreachable. The process has halted itself, so the rank is
-    /// plain dead and a later `repair_server_at` can try again.
-    pub fn repair_failed(&self) -> bool {
-        matches!(&self.repair, Some(r) if r.phase == RepairPhase::Failed)
+        self.repair.as_ref().is_some_and(|r| r.driver.in_progress())
     }
 
     /// Repair progress and cost accounting, if this server is (or was) a
     /// replacement.
     pub fn repair_status(&self) -> Option<RepairStatus> {
-        self.repair.as_ref().map(RepairState::status)
+        self.repair.as_ref().map(|r| r.driver.status())
     }
 
     fn server_pid(&self, rank: usize) -> ProcessId {
         self.config.layout().server(rank)
     }
 
-    fn next_mid(&mut self) -> MessageId {
+    /// Disperses `payload` to every server through MD-META, under a fresh
+    /// message id of this server.
+    fn disperse_meta(&mut self, payload: MetaPayload, ctx: &mut Context<'_, SodaMsg>) {
         self.md_counter += 1;
-        MessageId::new(self.server_pid(self.my_rank), self.md_counter)
+        let mid = MessageId::new(self.server_pid(self.my_rank), self.md_counter);
+        for dispatch in md_meta_send(self.config.layout(), mid, payload) {
+            let dest = self.server_pid(dispatch.to_rank);
+            ctx.send(dest, SodaMsg::MdMeta(dispatch.msg));
+        }
     }
 
     /// Reads the locally stored element "from disk", applying the configured
@@ -341,16 +286,12 @@ impl ServerProcess {
     ) {
         ctx.send(op.client, SodaMsg::CodedToReader { op, tag, element });
         Self::record_triple(self.history.entry(op).or_default(), (tag, self.my_rank));
-        let mid = self.next_mid();
         let payload = MetaPayload::ReadDisperse {
             tag,
             server_rank: self.my_rank,
             op,
         };
-        for dispatch in md_meta_send(self.config.layout(), mid, payload) {
-            let dest = self.server_pid(dispatch.to_rank);
-            ctx.send(dest, SodaMsg::MdMeta(dispatch.msg));
-        }
+        self.disperse_meta(payload, ctx);
         self.maybe_unregister(tag, op);
     }
 
@@ -455,86 +396,30 @@ impl ServerProcess {
         self.maybe_unregister(tag, op);
     }
 
-    /// Kicks off the repair read: query every survivor for its stored tag,
-    /// and arm the retry timer that makes the repair survive partition/heal
-    /// cycles (a lost fan-out is re-sent until the survivors answer or the
-    /// attempt budget runs out).
-    fn begin_repair(&mut self, ctx: &mut Context<'_, SodaMsg>) {
-        let op = {
-            let Some(repair) = self.repair.as_mut() else {
-                return;
-            };
-            if repair.phase != RepairPhase::Get {
-                return;
+    /// Sends the current repair phase's fan-out to the survivors: the
+    /// `read-get` query, or the READ-VALUE registration under `requested`.
+    /// Both are idempotent at the survivors (trackers and the element map
+    /// deduplicate, and survivors re-register the same op id), so the retry
+    /// loop may repeat them; a repeated registration goes out under a fresh
+    /// message id so the survivors' tombstones for the earlier dispersal do
+    /// not swallow it.
+    fn send_repair_fan_out(
+        &mut self,
+        op: OpId,
+        phase: RepairPhase,
+        requested: Option<Tag>,
+        ctx: &mut Context<'_, SodaMsg>,
+    ) {
+        match phase {
+            RepairPhase::Get => {
+                let peers = self.config.layout().peers_of(ctx.self_id());
+                ctx.send_all(peers, SodaMsg::ReadGet { op });
             }
-            repair.started_at = ctx.now();
-            repair.attempts = 1;
-            repair.op
-        };
-        for rank in 0..self.config.n() {
-            if rank != self.my_rank {
-                ctx.send(self.server_pid(rank), SodaMsg::ReadGet { op });
-            }
-        }
-        ctx.set_timer(REPAIR_RETRY_INTERVAL, REPAIR_RETRY_TOKEN);
-    }
-
-    /// Retry tick of an in-flight repair. Re-sends the current phase's
-    /// fan-out (all repair messages are idempotent: trackers and the element
-    /// map deduplicate, and survivors re-register the same op id), or gives
-    /// up once the attempt budget is exhausted — the replacement then halts,
-    /// reverting the rank to plain dead so the crash-budget slot can be
-    /// reclaimed by a later repair.
-    fn on_repair_retry(&mut self, ctx: &mut Context<'_, SodaMsg>) {
-        enum Step {
-            ResendGet(OpId),
-            ResendRegister(OpId, Tag),
-            GiveUp,
-        }
-        let step = {
-            let Some(repair) = self.repair.as_mut() else {
-                return;
-            };
-            match repair.phase {
-                RepairPhase::Done | RepairPhase::Failed => return,
-                _ if repair.attempts >= REPAIR_MAX_ATTEMPTS => {
-                    repair.phase = RepairPhase::Failed;
-                    Step::GiveUp
-                }
-                RepairPhase::Get => {
-                    repair.attempts += 1;
-                    Step::ResendGet(repair.op)
-                }
-                RepairPhase::Value => {
-                    repair.attempts += 1;
-                    Step::ResendRegister(repair.op, repair.requested.unwrap_or(Tag::INITIAL))
-                }
-            }
-        };
-        match step {
-            Step::GiveUp => {
-                ctx.halt();
-                return;
-            }
-            Step::ResendGet(op) => {
-                for rank in 0..self.config.n() {
-                    if rank != self.my_rank {
-                        ctx.send(self.server_pid(rank), SodaMsg::ReadGet { op });
-                    }
-                }
-            }
-            Step::ResendRegister(op, tr) => {
-                // A fresh message id: the survivors' tombstones for the
-                // earlier dispersal must not swallow the re-registration.
-                let mid = self.next_mid();
-                let payload = MetaPayload::ReadValue { op, tag: tr };
-                for dispatch in md_meta_send(self.config.layout(), mid, payload) {
-                    let dest = self.server_pid(dispatch.to_rank);
-                    ctx.send(dest, SodaMsg::MdMeta(dispatch.msg));
-                }
+            RepairPhase::Value => {
+                let tag = requested.unwrap_or(Tag::INITIAL);
+                self.disperse_meta(MetaPayload::ReadValue { op, tag }, ctx);
             }
         }
-        ctx.set_timer(REPAIR_RETRY_INTERVAL, REPAIR_RETRY_TOKEN);
     }
 
     /// Handles a `read-get` response during repair: once a majority answered,
@@ -546,32 +431,24 @@ impl ServerProcess {
         tag: Tag,
         ctx: &mut Context<'_, SodaMsg>,
     ) {
-        let tr = {
-            let Some(repair) = self.repair.as_mut() else {
-                return;
-            };
-            if repair.phase != RepairPhase::Get || repair.op != op {
-                return;
-            }
-            repair.get_tracker.record(from, tag);
-            if !repair.get_tracker.is_complete() {
-                return;
-            }
-            let tr = repair
-                .get_tracker
-                .max_response()
-                .copied()
-                .unwrap_or(Tag::INITIAL);
-            repair.requested = Some(tr);
-            repair.phase = RepairPhase::Value;
-            tr
+        let Some(repair) = self.repair.as_mut() else {
+            return;
         };
-        let mid = self.next_mid();
-        let payload = MetaPayload::ReadValue { op, tag: tr };
-        for dispatch in md_meta_send(self.config.layout(), mid, payload) {
-            let dest = self.server_pid(dispatch.to_rank);
-            ctx.send(dest, SodaMsg::MdMeta(dispatch.msg));
+        if repair.phase != RepairPhase::Get || repair.op != op {
+            return;
         }
+        repair.get_tracker.record(from, tag);
+        if !repair.get_tracker.is_complete() {
+            return;
+        }
+        let tr = repair
+            .get_tracker
+            .max_response()
+            .copied()
+            .unwrap_or(Tag::INITIAL);
+        repair.requested = Some(tr);
+        repair.phase = RepairPhase::Value;
+        self.send_repair_fan_out(op, RepairPhase::Value, Some(tr), ctx);
     }
 
     /// Handles a coded element sent to the repairing server (a survivor's
@@ -587,10 +464,13 @@ impl ServerProcess {
             let Some(repair) = self.repair.as_mut() else {
                 return;
             };
-            if repair.phase != RepairPhase::Value || repair.op != op {
+            // The phase stays `Value` once the repair is done; stragglers
+            // from slower survivors must not be charged or collected then.
+            if !repair.driver.in_progress() || repair.phase != RepairPhase::Value || repair.op != op
+            {
                 return;
             }
-            repair.traffic_bytes += element.data.len() as u64;
+            repair.driver.add_traffic(element.data.len());
             let tr = repair.requested.unwrap_or(Tag::INITIAL);
             if tag < tr {
                 return;
@@ -641,19 +521,12 @@ impl ServerProcess {
         }
         let (op, tr) = {
             let repair = self.repair.as_mut().expect("checked above");
-            repair.phase = RepairPhase::Done;
-            repair.completed_at = Some(ctx.now());
-            repair.repaired_tag = Some(tag);
+            repair.driver.finish(ctx.now());
             repair.collected.clear();
             (repair.op, repair.requested.unwrap_or(Tag::INITIAL))
         };
         // read-complete: let the survivors unregister the repair.
-        let mid = self.next_mid();
-        let payload = MetaPayload::ReadComplete { op, tag: tr };
-        for dispatch in md_meta_send(self.config.layout(), mid, payload) {
-            let dest = self.server_pid(dispatch.to_rank);
-            ctx.send(dest, SodaMsg::MdMeta(dispatch.msg));
-        }
+        self.disperse_meta(MetaPayload::ReadComplete { op, tag: tr }, ctx);
         // Serve the readers that registered while the repair was in flight
         // and were deferred (skipping the repair's own self-registration,
         // which the READ-COMPLETE above cleans up).
@@ -672,15 +545,25 @@ impl ServerProcess {
 }
 
 impl Process<SodaMsg> for ServerProcess {
+    // Both handlers lift the repair state out for the call: the fan-out
+    // needs the rest of the server mutably while the driver runs it.
     fn on_start(&mut self, ctx: &mut Context<'_, SodaMsg>) {
-        if self.is_repairing() {
-            self.begin_repair(ctx);
+        if let Some(mut repair) = self.repair.take() {
+            let (op, phase, requested) = (repair.op, repair.phase, repair.requested);
+            repair.driver.start(ctx, |ctx| {
+                self.send_repair_fan_out(op, phase, requested, ctx)
+            });
+            self.repair = Some(repair);
         }
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut Context<'_, SodaMsg>) {
-        if token == REPAIR_RETRY_TOKEN {
-            self.on_repair_retry(ctx);
+        if let Some(mut repair) = self.repair.take() {
+            let (op, phase, requested) = (repair.op, repair.phase, repair.requested);
+            repair.driver.on_timer(token, ctx, |ctx| {
+                self.send_repair_fan_out(op, phase, requested, ctx)
+            });
+            self.repair = Some(repair);
         }
     }
 
@@ -1319,8 +1202,7 @@ mod tests {
             SodaMsg::MdMeta(meta) if matches!(meta.payload, MetaPayload::ReadComplete { .. })
         )));
         let status = s.repair_status().unwrap();
-        assert_eq!(status.phase, RepairPhase::Done);
-        assert_eq!(status.repaired_tag, Some(tw));
+        assert!(!status.failed);
         assert!(status.completed_at.is_some());
         let element_len = expected.data.len() as u64;
         assert_eq!(

@@ -15,9 +15,8 @@
 
 use crate::config::SodaConfig;
 use crate::messages::{OpId, SodaMsg};
-use crate::record::{OpKind, OpRecord};
 use soda_protocol::md::{md_value_send, MessageId};
-use soda_protocol::{QuorumTracker, Tag, Value};
+use soda_protocol::{OpKind, OpRecord, PendingWrite, QuorumTracker, Tag, Value};
 use soda_simnet::{Context, Process, ProcessId, SimTime};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -94,10 +93,11 @@ impl WriterProcess {
     /// The in-flight write, if one exists (also available after a crash,
     /// since crashed processes keep their state). Queued-but-not-started
     /// invocations are not reported: they have had no effect on the system.
-    pub fn in_flight(&self) -> Option<crate::record::PendingWrite> {
+    pub fn in_flight_write(&self) -> Option<PendingWrite> {
         let op = self.current_op?;
-        Some(crate::record::PendingWrite {
-            op,
+        Some(PendingWrite {
+            client: u64::from(op.client.0),
+            seq: op.seq,
             invoked_at: self.invoked_at,
             tag: self.current_tag,
             value: self
@@ -155,7 +155,8 @@ impl WriterProcess {
         let tag = self.current_tag.take().expect("completing without a tag");
         let value = self.current_value.take().map(|v| v.to_vec());
         self.completed.push(OpRecord {
-            op,
+            client: u64::from(op.client.0),
+            seq: op.seq,
             kind: OpKind::Write,
             invoked_at: self.invoked_at,
             completed_at: ctx.now(),

@@ -3,7 +3,7 @@
 //! The experiment sweeps archive their rows as JSON (for `EXPERIMENTS.md` and
 //! the bench binaries' `[out.json]` argument). The build environment has no
 //! crates.io access, so instead of `serde`/`serde_json` the row structs
-//! implement the small [`JsonRow`] trait via the [`json_row!`] macro.
+//! implement the small [`JsonRow`] trait via the [`crate::json_row!`] macro.
 
 use std::fmt::Write as _;
 
