@@ -22,8 +22,8 @@
 //! the repo's standard format (see `BENCH_partition.json`).
 
 use soda_bench::maybe_write_json;
-use soda_registry::{ClusterBuilder, ProtocolKind};
-use soda_simnet::{NetFaultPlan, Partition, ProcessId, SimTime};
+use soda_registry::{ClusterBuilder, PartitionWindow, ProtocolKind};
+use soda_simnet::SimTime;
 use soda_workload::json::to_json;
 use soda_workload::json_row;
 use std::time::Instant;
@@ -68,33 +68,18 @@ json_row!(Row {
 /// `duty_pct`% of every period, servers `0..=f` (a majority of `n = 5`) are
 /// unreachable from every other process; the cuts heal for the rest of the
 /// period.
-fn duty_plan(duty_pct: u64) -> NetFaultPlan {
-    let mut plan = NetFaultPlan::none();
-    if duty_pct == 0 {
-        return plan;
-    }
-    let total = (N + WRITERS + READERS) as u32;
-    let cut: Vec<ProcessId> = (0..(F + 1) as u32).map(ProcessId).collect();
-    let rest: Vec<ProcessId> = ((F + 1) as u32..total).map(ProcessId).collect();
-    for i in 0..CYCLES {
-        let start = i * PERIOD;
-        let end = start + PERIOD * duty_pct / 100;
-        plan = plan.with_partition(Partition::split(
-            &[cut.clone(), rest.clone()],
-            SimTime::from_ticks(start),
-            SimTime::from_ticks(end),
-        ));
-    }
-    plan
-}
-
 fn measure(kind: ProtocolKind, duty_pct: u64) -> Row {
-    let mut cluster = ClusterBuilder::new(kind, N, F)
+    let mut builder = ClusterBuilder::new(kind, N, F)
         .with_seed(41)
-        .with_clients(WRITERS, READERS)
-        .with_net_faults(duty_plan(duty_pct))
-        .build()
-        .expect("valid bench parameters");
+        .with_clients(WRITERS, READERS);
+    for i in 0..CYCLES {
+        builder = builder.with_partition_window(&PartitionWindow {
+            ranks: (0..=F).collect(),
+            start: i * PERIOD,
+            end: i * PERIOD + PERIOD * duty_pct / 100,
+        });
+    }
+    let mut cluster = builder.build().expect("valid bench parameters");
 
     // One op per handle, spread uniformly over the schedule: writes on the
     // period grid, reads half a step later, so both races every window edge.

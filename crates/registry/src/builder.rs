@@ -7,7 +7,7 @@ use soda::{SodaConfig, SodaSpec};
 use soda_baselines::abd::AbdSpec;
 use soda_baselines::cas::{CasConfig, CasSpec};
 use soda_protocol::Layout;
-use soda_simnet::{NetFaultPlan, NetworkConfig, ProcessId};
+use soda_simnet::{NetFaultPlan, NetworkConfig, Partition, ProcessId, SimTime};
 use std::error::Error;
 use std::fmt;
 
@@ -125,6 +125,46 @@ impl fmt::Display for BuildError {
 
 impl Error for BuildError {}
 
+/// A scheduled partition: the server `ranks` are unreachable from **every
+/// other process** of their cluster (surviving servers and all client
+/// handles, both directions) during `[start, end)` ticks, healing at `end`.
+///
+/// Installed by [`ClusterBuilder::with_partition_window`] as deterministic
+/// [`soda_simnet::LinkWindow`]s, so the cuts consume no randomness: a cluster
+/// with windows and one without sample identical RNG streams for everything
+/// else.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct PartitionWindow {
+    /// Isolated server ranks.
+    pub ranks: Vec<usize>,
+    /// First tick of the outage (inclusive).
+    pub start: u64,
+    /// First tick after the heal (exclusive end).
+    pub end: u64,
+}
+
+impl PartitionWindow {
+    /// Window length in ticks.
+    pub fn len(&self) -> u64 {
+        self.end.saturating_sub(self.start)
+    }
+
+    /// Whether the window is degenerate (cuts nothing).
+    pub fn is_empty(&self) -> bool {
+        self.start >= self.end || self.ranks.is_empty()
+    }
+
+    /// The window as an `n`-server cluster sees it: ranks that name no server
+    /// are dropped, and `None` is returned if nothing is left to cut.
+    pub fn on_cluster(&self, n: usize) -> Option<PartitionWindow> {
+        let window = PartitionWindow {
+            ranks: self.ranks.iter().copied().filter(|&r| r < n).collect(),
+            ..*self
+        };
+        (!window.is_empty()).then_some(window)
+    }
+}
+
 /// Builds any [`ProtocolKind`]'s cluster behind the shared
 /// [`RegisterCluster`] API.
 ///
@@ -158,6 +198,7 @@ pub struct ClusterBuilder {
     pub(crate) faulty_disks: Vec<usize>,
     pub(crate) relay_enabled: bool,
     pub(crate) net_faults: NetFaultPlan,
+    pub(crate) partitions: Vec<PartitionWindow>,
     pub(crate) byzantine_servers: Vec<usize>,
     pub(crate) quorum_override: Option<usize>,
 }
@@ -179,6 +220,7 @@ impl ClusterBuilder {
             faulty_disks: Vec::new(),
             relay_enabled: true,
             net_faults: NetFaultPlan::none(),
+            partitions: Vec::new(),
             byzantine_servers: Vec::new(),
             quorum_override: None,
         }
@@ -230,6 +272,14 @@ impl ClusterBuilder {
     /// CAS and CASGC, so adversarial schedules are directly comparable.
     pub fn with_net_faults(mut self, plan: NetFaultPlan) -> Self {
         self.net_faults = plan;
+        self
+    }
+
+    /// Schedules a [`PartitionWindow`] on top of the installed adversary.
+    /// Windows may be stacked (call repeatedly) and overlap freely; ranks
+    /// that name no server and empty windows cut nothing.
+    pub fn with_partition_window(mut self, window: &PartitionWindow) -> Self {
+        self.partitions.extend(window.on_cluster(self.n));
         self
     }
 
@@ -320,6 +370,26 @@ impl ClusterBuilder {
     /// rank `i` is `ProcessId(i)`.
     fn layout(&self) -> Layout {
         Layout::new((0..self.n as u32).map(ProcessId).collect(), self.f)
+    }
+
+    /// The installed adversary plus every scheduled [`PartitionWindow`]. This
+    /// is the one place that turns server ranks into a process-level cut:
+    /// servers are `ProcessId(0..n)`, writer then reader handles follow, and
+    /// a window splits its ranks from all the rest.
+    pub(crate) fn take_net_fault_plan(&mut self) -> NetFaultPlan {
+        let total = (self.n + self.num_writers + self.num_readers) as u32;
+        let mut plan = std::mem::take(&mut self.net_faults);
+        for window in &self.partitions {
+            let (isolated, rest): (Vec<ProcessId>, Vec<ProcessId>) = (0..total)
+                .map(ProcessId)
+                .partition(|pid| window.ranks.contains(&(pid.0 as usize)));
+            plan = plan.with_partition(Partition::split(
+                &[isolated, rest],
+                SimTime::from_ticks(window.start),
+                SimTime::from_ticks(window.end),
+            ));
+        }
+        plan
     }
 
     fn soda_harness(mut self) -> SodaRegisterCluster {
@@ -479,6 +549,30 @@ mod tests {
             .validate()
             .unwrap_err();
         assert_eq!(err, BuildError::FaultyDiskOutOfRange { rank: 7, n: 7 });
+    }
+
+    #[test]
+    fn a_partition_window_splits_its_server_ranks_from_every_other_process() {
+        let window = |ranks: &[usize], start, end| PartitionWindow {
+            ranks: ranks.to_vec(),
+            start,
+            end,
+        };
+        // Order-insensitive: the cut is computed at build, after `with_clients`.
+        let mut builder = ClusterBuilder::new(ProtocolKind::Abd, 5, 2)
+            .with_partition_window(&window(&[3, 0, 9], 50, 1000))
+            .with_partition_window(&window(&[7], 0, 10)) // names no server
+            .with_partition_window(&window(&[1], 10, 10)) // empty
+            .with_clients(1, 2);
+        // 5 servers, then 1 writer and 2 readers: ProcessId(0..8).
+        let isolated = vec![ProcessId(3), ProcessId(0)];
+        let rest = [1, 2, 4, 5, 6, 7].map(ProcessId).to_vec();
+        let expected = NetFaultPlan::none().with_partition(Partition::split(
+            &[isolated, rest],
+            SimTime::from_ticks(50),
+            SimTime::from_ticks(1000),
+        ));
+        assert_eq!(builder.take_net_fault_plan(), expected);
     }
 
     #[test]

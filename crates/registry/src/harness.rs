@@ -59,10 +59,11 @@ impl<P: ProtocolSpec> Harness<P> {
     /// the builder's network adversary names, if the protocol has one.
     pub(crate) fn new(
         spec: P,
-        builder: ClusterBuilder,
+        mut builder: ClusterBuilder,
         corruptor: Option<CorruptionHook<P::Msg>>,
     ) -> Self {
         let descriptor = builder.descriptor();
+        let net_faults = builder.take_net_fault_plan();
         let mut sim = Simulation::new(builder.seed, builder.network);
         let initial = value_from(builder.initial_value);
         let servers: Vec<ProcessId> = (0..builder.n)
@@ -79,7 +80,7 @@ impl<P: ProtocolSpec> Harness<P> {
         };
         let writers = add_clients(builder.num_writers, OpKind::Write);
         let readers = add_clients(builder.num_readers, OpKind::Read);
-        sim.set_net_fault_plan(builder.net_faults);
+        sim.set_net_fault_plan(net_faults);
         if let Some(hook) = corruptor {
             sim.set_corruption_hook(hook);
         }

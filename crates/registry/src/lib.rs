@@ -54,7 +54,7 @@ mod harness;
 mod kind;
 mod record;
 
-pub use builder::{BuildError, ClusterBuilder};
+pub use builder::{BuildError, ClusterBuilder, PartitionWindow};
 pub use cluster::RegisterCluster;
 pub use harness::{AbdRegisterCluster, CasRegisterCluster, Harness, SodaRegisterCluster};
 pub use kind::{ClusterDescriptor, ProtocolKind};

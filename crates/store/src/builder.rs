@@ -2,8 +2,8 @@
 
 use crate::map::ShardMap;
 use crate::store::ShardedStore;
-use soda_registry::{BuildError, ClusterBuilder, ProtocolKind};
-use soda_simnet::{NetFaultPlan, NetworkConfig, Partition, ProcessId, SimTime};
+use soda_registry::{BuildError, ClusterBuilder, PartitionWindow, ProtocolKind};
+use soda_simnet::{NetFaultPlan, NetworkConfig};
 use std::error::Error;
 use std::fmt;
 
@@ -45,32 +45,6 @@ pub enum StoreRuntime {
     },
 }
 
-/// A scheduled partition window on one shard: the named server `ranks` are
-/// unreachable from **every other process** of each key's cluster (surviving
-/// servers and all client handles, both directions) during `[start, end)`
-/// simulated ticks, after which the links heal.
-///
-/// Converted into [`soda_simnet::Partition::split`] link windows when each
-/// key's cluster is built, so the cuts are deterministic — they consume no
-/// randomness and leave the rest of the schedule untouched (see
-/// [`soda_simnet::LinkWindow`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ShardPartition {
-    /// Server ranks isolated by the window.
-    pub ranks: Vec<usize>,
-    /// First tick of the outage (inclusive).
-    pub start: u64,
-    /// First tick after the heal (exclusive end).
-    pub end: u64,
-}
-
-impl ShardPartition {
-    /// A window isolating `ranks` during `[start, end)`.
-    pub fn new(ranks: Vec<usize>, start: u64, end: u64) -> Self {
-        ShardPartition { ranks, start, end }
-    }
-}
-
 /// Per-shard configuration: the register-cluster shape every key placed on
 /// the shard is built with.
 #[derive(Clone, Debug)]
@@ -92,7 +66,7 @@ pub struct ShardSpec {
     /// Byzantine (element-corrupting) server ranks (SODA family only).
     pub byzantine_servers: Vec<usize>,
     /// Scheduled partition windows applied to every cluster of the shard.
-    pub partitions: Vec<ShardPartition>,
+    pub partitions: Vec<PartitionWindow>,
     /// **Test-only.** Sub-majority quorum override for ABD shards (rejected
     /// at `build` for every other kind) — deliberately breaks atomicity so
     /// the store-level exploration harness and its shrinker can be validated
@@ -117,30 +91,14 @@ impl ShardSpec {
     /// The representative [`ClusterBuilder`] for this spec (used both for
     /// validation and for building each key's cluster).
     pub(crate) fn cluster_builder(&self, seed: u64) -> ClusterBuilder {
-        let mut plan = self.net_faults.clone();
-        if !self.partitions.is_empty() {
-            // Servers are ProcessId(0..n), client handles follow — true for
-            // all five protocols' process layouts.
-            let total = self.n + self.writers_per_key + self.readers_per_key;
-            for window in &self.partitions {
-                let isolated: Vec<ProcessId> =
-                    window.ranks.iter().map(|&r| ProcessId(r as u32)).collect();
-                let rest: Vec<ProcessId> = (0..total as u32)
-                    .map(ProcessId)
-                    .filter(|pid| !isolated.contains(pid))
-                    .collect();
-                plan = plan.with_partition(Partition::split(
-                    &[isolated, rest],
-                    SimTime::from_ticks(window.start),
-                    SimTime::from_ticks(window.end),
-                ));
-            }
-        }
         let mut builder = ClusterBuilder::new(self.kind, self.n, self.f)
             .with_seed(seed)
             .with_clients(self.writers_per_key, self.readers_per_key)
             .with_network(self.network.clone())
-            .with_net_faults(plan);
+            .with_net_faults(self.net_faults.clone());
+        for window in &self.partitions {
+            builder = builder.with_partition_window(window);
+        }
         if !self.byzantine_servers.is_empty() {
             builder = builder.with_byzantine_servers(self.byzantine_servers.clone());
         }
@@ -178,7 +136,7 @@ pub enum StoreBuildError {
         /// The underlying cluster-builder error.
         source: BuildError,
     },
-    /// A [`ShardPartition`] names a server rank the shard does not have.
+    /// A [`PartitionWindow`] names a server rank the shard does not have.
     PartitionRankOutOfRange {
         /// The offending shard index.
         shard: usize,
@@ -187,7 +145,7 @@ pub enum StoreBuildError {
         /// Servers per cluster on that shard.
         n: usize,
     },
-    /// A [`ShardPartition`] window is empty (`start >= end`) or isolates no
+    /// A [`PartitionWindow`] is empty (`start >= end`) or isolates no
     /// ranks — it could never cut a link, so it is almost certainly a typo.
     PartitionEmptyWindow {
         /// The offending shard index.
@@ -389,7 +347,7 @@ impl StoreBuilder {
         end: u64,
     ) -> Self {
         match self.specs.get_mut(shard) {
-            Some(spec) => spec.partitions.push(ShardPartition::new(ranks, start, end)),
+            Some(spec) => spec.partitions.push(PartitionWindow { ranks, start, end }),
             None => self
                 .errors
                 .push(StoreBuildErrorKind::ShardOutOfRange { shard }),
@@ -442,7 +400,7 @@ impl StoreBuilder {
         }
         for (shard, spec) in self.specs.iter().enumerate() {
             for window in &spec.partitions {
-                if window.start >= window.end || window.ranks.is_empty() {
+                if window.is_empty() {
                     return Err(StoreBuildError::PartitionEmptyWindow {
                         shard,
                         start: window.start,

@@ -80,7 +80,7 @@ mod metrics;
 mod pool;
 mod store;
 
-pub use builder::{ShardPartition, ShardSpec, StoreBuildError, StoreBuilder, StoreRuntime};
+pub use builder::{ShardSpec, StoreBuildError, StoreBuilder, StoreRuntime};
 pub use map::ShardMap;
 pub use metrics::{LatencyHistogram, PoolMetrics, ShardMetrics, StoreMetrics, StoreTotals};
 pub use store::{OpOutcome, ShardedStore, StoreError, StoreRunOutcome, Ticket, TicketStatus};

@@ -1,28 +1,25 @@
-//! Seeded schedule exploration: machine-checked atomicity under an
-//! adversarial network.
+//! The **register cluster** target of the exploration [`engine`](crate::engine):
+//! machine-checked atomicity and liveness of one cluster under an adversarial
+//! network.
 //!
-//! The paper's safety claims are universally quantified over asynchronous,
-//! adversarial executions — *every* schedule of message delays, losses,
-//! reorderings, duplications, crashes and (for SODAerr) in-budget element
-//! corruption must yield an atomic history. This module samples that
-//! quantifier: it generates randomized scenarios from a seed, runs each to
-//! quiescence through the [`soda_registry::RegisterCluster`] facade, closes
-//! the resulting history under pending writes, and feeds it to
-//! [`soda_consistency::History::check_atomicity`].
-//!
-//! On a violation the scenario is **shrunk**: operations, crashes, byzantine
-//! servers and network faults are greedily removed while the violation
-//! persists, producing a minimal reproducer. Everything is derived
-//! deterministically from `(config, seed)`, so a reported counterexample can
-//! be replayed exactly with [`generate_scenario`] + [`run_scenario`].
+//! An [`ExploreConfig`] is an engine [`Target`]: [`generate_scenario`] derives
+//! a [`Scenario`] — planned reads and writes, server and client crashes,
+//! repairs, byzantine servers, partition windows and sampled network-fault
+//! intensities — from a seed, and [`run_scenario`] drives it to quiescence
+//! through the [`soda_registry::RegisterCluster`] facade, closes the history
+//! under pending writes, feeds it to
+//! [`soda_consistency::History::check_atomicity`] and looks for a starved
+//! operation that was guaranteed to complete ([`LivenessViolation`]). The
+//! campaign loop, the shrinker, the report and the counterexample type are
+//! the engine's; [`explore`], [`shrink`] and [`shrink_liveness`] are its
+//! entry points under their cluster names.
 //!
 //! ```
 //! use soda_registry::ProtocolKind;
 //! use soda_workload::explore::{explore, ExploreConfig};
 //!
 //! let report = explore(&ExploreConfig::new(ProtocolKind::Soda, 5, 2), 0, 5);
-//! assert!(report.counterexamples.is_empty());
-//! assert!(report.completed_ops > 0);
+//! assert_eq!(report.check(), Ok(()));
 //! ```
 //!
 //! The harness is validated against a deliberately broken protocol: ABD with
@@ -31,54 +28,18 @@
 //! non-atomic histories, which exploration catches and minimizes — see the
 //! `exploration` integration tests.
 
+use crate::engine::{
+    campaign, liveness_guaranteed, sample_ranks, sample_window, unit, NetIntensity, Outcome,
+    Report, Target,
+};
+pub use crate::engine::{shrink, shrink_liveness, AdversaryKnobs};
 use crate::scenario::value_of;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use soda_consistency::{History, Violation};
-use soda_registry::{ClusterBuilder, ProtocolKind};
-use soda_simnet::{LinkFaults, NetFaultPlan, NetworkConfig, Partition, ProcessId, SimTime};
+use soda_registry::{ClusterBuilder, PartitionWindow, ProtocolKind};
+use soda_simnet::{NetworkConfig, SimTime};
 use std::fmt;
-
-/// Upper bounds for the per-scenario sampled network-fault intensities.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct AdversaryKnobs {
-    /// Maximum per-message drop probability.
-    pub drop_p_max: f64,
-    /// Maximum per-message duplication probability.
-    pub duplicate_p_max: f64,
-    /// Maximum extra delivery delay in ticks (sampled uniformly per message).
-    pub extra_delay_max: u64,
-    /// Maximum probability that a message is held back (reordered).
-    pub reorder_p_max: f64,
-    /// Hold-back window in ticks for reordered messages.
-    pub reorder_window: u64,
-}
-
-impl AdversaryKnobs {
-    /// The default adversary: lossy, duplicating, reordering delivery that
-    /// still lets most operations finish (drop probability stays well below
-    /// the point where quorums become unreachable in every phase).
-    pub fn standard() -> Self {
-        AdversaryKnobs {
-            drop_p_max: 0.15,
-            duplicate_p_max: 0.2,
-            extra_delay_max: 40,
-            reorder_p_max: 0.3,
-            reorder_window: 60,
-        }
-    }
-
-    /// No network faults at all (crash-only exploration).
-    pub fn off() -> Self {
-        AdversaryKnobs {
-            drop_p_max: 0.0,
-            duplicate_p_max: 0.0,
-            extra_delay_max: 0,
-            reorder_p_max: 0.0,
-            reorder_window: 0,
-        }
-    }
-}
 
 /// Parameters of one exploration campaign.
 #[derive(Clone, Debug)]
@@ -185,36 +146,6 @@ pub struct PlannedOp {
     pub fill: u8,
 }
 
-/// A scheduled partition: the server `ranks` are unreachable from **every
-/// other process** (surviving servers and all clients, both directions)
-/// during `[start, end)` ticks, healing at `end`.
-///
-/// Installed as deterministic [`soda_simnet::LinkWindow`]s via
-/// [`soda_simnet::Partition::split`], so the cuts consume no randomness: a
-/// scenario with windows and one without sample identical RNG streams for
-/// everything else.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PartitionWindow {
-    /// Isolated server ranks.
-    pub ranks: Vec<usize>,
-    /// First tick of the outage (inclusive).
-    pub start: u64,
-    /// First tick after the heal (exclusive end).
-    pub end: u64,
-}
-
-impl PartitionWindow {
-    /// Window length in ticks.
-    pub fn len(&self) -> u64 {
-        self.end.saturating_sub(self.start)
-    }
-
-    /// Whether the window is degenerate (cuts nothing).
-    pub fn is_empty(&self) -> bool {
-        self.start >= self.end || self.ranks.is_empty()
-    }
-}
-
 /// A fully concrete, seed-derived scenario: operations, crash schedule and
 /// network-fault intensities. `Display` renders it as a reproduction recipe.
 #[derive(Clone, Debug, PartialEq)]
@@ -236,16 +167,8 @@ pub struct Scenario {
     pub writer_crashes: Vec<(usize, u64)>,
     /// `(reader handle, at)` client crashes.
     pub reader_crashes: Vec<(usize, u64)>,
-    /// Per-message drop probability for this scenario.
-    pub drop_p: f64,
-    /// Per-message duplication probability.
-    pub duplicate_p: f64,
-    /// Maximum extra delay in ticks (uniform per message when non-zero).
-    pub extra_delay: u64,
-    /// Per-message hold-back (reordering) probability.
-    pub reorder_p: f64,
-    /// Hold-back window in ticks.
-    pub reorder_window: u64,
+    /// Network-fault intensities for this scenario.
+    pub net: NetIntensity,
     /// Byzantine server ranks (SODA family only; within the error budget
     /// when generated, beyond it only if a caller builds such a scenario by
     /// hand).
@@ -256,23 +179,41 @@ pub struct Scenario {
     pub partitions: Vec<PartitionWindow>,
 }
 
-impl Scenario {
-    fn link_faults(&self) -> LinkFaults {
-        LinkFaults {
-            drop_p: self.drop_p,
-            duplicate_p: self.duplicate_p,
-            extra_delay: (self.extra_delay > 0).then_some(soda_simnet::DelayModel::Uniform {
-                min: 1,
-                max: self.extra_delay,
-            }),
-            reorder_p: self.reorder_p,
-            reorder_window: self.reorder_window,
+impl crate::engine::Scenario for Scenario {
+    fn event_lists(&self) -> Vec<usize> {
+        vec![
+            self.ops.len(),
+            self.server_crashes.len(),
+            self.server_repairs.len(),
+            self.writer_crashes.len(),
+            self.reader_crashes.len(),
+            self.byzantine.len(),
+            self.partitions.len(),
+        ]
+    }
+
+    fn remove_event(&mut self, list: usize, index: usize) {
+        match list {
+            0 => drop(self.ops.remove(index)),
+            1 => drop(self.server_crashes.remove(index)),
+            2 => drop(self.server_repairs.remove(index)),
+            3 => drop(self.writer_crashes.remove(index)),
+            4 => drop(self.reader_crashes.remove(index)),
+            5 => drop(self.byzantine.remove(index)),
+            _ => drop(self.partitions.remove(index)),
         }
     }
 
-    /// Whether any network fault is active.
-    pub fn has_net_faults(&self) -> bool {
-        !self.link_faults().is_clean()
+    fn net(&self) -> &NetIntensity {
+        &self.net
+    }
+
+    fn net_mut(&mut self) -> &mut NetIntensity {
+        &mut self.net
+    }
+
+    fn windows_mut(&mut self) -> Vec<&mut PartitionWindow> {
+        self.partitions.iter_mut().collect()
     }
 }
 
@@ -302,16 +243,8 @@ impl fmt::Display for Scenario {
         for &(r, at) in &self.reader_crashes {
             writeln!(out, "  t={at:>4} crash reader[{r}]")?;
         }
-        if self.has_net_faults() {
-            writeln!(
-                out,
-                "  net: drop={:.3} dup={:.3} extra_delay<={} reorder={:.3}/{}",
-                self.drop_p,
-                self.duplicate_p,
-                self.extra_delay,
-                self.reorder_p,
-                self.reorder_window
-            )?;
+        if self.net.has_net_faults() {
+            writeln!(out, "  {}", self.net)?;
         }
         if !self.byzantine.is_empty() {
             writeln!(out, "  byzantine servers: {:?}", self.byzantine)?;
@@ -325,10 +258,6 @@ impl fmt::Display for Scenario {
         }
         Ok(())
     }
-}
-
-pub(crate) fn unit(rng: &mut StdRng) -> f64 {
-    (rng.gen::<u64>() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 /// Deterministically derives the scenario for `(config, seed)`.
@@ -378,30 +307,16 @@ pub fn generate_scenario(cfg: &ExploreConfig, seed: u64) -> Scenario {
             reader_crashes.push((r, rng.gen_range(0..=cfg.horizon * 2)));
         }
     }
-    let knobs = cfg.knobs;
     let byzantine = match (cfg.corruption, cfg.kind) {
         (true, ProtocolKind::SodaErr { e }) if e > 0 => {
             // Up to `e` distinct ranks: always within the budget the decoder
             // is provisioned for.
             let count = rng.gen_range(0..=e);
-            let mut pool: Vec<usize> = (0..cfg.n).collect();
-            (0..count)
-                .map(|_| {
-                    let pick = rng.gen_range(0..pool.len());
-                    pool.swap_remove(pick)
-                })
-                .collect()
+            sample_ranks(&mut rng, cfg.n, count)
         }
         _ => Vec::new(),
     };
-    let drop_p = unit(&mut rng) * knobs.drop_p_max;
-    let duplicate_p = unit(&mut rng) * knobs.duplicate_p_max;
-    let extra_delay = if knobs.extra_delay_max > 0 {
-        rng.gen_range(0..=knobs.extra_delay_max)
-    } else {
-        0
-    };
-    let reorder_p = unit(&mut rng) * knobs.reorder_p_max;
+    let net = NetIntensity::sample(&mut rng, &cfg.knobs);
     // Crash → repair → crash interleavings (drawn last so the draw order of
     // everything above is unchanged across seeds): each crashed rank may be
     // repaired, and a completed repair frees a budget slot the adversary may
@@ -430,21 +345,8 @@ pub fn generate_scenario(cfg: &ExploreConfig, seed: u64) -> Scenario {
     if cfg.partition_p > 0.0 && cfg.f > 0 && unit(&mut rng) < cfg.partition_p {
         let windows = 1 + usize::from(unit(&mut rng) < 0.3);
         for _ in 0..windows {
-            let count = rng.gen_range(1..=cfg.f);
-            let mut pool: Vec<usize> = (0..cfg.n).collect();
-            let ranks = (0..count)
-                .map(|_| {
-                    let pick = rng.gen_range(0..pool.len());
-                    pool.swap_remove(pick)
-                })
-                .collect();
-            let start = rng.gen_range(0..=cfg.horizon);
-            let len = rng.gen_range(1..=cfg.partition_len_max.max(1));
-            partitions.push(PartitionWindow {
-                ranks,
-                start,
-                end: start + len,
-            });
+            let (start_max, len_max) = (cfg.horizon, cfg.partition_len_max);
+            partitions.push(sample_window(&mut rng, cfg.n, cfg.f, start_max, len_max));
         }
     }
     Scenario {
@@ -454,30 +356,16 @@ pub fn generate_scenario(cfg: &ExploreConfig, seed: u64) -> Scenario {
         server_repairs,
         writer_crashes,
         reader_crashes,
-        drop_p,
-        duplicate_p,
-        extra_delay,
-        reorder_p,
-        reorder_window: knobs.reorder_window,
+        net,
         byzantine,
         partitions,
     }
 }
 
 /// A **liveness** violation: an operation that was *guaranteed* to complete
-/// by quiescence — invoked by a client that never crashed, in a scenario
-/// with no probabilistic message loss, where the servers that were ever
-/// crashed or partitioned away total at most `f` — yet never completed.
-///
-/// The guarantee is deliberately conservative. Clients do not retransmit, so
-/// an op that fans out while more than `f` servers are (cumulatively) dead
-/// or isolated may starve legitimately; and a server that sat out a window
-/// can be permanently stale (it missed writes the way a crashed server
-/// would), so window-isolated ranks count against the budget for the whole
-/// scenario, heal or no heal. Within that budget, every protocol's quorums
-/// (`n − f`, or an ABD majority) stay reachable from invocation onward —
-/// including for ops invoked only after the final heal — so an incomplete op
-/// is a protocol liveness bug, not an adversarial artifact.
+/// by quiescence — invoked by a client that never crashed, in a scenario that
+/// passes [`liveness_guaranteed`] — yet never completed (including ops
+/// invoked only after the final heal).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LivenessViolation {
     /// `true` for a writer handle, `false` for a reader handle.
@@ -511,39 +399,12 @@ impl fmt::Display for LivenessViolation {
     }
 }
 
-/// The outcome of running one scenario to quiescence.
-#[derive(Clone, Debug)]
-pub struct ScheduleOutcome {
-    /// The atomicity violation, if the history failed the checker.
-    pub violation: Option<Violation>,
-    /// The liveness violation, if a guaranteed op starved (see
-    /// [`LivenessViolation`]).
-    pub liveness: Option<LivenessViolation>,
-    /// Operations that completed.
-    pub completed_ops: usize,
-    /// Writes still pending at quiescence (starved or writer-crashed).
-    pub pending_writes: usize,
-    /// Whether the simulation hit its event cap (indicates a protocol bug
-    /// such as an infinite relay loop; never expected).
-    pub hit_event_cap: bool,
-    /// The checked history (completed ops closed under pending writes).
-    pub history: History,
-}
-
 /// Decides whether a scenario's outcome contains a [`LivenessViolation`].
 ///
-/// Guarantee predicate, evaluated scenario-wide (conservative on purpose —
-/// every exemption is an execution where starvation can be legitimate):
-///
-/// * exempt everything if messages could be *lost* (`drop_p > 0`; delays,
-///   duplication and reordering all still deliver), or the event cap hit;
-/// * exempt everything if the ranks ever crashed **or** ever isolated by a
-///   partition window total more than `f` — beyond the budget, quorums can
-///   be genuinely unreachable, and a once-isolated server can stay stale
-///   forever (clients do not retransmit through heals);
-/// * exempt a crashed client's own handle; and exempt reader handles
-///   entirely when any *writer* crashed (a read can commit to a
-///   half-propagated tag whose remaining elements will never arrive).
+/// Everything is exempt unless the scenario passes [`liveness_guaranteed`];
+/// beyond that, a crashed client's own handle is exempt, and reader handles
+/// are exempt entirely when any *writer* crashed (a read can commit to a
+/// half-propagated tag whose remaining elements will never arrive).
 ///
 /// For every non-exempt handle the client executes its planned queue FIFO,
 /// so the first `completed` ops of the queue (in invocation-time order) are
@@ -554,19 +415,9 @@ fn liveness_violation(
     completed_per_client: &[(u64, usize)],
     hit_event_cap: bool,
 ) -> Option<LivenessViolation> {
-    if hit_event_cap || scenario.drop_p > 0.0 {
-        return None;
-    }
-    let mut budget: Vec<usize> = scenario.server_crashes.iter().map(|&(r, _)| r).collect();
-    budget.extend(
-        scenario
-            .partitions
-            .iter()
-            .flat_map(|w| w.ranks.iter().copied()),
-    );
-    budget.sort_unstable();
-    budget.dedup();
-    if budget.len() > cfg.f {
+    let crashed = scenario.server_crashes.iter().map(|&(rank, _)| rank);
+    let windows = &scenario.partitions;
+    if !liveness_guaranteed(cfg.n, cfg.f, &scenario.net, hit_event_cap, crashed, windows) {
         return None;
     }
     let any_writer_crashed = !scenario.writer_crashes.is_empty();
@@ -616,40 +467,15 @@ fn liveness_violation(
 /// # Panics
 /// Panics if the configuration is invalid for the protocol kind (see
 /// `ClusterBuilder::validate`); campaign entry points validate up front.
-pub fn run_scenario(cfg: &ExploreConfig, scenario: &Scenario) -> ScheduleOutcome {
-    let mut plan = NetFaultPlan::none();
-    let faults = scenario.link_faults();
-    if !faults.is_clean() {
-        plan = plan.with_default(faults);
-    }
-    for window in &scenario.partitions {
-        if window.is_empty() {
-            continue;
-        }
-        // Servers are ProcessId(0..n), writer then reader handles follow —
-        // the same layout in all five protocols.
-        let total = cfg.n + cfg.writers + cfg.readers;
-        let isolated: Vec<ProcessId> = window
-            .ranks
-            .iter()
-            .filter(|&&r| r < cfg.n)
-            .map(|&r| ProcessId(r as u32))
-            .collect();
-        let rest: Vec<ProcessId> = (0..total as u32)
-            .map(ProcessId)
-            .filter(|pid| !isolated.contains(pid))
-            .collect();
-        plan = plan.with_partition(Partition::split(
-            &[isolated, rest],
-            SimTime::from_ticks(window.start),
-            SimTime::from_ticks(window.end),
-        ));
-    }
+pub fn run_scenario(cfg: &ExploreConfig, scenario: &Scenario) -> Outcome<ExploreConfig> {
     let mut builder = ClusterBuilder::new(cfg.kind, cfg.n, cfg.f)
         .with_seed(scenario.seed)
         .with_clients(cfg.writers, cfg.readers)
         .with_network(NetworkConfig::uniform(10))
-        .with_net_faults(plan);
+        .with_net_faults(scenario.net.fault_plan());
+    for window in &scenario.partitions {
+        builder = builder.with_partition_window(window);
+    }
     if !scenario.byzantine.is_empty() {
         builder = builder.with_byzantine_servers(scenario.byzantine.clone());
     }
@@ -743,339 +569,42 @@ pub fn run_scenario(cfg: &ExploreConfig, scenario: &Scenario) -> ScheduleOutcome
         }
     }
     let liveness = liveness_violation(cfg, scenario, &completed_per_client, outcome.hit_event_cap);
-    ScheduleOutcome {
+    Outcome {
         violation: history.check_atomicity().err(),
         liveness,
         completed_ops: completed.len(),
-        pending_writes: cluster.pending_writes().len(),
+        pending: cluster.pending_writes().len(),
         hit_event_cap: outcome.hit_event_cap,
         history,
     }
 }
 
-/// A minimized, seed-reproducible atomicity violation.
-#[derive(Clone, Debug)]
-pub struct Counterexample {
-    /// The seed that produced the violation (replay with
-    /// [`generate_scenario`] + [`run_scenario`]).
-    pub seed: u64,
-    /// Name of the protocol under test.
-    pub kind: &'static str,
-    /// The violation reported for the *minimized* scenario.
-    pub violation: Violation,
-    /// The scenario as originally generated.
-    pub original: Scenario,
-    /// The greedily minimized scenario (still violating).
-    pub minimized: Scenario,
-}
+impl Target for ExploreConfig {
+    type Scenario = Scenario;
+    type Violation = Violation;
+    type Starvation = LivenessViolation;
+    type History = History;
 
-impl fmt::Display for Counterexample {
-    fn fmt(&self, out: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            out,
-            "{}: atomicity violation at seed {}: {}",
-            self.kind, self.seed, self.violation
-        )?;
-        writeln!(
-            out,
-            "minimized from {} ops / {} crashes to {} ops / {} crashes:",
-            self.original.ops.len(),
-            self.original.server_crashes.len()
-                + self.original.writer_crashes.len()
-                + self.original.reader_crashes.len(),
-            self.minimized.ops.len(),
-            self.minimized.server_crashes.len()
-                + self.minimized.writer_crashes.len()
-                + self.minimized.reader_crashes.len(),
-        )?;
-        write!(out, "{}", self.minimized)
+    fn name(&self) -> &'static str {
+        self.kind.name()
+    }
+
+    fn generate(&self, seed: u64) -> Scenario {
+        generate_scenario(self, seed)
+    }
+
+    fn run(&self, scenario: &Scenario) -> Outcome<Self> {
+        run_scenario(self, scenario)
     }
 }
 
-/// A minimized, seed-reproducible **liveness** violation (the counterpart of
-/// [`Counterexample`] for starved-but-guaranteed operations).
-#[derive(Clone, Debug)]
-pub struct LivenessCounterexample {
-    /// The seed that produced the violation (replay with
-    /// [`generate_scenario`] + [`run_scenario`]).
-    pub seed: u64,
-    /// Name of the protocol under test.
-    pub kind: &'static str,
-    /// The violation reported for the *minimized* scenario.
-    pub violation: LivenessViolation,
-    /// The scenario as originally generated.
-    pub original: Scenario,
-    /// The greedily minimized scenario (still violating).
-    pub minimized: Scenario,
-}
-
-impl fmt::Display for LivenessCounterexample {
-    fn fmt(&self, out: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            out,
-            "{}: liveness violation at seed {}: {}",
-            self.kind, self.seed, self.violation
-        )?;
-        writeln!(
-            out,
-            "minimized from {} ops / {} crashes / {} partitions to {} ops / {} crashes / {} \
-             partitions:",
-            self.original.ops.len(),
-            self.original.server_crashes.len()
-                + self.original.writer_crashes.len()
-                + self.original.reader_crashes.len(),
-            self.original.partitions.len(),
-            self.minimized.ops.len(),
-            self.minimized.server_crashes.len()
-                + self.minimized.writer_crashes.len()
-                + self.minimized.reader_crashes.len(),
-            self.minimized.partitions.len(),
-        )?;
-        write!(out, "{}", self.minimized)
-    }
-}
-
-/// One halving step toward zero for a fault probability: values below `1e-3`
-/// snap to `0.0` so the descent terminates instead of chasing denormals.
-pub(crate) fn halve_probability(p: f64) -> f64 {
-    if p < 1e-3 {
-        0.0
-    } else {
-        p / 2.0
-    }
-}
-
-/// Greedily shrinks a violating scenario: repeatedly drops single operations,
-/// crashes, byzantine servers and whole partition windows, tries switching
-/// the network faults off entirely, bisects each fault *intensity* (drop /
-/// duplication / reordering probabilities, extra-delay and hold-back
-/// windows) down by repeated halving, and bisects each surviving partition
-/// window's start and length, all while the violation persists — so a
-/// counterexample that genuinely needs, say, message drops is reported with
-/// (roughly) the smallest drop probability that still reproduces it, and
-/// intensities the violation never needed come back as zero. Every change is
-/// kept only if *some* atomicity violation persists. Deterministic, and
-/// terminates because every accepted step removes something or strictly
-/// decreases an intensity that bottoms out at zero.
-pub fn shrink(cfg: &ExploreConfig, scenario: &Scenario) -> (Scenario, Violation) {
-    shrink_with(scenario, |candidate| run_scenario(cfg, candidate).violation)
-}
-
-/// [`shrink`], but against the **liveness** checker: minimizes a scenario
-/// whose [`run_scenario`] outcome reports a [`LivenessViolation`], with the
-/// same passes (including dropping partition events and bisecting window
-/// starts and lengths).
-pub fn shrink_liveness(cfg: &ExploreConfig, scenario: &Scenario) -> (Scenario, LivenessViolation) {
-    shrink_with(scenario, |candidate| run_scenario(cfg, candidate).liveness)
-}
-
-/// The shared greedy minimizer: keeps any candidate for which `violates`
-/// still reports a violation of the caller's chosen kind.
-fn shrink_with<V>(scenario: &Scenario, violates: impl Fn(&Scenario) -> Option<V>) -> (Scenario, V) {
-    let mut current = scenario.clone();
-    let mut violation = violates(&current)
-        .expect("shrink requires a violating scenario (run_scenario reported a violation)");
-    loop {
-        let mut changed = false;
-        // Drop one planned operation at a time (from the back, so indices
-        // stay valid as we retry).
-        let mut idx = current.ops.len();
-        while idx > 0 {
-            idx -= 1;
-            let mut candidate = current.clone();
-            candidate.ops.remove(idx);
-            if let Some(v) = violates(&candidate) {
-                current = candidate;
-                violation = v;
-                changed = true;
-            }
-        }
-        macro_rules! shrink_list {
-            ($field:ident) => {
-                let mut idx = current.$field.len();
-                while idx > 0 {
-                    idx -= 1;
-                    let mut candidate = current.clone();
-                    candidate.$field.remove(idx);
-                    if let Some(v) = violates(&candidate) {
-                        current = candidate;
-                        violation = v;
-                        changed = true;
-                    }
-                }
-            };
-        }
-        shrink_list!(server_crashes);
-        shrink_list!(server_repairs);
-        shrink_list!(writer_crashes);
-        shrink_list!(reader_crashes);
-        shrink_list!(byzantine);
-        shrink_list!(partitions);
-        if current.has_net_faults() {
-            let mut candidate = current.clone();
-            candidate.drop_p = 0.0;
-            candidate.duplicate_p = 0.0;
-            candidate.extra_delay = 0;
-            candidate.reorder_p = 0.0;
-            if let Some(v) = violates(&candidate) {
-                current = candidate;
-                violation = v;
-                changed = true;
-            }
-        }
-        // All-off failed (or was unnecessary): bisect the surviving
-        // intensities individually. Each loop halves one knob while the
-        // violation persists, stopping at the first halving that loses it.
-        macro_rules! shrink_probability {
-            ($field:ident) => {
-                while current.$field > 0.0 {
-                    let mut candidate = current.clone();
-                    candidate.$field = halve_probability(candidate.$field);
-                    if let Some(v) = violates(&candidate) {
-                        current = candidate;
-                        violation = v;
-                        changed = true;
-                    } else {
-                        break;
-                    }
-                }
-            };
-        }
-        macro_rules! shrink_window {
-            ($field:ident) => {
-                while current.$field > 0 {
-                    let mut candidate = current.clone();
-                    candidate.$field /= 2;
-                    if let Some(v) = violates(&candidate) {
-                        current = candidate;
-                        violation = v;
-                        changed = true;
-                    } else {
-                        break;
-                    }
-                }
-            };
-        }
-        shrink_probability!(drop_p);
-        shrink_probability!(duplicate_p);
-        shrink_probability!(reorder_p);
-        shrink_window!(extra_delay);
-        if current.reorder_p > 0.0 {
-            shrink_window!(reorder_window);
-        }
-        // Bisect surviving partition windows: halve each window's length
-        // (healing earlier), then advance its start toward the end — so the
-        // reported window is (roughly) the shortest, latest outage that
-        // still reproduces the violation.
-        for idx in 0..current.partitions.len() {
-            loop {
-                let w = &current.partitions[idx];
-                let len = w.len();
-                if len <= 1 {
-                    break;
-                }
-                let mut candidate = current.clone();
-                candidate.partitions[idx].end = w.start + len / 2;
-                if let Some(v) = violates(&candidate) {
-                    current = candidate;
-                    violation = v;
-                    changed = true;
-                } else {
-                    break;
-                }
-            }
-            loop {
-                let w = &current.partitions[idx];
-                let len = w.len();
-                if len <= 1 {
-                    break;
-                }
-                let mut candidate = current.clone();
-                candidate.partitions[idx].start = w.start + len.div_ceil(2);
-                if let Some(v) = violates(&candidate) {
-                    current = candidate;
-                    violation = v;
-                    changed = true;
-                } else {
-                    break;
-                }
-            }
-        }
-        if !changed {
-            return (current, violation);
-        }
-    }
-}
-
-/// Aggregate result of an exploration campaign.
-#[derive(Clone, Debug, Default)]
-pub struct ExplorationReport {
-    /// Scenarios run.
-    pub schedules: usize,
-    /// Total operations completed across all scenarios.
-    pub completed_ops: usize,
-    /// Total writes left pending across all scenarios.
-    pub pending_writes: usize,
-    /// Scenarios that hit the event cap (always 0 for healthy protocols).
-    pub event_cap_hits: usize,
-    /// Atomicity violations found, each minimized to a reproducer.
-    pub counterexamples: Vec<Counterexample>,
-    /// Liveness violations found (guaranteed ops that starved), each
-    /// minimized to a reproducer.
-    pub liveness_counterexamples: Vec<LivenessCounterexample>,
-}
-
-impl ExplorationReport {
-    /// Whether every schedule passed the atomicity checker.
-    pub fn all_atomic(&self) -> bool {
-        self.counterexamples.is_empty()
-    }
-
-    /// Whether every schedule passed the liveness checker.
-    pub fn all_live(&self) -> bool {
-        self.liveness_counterexamples.is_empty()
-    }
-}
-
-/// Runs `schedules` seeded scenarios (`seed_start`, `seed_start + 1`, …) and
-/// returns the aggregate report. Every violation is shrunk to a minimal
-/// reproducer before being recorded.
+/// [`campaign`] against a register cluster: runs `schedules` seeded scenarios
+/// (`seed_start`, `seed_start + 1`, …), shrinking every violation.
 ///
 /// # Panics
 /// Panics if the configuration is invalid for the protocol kind.
-pub fn explore(cfg: &ExploreConfig, seed_start: u64, schedules: usize) -> ExplorationReport {
-    let mut report = ExplorationReport::default();
-    for seed in seed_start..seed_start + schedules as u64 {
-        let scenario = generate_scenario(cfg, seed);
-        let outcome = run_scenario(cfg, &scenario);
-        report.schedules += 1;
-        report.completed_ops += outcome.completed_ops;
-        report.pending_writes += outcome.pending_writes;
-        report.event_cap_hits += usize::from(outcome.hit_event_cap);
-        if outcome.violation.is_some() {
-            let (minimized, violation) = shrink(cfg, &scenario);
-            report.counterexamples.push(Counterexample {
-                seed,
-                kind: cfg.kind.name(),
-                violation,
-                original: scenario.clone(),
-                minimized,
-            });
-        }
-        if outcome.liveness.is_some() {
-            let (minimized, violation) = shrink_liveness(cfg, &scenario);
-            report
-                .liveness_counterexamples
-                .push(LivenessCounterexample {
-                    seed,
-                    kind: cfg.kind.name(),
-                    violation,
-                    original: scenario,
-                    minimized,
-                });
-        }
-    }
-    report
+pub fn explore(cfg: &ExploreConfig, seed_start: u64, schedules: usize) -> Report<ExploreConfig> {
+    campaign(cfg, seed_start, schedules)
 }
 
 #[cfg(test)]
@@ -1094,7 +623,7 @@ mod tests {
         // Total crashes may exceed `f` only by way of interleaved repairs;
         // the *concurrent* budget is enforced dynamically by `run_scenario`.
         assert!(a.server_crashes.len() <= cfg.f + a.server_repairs.len());
-        assert!(a.drop_p <= cfg.knobs.drop_p_max);
+        assert!(a.net.drop_p <= cfg.knobs.drop_p_max);
     }
 
     #[test]
@@ -1209,22 +738,6 @@ mod tests {
     }
 
     #[test]
-    fn probability_halving_reaches_zero_in_finitely_many_steps() {
-        for start in [1.0, 0.15, 0.2, 0.3, 1e-2, 9.99e-4] {
-            let mut p = start;
-            let mut steps = 0;
-            while p > 0.0 {
-                let next = halve_probability(p);
-                assert!(next < p, "halving must strictly decrease ({p} -> {next})");
-                p = next;
-                steps += 1;
-                assert!(steps < 64, "descent from {start} must terminate");
-            }
-        }
-        assert_eq!(halve_probability(0.0), 0.0);
-    }
-
-    #[test]
     fn partition_draws_are_appended_and_gated() {
         // With partition_p = 0 the generator takes zero partition draws, so
         // scenarios are identical (minus the empty window list) to those of
@@ -1263,10 +776,7 @@ mod tests {
                 max_server_crashes: 0,
                 ..ExploreConfig::new(kind, 5, 2).with_partitions(1.0, 600)
             };
-            let report = explore(&cfg, 0, 12);
-            assert!(report.all_atomic(), "{:?}", report.counterexamples);
-            assert!(report.all_live(), "{}", report.liveness_counterexamples[0]);
-            assert!(report.completed_ops > 0);
+            assert_eq!(explore(&cfg, 0, 12).check(), Ok(()));
         }
     }
 
@@ -1320,10 +830,10 @@ mod tests {
         let cfg = ExploreConfig::new(ProtocolKind::Abd, 5, 2);
         let mut scenario = generate_scenario(&cfg, 3);
         // Lossy: exempt regardless of what completed.
-        scenario.drop_p = 0.1;
+        scenario.net.drop_p = 0.1;
         assert!(liveness_violation(&cfg, &scenario, &[], false).is_none());
         // Over budget: crashes ∪ isolated ranks > f.
-        scenario.drop_p = 0.0;
+        scenario.net.drop_p = 0.0;
         scenario.server_crashes = vec![(0, 10)];
         scenario.partitions = vec![PartitionWindow {
             ranks: vec![1, 2],

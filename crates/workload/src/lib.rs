@@ -13,17 +13,21 @@
 //!
 //! The `soda-bench` crate's binaries are thin wrappers around the experiment
 //! functions in [`experiments`]; integration tests use the scenario runner in
-//! [`scenario`] directly. The [`explore`] module is the adversarial
-//! counterpart of [`scenario`]: instead of measuring costs on clean runs, it
-//! samples thousands of seeded schedules under crash + network faults and
-//! machine-checks atomicity, shrinking any violation to a minimal
-//! reproducer. [`store_explore`] lifts the same adversarial discipline to a
-//! whole sharded, mixed-protocol [`soda_store::ShardedStore`], checking
-//! per-key atomicity across shards.
+//! [`scenario`] directly.
+//!
+//! [`engine`] is the adversarial counterpart of [`scenario`]: instead of
+//! measuring costs on clean runs, it samples thousands of seeded schedules
+//! under crashes, repairs, partitions and network faults, machine-checks
+//! atomicity and liveness, and shrinks any violation to a minimal
+//! reproducer. It is one engine — one campaign loop, one shrinker, one
+//! counterexample type — with two targets: [`explore`] drives a single
+//! register cluster, [`store_explore`] a whole sharded, mixed-protocol
+//! [`soda_store::ShardedStore`] checked per key.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod engine;
 pub mod experiments;
 pub mod explore;
 pub mod json;

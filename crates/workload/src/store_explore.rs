@@ -1,40 +1,37 @@
-//! Seeded adversarial exploration at the **store** layer.
+//! The **sharded store** target of the exploration [`engine`](crate::engine).
 //!
-//! [`crate::explore`] samples adversarial schedules against a single register
-//! cluster; this module lifts the same discipline to a whole
-//! [`soda_store::ShardedStore`]: a mixed-protocol fleet serving many keys,
-//! driven through the batched ticket API, with per-scenario sampled network
-//! faults and in-tolerance shard crashes. Every schedule is machine-checked
-//! with [`soda_store::ShardedStore::check_per_key_atomicity`], i.e. the
-//! store-wide history is projected per key and each projection must be
-//! atomic.
-//!
-//! Scenarios derive deterministically from `(config, seed)` —
-//! [`generate_store_scenario`] + [`run_store_scenario`] replay any reported
-//! violation exactly. Beyond the phase-boundary crashes, scenarios sample
-//! crash → repair → crash interleavings: a downed shard server is repaired at
-//! a later phase boundary (a fresh replacement re-acquires its state from
-//! survivors) and the freed budget may be spent on a *different* rank. A
-//! violating scenario is **shrunk** by [`shrink_store`] — operations,
-//! crashes, repairs and network-fault intensities are greedily removed while
-//! the violation persists — before it is reported, and the cluster-level
-//! shrinker in [`crate::explore`] remains the right tool once a violation is
-//! localized to one key's schedule.
+//! [`crate::explore`] drives a single register cluster; a
+//! [`StoreExploreConfig`] is the engine [`Target`] that drives a whole
+//! [`soda_store::ShardedStore`]: a mixed-protocol fleet serving many keys
+//! through the batched ticket API, under per-scenario sampled network faults,
+//! in-tolerance shard crashes, crash → repair → crash interleavings at phase
+//! boundaries and per-shard partition windows. [`generate_store_scenario`]
+//! derives the [`StoreScenario`] for a seed; [`run_store_scenario`] drains
+//! every phase to quiescence, machine-checks the store-wide history projected
+//! per key ([`soda_consistency::KeyedHistory::check_each_key`]) and looks for
+//! a shard that starved although it was guaranteed to serve every ticket
+//! ([`StoreLivenessViolation`]). The campaign loop, the shrinker, the report
+//! and the counterexample type are the engine's; [`explore_store`],
+//! [`shrink_store`] and [`shrink_store_liveness`] are its entry points under
+//! their store names. Once a violation is localized to one key's schedule,
+//! the cluster target is the right tool to dig further.
 //!
 //! ```
 //! use soda_workload::store_explore::{explore_store, StoreExploreConfig};
 //!
 //! let report = explore_store(&StoreExploreConfig::mixed(4), 0, 3);
-//! assert!(report.all_atomic());
-//! assert!(report.completed_ops > 0);
+//! assert_eq!(report.check(), Ok(()));
 //! ```
 
-use crate::explore::{halve_probability, unit, AdversaryKnobs};
+use crate::engine::{
+    campaign, liveness_guaranteed, sample_window, unit, AdversaryKnobs, NetIntensity, Outcome,
+    Report, Target,
+};
+pub use crate::engine::{shrink as shrink_store, shrink_liveness as shrink_store_liveness};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use soda_consistency::KeyViolation;
-use soda_registry::ProtocolKind;
-use soda_simnet::{DelayModel, LinkFaults, NetFaultPlan};
+use soda_consistency::{KeyViolation, KeyedHistory};
+use soda_registry::{PartitionWindow, ProtocolKind};
 use soda_store::{ShardedStore, StoreBuilder, StoreMetrics, StoreRuntime};
 use std::fmt;
 
@@ -156,34 +153,6 @@ pub struct StoreOp {
     pub fill: u8,
 }
 
-/// A scheduled partition window on one shard: `ranks` are cut off from every
-/// other process of that shard's clusters during `[start, end)` ticks, then
-/// the cuts heal. Cuts are deterministic (no RNG draws) and are counted in
-/// the shard's `messages_partitioned` metric.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct StorePartition {
-    /// Shard whose clusters get the window.
-    pub shard: usize,
-    /// Isolated server ranks (`1..=f` of them when generated).
-    pub ranks: Vec<usize>,
-    /// First partitioned tick.
-    pub start: u64,
-    /// First healed tick.
-    pub end: u64,
-}
-
-impl StorePartition {
-    /// Window length in ticks.
-    pub fn len(&self) -> u64 {
-        self.end.saturating_sub(self.start)
-    }
-
-    /// Whether the window is degenerate (cuts nothing).
-    pub fn is_empty(&self) -> bool {
-        self.end <= self.start
-    }
-}
-
 /// A fully concrete, seed-derived store scenario.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StoreScenario {
@@ -204,38 +173,53 @@ pub struct StoreScenario {
     /// best-effort: if the budget is still spent (e.g. the enabling repair
     /// was shrunk away), the crash is skipped.
     pub follow_up_crashes: Vec<(usize, usize, usize)>,
-    /// Scheduled partition windows, empty unless
-    /// [`StoreExploreConfig::partition_p`] is positive.
-    pub shard_partitions: Vec<StorePartition>,
-    /// Per-message drop probability.
-    pub drop_p: f64,
-    /// Per-message duplication probability.
-    pub duplicate_p: f64,
-    /// Maximum extra delivery delay in ticks (uniform when non-zero).
-    pub extra_delay: u64,
-    /// Per-message hold-back (reordering) probability.
-    pub reorder_p: f64,
-    /// Hold-back window in ticks.
-    pub reorder_window: u64,
+    /// `(shard, window)` scheduled partition windows: the window's ranks are
+    /// cut off from every other process of that shard's clusters, and the
+    /// cuts are counted in the shard's `messages_partitioned` metric. Empty
+    /// unless [`StoreExploreConfig::partition_p`] is positive.
+    pub shard_partitions: Vec<(usize, PartitionWindow)>,
+    /// Network-fault intensities for this scenario.
+    pub net: NetIntensity,
 }
 
-impl StoreScenario {
-    fn link_faults(&self) -> LinkFaults {
-        LinkFaults {
-            drop_p: self.drop_p,
-            duplicate_p: self.duplicate_p,
-            extra_delay: (self.extra_delay > 0).then_some(DelayModel::Uniform {
-                min: 1,
-                max: self.extra_delay,
-            }),
-            reorder_p: self.reorder_p,
-            reorder_window: self.reorder_window,
+impl crate::engine::Scenario for StoreScenario {
+    /// Operations newest phase first, then fault events — follow-up crashes
+    /// before the repairs that enabled them, repairs before the initial
+    /// crashes they answer — then the windows.
+    fn event_lists(&self) -> Vec<usize> {
+        let phases = self.phases.iter().rev().map(Vec::len);
+        phases
+            .chain([
+                self.follow_up_crashes.len(),
+                self.shard_repairs.len(),
+                self.shard_crashes.len(),
+                self.shard_partitions.len(),
+            ])
+            .collect()
+    }
+
+    fn remove_event(&mut self, list: usize, index: usize) {
+        let phases = self.phases.len();
+        match list.checked_sub(phases) {
+            None => drop(self.phases[phases - 1 - list].remove(index)),
+            Some(0) => drop(self.follow_up_crashes.remove(index)),
+            Some(1) => drop(self.shard_repairs.remove(index)),
+            Some(2) => drop(self.shard_crashes.remove(index)),
+            Some(_) => drop(self.shard_partitions.remove(index)),
         }
     }
 
-    /// Whether any network fault is active.
-    pub fn has_net_faults(&self) -> bool {
-        !self.link_faults().is_clean()
+    fn net(&self) -> &NetIntensity {
+        &self.net
+    }
+
+    fn net_mut(&mut self) -> &mut NetIntensity {
+        &mut self.net
+    }
+
+    fn windows_mut(&mut self) -> Vec<&mut PartitionWindow> {
+        let windows = self.shard_partitions.iter_mut();
+        windows.map(|(_, window)| window).collect()
     }
 }
 
@@ -264,23 +248,15 @@ impl fmt::Display for StoreScenario {
         for &(phase, shard, rank) in &self.follow_up_crashes {
             writeln!(out, "  phase {phase}: crash server {rank} on shard {shard}")?;
         }
-        for w in &self.shard_partitions {
+        for (shard, w) in &self.shard_partitions {
             writeln!(
                 out,
-                "  t=[{},{}) partition servers {:?} of shard {} from everyone",
-                w.start, w.end, w.ranks, w.shard
+                "  t=[{},{}) partition servers {:?} of shard {shard} from everyone",
+                w.start, w.end, w.ranks
             )?;
         }
-        if self.has_net_faults() {
-            writeln!(
-                out,
-                "  net: drop={:.3} dup={:.3} extra_delay<={} reorder={:.3}/{}",
-                self.drop_p,
-                self.duplicate_p,
-                self.extra_delay,
-                self.reorder_p,
-                self.reorder_window
-            )?;
+        if self.net.has_net_faults() {
+            writeln!(out, "  {}", self.net)?;
         }
         Ok(())
     }
@@ -311,15 +287,7 @@ pub fn generate_store_scenario(cfg: &StoreExploreConfig, seed: u64) -> StoreScen
             shard_crashes.push((shard, rng.gen_range(1..=cfg.f)));
         }
     }
-    let knobs = cfg.knobs;
-    let drop_p = unit(&mut rng) * knobs.drop_p_max;
-    let duplicate_p = unit(&mut rng) * knobs.duplicate_p_max;
-    let extra_delay = if knobs.extra_delay_max > 0 {
-        rng.gen_range(0..=knobs.extra_delay_max)
-    } else {
-        0
-    };
-    let reorder_p = unit(&mut rng) * knobs.reorder_p_max;
+    let net = NetIntensity::sample(&mut rng, &cfg.knobs);
     // Repair draws are appended at the END of the draw order so every
     // existing seed keeps its operation schedule, crash set and network
     // intensities unchanged.
@@ -348,22 +316,8 @@ pub fn generate_store_scenario(cfg: &StoreExploreConfig, seed: u64) -> StoreScen
     if cfg.partition_p > 0.0 && cfg.f > 0 {
         for shard in 0..cfg.shards {
             if unit(&mut rng) < cfg.partition_p {
-                let count = rng.gen_range(1..=cfg.f);
-                let mut pool: Vec<usize> = (0..cfg.n).collect();
-                let ranks = (0..count)
-                    .map(|_| {
-                        let pick = rng.gen_range(0..pool.len());
-                        pool.swap_remove(pick)
-                    })
-                    .collect();
-                let start = rng.gen_range(0..=cfg.partition_len_max);
-                let len = rng.gen_range(1..=cfg.partition_len_max.max(1));
-                shard_partitions.push(StorePartition {
-                    shard,
-                    ranks,
-                    start,
-                    end: start + len,
-                });
+                let max = cfg.partition_len_max;
+                shard_partitions.push((shard, sample_window(&mut rng, cfg.n, cfg.f, max, max)));
             }
         }
         // The crash → partition → heal → repair chain: shards whose crash
@@ -373,13 +327,12 @@ pub fn generate_store_scenario(cfg: &StoreExploreConfig, seed: u64) -> StoreScen
         for &(shard, count) in &shard_crashes {
             if shard_repairs.iter().any(|&(_, s, _)| s == shard) && unit(&mut rng) < cfg.partition_p
             {
-                let heal = rng.gen_range(1..=cfg.partition_len_max.max(1));
-                shard_partitions.push(StorePartition {
-                    shard,
+                let window = PartitionWindow {
                     ranks: (0..count).collect(),
                     start: 0,
-                    end: heal,
-                });
+                    end: rng.gen_range(1..=cfg.partition_len_max.max(1)),
+                };
+                shard_partitions.push((shard, window));
             }
         }
     }
@@ -390,40 +343,13 @@ pub fn generate_store_scenario(cfg: &StoreExploreConfig, seed: u64) -> StoreScen
         shard_repairs,
         follow_up_crashes,
         shard_partitions,
-        drop_p,
-        duplicate_p,
-        extra_delay,
-        reorder_p,
-        reorder_window: knobs.reorder_window,
+        net,
     }
 }
 
-/// The outcome of running one store scenario to quiescence.
-#[derive(Clone, Debug)]
-pub struct StoreScheduleOutcome {
-    /// The per-key atomicity violation, if any projection failed the checker.
-    pub violation: Option<KeyViolation>,
-    /// The per-shard liveness violation, if a shard that was guaranteed to
-    /// serve every ticket left some pending (see [`StoreLivenessViolation`]).
-    pub liveness: Option<StoreLivenessViolation>,
-    /// Tickets settled across all phases.
-    pub completed_ops: usize,
-    /// Tickets still pending after the final drain.
-    pub pending_tickets: usize,
-    /// Whether any shard simulation hit its event cap (never expected).
-    pub hit_event_cap: bool,
-}
-
 /// A **liveness** violation at the store layer: a shard on which every
-/// ticket was guaranteed to complete — clean network, and the union of
-/// crashed and window-isolated ranks within the shard's `f` — still had
-/// tickets pending after the final drain.
-///
-/// The guarantee is deliberately conservative: once a rank has been isolated
-/// by a window it counts as crashed for the whole scenario even after the
-/// heal (there is no client retransmission, so a once-isolated server can
-/// stay permanently stale), and any probabilistic loss (`drop_p > 0`)
-/// exempts the whole scenario.
+/// ticket was guaranteed to complete — the shard's crashes and windows pass
+/// [`liveness_guaranteed`] — still had tickets pending after the final drain.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StoreLivenessViolation {
     /// The starved shard.
@@ -452,9 +378,6 @@ fn store_liveness_violation(
     metrics: &StoreMetrics,
     hit_event_cap: bool,
 ) -> Option<StoreLivenessViolation> {
-    if hit_event_cap || scenario.drop_p > 0.0 {
-        return None;
-    }
     for shard_m in &metrics.per_shard {
         if shard_m.pending_tickets == 0 {
             continue;
@@ -462,29 +385,14 @@ fn store_liveness_violation(
         let shard = shard_m.shard;
         // Every rank that was ever dead or isolated on this shard counts
         // against the budget for the whole scenario.
-        let mut budget: Vec<usize> = scenario
-            .shard_crashes
-            .iter()
-            .filter(|&&(s, _)| s == shard)
-            .flat_map(|&(_, count)| 0..count)
-            .collect();
-        budget.extend(
-            scenario
-                .follow_up_crashes
-                .iter()
-                .filter(|&&(_, s, _)| s == shard)
-                .map(|&(_, _, rank)| rank),
-        );
-        budget.extend(
-            scenario
-                .shard_partitions
-                .iter()
-                .filter(|w| w.shard == shard && !w.is_empty())
-                .flat_map(|w| w.ranks.iter().copied()),
-        );
-        budget.sort_unstable();
-        budget.dedup();
-        if budget.len() > cfg.f {
+        let initial = scenario.shard_crashes.iter();
+        let initial = initial.filter_map(|&(s, count)| (s == shard).then_some(0..count));
+        let follow_ups = scenario.follow_up_crashes.iter();
+        let follow_ups = follow_ups.filter_map(|&(_, s, rank)| (s == shard).then_some(rank));
+        let crashed = initial.flatten().chain(follow_ups);
+        let windows = scenario.shard_partitions.iter();
+        let windows = windows.filter_map(|(s, window)| (*s == shard).then_some(window));
+        if !liveness_guaranteed(cfg.n, cfg.f, &scenario.net, hit_event_cap, crashed, windows) {
             continue;
         }
         return Some(StoreLivenessViolation {
@@ -496,9 +404,10 @@ fn store_liveness_violation(
     None
 }
 
-/// Builds the store for `(config, scenario)` under the deterministic
-/// simulation runtime, drives every phase to quiescence, and machine-checks
-/// per-key atomicity over the closed store history.
+/// Builds the store for `(config, scenario)`, drives every phase to
+/// quiescence, and machine-checks per-key atomicity over the closed store
+/// history. Windows are applied the way a cluster would see them: ranks the
+/// shards do not have are dropped, and windows that cut nothing are skipped.
 ///
 /// # Panics
 /// Panics if the configuration is invalid for any shard's protocol kind
@@ -506,12 +415,7 @@ fn store_liveness_violation(
 pub fn run_store_scenario(
     cfg: &StoreExploreConfig,
     scenario: &StoreScenario,
-) -> StoreScheduleOutcome {
-    let mut plan = NetFaultPlan::none();
-    let faults = scenario.link_faults();
-    if !faults.is_clean() {
-        plan = plan.with_default(faults);
-    }
+) -> Outcome<StoreExploreConfig> {
     let mut builder = StoreBuilder::new(
         cfg.shards,
         cfg.kinds.first().copied().unwrap_or(ProtocolKind::Soda),
@@ -520,12 +424,12 @@ pub fn run_store_scenario(
     )
     .with_shard_kinds(cfg.shard_kinds())
     .with_clients_per_key(cfg.writers_per_key, cfg.readers_per_key)
-    .with_net_faults(plan)
+    .with_net_faults(scenario.net.fault_plan())
     .with_seed(scenario.seed)
     .with_runtime(cfg.runtime);
-    for w in &scenario.shard_partitions {
-        if !w.is_empty() {
-            builder = builder.with_shard_partition(w.shard, w.ranks.clone(), w.start, w.end);
+    for (shard, window) in &scenario.shard_partitions {
+        if let Some(w) = window.on_cluster(cfg.n) {
+            builder = builder.with_shard_partition(*shard, w.ranks, w.start, w.end);
         }
     }
     if let Some(quorum) = cfg.quorum_override {
@@ -571,244 +475,41 @@ pub fn run_store_scenario(
         pending = outcome.pending_tickets;
         hit_event_cap |= outcome.hit_event_cap;
     }
-    let liveness = store_liveness_violation(cfg, scenario, &store.metrics(), hit_event_cap);
-    StoreScheduleOutcome {
-        violation: store.check_per_key_atomicity().err(),
-        liveness,
+    let history = store.keyed_history();
+    Outcome {
+        violation: history.check_each_key().err(),
+        liveness: store_liveness_violation(cfg, scenario, &store.metrics(), hit_event_cap),
         completed_ops: completed,
-        pending_tickets: pending,
+        pending,
         hit_event_cap,
+        history,
     }
 }
 
-/// Greedily minimizes a violating store scenario: operations (back to
-/// front, per phase), follow-up crashes, repairs, initial crashes, and
-/// finally the network-fault intensities are removed or halved as long as
-/// the per-key atomicity violation persists. Returns the minimized scenario
-/// and the violation it still reproduces.
-///
-/// # Panics
-/// Panics if `scenario` does not actually violate per-key atomicity under
-/// `cfg`.
-pub fn shrink_store(
-    cfg: &StoreExploreConfig,
-    scenario: &StoreScenario,
-) -> (StoreScenario, KeyViolation) {
-    shrink_store_with(scenario, |candidate| {
-        run_store_scenario(cfg, candidate).violation
-    })
-}
+impl Target for StoreExploreConfig {
+    type Scenario = StoreScenario;
+    type Violation = KeyViolation;
+    type Starvation = StoreLivenessViolation;
+    type History = KeyedHistory;
 
-/// [`shrink_store`]'s twin for **liveness**: greedily minimizes a scenario on
-/// which a guaranteed shard starved, using the same passes (plus
-/// partition-window bisection), while the starvation persists.
-///
-/// # Panics
-/// Panics if `scenario` does not actually starve a guaranteed shard under
-/// `cfg`.
-pub fn shrink_store_liveness(
-    cfg: &StoreExploreConfig,
-    scenario: &StoreScenario,
-) -> (StoreScenario, StoreLivenessViolation) {
-    shrink_store_with(scenario, |candidate| {
-        run_store_scenario(cfg, candidate).liveness
-    })
-}
-
-fn shrink_store_with<V>(
-    scenario: &StoreScenario,
-    violates: impl Fn(&StoreScenario) -> Option<V>,
-) -> (StoreScenario, V) {
-    let mut best_violation = violates(scenario).expect("shrinking requires a violating scenario");
-    let mut best = scenario.clone();
-    // Accept a candidate iff it still violates (any violation counts: the
-    // goal is a minimal repro, not the same repro).
-    let try_candidate = |candidate: StoreScenario, best: &mut StoreScenario, violation: &mut V| {
-        if let Some(v) = violates(&candidate) {
-            *best = candidate;
-            *violation = v;
-            true
-        } else {
-            false
-        }
-    };
-    let mut progress = true;
-    while progress {
-        progress = false;
-        // Drop individual operations, newest first, so the repro keeps only
-        // the ops the violation actually needs.
-        for phase in (0..best.phases.len()).rev() {
-            let mut idx = best.phases[phase].len();
-            while idx > 0 {
-                idx -= 1;
-                let mut candidate = best.clone();
-                candidate.phases[phase].remove(idx);
-                progress |= try_candidate(candidate, &mut best, &mut best_violation);
-            }
-        }
-        // Drop fault events — follow-up crashes before the repairs that
-        // enabled them, repairs before the initial crashes they answer.
-        macro_rules! shrink_list {
-            ($field:ident) => {
-                let mut idx = best.$field.len();
-                while idx > 0 {
-                    idx -= 1;
-                    let mut candidate = best.clone();
-                    candidate.$field.remove(idx);
-                    progress |= try_candidate(candidate, &mut best, &mut best_violation);
-                }
-            };
-        }
-        shrink_list!(follow_up_crashes);
-        shrink_list!(shard_repairs);
-        shrink_list!(shard_crashes);
-        shrink_list!(shard_partitions);
-        // Surviving partition windows: bisect each one's span — first halve
-        // the length, then advance the start — while the violation persists.
-        // Both passes keep the length ≥ 1 and strictly shrink, so they
-        // terminate.
-        for idx in 0..best.shard_partitions.len() {
-            loop {
-                let w = &best.shard_partitions[idx];
-                let len = w.len();
-                if len <= 1 {
-                    break;
-                }
-                let mut candidate = best.clone();
-                candidate.shard_partitions[idx].end = w.start + len / 2;
-                if !try_candidate(candidate, &mut best, &mut best_violation) {
-                    break;
-                }
-                progress = true;
-            }
-            loop {
-                let w = &best.shard_partitions[idx];
-                let len = w.len();
-                if len <= 1 {
-                    break;
-                }
-                let mut candidate = best.clone();
-                candidate.shard_partitions[idx].start = w.start + len.div_ceil(2);
-                if !try_candidate(candidate, &mut best, &mut best_violation) {
-                    break;
-                }
-                progress = true;
-            }
-        }
-        // Network faults: try all-off in one step, else halve each axis.
-        if best.has_net_faults() {
-            let mut candidate = best.clone();
-            candidate.drop_p = 0.0;
-            candidate.duplicate_p = 0.0;
-            candidate.extra_delay = 0;
-            candidate.reorder_p = 0.0;
-            if !try_candidate(candidate, &mut best, &mut best_violation) {
-                for axis in 0..4usize {
-                    let mut candidate = best.clone();
-                    match axis {
-                        0 => candidate.drop_p = halve_probability(candidate.drop_p),
-                        1 => candidate.duplicate_p = halve_probability(candidate.duplicate_p),
-                        2 => candidate.extra_delay /= 2,
-                        _ => candidate.reorder_p = halve_probability(candidate.reorder_p),
-                    }
-                    if candidate != best {
-                        progress |= try_candidate(candidate, &mut best, &mut best_violation);
-                    }
-                }
-            } else {
-                progress = true;
-            }
-        }
+    fn name(&self) -> &'static str {
+        "store"
     }
-    (best, best_violation)
-}
 
-/// A seed-reproducible per-key atomicity violation at the store layer.
-#[derive(Clone, Debug)]
-pub struct StoreCounterexample {
-    /// The seed that produced the violation (replay with
-    /// [`generate_store_scenario`] + [`run_store_scenario`]).
-    pub seed: u64,
-    /// The violation reproduced by the *minimized* scenario.
-    pub violation: KeyViolation,
-    /// The scenario as generated.
-    pub scenario: StoreScenario,
-    /// The scenario after [`shrink_store`]: the smallest sub-scenario the
-    /// shrinker found that still violates.
-    pub minimized: StoreScenario,
-}
+    fn generate(&self, seed: u64) -> StoreScenario {
+        generate_store_scenario(self, seed)
+    }
 
-impl fmt::Display for StoreCounterexample {
-    fn fmt(&self, out: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            out,
-            "store-level atomicity violation at seed {}: {}",
-            self.seed, self.violation
-        )?;
-        writeln!(out, "minimized repro:")?;
-        write!(out, "{}", self.minimized)
+    fn run(&self, scenario: &StoreScenario) -> Outcome<Self> {
+        run_store_scenario(self, scenario)
     }
 }
 
-/// A seed-reproducible **liveness** violation at the store layer.
-#[derive(Clone, Debug)]
-pub struct StoreLivenessCounterexample {
-    /// The seed that produced the violation (replay with
-    /// [`generate_store_scenario`] + [`run_store_scenario`]).
-    pub seed: u64,
-    /// The violation reproduced by the *minimized* scenario.
-    pub violation: StoreLivenessViolation,
-    /// The scenario as generated.
-    pub scenario: StoreScenario,
-    /// The scenario after [`shrink_store_liveness`].
-    pub minimized: StoreScenario,
-}
+/// What [`explore_store`] returns.
+pub type StoreExplorationReport = Report<StoreExploreConfig>;
 
-impl fmt::Display for StoreLivenessCounterexample {
-    fn fmt(&self, out: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            out,
-            "store-level liveness violation at seed {}: {}",
-            self.seed, self.violation
-        )?;
-        writeln!(out, "minimized repro:")?;
-        write!(out, "{}", self.minimized)
-    }
-}
-
-/// Aggregate result of a store exploration campaign.
-#[derive(Clone, Debug, Default)]
-pub struct StoreExplorationReport {
-    /// Scenarios run.
-    pub schedules: usize,
-    /// Tickets settled across all scenarios.
-    pub completed_ops: usize,
-    /// Tickets left pending across all scenarios (starved by drops on a
-    /// degraded shard; never on a healthy fault-free store).
-    pub pending_tickets: usize,
-    /// Scenarios that hit a shard's event cap (always 0 for healthy
-    /// protocols).
-    pub event_cap_hits: usize,
-    /// Violations found, each replayable from its seed.
-    pub counterexamples: Vec<StoreCounterexample>,
-    /// Liveness violations found, each replayable from its seed.
-    pub liveness_counterexamples: Vec<StoreLivenessCounterexample>,
-}
-
-impl StoreExplorationReport {
-    /// Whether every schedule passed the per-key atomicity checker.
-    pub fn all_atomic(&self) -> bool {
-        self.counterexamples.is_empty()
-    }
-
-    /// Whether no schedule starved a guaranteed shard.
-    pub fn all_live(&self) -> bool {
-        self.liveness_counterexamples.is_empty()
-    }
-}
-
-/// Runs `schedules` seeded store scenarios (`seed_start`, `seed_start + 1`,
-/// …) and returns the aggregate report.
+/// [`campaign`] against a sharded store: runs `schedules` seeded store
+/// scenarios (`seed_start`, `seed_start + 1`, …), shrinking every violation.
 ///
 /// # Panics
 /// Panics if the configuration is invalid for any shard's protocol kind.
@@ -817,36 +518,7 @@ pub fn explore_store(
     seed_start: u64,
     schedules: usize,
 ) -> StoreExplorationReport {
-    let mut report = StoreExplorationReport::default();
-    for seed in seed_start..seed_start + schedules as u64 {
-        let scenario = generate_store_scenario(cfg, seed);
-        let outcome = run_store_scenario(cfg, &scenario);
-        report.schedules += 1;
-        report.completed_ops += outcome.completed_ops;
-        report.pending_tickets += outcome.pending_tickets;
-        report.event_cap_hits += usize::from(outcome.hit_event_cap);
-        if outcome.violation.is_some() {
-            let (minimized, violation) = shrink_store(cfg, &scenario);
-            report.counterexamples.push(StoreCounterexample {
-                seed,
-                violation,
-                scenario: scenario.clone(),
-                minimized,
-            });
-        }
-        if outcome.liveness.is_some() {
-            let (minimized, violation) = shrink_store_liveness(cfg, &scenario);
-            report
-                .liveness_counterexamples
-                .push(StoreLivenessCounterexample {
-                    seed,
-                    violation,
-                    scenario,
-                    minimized,
-                });
-        }
-    }
-    report
+    campaign(cfg, seed_start, schedules)
 }
 
 #[cfg(test)]
@@ -865,7 +537,7 @@ mod tests {
             .shard_crashes
             .iter()
             .all(|&(s, c)| s < cfg.shards && c >= 1 && c <= cfg.f));
-        assert!(a.drop_p <= cfg.knobs.drop_p_max);
+        assert!(a.net.drop_p <= cfg.knobs.drop_p_max);
     }
 
     #[test]
@@ -1023,32 +695,7 @@ mod tests {
         assert!(minimized.shard_crashes.is_empty(), "{minimized}");
         let ops = |s: &StoreScenario| s.phases.iter().map(Vec::len).sum::<usize>();
         assert!(ops(&minimized) < ops(&scenario), "{minimized}");
-        assert!(!minimized.has_net_faults());
-    }
-
-    #[test]
-    fn counterexamples_are_minimized_by_exploration() {
-        let cfg = StoreExploreConfig {
-            kinds: vec![ProtocolKind::Abd],
-            quorum_override: Some(1),
-            knobs: AdversaryKnobs::off(),
-            shard_crash_p: 0.0,
-            keys: 2,
-            phases: 2,
-            ops_per_phase: 6,
-            ..StoreExploreConfig::mixed(2)
-        };
-        let report = explore_store(&cfg, 0, 24);
-        assert!(!report.all_atomic(), "weakened ABD must be caught");
-        let cex = &report.counterexamples[0];
-        let ops = |s: &StoreScenario| s.phases.iter().map(Vec::len).sum::<usize>();
-        assert!(ops(&cex.minimized) <= ops(&cex.scenario));
-        assert!(cex.to_string().contains("minimized repro"), "{cex}");
-        // The rendered counterexample is a replayable recipe.
-        assert!(
-            run_store_scenario(&cfg, &cex.minimized).violation.is_some(),
-            "minimized scenario must replay"
-        );
+        assert!(!minimized.net.has_net_faults());
     }
 
     #[test]
@@ -1068,9 +715,9 @@ mod tests {
                 ..b.clone()
             };
             assert_eq!(a, stripped, "seed {seed}: non-partition draws differ");
-            for w in &b.shard_partitions {
+            for (shard, w) in &b.shard_partitions {
                 assert!(!w.is_empty());
-                assert!(w.shard < with.shards);
+                assert!(*shard < with.shards);
                 assert!(!w.ranks.is_empty() && w.ranks.len() <= with.f);
                 assert!(w.ranks.iter().all(|&r| r < with.n));
                 assert!(w.len() <= 800);
@@ -1090,11 +737,11 @@ mod tests {
             let s = generate_store_scenario(&cfg, seed);
             // A chain window covers a crashed-then-repaired shard's crashed
             // ranks from tick 0.
-            saw_chain |= s.shard_partitions.iter().any(|w| {
+            saw_chain |= s.shard_partitions.iter().any(|(shard, w)| {
                 w.start == 0
-                    && s.shard_repairs.iter().any(|&(_, sh, _)| sh == w.shard)
+                    && s.shard_repairs.iter().any(|&(_, sh, _)| sh == *shard)
                     && s.shard_crashes.iter().any(|&(sh, count)| {
-                        sh == w.shard && w.ranks == (0..count).collect::<Vec<_>>()
+                        sh == *shard && w.ranks == (0..count).collect::<Vec<_>>()
                     })
             });
         }
@@ -1116,11 +763,7 @@ mod tests {
             ops_per_phase: 8,
             ..StoreExploreConfig::mixed(3).with_partitions(0.7, 600)
         };
-        let report = explore_store(&cfg, 0, 8);
-        assert!(report.all_atomic(), "{}", report.counterexamples[0]);
-        assert!(report.all_live(), "{}", report.liveness_counterexamples[0]);
-        assert!(report.completed_ops > 0);
-        assert_eq!(report.event_cap_hits, 0);
+        assert_eq!(explore_store(&cfg, 0, 8).check(), Ok(()));
     }
 
     #[test]
@@ -1142,6 +785,8 @@ mod tests {
         };
         let report = explore_store(&cfg, 0, 8);
         assert!(!report.all_live(), "unsound quorum must starve");
+        let verdict = report.check().unwrap_err();
+        assert!(verdict.starts_with("not live"), "{verdict}");
         let cx = &report.liveness_counterexamples[0];
         assert!(cx.violation.pending_tickets > 0);
         assert!(cx.to_string().contains("liveness"), "{cx}");
@@ -1153,7 +798,7 @@ mod tests {
         assert!(run_store_scenario(&cfg, &regen).liveness.is_some());
         // The shrinker pared the operation schedule down.
         let ops = |s: &StoreScenario| s.phases.iter().map(Vec::len).sum::<usize>();
-        assert!(ops(&cx.minimized) <= ops(&cx.scenario));
+        assert!(ops(&cx.minimized) <= ops(&cx.original));
     }
 
     #[test]
@@ -1168,10 +813,7 @@ mod tests {
         let outcome = run_store_scenario(&cfg, &generate_store_scenario(&cfg, 1));
         assert!(outcome.violation.is_none());
         assert!(!outcome.hit_event_cap);
-        assert_eq!(
-            outcome.pending_tickets, 0,
-            "fault-free runs serve everything"
-        );
+        assert_eq!(outcome.pending, 0, "fault-free runs serve everything");
         assert_eq!(outcome.completed_ops, 16);
     }
 }

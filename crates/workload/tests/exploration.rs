@@ -14,12 +14,22 @@
 //! ```
 //!
 //! To replay a reported counterexample, re-run `generate_scenario` +
-//! `run_scenario` with the printed seed (see `explore::Counterexample`).
+//! `run_scenario` with the printed seed (see `engine::Counterexample`).
+//!
+//! The shrinker is the engine's, so its local-minimality property is written
+//! once here, generic over the target, and run against a weakened-ABD cluster
+//! and a weakened-ABD store.
 
+mod common;
+
+use common::{count_scenarios, expect_clean, schedules_from_env};
+use soda_consistency::Violation;
 use soda_registry::ProtocolKind;
+use soda_workload::engine::{shrink, NetIntensity, Scenario, Target};
 use soda_workload::explore::{
-    explore, generate_scenario, run_scenario, shrink, AdversaryKnobs, ExploreConfig,
+    explore, generate_scenario, run_scenario, AdversaryKnobs, ExploreConfig,
 };
+use soda_workload::store_explore::StoreExploreConfig;
 
 /// The five protocol configurations every exploration test sweeps. SODAerr
 /// gets `n = 7` so `k = n − f − 2e = 3` is a real code; CASGC gets a
@@ -35,33 +45,10 @@ fn campaigns() -> Vec<ExploreConfig> {
     ]
 }
 
-fn schedules_from_env(default: usize) -> usize {
-    std::env::var("EXPLORE_SCHEDULES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 #[test]
 fn all_five_protocols_survive_adversarial_schedules() {
     for cfg in campaigns() {
-        let report = explore(&cfg, 0, 40);
-        for cex in &report.counterexamples {
-            eprintln!("{cex}");
-        }
-        assert!(
-            report.all_atomic(),
-            "{}: {} counterexamples (first: {})",
-            cfg.kind.name(),
-            report.counterexamples.len(),
-            report.counterexamples[0]
-        );
-        assert_eq!(report.event_cap_hits, 0, "{}", cfg.kind.name());
-        assert!(
-            report.completed_ops > 0,
-            "{}: adversary starved every operation — the campaign is vacuous",
-            cfg.kind.name()
-        );
+        expect_clean(&cfg, 0, 40);
     }
 }
 
@@ -70,13 +57,7 @@ fn crash_only_exploration_also_passes() {
     // The crash-only adversary (the old fault model) as a sanity baseline.
     for mut cfg in campaigns() {
         cfg.knobs = AdversaryKnobs::off();
-        let report = explore(&cfg, 100, 15);
-        assert!(
-            report.all_atomic(),
-            "{}: {}",
-            cfg.kind.name(),
-            report.counterexamples[0]
-        );
+        expect_clean(&cfg, 100, 15);
     }
 }
 
@@ -127,11 +108,17 @@ fn weakened_abd_is_caught_and_minimized() {
         "a violation needs at least two operations, got:\n{}",
         cex.minimized
     );
-    // The reproduction recipe is printable and names the seed.
+    // The reproduction recipe is printable and names the seed, and the
+    // campaign's verdict leads with it.
     let rendered = cex.to_string();
     assert!(
-        rendered.contains(&format!("seed {}", cex.seed)),
+        rendered.contains(&format!("seed {}", cex.seed)) && rendered.contains("minimized repro"),
         "{rendered}"
+    );
+    let verdict = report.check().unwrap_err();
+    assert!(
+        verdict.starts_with("not atomic") && verdict.contains(&rendered),
+        "{verdict}"
     );
 }
 
@@ -148,118 +135,151 @@ fn weakened_abd_is_caught_under_the_full_adversary_too() {
     );
 }
 
-#[test]
-fn shrinking_strips_irrelevant_faults() {
-    // Find any weakened-ABD violation, then check the shrinker's output is
-    // locally minimal: removing any single remaining op breaks the repro.
-    let cfg = ExploreConfig {
+/// The engine's shrinker is greedy to a fixpoint, so its output is locally
+/// minimal along every axis it steps: dropping any single remaining event,
+/// halving any surviving fault intensity, or bisecting any surviving window
+/// loses the violation — otherwise the shrinker would have taken that step
+/// itself. Checked over the first `want` violating seeds that `select`s.
+fn assert_shrinking_reaches_a_local_minimum<T: Target>(
+    target: &T,
+    want: usize,
+    select: impl Fn(&T::Scenario) -> bool,
+) {
+    let violates = |scenario: &T::Scenario| target.run(scenario).violation.is_some();
+    let mut checked = 0;
+    for seed in 0..200 {
+        let scenario = target.generate(seed);
+        if checked == want || !select(&scenario) || !violates(&scenario) {
+            continue;
+        }
+        checked += 1;
+        let (minimized, _) = shrink(target, &scenario);
+        assert!(violates(&minimized), "seed {seed}: the repro must replay");
+
+        // Nothing grows during shrinking.
+        let (before, after) = (scenario.net(), minimized.net());
+        assert!(after.drop_p <= before.drop_p, "seed {seed}");
+        assert!(after.duplicate_p <= before.duplicate_p, "seed {seed}");
+        assert!(after.reorder_p <= before.reorder_p, "seed {seed}");
+        assert!(after.extra_delay <= before.extra_delay, "seed {seed}");
+        assert!(after.reorder_window <= before.reorder_window, "seed {seed}");
+        let lists = minimized.event_lists();
+        for (list, (&now, &was)) in lists.iter().zip(&scenario.event_lists()).enumerate() {
+            assert!(now <= was, "seed {seed}: event list {list} grew");
+        }
+
+        for (list, &len) in lists.iter().enumerate() {
+            for index in 0..len {
+                let mut smaller = minimized.clone();
+                smaller.remove_event(list, index);
+                assert!(
+                    !violates(&smaller),
+                    "seed {seed}: event {index} of list {list} is removable:\n{minimized}"
+                );
+            }
+        }
+        for knob in 0..NetIntensity::KNOBS {
+            if let Some(net) = after.halved(knob) {
+                let mut calmer = minimized.clone();
+                *calmer.net_mut() = net;
+                assert!(
+                    !violates(&calmer),
+                    "seed {seed}: intensity {knob} not bisected to a minimum:\n{minimized}"
+                );
+            }
+        }
+        for index in 0..minimized.clone().windows_mut().len() {
+            for advance_start in [false, true] {
+                let mut shorter = minimized.clone();
+                let window = &mut *shorter.windows_mut()[index];
+                if window.len() <= 1 {
+                    continue;
+                }
+                if advance_start {
+                    window.start += window.len().div_ceil(2);
+                } else {
+                    window.end = window.start + window.len() / 2;
+                }
+                assert!(
+                    !violates(&shorter),
+                    "seed {seed}: window {index} not bisected to a minimum:\n{minimized}"
+                );
+            }
+        }
+    }
+    assert_eq!(checked, want, "too few violating seeds");
+}
+
+/// Sub-majority ABD violates by itself, so every fault the adversary adds on
+/// top is noise the shrinker must strip or bisect down to a local minimum.
+fn weakened_cluster() -> ExploreConfig {
+    ExploreConfig {
         quorum_override: Some(1),
         ..ExploreConfig::new(ProtocolKind::Abd, 5, 2)
-    };
-    let seed = (0..200)
-        .find(|&s| {
-            run_scenario(&cfg, &generate_scenario(&cfg, s))
-                .violation
-                .is_some()
-        })
-        .expect("a violating seed exists");
-    let scenario = generate_scenario(&cfg, seed);
-    let (minimized, violation) = shrink(&cfg, &scenario);
-    assert!(run_scenario(&cfg, &minimized).violation.is_some());
-    assert_eq!(
-        run_scenario(&cfg, &minimized).violation.as_ref(),
-        Some(&violation)
-    );
-    for idx in 0..minimized.ops.len() {
-        let mut smaller = minimized.clone();
-        smaller.ops.remove(idx);
-        assert!(
-            run_scenario(&cfg, &smaller).violation.is_none(),
-            "op {idx} is removable — shrink was not greedy to a fixpoint"
-        );
+    }
+}
+
+/// The same broken protocol on every shard of a small store.
+fn weakened_store() -> StoreExploreConfig {
+    StoreExploreConfig {
+        kinds: vec![ProtocolKind::Abd],
+        quorum_override: Some(1),
+        keys: 2,
+        phases: 2,
+        ops_per_phase: 6,
+        ..StoreExploreConfig::mixed(2)
     }
 }
 
 #[test]
+fn shrinking_strips_irrelevant_faults() {
+    // With the partition sampler on, so windows are among the noise.
+    let cluster = weakened_cluster().with_partitions(0.5, 400);
+    assert_shrinking_reaches_a_local_minimum(&cluster, 3, |_| true);
+    let store = weakened_store().with_partitions(0.5, 400);
+    assert_shrinking_reaches_a_local_minimum(&store, 2, |_| true);
+}
+
+#[test]
 fn shrinking_bisects_fault_intensities_to_a_local_minimum() {
-    // Network-fault intensities must only shrink, and the shrinker's output
-    // must be locally minimal along each intensity axis: at the fixpoint,
-    // halving any surviving knob (the shrinker's own step) loses the
-    // violation — otherwise the shrinker would have taken that step itself.
-    let cfg = ExploreConfig {
-        quorum_override: Some(1),
-        ..ExploreConfig::new(ProtocolKind::Abd, 5, 2)
-    };
-    // Mirror of the shrinker's probability step (snap-to-zero below 1e-3).
-    let halve = |p: f64| if p < 1e-3 { 0.0 } else { p / 2.0 };
-    let mut checked = 0;
-    for seed in 0..200 {
-        if checked == 4 {
-            break;
-        }
-        let scenario = generate_scenario(&cfg, seed);
-        if !scenario.has_net_faults() || run_scenario(&cfg, &scenario).violation.is_none() {
-            continue;
-        }
-        checked += 1;
-        let (minimized, _) = shrink(&cfg, &scenario);
+    // On scenarios that start with network faults on: what survives is
+    // bisected, and switched off wholesale only if the violation allows it.
+    let noisy = |net: &NetIntensity| net.has_net_faults();
+    assert_shrinking_reaches_a_local_minimum(&weakened_cluster(), 4, |s| noisy(&s.net));
+    assert_shrinking_reaches_a_local_minimum(&weakened_store(), 2, |s| noisy(&s.net));
+}
 
-        // Intensities never grow during shrinking.
-        assert!(minimized.drop_p <= scenario.drop_p, "seed {seed}");
-        assert!(minimized.duplicate_p <= scenario.duplicate_p, "seed {seed}");
-        assert!(minimized.reorder_p <= scenario.reorder_p, "seed {seed}");
-        assert!(minimized.extra_delay <= scenario.extra_delay, "seed {seed}");
-        assert!(
-            minimized.reorder_window <= scenario.reorder_window,
-            "seed {seed}"
-        );
-
-        let still_violates = |candidate: &_| run_scenario(&cfg, candidate).violation.is_some();
-        if minimized.drop_p > 0.0 {
-            let mut c = minimized.clone();
-            c.drop_p = halve(c.drop_p);
-            assert!(
-                !still_violates(&c),
-                "seed {seed}: drop_p not bisected to a minimum"
-            );
-        }
-        if minimized.duplicate_p > 0.0 {
-            let mut c = minimized.clone();
-            c.duplicate_p = halve(c.duplicate_p);
-            assert!(
-                !still_violates(&c),
-                "seed {seed}: duplicate_p not bisected to a minimum"
-            );
-        }
-        if minimized.reorder_p > 0.0 {
-            let mut c = minimized.clone();
-            c.reorder_p = halve(c.reorder_p);
-            assert!(
-                !still_violates(&c),
-                "seed {seed}: reorder_p not bisected to a minimum"
-            );
-        }
-        if minimized.extra_delay > 0 {
-            let mut c = minimized.clone();
-            c.extra_delay /= 2;
-            assert!(
-                !still_violates(&c),
-                "seed {seed}: extra_delay not bisected to a minimum"
-            );
-        }
-        if minimized.reorder_p > 0.0 && minimized.reorder_window > 0 {
-            let mut c = minimized.clone();
-            c.reorder_window /= 2;
-            assert!(
-                !still_violates(&c),
-                "seed {seed}: reorder_window not bisected to a minimum"
-            );
+/// ROADMAP's fix-first item, pinned: under the standard adversary SODAerr and
+/// ABD produce histories in which two writes share a version. The six
+/// recorded seeds must keep reproducing exactly — same violation, same
+/// completed-op count — until that item lands; its fix flips every assertion
+/// here to `violation.is_none()`. A change that moves one of them without
+/// fixing the protocols has moved an RNG draw or a message.
+#[test]
+fn the_six_fix_first_seeds_still_report_duplicate_write_versions() {
+    let sodaerr = |n| ExploreConfig::new(ProtocolKind::SodaErr { e: 1 }, n, 2);
+    let abd = ExploreConfig::new(ProtocolKind::Abd, 5, 2);
+    for (cfg, seed, versions, completed) in [
+        (sodaerr(5), 2747, (1, 2), 8),
+        (sodaerr(5), 4650, (1, 4), 5),
+        (sodaerr(5), 5280, (2, 3), 8),
+        (sodaerr(7), 116_046, (2, 3), 5),
+        (sodaerr(7), 158_983, (1, 4), 8),
+        (abd, 982_938_824_570, (3, 6), 8),
+    ] {
+        let cfg = cfg.with_partitions(0.3, 400);
+        let outcome = cfg.run(&cfg.generate(seed));
+        let kind = cfg.kind.name();
+        assert_eq!(outcome.completed_ops, completed, "{kind} seed {seed}");
+        match outcome.violation {
+            Some(Violation::DuplicateWriteVersion { first, second, .. }) => {
+                assert_eq!((first, second), versions, "{kind} seed {seed}")
+            }
+            other => {
+                panic!("{kind} seed {seed}: expected a duplicate write version, got {other:?}")
+            }
         }
     }
-    assert!(
-        checked >= 2,
-        "too few violating seeds with active net faults: {checked}"
-    );
 }
 
 #[test]
@@ -268,22 +288,7 @@ fn all_five_protocols_survive_partitioned_schedules() {
     // and the liveness checker must stay quiet (lossy scenarios are exempt
     // by design; clean ones must actually complete everything).
     for cfg in campaigns() {
-        let cfg = cfg.with_partitions(0.7, 1200);
-        let report = explore(&cfg, 0, 15);
-        assert!(
-            report.all_atomic(),
-            "{}: {}",
-            cfg.kind.name(),
-            report.counterexamples[0]
-        );
-        assert!(
-            report.all_live(),
-            "{}: {}",
-            cfg.kind.name(),
-            report.liveness_counterexamples[0]
-        );
-        assert_eq!(report.event_cap_hits, 0, "{}", cfg.kind.name());
-        assert!(report.completed_ops > 0, "{}", cfg.kind.name());
+        expect_clean(&cfg.with_partitions(0.7, 1200), 0, 15);
     }
 }
 
@@ -303,17 +308,11 @@ fn partition_fuzz_smoke() {
         cfg.repair_p = 1.0;
         // Vacuity guard: the seed range must actually contain windows, and
         // scenarios combining crashes, repairs and windows (the chains).
-        let mut with_windows = 0usize;
-        let mut with_chains = 0usize;
-        for seed in seed_start..seed_start + schedules as u64 {
-            let scenario = generate_scenario(&cfg, seed);
-            with_windows += usize::from(!scenario.partitions.is_empty());
-            with_chains += usize::from(
-                !scenario.partitions.is_empty()
-                    && !scenario.server_crashes.is_empty()
-                    && !scenario.server_repairs.is_empty(),
-            );
-        }
+        let seeds = seed_start..seed_start + schedules as u64;
+        let with_windows = count_scenarios(&cfg, seeds.clone(), |s| !s.partitions.is_empty());
+        let with_chains = count_scenarios(&cfg, seeds, |s| {
+            !s.partitions.is_empty() && !s.server_crashes.is_empty() && !s.server_repairs.is_empty()
+        });
         assert!(
             with_windows * 2 >= schedules,
             "{}: only {with_windows}/{schedules} schedules contain windows",
@@ -324,36 +323,11 @@ fn partition_fuzz_smoke() {
             "{}: no crash → partition → heal → repair chain in {schedules} schedules",
             cfg.kind.name()
         );
-        let report = explore(&cfg, seed_start, schedules);
-        for cex in &report.counterexamples {
-            eprintln!("{cex}");
-        }
-        for cex in &report.liveness_counterexamples {
-            eprintln!("{cex}");
-        }
-        assert!(
-            report.all_atomic(),
-            "{}: {} atomicity counterexamples over {} partitioned schedules",
-            cfg.kind.name(),
-            report.counterexamples.len(),
-            schedules
-        );
-        assert!(
-            report.all_live(),
-            "{}: {} liveness counterexamples over {} partitioned schedules",
-            cfg.kind.name(),
-            report.liveness_counterexamples.len(),
-            schedules
-        );
-        assert_eq!(report.event_cap_hits, 0, "{}", cfg.kind.name());
-        assert!(report.completed_ops > 0, "{}", cfg.kind.name());
+        let report = expect_clean(&cfg, seed_start, schedules);
         eprintln!(
-            "{:>7}: {} schedules ({} with windows, {} crash→partition→heal→repair), \
-             {} ops, all atomic, all live",
+            "{:>7}: {schedules} schedules ({with_windows} with windows, {with_chains} \
+             crash→partition→heal→repair), {} ops, all atomic, all live",
             cfg.kind.name(),
-            report.schedules,
-            with_windows,
-            with_chains,
             report.completed_ops
         );
     }
@@ -372,24 +346,12 @@ fn repair_fuzz_smoke() {
         cfg.repair_p = 1.0;
         // The campaign is vacuous unless repairs (and post-repair crashes)
         // actually fire: count them over the exact seed range first.
-        let mut with_repairs = 0usize;
-        let mut with_follow_up = 0usize;
-        for seed in seed_start..seed_start + schedules as u64 {
-            let scenario = generate_scenario(&cfg, seed);
-            if scenario.server_repairs.is_empty() {
-                continue;
-            }
-            with_repairs += 1;
-            let first_repair = scenario.server_repairs.iter().map(|&(_, at)| at).min();
-            if let Some(at) = first_repair {
-                with_follow_up += usize::from(
-                    scenario
-                        .server_crashes
-                        .iter()
-                        .any(|&(_, crash_at)| crash_at > at),
-                );
-            }
-        }
+        let seeds = seed_start..seed_start + schedules as u64;
+        let with_repairs = count_scenarios(&cfg, seeds.clone(), |s| !s.server_repairs.is_empty());
+        let with_follow_up = count_scenarios(&cfg, seeds, |s| {
+            let first_repair = s.server_repairs.iter().map(|&(_, at)| at).min();
+            first_repair.is_some_and(|at| s.server_crashes.iter().any(|&(_, crash)| crash > at))
+        });
         assert!(
             with_repairs * 4 >= schedules,
             "{}: only {with_repairs}/{schedules} schedules contain repairs",
@@ -400,25 +362,11 @@ fn repair_fuzz_smoke() {
             "{}: no crash → repair → crash chain in {schedules} schedules",
             cfg.kind.name()
         );
-        let report = explore(&cfg, seed_start, schedules);
-        for cex in &report.counterexamples {
-            eprintln!("{cex}");
-        }
-        assert!(
-            report.all_atomic(),
-            "{}: {} counterexamples over {} repair schedules",
-            cfg.kind.name(),
-            report.counterexamples.len(),
-            schedules
-        );
-        assert_eq!(report.event_cap_hits, 0, "{}", cfg.kind.name());
-        assert!(report.completed_ops > 0, "{}", cfg.kind.name());
+        let report = expect_clean(&cfg, seed_start, schedules);
         eprintln!(
-            "{:>7}: {} schedules ({} with repairs, {} crash→repair→crash), {} ops, all atomic",
+            "{:>7}: {schedules} schedules ({with_repairs} with repairs, {with_follow_up} \
+             crash→repair→crash), {} ops, all atomic, all live",
             cfg.kind.name(),
-            report.schedules,
-            with_repairs,
-            with_follow_up,
             report.completed_ops
         );
     }
@@ -432,25 +380,13 @@ fn repair_fuzz_smoke() {
 fn fuzz_smoke() {
     let schedules = schedules_from_env(200);
     for cfg in campaigns() {
-        let report = explore(&cfg, 1_000, schedules);
-        for cex in &report.counterexamples {
-            eprintln!("{cex}");
-        }
-        assert!(
-            report.all_atomic(),
-            "{}: {} counterexamples over {} schedules",
-            cfg.kind.name(),
-            report.counterexamples.len(),
-            schedules
-        );
-        assert_eq!(report.event_cap_hits, 0, "{}", cfg.kind.name());
-        assert!(report.completed_ops > 0, "{}", cfg.kind.name());
+        let report = expect_clean(&cfg, 1_000, schedules);
         eprintln!(
-            "{:>7}: {} schedules, {} ops completed, {} writes pending, all atomic",
+            "{:>7}: {schedules} schedules, {} ops completed, {} writes pending, all atomic, \
+             all live",
             cfg.kind.name(),
-            report.schedules,
             report.completed_ops,
-            report.pending_writes
+            report.pending
         );
     }
 }
