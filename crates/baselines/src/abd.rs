@@ -7,8 +7,10 @@
 //! *writes it back* to a majority before returning (the write-back is what
 //! makes concurrent reads atomic rather than merely regular).
 //!
-//! Costs (Table I): write cost `n`, read cost `n` (the value travels to/from
-//! every server in the worst case), total storage cost `n`.
+//! Costs (Table I): write cost `n` (a writer's query is answered without the
+//! value, so only the store phase carries it), read cost `2n` (every server's
+//! value to the reader, then the write-back to every server), total storage
+//! cost `n`.
 
 use soda_protocol::{
     value_from, Layout, OpKind, OpRecord, PendingWrite, ProtocolSpec, QuorumTracker, RepairDriver,
@@ -24,19 +26,23 @@ pub enum AbdMsg {
     InvokeWrite(Value),
     /// Ask a reader to read.
     InvokeRead,
-    /// Phase-1 query (from writers and readers alike).
+    /// Phase-1 query (from writers and readers alike, and from a
+    /// replacement server repairing itself).
     Query {
         /// Operation sequence number local to the client.
         seq: u64,
+        /// Whether the answer must carry the stored value. A writer only
+        /// needs the tag.
+        with_value: bool,
     },
-    /// Server response to a query: its stored tag and value.
+    /// Server response to a query: its stored tag and, if asked for, value.
     QueryResp {
         /// The queried operation.
         seq: u64,
         /// Stored tag.
         tag: Tag,
-        /// Stored value (this is what makes ABD reads cost `n`).
-        value: Value,
+        /// Stored value, or `None` when the query asked for the tag only.
+        value: Option<Value>,
     },
     /// Phase-2 store request carrying the full value.
     Store {
@@ -57,7 +63,10 @@ pub enum AbdMsg {
 impl Message for AbdMsg {
     fn data_bytes(&self) -> usize {
         match self {
-            AbdMsg::QueryResp { value, .. } | AbdMsg::Store { value, .. } => value.len(),
+            AbdMsg::QueryResp {
+                value: Some(value), ..
+            }
+            | AbdMsg::Store { value, .. } => value.len(),
             _ => 0,
         }
     }
@@ -151,7 +160,11 @@ impl Process<AbdMsg> for AbdServer {
         if let Some(repair) = self.repair.as_mut() {
             let (layout, seq) = (&repair.layout, repair.seq);
             repair.driver.start(ctx, |ctx| {
-                ctx.send_all(layout.peers_of(ctx.self_id()), AbdMsg::Query { seq })
+                let query = AbdMsg::Query {
+                    seq,
+                    with_value: true,
+                };
+                ctx.send_all(layout.peers_of(ctx.self_id()), query)
             });
         }
     }
@@ -162,14 +175,18 @@ impl Process<AbdMsg> for AbdServer {
             // each responder once.
             let (layout, seq) = (&repair.layout, repair.seq);
             repair.driver.on_timer(token, ctx, |ctx| {
-                ctx.send_all(layout.peers_of(ctx.self_id()), AbdMsg::Query { seq })
+                let query = AbdMsg::Query {
+                    seq,
+                    with_value: true,
+                };
+                ctx.send_all(layout.peers_of(ctx.self_id()), query)
             });
         }
     }
 
     fn on_message(&mut self, from: ProcessId, msg: AbdMsg, ctx: &mut Context<'_, AbdMsg>) {
         match msg {
-            AbdMsg::Query { seq } => {
+            AbdMsg::Query { seq, with_value } => {
                 if self.is_repairing() {
                     return;
                 }
@@ -178,7 +195,7 @@ impl Process<AbdMsg> for AbdServer {
                     AbdMsg::QueryResp {
                         seq,
                         tag: self.tag,
-                        value: self.value.clone(),
+                        value: with_value.then(|| self.value.clone()),
                     },
                 );
             }
@@ -189,8 +206,13 @@ impl Process<AbdMsg> for AbdServer {
                 }
                 ctx.send(from, AbdMsg::StoreAck { seq });
             }
-            // Peers' responses to this server's own repair query.
-            AbdMsg::QueryResp { seq, tag, value } => {
+            // Peers' responses to this server's own repair query, which
+            // always asks for values.
+            AbdMsg::QueryResp {
+                seq,
+                tag,
+                value: Some(value),
+            } => {
                 let Some(repair) = self.repair.as_mut() else {
                     return;
                 };
@@ -252,12 +274,12 @@ pub struct AbdClient {
     phase: AbdPhase,
     pending: VecDeque<PendingOp>,
     seq: u64,
-    current_is_read: bool,
+    current: OpKind,
     current_value: Option<Value>,
     invoked_at: SimTime,
     store_tag: Option<Tag>,
     store_value: Option<Value>,
-    query_tracker: QuorumTracker<(Tag, Value)>,
+    query_tracker: QuorumTracker<(Tag, Option<Value>)>,
     ack_tracker: QuorumTracker<()>,
     completed: Vec<OpRecord>,
 }
@@ -273,7 +295,7 @@ impl AbdClient {
             phase: AbdPhase::Idle,
             pending: VecDeque::new(),
             seq: 0,
-            current_is_read: false,
+            current: OpKind::Write,
             current_value: None,
             invoked_at: SimTime::ZERO,
             store_tag: None,
@@ -305,7 +327,7 @@ impl AbdClient {
     /// crash/network faults. In-flight reads are not reported: an unfinished
     /// read returns nothing.
     pub fn in_flight_write(&self) -> Option<PendingWrite> {
-        if self.phase == AbdPhase::Idle || self.current_is_read {
+        if self.phase == AbdPhase::Idle || self.current.is_read() {
             return None;
         }
         Some(PendingWrite {
@@ -332,18 +354,22 @@ impl AbdClient {
         self.invoked_at = ctx.now();
         match op {
             PendingOp::Write(value) => {
-                self.current_is_read = false;
+                self.current = OpKind::Write;
                 self.current_value = Some(value);
             }
             PendingOp::Read => {
-                self.current_is_read = true;
+                self.current = OpKind::Read;
                 self.current_value = None;
             }
         }
         self.phase = AbdPhase::Query;
         self.query_tracker = QuorumTracker::new(self.quorum);
         for &server in self.layout.servers() {
-            ctx.send(server, AbdMsg::Query { seq: self.seq });
+            let query = AbdMsg::Query {
+                seq: self.seq,
+                with_value: self.current.is_read(),
+            };
+            ctx.send(server, query);
         }
     }
 
@@ -353,14 +379,13 @@ impl AbdClient {
             .responses()
             .max_by_key(|(_, (tag, _))| *tag)
             .map(|(_, (tag, value))| (*tag, value.clone()))
-            .unwrap_or((Tag::INITIAL, value_from(Vec::new())));
-        let (tag, value) = if self.current_is_read {
-            (max_tag, max_value)
-        } else {
-            (
+            .unwrap_or((Tag::INITIAL, None));
+        let (tag, value) = match self.current {
+            OpKind::Read => (max_tag, max_value.unwrap_or_default()),
+            OpKind::Write => (
                 max_tag.next(self.self_id),
                 self.current_value.clone().expect("write has a value"),
-            )
+            ),
         };
         self.store_tag = Some(tag);
         self.store_value = Some(value.clone());
@@ -382,11 +407,7 @@ impl AbdClient {
         let record = OpRecord {
             client: u64::from(self.self_id.0),
             seq: self.seq,
-            kind: if self.current_is_read {
-                OpKind::Read
-            } else {
-                OpKind::Write
-            },
+            kind: self.current,
             invoked_at: self.invoked_at,
             completed_at: ctx.now(),
             tag: self.store_tag.take().expect("store tag set"),
@@ -524,20 +545,27 @@ mod tests {
         let started = start(&mut s, me, t(10));
         let queried: Vec<ProcessId> = started.sends.iter().map(|(to, _)| *to).collect();
         assert_eq!(queried, (1..5u32).map(ProcessId).collect::<Vec<_>>());
-        assert!(started
-            .sends
-            .iter()
-            .all(|(_, m)| matches!(m, AbdMsg::Query { seq: 3 })));
+        assert!(started.sends.iter().all(|(_, m)| matches!(
+            m,
+            AbdMsg::Query {
+                seq: 3,
+                with_value: true
+            }
+        )));
         assert_eq!(started.timers.len(), 1, "retry timer armed");
 
         // Its empty state must not stand in for the crashed server.
-        let asked = deliver(&mut s, me, t(11), writer, AbdMsg::Query { seq: 1 });
+        let query = |seq: u64| AbdMsg::Query {
+            seq,
+            with_value: false,
+        };
+        let asked = deliver(&mut s, me, t(11), writer, query(1));
         assert!(asked.sends.is_empty());
 
         let resp = |seq: u64, z: u64| AbdMsg::QueryResp {
             seq,
             tag: Tag::new(z, writer),
-            value: value_from(vec![z as u8; 6]),
+            value: Some(value_from(vec![z as u8; 6])),
         };
         // An answer to an earlier incarnation's query is not counted.
         deliver(&mut s, me, t(12), ProcessId(1), resp(2, 99));
@@ -559,10 +587,14 @@ mod tests {
                 failed: false,
             })
         );
-        let asked = deliver(&mut s, me, t(15), writer, AbdMsg::Query { seq: 2 });
+        let asked = deliver(&mut s, me, t(15), writer, query(2));
         assert!(matches!(
             asked.sends[0].1,
-            AbdMsg::QueryResp { tag, .. } if tag == Tag::new(7, writer)
+            AbdMsg::QueryResp {
+                tag,
+                value: None,
+                ..
+            } if tag == Tag::new(7, writer)
         ));
     }
 }

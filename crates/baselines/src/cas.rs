@@ -476,7 +476,7 @@ pub struct CasClient {
     phase: CasPhase,
     pending: VecDeque<PendingOp>,
     seq: u64,
-    current_is_read: bool,
+    current: OpKind,
     current_value: Option<Value>,
     current_tag: Option<Tag>,
     invoked_at: SimTime,
@@ -497,7 +497,7 @@ impl CasClient {
             phase: CasPhase::Idle,
             pending: VecDeque::new(),
             seq: 0,
-            current_is_read: false,
+            current: OpKind::Write,
             current_value: None,
             current_tag: None,
             invoked_at: SimTime::ZERO,
@@ -519,7 +519,7 @@ impl CasClient {
     /// no read can have observed it). Needed to close operation histories
     /// under crash/network faults.
     pub fn in_flight_write(&self) -> Option<PendingWrite> {
-        if self.phase == CasPhase::Idle || self.current_is_read {
+        if self.phase == CasPhase::Idle || self.current.is_read() {
             return None;
         }
         Some(PendingWrite {
@@ -550,11 +550,11 @@ impl CasClient {
         self.invoked_at = ctx.now();
         match op {
             PendingOp::Write(value) => {
-                self.current_is_read = false;
+                self.current = OpKind::Write;
                 self.current_value = Some(value);
             }
             PendingOp::Read => {
-                self.current_is_read = true;
+                self.current = OpKind::Read;
                 self.current_value = None;
             }
         }
@@ -572,7 +572,7 @@ impl CasClient {
             .max_response()
             .copied()
             .unwrap_or(Tag::INITIAL);
-        if self.current_is_read {
+        if self.current.is_read() {
             self.current_tag = Some(max_tag);
             self.phase = CasPhase::ReadValue;
             self.read_elements.clear();
@@ -636,11 +636,7 @@ impl CasClient {
         let record = OpRecord {
             client: u64::from(self.self_id.0),
             seq: self.seq,
-            kind: if self.current_is_read {
-                OpKind::Read
-            } else {
-                OpKind::Write
-            },
+            kind: self.current,
             invoked_at: self.invoked_at,
             completed_at: ctx.now(),
             tag: self.current_tag.expect("tag set"),

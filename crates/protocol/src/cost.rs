@@ -31,6 +31,21 @@ pub mod paper {
         (5 * f * f).max(1) as f64
     }
 
+    /// Data the MD-VALUE fan-out of one write sends when every backbone
+    /// server relays: the writer's `f + 1` full values, each backbone server's
+    /// full values up the backbone (`f(f+1)/2` in all) and its coded elements
+    /// to everyone else (`(f+1)(n−1−f) + f(f+1)/2`), normalized with a coded
+    /// element of an `[n, k]` code counting `1/k`. This is what
+    /// `MdValueRelay::on_full_with` sends; a backbone server that receives its
+    /// coded element before the full value relays nothing, so a write costs at
+    /// most this. SODAerr's write is bounded by it; Theorem 5.4's `5f²` is
+    /// proven for SODA only, and SODAerr's small `k` exceeds it.
+    pub fn md_value_fanout(n: usize, f: usize, k: usize) -> f64 {
+        let full = (f + 1) * (f + 2) / 2;
+        let coded = (f + 1) * (n - 1 - f) + f * (f + 1) / 2;
+        full as f64 + coded as f64 / k as f64
+    }
+
     /// Read communication cost of SODA: `n/(n−f) · (δw + 1)` (Theorem 5.6).
     pub fn soda_read(n: usize, f: usize, delta_w: usize) -> f64 {
         n as f64 / (n - f) as f64 * (delta_w + 1) as f64
@@ -46,9 +61,20 @@ pub mod paper {
         n as f64 / (n - f - 2 * e) as f64 * (delta_w + 1) as f64
     }
 
-    /// ABD costs (Table I): write cost, read cost and storage cost are all `n`
-    /// (the value is replicated everywhere and shipped whole in each phase).
-    pub fn abd_cost(n: usize) -> f64 {
+    /// ABD write cost (Table I): `n`, the value stored at every server.
+    pub fn abd_write(n: usize) -> f64 {
+        n as f64
+    }
+
+    /// ABD read cost: `2n`, every server's value to the reader plus the
+    /// write-back to every server (the write `n` / read `2n` split Cadambe
+    /// et al. give for ABD).
+    pub fn abd_read(n: usize) -> f64 {
+        2.0 * n as f64
+    }
+
+    /// ABD total storage cost (Table I): `n`, one replica per server.
+    pub fn abd_storage(n: usize) -> f64 {
         n as f64
     }
 
@@ -82,11 +108,14 @@ mod tests {
 
     #[test]
     fn paper_formulas_match_table_one_at_fmax() {
-        // Table I with n even and f = n/2 - 1: ABD = n everywhere,
-        // CASGC = n/2 per op, SODA storage <= 2 and read <= 2(δw+1).
+        // Table I with n even and f = n/2 - 1: ABD = n (2n for a read with
+        // its write-back), CASGC = n/2 per op, SODA storage <= 2 and read
+        // <= 2(δw+1).
         let n = 10;
         let f = n / 2 - 1;
-        assert_eq!(paper::abd_cost(n), 10.0);
+        assert_eq!(paper::abd_write(n), 10.0);
+        assert_eq!(paper::abd_read(n), 20.0);
+        assert_eq!(paper::abd_storage(n), 10.0);
         assert_eq!(paper::casgc_communication(n, f), 10.0 / 2.0);
         assert!((paper::soda_storage(n, f) - 10.0 / 6.0).abs() < 1e-12);
         assert!(paper::soda_storage(n, f) <= 2.0);
@@ -109,6 +138,15 @@ mod tests {
     fn casgc_storage_is_rigid_in_delta() {
         assert_eq!(paper::casgc_storage(10, 2, 0), 10.0 / 6.0);
         assert_eq!(paper::casgc_storage(10, 2, 4), 10.0 / 6.0 * 5.0);
+    }
+
+    #[test]
+    fn md_value_fanout_counts_full_values_and_coded_elements() {
+        // SODA at (5, 2): 6 full values + 9 elements of a [5, 3] code.
+        assert_eq!(paper::md_value_fanout(5, 2, 3), 9.0);
+        // SODAerr at (12, 2, e = 4), k = 2: 6 + 30/2, above 5f² = 20.
+        assert_eq!(paper::md_value_fanout(12, 2, 2), 21.0);
+        assert!(paper::md_value_fanout(12, 2, 2) > paper::soda_write_bound(2));
     }
 
     #[test]

@@ -625,10 +625,13 @@ mod tests {
     #[test]
     fn md_value_write_cost_is_order_f_squared() {
         // Count normalized data units generated by a complete dispersal with
-        // no crashes and verify it is within the paper's 5f² bound.
+        // no crashes and verify it is within the paper's 5f² bound and the
+        // fan-out `on_full_with` implements (up to each coded element's
+        // share of the 8-byte length header, rounded up).
         for (n, f) in [(5, 2), (9, 4), (11, 5), (15, 7)] {
             let l = layout(n, f);
-            let code = VandermondeCode::new(n, n - f).unwrap();
+            let k = n - f;
+            let code = VandermondeCode::new(n, k).unwrap();
             let value_size = 1000usize;
             let v = value_from(vec![1u8; value_size]);
             let mut relays: Vec<MdValueRelay> = (0..n).map(MdValueRelay::new).collect();
@@ -658,6 +661,12 @@ mod tests {
             assert!(
                 normalized <= bound,
                 "n={n} f={f}: cost {normalized:.2} exceeds 5f²={bound}"
+            );
+            let padding = ((value_size + 8).div_ceil(k) * k) as f64 / value_size as f64;
+            let fanout = crate::cost::paper::md_value_fanout(n, f, k);
+            assert!(
+                normalized <= fanout * padding,
+                "n={n} f={f}: cost {normalized:.2} exceeds the fan-out {fanout:.2}"
             );
         }
     }

@@ -17,8 +17,8 @@ pub enum ProtocolKind {
         /// Maximum number of corrupted coded elements tolerated per read.
         e: usize,
     },
-    /// ABD (Attiya, Bar-Noy, Dolev): full replication; write, read and
-    /// storage cost are all `n`.
+    /// ABD (Attiya, Bar-Noy, Dolev): full replication; write and storage
+    /// cost `n`, read cost `2n` (the write-back ships the value again).
     Abd,
     /// CAS (Cadambe, Lynch, Médard, Musial): `[n, n − 2f]` code, quorums of
     /// size `n − f`, no garbage collection (storage grows with history).
@@ -97,12 +97,20 @@ impl ClusterDescriptor {
     }
 
     /// The paper's write communication cost (or bound) for these parameters,
-    /// normalized to the value size (Table I).
+    /// normalized to the value size (Table I). SODA's is Theorem 5.4's
+    /// `5f²`; SODAerr's is the MD-VALUE fan-out, which `5f²` does not bound
+    /// once `e` shrinks `k` (see [`paper::md_value_fanout`]).
+    ///
+    /// [`paper::md_value_fanout`]: soda_protocol::cost::paper::md_value_fanout
     pub fn paper_write_cost(&self) -> f64 {
         use soda_protocol::cost::paper;
         match self.kind {
-            ProtocolKind::Soda | ProtocolKind::SodaErr { .. } => paper::soda_write_bound(self.f),
-            ProtocolKind::Abd => paper::abd_cost(self.n),
+            ProtocolKind::Soda => paper::soda_write_bound(self.f),
+            ProtocolKind::SodaErr { .. } => {
+                let k = self.k().expect("SODAerr parameters leave k ≥ 1");
+                paper::md_value_fanout(self.n, self.f, k)
+            }
+            ProtocolKind::Abd => paper::abd_write(self.n),
             ProtocolKind::Cas | ProtocolKind::Casgc { .. } => {
                 paper::casgc_communication(self.n, self.f)
             }
@@ -116,7 +124,7 @@ impl ClusterDescriptor {
         match self.kind {
             ProtocolKind::Soda => paper::soda_read(self.n, self.f, delta_w),
             ProtocolKind::SodaErr { e } => paper::sodaerr_read(self.n, self.f, e, delta_w),
-            ProtocolKind::Abd => paper::abd_cost(self.n),
+            ProtocolKind::Abd => paper::abd_read(self.n),
             ProtocolKind::Cas | ProtocolKind::Casgc { .. } => {
                 paper::casgc_communication(self.n, self.f)
             }
@@ -132,7 +140,7 @@ impl ClusterDescriptor {
         match self.kind {
             ProtocolKind::Soda => paper::soda_storage(self.n, self.f),
             ProtocolKind::SodaErr { e } => paper::sodaerr_storage(self.n, self.f, e),
-            ProtocolKind::Abd => paper::abd_cost(self.n),
+            ProtocolKind::Abd => paper::abd_storage(self.n),
             ProtocolKind::Cas => f64::INFINITY,
             ProtocolKind::Casgc { gc } => paper::casgc_storage(self.n, self.f, gc),
         }
@@ -180,6 +188,15 @@ mod tests {
             ..soda
         };
         assert!((abd.paper_storage_cost() - 6.0).abs() < 1e-9);
+        assert!((abd.paper_write_cost() - 6.0).abs() < 1e-9);
+        assert!((abd.paper_read_cost(1) - 12.0).abs() < 1e-9);
+
+        // [6, 2] code: 6 full values + 12 elements of 1/2 each.
+        let sodaerr = ClusterDescriptor {
+            kind: ProtocolKind::SodaErr { e: 1 },
+            ..soda
+        };
+        assert!((sodaerr.paper_write_cost() - 12.0).abs() < 1e-9);
 
         let casgc = ClusterDescriptor {
             kind: ProtocolKind::Casgc { gc: 2 },

@@ -2,7 +2,7 @@
 //! [`ProtocolKind`] via the [`RegisterCluster`] trait, and every resulting
 //! history is machine-checked for atomicity with `soda_consistency`.
 
-use soda_registry::{ClusterBuilder, OpRecord, ProtocolKind, RegisterCluster};
+use soda_registry::{ClusterBuilder, OpRecord, PartitionWindow, ProtocolKind, RegisterCluster};
 use soda_simnet::{ProcessId, SimTime};
 
 /// Representative parameters per protocol: `(kind, n, f)` chosen so every
@@ -194,6 +194,56 @@ fn storage_costs_track_the_paper_formulas() {
                 "{}: measured {measured:.2} vs formula {formula:.2}",
                 kind.name()
             ),
+        }
+    }
+}
+
+/// Liveness under partition duty cycles: four 2 000-tick periods each cut
+/// ranks `0..=2` — a majority of `n = 5` — off from every process for the
+/// duty share of the period, while 16 + 16 one-shot handles invoke one
+/// operation each across the schedule (one per handle, so a starved op
+/// cannot block a handle's queue). Clients send once, so an operation whose
+/// phase meets a window starves for good: the completion count falls by the
+/// duty share exactly, for SODA and ABD alike, and what completes is still
+/// atomic. ROADMAP item 1 (retransmitting clients) flips every completion
+/// count to 32.
+#[test]
+fn partition_duty_cycles_starve_the_operations_they_cut() {
+    const PERIOD: u64 = 2000;
+    const CYCLES: u64 = 4;
+    const HANDLES: usize = 16;
+    let step = PERIOD * CYCLES / HANDLES as u64;
+    for kind in [ProtocolKind::Soda, ProtocolKind::Abd] {
+        for (duty_pct, completed, partitioned) in
+            [(0, 32, 0), (25, 24, 24), (50, 16, 48), (75, 8, 72)]
+        {
+            let mut builder = ClusterBuilder::new(kind, 5, 2)
+                .with_seed(41)
+                .with_clients(HANDLES, HANDLES);
+            for i in 0..CYCLES {
+                builder = builder.with_partition_window(&PartitionWindow {
+                    ranks: vec![0, 1, 2],
+                    start: i * PERIOD,
+                    end: i * PERIOD + PERIOD * duty_pct / 100,
+                });
+            }
+            let mut cluster = builder.build().unwrap();
+            // Writes on the grid, reads half a step later, so both race
+            // every window edge.
+            for j in 0..HANDLES {
+                let at = SimTime::from_ticks(j as u64 * step);
+                cluster.invoke_write_at(at, j, vec![j as u8 + 1; 64]);
+            }
+            for j in 0..HANDLES {
+                cluster.invoke_read_at(SimTime::from_ticks(j as u64 * step + step / 2), j);
+            }
+            let label = format!("{} at duty {duty_pct}%", kind.name());
+            assert!(!cluster.run_to_quiescence().hit_event_cap, "{label}");
+            assert_eq!(cluster.completed_ops().len(), completed, "{label}");
+            assert_eq!(cluster.stats().messages_partitioned, partitioned, "{label}");
+            if let Err(violation) = cluster.closed_history(&[]).check_atomicity() {
+                panic!("{label}: {violation}");
+            }
         }
     }
 }

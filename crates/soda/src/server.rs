@@ -107,7 +107,7 @@ pub struct ServerProcess {
     disk_fault: DiskFaultModel,
     /// Ablation switch: when `false`, the server does not relay the elements
     /// of concurrent writes to registered readers (Fig. 5, response 3, lines
-    /// 4–8 disabled). Used by the `ablation_relay` experiment to demonstrate
+    /// 4–8 disabled). Used by the relay ablation of the paper gate to show
     /// that reader registration + relaying is what makes reads live under
     /// concurrent writes.
     relay_enabled: bool,

@@ -1,30 +1,41 @@
-//! Experiment sweeps regenerating every table and figure of the paper.
+//! The paper's claims as one checked list.
 //!
-//! Each function corresponds to one experiment id in `DESIGN.md` §4 and
-//! returns serializable rows pairing the *measured* quantity with the paper's
-//! closed-form prediction, so `EXPERIMENTS.md` (and the bench binaries'
-//! stdout) can show both side by side.
+//! The paper's product is a set of cost claims: Table I, Theorems 3.2, 5.3,
+//! 5.4, 5.6, 5.7 and 6.3, and the two mechanisms its comparison with CASGC
+//! rests on (relaying to registered readers, storage that does not depend on
+//! concurrency). Each sweep below runs one of them and returns a [`Table`] of
+//! [`Claim`]s: a measured quantity, its closed form, the relation between
+//! them and whether it holds. Closed forms come from
+//! [`soda_protocol::cost::paper`], evaluated through
+//! [`ClusterDescriptor`](soda_registry::ClusterDescriptor)'s `paper_*`
+//! methods. [`reproduce`] runs all nine tables at the parameters
+//! this repo reports; `soda-bench`'s `reproduce` binary prints them and exits
+//! non-zero on a failed claim, and a tier-1 test asserts the same.
+//!
+//! Storage is claimed *equal* to its closed form, communication and latency
+//! *at most* theirs, and a coded element counts as the `⌈(|v| + 8)/k⌉` bytes
+//! it occupies rather than the model's `|v|/k` (every element carries its
+//! share of the 8-byte length header, rounded up).
 //!
 //! Every cluster in this module is built and driven through the
 //! [`soda_registry`] facade; the protocol under measurement is just a
 //! [`ProtocolKind`] value.
 
 use crate::json_row;
-use crate::scenario::{run_scenario, value_of, ScenarioParams};
+use crate::scenario::{run_scenario, ScenarioOutcome, ScenarioParams};
 use soda_protocol::cost::paper;
 use soda_protocol::Layout;
 use soda_registry::{ClusterBuilder, ProtocolKind, RegisterCluster};
+use std::fmt;
 
-pub use crate::json::to_json;
-
-/// Renders rows of strings as a fixed-width text table (used by the bench
-/// binaries for stdout output).
-pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
+/// Renders rows of strings as a fixed-width text table. Widths count
+/// characters, as the `{:<width$}` padding does, so `δ` and `≤` align.
+fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
+    let mut widths: Vec<usize> = headers.iter().map(|h| h.chars().count()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
             if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
+                widths[i] = widths[i].max(cell.chars().count());
             }
         }
     }
@@ -49,490 +60,421 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-// ---------------------------------------------------------------------------
-// T1: Table I — ABD vs CASGC vs SODA at f = fmax.
-// ---------------------------------------------------------------------------
-
-/// One row of the Table I reproduction.
+/// One checked claim: a measured quantity beside its closed form.
 #[derive(Clone, Debug)]
-pub struct Table1Row {
-    /// Algorithm name.
-    pub algorithm: String,
-    /// Number of servers.
-    pub n: usize,
-    /// Fault tolerance used (`fmax`).
-    pub f: usize,
-    /// Number of writes concurrent with the measured read.
-    pub delta_w: usize,
-    /// Measured normalized write communication cost.
-    pub write_cost: f64,
-    /// Measured normalized read communication cost.
-    pub read_cost: f64,
-    /// Measured normalized total storage cost.
-    pub storage_cost: f64,
-    /// Paper's write cost expression evaluated for these parameters.
-    pub paper_write: f64,
-    /// Paper's read cost expression evaluated for these parameters.
-    pub paper_read: f64,
-    /// Paper's storage cost expression evaluated for these parameters.
-    pub paper_storage: f64,
-    /// Whether the run's history passed the atomicity checker.
-    pub atomic: bool,
+pub struct Claim {
+    /// The paper artifact the claim belongs to, e.g. `"Table I"`.
+    pub source: &'static str,
+    /// What was measured, and at which parameters.
+    pub quantity: String,
+    /// The measured value.
+    pub measured: f64,
+    /// `"="` or `"≤"`: how `measured` must relate to `closed_form`.
+    pub relation: &'static str,
+    /// The paper's closed form at the same parameters.
+    pub closed_form: f64,
+    /// Whether the relation holds, up to the coded-element padding.
+    pub holds: bool,
 }
 
-json_row!(Table1Row {
-    algorithm,
-    n,
-    f,
-    delta_w,
-    write_cost,
-    read_cost,
-    storage_cost,
-    paper_write,
-    paper_read,
-    paper_storage,
-    atomic,
+json_row!(Claim {
+    source,
+    quantity,
+    measured,
+    relation,
+    closed_form,
+    holds,
 });
 
-/// Reproduces Table I: for each `n`, runs ABD, CASGC and SODA at
-/// `f = fmax = ⌊(n−1)/2⌋` with `delta_w` concurrent writes during the read.
-pub fn table1(ns: &[usize], delta_w: usize, value_size: usize, seed: u64) -> Vec<Table1Row> {
-    let mut rows = Vec::new();
+#[derive(Clone, Copy)]
+enum Relation {
+    Equal,
+    AtMost,
+}
+
+impl Claim {
+    /// `padding` is the relative excess of the measured quantity's coded
+    /// elements over the model's size for them (0 for replicated values,
+    /// counts and ticks).
+    fn new(
+        source: &'static str,
+        quantity: String,
+        measured: f64,
+        relation: Relation,
+        closed_form: f64,
+        padding: f64,
+    ) -> Claim {
+        const EPS: f64 = 1e-9;
+        let upper = closed_form * (1.0 + padding) + EPS;
+        let (relation, holds) = match relation {
+            Relation::Equal => ("=", closed_form - EPS <= measured && measured <= upper),
+            Relation::AtMost => ("≤", measured <= upper),
+        };
+        Claim {
+            source,
+            quantity,
+            measured,
+            relation,
+            closed_form,
+            holds,
+        }
+    }
+}
+
+/// Relative excess of a `⌈(|v| + 8)/k⌉`-byte coded element over `|v|/k`;
+/// 0 for replication (`k` is `None`).
+fn padding(k: Option<usize>, value_size: usize) -> f64 {
+    k.map_or(0.0, |k| {
+        ((value_size + 8).div_ceil(k) * k) as f64 / value_size as f64 - 1.0
+    })
+}
+
+/// One table of claims, as one sweep produces it.
+#[derive(Clone, Debug)]
+pub struct Table {
+    /// What the table reproduces, and at which parameters.
+    pub title: String,
+    /// The claims, in sweep order.
+    pub claims: Vec<Claim>,
+}
+
+impl fmt::Display for Table {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let rows: Vec<Vec<String>> = self
+            .claims
+            .iter()
+            .map(|c| {
+                vec![
+                    c.quantity.clone(),
+                    format!("{:.3}", c.measured),
+                    c.relation.to_string(),
+                    format!("{:.3}", c.closed_form),
+                    if c.holds { "yes" } else { "NO" }.to_string(),
+                ]
+            })
+            .collect();
+        let headers = ["quantity", "measured", "", "closed form", "holds"];
+        write!(f, "{}\n\n{}", self.title, render_table(&headers, &rows))
+    }
+}
+
+/// Collects one table's claims and counts its scenario runs' atomic
+/// histories, which [`Sheet::finish`] claims as one row.
+struct Sheet {
+    source: &'static str,
+    value_size: usize,
+    claims: Vec<Claim>,
+    runs: usize,
+    atomic: usize,
+}
+
+impl Sheet {
+    fn new(source: &'static str, value_size: usize) -> Self {
+        Sheet {
+            source,
+            value_size,
+            claims: Vec::new(),
+            runs: 0,
+            atomic: 0,
+        }
+    }
+
+    fn run(&mut self, params: ScenarioParams) -> ScenarioOutcome {
+        let outcome = run_scenario(&params);
+        self.runs += 1;
+        self.atomic += usize::from(outcome.atomic);
+        outcome
+    }
+
+    fn claim(
+        &mut self,
+        quantity: String,
+        measured: f64,
+        relation: Relation,
+        closed_form: f64,
+        k: Option<usize>,
+    ) {
+        let padding = padding(k, self.value_size);
+        let claim = Claim::new(
+            self.source,
+            quantity,
+            measured,
+            relation,
+            closed_form,
+            padding,
+        );
+        self.claims.push(claim);
+    }
+
+    fn equal(&mut self, quantity: String, measured: f64, closed_form: f64) {
+        self.claim(quantity, measured, Relation::Equal, closed_form, None);
+    }
+
+    fn at_most(&mut self, quantity: String, measured: f64, closed_form: f64) {
+        self.claim(quantity, measured, Relation::AtMost, closed_form, None);
+    }
+
+    /// SODA's write is also checked against the MD-VALUE fan-out, SODAerr's
+    /// closed form, which is tighter than Theorem 5.4's `5f²`.
+    fn write(&mut self, label: &str, o: &ScenarioOutcome) {
+        let d = &o.descriptor;
+        let write = format!("{label} write");
+        self.claim(
+            write,
+            o.write_cost,
+            Relation::AtMost,
+            d.paper_write_cost(),
+            d.k(),
+        );
+        if let (ProtocolKind::Soda, Some(k)) = (d.kind, d.k()) {
+            let fanout = paper::md_value_fanout(d.n, d.f, k);
+            let quantity = format!("{label} write (fan-out)");
+            self.claim(quantity, o.write_cost, Relation::AtMost, fanout, Some(k));
+        }
+    }
+
+    fn read(&mut self, label: &str, o: &ScenarioOutcome) {
+        let d = &o.descriptor;
+        let dw = o.delta_w_actual;
+        let closed = d.paper_read_cost(dw);
+        let quantity = format!("{label} read, δw={dw}");
+        self.claim(quantity, o.read_cost, Relation::AtMost, closed, d.k());
+    }
+
+    fn storage(&mut self, label: &str, o: &ScenarioOutcome, relation: Relation) {
+        let d = &o.descriptor;
+        let quantity = format!("{label} storage");
+        self.claim(
+            quantity,
+            o.storage_cost,
+            relation,
+            d.paper_storage_cost(),
+            d.k(),
+        );
+    }
+
+    fn costs(&mut self, label: &str, o: &ScenarioOutcome) {
+        self.write(label, o);
+        self.read(label, o);
+        self.storage(label, o, Relation::Equal);
+    }
+
+    fn finish(mut self, title: String) -> Table {
+        if self.runs > 0 {
+            let (atomic, runs) = (self.atomic as f64, self.runs as f64);
+            self.equal("atomic histories".into(), atomic, runs);
+        }
+        Table {
+            title,
+            claims: self.claims,
+        }
+    }
+}
+
+/// Every table at the parameters this repo reports.
+pub fn reproduce() -> Vec<Table> {
+    let storage_points = [
+        (4, 1),
+        (6, 2),
+        (10, 4),
+        (20, 9),
+        (30, 5),
+        (50, 24),
+        (100, 49),
+    ];
+    vec![
+        table1(&[10, 20, 50], 2, 8 * 1024, 42),
+        storage_cost_sweep(&storage_points, 16 * 1024, 7),
+        write_cost_sweep(&[1, 2, 3, 4, 6, 8, 10], 16 * 1024, 11),
+        read_cost_sweep(10, 4, &[0, 1, 2, 4, 8, 12, 16], 8 * 1024, 13),
+        latency_sweep(&[(5, 2), (10, 4), (20, 9), (30, 14)], 100, 4 * 1024, 17),
+        sodaerr_sweep(12, 2, &[0, 1, 2, 3, 4], 8 * 1024, 19),
+        md_state_experiment(&[(5, 2), (10, 4), (15, 7), (25, 12)], 8 * 1024, 23),
+        relay_ablation(4 * 1024, 29),
+        storage_elasticity(10, 4, &[0, 1, 2, 4, 8], 1, 8 * 1024, 31),
+    ]
+}
+
+/// Table I: ABD, CASGC (provisioned for `delta_w`) and SODA at
+/// `f = fmax = ⌊(n−1)/2⌋`, with `delta_w` writes concurrent with the
+/// measured read.
+pub fn table1(ns: &[usize], delta_w: usize, value_size: usize, seed: u64) -> Table {
+    let mut sheet = Sheet::new("Table I", value_size);
     for &n in ns {
         let f = Layout::fmax(n);
-        // CASGC requires n > 2f, so at fmax it only exists for odd n; use the
-        // largest f' with n > 2f' otherwise (the paper's Table I assumes n
-        // even and f = n/2 − 1, for which n − 2f = 2).
-        let f_cas = if n > 2 * f { f } else { (n - 1) / 2 };
-        for (kind, f_used) in [
-            (ProtocolKind::Abd, f),
-            (ProtocolKind::Casgc { gc: delta_w }, f_cas),
-            (ProtocolKind::Soda, f),
+        for kind in [
+            ProtocolKind::Abd,
+            ProtocolKind::Casgc { gc: delta_w },
+            ProtocolKind::Soda,
         ] {
-            let outcome = run_scenario(&ScenarioParams {
+            let outcome = sheet.run(ScenarioParams {
                 delta_w,
                 value_size,
                 seed,
-                ..ScenarioParams::new(kind, n, f_used)
+                ..ScenarioParams::new(kind, n, f)
             });
-            rows.push(Table1Row {
-                algorithm: kind.name().to_string(),
-                n,
-                f: f_used,
-                delta_w: outcome.delta_w_actual,
-                write_cost: outcome.write_cost,
-                read_cost: outcome.read_cost,
-                storage_cost: outcome.storage_cost,
-                paper_write: match kind {
-                    ProtocolKind::Abd => paper::abd_cost(n),
-                    ProtocolKind::Soda => paper::soda_write_bound(f_used),
-                    _ => paper::casgc_communication(n, f_used),
-                },
-                paper_read: match kind {
-                    ProtocolKind::Abd => paper::abd_cost(n),
-                    ProtocolKind::Soda => paper::soda_read(n, f_used, outcome.delta_w_actual),
-                    _ => paper::casgc_communication(n, f_used),
-                },
-                paper_storage: match kind {
-                    ProtocolKind::Abd => paper::abd_cost(n),
-                    ProtocolKind::Soda => paper::soda_storage(n, f_used),
-                    _ => paper::casgc_storage(n, f_used, delta_w),
-                },
-                atomic: outcome.atomic,
-            });
+            sheet.costs(&format!("{} n={n} f={f}", kind.name()), &outcome);
         }
     }
-    rows
+    sheet.finish(format!(
+        "Table I: ABD, CASGC (δ = {delta_w}) and SODA at f = fmax, {delta_w} writes \
+         concurrent with the read, |v| = {value_size} B"
+    ))
 }
 
-/// Renders Table I rows for stdout.
-pub fn table1_text(rows: &[Table1Row]) -> String {
-    let body: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.algorithm.clone(),
-                r.n.to_string(),
-                r.f.to_string(),
-                r.delta_w.to_string(),
-                format!("{:.2}", r.write_cost),
-                format!("{:.2}", r.paper_write),
-                format!("{:.2}", r.read_cost),
-                format!("{:.2}", r.paper_read),
-                format!("{:.2}", r.storage_cost),
-                format!("{:.2}", r.paper_storage),
-                r.atomic.to_string(),
-            ]
+/// Theorem 5.3: SODA's total storage cost is `n/(n−f)`. The same argument
+/// carried over to repair: a replacement re-encodes its element from `k`
+/// survivors, so it pulls at most what the cluster stores — never the `n`
+/// values of replication.
+pub fn storage_cost_sweep(points: &[(usize, usize)], value_size: usize, seed: u64) -> Table {
+    let mut sheet = Sheet::new("Theorem 5.3", value_size);
+    for &(n, f) in points {
+        let outcome = sheet.run(ScenarioParams {
+            value_size,
+            seed,
+            ..ScenarioParams::new(ProtocolKind::Soda, n, f)
+        });
+        let label = format!("SODA n={n} f={f}");
+        sheet.storage(&label, &outcome, Relation::Equal);
+        let d = &outcome.descriptor;
+        let repair = repair_traffic(n, f, value_size, seed);
+        let quantity = format!("{label} repair traffic");
+        sheet.claim(
+            quantity,
+            repair,
+            Relation::AtMost,
+            d.paper_storage_cost(),
+            d.k(),
+        );
+    }
+    sheet.finish(format!(
+        "Theorem 5.3: SODA stores n/(n−f), and a repair pulls no more, |v| = {value_size} B"
+    ))
+}
+
+/// Normalized traffic of repairing rank 1 of a SODA cluster after one
+/// write; infinite if the repair does not complete.
+fn repair_traffic(n: usize, f: usize, value_size: usize, seed: u64) -> f64 {
+    let mut cluster = ClusterBuilder::new(ProtocolKind::Soda, n, f)
+        .with_seed(seed)
+        .build()
+        .expect("valid SODA parameters");
+    cluster.invoke_write(0, vec![0xC0; value_size]);
+    cluster.run_to_quiescence();
+    let crash_at = cluster.now();
+    cluster.crash_server_at(crash_at, 1);
+    cluster.repair_server_at(crash_at + 10, 1);
+    cluster.run_to_quiescence();
+    cluster
+        .repair_report(1)
+        .filter(|report| report.completed_at.is_some())
+        .map_or(f64::INFINITY, |report| {
+            report.traffic_bytes as f64 / value_size as f64
         })
-        .collect();
-    render_table(
-        &[
-            "algorithm",
-            "n",
-            "f",
-            "δw",
-            "write(meas)",
-            "write(paper)",
-            "read(meas)",
-            "read(paper)",
-            "storage(meas)",
-            "storage(paper)",
-            "atomic",
-        ],
-        &body,
-    )
 }
 
-// ---------------------------------------------------------------------------
-// F1 (Theorem 5.3): storage cost n/(n-f).
-// ---------------------------------------------------------------------------
-
-/// One `(n, f)` point of the storage-cost experiment.
-#[derive(Clone, Debug)]
-pub struct StorageRow {
-    /// Number of servers.
-    pub n: usize,
-    /// Fault tolerance.
-    pub f: usize,
-    /// Measured normalized total storage cost.
-    pub measured: f64,
-    /// Paper's `n/(n−f)`.
-    pub paper: f64,
-}
-
-json_row!(StorageRow {
-    n,
-    f,
-    measured,
-    paper
-});
-
-/// Measures SODA's total storage cost across `(n, f)` combinations.
-pub fn storage_cost_sweep(
-    points: &[(usize, usize)],
-    value_size: usize,
-    seed: u64,
-) -> Vec<StorageRow> {
-    points
-        .iter()
-        .map(|&(n, f)| {
-            let outcome = run_scenario(&ScenarioParams {
+/// Theorem 5.4: SODA's write costs at most `5f²` (and at most the MD-VALUE
+/// fan-out); ABD's costs `n`. Uses `n = 2f + 1`, maximum fault tolerance.
+pub fn write_cost_sweep(fs: &[usize], value_size: usize, seed: u64) -> Table {
+    let mut sheet = Sheet::new("Theorem 5.4", value_size);
+    for &f in fs {
+        let n = 2 * f + 1;
+        for kind in [ProtocolKind::Soda, ProtocolKind::Abd] {
+            let outcome = sheet.run(ScenarioParams {
                 value_size,
                 seed,
-                ..ScenarioParams::new(ProtocolKind::Soda, n, f)
+                ..ScenarioParams::new(kind, n, f)
             });
-            StorageRow {
-                n,
-                f,
-                measured: outcome.storage_cost,
-                paper: paper::soda_storage(n, f),
-            }
-        })
-        .collect()
+            sheet.write(&format!("{} n={n} f={f}", kind.name()), &outcome);
+        }
+    }
+    sheet.finish(format!(
+        "Theorem 5.4: a SODA write costs at most 5f², an ABD write n, n = 2f + 1, \
+         |v| = {value_size} B"
+    ))
 }
 
-// ---------------------------------------------------------------------------
-// F2 (Theorem 5.4): write cost <= 5 f^2.
-// ---------------------------------------------------------------------------
-
-/// One point of the write-cost experiment.
-#[derive(Clone, Debug)]
-pub struct WriteCostRow {
-    /// Number of servers.
-    pub n: usize,
-    /// Fault tolerance.
-    pub f: usize,
-    /// Measured normalized write cost of SODA.
-    pub soda: f64,
-    /// The paper's bound `5 f²`.
-    pub bound: f64,
-    /// Measured ABD write cost (`n`) for comparison.
-    pub abd: f64,
-}
-
-json_row!(WriteCostRow {
-    n,
-    f,
-    soda,
-    bound,
-    abd
-});
-
-/// Measures SODA's write communication cost against the `5f²` bound, with ABD
-/// as the replication baseline. Uses `n = 2f + 1` (maximum fault tolerance).
-pub fn write_cost_sweep(fs: &[usize], value_size: usize, seed: u64) -> Vec<WriteCostRow> {
-    fs.iter()
-        .map(|&f| {
-            let n = 2 * f + 1;
-            let soda = run_scenario(&ScenarioParams {
-                value_size,
-                seed,
-                ..ScenarioParams::new(ProtocolKind::Soda, n, f)
-            });
-            let abd = run_scenario(&ScenarioParams {
-                value_size,
-                seed,
-                ..ScenarioParams::new(ProtocolKind::Abd, n, f)
-            });
-            WriteCostRow {
-                n,
-                f,
-                soda: soda.write_cost,
-                bound: paper::soda_write_bound(f),
-                abd: abd.write_cost,
-            }
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------------
-// F3 (Theorem 5.6): read cost n/(n-f) * (delta_w + 1).
-// ---------------------------------------------------------------------------
-
-/// One point of the read-cost experiment.
-#[derive(Clone, Debug)]
-pub struct ReadCostRow {
-    /// Number of servers.
-    pub n: usize,
-    /// Fault tolerance.
-    pub f: usize,
-    /// Requested number of concurrent writes.
-    pub delta_w_target: usize,
-    /// Writes actually concurrent with the measured read.
-    pub delta_w_actual: usize,
-    /// Measured normalized read cost.
-    pub measured: f64,
-    /// Paper's `n/(n−f) · (δw + 1)` evaluated at the *actual* δw.
-    pub paper: f64,
-}
-
-json_row!(ReadCostRow {
-    n,
-    f,
-    delta_w_target,
-    delta_w_actual,
-    measured,
-    paper
-});
-
-/// Measures SODA's read cost as the number of concurrent writes grows.
+/// Theorem 5.6: SODA's read costs at most `n/(n−f)·(δw + 1)`, `δw` being
+/// the writes actually concurrent with it.
 pub fn read_cost_sweep(
     n: usize,
     f: usize,
     delta_ws: &[usize],
     value_size: usize,
     seed: u64,
-) -> Vec<ReadCostRow> {
-    delta_ws
-        .iter()
-        .map(|&delta_w| {
-            let outcome = run_scenario(&ScenarioParams {
-                delta_w,
-                value_size,
-                seed,
-                ..ScenarioParams::new(ProtocolKind::Soda, n, f)
-            });
-            ReadCostRow {
-                n,
-                f,
-                delta_w_target: delta_w,
-                delta_w_actual: outcome.delta_w_actual,
-                measured: outcome.read_cost,
-                paper: paper::soda_read(n, f, outcome.delta_w_actual),
-            }
-        })
-        .collect()
+) -> Table {
+    let mut sheet = Sheet::new("Theorem 5.6", value_size);
+    for &delta_w in delta_ws {
+        let outcome = sheet.run(ScenarioParams {
+            delta_w,
+            value_size,
+            seed,
+            ..ScenarioParams::new(ProtocolKind::Soda, n, f)
+        });
+        sheet.read(&format!("δw target={delta_w}: SODA"), &outcome);
+    }
+    sheet.finish(format!(
+        "Theorem 5.6: a SODA read costs at most n/(n−f)·(δw + 1), n = {n}, f = {f}, \
+         |v| = {value_size} B"
+    ))
 }
 
-// ---------------------------------------------------------------------------
-// F4 (Theorem 5.7): latency bounds 5Δ (write) and 6Δ (read).
-// ---------------------------------------------------------------------------
-
-/// One point of the latency experiment.
-#[derive(Clone, Debug)]
-pub struct LatencyRow {
-    /// Number of servers.
-    pub n: usize,
-    /// Fault tolerance.
-    pub f: usize,
-    /// The delay bound Δ in ticks.
-    pub delta: u64,
-    /// Measured write latency in Δ units.
-    pub write_deltas: f64,
-    /// Measured read latency in Δ units.
-    pub read_deltas: f64,
-    /// The paper's write bound (5Δ).
-    pub write_bound: f64,
-    /// The paper's read bound (6Δ).
-    pub read_bound: f64,
+/// Theorem 5.7: with every message taking exactly Δ, a SODA write finishes
+/// within 5Δ and a read within 6Δ.
+pub fn latency_sweep(points: &[(usize, usize)], delta: u64, value_size: usize, seed: u64) -> Table {
+    let mut sheet = Sheet::new("Theorem 5.7", value_size);
+    for &(n, f) in points {
+        let outcome = sheet.run(ScenarioParams {
+            value_size,
+            seed,
+            delta,
+            constant_delay: true,
+            ..ScenarioParams::new(ProtocolKind::Soda, n, f)
+        });
+        let label = format!("SODA n={n} f={f}");
+        let write = outcome.write_latency_deltas();
+        let read = outcome.read_latency_deltas();
+        let write_bound = paper::SODA_WRITE_LATENCY_DELTAS as f64;
+        let read_bound = paper::SODA_READ_LATENCY_DELTAS as f64;
+        sheet.at_most(format!("{label} write latency (Δ)"), write, write_bound);
+        sheet.at_most(format!("{label} read latency (Δ)"), read, read_bound);
+    }
+    sheet.finish(format!(
+        "Theorem 5.7: with delays of exactly Δ = {delta} ticks a SODA write takes at most \
+         5Δ and a read 6Δ"
+    ))
 }
 
-json_row!(LatencyRow {
-    n,
-    f,
-    delta,
-    write_deltas,
-    read_deltas,
-    write_bound,
-    read_bound
-});
-
-/// Measures operation latencies under a constant-delay network with bound Δ.
-pub fn latency_sweep(
-    points: &[(usize, usize)],
-    delta: u64,
-    value_size: usize,
-    seed: u64,
-) -> Vec<LatencyRow> {
-    points
-        .iter()
-        .map(|&(n, f)| {
-            let outcome = run_scenario(&ScenarioParams {
-                value_size,
-                seed,
-                delta,
-                constant_delay: true,
-                ..ScenarioParams::new(ProtocolKind::Soda, n, f)
-            });
-            LatencyRow {
-                n,
-                f,
-                delta,
-                write_deltas: outcome.write_latency_deltas(),
-                read_deltas: outcome.read_latency_deltas(),
-                write_bound: paper::SODA_WRITE_LATENCY_DELTAS as f64,
-                read_bound: paper::SODA_READ_LATENCY_DELTAS as f64,
-            }
-        })
-        .collect()
+/// Theorem 6.3: SODAerr's costs as the error budget `e` grows, with `e`
+/// servers actually serving corrupted elements (`e = 0` is plain SODA).
+pub fn sodaerr_sweep(n: usize, f: usize, es: &[usize], value_size: usize, seed: u64) -> Table {
+    let mut sheet = Sheet::new("Theorem 6.3", value_size);
+    for &e in es {
+        let kind = if e == 0 {
+            ProtocolKind::Soda
+        } else {
+            ProtocolKind::SodaErr { e }
+        };
+        let outcome = sheet.run(ScenarioParams {
+            faulty_disks: (0..e).collect(),
+            value_size,
+            seed,
+            ..ScenarioParams::new(kind, n, f)
+        });
+        sheet.costs(&format!("{} e={e}", kind.name()), &outcome);
+    }
+    sheet.finish(format!(
+        "Theorem 6.3: SODAerr with e corrupted disks stores n/(n−f−2e), reads at most \
+         n/(n−f−2e)·(δw + 1), writes at most the MD-VALUE fan-out, n = {n}, f = {f}, \
+         |v| = {value_size} B"
+    ))
 }
 
-// ---------------------------------------------------------------------------
-// F5 (Theorem 6.3): SODAerr costs.
-// ---------------------------------------------------------------------------
-
-/// One point of the SODAerr cost experiment.
-#[derive(Clone, Debug)]
-pub struct SodaErrRow {
-    /// Number of servers.
-    pub n: usize,
-    /// Fault tolerance.
-    pub f: usize,
-    /// Error budget.
-    pub e: usize,
-    /// Number of servers whose disks actually corrupt data in the run.
-    pub faulty_disks: usize,
-    /// Measured storage cost.
-    pub storage_measured: f64,
-    /// Paper's `n/(n−f−2e)`.
-    pub storage_paper: f64,
-    /// Measured read cost.
-    pub read_measured: f64,
-    /// Paper's `n/(n−f−2e) · (δw+1)`.
-    pub read_paper: f64,
-    /// Measured write cost.
-    pub write_measured: f64,
-    /// Paper's write bound `5f²`.
-    pub write_bound: f64,
-    /// Whether every read decoded the correct value despite the corruption.
-    pub atomic: bool,
-}
-
-json_row!(SodaErrRow {
-    n,
-    f,
-    e,
-    faulty_disks,
-    storage_measured,
-    storage_paper,
-    read_measured,
-    read_paper,
-    write_measured,
-    write_bound,
-    atomic,
-});
-
-/// Measures SODAerr's storage / read / write costs as the error budget grows,
-/// with `e` servers actually serving corrupted elements.
-pub fn sodaerr_sweep(
-    n: usize,
-    f: usize,
-    es: &[usize],
-    value_size: usize,
-    seed: u64,
-) -> Vec<SodaErrRow> {
-    es.iter()
-        .map(|&e| {
-            let kind = if e == 0 {
-                ProtocolKind::Soda
-            } else {
-                ProtocolKind::SodaErr { e }
-            };
-            let faulty: Vec<usize> = (0..e).collect();
-            let outcome = run_scenario(&ScenarioParams {
-                faulty_disks: faulty.clone(),
-                value_size,
-                seed,
-                ..ScenarioParams::new(kind, n, f)
-            });
-            SodaErrRow {
-                n,
-                f,
-                e,
-                faulty_disks: faulty.len(),
-                storage_measured: outcome.storage_cost,
-                storage_paper: paper::sodaerr_storage(n, f, e),
-                read_measured: outcome.read_cost,
-                read_paper: paper::sodaerr_read(n, f, e, outcome.delta_w_actual),
-                write_measured: outcome.write_cost,
-                write_bound: paper::soda_write_bound(f),
-                atomic: outcome.atomic,
-            }
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------------
-// F6 (Theorem 3.2): no state bloat after MD-VALUE completes.
-// ---------------------------------------------------------------------------
-
-/// One point of the MD-VALUE residual-state experiment.
-#[derive(Clone, Debug)]
-pub struct MdStateRow {
-    /// Number of servers.
-    pub n: usize,
-    /// Fault tolerance.
-    pub f: usize,
-    /// Whether the writer crashed mid-dispersal in this run.
-    pub writer_crashed: bool,
-    /// Coded-element bytes stored per server (exactly one element's worth).
-    pub stored_bytes_per_server: f64,
-    /// Residual value/coded bytes beyond the single stored element (must be 0).
-    pub residual_bytes: u64,
-    /// Registered readers left over (must be 0).
-    pub residual_registrations: usize,
-    /// History entries left over after all operations completed.
-    pub residual_history: usize,
-}
-
-json_row!(MdStateRow {
-    n,
-    f,
-    writer_crashed,
-    stored_bytes_per_server,
-    residual_bytes,
-    residual_registrations,
-    residual_history,
-});
-
-/// Checks Theorem 3.2: after the dispersal completes, servers hold exactly one
-/// coded element and no buffered values, even if the writer crashes mid-send.
-pub fn md_state_experiment(
-    points: &[(usize, usize)],
-    value_size: usize,
-    seed: u64,
-) -> Vec<MdStateRow> {
-    let mut rows = Vec::new();
+/// Theorem 3.2: once a dispersal completes, every server holds exactly one
+/// coded element and no buffered value, registration or history entry, even
+/// when the writer crashes mid-send.
+pub fn md_state_experiment(points: &[(usize, usize)], value_size: usize, seed: u64) -> Table {
+    let mut sheet = Sheet::new("Theorem 3.2", value_size);
     for &(n, f) in points {
         for crash_writer in [false, true] {
             let mut cluster = ClusterBuilder::new(ProtocolKind::Soda, n, f)
@@ -547,52 +489,29 @@ pub fn md_state_experiment(
                 cluster.crash_writer_at(crash_at, 0);
             }
             cluster.run_to_quiescence();
-            let per_server = cluster.stored_bytes_per_server();
-            let expected_element = (value_size + 8).div_ceil(n - f) as u64;
-            let residual: u64 = per_server
+            let element = (value_size + 8).div_ceil(n - f) as u64;
+            let residual: u64 = cluster
+                .stored_bytes_per_server()
                 .iter()
-                .map(|&b| b.saturating_sub(expected_element))
+                .map(|&b| b.saturating_sub(element))
                 .sum();
-            rows.push(MdStateRow {
-                n,
-                f,
-                writer_crashed: crash_writer,
-                stored_bytes_per_server: per_server.iter().sum::<u64>() as f64 / n as f64,
-                residual_bytes: residual,
-                residual_registrations: cluster.total_registered_readers(),
-                residual_history: cluster.total_history_entries(),
-            });
+            let label = format!("n={n} f={f} writer crashed={crash_writer}");
+            let registrations = cluster.total_registered_readers() as f64;
+            let history = cluster.total_history_entries() as f64;
+            sheet.equal(format!("{label} residual bytes"), residual as f64, 0.0);
+            sheet.equal(format!("{label} registrations"), registrations, 0.0);
+            sheet.equal(format!("{label} history entries"), history, 0.0);
         }
     }
-    rows
+    sheet.finish(format!(
+        "Theorem 3.2: after MD-VALUE completes a server keeps one coded element and \
+         nothing else, writer crash or not, |v| = {value_size} B"
+    ))
 }
 
-// ---------------------------------------------------------------------------
-// A1: relay ablation — liveness of reads under concurrency.
-// ---------------------------------------------------------------------------
-
-/// One point of the relay ablation.
-#[derive(Clone, Debug)]
-pub struct RelayAblationRow {
-    /// Whether concurrent-write relaying was enabled (paper behaviour).
-    pub relay_enabled: bool,
-    /// Whether the racing read completed.
-    pub read_completed: bool,
-    /// Latency of the read in ticks (0 when it never completed).
-    pub read_latency: u64,
-    /// Whether the concurrent write completed (it always should).
-    pub write_completed: bool,
-}
-
-json_row!(RelayAblationRow {
-    relay_enabled,
-    read_completed,
-    read_latency,
-    write_completed
-});
-
-/// Demonstrates why reader registration + relaying (Fig. 5, response 3) is
-/// essential for liveness (Theorem 5.1).
+/// Why reader registration + relaying (Fig. 5, response 3) is essential for
+/// liveness (Theorem 5.1): the racing read completes with it and never
+/// without it; the write completes either way.
 ///
 /// The scenario is adversarial but entirely within the asynchronous model:
 /// a write's dispersal reaches the first backbone server quickly while every
@@ -602,11 +521,11 @@ json_row!(RelayAblationRow {
 /// it. With relaying, the remaining servers forward their elements as soon as
 /// the slow dispersal reaches them, and the read finishes. Without relaying
 /// they stay silent forever and the read never terminates.
-pub fn relay_ablation(value_size: usize, seed: u64) -> Vec<RelayAblationRow> {
+pub fn relay_ablation(value_size: usize, seed: u64) -> Table {
     use soda_simnet::{DelayModel, NetworkConfig, ProcessId, SimTime};
     let n = 5usize;
     let f = 2usize;
-    let mut rows = Vec::new();
+    let mut sheet = Sheet::new("Theorem 5.1", value_size);
     for relay_enabled in [true, false] {
         // Servers are processes 0..4, the writer is 5, the reader is 6.
         let writer_pid = ProcessId(n as u32);
@@ -647,50 +566,27 @@ pub fn relay_ablation(value_size: usize, seed: u64) -> Vec<RelayAblationRow> {
         cluster.invoke_read_at(SimTime::from_ticks(60), 0);
         cluster.run_to_quiescence();
         let ops = cluster.completed_ops();
-        let read = ops.iter().find(|o| o.kind.is_read());
-        let write_completed = ops.iter().any(|o| o.kind.is_write());
-        rows.push(RelayAblationRow {
-            relay_enabled,
-            read_completed: read.is_some(),
-            read_latency: read.map(|o| o.latency()).unwrap_or(0),
-            write_completed,
-        });
+        let reads = ops.iter().filter(|o| o.kind.is_read()).count() as f64;
+        let writes = ops.len() as f64 - reads;
+        let relay = if relay_enabled { "on" } else { "off" };
+        let read_completes = if relay_enabled { 1.0 } else { 0.0 };
+        sheet.equal(
+            format!("relay {relay}: reads completed"),
+            reads,
+            read_completes,
+        );
+        sheet.equal(format!("relay {relay}: writes completed"), writes, 1.0);
     }
-    rows
+    sheet.finish(format!(
+        "Theorem 5.1, ablated: a read racing a slowly dispersing write completes only \
+         with relaying, n = {n}, f = {f}"
+    ))
 }
 
-// ---------------------------------------------------------------------------
-// A2: storage elasticity — CASGC's rigid delta vs SODA's elastic delta_w.
-// ---------------------------------------------------------------------------
-
-/// One point of the storage-elasticity ablation.
-#[derive(Clone, Debug)]
-pub struct ElasticityRow {
-    /// The concurrency bound δ CASGC is provisioned for.
-    pub provisioned_delta: usize,
-    /// The actual concurrency during the run.
-    pub actual_delta_w: usize,
-    /// SODA's measured storage cost (independent of concurrency).
-    pub soda_storage: f64,
-    /// CASGC's measured storage cost (grows with the provisioned δ).
-    pub casgc_storage: f64,
-    /// SODA's measured read cost (grows with the actual δw).
-    pub soda_read: f64,
-    /// CASGC's measured read cost (independent of δ).
-    pub casgc_read: f64,
-}
-
-json_row!(ElasticityRow {
-    provisioned_delta,
-    actual_delta_w,
-    soda_storage,
-    casgc_storage,
-    soda_read,
-    casgc_read,
-});
-
-/// Contrasts CASGC's storage (provisioned for a worst-case δ) with SODA's
-/// storage (always `n/(n−f)`) while the *actual* concurrency stays small.
+/// CASGC provisions storage for a worst-case concurrency `δ` and pays
+/// `n/(n−2f)·(δ + 1)` however little concurrency happens; SODA always
+/// stores `n/(n−f)` and pays for the concurrency a read actually meets
+/// (Section I-B).
 pub fn storage_elasticity(
     n: usize,
     f: usize,
@@ -698,61 +594,38 @@ pub fn storage_elasticity(
     actual_delta_w: usize,
     value_size: usize,
     seed: u64,
-) -> Vec<ElasticityRow> {
-    provisioned
-        .iter()
-        .map(|&delta| {
-            let soda = run_scenario(&ScenarioParams {
-                delta_w: actual_delta_w,
-                value_size,
-                seed,
-                ..ScenarioParams::new(ProtocolKind::Soda, n, f)
-            });
-            // CASGC needs n > 2f.
-            let f_cas = f.min((n - 1) / 2);
-            let casgc = run_scenario(&ScenarioParams {
-                delta_w: actual_delta_w,
-                value_size,
-                seed,
-                ..ScenarioParams::new(ProtocolKind::Casgc { gc: delta }, n, f_cas)
-            });
-            ElasticityRow {
-                provisioned_delta: delta,
-                actual_delta_w: soda.delta_w_actual,
-                soda_storage: soda.storage_cost,
-                casgc_storage: casgc.storage_cost,
-                soda_read: soda.read_cost,
-                casgc_read: casgc.read_cost,
-            }
-        })
-        .collect()
-}
-
-/// A tiny smoke workload used by doctests and the quickstart: one write and
-/// one read against every protocol kind, returning the read-back values.
-pub fn smoke_all_kinds(seed: u64) -> Vec<(String, bool)> {
-    soda_registry::ALL_KINDS
-        .iter()
-        .map(|&kind| {
-            let n = if kind.error_budget() > 0 { 7 } else { 5 };
-            let mut cluster = ClusterBuilder::new(kind, n, 2)
-                .with_seed(seed)
-                .build()
-                .expect("representative parameters are valid");
-            cluster.invoke_write(0, value_of(512, 1));
-            cluster.run_to_quiescence();
-            cluster.invoke_read(0);
-            cluster.run_to_quiescence();
-            let ops = cluster.completed_ops();
-            let ok = ops.len() == 2 && ops[1].value == ops[0].value;
-            (kind.name().to_string(), ok)
-        })
-        .collect()
+) -> Table {
+    let mut sheet = Sheet::new("Section I-B", value_size);
+    let params = |kind| ScenarioParams {
+        delta_w: actual_delta_w,
+        value_size,
+        seed,
+        ..ScenarioParams::new(kind, n, f)
+    };
+    for &delta in provisioned {
+        let soda = sheet.run(params(ProtocolKind::Soda));
+        let casgc = sheet.run(params(ProtocolKind::Casgc { gc: delta }));
+        sheet.storage(&format!("δ={delta} SODA"), &soda, Relation::Equal);
+        // CASGC's closed form is its provisioned worst case, reached only
+        // once δ + 1 versions have been written.
+        sheet.storage(&format!("δ={delta} CASGC"), &casgc, Relation::AtMost);
+        sheet.read(&format!("δ={delta} SODA"), &soda);
+        sheet.read(&format!("δ={delta} CASGC"), &casgc);
+    }
+    sheet.finish(format!(
+        "Section I-B: CASGC stores for its provisioned δ, SODA for none, n = {n}, f = {f}, \
+         {actual_delta_w} write(s) concurrent with the read, |v| = {value_size} B"
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::to_json;
+
+    fn assert_holds(table: &Table) {
+        assert!(table.claims.iter().all(|c| c.holds), "{table}");
+    }
 
     #[test]
     fn render_table_aligns_columns() {
@@ -766,101 +639,60 @@ mod tests {
 
     #[test]
     fn to_json_produces_valid_output() {
-        let rows = vec![StorageRow {
-            n: 5,
-            f: 2,
-            measured: 1.7,
-            paper: 5.0 / 3.0,
-        }];
-        let json = to_json(&rows);
-        assert!(json.contains("\"n\": 5"));
+        let claim = Claim::new(
+            "Theorem 5.3",
+            "SODA n=5 f=2 storage".into(),
+            1.7,
+            Relation::Equal,
+            5.0 / 3.0,
+            padding(Some(3), 64),
+        );
+        assert!(claim.holds, "{claim:?}");
+        let json = to_json(&[claim]);
+        assert!(json.contains("\"relation\": \"=\""), "{json}");
+        assert!(json.contains("\"holds\": true"), "{json}");
     }
 
     #[test]
     fn storage_sweep_matches_formula() {
-        let rows = storage_cost_sweep(&[(5, 2), (8, 3)], 2048, 7);
-        for row in rows {
-            assert!(
-                (row.measured - row.paper).abs() < 0.1,
-                "n={} f={}: measured {} vs paper {}",
-                row.n,
-                row.f,
-                row.measured,
-                row.paper
-            );
-        }
+        assert_holds(&storage_cost_sweep(&[(5, 2), (8, 3)], 2048, 7));
     }
 
     #[test]
     fn write_cost_stays_under_bound_and_below_abd_for_large_f() {
-        let rows = write_cost_sweep(&[2, 3], 2048, 3);
-        for row in rows {
-            assert!(
-                row.soda <= row.bound,
-                "f={}: {} > {}",
-                row.f,
-                row.soda,
-                row.bound
-            );
-        }
+        assert_holds(&write_cost_sweep(&[2, 3], 2048, 3));
     }
 
     #[test]
     fn read_cost_grows_with_concurrency_but_respects_bound() {
-        let rows = read_cost_sweep(5, 2, &[0, 2], 1024, 5);
-        assert!(rows[1].measured >= rows[0].measured * 0.9);
-        for row in &rows {
-            assert!(
-                row.measured <= row.paper + 0.5,
-                "δw={} measured {} paper {}",
-                row.delta_w_actual,
-                row.measured,
-                row.paper
-            );
-        }
+        let table = read_cost_sweep(5, 2, &[0, 2], 1024, 5);
+        assert_holds(&table);
+        assert!(table.claims[1].measured >= table.claims[0].measured * 0.9);
     }
 
     #[test]
     fn latency_within_paper_bounds() {
-        let rows = latency_sweep(&[(5, 2)], 20, 1024, 2);
-        for row in rows {
-            assert!(row.write_deltas <= row.write_bound + 1e-9);
-            assert!(row.read_deltas <= row.read_bound + 1e-9);
-        }
+        assert_holds(&latency_sweep(&[(5, 2)], 20, 1024, 2));
     }
 
     #[test]
     fn md_state_has_no_residual_value_bytes() {
-        let rows = md_state_experiment(&[(5, 2)], 1500, 4);
-        for row in rows {
-            assert_eq!(
-                row.residual_bytes, 0,
-                "writer_crashed={}",
-                row.writer_crashed
-            );
-            assert_eq!(row.residual_registrations, 0);
-        }
+        assert_holds(&md_state_experiment(&[(5, 2)], 1500, 4));
     }
 
     #[test]
     fn relay_ablation_shows_liveness_gap() {
-        let rows = relay_ablation(1024, 9);
-        let with_relay = rows.iter().find(|r| r.relay_enabled).unwrap();
-        let without_relay = rows.iter().find(|r| !r.relay_enabled).unwrap();
-        assert!(with_relay.read_completed, "paper protocol: read completes");
-        assert!(with_relay.write_completed && without_relay.write_completed);
-        assert!(
-            !without_relay.read_completed,
-            "without relaying the racing read must never terminate"
-        );
+        assert_holds(&relay_ablation(1024, 9));
     }
 
+    /// The paper gate: every claim of every table, at the parameters the
+    /// `reproduce` binary reports.
     #[test]
-    fn smoke_covers_all_five_kinds() {
-        let results = smoke_all_kinds(5);
-        assert_eq!(results.len(), 5);
-        for (name, ok) in results {
-            assert!(ok, "{name}: write/read round trip failed");
+    fn every_paper_claim_holds() {
+        let tables = reproduce();
+        assert_eq!(tables.len(), 9);
+        for table in &tables {
+            assert_holds(table);
         }
     }
 }

@@ -1,9 +1,9 @@
-//! Dependency-free JSON emission for experiment rows.
+//! Dependency-free JSON emission for flat rows.
 //!
-//! The experiment sweeps archive their rows as JSON (for `EXPERIMENTS.md` and
-//! the bench binaries' `[out.json]` argument). The build environment has no
-//! crates.io access, so instead of `serde`/`serde_json` the row structs
-//! implement the small [`JsonRow`] trait via the [`crate::json_row!`] macro.
+//! The `reproduce` binary writes the paper's claim list as JSON, and the
+//! benchmark its reports. The build environment has no crates.io access, so
+//! instead of `serde`/`serde_json` the row structs implement the small
+//! [`JsonRow`] trait via the [`crate::json_row!`] macro.
 
 use std::fmt::Write as _;
 

@@ -19,7 +19,7 @@
 //! Storage cost is measured at the end, after the system quiesces.
 
 use soda_consistency::{History, Kind};
-use soda_registry::{ClusterBuilder, ProtocolKind};
+use soda_registry::{ClusterBuilder, ClusterDescriptor, ProtocolKind};
 use soda_simnet::{NetworkConfig, SimTime};
 
 /// Parameters of one measurement scenario.
@@ -80,8 +80,9 @@ impl ScenarioParams {
 /// The measurements extracted from one scenario run.
 #[derive(Clone, Debug)]
 pub struct ScenarioOutcome {
-    /// The algorithm that was measured.
-    pub kind: ProtocolKind,
+    /// The cluster that was measured; its `paper_*` methods give the closed
+    /// forms the measurements are compared against.
+    pub descriptor: ClusterDescriptor,
     /// Normalized communication cost of the solo write (data bytes / value size).
     pub write_cost: f64,
     /// Normalized communication cost of the measured read.
@@ -206,7 +207,7 @@ pub fn run_scenario(params: &ScenarioParams) -> ScenarioOutcome {
         .unwrap_or(0);
 
     ScenarioOutcome {
-        kind: params.kind,
+        descriptor: *cluster.descriptor(),
         write_cost,
         read_cost,
         storage_cost,

@@ -130,13 +130,8 @@ fn relay_mechanism_is_required_for_liveness_under_concurrency() {
     // Ablation A1 as a test: with the relay mechanism the racing read
     // completes; with it disabled (and an adversarial but legal schedule) the
     // read never terminates even though the concurrent write does.
-    let rows = relay_ablation(1024, 77);
-    let with_relay = rows.iter().find(|r| r.relay_enabled).unwrap();
-    let without_relay = rows.iter().find(|r| !r.relay_enabled).unwrap();
-    assert!(with_relay.read_completed);
-    assert!(with_relay.write_completed);
-    assert!(!without_relay.read_completed);
-    assert!(without_relay.write_completed);
+    let table = relay_ablation(1024, 77);
+    assert!(table.claims.iter().all(|c| c.holds), "{table}");
 }
 
 #[test]

@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --example cost_comparison`
 
-use soda_repro::soda_workload::experiments::{table1, table1_text};
+use soda_repro::soda_workload::experiments::table1;
 
 fn main() {
     let n = 10;
@@ -14,10 +14,14 @@ fn main() {
     println!(
         "== storage and communication costs at n = {n}, f = fmax, {delta_w} concurrent writes ==\n"
     );
-    let rows = table1(&[n], delta_w, 8 * 1024, 7);
-    println!("{}", table1_text(&rows));
+    let table = table1(&[n], delta_w, 8 * 1024, 7);
+    println!("{table}");
+    assert!(
+        table.claims.iter().all(|c| c.holds),
+        "a Table I claim failed"
+    );
     println!("Reading the table:");
-    println!(" * ABD replicates: every cost is ~n.");
+    println!(" * ABD replicates: writes and storage cost n, reads 2n (the write-back).");
     println!(" * CASGC sends coded elements (~n/(n-2f) per op) but must provision storage for δ+1 versions.");
     println!(
         " * SODA stores exactly one coded element per server (n/(n-f) total) and pays an elastic"

@@ -10,8 +10,8 @@
 //!   ABD, CAS and CASGC.
 //! * [`soda_store`] — the sharded multi-object KV store layered over the
 //!   register protocols ([`soda_store::ShardedStore`]).
-//! * [`soda_workload`] — the shared measurement scenario and the experiment
-//!   sweeps regenerating the paper's tables.
+//! * [`soda_workload`] — the shared measurement scenario and the paper's
+//!   claims as one checked list.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
