@@ -7,13 +7,17 @@
 //!   primitive polynomial `x^8 + x^4 + x^3 + x^2 + 1` (0x11d), implemented with
 //!   precomputed exponential/logarithm tables.
 //! * [`mul_slice`] / [`mul_slice_xor`] / [`xor_slice`] — wide slice kernels
-//!   over split 4-bit-nibble lookup tables, processing eight bytes per
-//!   iteration. These are the bulk-data hot path; the per-byte loops on
-//!   [`Gf256`] remain as the reference implementation.
+//!   over split 4-bit-nibble lookup tables. The multiply kernels process 32
+//!   bytes per iteration with AVX2 shuffles where the CPU has them (detected
+//!   at run time) and eight bytes per `u64` word otherwise and on the tail.
+//!   These are the bulk-data hot path; the per-byte loops on [`Gf256`] remain
+//!   as the reference implementation. The AVX2 kernel is the crate's only
+//!   `unsafe` code.
 //! * [`Poly`] — dense polynomials over GF(2^8) (addition, multiplication,
 //!   Euclidean division, evaluation, formal derivative). Used by the
-//!   error-correcting decoder (syndromes, Berlekamp–Massey, Chien search,
-//!   Forney's formula).
+//!   Berlekamp–Welch error-and-erasure decoder in `soda-rs-code`, which
+//!   solves for an error locator `E` and a product `Q = p·E`, then divides
+//!   `Q` by `E`.
 //! * [`Matrix`] — row-major matrices over GF(2^8) with Gauss–Jordan inversion
 //!   and Vandermonde/Cauchy constructors. Used by the systematic encoder and the
 //!   erasure-only decoder.
@@ -36,7 +40,8 @@
 //! ```
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`: the AVX2 module in `kernel.rs` allows it locally.
+#![deny(unsafe_code)]
 
 mod gf256;
 mod kernel;

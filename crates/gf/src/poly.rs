@@ -5,9 +5,12 @@
 //! coefficient is non-zero, except for the zero polynomial which is an empty
 //! vector.
 //!
-//! These polynomials back the error-correcting Reed–Solomon decoder in
-//! `soda-rs-code`: syndrome polynomials, the Berlekamp–Massey error-locator,
-//! Chien search and Forney's formula all operate on [`Poly`] values.
+//! These polynomials back the Berlekamp–Welch error-and-erasure decoder in
+//! `soda-rs-code`. It builds the product polynomial `Q` and the error locator
+//! `E` with [`Poly::from_coeffs`], recovers the message as `Q / E` with
+//! [`Poly::div_rem`], rejects the result by [`Poly::is_zero`] (a non-zero
+//! remainder) and [`Poly::degree`], and checks it against every received
+//! point with [`Poly::eval`].
 
 use crate::Gf256;
 use std::fmt;

@@ -6,10 +6,12 @@
 //! * **all 256 constants** — every row of the nibble tables is exercised,
 //!   including the `c = 0` and `c = 1` fast paths;
 //! * **ragged lengths** — slices shorter than, equal to, and not a multiple
-//!   of the 8-byte word the kernels process per iteration;
+//!   of the 32-byte AVX2 lane and the 8-byte portable word, including
+//!   `32·m ± r` and slices over 1 KiB, so the vector prefix and the word
+//!   tail are both exercised and meet at every split point;
 //! * **unaligned offsets** — kernels run on sub-slices starting at every
-//!   offset in `0..8` of a larger buffer, so word assembly is checked at
-//!   every alignment.
+//!   offset in `0..32` of a larger buffer, so lane and word loads are checked
+//!   at every alignment.
 //!
 //! Tier-1 runs a fixed budget; the nightly fuzz job scales it with
 //! `KERNEL_EQ_CASES` (see `.github/workflows/ci.yml`).
@@ -29,13 +31,26 @@ fn rng(salt: u64) -> StdRng {
     StdRng::seed_from_u64(0x6b65_7200 ^ salt)
 }
 
-/// Random length that lands on both sides of the 8-byte word boundary.
+/// Random length that lands on both sides of the 32-byte lane and the
+/// 8-byte word boundaries.
 fn ragged_len(rng: &mut StdRng) -> usize {
-    match rng.gen_range(0u8..4) {
+    match rng.gen_range(0u8..7) {
         0 => rng.gen_range(0usize..8),     // below one word
         1 => 8 * rng.gen_range(1usize..9), // whole words
         2 => 8 * rng.gen_range(1usize..9) + rng.gen_range(1usize..8), // ragged tail
-        _ => rng.gen_range(0usize..300),   // anything
+        3 => rng.gen_range(31usize..=33),  // one lane, give or take a byte
+        4 => {
+            // whole lanes, give or take up to a lane
+            let lanes = 32 * rng.gen_range(1usize..40);
+            let r = rng.gen_range(0usize..32);
+            if rng.gen() {
+                lanes + r
+            } else {
+                lanes - r
+            }
+        }
+        5 => rng.gen_range(1025usize..4100), // over 1 KiB
+        _ => rng.gen_range(0usize..300),     // anything
     }
 }
 
@@ -77,11 +92,11 @@ fn mul_slice_xor_equals_mul_acc_slice_for_all_constants() {
 fn kernels_are_correct_at_every_alignment_offset() {
     let mut rng = rng(3);
     for round in 0..cases() {
-        let buf_len = 64 + rng.gen_range(0usize..64);
+        let buf_len = 96 + rng.gen_range(0usize..96);
         let src: Vec<u8> = (0..buf_len).map(|_| rng.gen()).collect();
         let dst: Vec<u8> = (0..buf_len).map(|_| rng.gen()).collect();
         let c = Gf256::new(rng.gen());
-        for offset in 0..8usize {
+        for offset in 0..32usize {
             for tail in 0..8usize {
                 let end = buf_len - tail;
                 let mut kernel = dst.clone();

@@ -524,7 +524,7 @@ mod tests {
 
     #[test]
     fn data_shard_split_consistency_with_inner_code() {
-        // The first k coded elements must equal the striped data shards; the BW
+        // The first k coded elements must equal the contiguous data shards; the BW
         // decoder reconstructs exactly those symbols.
         let code = BerlekampWelchCode::new(9, 4).unwrap();
         let value = sample_value(77);

@@ -21,9 +21,9 @@
 //!   `k + 2e` elements of which up to `e` are silently corrupted. It realizes
 //!   `Φ⁻¹_err`.
 //!
-//! Values of arbitrary byte length are chunked column-wise into `k` data
-//! shards (see [`pad_and_split`]); each byte column is an independent RS
-//! codeword.
+//! Values of arbitrary byte length are cut into `k` contiguous data shards
+//! (see [`pad_and_split`]); byte `j` of every element together is one
+//! independent RS codeword.
 //!
 //! # Example
 //!

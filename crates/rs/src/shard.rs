@@ -2,10 +2,12 @@
 //!
 //! A value is an arbitrary byte string. To feed it through an `[n, k]` code it
 //! is (1) prefixed with an 8-byte little-endian length header, (2) padded with
-//! zeros to a multiple of `k`, and (3) split column-wise into `k` equal data
-//! shards. Each byte column `j` across the `k` data shards is one Reed–Solomon
-//! message word, so shard length = coded-element length = `ceil((len+8)/k)`,
+//! zeros to a multiple of `k`, and (3) cut into `k` equal contiguous data
+//! shards: shard `i` is bytes `[i·L, (i+1)·L)` of the padded buffer, where
+//! `L = ceil((len+8)/k)`. Byte `j` of the `k` data shards together is one
+//! Reed–Solomon message word, so shard length = coded-element length = `L`,
 //! matching the paper's "each coded element has size 1/k" accounting.
+//! Splitting and reassembly are slice copies, never per-byte work.
 
 use crate::Bytes;
 use std::fmt;
@@ -103,30 +105,49 @@ impl fmt::Display for ReassembleError {
 
 impl std::error::Error for ReassembleError {}
 
-/// Prefixes the value with its length, pads it to a multiple of `k`, and
-/// splits it into `k` equal-length data shards.
-///
-/// The split is *striped*: byte `j` of shard `i` is byte `j * k + i` of the
-/// padded payload, so that each byte column of the shards is an independent
-/// codeword symbol vector.
-pub fn pad_and_split(value: &[u8], k: usize) -> Vec<Vec<u8>> {
+/// Length of each of the `k` data shards of a `value_len`-byte value.
+fn shard_len(value_len: usize, k: usize) -> usize {
     assert!(k > 0, "k must be positive");
-    let total = value.len() + LENGTH_HEADER;
-    let shard_len = total.div_ceil(k);
-    let padded_len = shard_len * k;
+    (value_len + LENGTH_HEADER).div_ceil(k)
+}
+
+/// The padded payload: the length header, the value, then zeros up to a
+/// multiple of `k` — `k` data shards of [`shard_len`] bytes back to back.
+pub(crate) fn pad(value: &[u8], k: usize) -> Vec<u8> {
+    let padded_len = shard_len(value.len(), k) * k;
     let mut padded = Vec::with_capacity(padded_len);
     padded.extend_from_slice(&(value.len() as u64).to_le_bytes());
     padded.extend_from_slice(value);
     padded.resize(padded_len, 0);
+    padded
+}
 
-    let mut shards = vec![vec![0u8; shard_len]; k];
-    // Gather stride-k: sequential writes per shard, no div/mod per byte.
-    for (i, shard) in shards.iter_mut().enumerate() {
-        for (slot, &byte) in shard.iter_mut().zip(padded[i..].iter().step_by(k)) {
-            *slot = byte;
-        }
-    }
-    shards
+/// Data shard `i` alone — bytes `[i·L, (i+1)·L)` of [`pad`]'s output —
+/// without padding the rest of the value.
+pub(crate) fn data_shard(value: &[u8], k: usize, i: usize) -> Vec<u8> {
+    let len = shard_len(value.len(), k);
+    let (start, end) = (i * len, (i + 1) * len);
+    let header = (value.len() as u64).to_le_bytes();
+    let mut shard = Vec::with_capacity(len);
+    shard.extend_from_slice(&header[start.min(LENGTH_HEADER)..end.min(LENGTH_HEADER)]);
+    let body = |at: usize| at.saturating_sub(LENGTH_HEADER).min(value.len());
+    shard.extend_from_slice(&value[body(start)..body(end)]);
+    shard.resize(len, 0);
+    shard
+}
+
+/// Prefixes the value with its length, pads it to a multiple of `k`, and
+/// splits it into `k` equal-length data shards.
+///
+/// The split is *contiguous*: shard `i` is bytes `[i·L, (i+1)·L)` of the
+/// padded payload, so byte `j` of every shard together is one codeword
+/// symbol vector.
+pub fn pad_and_split(value: &[u8], k: usize) -> Vec<Vec<u8>> {
+    let padded = pad(value, k);
+    padded
+        .chunks_exact(shard_len(value.len(), k))
+        .map(<[u8]>::to_vec)
+        .collect()
 }
 
 /// Inverse of [`pad_and_split`]: reassembles the original value from the `k`
@@ -147,15 +168,10 @@ pub fn reassemble(shards: &[Vec<u8>]) -> Result<Vec<u8>, ReassembleError> {
             available: padded_len,
         });
     }
-    let mut padded = vec![0u8; padded_len];
-    // Scatter stride-k: sequential reads per shard, no multiply per byte.
-    for (i, shard) in shards.iter().enumerate() {
-        for (slot, &byte) in padded[i..].iter_mut().step_by(k).zip(shard.iter()) {
-            *slot = byte;
-        }
+    let mut len_bytes = [0u8; LENGTH_HEADER];
+    for (slot, &byte) in len_bytes.iter_mut().zip(shards.iter().flatten()) {
+        *slot = byte;
     }
-    let mut len_bytes = [0u8; 8];
-    len_bytes.copy_from_slice(&padded[..LENGTH_HEADER]);
     let claimed = u64::from_le_bytes(len_bytes);
     let capacity = padded_len - LENGTH_HEADER;
     // Compare in u64: a header claiming close to 2^64 must not wrap when cast
@@ -166,10 +182,17 @@ pub fn reassemble(shards: &[Vec<u8>]) -> Result<Vec<u8>, ReassembleError> {
             capacity,
         });
     }
-    let value_len = claimed as usize;
-    padded.truncate(LENGTH_HEADER + value_len);
-    padded.drain(..LENGTH_HEADER);
-    Ok(padded)
+    // Concatenate the shards' bytes in `[8, 8 + claimed)` of the padded
+    // payload: one slice copy per shard.
+    let (start, end) = (LENGTH_HEADER, LENGTH_HEADER + claimed as usize);
+    let mut value = Vec::with_capacity(end - start);
+    for (i, shard) in shards.iter().enumerate() {
+        let at = i * shard_len;
+        let from = start.clamp(at, at + shard_len) - at;
+        let to = end.clamp(at, at + shard_len) - at;
+        value.extend_from_slice(&shard[from..to]);
+    }
+    Ok(value)
 }
 
 #[cfg(test)]
@@ -250,30 +273,64 @@ mod tests {
         );
     }
 
+    /// `shards` with their length header replaced by `claimed`: bytes `0..8`
+    /// of the padded payload are overwritten, then the payload is split again.
+    fn with_header(shards: &[Vec<u8>], claimed: u64) -> Vec<Vec<u8>> {
+        let mut padded = shards.concat();
+        padded[..LENGTH_HEADER].copy_from_slice(&claimed.to_le_bytes());
+        padded
+            .chunks_exact(shards[0].len())
+            .map(<[u8]>::to_vec)
+            .collect()
+    }
+
     #[test]
     fn reassemble_rejects_length_one_past_capacity() {
-        // The tightest off-by-one: header claims exactly capacity + 1.
+        // The tightest off-by-one: header claims exactly capacity + 1. With
+        // 3 shards of 6 bytes the header spans shards 0 and 1.
         let value = vec![7u8; 10];
-        let mut shards = pad_and_split(&value, 3);
+        let shards = pad_and_split(&value, 3);
+        assert!(shards[0].len() < LENGTH_HEADER);
         let capacity = shards[0].len() * 3 - LENGTH_HEADER;
-        let claimed = (capacity + 1) as u64;
-        for (pos, byte) in claimed.to_le_bytes().into_iter().enumerate() {
-            shards[pos % 3][pos / 3] = byte;
-        }
         assert_eq!(
-            reassemble(&shards),
+            reassemble(&with_header(&shards, capacity as u64 + 1)),
             Err(ReassembleError::LengthOutOfBounds {
                 claimed: capacity + 1,
                 capacity,
             })
         );
+        // A claim whose excess sits in a high header byte — in the second
+        // shard — is caught the same way.
+        let claimed = capacity as u64 | 1 << 56;
+        assert_eq!(
+            reassemble(&with_header(&shards, claimed)),
+            Err(ReassembleError::LengthOutOfBounds {
+                claimed: claimed as usize,
+                capacity,
+            })
+        );
         // Claiming exactly `capacity` is structurally valid (padding bytes
         // become payload, but the header is in bounds).
-        let claimed = capacity as u64;
-        for (pos, byte) in claimed.to_le_bytes().into_iter().enumerate() {
-            shards[pos % 3][pos / 3] = byte;
+        let whole = reassemble(&with_header(&shards, capacity as u64)).unwrap();
+        assert_eq!(whole.len(), capacity);
+        assert_eq!(whole[..value.len()], value[..]);
+    }
+
+    #[test]
+    fn shards_are_contiguous_slices_of_the_padded_value() {
+        for len in [0usize, 1, 7, 8, 9, 100, 1000] {
+            let value: Vec<u8> = (0..len).map(|i| (i * 7 % 253) as u8).collect();
+            for k in [1usize, 2, 3, 5, 17] {
+                let padded = pad(&value, k);
+                assert_eq!(&padded[..LENGTH_HEADER], &(len as u64).to_le_bytes());
+                assert_eq!(&padded[LENGTH_HEADER..LENGTH_HEADER + len], &value[..]);
+                let shards = pad_and_split(&value, k);
+                assert_eq!(shards.concat(), padded, "len={len} k={k}");
+                for (i, shard) in shards.iter().enumerate() {
+                    assert_eq!(&data_shard(&value, k, i), shard, "len={len} k={k} i={i}");
+                }
+            }
         }
-        assert_eq!(reassemble(&shards).unwrap().len(), capacity);
     }
 
     #[test]

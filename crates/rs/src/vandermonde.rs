@@ -14,9 +14,8 @@
 //! instance — one inversion per survivor set, not one per decode.
 
 use crate::cache::{encode_matrix_for, DecodeCache};
-use crate::{
-    pad_and_split, reassemble, validate_params, CodeCacheStats, CodeError, CodedElement, MdsCode,
-};
+use crate::shard::{data_shard, pad};
+use crate::{reassemble, validate_params, CodeCacheStats, CodeError, CodedElement, MdsCode};
 use soda_gf::Matrix;
 use std::sync::Arc;
 
@@ -132,19 +131,20 @@ impl MdsCode for VandermondeCode {
     fn encode(&self, value: &[u8]) -> Result<Vec<CodedElement>, CodeError> {
         // Systematic fast path: rows `0..k` of the encoding matrix are the
         // identity, so the data shards *are* the first `k` coded elements —
-        // only the `n - k` parity rows need GF multiplies.
-        let data_shards = pad_and_split(value, self.k);
-        let refs: Vec<&[u8]> = data_shards.iter().map(|s| s.as_slice()).collect();
+        // only the `n - k` parity rows need GF multiplies. The data shards
+        // are contiguous slices of one padded buffer, each copied once into
+        // its element.
+        let padded = pad(value, self.k);
+        let data: Vec<&[u8]> = padded.chunks_exact(padded.len() / self.k).collect();
         let parity = self
             .parity
-            .apply_to_shards(&refs)
+            .apply_to_shards(&data)
             .expect("shard count equals k by construction");
         let mut out = Vec::with_capacity(self.n);
         out.extend(
-            data_shards
-                .into_iter()
+            data.iter()
                 .enumerate()
-                .map(|(i, data)| CodedElement::new(i, data)),
+                .map(|(i, &shard)| CodedElement::new(i, shard)),
         );
         out.extend(
             parity
@@ -159,17 +159,17 @@ impl MdsCode for VandermondeCode {
         if index >= self.n {
             return Err(CodeError::InvalidIndex { index, n: self.n });
         }
-        let mut data_shards = pad_and_split(value, self.k);
         if index < self.k {
-            // Systematic row: the coded element is the data shard itself.
-            return Ok(CodedElement::new(index, data_shards.swap_remove(index)));
+            // Systematic row: the coded element is that one data shard.
+            return Ok(CodedElement::new(index, data_shard(value, self.k, index)));
         }
-        let refs: Vec<&[u8]> = data_shards.iter().map(|s| s.as_slice()).collect();
-        let data = self
+        let padded = pad(value, self.k);
+        let data: Vec<&[u8]> = padded.chunks_exact(padded.len() / self.k).collect();
+        let element = self
             .parity
-            .apply_row_to_shards(index - self.k, &refs)
+            .apply_row_to_shards(index - self.k, &data)
             .expect("shard count equals k by construction");
-        Ok(CodedElement::new(index, data))
+        Ok(CodedElement::new(index, element))
     }
 
     fn decode(&self, elements: &[CodedElement]) -> Result<Vec<u8>, CodeError> {
@@ -217,7 +217,7 @@ mod tests {
         let code = VandermondeCode::new(6, 4).unwrap();
         let value = sample_value(50);
         let elements = code.encode(&value).unwrap();
-        let data_shards = pad_and_split(&value, 4);
+        let data_shards = crate::pad_and_split(&value, 4);
         for i in 0..4 {
             assert_eq!(
                 elements[i].data, data_shards[i],
