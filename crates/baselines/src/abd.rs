@@ -70,17 +70,6 @@ impl Message for AbdMsg {
             _ => 0,
         }
     }
-
-    fn kind(&self) -> &'static str {
-        match self {
-            AbdMsg::InvokeWrite(_) => "invoke-write",
-            AbdMsg::InvokeRead => "invoke-read",
-            AbdMsg::Query { .. } => "query",
-            AbdMsg::QueryResp { .. } => "query-resp",
-            AbdMsg::Store { .. } => "store",
-            AbdMsg::StoreAck { .. } => "store-ack",
-        }
-    }
 }
 
 /// In-flight state re-acquisition of a replacement ABD server.
@@ -584,7 +573,7 @@ mod tests {
                 started_at: t(10),
                 completed_at: Some(t(14)),
                 traffic_bytes: 18,
-                failed: false,
+                error: None,
             })
         );
         let asked = deliver(&mut s, me, t(15), writer, query(2));

@@ -117,23 +117,6 @@ impl Message for CasMsg {
             _ => 0,
         }
     }
-
-    fn kind(&self) -> &'static str {
-        match self {
-            CasMsg::InvokeWrite(_) => "invoke-write",
-            CasMsg::InvokeRead => "invoke-read",
-            CasMsg::QueryTag { .. } => "query-tag",
-            CasMsg::QueryTagResp { .. } => "query-tag-resp",
-            CasMsg::PreWrite { .. } => "pre-write",
-            CasMsg::PreWriteAck { .. } => "pre-write-ack",
-            CasMsg::Finalize { .. } => "finalize",
-            CasMsg::FinalizeAck { .. } => "finalize-ack",
-            CasMsg::ReadFinalize { .. } => "read-finalize",
-            CasMsg::ReadFinalizeResp { .. } => "read-finalize-resp",
-            CasMsg::RepairPull { .. } => "repair-pull",
-            CasMsg::RepairState { .. } => "repair-state",
-        }
-    }
 }
 
 /// Version label in a server's store.
@@ -814,7 +797,7 @@ mod tests {
         let status = s.repair_status().unwrap();
         assert_eq!(status.completed_at, Some(t(12)));
         assert_eq!(status.traffic_bytes, 3 * elem_len as u64);
-        assert!(!status.failed);
+        assert!(!status.failed());
         // `fin` wins the merge, and rank 0's own element was re-encoded.
         let asked = deliver(&mut s, me, t(13), writer, CasMsg::QueryTag { seq: 1 });
         assert!(matches!(

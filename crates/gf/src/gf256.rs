@@ -89,12 +89,6 @@ impl Gf256 {
         self.0 == 0
     }
 
-    /// Returns `α^power` where α is the canonical generator.
-    #[inline]
-    pub fn alpha_pow(power: usize) -> Self {
-        Gf256(TABLES.exp[power % GROUP_ORDER])
-    }
-
     /// Discrete logarithm base α. Returns `None` for zero.
     #[inline]
     pub fn log(self) -> Option<u16> {
@@ -168,11 +162,6 @@ impl Gf256 {
                 *d ^= TABLES.exp[ls + lb];
             }
         }
-    }
-
-    /// Iterator over all 256 field elements.
-    pub fn all_elements() -> impl Iterator<Item = Gf256> {
-        (0u16..=255).map(|v| Gf256(v as u8))
     }
 }
 
@@ -349,7 +338,7 @@ mod tests {
 
     #[test]
     fn multiplicative_identity_and_zero() {
-        for a in Gf256::all_elements() {
+        for a in (0..=255).map(Gf256::new) {
             assert_eq!(a * Gf256::ONE, a);
             assert_eq!(a * Gf256::ZERO, Gf256::ZERO);
         }
@@ -421,21 +410,21 @@ mod tests {
     }
 
     #[test]
-    fn alpha_pow_wraps_at_group_order() {
-        assert_eq!(Gf256::alpha_pow(0), Gf256::ONE);
-        assert_eq!(Gf256::alpha_pow(255), Gf256::ONE);
-        assert_eq!(Gf256::alpha_pow(256), Gf256::GENERATOR);
-        assert_eq!(Gf256::alpha_pow(1), Gf256::GENERATOR);
-    }
-
-    #[test]
     fn log_exp_round_trip() {
         for a in 1..=255u8 {
             let x = Gf256::new(a);
             let l = x.log().unwrap();
-            assert_eq!(Gf256::alpha_pow(l as usize), x);
+            assert_eq!(Gf256::GENERATOR.pow(u64::from(l)), x);
         }
         assert_eq!(Gf256::ZERO.log(), None);
+    }
+
+    #[test]
+    fn alpha_pow_wraps_at_group_order() {
+        assert_eq!(Gf256::GENERATOR.pow(0), Gf256::ONE);
+        assert_eq!(Gf256::GENERATOR.pow(255), Gf256::ONE);
+        assert_eq!(Gf256::GENERATOR.pow(256), Gf256::GENERATOR);
+        assert_eq!(Gf256::GENERATOR.pow(1), Gf256::GENERATOR);
     }
 
     #[test]

@@ -14,13 +14,12 @@
 //!   as the reference implementation. The AVX2 kernel is the crate's only
 //!   `unsafe` code.
 //! * [`Poly`] — dense polynomials over GF(2^8) (addition, multiplication,
-//!   Euclidean division, evaluation, formal derivative). Used by the
-//!   Berlekamp–Welch error-and-erasure decoder in `soda-rs-code`, which
-//!   solves for an error locator `E` and a product `Q = p·E`, then divides
-//!   `Q` by `E`.
+//!   Euclidean division, evaluation). Used by the Berlekamp–Welch
+//!   error-and-erasure decoder in `soda-rs-code`, which solves for an error
+//!   locator `E` and a product `Q = p·E`, then divides `Q` by `E`.
 //! * [`Matrix`] — row-major matrices over GF(2^8) with Gauss–Jordan inversion
-//!   and Vandermonde/Cauchy constructors. Used by the systematic encoder and the
-//!   erasure-only decoder.
+//!   and a Vandermonde constructor. Used by the systematic encoder and the
+//!   erasure decoder.
 //!
 //! The paper ("Storage-Optimized Data-Atomic Algorithms…", Konwar et al.)
 //! abstracts the code as an encoder Φ and decoders Φ⁻¹ / Φ⁻¹_err over an

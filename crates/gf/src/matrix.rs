@@ -3,8 +3,8 @@
 //! The MDS encoder in `soda-rs-code` is a matrix-vector product of an `n × k`
 //! encoding matrix with the `k` data shards, and the erasure decoder inverts a
 //! `k × k` submatrix of surviving rows. This module provides exactly those
-//! operations, together with the Vandermonde and Cauchy constructions whose
-//! square submatrices are guaranteed invertible (the MDS property).
+//! operations, together with the Vandermonde construction whose square
+//! submatrices of distinct rows are guaranteed invertible (the MDS property).
 
 use crate::Gf256;
 use std::fmt;
@@ -19,8 +19,6 @@ pub enum MatrixError {
         /// Human-readable description of the mismatching operation.
         context: &'static str,
     },
-    /// A Cauchy matrix construction was asked for overlapping index sets.
-    InvalidConstruction(&'static str),
 }
 
 impl fmt::Display for MatrixError {
@@ -30,7 +28,6 @@ impl fmt::Display for MatrixError {
             MatrixError::DimensionMismatch { context } => {
                 write!(f, "dimension mismatch in {context}")
             }
-            MatrixError::InvalidConstruction(msg) => write!(f, "invalid construction: {msg}"),
         }
     }
 }
@@ -111,33 +108,6 @@ impl Matrix {
             }
         }
         m
-    }
-
-    /// A Cauchy matrix with entry `(i, j) = 1 / (x_i + y_j)`.
-    ///
-    /// Requires the `x` and `y` sets to be disjoint and each internally
-    /// distinct; then every square submatrix is invertible.
-    pub fn cauchy(xs: &[Gf256], ys: &[Gf256]) -> Result<Self, MatrixError> {
-        for (i, x) in xs.iter().enumerate() {
-            if xs[i + 1..].contains(x) {
-                return Err(MatrixError::InvalidConstruction("duplicate x point"));
-            }
-            if ys.contains(x) {
-                return Err(MatrixError::InvalidConstruction("x and y sets overlap"));
-            }
-        }
-        for (j, y) in ys.iter().enumerate() {
-            if ys[j + 1..].contains(y) {
-                return Err(MatrixError::InvalidConstruction("duplicate y point"));
-            }
-        }
-        let mut m = Matrix::zero(xs.len(), ys.len());
-        for (i, &x) in xs.iter().enumerate() {
-            for (j, &y) in ys.iter().enumerate() {
-                m[(i, j)] = (x + y).inverse();
-            }
-        }
-        Ok(m)
     }
 
     /// Number of rows.
@@ -319,44 +289,6 @@ impl Matrix {
         }
         Ok(inv)
     }
-
-    /// Rank of the matrix, computed by Gaussian elimination on a copy.
-    pub fn rank(&self) -> usize {
-        let mut work = self.clone();
-        let mut rank = 0;
-        let mut pivot_col = 0;
-        while rank < work.rows && pivot_col < work.cols {
-            let pivot_row = (rank..work.rows).find(|&r| !work[(r, pivot_col)].is_zero());
-            let pivot_row = match pivot_row {
-                Some(r) => r,
-                None => {
-                    pivot_col += 1;
-                    continue;
-                }
-            };
-            work.swap_rows(rank, pivot_row);
-            let pivot_inv = work[(rank, pivot_col)].inverse();
-            for j in 0..work.cols {
-                work[(rank, j)] *= pivot_inv;
-            }
-            for r in 0..work.rows {
-                if r == rank {
-                    continue;
-                }
-                let factor = work[(r, pivot_col)];
-                if factor.is_zero() {
-                    continue;
-                }
-                for j in 0..work.cols {
-                    let w = work[(rank, j)];
-                    work[(r, j)] -= factor * w;
-                }
-            }
-            rank += 1;
-            pivot_col += 1;
-        }
-        rank
-    }
 }
 
 impl std::ops::Index<(usize, usize)> for Matrix {
@@ -452,37 +384,6 @@ mod tests {
     }
 
     #[test]
-    fn cauchy_square_submatrices_invertible() {
-        let xs: Vec<Gf256> = (0..6u8).map(Gf256::new).collect();
-        let ys: Vec<Gf256> = (6..10u8).map(Gf256::new).collect();
-        let c = Matrix::cauchy(&xs, &ys).unwrap();
-        assert_eq!(c.rows(), 6);
-        assert_eq!(c.cols(), 4);
-        let sub = c.select_rows(&[0, 2, 3, 5]);
-        assert!(sub.inverse().is_ok());
-    }
-
-    #[test]
-    fn cauchy_rejects_overlapping_points() {
-        let xs = [Gf256::new(1), Gf256::new(2)];
-        let ys = [Gf256::new(2), Gf256::new(3)];
-        assert!(matches!(
-            Matrix::cauchy(&xs, &ys),
-            Err(MatrixError::InvalidConstruction(_))
-        ));
-    }
-
-    #[test]
-    fn cauchy_rejects_duplicate_points() {
-        let xs = [Gf256::new(1), Gf256::new(1)];
-        let ys = [Gf256::new(3)];
-        assert!(Matrix::cauchy(&xs, &ys).is_err());
-        let xs = [Gf256::new(1)];
-        let ys = [Gf256::new(3), Gf256::new(3)];
-        assert!(Matrix::cauchy(&xs, &ys).is_err());
-    }
-
-    #[test]
     fn mul_vec_matches_mul_with_column_matrix() {
         let m = Matrix::from_bytes(&[&[1, 2, 3], &[4, 5, 6]]);
         let v = vec![Gf256::new(7), Gf256::new(8), Gf256::new(9)];
@@ -535,14 +436,6 @@ mod tests {
         let a = vec![1u8, 2, 3];
         let b = vec![1u8, 2];
         assert!(m.apply_to_shards(&[&a, &b]).is_err());
-    }
-
-    #[test]
-    fn rank_of_vandermonde_is_full() {
-        let v = Matrix::vandermonde(8, 5);
-        assert_eq!(v.rank(), 5);
-        assert_eq!(Matrix::identity(4).rank(), 4);
-        assert_eq!(Matrix::zero(3, 3).rank(), 0);
     }
 
     #[test]

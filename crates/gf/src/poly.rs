@@ -48,16 +48,6 @@ impl Poly {
         Poly::from_coeffs(bytes.iter().map(|&b| Gf256::new(b)).collect())
     }
 
-    /// The monomial `c * x^degree`.
-    pub fn monomial(degree: usize, c: Gf256) -> Self {
-        if c.is_zero() {
-            return Poly::zero();
-        }
-        let mut coeffs = vec![Gf256::ZERO; degree + 1];
-        coeffs[degree] = c;
-        Poly { coeffs }
-    }
-
     /// Returns `true` if this is the zero polynomial.
     pub fn is_zero(&self) -> bool {
         self.coeffs.is_empty()
@@ -106,45 +96,6 @@ impl Poly {
         acc
     }
 
-    /// Formal derivative. Over characteristic 2, the derivative of `c x^i` is
-    /// `c x^{i-1}` when `i` is odd and `0` when `i` is even.
-    pub fn derivative(&self) -> Poly {
-        if self.coeffs.len() <= 1 {
-            return Poly::zero();
-        }
-        let coeffs = self
-            .coeffs
-            .iter()
-            .enumerate()
-            .skip(1)
-            .map(|(i, &c)| if i % 2 == 1 { c } else { Gf256::ZERO })
-            .collect();
-        Poly::from_coeffs(coeffs)
-    }
-
-    /// Multiplies by the scalar `c`.
-    pub fn scale(&self, c: Gf256) -> Poly {
-        if c.is_zero() {
-            return Poly::zero();
-        }
-        Poly::from_coeffs(self.coeffs.iter().map(|&a| a * c).collect())
-    }
-
-    /// Multiplies by `x^k` (shifts coefficients up by `k`).
-    pub fn shift(&self, k: usize) -> Poly {
-        if self.is_zero() {
-            return Poly::zero();
-        }
-        let mut coeffs = vec![Gf256::ZERO; k];
-        coeffs.extend_from_slice(&self.coeffs);
-        Poly { coeffs }
-    }
-
-    /// Truncates the polynomial modulo `x^k` (keeps coefficients of degree < k).
-    pub fn truncate(&self, k: usize) -> Poly {
-        Poly::from_coeffs(self.coeffs.iter().take(k).copied().collect())
-    }
-
     /// Euclidean division: returns `(quotient, remainder)` with
     /// `self = quotient * divisor + remainder` and `deg(remainder) < deg(divisor)`.
     ///
@@ -175,32 +126,6 @@ impl Poly {
             }
         }
         (Poly::from_coeffs(quot), Poly::from_coeffs(rem))
-    }
-
-    /// Product of monomials `∏ (1 - root_i * x)` — the standard form of a
-    /// Reed–Solomon error locator with the given "roots" (which are really the
-    /// reciprocals of the polynomial's actual roots).
-    pub fn from_error_locators<I: IntoIterator<Item = Gf256>>(locators: I) -> Poly {
-        let mut acc = Poly::one();
-        for loc in locators {
-            let factor = Poly::from_coeffs(vec![Gf256::ONE, loc]);
-            acc = &acc * &factor;
-        }
-        acc
-    }
-
-    /// Generator polynomial `∏_{i=first..first+count} (x - α^i)` used by the
-    /// classical (non-systematic BCH view) Reed–Solomon encoder and by the
-    /// syndrome computation.
-    pub fn rs_generator(first_consecutive_root: usize, count: usize) -> Poly {
-        let mut g = Poly::one();
-        for i in 0..count {
-            let root = Gf256::alpha_pow(first_consecutive_root + i);
-            // (x - α^i) == (x + α^i) in characteristic 2
-            let factor = Poly::from_coeffs(vec![root, Gf256::ONE]);
-            g = &g * &factor;
-        }
-        g
     }
 }
 
@@ -363,67 +288,29 @@ mod tests {
 
     #[test]
     fn generator_polynomial_has_alpha_powers_as_roots() {
-        let g = Poly::rs_generator(0, 6);
+        // g(x) = ∏_{i<6} (x - α^i); (x - α^i) == (x + α^i) in characteristic 2
+        let alpha = |i: u64| Gf256::GENERATOR.pow(i);
+        let g = (0..6).fold(Poly::one(), |g, i| {
+            &g * &Poly::from_coeffs(vec![alpha(i), Gf256::ONE])
+        });
         assert_eq!(g.degree(), Some(6));
         for i in 0..6 {
-            assert_eq!(
-                g.eval(Gf256::alpha_pow(i)),
-                Gf256::ZERO,
-                "root α^{i} missing"
-            );
+            assert_eq!(g.eval(alpha(i)), Gf256::ZERO, "root α^{i} missing");
         }
         // and α^6 is not a root
-        assert_ne!(g.eval(Gf256::alpha_pow(6)), Gf256::ZERO);
-    }
-
-    #[test]
-    fn derivative_characteristic_two() {
-        // d/dx (c0 + c1 x + c2 x^2 + c3 x^3) = c1 + c3 x^2  (even-index terms vanish)
-        let q = p(&[9, 7, 5, 3]);
-        let d = q.derivative();
-        assert_eq!(d, p(&[7, 0, 3]));
-        assert!(Poly::one().derivative().is_zero());
-        assert!(Poly::zero().derivative().is_zero());
+        assert_ne!(g.eval(alpha(6)), Gf256::ZERO);
     }
 
     #[test]
     fn error_locator_product_has_reciprocal_roots() {
-        let locs = [Gf256::alpha_pow(3), Gf256::alpha_pow(10)];
-        let sigma = Poly::from_error_locators(locs.iter().copied());
+        let locs = [Gf256::GENERATOR.pow(3), Gf256::GENERATOR.pow(10)];
+        let sigma = locs.iter().fold(Poly::one(), |acc, &loc| {
+            &acc * &Poly::from_coeffs(vec![Gf256::ONE, loc])
+        });
         assert_eq!(sigma.degree(), Some(2));
         for loc in locs {
             // σ(X) = ∏ (1 - X_i x): zero at x = X_i^{-1}
             assert_eq!(sigma.eval(loc.inverse()), Gf256::ZERO);
         }
-    }
-
-    #[test]
-    fn scale_and_shift() {
-        let q = p(&[1, 2, 3]);
-        assert_eq!(q.scale(Gf256::ZERO), Poly::zero());
-        assert_eq!(q.scale(Gf256::ONE), q);
-        let shifted = q.shift(2);
-        assert_eq!(shifted.degree(), Some(4));
-        assert_eq!(shifted.coeff(0), Gf256::ZERO);
-        assert_eq!(shifted.coeff(2), Gf256::new(1));
-        assert_eq!(shifted.coeff(4), Gf256::new(3));
-    }
-
-    #[test]
-    fn truncate_keeps_low_order_terms() {
-        let q = p(&[1, 2, 3, 4, 5]);
-        let t = q.truncate(3);
-        assert_eq!(t, p(&[1, 2, 3]));
-        assert_eq!(q.truncate(0), Poly::zero());
-        assert_eq!(q.truncate(10), q);
-    }
-
-    #[test]
-    fn monomial_constructor() {
-        let m = Poly::monomial(3, Gf256::new(5));
-        assert_eq!(m.degree(), Some(3));
-        assert_eq!(m.coeff(3), Gf256::new(5));
-        assert_eq!(m.coeff(1), Gf256::ZERO);
-        assert!(Poly::monomial(4, Gf256::ZERO).is_zero());
     }
 }

@@ -36,9 +36,9 @@ pub mod paper {
     /// full values up the backbone (`f(f+1)/2` in all) and its coded elements
     /// to everyone else (`(f+1)(n−1−f) + f(f+1)/2`), normalized with a coded
     /// element of an `[n, k]` code counting `1/k`. This is what
-    /// `MdValueRelay::on_full_with` sends; a backbone server that receives its
-    /// coded element before the full value relays nothing, so a write costs at
-    /// most this. SODAerr's write is bounded by it; Theorem 5.4's `5f²` is
+    /// [`crate::md::MdValueRelay::on_full`] relays; a backbone server that
+    /// receives its coded element before the full value relays nothing, so a
+    /// write costs at most this. SODAerr's write is bounded by it; Theorem 5.4's `5f²` is
     /// proven for SODA only, and SODAerr's small `k` exceeds it.
     pub fn md_value_fanout(n: usize, f: usize, k: usize) -> f64 {
         let full = (f + 1) * (f + 2) / 2;

@@ -69,11 +69,6 @@ impl Layout {
         self.servers[rank]
     }
 
-    /// Rank of a server process, if it is one.
-    pub fn rank_of(&self, id: ProcessId) -> Option<usize> {
-        self.servers.iter().position(|&s| s == id)
-    }
-
     /// The set `D`: ranks of the first `f + 1` servers, used as the relay
     /// backbone of the message-disperse primitives.
     pub fn relay_set(&self) -> std::ops::Range<usize> {
@@ -116,8 +111,6 @@ mod tests {
     #[test]
     fn rank_lookup() {
         let l = Layout::new(vec![ProcessId(7), ProcessId(3), ProcessId(9)], 1);
-        assert_eq!(l.rank_of(ProcessId(3)), Some(1));
-        assert_eq!(l.rank_of(ProcessId(42)), None);
         assert_eq!(l.server(2), ProcessId(9));
     }
 

@@ -23,8 +23,9 @@
 //!   simulator clones messages on every hop.
 //! * [`OpRecord`], [`OpKind`], [`PendingWrite`] — the one record vocabulary
 //!   every protocol's clients log their operations in.
-//! * [`RepairDriver`], [`RepairStatus`] — the retry / give-up loop and cost
-//!   accounting of a replacement server's repair.
+//! * [`RepairDriver`], [`RepairStatus`], [`RepairError`] — the retry /
+//!   give-up loop of a replacement server's repair, and the one record of
+//!   its progress, cost and outcome.
 //! * [`ProtocolSpec`] — what a protocol supplies so that one generic cluster
 //!   harness can build, drive and inspect it.
 
@@ -45,7 +46,9 @@ mod value;
 pub use layout::Layout;
 pub use quorum::QuorumTracker;
 pub use record::{OpKind, OpRecord, PendingWrite};
-pub use repair::{RepairDriver, RepairStatus, REPAIR_MAX_ATTEMPTS, REPAIR_RETRY_INTERVAL};
+pub use repair::{
+    RepairDriver, RepairError, RepairStatus, REPAIR_MAX_ATTEMPTS, REPAIR_RETRY_INTERVAL,
+};
 pub use soda_rs_code::{CodeCacheStats, MdsCode};
 pub use spec::ProtocolSpec;
 pub use tag::Tag;

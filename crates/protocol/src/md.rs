@@ -25,7 +25,7 @@
 //! no-state-bloat property of Theorem 3.2.
 
 use crate::{Layout, Tag, Value};
-use soda_rs_code::{CodedElement, MdsCode};
+use soda_rs_code::{CodedElement, MdsCode, VandermondeCode};
 use soda_simnet::FastHashSet;
 use soda_simnet::ProcessId;
 
@@ -115,16 +115,6 @@ pub fn md_value_send(
     })
 }
 
-/// What a server does after receiving an MD-VALUE message: possibly deliver a
-/// coded element locally and possibly relay messages to other servers.
-#[derive(Debug, Default)]
-pub struct MdValueAction {
-    /// Coded element to deliver locally via `md-value-deliver`, if any.
-    pub deliver: Option<(Tag, CodedElement)>,
-    /// Messages to relay to other servers.
-    pub relays: Vec<Dispatch<MdValueMsg>>,
-}
-
 /// Server-side state of the MD-VALUE primitive (one per server process).
 ///
 /// Keeps only message-id tombstones between invocations; values and coded
@@ -150,30 +140,16 @@ impl MdValueRelay {
         self.handled.len()
     }
 
-    /// Handles receipt of the full value. On the first receipt this relays the
-    /// full value up the backbone, sends every other server its coded element,
-    /// and delivers the local element; duplicates produce no action.
+    /// Handles receipt of the full value. On the first receipt this hands the
+    /// `relay` callback the full value for every higher-ranked backbone
+    /// server and its coded element for every other server, as they are
+    /// produced — the server feeds them straight into the network context —
+    /// and returns the local element to deliver; a duplicate relays nothing
+    /// and returns `None`.
     pub fn on_full(
         &mut self,
         layout: &Layout,
-        code: &dyn MdsCode,
-        mid: MessageId,
-        tag: Tag,
-        value: &Value,
-    ) -> MdValueAction {
-        let mut relays = Vec::new();
-        let deliver = self.on_full_with(layout, code, mid, tag, value, |d| relays.push(d));
-        MdValueAction { deliver, relays }
-    }
-
-    /// Allocation-free variant of [`Self::on_full`]: relays are handed to the
-    /// `relay` callback as they are produced instead of being collected. This
-    /// is the form the server hot path uses — it feeds dispatches straight
-    /// into the network context.
-    pub fn on_full_with(
-        &mut self,
-        layout: &Layout,
-        code: &dyn MdsCode,
+        code: &VandermondeCode,
         mid: MessageId,
         tag: Tag,
         value: &Value,
@@ -257,25 +233,6 @@ pub fn md_meta_send<P: Clone>(
     })
 }
 
-/// Result of a server receiving an MD-META message.
-#[derive(Debug)]
-pub struct MdMetaAction<P> {
-    /// Payload to deliver locally via `md-meta-deliver`, if this is the first
-    /// receipt.
-    pub deliver: Option<P>,
-    /// Messages to relay to other servers.
-    pub relays: Vec<Dispatch<MdMetaMsg<P>>>,
-}
-
-impl<P> Default for MdMetaAction<P> {
-    fn default() -> Self {
-        MdMetaAction {
-            deliver: None,
-            relays: Vec::new(),
-        }
-    }
-}
-
 /// Server-side state of the MD-META primitive.
 #[derive(Debug)]
 pub struct MdMetaRelay {
@@ -297,27 +254,15 @@ impl MdMetaRelay {
         self.handled.len()
     }
 
-    /// Handles receipt of a metadata message. On first receipt: relay to the
-    /// higher-ranked backbone servers and to every server outside the
-    /// backbone, and deliver locally. Duplicates produce no action.
+    /// Handles receipt of a metadata message. On first receipt: hand the
+    /// `relay` callback the payload for the higher-ranked backbone servers
+    /// and every server outside the backbone, and return it for local
+    /// delivery. Duplicates relay nothing and return `None`.
     ///
     /// Only servers inside the backbone `D` relay; servers outside it receive
     /// the payload from (potentially several) backbone servers and just
     /// deliver it once.
     pub fn on_meta<P: Clone>(
-        &mut self,
-        layout: &Layout,
-        mid: MessageId,
-        payload: &P,
-    ) -> MdMetaAction<P> {
-        let mut relays = Vec::new();
-        let deliver = self.on_meta_with(layout, mid, payload, |d| relays.push(d));
-        MdMetaAction { deliver, relays }
-    }
-
-    /// Allocation-free variant of [`Self::on_meta`]: relays are handed to the
-    /// `relay` callback as they are produced instead of being collected.
-    pub fn on_meta_with<P: Clone>(
         &mut self,
         layout: &Layout,
         mid: MessageId,
@@ -384,6 +329,31 @@ mod tests {
         Tag::new(3, ProcessId(100))
     }
 
+    /// `on_full` with its relays collected.
+    fn full(
+        relay: &mut MdValueRelay,
+        l: &Layout,
+        code: &VandermondeCode,
+        mid: MessageId,
+        v: &Value,
+    ) -> (Option<(Tag, CodedElement)>, Vec<Dispatch<MdValueMsg>>) {
+        let mut relays = Vec::new();
+        let deliver = relay.on_full(l, code, mid, tag(), v, |d| relays.push(d));
+        (deliver, relays)
+    }
+
+    /// `on_meta` with its relays collected.
+    fn meta<P: Clone>(
+        relay: &mut MdMetaRelay,
+        l: &Layout,
+        mid: MessageId,
+        payload: &P,
+    ) -> (Option<P>, Vec<Dispatch<MdMetaMsg<P>>>) {
+        let mut relays = Vec::new();
+        let deliver = relay.on_meta(l, mid, payload, |d| relays.push(d));
+        (deliver, relays)
+    }
+
     #[test]
     fn sender_targets_first_f_plus_one_servers_in_order() {
         let l = layout(7, 2);
@@ -409,17 +379,17 @@ mod tests {
         let code = VandermondeCode::new(n, n - f).unwrap();
         let v = value_from((0..64u8).collect());
         let mut relay = MdValueRelay::new(0);
-        let action = relay.on_full(&l, &code, mid(1), tag(), &v);
+        let (deliver, relays) = full(&mut relay, &l, &code, mid(1), &v);
 
         // Local delivery of own element.
-        let (t, elem) = action.deliver.expect("must deliver locally");
+        let (t, elem) = deliver.expect("must deliver locally");
         assert_eq!(t, tag());
         assert_eq!(elem.index, 0);
 
         // Full forwarded to ranks 1 and 2; coded to ranks 3..6.
         let mut fulls = vec![];
         let mut codeds = vec![];
-        for d in &action.relays {
+        for d in &relays {
             match &d.msg {
                 MdValueMsg::Full { .. } => fulls.push(d.to_rank),
                 MdValueMsg::Coded { element, .. } => {
@@ -445,9 +415,8 @@ mod tests {
         let code = VandermondeCode::new(n, n - f).unwrap();
         let v = value_from(vec![9u8; 16]);
         let mut relay = MdValueRelay::new(2);
-        let action = relay.on_full(&l, &code, mid(5), tag(), &v);
-        let coded_targets: Vec<usize> = action
-            .relays
+        let (_, relays) = full(&mut relay, &l, &code, mid(5), &v);
+        let coded_targets: Vec<usize> = relays
             .iter()
             .filter(|d| matches!(d.msg, MdValueMsg::Coded { .. }))
             .map(|d| d.to_rank)
@@ -456,8 +425,7 @@ mod tests {
         assert!(coded_targets.contains(&1));
         assert!(coded_targets.contains(&3));
         // No full forwards (rank 2 is the last of D).
-        assert!(action
-            .relays
+        assert!(relays
             .iter()
             .all(|d| !matches!(d.msg, MdValueMsg::Full { .. })));
     }
@@ -470,11 +438,10 @@ mod tests {
         let code = VandermondeCode::new(n, n - f).unwrap();
         let v = value_from(vec![7u8; 10]);
         let mut relay = MdValueRelay::new(1);
-        let first = relay.on_full(&l, &code, mid(1), tag(), &v);
-        assert!(first.deliver.is_some());
-        let second = relay.on_full(&l, &code, mid(1), tag(), &v);
-        assert!(second.deliver.is_none());
-        assert!(second.relays.is_empty());
+        assert!(full(&mut relay, &l, &code, mid(1), &v).0.is_some());
+        let (deliver, relays) = full(&mut relay, &l, &code, mid(1), &v);
+        assert!(deliver.is_none());
+        assert!(relays.is_empty());
         assert_eq!(relay.tombstones(), 1);
     }
 
@@ -491,14 +458,13 @@ mod tests {
         let mut relay = MdValueRelay::new(0);
         let delivered = relay.on_coded(mid(1), tag(), elems[0].clone());
         assert!(delivered.is_some());
-        let after = relay.on_full(&l, &code, mid(1), tag(), &v);
-        assert!(after.deliver.is_none());
-        assert!(after.relays.is_empty());
+        let (deliver, relays) = full(&mut relay, &l, &code, mid(1), &v);
+        assert!(deliver.is_none());
+        assert!(relays.is_empty());
 
         // Full first, then coded duplicate: only the full delivery happens.
         let mut relay = MdValueRelay::new(0);
-        let first = relay.on_full(&l, &code, mid(2), tag(), &v);
-        assert!(first.deliver.is_some());
+        assert!(full(&mut relay, &l, &code, mid(2), &v).0.is_some());
         assert!(relay.on_coded(mid(2), tag(), elems[0].clone()).is_none());
     }
 
@@ -536,20 +502,18 @@ mod tests {
                 },
             )];
             while let Some((rank, msg)) = inbox.pop() {
-                let action = match msg {
+                let deliver = match msg {
                     MdValueMsg::Full { mid, tag, value } => {
-                        relays[rank].on_full(&l, &code, mid, tag, &value)
+                        relays[rank].on_full(&l, &code, mid, tag, &value, |d| {
+                            inbox.push((d.to_rank, d.msg))
+                        })
                     }
-                    MdValueMsg::Coded { mid, tag, element } => MdValueAction {
-                        deliver: relays[rank].on_coded(mid, tag, element),
-                        relays: Vec::new(),
-                    },
+                    MdValueMsg::Coded { mid, tag, element } => {
+                        relays[rank].on_coded(mid, tag, element)
+                    }
                 };
-                if action.deliver.is_some() {
+                if deliver.is_some() {
                     delivered[rank] = true;
-                }
-                for d in action.relays {
-                    inbox.push((d.to_rank, d.msg));
                 }
             }
             assert!(
@@ -568,9 +532,9 @@ mod tests {
         assert_eq!(sends[2].msg.payload, "READ-VALUE");
 
         let mut relay = MdMetaRelay::new(1);
-        let action = relay.on_meta(&l, mid(1), &"READ-VALUE");
-        assert_eq!(action.deliver, Some("READ-VALUE"));
-        let targets: Vec<usize> = action.relays.iter().map(|d| d.to_rank).collect();
+        let (deliver, relays) = meta(&mut relay, &l, mid(1), &"READ-VALUE");
+        assert_eq!(deliver, Some("READ-VALUE"));
+        let targets: Vec<usize> = relays.iter().map(|d| d.to_rank).collect();
         // Forward to rank 2 (rest of backbone), ranks 3..5 (outside backbone)
         // and rank 0 (lower-ranked backbone, in case the sender crashed).
         assert!(targets.contains(&2));
@@ -585,12 +549,12 @@ mod tests {
     fn meta_non_backbone_server_delivers_without_relaying() {
         let l = layout(6, 2);
         let mut relay = MdMetaRelay::new(5);
-        let action = relay.on_meta(&l, mid(2), &42u32);
-        assert_eq!(action.deliver, Some(42));
-        assert!(action.relays.is_empty());
+        let (deliver, relays) = meta(&mut relay, &l, mid(2), &42u32);
+        assert_eq!(deliver, Some(42));
+        assert!(relays.is_empty());
         // Duplicate from another backbone server is ignored.
-        let dup = relay.on_meta(&l, mid(2), &42u32);
-        assert!(dup.deliver.is_none());
+        let (dup, _) = meta(&mut relay, &l, mid(2), &42u32);
+        assert!(dup.is_none());
         assert_eq!(relay.tombstones(), 1);
     }
 
@@ -610,12 +574,11 @@ mod tests {
                 },
             )];
             while let Some((rank, msg)) = inbox.pop() {
-                let action = relays[rank].on_meta(&l, msg.mid, &msg.payload);
-                if action.deliver.is_some() {
+                let deliver = relays[rank].on_meta(&l, msg.mid, &msg.payload, |d| {
+                    inbox.push((d.to_rank, d.msg))
+                });
+                if deliver.is_some() {
                     delivered[rank] = true;
-                }
-                for d in action.relays {
-                    inbox.push((d.to_rank, d.msg));
                 }
             }
             assert!(delivered.iter().all(|&d| d), "reached={reached}");
@@ -626,7 +589,7 @@ mod tests {
     fn md_value_write_cost_is_order_f_squared() {
         // Count normalized data units generated by a complete dispersal with
         // no crashes and verify it is within the paper's 5f² bound and the
-        // fan-out `on_full_with` implements (up to each coded element's
+        // fan-out `on_full` implements (up to each coded element's
         // share of the 8-byte length header, rounded up).
         for (n, f) in [(5, 2), (9, 4), (11, 5), (15, 7)] {
             let l = layout(n, f);
@@ -642,18 +605,16 @@ mod tests {
                 inbox.push((d.to_rank, d.msg));
             }
             while let Some((rank, msg)) = inbox.pop() {
-                let action = match msg {
+                match msg {
                     MdValueMsg::Full { mid, tag, value } => {
-                        relays[rank].on_full(&l, &code, mid, tag, &value)
+                        relays[rank].on_full(&l, &code, mid, tag, &value, |d| {
+                            bytes += d.msg.data_bytes() as u64;
+                            inbox.push((d.to_rank, d.msg));
+                        });
                     }
-                    MdValueMsg::Coded { mid, tag, element } => MdValueAction {
-                        deliver: relays[rank].on_coded(mid, tag, element),
-                        relays: Vec::new(),
-                    },
-                };
-                for d in action.relays {
-                    bytes += d.msg.data_bytes() as u64;
-                    inbox.push((d.to_rank, d.msg));
+                    MdValueMsg::Coded { mid, tag, element } => {
+                        relays[rank].on_coded(mid, tag, element);
+                    }
                 }
             }
             let normalized = bytes as f64 / value_size as f64;

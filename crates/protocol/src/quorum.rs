@@ -54,11 +54,6 @@ impl<T> QuorumTracker<T> {
         self.responses.iter()
     }
 
-    /// Consumes the tracker and returns the responses.
-    pub fn into_responses(self) -> BTreeMap<ProcessId, T> {
-        self.responses
-    }
-
     /// The maximum response according to `Ord`, if any (e.g. the highest tag
     /// in a get phase).
     pub fn max_response(&self) -> Option<&T>
@@ -96,8 +91,6 @@ mod tests {
         q.record(ProcessId(2), "b");
         let all: Vec<_> = q.responses().map(|(p, v)| (*p, *v)).collect();
         assert_eq!(all, vec![(ProcessId(2), "b"), (ProcessId(4), "a")]);
-        let map = q.into_responses();
-        assert_eq!(map.len(), 2);
     }
 
     #[test]

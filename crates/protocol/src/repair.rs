@@ -24,6 +24,29 @@ pub const REPAIR_MAX_ATTEMPTS: u32 = 8;
 /// Timer token of the repair retry loop.
 const REPAIR_RETRY_TOKEN: u64 = u64::MAX;
 
+/// Why a repair gave up (see [`RepairStatus::error`]).
+///
+/// A failed repair is *retryable*: the replacement halted itself, so the
+/// rank is plain dead again, the crash-budget slot it held is released back
+/// to "dead" accounting, and a later repair starts a fresh incarnation.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RepairError {
+    /// The replacement exhausted its bounded retry budget without assembling
+    /// a quorum of survivor responses — typically because a partition window
+    /// outlived every retry.
+    Unreachable,
+}
+
+impl std::fmt::Display for RepairError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RepairError::Unreachable => {
+                write!(f, "survivors unreachable for the whole retry budget")
+            }
+        }
+    }
+}
+
 /// Progress and cost accounting of a replacement server's repair. Until
 /// `completed_at` is set the replacement counts against the crash budget `f`
 /// and answers no queries whose staleness could violate atomicity.
@@ -31,22 +54,33 @@ const REPAIR_RETRY_TOKEN: u64 = u64::MAX;
 pub struct RepairStatus {
     /// When the replacement started pulling state from survivors.
     pub started_at: SimTime,
-    /// When the repair finished (`None` while still in progress).
+    /// When the repair finished (`None` while still in progress — or, when
+    /// [`RepairStatus::error`] is set, never).
     pub completed_at: Option<SimTime>,
     /// Bytes of value / coded-element data received for the repair — the
     /// repair bandwidth.
     pub traffic_bytes: u64,
-    /// Whether the repair gave up: its retry budget ran out with the
-    /// survivors unreachable (e.g. a partition that outlived every retry).
-    /// The replacement halted itself, so the rank is plain dead again and
-    /// can be repaired anew.
-    pub failed: bool,
+    /// Set when the repair gave up instead of completing: its retry budget
+    /// ran out with the survivors unreachable (e.g. a partition that
+    /// outlived every retry). The replacement halted itself, so the rank is
+    /// plain dead again and can be repaired anew.
+    pub error: Option<RepairError>,
 }
 
 impl RepairStatus {
     /// Whether the repair has neither finished nor given up.
     pub fn in_progress(&self) -> bool {
-        self.completed_at.is_none() && !self.failed
+        self.completed_at.is_none() && !self.failed()
+    }
+
+    /// Whether the repair gave up with a typed error.
+    pub fn failed(&self) -> bool {
+        self.error.is_some()
+    }
+
+    /// Repair latency in ticks (`None` until the repair has finished).
+    pub fn latency(&self) -> Option<u64> {
+        self.completed_at.map(|done| done.since(self.started_at))
     }
 }
 
@@ -104,7 +138,7 @@ impl RepairDriver {
             return;
         }
         if self.attempts >= REPAIR_MAX_ATTEMPTS {
-            self.status.failed = true;
+            self.status.error = Some(RepairError::Unreachable);
             ctx.halt();
             return;
         }
@@ -190,7 +224,8 @@ mod tests {
         let gave_up = fire_timer(&mut p, ME, end, REPAIR_RETRY_TOKEN);
         assert!(gave_up.halted && gave_up.sends.is_empty() && gave_up.timers.is_empty());
         let status = p.0.status();
-        assert!(status.failed && status.completed_at.is_none() && !status.in_progress());
+        assert!(status.failed() && status.completed_at.is_none() && !status.in_progress());
+        assert_eq!(status.latency(), None);
 
         // Giving up happens once: a later tick finds nothing to do.
         let after = fire_timer(&mut p, ME, end, REPAIR_RETRY_TOKEN);
@@ -211,8 +246,9 @@ mod tests {
                 started_at: t(5),
                 completed_at: Some(t(30)),
                 traffic_bytes: 96,
-                failed: false,
+                error: None,
             }
         );
+        assert_eq!(p.0.status().latency(), Some(25));
     }
 }

@@ -455,18 +455,6 @@ impl ClusterBuilder {
         Ok(self.soda_harness())
     }
 
-    /// Builds an ABD cluster with its concrete type.
-    pub fn build_abd(self) -> Result<AbdRegisterCluster, BuildError> {
-        self.validate()?;
-        if self.kind != ProtocolKind::Abd {
-            return Err(BuildError::KindMismatch {
-                expected: "ABD",
-                actual: self.kind.name(),
-            });
-        }
-        Ok(self.abd_harness())
-    }
-
     /// Builds a CAS / CASGC cluster with its concrete type, for callers that
     /// need CAS-specific state inspection (e.g. stored version counts).
     pub fn build_cas(self) -> Result<CasRegisterCluster, BuildError> {

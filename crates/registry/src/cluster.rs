@@ -2,9 +2,9 @@
 //! deployment.
 
 use crate::kind::ClusterDescriptor;
-use crate::record::{history_from_records, history_with_pending, sort_records, RepairReport};
+use crate::record::{history_from_records, history_with_pending, sort_records};
 use soda_consistency::History;
-use soda_protocol::{CodeCacheStats, OpRecord, PendingWrite};
+use soda_protocol::{CodeCacheStats, OpRecord, PendingWrite, RepairStatus};
 use soda_simnet::{ProcessId, RunOutcome, SimTime, Stats};
 use std::any::Any;
 
@@ -81,17 +81,18 @@ pub trait RegisterCluster: Send {
     /// quantity the dynamic fault-tolerance invariant bounds by `f`.
     fn dead_or_repairing(&self) -> usize;
 
-    /// The repair report of rank `rank`, if its *current* incarnation is (or
-    /// was) a replacement: repair bandwidth, latency and outcome. `None` for
-    /// a server that was never replaced.
+    /// The repair record of rank `rank`, if its *current* incarnation is (or
+    /// was) a replacement: repair bandwidth, latency and outcome — the
+    /// replacement's own [`RepairStatus`]. `None` for a server that was never
+    /// replaced.
     ///
     /// # Panics
     /// Panics if `rank >= descriptor().n`.
-    fn repair_report(&self, rank: usize) -> Option<RepairReport>;
+    fn repair_report(&self, rank: usize) -> Option<RepairStatus>;
 
     /// One report per rank whose *current* incarnation is (or was) a
     /// replacement, in rank order.
-    fn repair_reports(&self) -> Vec<RepairReport> {
+    fn repair_reports(&self) -> Vec<RepairStatus> {
         (0..self.descriptor().n)
             .filter_map(|rank| self.repair_report(rank))
             .collect()

@@ -4,12 +4,11 @@
 use crate::builder::ClusterBuilder;
 use crate::cluster::RegisterCluster;
 use crate::kind::ClusterDescriptor;
-use crate::record::{RepairError, RepairReport};
 use soda::{ReaderProcess, ServerProcess, SodaSpec};
 use soda_baselines::abd::AbdSpec;
 use soda_baselines::cas::{CasServer, CasSpec};
 use soda_protocol::{
-    value_from, CodeCacheStats, OpKind, OpRecord, PendingWrite, ProtocolSpec, Tag,
+    value_from, CodeCacheStats, OpKind, OpRecord, PendingWrite, ProtocolSpec, RepairStatus, Tag,
 };
 use soda_simnet::{CorruptionHook, ProcessId, RunOutcome, SimTime, Simulation, Stats};
 use std::any::Any;
@@ -163,15 +162,8 @@ impl<P: ProtocolSpec> RegisterCluster for Harness<P> {
             .count()
     }
 
-    fn repair_report(&self, rank: usize) -> Option<RepairReport> {
-        let status = P::repair_status(&self.sim, self.servers[rank])?;
-        Some(RepairReport {
-            rank,
-            started_at: status.started_at,
-            completed_at: status.completed_at,
-            traffic_bytes: status.traffic_bytes,
-            error: status.failed.then_some(RepairError::Unreachable),
-        })
+    fn repair_report(&self, rank: usize) -> Option<RepairStatus> {
+        P::repair_status(&self.sim, self.servers[rank])
     }
 
     fn crash_writer_at(&mut self, at: SimTime, writer: usize) {

@@ -1,73 +1,15 @@
-//! What a cluster reports about itself, in one shape for every protocol.
+//! What a cluster reports about its operations, in one shape for every
+//! protocol.
 //!
-//! The operation records themselves ([`OpRecord`], [`OpKind`],
-//! [`PendingWrite`]) are the shared vocabulary of `soda-protocol`: every
-//! protocol's clients log them directly, and this crate re-exports them.
-//! This module adds what only the facade knows how to say: the repair report
-//! a cluster gives per rank, and the conversion of records into a history
-//! the atomicity checker of `soda-consistency` accepts.
+//! The records themselves ([`OpRecord`], [`OpKind`], [`PendingWrite`] and
+//! the repair record [`soda_protocol::RepairStatus`]) are the shared
+//! vocabulary of `soda-protocol`: every protocol logs them directly, and
+//! this crate re-exports them. This module adds what only the facade knows
+//! how to say: the conversion of records into a history the atomicity
+//! checker of `soda-consistency` accepts.
 
 use soda_consistency::{History, Kind, Version};
 use soda_protocol::{OpKind, OpRecord, PendingWrite, Tag};
-use soda_simnet::SimTime;
-
-/// Why a repair gave up (see [`RepairReport::error`]).
-///
-/// A failed repair is *retryable*: the replacement halted itself, so the
-/// rank is plain dead again, the crash-budget slot it held is released back
-/// to "dead" accounting, and a later
-/// [`crate::RegisterCluster::repair_server_at`] starts a fresh incarnation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RepairError {
-    /// The replacement exhausted its bounded retry budget without assembling
-    /// a quorum of survivor responses — typically because a partition window
-    /// outlived every retry.
-    Unreachable,
-}
-
-impl std::fmt::Display for RepairError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RepairError::Unreachable => {
-                write!(f, "survivors unreachable for the whole retry budget")
-            }
-        }
-    }
-}
-
-/// Progress report of one server repair (see
-/// [`crate::RegisterCluster::repair_reports`]): a replacement's
-/// [`soda_protocol::RepairStatus`], addressed by rank and with its failure
-/// typed.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RepairReport {
-    /// Rank of the repaired server.
-    pub rank: usize,
-    /// When the replacement started pulling state from survivors.
-    pub started_at: SimTime,
-    /// When the repair finished (`None` while still in progress — or, when
-    /// [`RepairReport::error`] is set, never).
-    pub completed_at: Option<SimTime>,
-    /// Bytes of value / coded-element data the replacement received during
-    /// the repair (the protocol's repair bandwidth for this server).
-    pub traffic_bytes: u64,
-    /// Set when the repair gave up instead of completing. The error is
-    /// typed and retryable: the rank is plain dead again and
-    /// `repair_server_at` can be called anew.
-    pub error: Option<RepairError>,
-}
-
-impl RepairReport {
-    /// Repair latency in ticks (`None` while the repair is in progress).
-    pub fn latency(&self) -> Option<u64> {
-        self.completed_at.map(|done| done.since(self.started_at))
-    }
-
-    /// Whether this repair gave up with a typed error.
-    pub fn failed(&self) -> bool {
-        self.error.is_some()
-    }
-}
 
 /// Converts a protocol tag into a checker version.
 pub fn version_of_tag(tag: Tag) -> Version {
@@ -134,7 +76,7 @@ pub(crate) fn sort_records(records: &mut [OpRecord]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use soda_simnet::ProcessId;
+    use soda_simnet::{ProcessId, SimTime};
 
     #[test]
     fn tag_conversion_preserves_order() {

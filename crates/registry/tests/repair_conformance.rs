@@ -66,7 +66,12 @@ fn crash_repair_read_is_atomic_for_every_kind() {
         assert_eq!(cluster.dead_or_repairing(), 0, "{}", kind.name());
         let reports = cluster.repair_reports();
         assert_eq!(reports.len(), 1, "{}", kind.name());
-        assert_eq!(reports[0].rank, 0, "{}", kind.name());
+        assert_eq!(
+            cluster.repair_report(0),
+            Some(reports[0]),
+            "{}",
+            kind.name()
+        );
         assert!(reports[0].latency().is_some(), "{}", kind.name());
         assert!(reports[0].traffic_bytes > 0, "{}", kind.name());
 

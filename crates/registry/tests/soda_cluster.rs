@@ -6,6 +6,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use soda_protocol::MdsCode;
 use soda_registry::{ClusterBuilder, OpKind, ProtocolKind, RegisterCluster};
 use soda_simnet::{NetworkConfig, SimTime};
 

@@ -6,8 +6,9 @@
 //! (crashed servers) are simply absent, i.e. they never enter the decoder, so
 //! erasures are handled implicitly by decoding from whatever subset arrived.
 //!
-//! The code here is the same systematic `[n, k]` MDS code as
-//! [`VandermondeCode`]: every codeword is the evaluation of a degree-`< k`
+//! This is a second decoder for the one systematic `[n, k]` code,
+//! [`VandermondeCode`], reached through its `decode_with_errors` with
+//! `max_errors > 0`. Every codeword is the evaluation of a degree-`< k`
 //! polynomial `p` at the points `x_i = i` (as GF(2^8) elements), and the data
 //! symbols are the first `k` evaluations. The Berlekamp–Welch algorithm
 //! recovers `p` from `m ≥ k + 2e` evaluations with at most `e` wrong values by
@@ -26,29 +27,23 @@
 use crate::{reassemble, CodeError, CodedElement, MdsCode, VandermondeCode};
 use soda_gf::{Gf256, Poly};
 
-/// Systematic `[n, k]` MDS code with a Berlekamp–Welch error-and-erasure
-/// decoder. This is the code used by SODAerr (`k = n − f − 2e`).
-#[derive(Clone, Debug)]
-pub struct BerlekampWelchCode {
-    inner: VandermondeCode,
-}
+/// SODAerr's constructor for the one code type: the `[n, n − f − 2e]`
+/// [`VandermondeCode`], whose `decode_with_errors(elements, e)` corrects up
+/// to `e` corrupt elements among `k + 2e`.
+#[derive(Debug)]
+pub enum BerlekampWelchCode {}
 
 impl BerlekampWelchCode {
-    /// Creates an `[n, k]` code with error correction support.
-    pub fn new(n: usize, k: usize) -> Result<Self, CodeError> {
-        Ok(BerlekampWelchCode {
-            inner: VandermondeCode::new(n, k)?,
-        })
-    }
-
-    /// Convenience constructor matching SODAerr's choice `k = n − f − 2e`.
-    pub fn for_fault_tolerance(n: usize, f: usize, e: usize) -> Result<Self, CodeError> {
+    /// The code SODAerr runs, `k = n − f − 2e`. Fails if `f + 2e >= n`.
+    pub fn for_fault_tolerance(n: usize, f: usize, e: usize) -> Result<VandermondeCode, CodeError> {
         if f + 2 * e >= n {
             return Err(CodeError::InvalidParameters { n, k: 0 });
         }
-        BerlekampWelchCode::new(n, n - f - 2 * e)
+        VandermondeCode::new(n, n - f - 2 * e)
     }
+}
 
+impl VandermondeCode {
     /// Evaluation point associated with code position `i`.
     fn point(i: usize) -> Gf256 {
         Gf256::new(i as u8)
@@ -134,34 +129,13 @@ impl BerlekampWelchCode {
         }
     }
 
-    /// Validates elements (distinct, in-range, equal length) without requiring
-    /// a particular count.
-    fn validate(&self, elements: &[CodedElement]) -> Result<(), CodeError> {
-        let n = self.inner.n();
-        let mut seen = vec![false; n];
-        let len = elements.first().map_or(0, |e| e.data.len());
-        for e in elements {
-            if e.index >= n {
-                return Err(CodeError::InvalidIndex { index: e.index, n });
-            }
-            if seen[e.index] {
-                return Err(CodeError::DuplicateIndex { index: e.index });
-            }
-            seen[e.index] = true;
-            if e.data.len() != len {
-                return Err(CodeError::InconsistentElementLength);
-            }
-        }
-        Ok(())
-    }
-
     /// Full per-column Berlekamp–Welch decode (slow path).
     fn decode_per_column(
         &self,
         elements: &[CodedElement],
         max_errors: usize,
     ) -> Result<Vec<u8>, CodeError> {
-        let k = self.inner.k();
+        let k = self.k();
         let shard_len = elements[0].data.len();
         let mut data_shards = vec![vec![0u8; shard_len]; k];
         for col in 0..shard_len {
@@ -176,50 +150,17 @@ impl BerlekampWelchCode {
         }
         Ok(reassemble(&data_shards)?)
     }
-}
 
-impl MdsCode for BerlekampWelchCode {
-    fn n(&self) -> usize {
-        self.inner.n()
-    }
-
-    fn k(&self) -> usize {
-        self.inner.k()
-    }
-
-    fn encode(&self, value: &[u8]) -> Result<Vec<CodedElement>, CodeError> {
-        self.inner.encode(value)
-    }
-
-    fn encode_one(&self, value: &[u8], index: usize) -> Result<CodedElement, CodeError> {
-        self.inner.encode_one(value, index)
-    }
-
-    fn decode(&self, elements: &[CodedElement]) -> Result<Vec<u8>, CodeError> {
-        self.inner.decode(elements)
-    }
-
-    fn cache_stats(&self) -> crate::CodeCacheStats {
-        self.inner.cache_stats()
-    }
-
-    fn decode_with_errors(
+    /// `Φ⁻¹_err` with `max_errors > 0`: decodes from at least
+    /// `k + 2·max_errors` elements of which up to `max_errors` may be
+    /// corrupt.
+    pub(crate) fn decode_correcting(
         &self,
         elements: &[CodedElement],
         max_errors: usize,
     ) -> Result<Vec<u8>, CodeError> {
-        if max_errors == 0 {
-            return self.inner.decode(elements);
-        }
-        let k = self.inner.k();
-        let need = k + 2 * max_errors;
-        if elements.len() < need {
-            return Err(CodeError::NotEnoughElements {
-                have: elements.len(),
-                need,
-            });
-        }
-        self.validate(elements)?;
+        let k = self.k();
+        self.validate_elements(elements, k + 2 * max_errors)?;
         if elements[0].data.is_empty() {
             return Err(CodeError::CorruptPayload);
         }
@@ -237,12 +178,12 @@ impl MdsCode for BerlekampWelchCode {
                 .cloned()
                 .collect();
             if good.len() >= k {
-                if let Ok(value) = self.inner.decode(&good) {
+                if let Ok(value) = self.decode(&good) {
                     // Verify the decoded value explains every element we kept;
                     // if a corrupt element slipped into `good` (it matched the
                     // true codeword in column 0 only), fall back to the exact
                     // per-column decoder.
-                    if let Ok(reencoded) = self.inner.encode(&value) {
+                    if let Ok(reencoded) = self.encode(&value) {
                         let consistent = good.iter().all(|e| reencoded[e.index].data == e.data);
                         if consistent {
                             return Ok(value);
@@ -343,7 +284,7 @@ mod tests {
 
     #[test]
     fn decode_without_errors_matches_erasure_decode() {
-        let code = BerlekampWelchCode::new(7, 3).unwrap();
+        let code = VandermondeCode::new(7, 3).unwrap();
         let value = sample_value(64);
         let elements = code.encode(&value).unwrap();
         assert_eq!(code.decode(&elements[2..5]).unwrap(), value);
@@ -384,7 +325,7 @@ mod tests {
         // Adversarial case for the fast path: the corrupted element keeps the
         // first byte (column 0) identical to the true value and differs later,
         // forcing the verification + per-column fallback.
-        let code = BerlekampWelchCode::new(6, 2).unwrap(); // 2e <= 4
+        let code = VandermondeCode::new(6, 2).unwrap(); // 2e <= 4
         let value = sample_value(40);
         let mut elements = code.encode(&value).unwrap();
         let original_first = elements[3].data[0];
@@ -397,7 +338,7 @@ mod tests {
     #[test]
     fn zero_magnitude_columns_do_not_confuse_decoder() {
         // Corrupt only a single byte in the middle of one element.
-        let code = BerlekampWelchCode::new(5, 3).unwrap();
+        let code = VandermondeCode::new(5, 3).unwrap();
         let value = sample_value(30);
         let mut elements = code.encode(&value).unwrap();
         let mid = elements[2].data.len() / 2;
@@ -407,7 +348,7 @@ mod tests {
 
     #[test]
     fn too_few_elements_for_error_correction() {
-        let code = BerlekampWelchCode::new(6, 3).unwrap();
+        let code = VandermondeCode::new(6, 3).unwrap();
         let value = sample_value(10);
         let elements = code.encode(&value).unwrap();
         let err = code.decode_with_errors(&elements[..4], 1);
@@ -418,7 +359,7 @@ mod tests {
     fn more_errors_than_budget_is_detected_or_fails() {
         // With e = 1 budget but 2 corrupted elements out of 5 (k = 3), decoding
         // must not silently return the wrong value when detection is possible.
-        let code = BerlekampWelchCode::new(5, 3).unwrap();
+        let code = VandermondeCode::new(5, 3).unwrap();
         let value = sample_value(50);
         let mut elements = code.encode(&value).unwrap();
         corrupt(&mut elements[0], 0x13);
@@ -431,7 +372,7 @@ mod tests {
 
     #[test]
     fn all_elements_intact_with_error_budget() {
-        let code = BerlekampWelchCode::new(8, 4).unwrap();
+        let code = VandermondeCode::new(8, 4).unwrap();
         let value = sample_value(80);
         let elements = code.encode(&value).unwrap();
         assert_eq!(code.decode_with_errors(&elements, 2).unwrap(), value);
@@ -439,7 +380,7 @@ mod tests {
 
     #[test]
     fn duplicate_and_out_of_range_indices_rejected() {
-        let code = BerlekampWelchCode::new(6, 2).unwrap();
+        let code = VandermondeCode::new(6, 2).unwrap();
         let value = sample_value(12);
         let elements = code.encode(&value).unwrap();
         let mut dup = elements.clone();
@@ -468,7 +409,7 @@ mod tests {
 
     #[test]
     fn empty_value_with_errors() {
-        let code = BerlekampWelchCode::new(6, 2).unwrap();
+        let code = VandermondeCode::new(6, 2).unwrap();
         let mut elements = code.encode(&[]).unwrap();
         corrupt(&mut elements[1], 0x2F);
         assert_eq!(
@@ -526,7 +467,7 @@ mod tests {
     fn data_shard_split_consistency_with_inner_code() {
         // The first k coded elements must equal the contiguous data shards; the BW
         // decoder reconstructs exactly those symbols.
-        let code = BerlekampWelchCode::new(9, 4).unwrap();
+        let code = VandermondeCode::new(9, 4).unwrap();
         let value = sample_value(77);
         let elements = code.encode(&value).unwrap();
         let shards = crate::pad_and_split(&value, 4);

@@ -14,8 +14,8 @@
 //!   inversion happens once per survivor set, not once per operation.
 //!
 //! The decode cache counts hits, misses and inversions; the counters surface
-//! through [`crate::MdsCode::cache_stats`] and, at the top of the stack,
-//! through the store's `StoreMetrics`.
+//! through [`crate::VandermondeCode`]'s `cache_stats` and, at the top of the
+//! stack, through the store's `StoreMetrics`.
 
 use soda_gf::Matrix;
 use std::collections::HashMap;

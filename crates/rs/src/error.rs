@@ -1,4 +1,4 @@
-//! Error type shared by the MDS code implementations.
+//! Error type of the MDS code.
 
 use std::fmt;
 
@@ -34,9 +34,6 @@ pub enum CodeError {
     },
     /// The coded elements do not all have the same length.
     InconsistentElementLength,
-    /// The decoder cannot handle silent corruption (erasure-only code) but
-    /// `max_errors > 0` was requested.
-    ErrorsNotSupported,
     /// The error-correcting decoder could not produce a consistent codeword
     /// (more corrupt elements than the code can tolerate).
     TooManyErrors,
@@ -71,9 +68,6 @@ impl fmt::Display for CodeError {
             CodeError::InconsistentElementLength => {
                 write!(f, "coded elements have inconsistent lengths")
             }
-            CodeError::ErrorsNotSupported => {
-                write!(f, "this code does not support decoding with silent errors")
-            }
             CodeError::TooManyErrors => {
                 write!(f, "too many corrupted coded elements to decode")
             }
@@ -96,7 +90,6 @@ mod tests {
             CodeError::DuplicateIndex { index: 2 }.to_string(),
             CodeError::NotEnoughElements { have: 1, need: 3 }.to_string(),
             CodeError::InconsistentElementLength.to_string(),
-            CodeError::ErrorsNotSupported.to_string(),
             CodeError::TooManyErrors.to_string(),
             CodeError::CorruptPayload.to_string(),
         ];

@@ -10,16 +10,12 @@
 //!   `k + 2e` coded elements of which up to `e` may be **silently corrupted**
 //!   (used by SODAerr with `k = n − f − 2e`).
 //!
-//! Two interchangeable MDS code implementations are provided behind the
-//! [`MdsCode`] trait:
-//!
-//! * [`VandermondeCode`] — a systematic generator-matrix code. Encoding is a
-//!   matrix–shard product; erasure decoding inverts the `k × k` submatrix of
-//!   surviving rows. It has the cheapest encoder but no error correction.
-//! * [`BerlekampWelchCode`] — the same systematic code equipped with a
-//!   Berlekamp–Welch error-and-erasure decoder, able to recover the value from
-//!   `k + 2e` elements of which up to `e` are silently corrupted. It realizes
-//!   `Φ⁻¹_err`.
+//! One systematic Reed–Solomon code, [`VandermondeCode`], realizes all
+//! three. Encoding is a matrix–shard product; [`MdsCode::decode`] inverts
+//! the `k × k` submatrix of surviving rows; [`MdsCode::decode_with_errors`]
+//! with `max_errors > 0` runs a Berlekamp–Welch decoder on the same code.
+//! SODA builds it with `k = n − f` ([`VandermondeCode::for_fault_tolerance`]),
+//! SODAerr with `k = n − f − 2e` ([`BerlekampWelchCode::for_fault_tolerance`]).
 //!
 //! Values of arbitrary byte length are cut into `k` contiguous data shards
 //! (see [`pad_and_split`]); byte `j` of every element together is one
@@ -55,7 +51,7 @@ pub use error::CodeError;
 pub use shard::{pad_and_split, reassemble, CodedElement, ReassembleError, LENGTH_HEADER};
 pub use vandermonde::VandermondeCode;
 
-/// Common interface of the `[n, k]` MDS codes used by the protocols.
+/// The interface of the `[n, k]` MDS code used by the protocols.
 ///
 /// All methods operate on whole values (arbitrary byte strings); the
 /// implementation chunks them into per-server coded elements internally.
@@ -72,12 +68,7 @@ pub trait MdsCode: Send + Sync {
 
     /// Encodes and returns only the element for server `index`
     /// (the paper's `Φ_i(v)`).
-    fn encode_one(&self, value: &[u8], index: usize) -> Result<CodedElement, CodeError> {
-        if index >= self.n() {
-            return Err(CodeError::InvalidIndex { index, n: self.n() });
-        }
-        Ok(self.encode(value)?.swap_remove(index))
-    }
+    fn encode_one(&self, value: &[u8], index: usize) -> Result<CodedElement, CodeError>;
 
     /// Decodes a value from at least `k` coded elements with distinct, known
     /// indices and no corruption. This is the paper's `Φ⁻¹(C)`.
@@ -85,10 +76,8 @@ pub trait MdsCode: Send + Sync {
 
     /// Decodes a value from coded elements of which up to `max_errors` may be
     /// silently corrupted (wrong bytes under a correct index). Requires at
-    /// least `k + 2 * max_errors` elements. This is the paper's `Φ⁻¹_err(C)`.
-    ///
-    /// Implementations without error-correction capability return
-    /// [`CodeError::ErrorsNotSupported`] whenever `max_errors > 0`.
+    /// least `k + 2 * max_errors` elements. This is the paper's `Φ⁻¹_err(C)`;
+    /// with `max_errors = 0` it is [`Self::decode`].
     fn decode_with_errors(
         &self,
         elements: &[CodedElement],
@@ -108,13 +97,11 @@ pub trait MdsCode: Send + Sync {
     }
 
     /// Decode-matrix cache counters of this code instance (hits, misses,
-    /// inversions performed). Codes without a cache report all zeros.
-    fn cache_stats(&self) -> CodeCacheStats {
-        CodeCacheStats::default()
-    }
+    /// inversions performed).
+    fn cache_stats(&self) -> CodeCacheStats;
 }
 
-/// Validates `[n, k]` code parameters shared by both implementations.
+/// Validates `[n, k]` code parameters.
 pub(crate) fn validate_params(n: usize, k: usize) -> Result<(), CodeError> {
     if k == 0 || n == 0 || k > n || n > 255 {
         return Err(CodeError::InvalidParameters { n, k });

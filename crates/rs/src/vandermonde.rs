@@ -12,6 +12,9 @@
 //! encoding matrix is shared process-wide per `(n, k)`, and decode matrices
 //! are memoized per survivor index set in an LRU shared by clones of the
 //! instance — one inversion per survivor set, not one per decode.
+//!
+//! The same code corrects silent corruption: `decode_with_errors` with
+//! `max_errors > 0` runs the Berlekamp–Welch decoder (`bw.rs`).
 
 use crate::cache::{encode_matrix_for, DecodeCache};
 use crate::shard::{data_shard, pad};
@@ -19,7 +22,8 @@ use crate::{reassemble, validate_params, CodeCacheStats, CodeError, CodedElement
 use soda_gf::Matrix;
 use std::sync::Arc;
 
-/// Systematic Vandermonde-derived `[n, k]` MDS code (erasure decoding only).
+/// Systematic Vandermonde-derived `[n, k]` MDS code, with an erasure decoder
+/// and a Berlekamp–Welch error-and-erasure decoder.
 #[derive(Clone)]
 pub struct VandermondeCode {
     n: usize,
@@ -85,7 +89,7 @@ impl VandermondeCode {
     /// exactly `need` elements, **sorted by index** — decode output is
     /// independent of row order, and the sorted index set is the canonical
     /// decode-cache key.
-    fn validate_elements<'a>(
+    pub(crate) fn validate_elements<'a>(
         &self,
         elements: &'a [CodedElement],
         need: usize,
@@ -196,7 +200,7 @@ impl MdsCode for VandermondeCode {
         if max_errors == 0 {
             return self.decode(elements);
         }
-        Err(CodeError::ErrorsNotSupported)
+        self.decode_correcting(elements, max_errors)
     }
 
     fn cache_stats(&self) -> CodeCacheStats {
@@ -379,16 +383,32 @@ mod tests {
     }
 
     #[test]
-    fn errors_not_supported() {
-        let code = VandermondeCode::new(5, 3).unwrap();
-        let value = sample_value(10);
-        let elements = code.encode(&value).unwrap();
+    fn corrects_errors_from_k_plus_2e_elements() {
+        // [7, 3] corrects e = 2 from k + 2e = 7 elements, and e = 1 from any
+        // k + 2e = 5 of them, with up to e corrupted.
+        let code = VandermondeCode::new(7, 3).unwrap();
+        let value = sample_value(45);
+        let mut elements = code.encode(&value).unwrap();
+        for victim in [1, 5] {
+            for b in elements[victim].data.make_mut() {
+                *b ^= 0x3C;
+            }
+        }
+        assert_eq!(code.decode_with_errors(&elements, 2).unwrap(), value);
+        let five = [
+            &elements[0],
+            &elements[2],
+            &elements[3],
+            &elements[5],
+            &elements[6],
+        ];
+        let five: Vec<CodedElement> = five.into_iter().cloned().collect();
+        assert_eq!(code.decode_with_errors(&five, 1).unwrap(), value);
+        // max_errors = 0 is the erasure decoder.
         assert_eq!(
-            code.decode_with_errors(&elements, 1),
-            Err(CodeError::ErrorsNotSupported)
+            code.decode_with_errors(&elements[2..5], 0),
+            code.decode(&elements[2..5])
         );
-        // max_errors = 0 falls back to plain decode
-        assert_eq!(code.decode_with_errors(&elements, 0).unwrap(), value);
     }
 
     #[test]

@@ -69,18 +69,6 @@ impl FaultPlan {
         self
     }
 
-    /// Crashes every process in the iterator at the same time.
-    pub fn crash_all<I: IntoIterator<Item = ProcessId>>(
-        mut self,
-        processes: I,
-        at: SimTime,
-    ) -> Self {
-        for p in processes {
-            self.crashes.push(CrashEvent { process: p, at });
-        }
-        self
-    }
-
     /// Adds a recovery of `process` at time `at` (builder style): a fresh
     /// replacement with empty state takes over the id. The replacement
     /// process itself is supplied when the plan is applied (see
@@ -131,7 +119,8 @@ mod tests {
     fn builder_accumulates_crashes() {
         let plan = FaultPlan::none()
             .crash(ProcessId(1), SimTime::from_ticks(10))
-            .crash_all([ProcessId(2), ProcessId(3)], SimTime::from_ticks(20));
+            .crash(ProcessId(2), SimTime::from_ticks(20))
+            .crash(ProcessId(3), SimTime::from_ticks(20));
         assert_eq!(plan.len(), 3);
         assert!(!plan.is_empty());
         assert_eq!(plan.crashes()[0].process, ProcessId(1));

@@ -45,11 +45,6 @@ pub trait Message: Clone + fmt::Debug + Send + 'static {
     fn data_bytes(&self) -> usize {
         0
     }
-
-    /// A short human-readable kind, for diagnostics and message timelines.
-    fn kind(&self) -> &'static str {
-        "msg"
-    }
 }
 
 /// A protocol automaton.
@@ -155,7 +150,6 @@ mod tests {
     #[test]
     fn default_message_metadata_is_free() {
         assert_eq!(Dummy.data_bytes(), 0);
-        assert_eq!(Dummy.kind(), "msg");
     }
 
     #[test]

@@ -161,11 +161,6 @@ impl<M: Message> Simulation<M> {
         self.net_faults = plan;
     }
 
-    /// The installed network adversary.
-    pub fn net_fault_plan(&self) -> &NetFaultPlan {
-        &self.net_faults
-    }
-
     /// Installs the payload-corruption hook applied to sends of the
     /// byzantine senders in the installed [`NetFaultPlan`]. Without a hook,
     /// marking senders byzantine has no effect.
@@ -223,15 +218,6 @@ impl<M: Message> Simulation<M> {
             .as_ref()?
             .as_any()
             .downcast_ref::<T>()
-    }
-
-    /// Mutable typed access to a process's state.
-    pub fn process_as_mut<T: 'static>(&mut self, id: ProcessId) -> Option<&mut T> {
-        self.processes
-            .get_mut(id.index())?
-            .as_mut()?
-            .as_any_mut()
-            .downcast_mut::<T>()
     }
 
     fn next_seq(&mut self) -> u64 {
@@ -599,12 +585,6 @@ mod tests {
             match self {
                 TestMsg::Ping(_) => 0,
                 TestMsg::Data(d) => d.len(),
-            }
-        }
-        fn kind(&self) -> &'static str {
-            match self {
-                TestMsg::Ping(_) => "ping",
-                TestMsg::Data(_) => "data",
             }
         }
     }

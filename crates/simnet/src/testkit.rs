@@ -34,15 +34,6 @@ impl<M> StepResult<M> {
         }
         result
     }
-
-    /// The messages sent to a particular destination.
-    pub fn sent_to(&self, to: ProcessId) -> Vec<&M> {
-        self.sends
-            .iter()
-            .filter(|(dest, _)| *dest == to)
-            .map(|(_, m)| m)
-            .collect()
-    }
 }
 
 fn run_step<M: Message, P: Process<M> + ?Sized>(
@@ -137,8 +128,6 @@ mod tests {
         assert_eq!(stepped.sends[0].0, ProcessId(9));
         assert_eq!(stepped.sends[0].1 .0, 42);
         assert!(!stepped.halted);
-        assert_eq!(stepped.sent_to(ProcessId(9)).len(), 1);
-        assert!(stepped.sent_to(ProcessId(1)).is_empty());
 
         let halted = deliver(
             &mut p,

@@ -54,7 +54,7 @@ impl DiskFaultModel {
 pub struct SodaConfig {
     layout: Layout,
     variant: SodaVariant,
-    code: Arc<dyn MdsCode>,
+    code: VandermondeCode,
 }
 
 impl fmt::Debug for SodaConfig {
@@ -76,12 +76,12 @@ impl SodaConfig {
         Arc::new(SodaConfig {
             layout,
             variant: SodaVariant::Soda,
-            code: Arc::new(code),
+            code,
         })
     }
 
-    /// Configuration for SODAerr with error budget `e`: `[n, n − f − 2e]` code
-    /// with the Berlekamp–Welch error-correcting decoder.
+    /// Configuration for SODAerr with error budget `e`: the same code at
+    /// `[n, n − f − 2e]`, read through its Berlekamp–Welch decoder.
     ///
     /// # Panics
     /// Panics if `f + 2e >= n` (no valid code dimension).
@@ -91,7 +91,7 @@ impl SodaConfig {
         Arc::new(SodaConfig {
             layout,
             variant: SodaVariant::SodaErr { e },
-            code: Arc::new(code),
+            code,
         })
     }
 
@@ -106,7 +106,7 @@ impl SodaConfig {
     }
 
     /// The erasure code in use.
-    pub fn code(&self) -> &Arc<dyn MdsCode> {
+    pub fn code(&self) -> &VandermondeCode {
         &self.code
     }
 
@@ -133,16 +133,14 @@ impl SodaConfig {
         self.k() + 2 * self.variant.error_budget()
     }
 
-    /// Decodes a value from the gathered elements, using the error-correcting
-    /// decoder when the variant has a non-zero error budget.
+    /// Decodes a value from the gathered elements, correcting up to the
+    /// variant's error budget `e` of them (none for plain SODA).
     pub fn decode(
         &self,
         elements: &[soda_rs_code::CodedElement],
     ) -> Result<Vec<u8>, soda_rs_code::CodeError> {
-        match self.variant {
-            SodaVariant::Soda => self.code.decode(elements),
-            SodaVariant::SodaErr { e } => self.code.decode_with_errors(elements, e),
-        }
+        self.code
+            .decode_with_errors(elements, self.variant.error_budget())
     }
 }
 

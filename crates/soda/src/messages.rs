@@ -131,26 +131,6 @@ impl Message for SodaMsg {
             _ => 0,
         }
     }
-
-    fn kind(&self) -> &'static str {
-        match self {
-            SodaMsg::InvokeWrite(_) => "invoke-write",
-            SodaMsg::InvokeRead => "invoke-read",
-            SodaMsg::WriteGet { .. } => "write-get",
-            SodaMsg::WriteGetResp { .. } => "write-get-resp",
-            SodaMsg::MdValue(MdValueMsg::Full { .. }) => "md-value-full",
-            SodaMsg::MdValue(MdValueMsg::Coded { .. }) => "md-value-coded",
-            SodaMsg::WriteAck { .. } => "write-ack",
-            SodaMsg::ReadGet { .. } => "read-get",
-            SodaMsg::ReadGetResp { .. } => "read-get-resp",
-            SodaMsg::MdMeta(m) => match m.payload {
-                MetaPayload::ReadValue { .. } => "read-value",
-                MetaPayload::ReadComplete { .. } => "read-complete",
-                MetaPayload::ReadDisperse { .. } => "read-disperse",
-            },
-            SodaMsg::CodedToReader { .. } => "coded-to-reader",
-        }
-    }
 }
 
 #[cfg(test)]
@@ -168,7 +148,6 @@ mod tests {
             value,
         });
         assert_eq!(full.data_bytes(), 100);
-        assert_eq!(full.kind(), "md-value-full");
 
         let coded = SodaMsg::MdValue(MdValueMsg::Coded {
             mid: MessageId::new(ProcessId(1), 1),
@@ -176,7 +155,6 @@ mod tests {
             element: CodedElement::new(2, vec![1, 2, 3]),
         });
         assert_eq!(coded.data_bytes(), 3);
-        assert_eq!(coded.kind(), "md-value-coded");
 
         let to_reader = SodaMsg::CodedToReader {
             op: OpId::new(ProcessId(9), 1),
@@ -204,7 +182,7 @@ mod tests {
             },
             SodaMsg::InvokeRead,
         ] {
-            assert_eq!(msg.data_bytes(), 0, "{:?}", msg.kind());
+            assert_eq!(msg.data_bytes(), 0, "{msg:?}");
         }
     }
 
@@ -212,43 +190,6 @@ mod tests {
     fn invoke_write_is_not_a_network_transfer() {
         let msg = SodaMsg::InvokeWrite(value_from(vec![1u8; 50]));
         assert_eq!(msg.data_bytes(), 0);
-        assert_eq!(msg.kind(), "invoke-write");
-    }
-
-    #[test]
-    fn meta_payload_kinds() {
-        let op = OpId::new(ProcessId(3), 7);
-        let mk = |payload| {
-            SodaMsg::MdMeta(MdMetaMsg {
-                mid: MessageId::new(ProcessId(3), 7),
-                payload,
-            })
-        };
-        assert_eq!(
-            mk(MetaPayload::ReadValue {
-                op,
-                tag: Tag::INITIAL
-            })
-            .kind(),
-            "read-value"
-        );
-        assert_eq!(
-            mk(MetaPayload::ReadComplete {
-                op,
-                tag: Tag::INITIAL
-            })
-            .kind(),
-            "read-complete"
-        );
-        assert_eq!(
-            mk(MetaPayload::ReadDisperse {
-                tag: Tag::INITIAL,
-                server_rank: 2,
-                op
-            })
-            .kind(),
-            "read-disperse"
-        );
     }
 
     #[test]

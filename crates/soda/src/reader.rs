@@ -233,7 +233,7 @@ impl Process<SodaMsg> for ReaderProcess {
 mod tests {
     use super::*;
     use soda_protocol::md::MdMetaMsg;
-    use soda_protocol::Layout;
+    use soda_protocol::{Layout, MdsCode};
     use soda_simnet::testkit::deliver;
 
     const READER: ProcessId = ProcessId(200);

@@ -49,7 +49,7 @@ use crate::config::{DiskFaultModel, SodaConfig};
 use crate::messages::{MetaPayload, OpId, SodaMsg};
 use soda_protocol::md::{md_meta_send, MdMetaRelay, MdValueMsg, MdValueRelay, MessageId};
 use soda_protocol::{QuorumTracker, RepairDriver, RepairStatus, Tag, Value};
-use soda_rs_code::CodedElement;
+use soda_rs_code::{CodedElement, MdsCode};
 use soda_simnet::{Context, Process, ProcessId};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -596,9 +596,9 @@ impl Process<SodaMsg> for ServerProcess {
             SodaMsg::MdValue(md_msg) => {
                 let config = &self.config;
                 let deliver = match md_msg {
-                    MdValueMsg::Full { mid, tag, value } => self.md_value.on_full_with(
+                    MdValueMsg::Full { mid, tag, value } => self.md_value.on_full(
                         config.layout(),
-                        config.code().as_ref(),
+                        config.code(),
                         mid,
                         tag,
                         &value,
@@ -617,15 +617,12 @@ impl Process<SodaMsg> for ServerProcess {
             }
             SodaMsg::MdMeta(meta) => {
                 let config = &self.config;
-                let deliver = self.md_meta.on_meta_with(
-                    config.layout(),
-                    meta.mid,
-                    &meta.payload,
-                    |dispatch| {
-                        let dest = config.layout().server(dispatch.to_rank);
-                        ctx.send(dest, SodaMsg::MdMeta(dispatch.msg));
-                    },
-                );
+                let deliver =
+                    self.md_meta
+                        .on_meta(config.layout(), meta.mid, &meta.payload, |dispatch| {
+                            let dest = config.layout().server(dispatch.to_rank);
+                            ctx.send(dest, SodaMsg::MdMeta(dispatch.msg));
+                        });
                 if let Some(payload) = deliver {
                     match payload {
                         MetaPayload::ReadValue { op, tag } => self.on_read_value(op, tag, ctx),
@@ -1202,7 +1199,7 @@ mod tests {
             SodaMsg::MdMeta(meta) if matches!(meta.payload, MetaPayload::ReadComplete { .. })
         )));
         let status = s.repair_status().unwrap();
-        assert!(!status.failed);
+        assert!(!status.failed());
         assert!(status.completed_at.is_some());
         let element_len = expected.data.len() as u64;
         assert_eq!(

@@ -7,7 +7,7 @@ use crate::reader::ReaderProcess;
 use crate::server::ServerProcess;
 use crate::writer::WriterProcess;
 use soda_protocol::{
-    CodeCacheStats, OpKind, OpRecord, PendingWrite, ProtocolSpec, RepairStatus, Value,
+    CodeCacheStats, MdsCode, OpKind, OpRecord, PendingWrite, ProtocolSpec, RepairStatus, Value,
 };
 use soda_simnet::{Process, ProcessId, Simulation};
 use std::sync::Arc;

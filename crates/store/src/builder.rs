@@ -9,7 +9,7 @@ use std::fmt;
 
 /// Which backend drives the shards when the store runs.
 ///
-/// All three produce **bit-identical** per-key histories and
+/// Every runtime produces **bit-identical** per-key histories and
 /// [`StoreMetrics`](crate::StoreMetrics): every key's cluster is a
 /// self-contained deterministic simulation, so the runtimes only decide
 /// *where* each cluster executes, never what it computes. The
@@ -23,19 +23,13 @@ pub enum StoreRuntime {
     /// exploration campaigns need.
     #[default]
     Simulation,
-    /// Each shard is one task on the store's persistent worker pool, so
-    /// disjoint shards drain in parallel (shards are independent, so this is
-    /// safe parallelism). Degrades to the serial loop on single-shard stores
-    /// and single-hardware-thread hosts, where threads buy nothing. A
-    /// hot-shard workload (few shards, many keys) stays serial *within* each
-    /// shard — that is what [`StoreRuntime::WorkStealing`] is for.
+    /// The same pool as `WorkStealing { workers: 0 }`: one worker per
+    /// hardware thread, one task per key cluster.
     Threaded,
-    /// Schedules at `(shard, key cluster)` granularity: every key's cluster
-    /// is its own task on the persistent work-stealing pool, so throughput
-    /// scales with cores even on a **single** shard — the hot-shard shape the
-    /// per-shard threaded runtime serializes. Workers steal tasks from each
-    /// other when their own queues run dry, so skewed key populations still
-    /// balance. See [`crate::PoolMetrics`] for the pool counters.
+    /// The persistent work-stealing pool: every key's cluster is its own
+    /// task, and workers steal tasks from each other when their own queues
+    /// run dry, so skewed key populations still balance. See
+    /// [`crate::PoolMetrics`] for the pool counters.
     WorkStealing {
         /// Worker threads in the pool. `0` means one per hardware thread
         /// (degrading to the serial loop on single-threaded hosts); an
@@ -44,6 +38,9 @@ pub enum StoreRuntime {
         workers: usize,
     },
 }
+
+/// Virtual nodes per shard on the consistent-hash placement ring.
+const VNODES_PER_SHARD: usize = 16;
 
 /// Per-shard configuration: the register-cluster shape every key placed on
 /// the shard is built with.
@@ -213,7 +210,6 @@ impl Error for StoreBuildError {
 #[derive(Clone, Debug)]
 pub struct StoreBuilder {
     specs: Vec<ShardSpec>,
-    vnodes_per_shard: usize,
     seed: u64,
     runtime: StoreRuntime,
     errors: Vec<StoreBuildErrorKind>,
@@ -230,8 +226,7 @@ enum StoreBuildErrorKind {
 impl StoreBuilder {
     /// A store of `shards` shards, all running `kind` clusters of `n` servers
     /// tolerating `f` crashes, with one writer and one reader handle per key,
-    /// 16 virtual nodes per shard, seed 0 and the deterministic
-    /// [`StoreRuntime::Simulation`] backend.
+    /// seed 0 and the deterministic [`StoreRuntime::Simulation`] backend.
     pub fn new(shards: usize, kind: ProtocolKind, n: usize, f: usize) -> Self {
         let spec = ShardSpec {
             kind,
@@ -247,7 +242,6 @@ impl StoreBuilder {
         };
         StoreBuilder {
             specs: vec![spec; shards],
-            vnodes_per_shard: 16,
             seed: 0,
             runtime: StoreRuntime::Simulation,
             errors: Vec::new(),
@@ -258,12 +252,6 @@ impl StoreBuilder {
     /// simulation seeds).
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the number of virtual nodes per shard on the placement ring.
-    pub fn with_vnodes(mut self, vnodes_per_shard: usize) -> Self {
-        self.vnodes_per_shard = vnodes_per_shard.max(1);
         self
     }
 
@@ -425,7 +413,7 @@ impl StoreBuilder {
     /// Builds the store.
     pub fn build(self) -> Result<ShardedStore, StoreBuildError> {
         self.validate()?;
-        let map = ShardMap::new(self.specs.len(), self.vnodes_per_shard);
+        let map = ShardMap::new(self.specs.len(), VNODES_PER_SHARD);
         Ok(ShardedStore::new(map, self.specs, self.seed, self.runtime))
     }
 }

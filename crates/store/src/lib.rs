@@ -6,10 +6,9 @@
 //! crate provides — the layering CASGC's multi-object composition argument
 //! (Cadambe et al.) and RADON-style deployments assume:
 //!
-//! * [`ShardMap`] — a byte-string keyspace placed onto `S` shards by
-//!   consistent hashing over an explicit ring of virtual nodes (inspectable,
-//!   so a future rebalancing PR can move ring points without rehashing the
-//!   world).
+//! * Placement — a byte-string keyspace placed onto `S` shards by
+//!   consistent hashing over a ring of virtual nodes
+//!   ([`ShardedStore::shard_of`]).
 //! * [`StoreBuilder`] / [`ShardSpec`] — each shard is a register-cluster
 //!   fleet with its *own* protocol choice ([`soda_registry::ProtocolKind`]
 //!   per shard; mixed SODA/ABD/CAS fleets in one store are legal), fault
@@ -20,13 +19,12 @@
 //! * [`ShardedStore`] — the batched, async-flavored client API: [`put`],
 //!   [`get`], [`multi_get`] and [`put_batch`] return [`Ticket`]s immediately;
 //!   [`run_until_quiescent`] drains every shard (serially under
-//!   [`StoreRuntime::Simulation`]; one pool task per shard under
-//!   [`StoreRuntime::Threaded`]; one pool task per **key cluster** under
-//!   [`StoreRuntime::WorkStealing`], so a single hot shard scales with
-//!   cores); [`poll`] redeems tickets. Histories are bit-identical across
-//!   all three runtimes — the parallel ones run on a persistent
-//!   work-stealing worker pool created at build time, with [`PoolMetrics`]
-//!   exposing its scheduling counters.
+//!   [`StoreRuntime::Simulation`]; one task per **key cluster** on a
+//!   persistent work-stealing pool created at build time under
+//!   [`StoreRuntime::WorkStealing`] and its alias
+//!   [`StoreRuntime::Threaded`], with [`PoolMetrics`] exposing the pool's
+//!   scheduling counters); [`poll`] redeems tickets. Histories are
+//!   bit-identical across runtimes.
 //! * [`StoreMetrics`] — per-shard and aggregate op counts, message/storage
 //!   cost and latency histograms, assembled from the clusters'
 //!   [`soda_simnet::Stats`] and operation records.
@@ -81,6 +79,5 @@ mod pool;
 mod store;
 
 pub use builder::{ShardSpec, StoreBuildError, StoreBuilder, StoreRuntime};
-pub use map::ShardMap;
 pub use metrics::{LatencyHistogram, PoolMetrics, ShardMetrics, StoreMetrics, StoreTotals};
 pub use store::{OpOutcome, ShardedStore, StoreError, StoreRunOutcome, Ticket, TicketStatus};

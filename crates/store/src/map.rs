@@ -1,9 +1,9 @@
 //! Consistent-hash placement of a byte-string keyspace onto shards.
 //!
-//! The map is an explicit, inspectable ring of virtual nodes rather than a
-//! closed-form `hash(key) % shards`, so a later rebalancing PR can move
-//! individual ring points between shards (and stream the affected keys)
-//! without rehashing the whole keyspace. With `V` virtual nodes per shard the
+//! The map is an explicit ring of virtual nodes rather than a closed-form
+//! `hash(key) % shards`, so a later rebalancing change can move individual
+//! ring points between shards (and stream the affected keys) without
+//! rehashing the whole keyspace. With `V` virtual nodes per shard the
 //! expected keyspace share of each shard concentrates around `1/S` with
 //! relative deviation `O(1/√V)`.
 
@@ -24,11 +24,9 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
 /// A key is placed on the shard owning the first point clockwise of the key's
 /// hash (wrapping at the top of the 64-bit space).
 #[derive(Clone, Debug)]
-pub struct ShardMap {
+pub(crate) struct ShardMap {
     /// `(ring position, shard index)`, sorted by position.
     points: Vec<(u64, u32)>,
-    shards: usize,
-    vnodes_per_shard: usize,
 }
 
 impl ShardMap {
@@ -38,7 +36,7 @@ impl ShardMap {
     ///
     /// # Panics
     /// Panics if `shards` or `vnodes_per_shard` is zero.
-    pub fn new(shards: usize, vnodes_per_shard: usize) -> Self {
+    pub(crate) fn new(shards: usize, vnodes_per_shard: usize) -> Self {
         assert!(shards > 0, "a shard map needs at least one shard");
         assert!(vnodes_per_shard > 0, "each shard needs at least one vnode");
         let mut points = Vec::with_capacity(shards * vnodes_per_shard);
@@ -53,30 +51,11 @@ impl ShardMap {
         }
         points.sort_unstable();
         points.dedup_by_key(|p| p.0);
-        ShardMap {
-            points,
-            shards,
-            vnodes_per_shard,
-        }
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Virtual nodes per shard the ring was built with.
-    pub fn vnodes_per_shard(&self) -> usize {
-        self.vnodes_per_shard
-    }
-
-    /// The ring points, sorted by position: `(position, shard)`.
-    pub fn points(&self) -> &[(u64, u32)] {
-        &self.points
+        ShardMap { points }
     }
 
     /// The shard responsible for `key`.
-    pub fn shard_of(&self, key: &[u8]) -> usize {
+    pub(crate) fn shard_of(&self, key: &[u8]) -> usize {
         let h = fnv1a(key);
         let idx = match self.points.binary_search(&(h, 0)) {
             Ok(i) => i,

@@ -205,17 +205,15 @@ pub struct StoreMetrics {
 }
 
 /// Lifetime counters of the persistent worker pool behind
-/// [`StoreRuntime::Threaded`](crate::StoreRuntime::Threaded) and
-/// [`StoreRuntime::WorkStealing`](crate::StoreRuntime::WorkStealing), as
+/// [`StoreRuntime::WorkStealing`](crate::StoreRuntime::WorkStealing) and
+/// its alias [`StoreRuntime::Threaded`](crate::StoreRuntime::Threaded), as
 /// returned by [`crate::ShardedStore::pool_metrics`].
 ///
 /// These are **scheduling** counters: unlike everything in [`StoreMetrics`],
 /// which is derived from deterministic simulations and is bit-identical
 /// across runtimes, `steals` and `busy_nanos` depend on which worker reached
 /// which cluster first and vary run to run. `tasks_executed` is deterministic
-/// for a fixed operation sequence (one task per key cluster per drain under
-/// the work-stealing runtime, one per non-empty shard under the threaded
-/// runtime).
+/// for a fixed operation sequence (one task per key cluster per drain).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolMetrics {
     /// Worker threads in the pool.

@@ -100,25 +100,18 @@ fn hardware_parallelism() -> usize {
     })
 }
 
-/// The worker pool a store with `shards` shards needs for `runtime`, or
-/// `None` where the serial loop is the right (or only useful) backend:
-/// always for [`StoreRuntime::Simulation`]; for [`StoreRuntime::Threaded`]
-/// on single-shard stores or single-hardware-thread hosts (the documented
-/// serial degradation — threads buy no parallelism there); and for
-/// [`StoreRuntime::WorkStealing`] when the worker count resolves to one. An
-/// *explicit* work-stealing worker count is honored even on a single core,
-/// so tests can exercise the pool machinery on any host.
-fn pool_for(runtime: StoreRuntime, shards: usize) -> Option<WorkerPool> {
+/// The worker pool `runtime` needs, or `None` where the serial loop is the
+/// backend: always for [`StoreRuntime::Simulation`], and for the pool
+/// runtimes when the worker count resolves to one (`workers: 0` and
+/// [`StoreRuntime::Threaded`] on a single-hardware-thread host, where
+/// threads buy no parallelism). An *explicit* worker count is honored even
+/// on a single core, so tests can exercise the pool machinery on any host.
+fn pool_for(runtime: StoreRuntime) -> Option<WorkerPool> {
     let workers = match runtime {
         StoreRuntime::Simulation => 1,
-        StoreRuntime::Threaded => {
-            if shards <= 1 {
-                1
-            } else {
-                shards.min(hardware_parallelism())
-            }
+        StoreRuntime::Threaded | StoreRuntime::WorkStealing { workers: 0 } => {
+            hardware_parallelism()
         }
-        StoreRuntime::WorkStealing { workers: 0 } => hardware_parallelism(),
         StoreRuntime::WorkStealing { workers } => workers,
     };
     (workers > 1).then(|| WorkerPool::new(workers))
@@ -280,14 +273,13 @@ impl KeyCluster {
     }
 }
 
-/// What one pool task sends back to the draining thread: the clusters it
-/// ran (a single key cluster under the work-stealing runtime, a whole
-/// shard's batch under the threaded runtime), addressed by their original
-/// `(shard, first-cluster-index)` slot so reinstallation is order-exact.
-struct DrainedBatch {
+/// What one pool task sends back to the draining thread: the key cluster it
+/// ran, addressed by its original `(shard, cluster-index)` slot so
+/// reinstallation is order-exact.
+struct DrainedCluster {
     shard: usize,
-    first: usize,
-    clusters: Vec<KeyCluster>,
+    index: usize,
+    cluster: KeyCluster,
     hit_cap: bool,
 }
 
@@ -372,7 +364,7 @@ pub struct ShardedStore {
     shards: Vec<Shard>,
     seed: u64,
     runtime: StoreRuntime,
-    /// The persistent worker pool behind the parallel runtimes, created once
+    /// The persistent worker pool behind the pool runtimes, created once
     /// at build time (`None` when the serial loop is the backend — see
     /// [`pool_for`]).
     pool: Option<WorkerPool>,
@@ -402,7 +394,6 @@ impl ShardedStore {
         seed: u64,
         runtime: StoreRuntime,
     ) -> Self {
-        let specs_len = specs.len();
         let shards = specs
             .into_iter()
             .enumerate()
@@ -416,7 +407,7 @@ impl ShardedStore {
                 settled: StoreTotals::default(),
             })
             .collect();
-        let pool = pool_for(runtime, specs_len);
+        let pool = pool_for(runtime);
         ShardedStore {
             map,
             shards,
@@ -431,11 +422,6 @@ impl ShardedStore {
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
         self.shards.len()
-    }
-
-    /// The placement ring.
-    pub fn shard_map(&self) -> &ShardMap {
-        &self.map
     }
 
     /// The shard that serves `key`.
@@ -456,15 +442,9 @@ impl ShardedStore {
         self.shards.iter().map(|s| s.clusters.len()).collect()
     }
 
-    /// The execution backend the store was built with.
-    pub fn runtime(&self) -> StoreRuntime {
-        self.runtime
-    }
-
     /// Scheduling counters of the persistent worker pool: tasks executed,
     /// steals, and summed worker busy-time. `None` when the store runs the
-    /// serial loop ([`StoreRuntime::Simulation`], or a parallel runtime
-    /// degraded to serial — single shard under `Threaded`, automatic worker
+    /// serial loop ([`StoreRuntime::Simulation`], or the automatic worker
     /// count on a single-hardware-thread host). Unlike [`Self::metrics`],
     /// steal and busy-time counts are wall-clock artifacts and vary run to
     /// run; histories never do.
@@ -580,24 +560,21 @@ impl ShardedStore {
 
     /// Drives every shard until no messages remain anywhere, then settles
     /// tickets. With [`StoreRuntime::Simulation`] shards run serially in
-    /// shard order; with [`StoreRuntime::Threaded`] each shard is one task on
-    /// the store's persistent worker pool; with [`StoreRuntime::WorkStealing`]
-    /// each **key cluster** is its own task, so even a single hot shard
-    /// drains in parallel. All three produce bit-identical histories:
-    /// clusters are self-contained deterministic simulations, and tickets and
-    /// repairs are settled on the calling thread in `(shard, cluster-index)`
-    /// order after the drain, whatever order the workers finished in. The
-    /// threaded runtime (and the work-stealing runtime at its automatic
-    /// worker count) degrades to the serial loop on single-hardware-thread
-    /// hosts, where extra threads buy no parallelism and cost real time.
+    /// shard order; on the pool runtimes each **key cluster** is its own task
+    /// on the store's persistent worker pool. Every runtime produces
+    /// bit-identical histories: clusters are self-contained deterministic
+    /// simulations, and tickets and repairs are settled on the calling thread
+    /// in `(shard, cluster-index)` order after the drain, whatever order the
+    /// workers finished in. At the automatic worker count the pool degrades
+    /// to the serial loop on single-hardware-thread hosts, where extra
+    /// threads buy no parallelism and cost real time.
     ///
     /// A shard whose clusters cannot make progress (e.g. a majority of its
     /// servers crashed) still quiesces — its operations simply stay pending —
     /// so a dead shard never blocks the others.
     pub fn run_until_quiescent(&mut self) -> StoreRunOutcome {
         let hit_event_cap = if self.pool.is_some() {
-            let per_cluster = matches!(self.runtime, StoreRuntime::WorkStealing { .. });
-            self.drain_on_pool(per_cluster)
+            self.drain_on_pool()
         } else {
             let mut hit = false;
             for shard in &mut self.shards {
@@ -663,51 +640,31 @@ impl ShardedStore {
 
     /// Drains every shard on the persistent worker pool: key clusters are
     /// moved out of their shards (the only mutable state a task touches),
-    /// scheduled one task per cluster (`per_cluster`, the work-stealing
-    /// runtime) or one task per shard (the threaded runtime), and reinstalled
-    /// at their original `(shard, cluster-index)` slots once every task has
-    /// reported back — so everything after the drain observes the same
-    /// deterministic order the serial loop produces, whatever order the
-    /// workers finished in.
+    /// scheduled one task per cluster, and reinstalled at their original
+    /// `(shard, cluster-index)` slots once every task has reported back — so
+    /// everything after the drain observes the same deterministic order the
+    /// serial loop produces, whatever order the workers finished in.
     ///
     /// # Panics
     /// Panics if a worker task panicked (the underlying cluster simulation
     /// raised; its state is lost, so the store cannot continue).
-    fn drain_on_pool(&mut self, per_cluster: bool) -> bool {
+    fn drain_on_pool(&mut self) -> bool {
         let pool = self.pool.as_ref().expect("pool drain without a pool");
-        let (tx, rx) = std::sync::mpsc::channel::<DrainedBatch>();
+        let (tx, rx) = std::sync::mpsc::channel::<DrainedCluster>();
         let mut tasks: Vec<Task> = Vec::new();
         let mut staging: Vec<Vec<Option<KeyCluster>>> = Vec::with_capacity(self.shards.len());
         for shard in &mut self.shards {
             let clusters = std::mem::take(&mut shard.clusters);
             staging.push((0..clusters.len()).map(|_| None).collect());
             let shard_index = shard.index;
-            if per_cluster {
-                for (index, kc) in clusters.into_iter().enumerate() {
-                    let tx = tx.clone();
-                    let mut kc = kc;
-                    tasks.push(Box::new(move || {
-                        let hit_cap = kc.cluster.run_to_quiescence().hit_event_cap;
-                        let _ = tx.send(DrainedBatch {
-                            shard: shard_index,
-                            first: index,
-                            clusters: vec![kc],
-                            hit_cap,
-                        });
-                    }));
-                }
-            } else if !clusters.is_empty() {
+            for (index, mut kc) in clusters.into_iter().enumerate() {
                 let tx = tx.clone();
                 tasks.push(Box::new(move || {
-                    let mut clusters = clusters;
-                    let mut hit_cap = false;
-                    for kc in &mut clusters {
-                        hit_cap |= kc.cluster.run_to_quiescence().hit_event_cap;
-                    }
-                    let _ = tx.send(DrainedBatch {
+                    let hit_cap = kc.cluster.run_to_quiescence().hit_event_cap;
+                    let _ = tx.send(DrainedCluster {
                         shard: shard_index,
-                        first: 0,
-                        clusters,
+                        index,
+                        cluster: kc,
                         hit_cap,
                     });
                 }));
@@ -721,13 +678,10 @@ impl ShardedStore {
         // Results arrive in completion order; the staging slots restore
         // cluster order. The channel disconnects once every task has
         // reported or died.
-        for batch in rx {
+        for drained in rx {
             collected += 1;
-            hit_event_cap |= batch.hit_cap;
-            let slots = &mut staging[batch.shard];
-            for (offset, kc) in batch.clusters.into_iter().enumerate() {
-                slots[batch.first + offset] = Some(kc);
-            }
+            hit_event_cap |= drained.hit_cap;
+            staging[drained.shard][drained.index] = Some(drained.cluster);
         }
         // The barrier: a task's sender drops before its worker has counted
         // it, so only now are the pool's counters settled for this drain.

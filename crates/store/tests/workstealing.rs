@@ -138,16 +138,19 @@ fn chaos_histories_and_metrics_are_bit_identical_across_all_runtimes() {
 
 #[test]
 fn a_single_hot_shard_fans_out_one_task_per_key_cluster() {
-    // The whole point of WorkStealing over Threaded: a 1-shard store is one
-    // task total under Threaded but one task *per key cluster* per drain
-    // under WorkStealing, so a hot shard can use every core.
+    // Every pool runtime schedules one task per key cluster per drain, so
+    // even a 1-shard store spreads its hot keys over every worker.
+    // `Threaded` is the automatic-worker pool under another name.
     let keys: Vec<Vec<u8>> = (0..48).map(|i| format!("hot/{i}").into_bytes()).collect();
 
     let mut results = Vec::new();
     let mut pool_tasks = Vec::new();
+    let mut pool_workers = Vec::new();
     for runtime in [
         StoreRuntime::Simulation,
         StoreRuntime::WorkStealing { workers: 3 },
+        StoreRuntime::Threaded,
+        StoreRuntime::WorkStealing { workers: 0 },
     ] {
         let mut store = StoreBuilder::new(1, ProtocolKind::Soda, 5, 2)
             .with_seed(7)
@@ -165,9 +168,12 @@ fn a_single_hot_shard_fans_out_one_task_per_key_cluster() {
         store.check_per_key_atomicity().unwrap();
         results.push(store.keyed_history());
         pool_tasks.push(store.pool_metrics().map_or(0, |m| m.tasks_executed));
+        pool_workers.push(store.pool_workers());
     }
 
-    assert_eq!(results[0], results[1]);
+    for history in &results[1..] {
+        assert_eq!(&results[0], history);
+    }
     // Each of the two drains dispatches every active cluster as its own
     // task, so the counter must reach well past the key count.
     assert!(
@@ -176,4 +182,15 @@ fn a_single_hot_shard_fans_out_one_task_per_key_cluster() {
         keys.len(),
         pool_tasks[1]
     );
+    // `Threaded` sizes its pool like `workers: 0` and, wherever that is a
+    // pool (more than one hardware thread), runs the same per-cluster tasks.
+    assert_eq!(pool_workers[2], pool_workers[3]);
+    if pool_workers[2] > 1 {
+        assert!(
+            pool_tasks[2] >= keys.len() as u64,
+            "expected at least {} cluster tasks under Threaded, saw {}",
+            keys.len(),
+            pool_tasks[2]
+        );
+    }
 }
