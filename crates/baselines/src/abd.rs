@@ -13,11 +13,10 @@
 //! cost `n`.
 
 use soda_protocol::{
-    value_from, Layout, OpKind, OpRecord, PendingWrite, ProtocolSpec, QuorumTracker, RepairDriver,
+    value_from, Invocation, Layout, OpKind, OpQueue, ProtocolSpec, QuorumTracker, RepairDriver,
     RepairStatus, Tag, Value,
 };
-use soda_simnet::{Context, Message, Process, ProcessId, ProcessStats, SimTime, Simulation};
-use std::collections::VecDeque;
+use soda_simnet::{Context, Message, Process, ProcessId, ProcessStats, Simulation};
 
 /// Messages of the ABD protocol.
 #[derive(Clone, Debug)]
@@ -247,11 +246,6 @@ enum AbdPhase {
     Store,
 }
 
-enum PendingOp {
-    Write(Value),
-    Read,
-}
-
 /// An ABD client: performs both writes and reads (the two differ only in how
 /// the phase-2 tag/value are chosen and in what is recorded on completion).
 pub struct AbdClient {
@@ -261,16 +255,11 @@ pub struct AbdClient {
     /// deployments; see [`AbdClient::with_quorum`].
     quorum: usize,
     phase: AbdPhase,
-    pending: VecDeque<PendingOp>,
-    seq: u64,
-    current: OpKind,
-    current_value: Option<Value>,
-    invoked_at: SimTime,
-    store_tag: Option<Tag>,
-    store_value: Option<Value>,
+    ops: OpQueue,
+    /// The value a read writes back in its store phase, and returns.
+    read_value: Option<Value>,
     query_tracker: QuorumTracker<(Tag, Option<Value>)>,
     ack_tracker: QuorumTracker<()>,
-    completed: Vec<OpRecord>,
 }
 
 impl AbdClient {
@@ -282,16 +271,10 @@ impl AbdClient {
             self_id,
             quorum: majority,
             phase: AbdPhase::Idle,
-            pending: VecDeque::new(),
-            seq: 0,
-            current: OpKind::Write,
-            current_value: None,
-            invoked_at: SimTime::ZERO,
-            store_tag: None,
-            store_value: None,
+            ops: OpQueue::new(self_id),
+            read_value: None,
             query_tracker: QuorumTracker::new(majority),
             ack_tracker: QuorumTracker::new(majority),
-            completed: Vec::new(),
         }
     }
 
@@ -305,58 +288,22 @@ impl AbdClient {
         self
     }
 
-    /// Completed operations in completion order.
-    pub fn completed_ops(&self) -> &[OpRecord] {
-        &self.completed
-    }
-
-    /// The in-flight *write*, if one exists. Its tag is `None` until the
-    /// store phase starts (before that, no server has seen the value, so no
-    /// read can have observed it). Needed to close operation histories under
-    /// crash/network faults. In-flight reads are not reported: an unfinished
-    /// read returns nothing.
-    pub fn in_flight_write(&self) -> Option<PendingWrite> {
-        if self.phase == AbdPhase::Idle || self.current.is_read() {
-            return None;
-        }
-        Some(PendingWrite {
-            client: u64::from(self.self_id.0),
-            seq: self.seq,
-            invoked_at: self.invoked_at,
-            tag: self.store_tag,
-            value: self
-                .current_value
-                .as_ref()
-                .expect("an in-flight write always carries its value")
-                .to_vec(),
-        })
+    /// The client's operations: those completed and the one in flight. A
+    /// write's tag is set when its store phase starts.
+    pub fn ops(&self) -> &OpQueue {
+        &self.ops
     }
 
     fn start_next(&mut self, ctx: &mut Context<'_, AbdMsg>) {
-        if self.phase != AbdPhase::Idle {
-            return;
-        }
-        let Some(op) = self.pending.pop_front() else {
+        let Some((seq, kind)) = self.ops.start_next(ctx.now()) else {
             return;
         };
-        self.seq += 1;
-        self.invoked_at = ctx.now();
-        match op {
-            PendingOp::Write(value) => {
-                self.current = OpKind::Write;
-                self.current_value = Some(value);
-            }
-            PendingOp::Read => {
-                self.current = OpKind::Read;
-                self.current_value = None;
-            }
-        }
         self.phase = AbdPhase::Query;
         self.query_tracker = QuorumTracker::new(self.quorum);
         for &server in self.layout.servers() {
             let query = AbdMsg::Query {
-                seq: self.seq,
-                with_value: self.current.is_read(),
+                seq,
+                with_value: kind.is_read(),
             };
             ctx.send(server, query);
         }
@@ -369,22 +316,22 @@ impl AbdClient {
             .max_by_key(|(_, (tag, _))| *tag)
             .map(|(_, (tag, value))| (*tag, value.clone()))
             .unwrap_or((Tag::INITIAL, None));
-        let (tag, value) = match self.current {
-            OpKind::Read => (max_tag, max_value.unwrap_or_default()),
-            OpKind::Write => (
-                max_tag.next(self.self_id),
-                self.current_value.clone().expect("write has a value"),
-            ),
+        let (tag, value) = match self.ops.value() {
+            Some(written) => (max_tag.next(self.self_id), written.clone()),
+            None => {
+                let read = max_value.unwrap_or_default();
+                self.read_value = Some(read.clone());
+                (max_tag, read)
+            }
         };
-        self.store_tag = Some(tag);
-        self.store_value = Some(value.clone());
+        self.ops.set_tag(tag);
         self.phase = AbdPhase::Store;
         self.ack_tracker = QuorumTracker::new(self.quorum);
         for &server in self.layout.servers() {
             ctx.send(
                 server,
                 AbdMsg::Store {
-                    seq: self.seq,
+                    seq: self.ops.seq(),
                     tag,
                     value: value.clone(),
                 },
@@ -393,23 +340,10 @@ impl AbdClient {
     }
 
     fn complete(&mut self, ctx: &mut Context<'_, AbdMsg>) {
-        let record = OpRecord {
-            client: u64::from(self.self_id.0),
-            seq: self.seq,
-            kind: self.current,
-            invoked_at: self.invoked_at,
-            completed_at: ctx.now(),
-            tag: self.store_tag.take().expect("store tag set"),
-            value: Some(
-                self.store_value
-                    .take()
-                    .map(|v| v.to_vec())
-                    .unwrap_or_default(),
-            ),
-        };
-        self.completed.push(record);
+        let tag = self.ops.tag().expect("store tag set");
+        let read = self.read_value.take().map(|value| value.to_vec());
+        self.ops.complete(ctx.now(), tag, read);
         self.phase = AbdPhase::Idle;
-        self.current_value = None;
         self.start_next(ctx);
     }
 }
@@ -418,22 +352,22 @@ impl Process<AbdMsg> for AbdClient {
     fn on_message(&mut self, from: ProcessId, msg: AbdMsg, ctx: &mut Context<'_, AbdMsg>) {
         match msg {
             AbdMsg::InvokeWrite(value) => {
-                self.pending.push_back(PendingOp::Write(value));
+                self.ops.push(Invocation::Write(value));
                 self.start_next(ctx);
             }
             AbdMsg::InvokeRead => {
-                self.pending.push_back(PendingOp::Read);
+                self.ops.push(Invocation::Read);
                 self.start_next(ctx);
             }
             AbdMsg::QueryResp { seq, tag, value }
-                if self.phase == AbdPhase::Query && seq == self.seq =>
+                if self.phase == AbdPhase::Query && seq == self.ops.seq() =>
             {
                 self.query_tracker.record(from, (tag, value));
                 if self.query_tracker.is_complete() {
                     self.begin_store(ctx);
                 }
             }
-            AbdMsg::StoreAck { seq } if self.phase == AbdPhase::Store && seq == self.seq => {
+            AbdMsg::StoreAck { seq } if self.phase == AbdPhase::Store && seq == self.ops.seq() => {
                 self.ack_tracker.record(from, ());
                 if self.ack_tracker.is_complete() {
                     self.complete(ctx);
@@ -498,13 +432,8 @@ impl ProtocolSpec for AbdSpec {
         sim.process_as::<AbdServer>(server)?.repair_status()
     }
 
-    fn completed_ops(sim: &Simulation<AbdMsg>, client: ProcessId) -> &[OpRecord] {
-        sim.process_as::<AbdClient>(client)
-            .map_or(&[], AbdClient::completed_ops)
-    }
-
-    fn in_flight_write(sim: &Simulation<AbdMsg>, client: ProcessId) -> Option<PendingWrite> {
-        sim.process_as::<AbdClient>(client)?.in_flight_write()
+    fn client_ops(sim: &Simulation<AbdMsg>, client: ProcessId) -> Option<&OpQueue> {
+        sim.process_as::<AbdClient>(client).map(AbdClient::ops)
     }
 
     /// An ABD read also *sends* the value back to the servers in its
@@ -519,6 +448,7 @@ impl ProtocolSpec for AbdSpec {
 mod tests {
     use super::*;
     use soda_simnet::testkit::{deliver, start};
+    use soda_simnet::SimTime;
 
     fn t(ticks: u64) -> SimTime {
         SimTime::from_ticks(ticks)

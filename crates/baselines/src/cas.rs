@@ -18,12 +18,12 @@
 //! per-read cost is compared against in Table I and Section I-B.
 
 use soda_protocol::{
-    CodeCacheStats, Layout, OpKind, OpRecord, PendingWrite, ProtocolSpec, QuorumTracker,
-    RepairDriver, RepairStatus, Tag, Value,
+    CodeCacheStats, Invocation, Layout, OpKind, OpQueue, ProtocolSpec, QuorumTracker, RepairDriver,
+    RepairStatus, Tag, Value,
 };
 use soda_rs_code::{CodedElement, MdsCode, VandermondeCode};
 use soda_simnet::{Context, Message, Process, ProcessId, SimTime, Simulation};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Messages of the CAS / CASGC protocol.
@@ -427,7 +427,6 @@ impl Process<CasMsg> for CasServer {
             }
             _ => {}
         }
-        let _ = self.my_rank;
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -447,27 +446,16 @@ enum CasPhase {
     ReadValue,
 }
 
-enum PendingOp {
-    Write(Value),
-    Read,
-}
-
 /// A CAS / CASGC client performing both writes and reads.
 pub struct CasClient {
     config: Arc<CasConfig>,
     self_id: ProcessId,
     phase: CasPhase,
-    pending: VecDeque<PendingOp>,
-    seq: u64,
-    current: OpKind,
-    current_value: Option<Value>,
-    current_tag: Option<Tag>,
-    invoked_at: SimTime,
+    ops: OpQueue,
     tag_tracker: QuorumTracker<Tag>,
     ack_tracker: QuorumTracker<()>,
     read_elements: BTreeMap<usize, CodedElement>,
     read_responses: QuorumTracker<()>,
-    completed: Vec<OpRecord>,
 }
 
 impl CasClient {
@@ -478,74 +466,28 @@ impl CasClient {
             config,
             self_id,
             phase: CasPhase::Idle,
-            pending: VecDeque::new(),
-            seq: 0,
-            current: OpKind::Write,
-            current_value: None,
-            current_tag: None,
-            invoked_at: SimTime::ZERO,
+            ops: OpQueue::new(self_id),
             tag_tracker: QuorumTracker::new(q),
             ack_tracker: QuorumTracker::new(q),
             read_elements: BTreeMap::new(),
             read_responses: QuorumTracker::new(q),
-            completed: Vec::new(),
         }
     }
 
-    /// Completed operations in completion order.
-    pub fn completed_ops(&self) -> &[OpRecord] {
-        &self.completed
-    }
-
-    /// The in-flight *write*, if one exists. Its tag is `None` until the
-    /// pre-write phase starts (before that, no server has seen the value, so
-    /// no read can have observed it). Needed to close operation histories
-    /// under crash/network faults.
-    pub fn in_flight_write(&self) -> Option<PendingWrite> {
-        if self.phase == CasPhase::Idle || self.current.is_read() {
-            return None;
-        }
-        Some(PendingWrite {
-            client: u64::from(self.self_id.0),
-            seq: self.seq,
-            invoked_at: self.invoked_at,
-            tag: self.current_tag,
-            value: self
-                .current_value
-                .as_ref()
-                .expect("an in-flight write always carries its value")
-                .to_vec(),
-        })
-    }
-
-    fn servers(&self) -> Vec<ProcessId> {
-        self.config.layout().servers().to_vec()
+    /// The client's operations: those completed and the one in flight. A
+    /// write's tag is set when its pre-write phase starts.
+    pub fn ops(&self) -> &OpQueue {
+        &self.ops
     }
 
     fn start_next(&mut self, ctx: &mut Context<'_, CasMsg>) {
-        if self.phase != CasPhase::Idle {
-            return;
-        }
-        let Some(op) = self.pending.pop_front() else {
+        let Some((seq, _)) = self.ops.start_next(ctx.now()) else {
             return;
         };
-        self.seq += 1;
-        self.invoked_at = ctx.now();
-        match op {
-            PendingOp::Write(value) => {
-                self.current = OpKind::Write;
-                self.current_value = Some(value);
-            }
-            PendingOp::Read => {
-                self.current = OpKind::Read;
-                self.current_value = None;
-            }
-        }
-        self.current_tag = None;
         self.phase = CasPhase::QueryTag;
         self.tag_tracker = QuorumTracker::new(self.config.quorum());
-        for server in self.servers() {
-            ctx.send(server, CasMsg::QueryTag { seq: self.seq });
+        for &server in self.config.layout().servers() {
+            ctx.send(server, CasMsg::QueryTag { seq });
         }
     }
 
@@ -555,40 +497,30 @@ impl CasClient {
             .max_response()
             .copied()
             .unwrap_or(Tag::INITIAL);
-        if self.current.is_read() {
-            self.current_tag = Some(max_tag);
-            self.phase = CasPhase::ReadValue;
-            self.read_elements.clear();
-            self.read_responses = QuorumTracker::new(self.config.quorum());
-            for server in self.servers() {
-                ctx.send(
-                    server,
-                    CasMsg::ReadFinalize {
-                        seq: self.seq,
-                        tag: max_tag,
-                    },
-                );
+        let seq = self.ops.seq();
+        match self.ops.value().cloned() {
+            None => {
+                self.ops.set_tag(max_tag);
+                self.phase = CasPhase::ReadValue;
+                self.read_elements.clear();
+                self.read_responses = QuorumTracker::new(self.config.quorum());
+                for &server in self.config.layout().servers() {
+                    ctx.send(server, CasMsg::ReadFinalize { seq, tag: max_tag });
+                }
             }
-        } else {
-            let tag = max_tag.next(self.self_id);
-            self.current_tag = Some(tag);
-            self.phase = CasPhase::PreWrite;
-            self.ack_tracker = QuorumTracker::new(self.config.quorum());
-            let value = self.current_value.clone().expect("write has a value");
-            let elements = self
-                .config
-                .code()
-                .encode(&value)
-                .expect("encoding never fails for valid parameters");
-            for (rank, server) in self.servers().into_iter().enumerate() {
-                ctx.send(
-                    server,
-                    CasMsg::PreWrite {
-                        seq: self.seq,
-                        tag,
-                        element: elements[rank].clone(),
-                    },
-                );
+            Some(value) => {
+                let tag = max_tag.next(self.self_id);
+                self.ops.set_tag(tag);
+                self.phase = CasPhase::PreWrite;
+                self.ack_tracker = QuorumTracker::new(self.config.quorum());
+                let elements = self
+                    .config
+                    .code()
+                    .encode(&value)
+                    .expect("encoding never fails for valid parameters");
+                for (&server, element) in self.config.layout().servers().iter().zip(elements) {
+                    ctx.send(server, CasMsg::PreWrite { seq, tag, element });
+                }
             }
         }
     }
@@ -596,9 +528,10 @@ impl CasClient {
     fn begin_finalize(&mut self, ctx: &mut Context<'_, CasMsg>) {
         self.phase = CasPhase::Finalize;
         self.ack_tracker = QuorumTracker::new(self.config.quorum());
-        let tag = self.current_tag.expect("finalize requires a tag");
-        for server in self.servers() {
-            ctx.send(server, CasMsg::Finalize { seq: self.seq, tag });
+        let seq = self.ops.seq();
+        let tag = self.ops.tag().expect("finalize requires a tag");
+        for &server in self.config.layout().servers() {
+            ctx.send(server, CasMsg::Finalize { seq, tag });
         }
     }
 
@@ -612,23 +545,15 @@ impl CasClient {
             .code()
             .decode(&elements)
             .expect("quorum intersection provides k consistent elements");
-        self.complete(value, ctx);
+        self.complete(Some(value), ctx);
     }
 
-    fn complete(&mut self, value: Vec<u8>, ctx: &mut Context<'_, CasMsg>) {
-        let record = OpRecord {
-            client: u64::from(self.self_id.0),
-            seq: self.seq,
-            kind: self.current,
-            invoked_at: self.invoked_at,
-            completed_at: ctx.now(),
-            tag: self.current_tag.expect("tag set"),
-            value: Some(value),
-        };
-        self.completed.push(record);
+    /// Completes the operation in flight: `read` is the value a read
+    /// returns, `None` for a write.
+    fn complete(&mut self, read: Option<Vec<u8>>, ctx: &mut Context<'_, CasMsg>) {
+        let tag = self.ops.tag().expect("tag set");
+        self.ops.complete(ctx.now(), tag, read);
         self.phase = CasPhase::Idle;
-        self.current_value = None;
-        self.current_tag = None;
         self.read_elements.clear();
         self.start_next(ctx);
     }
@@ -638,42 +563,41 @@ impl Process<CasMsg> for CasClient {
     fn on_message(&mut self, from: ProcessId, msg: CasMsg, ctx: &mut Context<'_, CasMsg>) {
         match msg {
             CasMsg::InvokeWrite(value) => {
-                self.pending.push_back(PendingOp::Write(value));
+                self.ops.push(Invocation::Write(value));
                 self.start_next(ctx);
             }
             CasMsg::InvokeRead => {
-                self.pending.push_back(PendingOp::Read);
+                self.ops.push(Invocation::Read);
                 self.start_next(ctx);
             }
             CasMsg::QueryTagResp { seq, tag }
-                if self.phase == CasPhase::QueryTag && seq == self.seq =>
+                if self.phase == CasPhase::QueryTag && seq == self.ops.seq() =>
             {
                 self.tag_tracker.record(from, tag);
                 if self.tag_tracker.is_complete() {
                     self.after_tag_query(ctx);
                 }
             }
-            CasMsg::PreWriteAck { seq } if self.phase == CasPhase::PreWrite && seq == self.seq => {
+            CasMsg::PreWriteAck { seq }
+                if self.phase == CasPhase::PreWrite && seq == self.ops.seq() =>
+            {
                 self.ack_tracker.record(from, ());
                 if self.ack_tracker.is_complete() {
                     self.begin_finalize(ctx);
                 }
             }
-            CasMsg::FinalizeAck { seq } if self.phase == CasPhase::Finalize && seq == self.seq => {
+            CasMsg::FinalizeAck { seq }
+                if self.phase == CasPhase::Finalize && seq == self.ops.seq() =>
+            {
                 self.ack_tracker.record(from, ());
                 if self.ack_tracker.is_complete() {
-                    let value = self
-                        .current_value
-                        .clone()
-                        .map(|v| v.to_vec())
-                        .unwrap_or_default();
-                    self.complete(value, ctx);
+                    self.complete(None, ctx);
                 }
             }
             CasMsg::ReadFinalizeResp { seq, tag, element }
                 if self.phase == CasPhase::ReadValue
-                    && seq == self.seq
-                    && Some(tag) == self.current_tag =>
+                    && seq == self.ops.seq()
+                    && Some(tag) == self.ops.tag() =>
             {
                 self.read_responses.record(from, ());
                 if let Some(element) = element {
@@ -731,13 +655,8 @@ impl ProtocolSpec for CasSpec {
         sim.process_as::<CasServer>(server)?.repair_status()
     }
 
-    fn completed_ops(sim: &Simulation<CasMsg>, client: ProcessId) -> &[OpRecord] {
-        sim.process_as::<CasClient>(client)
-            .map_or(&[], CasClient::completed_ops)
-    }
-
-    fn in_flight_write(sim: &Simulation<CasMsg>, client: ProcessId) -> Option<PendingWrite> {
-        sim.process_as::<CasClient>(client)?.in_flight_write()
+    fn client_ops(sim: &Simulation<CasMsg>, client: ProcessId) -> Option<&OpQueue> {
+        sim.process_as::<CasClient>(client).map(CasClient::ops)
     }
 
     fn decode_cache_stats(&self) -> CodeCacheStats {

@@ -23,6 +23,9 @@
 //!   simulator clones messages on every hop.
 //! * [`OpRecord`], [`OpKind`], [`PendingWrite`] — the one record vocabulary
 //!   every protocol's clients log their operations in.
+//! * [`OpQueue`], [`Invocation`] — the client half every protocol shares:
+//!   queued invocations, the one operation in flight and the log of those
+//!   completed. A client adds only its own phases.
 //! * [`RepairDriver`], [`RepairStatus`], [`RepairError`] — the retry /
 //!   give-up loop of a replacement server's repair, and the one record of
 //!   its progress, cost and outcome.
@@ -35,6 +38,7 @@
 pub mod cost;
 pub mod md;
 
+mod client;
 mod layout;
 mod quorum;
 mod record;
@@ -43,6 +47,7 @@ mod spec;
 mod tag;
 mod value;
 
+pub use client::{Invocation, OpQueue};
 pub use layout::Layout;
 pub use quorum::QuorumTracker;
 pub use record::{OpKind, OpRecord, PendingWrite};

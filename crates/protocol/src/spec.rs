@@ -8,7 +8,7 @@
 //! any of them through this trait, and everything else about a cluster is
 //! written once.
 
-use crate::{CodeCacheStats, OpKind, OpRecord, PendingWrite, RepairStatus, Value};
+use crate::{CodeCacheStats, OpKind, OpQueue, RepairStatus, Value};
 use soda_simnet::{Message, Process, ProcessId, ProcessStats, Simulation};
 
 /// One register protocol, as seen by a cluster harness: its message type,
@@ -16,7 +16,10 @@ use soda_simnet::{Message, Process, ProcessId, ProcessStats, Simulation};
 ///
 /// A spec value carries the deployment's shared configuration (layout, code,
 /// fault switches); the probes are associated functions over the simulation
-/// because a process is only reachable by id through it.
+/// because a process is only reachable by id through it. Every protocol's
+/// clients keep their operations in an [`OpQueue`], so one client probe,
+/// [`client_ops`](Self::client_ops), serves both the completed log and the
+/// write in flight; the server probes read state that differs per protocol.
 pub trait ProtocolSpec: Send + 'static {
     /// The protocol's message type.
     type Msg: Message;
@@ -48,13 +51,9 @@ pub trait ProtocolSpec: Send + 'static {
     /// a replacement.
     fn repair_status(sim: &Simulation<Self::Msg>, server: ProcessId) -> Option<RepairStatus>;
 
-    /// The client's append-only log of completed operations, in completion
-    /// order. Empty for a process that is not a client.
-    fn completed_ops(sim: &Simulation<Self::Msg>, client: ProcessId) -> &[OpRecord];
-
-    /// The client's in-flight write, if it has one. Queued invocations that
-    /// have not started are not reported: they have had no effect yet.
-    fn in_flight_write(sim: &Simulation<Self::Msg>, client: ProcessId) -> Option<PendingWrite>;
+    /// The client's operations — the log of those it completed and the one
+    /// in flight — or `None` for a process that is not a client.
+    fn client_ops(sim: &Simulation<Self::Msg>, client: ProcessId) -> Option<&OpQueue>;
 
     /// Decode-matrix cache counters of the deployment's erasure code; all
     /// zeros for a protocol that never inverts a matrix.

@@ -193,14 +193,15 @@ impl<P: ProtocolSpec> RegisterCluster for Harness<P> {
     }
 
     fn completed_since(&self, client: ProcessId, from: usize, out: &mut Vec<OpRecord>) {
-        let log = P::completed_ops(&self.sim, client);
-        out.extend_from_slice(log.get(from..).unwrap_or_default());
+        if let Some(ops) = P::client_ops(&self.sim, client) {
+            out.extend_from_slice(ops.completed().get(from..).unwrap_or_default());
+        }
     }
 
     fn pending_writes(&self) -> Vec<PendingWrite> {
         self.writers
             .clone()
-            .filter_map(|id| P::in_flight_write(&self.sim, ProcessId(id)))
+            .filter_map(|id| P::client_ops(&self.sim, ProcessId(id))?.in_flight_write())
             .collect()
     }
 

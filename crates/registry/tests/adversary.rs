@@ -92,16 +92,44 @@ fn pending_writes_report_the_in_flight_operation_for_every_protocol() {
             .with_clients(1, 1)
             .build()
             .unwrap();
+        let name = kind.name();
         cluster.invoke_write(0, b"stalled".to_vec());
-        // Run only a moment: the write is still in flight.
+        cluster.invoke_write(0, b"queued".to_vec());
+        // Run only a moment: the first write is in its query phase, and the
+        // second, queued behind it, has had no effect yet.
         cluster.run_until(SimTime::from_ticks(1));
         let pending = cluster.pending_writes();
-        assert_eq!(pending.len(), 1, "{}", kind.name());
-        assert_eq!(pending[0].value, b"stalled", "{}", kind.name());
-        // After quiescence it completed and is pending no more.
+        assert_eq!(pending.len(), 1, "{name}");
+        assert_eq!((pending[0].seq, pending[0].tag), (1, None), "{name}");
+        assert_eq!(pending[0].value, b"stalled", "{name}");
+        // Step until the protocol has chosen the write's tag.
+        let mut tick = 1;
+        let tagged = loop {
+            tick += 1;
+            cluster.run_until(SimTime::from_ticks(tick));
+            let pending = cluster.pending_writes();
+            assert_eq!(pending.len(), 1, "{name}: tick {tick}");
+            if pending[0].tag.is_some() {
+                break pending[0].clone();
+            }
+        };
+        // The record of the completed write is the pending write, tagged.
+        while cluster.completed_ops().is_empty() {
+            tick += 1;
+            cluster.run_until(SimTime::from_ticks(tick));
+        }
+        let done = &cluster.completed_ops()[0];
+        assert_eq!(Some(done.tag), tagged.tag, "{name}");
+        assert_eq!(
+            (done.client, done.seq, done.invoked_at),
+            (tagged.client, tagged.seq, tagged.invoked_at),
+            "{name}"
+        );
+        assert_eq!(done.value, Some(tagged.value), "{name}");
+        // After quiescence both completed and nothing is pending.
         cluster.run_to_quiescence();
-        assert!(cluster.pending_writes().is_empty(), "{}", kind.name());
-        assert_eq!(cluster.completed_ops().len(), 1, "{}", kind.name());
+        assert!(cluster.pending_writes().is_empty(), "{name}");
+        assert_eq!(cluster.completed_ops().len(), 2, "{name}");
     }
 }
 

@@ -19,16 +19,6 @@ pub enum DelayModel {
         /// Maximum delay in ticks.
         max: u64,
     },
-    /// Geometric-tailed delay: `min + Geometric(p)` capped at `cap`, a simple
-    /// heavy-ish tail for adversarial reordering without unbounded delays.
-    GeometricTail {
-        /// Minimum delay in ticks.
-        min: u64,
-        /// Success probability of the geometric component (0 < p ≤ 1).
-        p: f64,
-        /// Hard cap on the sampled delay.
-        cap: u64,
-    },
 }
 
 impl DelayModel {
@@ -41,26 +31,8 @@ impl DelayModel {
                 let (lo, hi) = if min <= max { (min, max) } else { (max, min) };
                 rng.gen_range(lo..=hi)
             }
-            DelayModel::GeometricTail { min, p, cap } => {
-                let p = p.clamp(1e-6, 1.0);
-                let mut extra = 0u64;
-                while extra < cap && !rng.gen_bool(p) {
-                    extra += 1;
-                }
-                (min + extra).min(cap.max(min))
-            }
         };
         raw.max(1)
-    }
-
-    /// An upper bound on the delays this model can produce, if one exists.
-    /// Used by the latency experiments to convert ticks into Δ units.
-    pub fn upper_bound(&self) -> Option<u64> {
-        match *self {
-            DelayModel::Constant(d) => Some(d.max(1)),
-            DelayModel::Uniform { min, max } => Some(max.max(min).max(1)),
-            DelayModel::GeometricTail { min, cap, .. } => Some(cap.max(min).max(1)),
-        }
     }
 }
 
@@ -116,16 +88,6 @@ impl NetworkConfig {
             .copied()
             .unwrap_or(self.default_delay)
     }
-
-    /// Upper bound Δ on message delay across all links, if every model is
-    /// bounded.
-    pub fn delta_bound(&self) -> Option<u64> {
-        let mut bound = self.default_delay.upper_bound()?;
-        for model in self.link_overrides.values() {
-            bound = bound.max(model.upper_bound()?);
-        }
-        Some(bound)
-    }
 }
 
 #[cfg(test)]
@@ -160,38 +122,6 @@ mod tests {
     }
 
     #[test]
-    fn geometric_tail_respects_cap() {
-        let mut rng = ChaCha12Rng::seed_from_u64(2);
-        let m = DelayModel::GeometricTail {
-            min: 3,
-            p: 0.2,
-            cap: 20,
-        };
-        for _ in 0..200 {
-            let d = m.sample(&mut rng);
-            assert!((3..=23).contains(&d));
-        }
-    }
-
-    #[test]
-    fn upper_bounds() {
-        assert_eq!(DelayModel::Constant(4).upper_bound(), Some(4));
-        assert_eq!(
-            DelayModel::Uniform { min: 1, max: 7 }.upper_bound(),
-            Some(7)
-        );
-        assert_eq!(
-            DelayModel::GeometricTail {
-                min: 2,
-                p: 0.5,
-                cap: 11
-            }
-            .upper_bound(),
-            Some(11)
-        );
-    }
-
-    #[test]
     fn link_override_changes_delay_model() {
         let cfg = NetworkConfig::constant(3).with_link(
             ProcessId(0),
@@ -206,12 +136,5 @@ mod tests {
             cfg.delay_for(ProcessId(1), ProcessId(0)),
             DelayModel::Constant(3)
         );
-        assert_eq!(cfg.delta_bound(), Some(50));
-    }
-
-    #[test]
-    fn uniform_constructor_gives_delta_bound() {
-        let cfg = NetworkConfig::uniform(12);
-        assert_eq!(cfg.delta_bound(), Some(12));
     }
 }

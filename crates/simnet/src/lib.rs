@@ -15,10 +15,10 @@
 //!   property tests that shrink on failure).
 //! * [`Process`] — the actor trait protocol automata implement
 //!   (`on_start` / `on_message` / `on_timer`).
-//! * [`FaultPlan`] / [`Simulation::schedule_crash`] — crash injection at
-//!   arbitrary points, including mid-operation client crashes — and
-//!   crash–*recovery*: [`Simulation::schedule_recovery`] replaces a crashed
-//!   process with a fresh (empty-state) one, modelling server repair.
+//! * [`Simulation::schedule_crash`] — crash injection at arbitrary points,
+//!   including mid-operation client crashes — and crash–*recovery*:
+//!   [`Simulation::schedule_recovery`] replaces a crashed process with a
+//!   fresh (empty-state) one, modelling server repair.
 //! * [`NetFaultPlan`] / [`Simulation::set_net_fault_plan`] — the network
 //!   adversary: per-link message drop, extra delay, reordering (hold-back),
 //!   duplication, byzantine payload corruption via a message-type specific
@@ -65,7 +65,6 @@
 
 mod config;
 mod fasthash;
-mod fault;
 mod netfault;
 mod process;
 mod sim;
@@ -76,7 +75,6 @@ mod wheel;
 
 pub use config::{DelayModel, NetworkConfig};
 pub use fasthash::{BuildFastHasher, FastHashMap, FastHashSet, FastHasher};
-pub use fault::{CrashEvent, FaultPlan, RecoveryEvent};
 pub use netfault::{LinkFaults, LinkWindow, NetFaultPlan, Partition};
 pub use process::{Context, Message, Process, ProcessId};
 pub use sim::{CorruptionHook, RunOutcome, Simulation};

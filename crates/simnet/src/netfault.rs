@@ -1,7 +1,8 @@
 //! Adversarial message-delivery faults.
 //!
-//! [`crate::FaultPlan`] models *crash* faults only; this module models the
-//! *network* adversary of the asynchronous model: an execution in which
+//! Crash faults are scheduled on the simulation itself
+//! ([`crate::Simulation::schedule_crash`]); this module models the *network*
+//! adversary of the asynchronous model: an execution in which
 //! messages may be *dropped*, *delayed* by arbitrary finite amounts,
 //! *reordered*, *duplicated*, or — for senders designated byzantine —
 //! *corrupted* in flight. The SODA/SODAerr atomicity proofs (and the ABD and
@@ -194,10 +195,9 @@ impl Partition {
 /// The network adversary for one execution: per-link fault behaviour plus the
 /// set of byzantine (payload-corrupting) senders.
 ///
-/// Composes with [`crate::FaultPlan`]: crashes are scheduled through the
-/// fault plan, message-level faults through this plan, and both can be active
-/// in the same execution (see [`crate::FaultPlan::merge`] for combining crash
-/// plans).
+/// Composes with crashes: those are scheduled on the simulation
+/// ([`crate::Simulation::schedule_crash`]), message-level faults through this
+/// plan, and both can be active in the same execution.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct NetFaultPlan {
     default: LinkFaults,
@@ -275,30 +275,6 @@ impl NetFaultPlan {
             .is_some_and(|spans| spans.iter().any(|&(start, end)| start <= now && now < end))
     }
 
-    /// Whether the plan carries any scheduled link outages (past, present or
-    /// future).
-    pub fn has_windows(&self) -> bool {
-        !self.windows.is_empty()
-    }
-
-    /// The scheduled link outages, in deterministic (link, insertion) order.
-    pub fn link_windows(&self) -> impl Iterator<Item = LinkWindow> + '_ {
-        self.windows.iter().flat_map(|(&(from, to), spans)| {
-            spans
-                .iter()
-                .map(move |&(start, end)| LinkWindow::new(from, to, start, end))
-        })
-    }
-
-    /// When the last scheduled outage heals: `None` if the plan has no
-    /// windows, `Some(SimTime::MAX)` if any window never heals.
-    pub fn final_heal(&self) -> Option<SimTime> {
-        self.windows
-            .values()
-            .flat_map(|spans| spans.iter().map(|&(_, end)| end))
-            .max()
-    }
-
     /// The fault behaviour applying to a particular directed link.
     pub fn faults_for(&self, from: ProcessId, to: ProcessId) -> LinkFaults {
         self.link_overrides
@@ -310,11 +286,6 @@ impl NetFaultPlan {
     /// Whether `sender`'s messages are offered to the corruption hook.
     pub fn corrupts_sends_of(&self, sender: ProcessId) -> bool {
         self.corrupt_senders.contains(&sender)
-    }
-
-    /// The byzantine senders.
-    pub fn corrupt_senders(&self) -> impl Iterator<Item = ProcessId> + '_ {
-        self.corrupt_senders.iter().copied()
     }
 
     /// Whether the plan changes nothing about delivery (the state a fresh
@@ -360,7 +331,6 @@ mod tests {
         assert_eq!(plan.faults_for(ProcessId(0), ProcessId(1)), lossy);
         assert!(plan.faults_for(ProcessId(1), ProcessId(0)).is_clean());
         assert!(plan.corrupts_sends_of(ProcessId(3)));
-        assert_eq!(plan.corrupt_senders().collect::<Vec<_>>(), [ProcessId(3)]);
     }
 
     #[test]
@@ -414,9 +384,6 @@ mod tests {
         assert!(!cut(20), "end is the heal instant");
         // Only the scheduled direction is cut.
         assert!(!plan.is_partitioned(ProcessId(3), ProcessId(2), SimTime::from_ticks(15)));
-        assert_eq!(plan.final_heal(), Some(SimTime::from_ticks(20)));
-        assert!(plan.has_windows());
-        assert_eq!(plan.link_windows().count(), 1);
     }
 
     #[test]
@@ -446,7 +413,6 @@ mod tests {
             SimTime::from_ticks(3),
             SimTime::MAX,
         ));
-        assert_eq!(plan.final_heal(), Some(SimTime::MAX));
         assert!(plan.is_partitioned(ProcessId(0), ProcessId(1), SimTime::from_ticks(1 << 40)));
     }
 

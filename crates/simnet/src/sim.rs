@@ -1,7 +1,6 @@
 //! The discrete-event scheduler.
 
 use crate::config::NetworkConfig;
-use crate::fault::FaultPlan;
 use crate::netfault::NetFaultPlan;
 use crate::process::{Action, Context, Message, Process, ProcessId};
 use crate::time::SimTime;
@@ -286,30 +285,8 @@ impl<M: Message> Simulation<M> {
         });
     }
 
-    /// Schedules every crash in the plan. Recovery events in the plan are
-    /// **ignored** — they need protocol-specific replacement processes; use
-    /// [`Self::apply_fault_plan_with`] to schedule those too.
-    pub fn apply_fault_plan(&mut self, plan: &FaultPlan) {
-        for crash in plan.crashes() {
-            self.schedule_crash(crash.at, crash.process);
-        }
-    }
-
-    /// Schedules every crash **and recovery** in the plan; `replacement_for`
-    /// builds the fresh process that takes over each recovering id.
-    pub fn apply_fault_plan_with<F>(&mut self, plan: &FaultPlan, mut replacement_for: F)
-    where
-        F: FnMut(ProcessId) -> Box<dyn Process<M>>,
-    {
-        self.apply_fault_plan(plan);
-        for recovery in plan.recoveries() {
-            let replacement = replacement_for(recovery.process);
-            self.schedule_recovery(recovery.at, recovery.process, replacement);
-        }
-    }
-
     /// Crashes a process immediately.
-    pub fn crash_now(&mut self, process: ProcessId) {
+    fn crash_now(&mut self, process: ProcessId) {
         if let Some(flag) = self.crashed.get_mut(process.index()) {
             *flag = true;
         }
@@ -317,7 +294,7 @@ impl<M: Message> Simulation<M> {
 
     /// Replaces a process immediately (see [`Self::schedule_recovery`]). The
     /// replacement's `on_start` runs before the next event is processed.
-    pub fn recover_now(&mut self, process: ProcessId, replacement: Box<dyn Process<M>>) {
+    fn recover_now(&mut self, process: ProcessId, replacement: Box<dyn Process<M>>) {
         let idx = process.index();
         if idx >= self.processes.len() {
             return;
@@ -326,13 +303,6 @@ impl<M: Message> Simulation<M> {
         self.crashed[idx] = false;
         self.started[idx] = false;
         self.all_started = false;
-    }
-
-    /// Number of processes currently crashed (and not yet recovered) — the
-    /// quantity the dynamic fault-tolerance invariant "at most `f`
-    /// *currently-dead* servers" is stated over.
-    pub fn crashed_count(&self) -> usize {
-        self.crashed.iter().filter(|&&c| c).count()
     }
 
     /// Ensures `on_start` has run for every registered process. A dirty
@@ -983,7 +953,6 @@ mod tests {
         sim.send_external(a, TestMsg::Ping(0));
         sim.run_to_quiescence();
         assert!(sim.is_crashed(b));
-        assert_eq!(sim.crashed_count(), 1);
 
         // A fresh replacement joins: crashed flag clears, on_start runs, and
         // new messages reach it.
@@ -991,7 +960,6 @@ mod tests {
         sim.send_external_at(sim.now() + 50, b, TestMsg::Ping(0));
         sim.run_to_quiescence();
         assert!(!sim.is_crashed(b));
-        assert_eq!(sim.crashed_count(), 0);
         let pb: &PingPong = sim.process_as(b).unwrap();
         assert!(pb.started, "replacement's on_start must run");
         assert_eq!(pb.received, vec![0], "replacement state is fresh");
@@ -1009,24 +977,6 @@ mod tests {
         sim.run_to_quiescence();
         let pb: &PingPong = sim.process_as(b).unwrap();
         assert_eq!(pb.received, vec![9]);
-    }
-
-    #[test]
-    fn fault_plan_with_recoveries_applies_both() {
-        let (mut sim, _a, b) = two_process_sim(7);
-        let plan = FaultPlan::none()
-            .crash(b, SimTime::from_ticks(5))
-            .recover(b, SimTime::from_ticks(20));
-        sim.apply_fault_plan_with(&plan, |id| {
-            assert_eq!(id, b);
-            Box::new(PingPong::new(6))
-        });
-        sim.send_external_at(SimTime::from_ticks(10), b, TestMsg::Ping(1));
-        sim.run_until(SimTime::from_ticks(15));
-        assert!(sim.is_crashed(b));
-        sim.run_to_quiescence();
-        assert!(!sim.is_crashed(b));
-        assert!(sim.process_as::<PingPong>(b).unwrap().started);
     }
 
     #[test]

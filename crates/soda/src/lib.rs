@@ -22,8 +22,12 @@
 //! | paper role | type | behaviour |
 //! |---|---|---|
 //! | writer `w ∈ W` | [`WriterProcess`] | `write-get` (majority tag query) then `write-put` (MD-VALUE dispersal, wait for `k` acks) |
-//! | reader `r ∈ R` | [`ReaderProcess`] | `read-get` (majority tag query), `read-value` (register + collect coded elements), `read-complete` |
-//! | server `s ∈ S` | [`ServerProcess`] | stores one `(tag, coded element)` pair, relays concurrent writes to registered readers, runs the READ-DISPERSE bookkeeping that eventually unregisters every reader |
+//! | reader `r ∈ R` | [`ReaderProcess`] | `read-get` (majority tag query), `read-value` (register + collect coded elements of tags `≥ t_r`, decode the highest tag with `k` / `k + 2e` of them), `read-complete` |
+//! | server `s ∈ S` | [`ServerProcess`] | stores one `(tag, coded element)` pair, relays concurrent writes to registered readers, runs the READ-DISPERSE bookkeeping that eventually unregisters every reader; a replacement repairs by a read that re-encodes, collecting elements by the reader's rule |
+//!
+//! Both clients keep their operations in a [`soda_protocol::OpQueue`] (the
+//! invocation queue, the operation in flight and the completed log, shared
+//! with the baselines' clients) and add only their phases.
 //!
 //! # Building clusters
 //!

@@ -15,15 +15,15 @@
 //!    unregister the reader, then return the decoded value.
 //!
 //! Readers are well-formed clients: invocations that arrive while a read is in
-//! flight are queued.
+//! flight wait in the reader's [`OpQueue`].
 
 use crate::config::SodaConfig;
 use crate::messages::{MetaPayload, OpId, SodaMsg};
 use soda_protocol::md::{md_meta_send, MessageId};
-use soda_protocol::{OpKind, OpRecord, QuorumTracker, Tag};
-use soda_rs_code::CodedElement;
-use soda_simnet::{Context, Process, ProcessId, SimTime};
-use std::collections::{BTreeMap, VecDeque};
+use soda_protocol::{Invocation, OpQueue, QuorumTracker, Tag};
+use soda_rs_code::{CodeError, CodedElement};
+use soda_simnet::{Context, Process, ProcessId};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Phase of the in-flight read operation.
@@ -37,22 +37,61 @@ pub enum ReadPhase {
     Value,
 }
 
+/// The coded elements a read collected, grouped by tag and keyed by the
+/// sender's rank, and the read's rule over them: tags below `t_r` are
+/// dropped, and the highest tag holding [`SodaConfig::read_threshold`]
+/// elements is decoded. A replacement server's repair is a read that
+/// re-encodes, so it collects through this type too.
+pub(crate) struct ElementCollector {
+    /// `t_r`: the tag the read-get phase selected.
+    pub(crate) floor: Tag,
+    by_tag: BTreeMap<Tag, BTreeMap<usize, CodedElement>>,
+}
+
+impl ElementCollector {
+    pub(crate) fn new(floor: Tag) -> Self {
+        let by_tag = BTreeMap::new();
+        ElementCollector { floor, by_tag }
+    }
+
+    /// Keeps `element` unless its tag is below `t_r`; returns whether it did.
+    pub(crate) fn insert(&mut self, tag: Tag, element: CodedElement) -> bool {
+        let keep = tag >= self.floor;
+        if keep {
+            let elements = self.by_tag.entry(tag).or_default();
+            elements.insert(element.index, element);
+        }
+        keep
+    }
+
+    /// Decodes the highest tag holding enough elements (any would do for
+    /// correctness; the highest is deterministic), or `None` while none does.
+    pub(crate) fn decode(&self, config: &SodaConfig) -> Option<(Tag, Result<Vec<u8>, CodeError>)> {
+        let threshold = config.read_threshold();
+        let (&tag, elements) = self
+            .by_tag
+            .iter()
+            .rev()
+            .find(|(_, e)| e.len() >= threshold)?;
+        let elements: Vec<CodedElement> = elements.values().cloned().collect();
+        Some((tag, config.decode(&elements)))
+    }
+
+    /// Drops everything collected.
+    pub(crate) fn clear(&mut self) {
+        self.by_tag.clear();
+    }
+}
+
 /// A SODA / SODAerr reader client process.
 pub struct ReaderProcess {
     config: Arc<SodaConfig>,
     self_id: ProcessId,
     phase: ReadPhase,
-    pending: VecDeque<()>,
-    op_seq: u64,
+    ops: OpQueue,
     md_counter: u64,
-    current_op: Option<OpId>,
-    requested_tag: Option<Tag>,
-    invoked_at: SimTime,
     get_tracker: QuorumTracker<Tag>,
-    /// Coded elements accumulated in the current read, grouped by tag and
-    /// keyed by the sending server's rank (the element index).
-    collected: BTreeMap<Tag, BTreeMap<usize, CodedElement>>,
-    completed: Vec<OpRecord>,
+    elements: ElementCollector,
     /// Count of decode attempts that failed (diagnostics; should stay 0 when
     /// the corruption budget is respected).
     decode_failures: u64,
@@ -67,32 +106,22 @@ impl ReaderProcess {
             config,
             self_id,
             phase: ReadPhase::Idle,
-            pending: VecDeque::new(),
-            op_seq: 0,
+            ops: OpQueue::new(self_id),
             md_counter: 0,
-            current_op: None,
-            requested_tag: None,
-            invoked_at: SimTime::ZERO,
             get_tracker: QuorumTracker::new(majority),
-            collected: BTreeMap::new(),
-            completed: Vec::new(),
+            elements: ElementCollector::new(Tag::INITIAL),
             decode_failures: 0,
         }
     }
 
-    /// Operations completed so far, in completion order.
-    pub fn completed_ops(&self) -> &[OpRecord] {
-        &self.completed
+    /// The reader's operations: those completed and the one in flight.
+    pub fn ops(&self) -> &OpQueue {
+        &self.ops
     }
 
     /// Current phase.
     pub fn phase(&self) -> ReadPhase {
         self.phase
-    }
-
-    /// Whether the reader has no operation in flight and no queued invocations.
-    pub fn is_idle(&self) -> bool {
-        self.phase == ReadPhase::Idle && self.pending.is_empty()
     }
 
     /// Number of decode attempts that failed (0 unless the corruption budget
@@ -101,38 +130,37 @@ impl ReaderProcess {
         self.decode_failures
     }
 
+    /// The id of the operation in flight.
+    fn op(&self) -> OpId {
+        OpId::new(self.self_id, self.ops.seq())
+    }
+
     fn next_mid(&mut self) -> MessageId {
         self.md_counter += 1;
         MessageId::new(self.self_id, self.md_counter)
     }
 
     fn start_next(&mut self, ctx: &mut Context<'_, SodaMsg>) {
-        if self.phase != ReadPhase::Idle || self.pending.pop_front().is_none() {
+        let Some((seq, _)) = self.ops.start_next(ctx.now()) else {
             return;
-        }
-        self.op_seq += 1;
-        let op = OpId::new(self.self_id, self.op_seq);
-        self.current_op = Some(op);
-        self.requested_tag = None;
-        self.invoked_at = ctx.now();
+        };
+        let op = OpId::new(self.self_id, seq);
         self.phase = ReadPhase::Get;
         self.get_tracker = QuorumTracker::new(self.config.layout().majority());
-        self.collected.clear();
         for &server in self.config.layout().servers() {
             ctx.send(server, SodaMsg::ReadGet { op });
         }
     }
 
     fn begin_value_phase(&mut self, ctx: &mut Context<'_, SodaMsg>) {
-        let op = self.current_op.expect("value phase requires an op");
         let tr = self
             .get_tracker
             .max_response()
             .copied()
             .unwrap_or(Tag::INITIAL);
-        self.requested_tag = Some(tr);
+        self.elements = ElementCollector::new(tr);
         self.phase = ReadPhase::Value;
-        let mid = self.next_mid();
+        let (mid, op) = (self.next_mid(), self.op());
         let payload = MetaPayload::ReadValue { op, tag: tr };
         for dispatch in md_meta_send(self.config.layout(), mid, payload) {
             let dest = self.config.layout().server(dispatch.to_rank);
@@ -141,48 +169,25 @@ impl ReaderProcess {
     }
 
     fn try_decode(&mut self, ctx: &mut Context<'_, SodaMsg>) {
-        let threshold = self.config.read_threshold();
-        // Find the highest tag with enough elements (any qualifying tag would
-        // do for correctness; the highest is chosen deterministically).
-        let candidate = self
-            .collected
-            .iter()
-            .rev()
-            .find(|(_, elems)| elems.len() >= threshold)
-            .map(|(tag, elems)| (*tag, elems.values().cloned().collect::<Vec<_>>()));
-        let Some((tag, elements)) = candidate else {
-            return;
-        };
-        match self.config.decode(&elements) {
-            Ok(value) => self.complete(tag, value, ctx),
-            Err(_) => {
-                // More corrupted elements than the budget allows; keep
-                // collecting (more relays may arrive) and record the failure.
-                self.decode_failures += 1;
-            }
+        match self.elements.decode(&self.config) {
+            Some((tag, Ok(value))) => self.complete(tag, value, ctx),
+            // More corrupted elements than the budget allows; keep
+            // collecting (more relays may arrive) and record the failure.
+            Some((_, Err(_))) => self.decode_failures += 1,
+            None => {}
         }
     }
 
     fn complete(&mut self, tag: Tag, value: Vec<u8>, ctx: &mut Context<'_, SodaMsg>) {
-        let op = self.current_op.take().expect("completing without an op");
-        let tr = self.requested_tag.take().unwrap_or(Tag::INITIAL);
         // read-complete phase: tell the servers to unregister this read.
-        let mid = self.next_mid();
+        let (mid, op, tr) = (self.next_mid(), self.op(), self.elements.floor);
         let payload = MetaPayload::ReadComplete { op, tag: tr };
         for dispatch in md_meta_send(self.config.layout(), mid, payload) {
             let dest = self.config.layout().server(dispatch.to_rank);
             ctx.send(dest, SodaMsg::MdMeta(dispatch.msg));
         }
-        self.completed.push(OpRecord {
-            client: u64::from(op.client.0),
-            seq: op.seq,
-            kind: OpKind::Read,
-            invoked_at: self.invoked_at,
-            completed_at: ctx.now(),
-            tag,
-            value: Some(value),
-        });
-        self.collected.clear();
+        self.ops.complete(ctx.now(), tag, Some(value));
+        self.elements.clear();
         self.phase = ReadPhase::Idle;
         self.start_next(ctx);
     }
@@ -192,28 +197,22 @@ impl Process<SodaMsg> for ReaderProcess {
     fn on_message(&mut self, from: ProcessId, msg: SodaMsg, ctx: &mut Context<'_, SodaMsg>) {
         match msg {
             SodaMsg::InvokeRead => {
-                self.pending.push_back(());
+                self.ops.push(Invocation::Read);
                 self.start_next(ctx);
             }
-            SodaMsg::ReadGetResp { op, tag }
-                if self.phase == ReadPhase::Get && self.current_op == Some(op) =>
-            {
+            SodaMsg::ReadGetResp { op, tag } if self.phase == ReadPhase::Get && self.op() == op => {
                 self.get_tracker.record(from, tag);
                 if self.get_tracker.is_complete() {
                     self.begin_value_phase(ctx);
                 }
             }
             SodaMsg::CodedToReader { op, tag, element }
-                if self.phase == ReadPhase::Value && self.current_op == Some(op) =>
+                if self.phase == ReadPhase::Value && self.op() == op =>
             {
-                let tr = self.requested_tag.unwrap_or(Tag::INITIAL);
-                if tag >= tr {
-                    self.collected
-                        .entry(tag)
-                        .or_default()
-                        .insert(element.index, element);
-                    self.try_decode(ctx);
+                if !self.elements.insert(tag, element) {
+                    return;
                 }
+                self.try_decode(ctx);
             }
             // Readers ignore write-protocol traffic and stray messages.
             _ => {}
@@ -233,8 +232,9 @@ impl Process<SodaMsg> for ReaderProcess {
 mod tests {
     use super::*;
     use soda_protocol::md::MdMetaMsg;
-    use soda_protocol::{Layout, MdsCode};
+    use soda_protocol::{Layout, MdsCode, OpKind};
     use soda_simnet::testkit::deliver;
+    use soda_simnet::SimTime;
 
     const READER: ProcessId = ProcessId(200);
 
@@ -249,7 +249,7 @@ mod tests {
 
     fn start_read(reader: &mut ReaderProcess) -> OpId {
         deliver(reader, READER, t(1), ProcessId::ENV, SodaMsg::InvokeRead);
-        OpId::new(READER, reader.op_seq)
+        reader.op()
     }
 
     fn answer_get_phase(reader: &mut ReaderProcess, op: OpId, tags: &[Tag]) {
@@ -267,7 +267,7 @@ mod tests {
     #[test]
     fn invoke_queries_all_servers() {
         let mut r = ReaderProcess::new(config(5, 2), READER);
-        assert!(r.is_idle());
+        assert_eq!((r.phase(), r.ops().queued()), (ReadPhase::Idle, 0));
         deliver(&mut r, READER, t(1), ProcessId::ENV, SodaMsg::InvokeRead);
         assert_eq!(r.phase(), ReadPhase::Get);
     }
@@ -347,7 +347,7 @@ mod tests {
                 },
             );
         }
-        assert!(r.completed_ops().is_empty());
+        assert!(r.ops().completed().is_empty());
         // Duplicate element from the same server does not count.
         deliver(
             &mut r,
@@ -360,7 +360,7 @@ mod tests {
                 element: elements[1].clone(),
             },
         );
-        assert!(r.completed_ops().is_empty());
+        assert!(r.ops().completed().is_empty());
         // Third distinct element completes the read.
         let done = deliver(
             &mut r,
@@ -373,8 +373,8 @@ mod tests {
                 element: elements[4].clone(),
             },
         );
-        assert_eq!(r.completed_ops().len(), 1);
-        let rec = &r.completed_ops()[0];
+        assert_eq!(r.ops().completed().len(), 1);
+        let rec = &r.ops().completed()[0];
         assert_eq!(rec.kind, OpKind::Read);
         assert_eq!(rec.tag, tw);
         assert_eq!(rec.value.as_deref(), Some(value.as_slice()));
@@ -415,10 +415,10 @@ mod tests {
                 },
             );
         }
-        assert_eq!(r.completed_ops().len(), 1);
-        assert_eq!(r.completed_ops()[0].tag, tw);
+        assert_eq!(r.ops().completed().len(), 1);
+        assert_eq!(r.ops().completed()[0].tag, tw);
         assert_eq!(
-            r.completed_ops()[0].value.as_deref(),
+            r.ops().completed()[0].value.as_deref(),
             Some(value.as_slice())
         );
     }
@@ -445,7 +445,7 @@ mod tests {
                 },
             );
         }
-        assert!(r.completed_ops().is_empty());
+        assert!(r.ops().completed().is_empty());
     }
 
     #[test]
@@ -471,10 +471,10 @@ mod tests {
                 },
             );
         }
-        assert_eq!(r.completed_ops().len(), 1);
+        assert_eq!(r.ops().completed().len(), 1);
         // The second read started automatically.
         assert_eq!(r.phase(), ReadPhase::Get);
-        assert_eq!(r.current_op, Some(OpId::new(READER, 2)));
+        assert_eq!(r.op(), OpId::new(READER, 2));
     }
 
     #[test]
@@ -509,7 +509,7 @@ mod tests {
                     element: element.clone(),
                 },
             );
-            assert!(r.completed_ops().is_empty(), "needs k + 2e = 5 elements");
+            assert!(r.ops().completed().is_empty(), "needs k + 2e = 5 elements");
         }
         deliver(
             &mut r,
@@ -522,9 +522,9 @@ mod tests {
                 element: elements[4].clone(),
             },
         );
-        assert_eq!(r.completed_ops().len(), 1);
+        assert_eq!(r.ops().completed().len(), 1);
         assert_eq!(
-            r.completed_ops()[0].value.as_deref(),
+            r.ops().completed()[0].value.as_deref(),
             Some(value.as_slice())
         );
     }

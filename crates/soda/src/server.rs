@@ -47,6 +47,7 @@
 
 use crate::config::{DiskFaultModel, SodaConfig};
 use crate::messages::{MetaPayload, OpId, SodaMsg};
+use crate::reader::ElementCollector;
 use soda_protocol::md::{md_meta_send, MdMetaRelay, MdValueMsg, MdValueRelay, MessageId};
 use soda_protocol::{QuorumTracker, RepairDriver, RepairStatus, Tag, Value};
 use soda_rs_code::{CodedElement, MdsCode};
@@ -71,10 +72,9 @@ struct RepairState {
     op: OpId,
     phase: RepairPhase,
     get_tracker: QuorumTracker<Tag>,
-    /// `t_r`: the tag selected after the get phase.
-    requested: Option<Tag>,
-    /// Elements accumulated, grouped by tag and keyed by sender rank.
-    collected: BTreeMap<Tag, BTreeMap<usize, CodedElement>>,
+    /// Elements accumulated under the reader's rule, with the `t_r` the get
+    /// phase selected.
+    elements: ElementCollector,
     /// Retry cadence, give-up and cost accounting. Its traffic is coded-
     /// element bytes, bounded by `n · ⌈size/k⌉` plus relayed concurrent
     /// writes.
@@ -171,8 +171,7 @@ impl ServerProcess {
                 op: OpId::new(self_pid, epoch),
                 phase: RepairPhase::Get,
                 get_tracker: QuorumTracker::new(majority),
-                requested: None,
-                collected: BTreeMap::new(),
+                elements: ElementCollector::new(Tag::INITIAL),
                 driver: RepairDriver::default(),
             }),
             scratch_interested: Vec::new(),
@@ -397,7 +396,7 @@ impl ServerProcess {
     }
 
     /// Sends the current repair phase's fan-out to the survivors: the
-    /// `read-get` query, or the READ-VALUE registration under `requested`.
+    /// `read-get` query, or the READ-VALUE registration under `t_r`.
     /// Both are idempotent at the survivors (trackers and the element map
     /// deduplicate, and survivors re-register the same op id), so the retry
     /// loop may repeat them; a repeated registration goes out under a fresh
@@ -407,7 +406,7 @@ impl ServerProcess {
         &mut self,
         op: OpId,
         phase: RepairPhase,
-        requested: Option<Tag>,
+        tr: Tag,
         ctx: &mut Context<'_, SodaMsg>,
     ) {
         match phase {
@@ -416,8 +415,7 @@ impl ServerProcess {
                 ctx.send_all(peers, SodaMsg::ReadGet { op });
             }
             RepairPhase::Value => {
-                let tag = requested.unwrap_or(Tag::INITIAL);
-                self.disperse_meta(MetaPayload::ReadValue { op, tag }, ctx);
+                self.disperse_meta(MetaPayload::ReadValue { op, tag: tr }, ctx);
             }
         }
     }
@@ -446,9 +444,9 @@ impl ServerProcess {
             .max_response()
             .copied()
             .unwrap_or(Tag::INITIAL);
-        repair.requested = Some(tr);
+        repair.elements = ElementCollector::new(tr);
         repair.phase = RepairPhase::Value;
-        self.send_repair_fan_out(op, RepairPhase::Value, Some(tr), ctx);
+        self.send_repair_fan_out(op, RepairPhase::Value, tr, ctx);
     }
 
     /// Handles a coded element sent to the repairing server (a survivor's
@@ -471,15 +469,9 @@ impl ServerProcess {
                 return;
             }
             repair.driver.add_traffic(element.data.len());
-            let tr = repair.requested.unwrap_or(Tag::INITIAL);
-            if tag < tr {
+            if !repair.elements.insert(tag, element) {
                 return;
             }
-            repair
-                .collected
-                .entry(tag)
-                .or_default()
-                .insert(element.index, element);
         }
         self.try_finish_repair(ctx);
     }
@@ -487,26 +479,15 @@ impl ServerProcess {
     /// Decodes once enough elements of one tag are collected, re-encodes this
     /// rank's element, adopts the pair, and flushes deferred reader service.
     fn try_finish_repair(&mut self, ctx: &mut Context<'_, SodaMsg>) {
-        let threshold = self.config.read_threshold();
-        let candidate = {
-            let Some(repair) = self.repair.as_ref() else {
-                return;
-            };
-            repair
-                .collected
-                .iter()
-                .rev()
-                .find(|(_, elems)| elems.len() >= threshold)
-                .map(|(tag, elems)| (*tag, elems.values().cloned().collect::<Vec<_>>()))
-        };
-        let Some((tag, elements)) = candidate else {
+        let decoded = self
+            .repair
+            .as_ref()
+            .and_then(|r| r.elements.decode(&self.config));
+        // No tag has enough elements yet, or over-budget corruption
+        // (SODAerr): keep collecting, relays of concurrent writes may still
+        // complete the repair.
+        let Some((tag, Ok(value))) = decoded else {
             return;
-        };
-        let value = match self.config.decode(&elements) {
-            Ok(value) => value,
-            // Over-budget corruption (SODAerr): keep collecting, relays of
-            // concurrent writes may still complete the repair.
-            Err(_) => return,
         };
         let my_element = self
             .config
@@ -522,8 +503,8 @@ impl ServerProcess {
         let (op, tr) = {
             let repair = self.repair.as_mut().expect("checked above");
             repair.driver.finish(ctx.now());
-            repair.collected.clear();
-            (repair.op, repair.requested.unwrap_or(Tag::INITIAL))
+            repair.elements.clear();
+            (repair.op, repair.elements.floor)
         };
         // read-complete: let the survivors unregister the repair.
         self.disperse_meta(MetaPayload::ReadComplete { op, tag: tr }, ctx);
@@ -549,19 +530,19 @@ impl Process<SodaMsg> for ServerProcess {
     // needs the rest of the server mutably while the driver runs it.
     fn on_start(&mut self, ctx: &mut Context<'_, SodaMsg>) {
         if let Some(mut repair) = self.repair.take() {
-            let (op, phase, requested) = (repair.op, repair.phase, repair.requested);
-            repair.driver.start(ctx, |ctx| {
-                self.send_repair_fan_out(op, phase, requested, ctx)
-            });
+            let (op, phase, tr) = (repair.op, repair.phase, repair.elements.floor);
+            repair
+                .driver
+                .start(ctx, |ctx| self.send_repair_fan_out(op, phase, tr, ctx));
             self.repair = Some(repair);
         }
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut Context<'_, SodaMsg>) {
         if let Some(mut repair) = self.repair.take() {
-            let (op, phase, requested) = (repair.op, repair.phase, repair.requested);
+            let (op, phase, tr) = (repair.op, repair.phase, repair.elements.floor);
             repair.driver.on_timer(token, ctx, |ctx| {
-                self.send_repair_fan_out(op, phase, requested, ctx)
+                self.send_repair_fan_out(op, phase, tr, ctx)
             });
             self.repair = Some(repair);
         }

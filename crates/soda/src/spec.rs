@@ -6,9 +6,7 @@ use crate::messages::SodaMsg;
 use crate::reader::ReaderProcess;
 use crate::server::ServerProcess;
 use crate::writer::WriterProcess;
-use soda_protocol::{
-    CodeCacheStats, MdsCode, OpKind, OpRecord, PendingWrite, ProtocolSpec, RepairStatus, Value,
-};
+use soda_protocol::{CodeCacheStats, MdsCode, OpKind, OpQueue, ProtocolSpec, RepairStatus, Value};
 use soda_simnet::{Process, ProcessId, Simulation};
 use std::sync::Arc;
 
@@ -68,18 +66,13 @@ impl ProtocolSpec for SodaSpec {
         sim.process_as::<ServerProcess>(server)?.repair_status()
     }
 
-    fn completed_ops(sim: &Simulation<SodaMsg>, client: ProcessId) -> &[OpRecord] {
-        if let Some(writer) = sim.process_as::<WriterProcess>(client) {
-            writer.completed_ops()
-        } else if let Some(reader) = sim.process_as::<ReaderProcess>(client) {
-            reader.completed_ops()
-        } else {
-            &[]
-        }
-    }
-
-    fn in_flight_write(sim: &Simulation<SodaMsg>, client: ProcessId) -> Option<PendingWrite> {
-        sim.process_as::<WriterProcess>(client)?.in_flight_write()
+    fn client_ops(sim: &Simulation<SodaMsg>, client: ProcessId) -> Option<&OpQueue> {
+        sim.process_as::<WriterProcess>(client)
+            .map(WriterProcess::ops)
+            .or_else(|| {
+                sim.process_as::<ReaderProcess>(client)
+                    .map(ReaderProcess::ops)
+            })
     }
 
     fn decode_cache_stats(&self) -> CodeCacheStats {

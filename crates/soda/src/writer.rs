@@ -11,14 +11,13 @@
 //!
 //! Writers are well-formed clients: a new operation starts only after the
 //! previous one completed, so invocations that arrive while an operation is in
-//! flight are queued.
+//! flight wait in the writer's [`OpQueue`].
 
 use crate::config::SodaConfig;
 use crate::messages::{OpId, SodaMsg};
 use soda_protocol::md::{md_value_send, MessageId};
-use soda_protocol::{OpKind, OpRecord, PendingWrite, QuorumTracker, Tag, Value};
-use soda_simnet::{Context, Process, ProcessId, SimTime};
-use std::collections::VecDeque;
+use soda_protocol::{Invocation, OpQueue, QuorumTracker, Tag};
+use soda_simnet::{Context, Process, ProcessId};
 use std::sync::Arc;
 
 /// Phase of the in-flight write operation.
@@ -37,15 +36,9 @@ pub struct WriterProcess {
     config: Arc<SodaConfig>,
     self_id: ProcessId,
     phase: WritePhase,
-    pending: VecDeque<Value>,
-    op_seq: u64,
-    current_op: Option<OpId>,
-    current_value: Option<Value>,
-    current_tag: Option<Tag>,
-    invoked_at: SimTime,
+    ops: OpQueue,
     get_tracker: QuorumTracker<Tag>,
     ack_tracker: QuorumTracker<()>,
-    completed: Vec<OpRecord>,
 }
 
 impl WriterProcess {
@@ -58,21 +51,16 @@ impl WriterProcess {
             config,
             self_id,
             phase: WritePhase::Idle,
-            pending: VecDeque::new(),
-            op_seq: 0,
-            current_op: None,
-            current_value: None,
-            current_tag: None,
-            invoked_at: SimTime::ZERO,
+            ops: OpQueue::new(self_id),
             get_tracker: QuorumTracker::new(majority),
             ack_tracker: QuorumTracker::new(k),
-            completed: Vec::new(),
         }
     }
 
-    /// Operations completed so far, in completion order.
-    pub fn completed_ops(&self) -> &[OpRecord] {
-        &self.completed
+    /// The writer's operations: those completed and the one in flight (also
+    /// after a crash, since crashed processes keep their state).
+    pub fn ops(&self) -> &OpQueue {
+        &self.ops
     }
 
     /// Current phase.
@@ -80,47 +68,16 @@ impl WriterProcess {
         self.phase
     }
 
-    /// Whether the writer has no operation in flight and no queued invocations.
-    pub fn is_idle(&self) -> bool {
-        self.phase == WritePhase::Idle && self.pending.is_empty()
-    }
-
-    /// Number of invocations still queued (excluding the in-flight one).
-    pub fn queued(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// The in-flight write, if one exists (also available after a crash,
-    /// since crashed processes keep their state). Queued-but-not-started
-    /// invocations are not reported: they have had no effect on the system.
-    pub fn in_flight_write(&self) -> Option<PendingWrite> {
-        let op = self.current_op?;
-        Some(PendingWrite {
-            client: u64::from(op.client.0),
-            seq: op.seq,
-            invoked_at: self.invoked_at,
-            tag: self.current_tag,
-            value: self
-                .current_value
-                .as_ref()
-                .expect("an in-flight write always carries its value")
-                .to_vec(),
-        })
+    /// The id of the operation in flight.
+    fn op(&self) -> OpId {
+        OpId::new(self.self_id, self.ops.seq())
     }
 
     fn start_next(&mut self, ctx: &mut Context<'_, SodaMsg>) {
-        if self.phase != WritePhase::Idle {
-            return;
-        }
-        let Some(value) = self.pending.pop_front() else {
+        let Some((seq, _)) = self.ops.start_next(ctx.now()) else {
             return;
         };
-        self.op_seq += 1;
-        let op = OpId::new(self.self_id, self.op_seq);
-        self.current_op = Some(op);
-        self.current_value = Some(value);
-        self.current_tag = None;
-        self.invoked_at = ctx.now();
+        let op = OpId::new(self.self_id, seq);
         self.phase = WritePhase::Get;
         self.get_tracker = QuorumTracker::new(self.config.layout().majority());
         for &server in self.config.layout().servers() {
@@ -129,40 +86,29 @@ impl WriterProcess {
     }
 
     fn begin_put(&mut self, ctx: &mut Context<'_, SodaMsg>) {
-        let op = self.current_op.expect("put phase requires an op");
         let t_max = self
             .get_tracker
             .max_response()
             .copied()
             .unwrap_or(Tag::INITIAL);
         let tag = t_max.next(self.self_id);
-        self.current_tag = Some(tag);
+        self.ops.set_tag(tag);
         self.phase = WritePhase::Put;
         self.ack_tracker = QuorumTracker::new(self.config.k());
         let value = self
-            .current_value
-            .clone()
+            .ops
+            .value()
+            .cloned()
             .expect("put phase requires a value");
-        let mid = MessageId::new(self.self_id, op.seq);
+        let mid = MessageId::new(self.self_id, self.ops.seq());
         for dispatch in md_value_send(self.config.layout(), mid, tag, value) {
             let dest = self.config.layout().server(dispatch.to_rank);
             ctx.send(dest, SodaMsg::MdValue(dispatch.msg));
         }
     }
 
-    fn complete(&mut self, ctx: &mut Context<'_, SodaMsg>) {
-        let op = self.current_op.take().expect("completing without an op");
-        let tag = self.current_tag.take().expect("completing without a tag");
-        let value = self.current_value.take().map(|v| v.to_vec());
-        self.completed.push(OpRecord {
-            client: u64::from(op.client.0),
-            seq: op.seq,
-            kind: OpKind::Write,
-            invoked_at: self.invoked_at,
-            completed_at: ctx.now(),
-            tag,
-            value,
-        });
+    fn complete(&mut self, tag: Tag, ctx: &mut Context<'_, SodaMsg>) {
+        self.ops.complete(ctx.now(), tag, None);
         self.phase = WritePhase::Idle;
         self.start_next(ctx);
     }
@@ -172,11 +118,11 @@ impl Process<SodaMsg> for WriterProcess {
     fn on_message(&mut self, from: ProcessId, msg: SodaMsg, ctx: &mut Context<'_, SodaMsg>) {
         match msg {
             SodaMsg::InvokeWrite(value) => {
-                self.pending.push_back(value);
+                self.ops.push(Invocation::Write(value));
                 self.start_next(ctx);
             }
             SodaMsg::WriteGetResp { op, tag }
-                if self.phase == WritePhase::Get && self.current_op == Some(op) =>
+                if self.phase == WritePhase::Get && self.op() == op =>
             {
                 self.get_tracker.record(from, tag);
                 if self.get_tracker.is_complete() {
@@ -184,11 +130,11 @@ impl Process<SodaMsg> for WriterProcess {
                 }
             }
             SodaMsg::WriteAck { tag }
-                if self.phase == WritePhase::Put && self.current_tag == Some(tag) =>
+                if self.phase == WritePhase::Put && self.ops.tag() == Some(tag) =>
             {
                 self.ack_tracker.record(from, ());
                 if self.ack_tracker.is_complete() {
-                    self.complete(ctx);
+                    self.complete(tag, ctx);
                 }
             }
             // Writers ignore read-protocol traffic and stray messages.
@@ -209,8 +155,9 @@ impl Process<SodaMsg> for WriterProcess {
 mod tests {
     use super::*;
     use soda_protocol::md::MdValueMsg;
-    use soda_protocol::{value_from, Layout};
+    use soda_protocol::{value_from, Layout, OpKind};
     use soda_simnet::testkit::deliver;
+    use soda_simnet::SimTime;
 
     const WRITER: ProcessId = ProcessId(100);
 
@@ -227,9 +174,8 @@ mod tests {
     fn initial_state_is_idle() {
         let w = WriterProcess::new(config(5, 2), WRITER);
         assert_eq!(w.phase(), WritePhase::Idle);
-        assert!(w.is_idle());
-        assert_eq!(w.queued(), 0);
-        assert!(w.completed_ops().is_empty());
+        assert_eq!(w.ops().queued(), 0);
+        assert!(w.ops().completed().is_empty());
     }
 
     #[test]
@@ -351,7 +297,7 @@ mod tests {
             ProcessId::ENV,
             SodaMsg::InvokeWrite(value_from(vec![2])),
         );
-        assert_eq!(w.queued(), 1);
+        assert_eq!(w.ops().queued(), 1);
         let op = OpId::new(WRITER, 1);
         for s in 0..3u32 {
             deliver(
@@ -377,7 +323,7 @@ mod tests {
                 SodaMsg::WriteAck { tag },
             );
         }
-        assert!(w.completed_ops().is_empty());
+        assert!(w.ops().completed().is_empty());
         // Ack with the wrong tag is ignored.
         deliver(
             &mut w,
@@ -388,7 +334,7 @@ mod tests {
                 tag: Tag::new(9, WRITER),
             },
         );
-        assert!(w.completed_ops().is_empty());
+        assert!(w.ops().completed().is_empty());
         // Third matching ack completes the write and starts the queued one.
         let r = deliver(
             &mut w,
@@ -397,8 +343,8 @@ mod tests {
             ProcessId(2),
             SodaMsg::WriteAck { tag },
         );
-        assert_eq!(w.completed_ops().len(), 1);
-        let rec = &w.completed_ops()[0];
+        assert_eq!(w.ops().completed().len(), 1);
+        let rec = &w.ops().completed()[0];
         assert_eq!(rec.tag, tag);
         assert_eq!(rec.kind, OpKind::Write);
         assert_eq!(rec.value.as_deref(), Some([1u8].as_slice()));
@@ -406,7 +352,7 @@ mod tests {
         // The queued write immediately issued its write-get round.
         assert_eq!(w.phase(), WritePhase::Get);
         assert_eq!(r.sends.len(), 5);
-        assert_eq!(w.queued(), 0);
+        assert_eq!(w.ops().queued(), 0);
     }
 
     #[test]

@@ -45,7 +45,7 @@ const VNODES_PER_SHARD: usize = 16;
 /// Per-shard configuration: the register-cluster shape every key placed on
 /// the shard is built with.
 #[derive(Clone, Debug)]
-pub struct ShardSpec {
+pub(crate) struct ShardSpec {
     /// The register protocol this shard runs.
     pub kind: ProtocolKind,
     /// Servers per register cluster.
@@ -60,8 +60,6 @@ pub struct ShardSpec {
     pub network: NetworkConfig,
     /// Network adversary applied to every cluster of the shard.
     pub net_faults: NetFaultPlan,
-    /// Byzantine (element-corrupting) server ranks (SODA family only).
-    pub byzantine_servers: Vec<usize>,
     /// Scheduled partition windows applied to every cluster of the shard.
     pub partitions: Vec<PartitionWindow>,
     /// **Test-only.** Sub-majority quorum override for ABD shards (rejected
@@ -95,9 +93,6 @@ impl ShardSpec {
             .with_net_faults(self.net_faults.clone());
         for window in &self.partitions {
             builder = builder.with_partition_window(window);
-        }
-        if !self.byzantine_servers.is_empty() {
-            builder = builder.with_byzantine_servers(self.byzantine_servers.clone());
         }
         if let Some(quorum) = self.unsound_quorum {
             builder = builder.with_unsound_quorum(quorum);
@@ -236,7 +231,6 @@ impl StoreBuilder {
             readers_per_key: 1,
             network: NetworkConfig::uniform(10),
             net_faults: NetFaultPlan::none(),
-            byzantine_servers: Vec::new(),
             partitions: Vec::new(),
             unsound_quorum: None,
         };
@@ -311,17 +305,6 @@ impl StoreBuilder {
         self
     }
 
-    /// Installs a network adversary on one shard only.
-    pub fn with_shard_net_faults(mut self, shard: usize, plan: NetFaultPlan) -> Self {
-        match self.specs.get_mut(shard) {
-            Some(spec) => spec.net_faults = plan,
-            None => self
-                .errors
-                .push(StoreBuildErrorKind::ShardOutOfRange { shard }),
-        }
-        self
-    }
-
     /// Schedules a partition window on one shard: the named server ranks are
     /// cut off from every other process of each key's cluster during
     /// `[start, end)` ticks, healing at `end`. Windows may be stacked (call
@@ -343,21 +326,11 @@ impl StoreBuilder {
         self
     }
 
-    /// Marks byzantine servers on one shard (SODA-family shards only;
-    /// rejected at `build` otherwise).
-    pub fn with_shard_byzantine(mut self, shard: usize, ranks: Vec<usize>) -> Self {
-        match self.specs.get_mut(shard) {
-            Some(spec) => spec.byzantine_servers = ranks,
-            None => self
-                .errors
-                .push(StoreBuildErrorKind::ShardOutOfRange { shard }),
-        }
-        self
-    }
-
     /// **Test-only.** Overrides the ABD quorum size on every shard, below
-    /// majority if asked (see [`ShardSpec::unsound_quorum`]). Rejected at
-    /// `build` unless every shard runs ABD.
+    /// majority if asked, which deliberately breaks atomicity so the
+    /// store-level exploration harness and its shrinker can be validated
+    /// against a known-broken protocol. Rejected at `build` unless every
+    /// shard runs ABD.
     pub fn with_unsound_quorum(mut self, quorum: usize) -> Self {
         for spec in &mut self.specs {
             spec.unsound_quorum = Some(quorum);
@@ -465,7 +438,7 @@ mod tests {
         );
 
         let err = StoreBuilder::new(2, ProtocolKind::Soda, 5, 2)
-            .with_shard_net_faults(5, NetFaultPlan::none())
+            .with_shard_kind(5, ProtocolKind::Abd)
             .build()
             .unwrap_err();
         assert!(
@@ -478,21 +451,6 @@ mod tests {
             ),
             "{err}"
         );
-    }
-
-    #[test]
-    fn byzantine_servers_are_rejected_on_non_soda_shards() {
-        let err = StoreBuilder::new(2, ProtocolKind::Abd, 5, 2)
-            .with_shard_byzantine(0, vec![1])
-            .build()
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            StoreBuildError::Shard {
-                shard: 0,
-                source: BuildError::ByzantineUnsupported { .. }
-            }
-        ));
     }
 
     #[test]

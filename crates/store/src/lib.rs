@@ -9,7 +9,7 @@
 //! * Placement — a byte-string keyspace placed onto `S` shards by
 //!   consistent hashing over a ring of virtual nodes
 //!   ([`ShardedStore::shard_of`]).
-//! * [`StoreBuilder`] / [`ShardSpec`] — each shard is a register-cluster
+//! * [`StoreBuilder`] — each shard is a register-cluster
 //!   fleet with its *own* protocol choice ([`soda_registry::ProtocolKind`]
 //!   per shard; mixed SODA/ABD/CAS fleets in one store are legal), fault
 //!   plan, network model and client-handle shape. Every key placed on a
@@ -78,6 +78,6 @@ mod metrics;
 mod pool;
 mod store;
 
-pub use builder::{ShardSpec, StoreBuildError, StoreBuilder, StoreRuntime};
+pub use builder::{StoreBuildError, StoreBuilder, StoreRuntime};
 pub use metrics::{LatencyHistogram, PoolMetrics, ShardMetrics, StoreMetrics, StoreTotals};
 pub use store::{OpOutcome, ShardedStore, StoreError, StoreRunOutcome, Ticket, TicketStatus};

@@ -45,7 +45,7 @@ pub enum StoreError {
         shard: usize,
         /// Servers that would be dead or repairing after the request.
         requested: usize,
-        /// The shard's crash budget ([`ShardSpec::crash_budget`](crate::ShardSpec::crash_budget)).
+        /// The shard's crash budget: its clusters' `f`.
         tolerated: usize,
     },
     /// Repair was requested for a server that is not currently down.
@@ -429,14 +429,6 @@ impl ShardedStore {
         self.map.shard_of(key)
     }
 
-    /// The spec shard `shard` was built with.
-    ///
-    /// # Panics
-    /// Panics if `shard` is out of range.
-    pub fn shard_spec(&self, shard: usize) -> &ShardSpec {
-        &self.shards[shard].spec
-    }
-
     /// Distinct keys the store has seen, per shard.
     pub fn keys_per_shard(&self) -> Vec<usize> {
         self.shards.iter().map(|s| s.clusters.len()).collect()
@@ -704,8 +696,8 @@ impl ShardedStore {
 
     /// Crashes server ranks `0..count` in every cluster of `shard`, existing
     /// and future, after validating the shard's **dynamic** fault-tolerance
-    /// invariant: at most [`ShardSpec::crash_budget`](crate::ShardSpec::crash_budget)
-    /// (`= f`) servers simultaneously dead or under repair. A request that
+    /// invariant: at most the shard's crash budget `f` servers
+    /// simultaneously dead or under repair. A request that
     /// would exceed the budget is refused with
     /// [`StoreError::ExceedsCrashBudget`] and changes nothing — previously
     /// such a request silently wedged the shard with pending operations.

@@ -15,13 +15,14 @@ use soda_repro::soda_store::{StoreBuilder, TicketStatus};
 
 fn main() {
     println!("== concurrent erasure-coded KV store (ShardedStore, mixed fleet) ==");
+    let kinds = vec![
+        ProtocolKind::Soda,
+        ProtocolKind::SodaErr { e: 1 },
+        ProtocolKind::Abd,
+        ProtocolKind::Casgc { gc: 2 },
+    ];
     let mut store = StoreBuilder::new(4, ProtocolKind::Soda, 7, 3)
-        .with_shard_kinds(vec![
-            ProtocolKind::Soda,
-            ProtocolKind::SodaErr { e: 1 },
-            ProtocolKind::Abd,
-            ProtocolKind::Casgc { gc: 2 },
-        ])
+        .with_shard_kinds(kinds.clone())
         .with_clients_per_key(2, 2)
         .with_seed(1000)
         .build()
@@ -63,10 +64,10 @@ fn main() {
         let TicketStatus::Done(done) = &status else {
             panic!("final read of {key} left pending");
         };
+        let shard = store.shard_of(key.as_bytes());
         println!(
-            "key {key:>7}: shard {} ({}), latest = {:?}, read latency {} ticks",
-            store.shard_of(key.as_bytes()),
-            store.shard_spec(store.shard_of(key.as_bytes())).kind.name(),
+            "key {key:>7}: shard {shard} ({}), latest = {:?}, read latency {} ticks",
+            kinds[shard].name(),
             String::from_utf8_lossy(status.value().expect("written keys read back")),
             done.latency_ticks,
         );
