@@ -16,6 +16,8 @@
 //!   produce the relays and local deliveries the IO Automata specification
 //!   prescribes. The protocol processes in `soda` drive these over the
 //!   simulated network.
+//! * [`RunSet`] — an exact set of per-origin counters stored as runs: the
+//!   relays' tombstones and a SODA server's closed reads.
 //! * [`cost`] — normalization helpers implementing the paper's cost model
 //!   (everything is measured in units of the object-value size; metadata is
 //!   free).
@@ -43,6 +45,7 @@ mod layout;
 mod quorum;
 mod record;
 mod repair;
+mod runs;
 mod spec;
 mod tag;
 mod value;
@@ -54,6 +57,7 @@ pub use record::{OpKind, OpRecord, PendingWrite};
 pub use repair::{
     RepairDriver, RepairError, RepairStatus, REPAIR_MAX_ATTEMPTS, REPAIR_RETRY_INTERVAL,
 };
+pub use runs::RunSet;
 pub use soda_rs_code::{CodeCacheStats, MdsCode};
 pub use spec::ProtocolSpec;
 pub use tag::Tag;

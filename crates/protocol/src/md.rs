@@ -22,11 +22,13 @@
 //!
 //! After a message is delivered, no value or coded-element data is retained —
 //! only the message id, as a tombstone for deduplication — which is the
-//! no-state-bloat property of Theorem 3.2.
+//! no-state-bloat property of Theorem 3.2. The tombstones are a [`RunSet`]:
+//! message ids are dense per origin, so a relay that has delivered every
+//! dispersal of an origin keeps one run of counters for it, however many
+//! dispersals that was.
 
-use crate::{Layout, Tag, Value};
+use crate::{Layout, RunSet, Tag, Value};
 use soda_rs_code::{CodedElement, MdsCode, VandermondeCode};
-use soda_simnet::FastHashSet;
 use soda_simnet::ProcessId;
 
 /// Unique identifier of one invocation of a message-disperse primitive.
@@ -117,12 +119,13 @@ pub fn md_value_send(
 
 /// Server-side state of the MD-VALUE primitive (one per server process).
 ///
-/// Keeps only message-id tombstones between invocations; values and coded
-/// elements never outlive the handler (Theorem 3.2).
+/// Keeps only message-id tombstones between invocations, as runs of
+/// counters per origin; values and coded elements never outlive the handler
+/// (Theorem 3.2).
 #[derive(Debug)]
 pub struct MdValueRelay {
     my_rank: usize,
-    handled: FastHashSet<MessageId>,
+    handled: RunSet,
 }
 
 impl MdValueRelay {
@@ -130,7 +133,7 @@ impl MdValueRelay {
     pub fn new(my_rank: usize) -> Self {
         MdValueRelay {
             my_rank,
-            handled: FastHashSet::default(),
+            handled: RunSet::default(),
         }
     }
 
@@ -138,6 +141,11 @@ impl MdValueRelay {
     /// state-bloat experiment).
     pub fn tombstones(&self) -> usize {
         self.handled.len()
+    }
+
+    /// The tombstones themselves.
+    pub fn handled(&self) -> &RunSet {
+        &self.handled
     }
 
     /// Handles receipt of the full value. On the first receipt this hands the
@@ -155,7 +163,7 @@ impl MdValueRelay {
         value: &Value,
         mut relay: impl FnMut(Dispatch<MdValueMsg>),
     ) -> Option<(Tag, CodedElement)> {
-        if !self.handled.insert(mid) {
+        if !self.handled.insert(mid.origin, mid.counter) {
             return None;
         }
         let n = layout.n();
@@ -200,7 +208,7 @@ impl MdValueRelay {
         tag: Tag,
         element: CodedElement,
     ) -> Option<(Tag, CodedElement)> {
-        if !self.handled.insert(mid) {
+        if !self.handled.insert(mid.origin, mid.counter) {
             return None;
         }
         Some((tag, element))
@@ -233,11 +241,12 @@ pub fn md_meta_send<P: Clone>(
     })
 }
 
-/// Server-side state of the MD-META primitive.
+/// Server-side state of the MD-META primitive: like [`MdValueRelay`], only
+/// message-id tombstones, as runs of counters per origin.
 #[derive(Debug)]
 pub struct MdMetaRelay {
     my_rank: usize,
-    handled: FastHashSet<MessageId>,
+    handled: RunSet,
 }
 
 impl MdMetaRelay {
@@ -245,13 +254,18 @@ impl MdMetaRelay {
     pub fn new(my_rank: usize) -> Self {
         MdMetaRelay {
             my_rank,
-            handled: FastHashSet::default(),
+            handled: RunSet::default(),
         }
     }
 
     /// Number of message ids remembered.
     pub fn tombstones(&self) -> usize {
         self.handled.len()
+    }
+
+    /// The tombstones themselves.
+    pub fn handled(&self) -> &RunSet {
+        &self.handled
     }
 
     /// Handles receipt of a metadata message. On first receipt: hand the
@@ -269,7 +283,7 @@ impl MdMetaRelay {
         payload: &P,
         mut relay: impl FnMut(Dispatch<MdMetaMsg<P>>),
     ) -> Option<P> {
-        if !self.handled.insert(mid) {
+        if !self.handled.insert(mid.origin, mid.counter) {
             return None;
         }
         if layout.in_relay_set(self.my_rank) {

@@ -118,6 +118,42 @@ fn concurrent_writers_and_readers_all_terminate() {
     assert_eq!(cluster.total_registered_readers(), 0);
 }
 
+#[test]
+fn quiescent_servers_keep_no_history_and_one_tombstone_run_per_origin() {
+    // 2 000 fault-free operations from two writers and two readers, queued
+    // up front so reads and writes overlap, on SODA and on SODAerr.
+    for kind in [ProtocolKind::Soda, ProtocolKind::SodaErr { e: 1 }] {
+        let n = if kind == ProtocolKind::Soda { 5 } else { 7 };
+        let mut cluster = ClusterBuilder::new(kind, n, 2)
+            .with_seed(17)
+            .with_clients(2, 2)
+            .build_soda()
+            .unwrap();
+        for i in 0..500u32 {
+            for client in 0..2 {
+                cluster.invoke_write(client, i.to_le_bytes().to_vec());
+                cluster.invoke_read(client);
+            }
+        }
+        let outcome = cluster.run_to_quiescence();
+        assert!(!outcome.hit_event_cap);
+        assert_eq!(cluster.completed_ops().len(), 2_000);
+        assert_eq!(cluster.total_registered_readers(), 0);
+        assert_eq!(cluster.total_history_entries(), 0, "{}", kind.name());
+        for rank in 0..n {
+            for tombstones in cluster.server_state(rank).md_tombstone_sets() {
+                assert!(!tombstones.is_empty());
+                assert_eq!(
+                    tombstones.runs(),
+                    tombstones.origins(),
+                    "{} rank {rank}: more than one run for an origin",
+                    kind.name()
+                );
+            }
+        }
+    }
+}
+
 /// One randomized workload shape: delays, operation mix, timing and crash
 /// schedule all drawn from a seeded generator (formerly a proptest strategy).
 fn run_random_shape(seed: u64) {

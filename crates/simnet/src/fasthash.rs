@@ -11,7 +11,7 @@
 //! iteration order; every use must be membership/lookup only (or the
 //! container's iteration order must not influence behavior).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Multiplier from the golden ratio (same constant family as fxhash /
@@ -86,12 +86,10 @@ pub type BuildFastHasher = BuildHasherDefault<FastHasher>;
 /// A `HashMap` keyed with [`FastHasher`].
 pub type FastHashMap<K, V> = HashMap<K, V, BuildFastHasher>;
 
-/// A `HashSet` keyed with [`FastHasher`].
-pub type FastHashSet<T> = HashSet<T, BuildFastHasher>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     #[test]
     fn distinguishes_nearby_keys() {
@@ -116,7 +114,7 @@ mod tests {
         map.insert((1, 2), "a");
         map.insert((1, 3), "b");
         assert_eq!(map.get(&(1, 2)), Some(&"a"));
-        let mut set: FastHashSet<u64> = FastHashSet::default();
+        let mut set: HashSet<u64, BuildFastHasher> = HashSet::default();
         assert!(set.insert(7));
         assert!(!set.insert(7));
     }

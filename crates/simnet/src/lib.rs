@@ -74,7 +74,7 @@ mod trace;
 mod wheel;
 
 pub use config::{DelayModel, NetworkConfig};
-pub use fasthash::{BuildFastHasher, FastHashMap, FastHashSet, FastHasher};
+pub use fasthash::{BuildFastHasher, FastHashMap, FastHasher};
 pub use netfault::{LinkFaults, LinkWindow, NetFaultPlan, Partition};
 pub use process::{Context, Message, Process, ProcessId};
 pub use sim::{CorruptionHook, RunOutcome, Simulation};

@@ -18,9 +18,20 @@
 //!   heap order) at the moment the window reaches it — before any near push
 //!   can target it — so migrated events keep their lower sequence numbers
 //!   ahead of later near pushes.
+//!
+//! Memory follows the live events, not the window. Near events sit in one
+//! slab of slots; each bucket is a FIFO chained through the slots by index,
+//! and popped slots go on a free list that the next push reuses. The slab
+//! therefore holds exactly as many slots as the most near events ever live
+//! at once — a fresh wheel allocates nothing — and once it has grown to
+//! that peak, pushes and pops allocate nothing either. A bucket's head is a
+//! chain link like a slot's successor, and an empty bucket's tail is its
+//! head, so an append is two stores and never branches on whether the
+//! bucket was empty, which a hot event loop would mispredict about every
+//! other push.
 
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// Width of the near window in ticks. Power of two (the bucket index is
 /// `at % SPAN`); comfortably larger than every delay model's typical range so
@@ -57,11 +68,28 @@ impl<E: Scheduled> Ord for FarEntry<E> {
     }
 }
 
-/// The event queue: a near ring of FIFO buckets plus a far overflow heap.
+/// End of a chain.
+const NIL: u32 = u32::MAX;
+
+/// Near buckets, as `usize` for indexing.
+const BUCKETS: usize = SPAN as usize;
+
+/// The event queue: a near ring of FIFO buckets over one slab of slots, plus
+/// a far overflow heap.
 pub(crate) struct EventWheel<E: Scheduled> {
-    /// `near[t % SPAN]` holds the events scheduled for tick `t` with
-    /// `cursor <= t < cursor + SPAN`, in push (= seq) order.
-    near: Vec<VecDeque<E>>,
+    /// The chains, by node: node `b < SPAN` is bucket `b`'s head and node
+    /// `SPAN + s` is slab slot `s`; each entry is the node that follows, or
+    /// `NIL`. Bucket `b` chains the slots of the events scheduled for tick `t`
+    /// with `t % SPAN == b` and `cursor <= t < cursor + SPAN`, in push (= seq)
+    /// order; free slots form one more chain from `free`.
+    links: Vec<u32>,
+    /// `tails[b]` is the last node of bucket `b`'s chain: `b` itself while
+    /// the bucket is empty.
+    tails: [u32; BUCKETS],
+    /// The slab: every near event, by slot. `None` while the slot is free.
+    events: Vec<Option<E>>,
+    /// First free node, or `NIL`.
+    free: u32,
     /// Events at `cursor + SPAN` or later, ordered by `(at, seq)`.
     far: BinaryHeap<Reverse<FarEntry<E>>>,
     /// The earliest tick that may still hold events. Monotone.
@@ -73,7 +101,10 @@ pub(crate) struct EventWheel<E: Scheduled> {
 impl<E: Scheduled> EventWheel<E> {
     pub(crate) fn new() -> Self {
         EventWheel {
-            near: (0..SPAN).map(|_| VecDeque::with_capacity(8)).collect(),
+            links: Vec::new(),
+            tails: std::array::from_fn(|b| b as u32),
+            events: Vec::new(),
+            free: NIL,
             far: BinaryHeap::new(),
             cursor: 0,
             near_len: 0,
@@ -93,11 +124,39 @@ impl<E: Scheduled> EventWheel<E> {
         let at = event.at_ticks().max(self.cursor);
         self.len += 1;
         if at - self.cursor < SPAN {
-            self.near[(at % SPAN) as usize].push_back(event);
-            self.near_len += 1;
+            self.push_near(at, event);
         } else {
             self.far.push(Reverse(FarEntry(event)));
         }
+    }
+
+    /// Appends `event` to tick `at`'s bucket, in a free slot if there is one.
+    #[inline(always)]
+    fn push_near(&mut self, at: u64, event: E) {
+        let node = if self.free == NIL {
+            // The bucket heads come with the first slot, so that a wheel
+            // that never held a near event holds no memory.
+            if self.links.is_empty() {
+                self.links.resize(BUCKETS, NIL);
+            }
+            let node = u32::try_from(self.links.len())
+                .ok()
+                .filter(|&node| node != NIL)
+                .expect("fewer than 2^32 - 65 near events live at once");
+            self.links.push(NIL);
+            self.events.push(Some(event));
+            node
+        } else {
+            let node = self.free;
+            self.free = self.links[node as usize];
+            self.links[node as usize] = NIL;
+            self.events[node as usize - BUCKETS] = Some(event);
+            node
+        };
+        let bucket = (at % SPAN) as usize;
+        self.links[self.tails[bucket] as usize] = node;
+        self.tails[bucket] = node;
+        self.near_len += 1;
     }
 
     /// Time of the next event, if any.
@@ -108,7 +167,7 @@ impl<E: Scheduled> EventWheel<E> {
         if self.near_len > 0 {
             let mut tick = self.cursor;
             loop {
-                if !self.near[(tick % SPAN) as usize].is_empty() {
+                if self.links[(tick % SPAN) as usize] != NIL {
                     return Some(tick);
                 }
                 tick += 1;
@@ -124,10 +183,19 @@ impl<E: Scheduled> EventWheel<E> {
         }
         loop {
             if self.near_len > 0 {
-                if let Some(event) = self.near[(self.cursor % SPAN) as usize].pop_front() {
+                let bucket = (self.cursor % SPAN) as usize;
+                let node = self.links[bucket];
+                if node != NIL {
+                    let next = self.links[node as usize];
+                    self.links[bucket] = next;
+                    if next == NIL {
+                        self.tails[bucket] = bucket as u32;
+                    }
+                    self.links[node as usize] = self.free;
+                    self.free = node;
                     self.len -= 1;
                     self.near_len -= 1;
-                    return Some(event);
+                    return self.events[node as usize - BUCKETS].take();
                 }
                 self.cursor += 1;
             } else {
@@ -153,8 +221,7 @@ impl<E: Scheduled> EventWheel<E> {
                 break;
             }
             let Reverse(FarEntry(event)) = self.far.pop().expect("peeked above");
-            self.near[(event.at_ticks() % SPAN) as usize].push_back(event);
-            self.near_len += 1;
+            self.push_near(event.at_ticks(), event);
         }
     }
 }
@@ -226,13 +293,15 @@ mod tests {
         // Drive the wheel and a (at, seq)-ordered reference heap with the
         // same randomized monotone workload and demand identical pop order,
         // including pushes relative to the advancing current time and
-        // far-future outliers.
+        // far-future outliers. The slab must never hold more slots than the
+        // most near events live at once.
         let mut rng = ChaCha12Rng::seed_from_u64(42);
         let mut wheel = EventWheel::new();
         let mut reference: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
         let mut now = 0u64;
         let mut seq = 0u64;
         let mut popped = 0usize;
+        let mut peak_near = 0usize;
         for _ in 0..20_000 {
             if rng.gen_bool(0.55) || reference.is_empty() {
                 // Mostly short delays, occasionally far-future ones.
@@ -260,6 +329,11 @@ mod tests {
                 wheel.peek_at(),
                 reference.peek().map(|Reverse((at, _))| *at)
             );
+            peak_near = peak_near.max(wheel.near_len);
+            assert!(
+                wheel.events.len() <= peak_near,
+                "slab outgrew the live peak"
+            );
         }
         assert!(popped > 5_000, "workload actually exercised pops");
         while let Some(Reverse((at, expect_seq))) = reference.pop() {
@@ -267,5 +341,48 @@ mod tests {
             assert_eq!((got.at, got.seq), (at, expect_seq));
         }
         assert_eq!(wheel.pop(), None);
+        assert_eq!(wheel.events.len(), peak_near);
+    }
+
+    #[test]
+    fn drained_slots_are_reused_in_fifo_order() {
+        let mut wheel = EventWheel::new();
+        let mut seq = 0u64;
+        let mut push = |wheel: &mut EventWheel<Ev>, at: u64| {
+            seq += 1;
+            wheel.push(Ev { at, seq });
+        };
+        // Fill three ticks, interleaved, then drain to empty.
+        for at in [2, 1, 3, 1, 2, 3, 1] {
+            push(&mut wheel, at);
+        }
+        let first: Vec<_> = std::iter::from_fn(|| wheel.pop()).collect();
+        let order: Vec<_> = first.iter().map(|e| (e.at, e.seq)).collect();
+        assert_eq!(
+            order,
+            vec![(1, 2), (1, 4), (1, 7), (2, 1), (2, 5), (3, 3), (3, 6)]
+        );
+        assert_eq!(wheel.events.len(), 7);
+        // Refill from the free list: one tick, then a second tick interleaved
+        // with it. No slot is added, and each tick stays FIFO.
+        for at in [5, 5, 4, 5, 4, 5, 4] {
+            push(&mut wheel, at);
+        }
+        assert_eq!(wheel.events.len(), 7, "refill reuses the drained slots");
+        let second: Vec<_> = std::iter::from_fn(|| wheel.pop()).collect();
+        let order: Vec<_> = second.iter().map(|e| (e.at, e.seq)).collect();
+        assert_eq!(
+            order,
+            vec![(4, 10), (4, 12), (4, 14), (5, 8), (5, 9), (5, 11), (5, 13)]
+        );
+        // A partial drain followed by pushes onto the bucket being popped.
+        for _ in 0..3 {
+            push(&mut wheel, 6);
+        }
+        assert_eq!(wheel.pop().map(|e| e.seq), Some(15));
+        push(&mut wheel, 6);
+        let rest: Vec<_> = std::iter::from_fn(|| wheel.pop()).map(|e| e.seq).collect();
+        assert_eq!(rest, vec![16, 17, 18]);
+        assert_eq!((wheel.len(), wheel.events.len()), (0, 7));
     }
 }

@@ -11,6 +11,10 @@
 //!   certainly received enough elements and can be unregistered, even if the
 //!   reader itself crashed (Theorem 5.5: no server relays forever).
 //!
+//! `H` empties at quiescence: once a read is closed here (its registration
+//! handled and gone), the server keeps only the read's id, in a run set of
+//! closed reads, and records nothing more for it.
+//!
 //! The server participates in both message-disperse primitives: it relays the
 //! MD-VALUE dispersal of writes and the MD-META dispersal of READ-VALUE /
 //! READ-COMPLETE / READ-DISPERSE metadata.
@@ -49,7 +53,7 @@ use crate::config::{DiskFaultModel, SodaConfig};
 use crate::messages::{MetaPayload, OpId, SodaMsg};
 use crate::reader::ElementCollector;
 use soda_protocol::md::{md_meta_send, MdMetaRelay, MdValueMsg, MdValueRelay, MessageId};
-use soda_protocol::{QuorumTracker, RepairDriver, RepairStatus, Tag, Value};
+use soda_protocol::{QuorumTracker, RepairDriver, RepairStatus, RunSet, Tag, Value};
 use soda_rs_code::{CodedElement, MdsCode};
 use soda_simnet::{Context, Process, ProcessId};
 use std::collections::BTreeMap;
@@ -94,9 +98,26 @@ pub struct ServerProcess {
     /// by reader op. Every query the protocol makes is per-op (count distinct
     /// senders of one tag, drop a finished read's triples, check the
     /// READ-COMPLETE marker), so the per-op index makes those O(own triples)
-    /// instead of a scan over every in-flight read's entries — the scan is
-    /// quadratic in long-lived clusters where stale triples accumulate.
+    /// instead of a scan over every in-flight read's entries. Only reads that
+    /// are not yet [`closed`](Self::closed) have entries, so `H` is empty
+    /// whenever no read is in flight here.
     history: BTreeMap<OpId, Vec<(Tag, usize)>>,
+    /// Reads *closed* at this server: their READ-VALUE has been handled here
+    /// and they are no longer registered — unregistered by `H`, by a
+    /// READ-COMPLETE, or never registered because the READ-COMPLETE marker
+    /// was already there. A READ-DISPERSE or READ-COMPLETE for a closed read
+    /// records nothing in `H`.
+    ///
+    /// This drops exactly the entries nothing would read. `H`'s entries for a
+    /// read are read only to decide its registration: by the unregistration
+    /// count, which needs the read registered, and by the marker check, which
+    /// runs on its READ-VALUE. A reader disperses READ-VALUE once per read,
+    /// under one [`MessageId`], so the MD-META relay delivers it at most once
+    /// per server; a closed read is never registered again and its READ-VALUE
+    /// never comes back. The reads of a replacement's repair are not closed:
+    /// their READ-VALUE is re-sent under fresh ids (see
+    /// [`Self::send_repair_fan_out`]), so they keep recording as before.
+    closed: RunSet,
     /// Relay state of the MD-VALUE primitive.
     md_value: MdValueRelay,
     /// Relay state of the MD-META primitive.
@@ -134,6 +155,7 @@ impl ServerProcess {
             element,
             registered: BTreeMap::new(),
             history: BTreeMap::new(),
+            closed: RunSet::default(),
             md_value: MdValueRelay::new(my_rank),
             md_meta: MdMetaRelay::new(my_rank),
             md_counter: 0,
@@ -162,6 +184,7 @@ impl ServerProcess {
             element: CodedElement::new(my_rank, Vec::new()),
             registered: BTreeMap::new(),
             history: BTreeMap::new(),
+            closed: RunSet::default(),
             md_value: MdValueRelay::new(my_rank),
             md_meta: MdMetaRelay::new(my_rank),
             md_counter: epoch << 32,
@@ -213,7 +236,8 @@ impl ServerProcess {
         self.registered.len()
     }
 
-    /// Number of entries in the history set `H`.
+    /// Number of entries in the history set `H`: zero whenever no read is
+    /// in flight at this server.
     pub fn history_len(&self) -> usize {
         self.history.values().map(Vec::len).sum()
     }
@@ -222,6 +246,11 @@ impl ServerProcess {
     /// relays (metadata only; see Theorem 3.2).
     pub fn md_tombstones(&self) -> usize {
         self.md_value.tombstones() + self.md_meta.tombstones()
+    }
+
+    /// The tombstones of the MD-VALUE and the MD-META relay, in that order.
+    pub fn md_tombstone_sets(&self) -> [&RunSet; 2] {
+        [self.md_value.handled(), self.md_meta.handled()]
     }
 
     /// Whether this server is a replacement whose repair has not finished.
@@ -317,8 +346,23 @@ impl ServerProcess {
         });
         if sent_count >= self.config.read_threshold() {
             self.registered.remove(&op);
-            self.history.remove(&op);
+            self.close(op);
         }
+    }
+
+    /// Drops a read's `H` entries once its READ-VALUE has been handled here
+    /// and it is not registered, and remembers it as closed unless it is a
+    /// replacement's repair (see [`Self::closed`]).
+    fn close(&mut self, op: OpId) {
+        self.history.remove(&op);
+        if !self.config.layout().servers().contains(&op.client) {
+            self.closed.insert(op.client, op.seq);
+        }
+    }
+
+    /// Whether `op` is a closed read, for which `H` records nothing more.
+    fn is_closed(&self, op: OpId) -> bool {
+        self.closed.contains(op.client, op.seq)
     }
 
     /// Handles `md-value-deliver(t_w, c_s)`: relay to registered readers,
@@ -360,7 +404,7 @@ impl ServerProcess {
         // bookkeeping and do not register.
         let marker = (Tag::INITIAL, self.my_rank);
         if self.history.get(&op).is_some_and(|t| t.contains(&marker)) {
-            self.history.remove(&op);
+            self.close(op);
             return;
         }
         self.registered.insert(op, requested);
@@ -376,8 +420,11 @@ impl ServerProcess {
 
     /// Handles delivery of a READ-COMPLETE (Fig. 5, response 6).
     fn on_read_complete(&mut self, op: OpId) {
+        if self.is_closed(op) {
+            return;
+        }
         if self.registered.remove(&op).is_some() {
-            self.history.remove(&op);
+            self.close(op);
         } else {
             // Registration has not arrived yet; leave a marker so the later
             // READ-VALUE is ignored instead of re-registering a finished read.
@@ -391,6 +438,9 @@ impl ServerProcess {
     /// Handles delivery of a READ-DISPERSE report (Fig. 5, response 7 /
     /// Fig. 6 for SODAerr).
     fn on_read_disperse(&mut self, tag: Tag, server_rank: usize, op: OpId) {
+        if self.is_closed(op) {
+            return;
+        }
         Self::record_triple(self.history.entry(op).or_default(), (tag, server_rank));
         self.maybe_unregister(tag, op);
     }
@@ -962,6 +1012,56 @@ mod tests {
         );
         assert_eq!(s.registered_readers(), 0, "k distinct senders reached");
         assert_eq!(s.history_len(), 0, "history for the reader cleaned up");
+    }
+
+    /// Registers `op` at rank 4 of a (5, 2) cluster under a tag it does not
+    /// hold, unregisters it with k = 3 READ-DISPERSE reports, then delivers
+    /// one more report and the READ-COMPLETE, as a slow relay would.
+    fn late_reports_after_unregistration(op: OpId) -> ServerProcess {
+        let cfg = config(5, 2);
+        let mut s = server(&cfg, 4);
+        let requested = Tag::new(2, WRITER);
+        deliver(
+            &mut s,
+            ProcessId(4),
+            t(1),
+            op.client,
+            read_value_msg(op, requested, 1),
+        );
+        for rank in 0..4usize {
+            deliver(
+                &mut s,
+                ProcessId(4),
+                t(2),
+                ProcessId(rank as u32),
+                read_disperse_msg(requested, rank, op, 10),
+            );
+        }
+        deliver(
+            &mut s,
+            ProcessId(4),
+            t(3),
+            op.client,
+            read_complete_msg(op, requested, 2),
+        );
+        assert_eq!(s.registered_readers(), 0);
+        s
+    }
+
+    #[test]
+    fn late_reports_for_a_closed_read_record_nothing() {
+        let s = late_reports_after_unregistration(OpId::new(READER, 1));
+        assert_eq!(s.history_len(), 0, "H is empty once the read is closed");
+        assert_eq!(s.closed.len(), 1);
+    }
+
+    #[test]
+    fn repair_reads_are_never_closed() {
+        // A replacement's repair re-sends READ-VALUE under fresh ids, so its
+        // late reports are still recorded, as before.
+        let s = late_reports_after_unregistration(OpId::new(ProcessId(1), 1));
+        assert_eq!(s.history_len(), 2, "the late report and the marker");
+        assert!(s.closed.is_empty());
     }
 
     #[test]

@@ -24,7 +24,7 @@
 use crate::json_row;
 use crate::scenario::{run_scenario, ScenarioOutcome, ScenarioParams};
 use soda_protocol::cost::paper;
-use soda_protocol::Layout;
+use soda_protocol::{Layout, OpRecord};
 use soda_registry::{ClusterBuilder, ProtocolKind, RegisterCluster};
 use std::fmt;
 
@@ -471,14 +471,20 @@ pub fn sodaerr_sweep(n: usize, f: usize, es: &[usize], value_size: usize, seed: 
 }
 
 /// Theorem 3.2: once a dispersal completes, every server holds exactly one
-/// coded element and no buffered value, registration or history entry, even
-/// when the writer crashes mid-send.
+/// coded element and no buffered value, even when the writer crashes
+/// mid-send. Then a burst of two writes and two reads, invoked together so
+/// that each read is concurrent with both writes, runs to quiescence: every
+/// reader registration and every `H` entry is gone again, including the
+/// READ-DISPERSE reports that reach a server after it unregistered the read.
 pub fn md_state_experiment(points: &[(usize, usize)], value_size: usize, seed: u64) -> Table {
     let mut sheet = Sheet::new("Theorem 3.2", value_size);
     for &(n, f) in points {
         for crash_writer in [false, true] {
+            // Writer 0 makes the dispersal under test; writers 1 and 2 and
+            // both readers make the burst.
             let mut cluster = ClusterBuilder::new(ProtocolKind::Soda, n, f)
                 .with_seed(seed)
+                .with_clients(3, 2)
                 .build_soda()
                 .expect("valid SODA parameters");
             cluster.invoke_write(0, vec![7u8; value_size]);
@@ -489,6 +495,29 @@ pub fn md_state_experiment(points: &[(usize, usize)], value_size: usize, seed: u
                 cluster.crash_writer_at(crash_at, 0);
             }
             cluster.run_to_quiescence();
+            let burst_at = cluster.now();
+            for client in 0..2 {
+                cluster.invoke_write(client + 1, vec![client as u8; value_size]);
+                cluster.invoke_read(client);
+            }
+            cluster.run_to_quiescence();
+            let burst: Vec<_> = cluster
+                .completed_ops()
+                .into_iter()
+                .filter(|op| op.invoked_at >= burst_at)
+                .collect();
+            let overlaps_a_write = |read: &&OpRecord| {
+                burst.iter().any(|write| {
+                    write.kind.is_write()
+                        && read.invoked_at < write.completed_at
+                        && write.invoked_at < read.completed_at
+                })
+            };
+            let concurrent_reads = burst
+                .iter()
+                .filter(|op| op.kind.is_read())
+                .filter(overlaps_a_write)
+                .count();
             let element = (value_size + 8).div_ceil(n - f) as u64;
             let residual: u64 = cluster
                 .stored_bytes_per_server()
@@ -499,13 +528,24 @@ pub fn md_state_experiment(points: &[(usize, usize)], value_size: usize, seed: u
             let registrations = cluster.total_registered_readers() as f64;
             let history = cluster.total_history_entries() as f64;
             sheet.equal(format!("{label} residual bytes"), residual as f64, 0.0);
+            sheet.equal(
+                format!("{label} burst ops completed"),
+                burst.len() as f64,
+                4.0,
+            );
+            sheet.equal(
+                format!("{label} reads concurrent with a write"),
+                concurrent_reads as f64,
+                2.0,
+            );
             sheet.equal(format!("{label} registrations"), registrations, 0.0);
             sheet.equal(format!("{label} history entries"), history, 0.0);
         }
     }
     sheet.finish(format!(
         "Theorem 3.2: after MD-VALUE completes a server keeps one coded element and \
-         nothing else, writer crash or not, |v| = {value_size} B"
+         nothing else, writer crash or not, and after a burst of concurrent reads and \
+         writes no registration or H entry, |v| = {value_size} B"
     ))
 }
 
