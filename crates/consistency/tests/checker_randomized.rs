@@ -6,11 +6,10 @@
 //! checker. The converse need not hold (a history can be linearizable even if
 //! the tags recorded by a buggy protocol are inconsistent), so only the
 //! implication is asserted. (Formerly a proptest suite; now driven by the
-//! deterministic `rand` shim.)
+//! seeded `SimRng`.)
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use soda_consistency::{History, Kind, Version};
+use soda_simnet::rng::SimRng;
 
 const CASES: usize = 512;
 
@@ -18,7 +17,7 @@ const CASES: usize = 512;
 /// Values are derived from versions for writes so that a "correct protocol"
 /// shape is likely, but reads may carry arbitrary versions/values, exercising
 /// both accepting and rejecting paths.
-fn random_history(rng: &mut StdRng) -> History {
+fn random_history(rng: &mut SimRng) -> History {
     let mut history = History::new(b"v0".to_vec());
     let num_ops = rng.gen_range(0usize..7);
     // Serialize each client's operations to keep the history well-formed.
@@ -55,7 +54,7 @@ fn random_history(rng: &mut StdRng) -> History {
 
 #[test]
 fn tag_checker_acceptance_implies_linearizability() {
-    let mut rng = StdRng::seed_from_u64(0xc0de);
+    let mut rng = SimRng::new(0xc0de);
     let mut accepted = 0usize;
     for _ in 0..CASES {
         let history = random_history(&mut rng);
@@ -78,7 +77,7 @@ fn tag_checker_acceptance_implies_linearizability() {
 
 #[test]
 fn checkers_never_panic_on_well_formed_histories() {
-    let mut rng = StdRng::seed_from_u64(0xbeef);
+    let mut rng = SimRng::new(0xbeef);
     for _ in 0..CASES {
         let history = random_history(&mut rng);
         let _ = history.check_atomicity();

@@ -456,8 +456,7 @@ mod tests {
 
     #[test]
     fn random_invertible_matrices_round_trip() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(42);
+        let mut rng = soda_simnet::rng::SimRng::new(42);
         let mut found = 0;
         while found < 20 {
             let n = rng.gen_range(1..=6);

@@ -2,20 +2,18 @@
 //! matrix identities. These are the invariants the Reed–Solomon layer relies
 //! on, so they are checked over many seeded-random inputs rather than
 //! hand-picked cases (formerly a proptest suite; now driven by the
-//! deterministic `rand` shim).
+//! seeded `SimRng`).
 
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
 use soda_gf::{Gf256, Matrix, Poly};
+use soda_simnet::rng::SimRng;
 
 const CASES: usize = 256;
 
-fn rng(salt: u64) -> StdRng {
-    StdRng::seed_from_u64(0x6f64_a000 ^ salt)
+fn rng(salt: u64) -> SimRng {
+    SimRng::new(0x6f64_a000 ^ salt)
 }
 
-fn random_poly(rng: &mut StdRng, max_len: usize) -> Poly {
+fn random_poly(rng: &mut SimRng, max_len: usize) -> Poly {
     let len = rng.gen_range(0usize..max_len);
     let bytes: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
     Poly::from_bytes(&bytes)
@@ -118,7 +116,7 @@ fn vandermonde_submatrix_invertible() {
         let n = k + extra;
         let v = Matrix::vandermonde(n, k);
         let mut indices: Vec<usize> = (0..n).collect();
-        indices.shuffle(&mut rng);
+        rng.shuffle(&mut indices);
         indices.truncate(k);
         let sub = v.select_rows(&indices);
         let inv = sub.inverse();

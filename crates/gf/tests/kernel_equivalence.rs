@@ -16,9 +16,8 @@
 //! Tier-1 runs a fixed budget; the nightly fuzz job scales it with
 //! `KERNEL_EQ_CASES` (see `.github/workflows/ci.yml`).
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use soda_gf::{mul_slice, mul_slice_xor, xor_slice, Gf256};
+use soda_simnet::rng::SimRng;
 
 fn cases() -> usize {
     std::env::var("KERNEL_EQ_CASES")
@@ -27,13 +26,13 @@ fn cases() -> usize {
         .unwrap_or(64)
 }
 
-fn rng(salt: u64) -> StdRng {
-    StdRng::seed_from_u64(0x6b65_7200 ^ salt)
+fn rng(salt: u64) -> SimRng {
+    SimRng::new(0x6b65_7200 ^ salt)
 }
 
 /// Random length that lands on both sides of the 32-byte lane and the
 /// 8-byte word boundaries.
-fn ragged_len(rng: &mut StdRng) -> usize {
+fn ragged_len(rng: &mut SimRng) -> usize {
     match rng.gen_range(0u8..7) {
         0 => rng.gen_range(0usize..8),     // below one word
         1 => 8 * rng.gen_range(1usize..9), // whole words

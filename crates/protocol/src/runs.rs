@@ -115,14 +115,13 @@ impl RunSet {
 mod tests {
     use super::*;
     use crate::md::MessageId;
-    use rand::{Rng, SeedableRng};
-    use rand_chacha::ChaCha12Rng;
+    use soda_simnet::rng::SimRng;
     use std::collections::HashSet;
 
     /// Drives a `RunSet` and a `HashSet<MessageId>` reference with the same
     /// inserts and demands equal answers after every step.
-    fn check_against_reference(counters: impl Fn(&mut ChaCha12Rng) -> u64, seed: u64) {
-        let mut rng = ChaCha12Rng::seed_from_u64(seed);
+    fn check_against_reference(counters: impl Fn(&mut SimRng) -> u64, seed: u64) {
+        let mut rng = SimRng::network(seed);
         let mut set = RunSet::default();
         let mut reference: HashSet<MessageId> = HashSet::new();
         let mut probes: Vec<MessageId> = Vec::new();

@@ -1,13 +1,11 @@
 //! SODA / SODAerr behaviour through the facade: cluster-level tests driven
 //! via `ClusterBuilder` (storage, liveness, cleanup, and repair down to the
 //! re-encoded coded element), plus randomized workload-shape executions (the
-//! former property-based suite, rewritten over the deterministic `rand`
-//! shim).
+//! former property-based suite, rewritten over the seeded `SimRng`).
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use soda_protocol::MdsCode;
 use soda_registry::{ClusterBuilder, OpKind, ProtocolKind, RegisterCluster};
+use soda_simnet::rng::SimRng;
 use soda_simnet::{NetworkConfig, SimTime};
 
 fn soda(n: usize, f: usize) -> ClusterBuilder {
@@ -157,7 +155,7 @@ fn quiescent_servers_keep_no_history_and_one_tombstone_run_per_origin() {
 /// One randomized workload shape: delays, operation mix, timing and crash
 /// schedule all drawn from a seeded generator (formerly a proptest strategy).
 fn run_random_shape(seed: u64) {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SimRng::new(seed);
     let n = 7usize;
     let f = 2usize;
     let delay = rng.gen_range(1u64..25);
@@ -247,7 +245,7 @@ fn quiescent_servers_converge_when_no_reads_run() {
     // With only writes, MD-VALUE uniformity forces every non-faulty server
     // to end up with the same (highest) tag.
     for seed in 0..24u64 {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = SimRng::new(seed);
         let delay = rng.gen_range(1u64..20);
         let num_writes = rng.gen_range(1usize..5);
         let mut cluster = soda(5, 2)

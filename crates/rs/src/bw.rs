@@ -438,8 +438,7 @@ mod tests {
     #[test]
     fn linear_solver_exact_square_system() {
         // Build a random invertible system and verify the solution.
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let mut rng = soda_simnet::rng::SimRng::new(7);
         for _ in 0..10 {
             let n = 5;
             let a: Vec<Vec<Gf256>> = (0..n)

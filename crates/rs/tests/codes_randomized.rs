@@ -1,22 +1,20 @@
 //! Randomized tests for the MDS code: random values, random `[n, k]`
 //! parameters, random erasure patterns and random corruption patterns must
 //! always round-trip (or be detected) according to the code's guarantees
-//! (formerly a proptest suite; now driven by the deterministic `rand` shim).
+//! (formerly a proptest suite; now driven by the seeded `SimRng`).
 
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
 use soda_rs_code::{CodedElement, MdsCode, VandermondeCode};
+use soda_simnet::rng::SimRng;
 
 const CASES: usize = 64;
 
-fn rng(salt: u64) -> StdRng {
-    StdRng::seed_from_u64(0x7275_5400 ^ salt)
+fn rng(salt: u64) -> SimRng {
+    SimRng::new(0x7275_5400 ^ salt)
 }
 
 /// Draws `(n, k, value)` with `2 <= n <= 12`, `1 <= k <= n` and a value of up
 /// to 300 bytes.
-fn code_params(rng: &mut StdRng) -> (usize, usize, Vec<u8>) {
+fn code_params(rng: &mut SimRng) -> (usize, usize, Vec<u8>) {
     let n = rng.gen_range(2usize..=12);
     let k = rng.gen_range(1usize..=n);
     let len = rng.gen_range(0usize..300);
@@ -31,7 +29,7 @@ fn vandermonde_round_trips_any_k_subset() {
         let (n, k, value) = code_params(&mut rng);
         let code = VandermondeCode::new(n, k).unwrap();
         let mut shuffled = code.encode(&value).unwrap();
-        shuffled.shuffle(&mut rng);
+        rng.shuffle(&mut shuffled);
         shuffled.truncate(k);
         assert_eq!(code.decode(&shuffled).unwrap(), value);
     }
@@ -67,11 +65,11 @@ fn bw_code_corrects_random_corruption() {
         // Keep exactly k + 2e elements (simulating f crashes), corrupt up to
         // e of them.
         let mut kept = code.encode(&value).unwrap();
-        kept.shuffle(&mut rng);
+        rng.shuffle(&mut kept);
         kept.truncate(k + 2 * e_budget);
         let corrupt_count = e_budget.min(kept.len());
         let mut indices: Vec<usize> = (0..kept.len()).collect();
-        indices.shuffle(&mut rng);
+        rng.shuffle(&mut indices);
         for &i in indices.iter().take(corrupt_count) {
             for b in kept[i].data.make_mut() {
                 *b ^= 0x5A;
@@ -130,7 +128,7 @@ fn decode_after_cache_hit_is_identical_to_first_decode() {
         let (n, k, value) = code_params(&mut rng);
         let code = VandermondeCode::new(n, k).unwrap();
         let mut subset = code.encode(&value).unwrap();
-        subset.shuffle(&mut rng);
+        rng.shuffle(&mut subset);
         subset.truncate(k);
         let first = code.decode(&subset).unwrap();
         let second = code.decode(&subset).unwrap();

@@ -1,7 +1,7 @@
 //! Network configuration: message delay models and per-link overrides.
 
 use crate::process::ProcessId;
-use rand::Rng;
+use crate::rng::SimRng;
 use std::collections::HashMap;
 
 /// Distribution from which per-message delivery delays are sampled (in ticks).
@@ -24,7 +24,7 @@ pub enum DelayModel {
 impl DelayModel {
     /// Samples a delay in ticks. Always returns at least 1 so that causality
     /// (send strictly-before delivery) is preserved.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
+    pub(crate) fn sample(&self, rng: &mut SimRng) -> u64 {
         let raw = match *self {
             DelayModel::Constant(d) => d,
             DelayModel::Uniform { min, max } => {
@@ -93,12 +93,10 @@ impl NetworkConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha12Rng;
 
     #[test]
     fn constant_delay_is_constant_and_at_least_one() {
-        let mut rng = ChaCha12Rng::seed_from_u64(0);
+        let mut rng = SimRng::network(0);
         let m = DelayModel::Constant(5);
         for _ in 0..10 {
             assert_eq!(m.sample(&mut rng), 5);
@@ -108,7 +106,7 @@ mod tests {
 
     #[test]
     fn uniform_delay_stays_in_range() {
-        let mut rng = ChaCha12Rng::seed_from_u64(1);
+        let mut rng = SimRng::network(1);
         let m = DelayModel::Uniform { min: 2, max: 9 };
         for _ in 0..200 {
             let d = m.sample(&mut rng);

@@ -10,9 +10,10 @@
 //! asynchronous. This crate reproduces that model exactly:
 //!
 //! * [`Simulation`] — a seeded, deterministic event-driven scheduler. Message
-//!   delays are sampled from a configurable [`DelayModel`], so the same seed
-//!   always produces the same interleaving (important for debugging and for
-//!   property tests that shrink on failure).
+//!   delays are sampled from a configurable [`DelayModel`] with the
+//!   simulation's [`rng::SimRng`], so the same seed always produces the same
+//!   interleaving (important for debugging and for property tests that shrink
+//!   on failure).
 //! * [`Process`] — the actor trait protocol automata implement
 //!   (`on_start` / `on_message` / `on_timer`).
 //! * [`Simulation::schedule_crash`] — crash injection at arbitrary points,
@@ -64,9 +65,9 @@
 #![forbid(unsafe_code)]
 
 mod config;
-mod fasthash;
 mod netfault;
 mod process;
+pub mod rng;
 mod sim;
 pub mod testkit;
 mod time;
@@ -74,7 +75,6 @@ mod trace;
 mod wheel;
 
 pub use config::{DelayModel, NetworkConfig};
-pub use fasthash::{BuildFastHasher, FastHashMap, FastHasher};
 pub use netfault::{LinkFaults, LinkWindow, NetFaultPlan, Partition};
 pub use process::{Context, Message, Process, ProcessId};
 pub use sim::{CorruptionHook, RunOutcome, Simulation};

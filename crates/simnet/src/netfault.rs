@@ -19,9 +19,10 @@
 //! mutation itself is performed by a [`crate::CorruptionHook`] installed
 //! with [`crate::Simulation::set_corruption_hook`].
 //!
-//! Probabilistic faults are sampled per message from the simulation's seeded
-//! RNG, so a given `(seed, plan)` pair still produces a fully deterministic
-//! execution — failing schedules can be replayed exactly.
+//! Probabilistic faults are sampled per message from the simulation's
+//! network stream ([`crate::rng::SimRng::network`]), so a given
+//! `(seed, plan)` pair still produces a fully deterministic execution —
+//! failing schedules can be replayed exactly.
 //!
 //! On top of the probabilistic adversary, the plan carries *scheduled*
 //! [`LinkWindow`]s: a directed link is unreachable during `[start, end)` and
@@ -37,8 +38,8 @@
 
 use crate::config::DelayModel;
 use crate::process::ProcessId;
+use crate::rng::SimRng;
 use crate::time::SimTime;
-use rand::Rng;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Adversarial behaviour of one directed link (probabilities are per
@@ -80,18 +81,18 @@ impl LinkFaults {
     }
 
     /// Samples whether the adversary drops a message on this link.
-    pub(crate) fn sample_drop<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
+    pub(crate) fn sample_drop(&self, rng: &mut SimRng) -> bool {
         self.drop_p > 0.0 && rng.gen_bool(self.drop_p.min(1.0))
     }
 
     /// Samples whether the adversary duplicates a message on this link.
-    pub(crate) fn sample_duplicate<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
+    pub(crate) fn sample_duplicate(&self, rng: &mut SimRng) -> bool {
         self.duplicate_p > 0.0 && rng.gen_bool(self.duplicate_p.min(1.0))
     }
 
     /// Samples the extra delay (delay faults plus reordering hold-back) the
     /// adversary adds to one delivery on this link.
-    pub(crate) fn sample_extra_delay<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
+    pub(crate) fn sample_extra_delay(&self, rng: &mut SimRng) -> u64 {
         let mut extra = match self.extra_delay {
             // The +1 floor of DelayModel::sample is about causality of the
             // base delay; an *extra* delay of a model that can produce "no
@@ -307,8 +308,6 @@ impl NetFaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha12Rng;
 
     #[test]
     fn default_plan_is_passthrough() {
@@ -335,15 +334,12 @@ mod tests {
 
     #[test]
     fn clean_links_consume_no_randomness() {
-        let mut a = ChaCha12Rng::seed_from_u64(9);
-        let mut b = ChaCha12Rng::seed_from_u64(9);
+        let mut rng = SimRng::network(9);
         let clean = LinkFaults::NONE;
-        assert!(!clean.sample_drop(&mut a));
-        assert!(!clean.sample_duplicate(&mut a));
-        assert_eq!(clean.sample_extra_delay(&mut a), 0);
-        // `b` was never advanced; the streams must still agree.
-        use rand::Rng;
-        assert_eq!(a.gen::<u64>(), b.gen::<u64>());
+        assert!(!clean.sample_drop(&mut rng));
+        assert!(!clean.sample_duplicate(&mut rng));
+        assert_eq!(clean.sample_extra_delay(&mut rng), 0);
+        assert_eq!(rng.draws(), 0);
     }
 
     #[test]
@@ -418,7 +414,7 @@ mod tests {
 
     #[test]
     fn drop_probability_one_always_drops() {
-        let mut rng = ChaCha12Rng::seed_from_u64(1);
+        let mut rng = SimRng::network(1);
         let always = LinkFaults {
             drop_p: 1.0,
             ..LinkFaults::NONE
@@ -430,7 +426,7 @@ mod tests {
 
     #[test]
     fn extra_delay_and_reorder_window_bound_the_hold_back() {
-        let mut rng = ChaCha12Rng::seed_from_u64(2);
+        let mut rng = SimRng::network(2);
         let faults = LinkFaults {
             extra_delay: Some(DelayModel::Uniform { min: 1, max: 5 }),
             reorder_p: 1.0,

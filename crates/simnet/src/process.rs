@@ -1,7 +1,6 @@
 //! Process (actor) abstraction and the handler-side context.
 
 use crate::time::SimTime;
-use rand_chacha::ChaCha12Rng;
 use std::any::Any;
 use std::fmt;
 
@@ -79,14 +78,14 @@ pub(crate) enum Action<M> {
 }
 
 /// Handler-side view of the simulation: lets a process send messages, set
-/// timers, sample randomness and read the clock. All effects are buffered and
-/// applied by the scheduler after the handler returns, which keeps handlers
-/// deterministic and side-effect free.
+/// timers, halt and read the clock. All effects are buffered in the
+/// scheduler's action list and applied after the handler returns, which keeps
+/// handlers deterministic and side-effect free. Handlers draw no randomness:
+/// every draw in a run is the network's.
 pub struct Context<'a, M: Message> {
     pub(crate) self_id: ProcessId,
     pub(crate) now: SimTime,
-    pub(crate) actions: Vec<Action<M>>,
-    pub(crate) rng: &'a mut ChaCha12Rng,
+    pub(crate) actions: &'a mut Vec<Action<M>>,
 }
 
 impl<'a, M: Message> Context<'a, M> {
@@ -124,11 +123,6 @@ impl<'a, M: Message> Context<'a, M> {
     pub fn halt(&mut self) {
         self.actions.push(Action::Halt);
     }
-
-    /// Deterministic per-simulation random number generator.
-    pub fn rng(&mut self) -> &mut ChaCha12Rng {
-        self.rng
-    }
 }
 
 #[cfg(test)]
@@ -154,13 +148,11 @@ mod tests {
 
     #[test]
     fn context_buffers_actions() {
-        use rand::SeedableRng;
-        let mut rng = ChaCha12Rng::seed_from_u64(1);
+        let mut actions = Vec::new();
         let mut ctx: Context<'_, Dummy> = Context {
             self_id: ProcessId(0),
             now: SimTime::from_ticks(5),
-            actions: Vec::new(),
-            rng: &mut rng,
+            actions: &mut actions,
         };
         ctx.send(ProcessId(1), Dummy);
         ctx.send_all([ProcessId(2), ProcessId(3)], Dummy);

@@ -3,22 +3,20 @@
 use crate::config::NetworkConfig;
 use crate::netfault::NetFaultPlan;
 use crate::process::{Action, Context, Message, Process, ProcessId};
+use crate::rng::SimRng;
 use crate::time::SimTime;
 use crate::trace::{Stats, Trace};
 use crate::wheel::{EventWheel, Scheduled};
-use rand::SeedableRng;
-use rand_chacha::ChaCha12Rng;
 use std::cmp::Ordering;
 
 /// Message-type-specific payload corruption, applied to sends of processes a
-/// [`NetFaultPlan`] marks as byzantine. Receives `(from, to, message, rng)`
-/// and returns whether it actually mutated the message (so the trace can
-/// count corrupted deliveries). Installed with
+/// [`NetFaultPlan`] marks as byzantine. Receives `(from, to, message)` and
+/// returns whether it actually mutated the message (so the trace can count
+/// corrupted deliveries). It draws no randomness. Installed with
 /// [`Simulation::set_corruption_hook`]; protocol crates provide hooks that
 /// corrupt only the payloads their threat model allows (e.g. SODAerr corrupts
 /// coded elements sent to readers, never metadata).
-pub type CorruptionHook<M> =
-    Box<dyn FnMut(ProcessId, ProcessId, &mut M, &mut ChaCha12Rng) -> bool + Send>;
+pub type CorruptionHook<M> = Box<dyn FnMut(ProcessId, ProcessId, &mut M) -> bool + Send>;
 
 /// What happens when an event fires.
 enum EventKind<M> {
@@ -119,7 +117,8 @@ pub struct Simulation<M: Message> {
     /// dispatches so the hot path does not allocate an actions vector per
     /// event.
     scratch_actions: Vec<Action<M>>,
-    rng: ChaCha12Rng,
+    /// The network's stream: base delays and link faults, nothing else.
+    rng: SimRng,
     trace: Trace,
     event_cap: u64,
     net_faults: NetFaultPlan,
@@ -142,7 +141,7 @@ impl<M: Message> Simulation<M> {
             seq: 0,
             all_started: true,
             scratch_actions: Vec::new(),
-            rng: ChaCha12Rng::seed_from_u64(seed),
+            rng: SimRng::network(seed),
             trace: Trace::default(),
             event_cap: 50_000_000,
             net_faults: NetFaultPlan::none(),
@@ -334,14 +333,13 @@ impl<M: Message> Simulation<M> {
         let Some(mut process) = slot.take() else {
             return;
         };
+        let mut actions = std::mem::take(&mut self.scratch_actions);
         let mut ctx = Context {
             self_id: target,
             now: self.now,
-            actions: std::mem::take(&mut self.scratch_actions),
-            rng: &mut self.rng,
+            actions: &mut actions,
         };
         handler(process.as_mut(), &mut ctx);
-        let actions = ctx.actions;
         self.processes[idx] = Some(process);
         self.apply_actions(target, actions);
     }
@@ -396,7 +394,7 @@ impl<M: Message> Simulation<M> {
         }
         // Scheduled partition windows cut the link deterministically. The
         // membership test consumes no randomness and runs before every
-        // sampling step (including the corruption hook), so seeds without
+        // sampling step (and before the corruption hook), so seeds without
         // windows keep their schedules and seeds with windows keep the RNG
         // stream of the still-connected links.
         if self.net_faults.is_partitioned(from, to, self.now) {
@@ -410,7 +408,7 @@ impl<M: Message> Simulation<M> {
         // same corruption, as a byzantine sender would produce).
         if self.net_faults.corrupts_sends_of(from) {
             if let Some(mut hook) = self.corruptor.take() {
-                if hook(from, to, &mut msg, &mut self.rng) {
+                if hook(from, to, &mut msg) {
                     self.trace.record_net_corrupt();
                 }
                 self.corruptor = Some(hook);
@@ -928,7 +926,7 @@ mod tests {
                 })
                 .with_corrupt_sender(a),
         );
-        sim.set_corruption_hook(Box::new(|_from, _to, msg, _rng| {
+        sim.set_corruption_hook(Box::new(|_from, _to, msg| {
             if let TestMsg::Data(d) = msg {
                 for byte in d.iter_mut() {
                     *byte ^= 0xFF;
@@ -944,6 +942,40 @@ mod tests {
         assert_eq!(pb.got, vec![vec![0xF8, 0xF8, 0xF8]]);
         assert!(sim.now() >= SimTime::from_ticks(101), "extra delay applied");
         assert_eq!(sim.stats().messages_corrupted, 1);
+    }
+
+    #[test]
+    fn network_draws_are_the_documented_count() {
+        // Constant delays draw nothing; uniform ones draw once per send.
+        for (config, draws) in [
+            (NetworkConfig::constant(3), 0),
+            (NetworkConfig::uniform(5), 6),
+        ] {
+            let mut sim: Simulation<TestMsg> = Simulation::new(1, config);
+            let a = sim.add_process(Box::new(PingPong::new(6)));
+            sim.add_process(Box::new(PingPong::new(6)));
+            sim.send_external(a, TestMsg::Ping(0));
+            sim.run_to_quiescence();
+            assert_eq!(sim.stats().messages_sent, 7, "one injection, six sends");
+            assert_eq!(sim.rng.draws(), draws);
+        }
+        // A send a window cuts draws nothing, also with the corruption hook on.
+        for hooked in [false, true] {
+            let (mut sim, a, b) = two_process_sim(13);
+            let cut = crate::netfault::LinkWindow::new(a, b, SimTime::ZERO, SimTime::MAX);
+            sim.set_net_fault_plan(NetFaultPlan::none().with_window(cut).with_corrupt_sender(a));
+            if hooked {
+                sim.set_corruption_hook(Box::new(|_, _, _| true));
+            }
+            sim.send_external(a, TestMsg::Ping(0));
+            sim.run_to_quiescence();
+            let stats = sim.stats();
+            assert_eq!(
+                (stats.messages_partitioned, stats.messages_corrupted),
+                (1, 0)
+            );
+            assert_eq!(sim.rng.draws(), 0, "hooked: {hooked}");
+        }
     }
 
     #[test]

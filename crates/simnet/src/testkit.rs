@@ -4,8 +4,6 @@
 
 use crate::process::{Action, Context, Message, Process, ProcessId};
 use crate::time::SimTime;
-use rand::SeedableRng;
-use rand_chacha::ChaCha12Rng;
 
 /// The externally visible effects of delivering one event to a process.
 #[derive(Debug)]
@@ -42,15 +40,14 @@ fn run_step<M: Message, P: Process<M> + ?Sized>(
     now: SimTime,
     handler: impl FnOnce(&mut P, &mut Context<'_, M>),
 ) -> StepResult<M> {
-    let mut rng = ChaCha12Rng::seed_from_u64(0);
+    let mut actions = Vec::new();
     let mut ctx = Context {
         self_id,
         now,
-        actions: Vec::new(),
-        rng: &mut rng,
+        actions: &mut actions,
     };
     handler(process, &mut ctx);
-    StepResult::from_actions(ctx.actions)
+    StepResult::from_actions(actions)
 }
 
 /// Delivers the start event to a process and returns its effects.

@@ -229,8 +229,7 @@ impl<E: Scheduled> EventWheel<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{Rng, SeedableRng};
-    use rand_chacha::ChaCha12Rng;
+    use crate::rng::SimRng;
 
     #[derive(Debug, PartialEq, Eq, Clone, Copy)]
     struct Ev {
@@ -295,7 +294,7 @@ mod tests {
         // including pushes relative to the advancing current time and
         // far-future outliers. The slab must never hold more slots than the
         // most near events live at once.
-        let mut rng = ChaCha12Rng::seed_from_u64(42);
+        let mut rng = SimRng::network(42);
         let mut wheel = EventWheel::new();
         let mut reference: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
         let mut now = 0u64;

@@ -42,7 +42,7 @@ pub(crate) fn corrupt_element_data(data: &mut [u8]) {
 /// corrupting those models a stronger adversary than the paper's, under which
 /// no storage-optimal protocol can be correct.
 pub fn coded_element_corruptor(ranks: BTreeSet<usize>) -> CorruptionHook<SodaMsg> {
-    Box::new(move |from: ProcessId, _to, msg: &mut SodaMsg, _rng| {
+    Box::new(move |from: ProcessId, _to, msg: &mut SodaMsg| {
         if !ranks.contains(&from.index()) {
             return false;
         }
@@ -63,8 +63,6 @@ pub fn coded_element_corruptor(ranks: BTreeSet<usize>) -> CorruptionHook<SodaMsg
 mod tests {
     use super::*;
     use crate::messages::OpId;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha12Rng;
     use soda_protocol::{value_from, Tag};
     use soda_rs_code::CodedElement;
 
@@ -75,7 +73,6 @@ mod tests {
     #[test]
     fn corrupts_only_coded_elements_of_designated_ranks() {
         let mut hook = coded_element_corruptor([2usize].into_iter().collect());
-        let mut rng = ChaCha12Rng::seed_from_u64(0);
         let op = OpId::new(ProcessId(9), 1);
         let tag = Tag::new(1, ProcessId(9));
 
@@ -84,7 +81,7 @@ mod tests {
             tag,
             element: element(),
         };
-        assert!(hook(ProcessId(2), ProcessId(9), &mut msg, &mut rng));
+        assert!(hook(ProcessId(2), ProcessId(9), &mut msg));
         match &msg {
             SodaMsg::CodedToReader { element: e, .. } => {
                 assert_ne!(e.data, vec![1, 2, 3, 4], "payload must change");
@@ -99,11 +96,11 @@ mod tests {
             tag,
             element: element(),
         };
-        assert!(!hook(ProcessId(1), ProcessId(9), &mut msg, &mut rng));
+        assert!(!hook(ProcessId(1), ProcessId(9), &mut msg));
 
         // Non-element messages from the designated rank: untouched.
         let mut msg = SodaMsg::WriteGetResp { op, tag };
-        assert!(!hook(ProcessId(2), ProcessId(9), &mut msg, &mut rng));
+        assert!(!hook(ProcessId(2), ProcessId(9), &mut msg));
 
         // Empty elements cannot be mutated and must not be reported as
         // corrupted.
@@ -112,9 +109,9 @@ mod tests {
             tag,
             element: CodedElement::new(2, Vec::new()),
         };
-        assert!(!hook(ProcessId(2), ProcessId(9), &mut msg, &mut rng));
+        assert!(!hook(ProcessId(2), ProcessId(9), &mut msg));
         let mut msg = SodaMsg::InvokeWrite(value_from(vec![1]));
-        assert!(!hook(ProcessId(2), ProcessId(9), &mut msg, &mut rng));
+        assert!(!hook(ProcessId(2), ProcessId(9), &mut msg));
     }
 
     #[test]

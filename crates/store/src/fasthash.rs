@@ -1,11 +1,9 @@
-//! A fast, non-cryptographic hasher for hot-path lookup tables.
+//! A fast, non-cryptographic hasher for the store's key index.
 //!
-//! The simulator and the protocol handlers key hash tables with small fixed
-//! integers (message ids, ticket numbers, process pairs) that are touched on
-//! every message. `std`'s default SipHash is DoS-resistant but shows up as a
-//! measurable slice of the per-message budget; none of these tables are fed
-//! attacker-chosen keys, so a multiply-xor hash in the fxhash family is the
-//! right trade. Deliberately `std`-only.
+//! [`crate::ShardedStore`] looks a key up on every operation it issues.
+//! `std`'s default SipHash resists keys crafted to collide; the store runs
+//! in-process on the keys its own caller issues, so a multiply-xor hash in
+//! the fxhash family is the trade. Deliberately `std`-only.
 //!
 //! **Not for iteration-order-sensitive tables.** Changing a hasher changes
 //! iteration order; every use must be membership/lookup only (or the
@@ -20,7 +18,7 @@ const K: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// Word-at-a-time multiply-xor hasher.
 #[derive(Default, Clone)]
-pub struct FastHasher {
+pub(crate) struct FastHasher {
     state: u64,
 }
 
@@ -81,10 +79,10 @@ impl Hasher for FastHasher {
 }
 
 /// `BuildHasher` for [`FastHasher`].
-pub type BuildFastHasher = BuildHasherDefault<FastHasher>;
+pub(crate) type BuildFastHasher = BuildHasherDefault<FastHasher>;
 
 /// A `HashMap` keyed with [`FastHasher`].
-pub type FastHashMap<K, V> = HashMap<K, V, BuildFastHasher>;
+pub(crate) type FastHashMap<K, V> = HashMap<K, V, BuildFastHasher>;
 
 #[cfg(test)]
 mod tests {

@@ -73,6 +73,7 @@
 #![forbid(unsafe_code)]
 
 mod builder;
+mod fasthash;
 mod map;
 mod metrics;
 mod pool;

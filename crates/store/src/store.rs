@@ -1,12 +1,12 @@
 //! The sharded multi-object store proper.
 
 use crate::builder::{ShardSpec, StoreRuntime};
+use crate::fasthash::FastHashMap;
 use crate::map::{fnv1a, ShardMap};
 use crate::metrics::{PoolMetrics, ShardMetrics, StoreMetrics, StoreTotals};
 use crate::pool::{Task, WorkerPool};
 use soda_consistency::{KeyViolation, KeyedHistory, KeyedOp};
 use soda_registry::{OpKind, OpRecord, RegisterCluster};
-use soda_simnet::FastHashMap;
 use soda_simnet::{ProcessId, SimTime};
 use std::collections::BTreeSet;
 use std::fmt;

@@ -21,9 +21,8 @@
 //! from `(config, seed)`, so a reported counterexample replays exactly with
 //! [`Target::generate`] + [`Target::run`].
 
-use rand::rngs::StdRng;
-use rand::Rng;
 use soda_registry::PartitionWindow;
+use soda_simnet::rng::SimRng;
 use soda_simnet::{DelayModel, LinkFaults, NetFaultPlan};
 use std::fmt;
 
@@ -68,12 +67,8 @@ impl AdversaryKnobs {
     }
 }
 
-pub(crate) fn unit(rng: &mut StdRng) -> f64 {
-    (rng.gen::<u64>() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
-
 /// Draws `count` distinct server ranks of an `n`-server cluster.
-pub(crate) fn sample_ranks(rng: &mut StdRng, n: usize, count: usize) -> Vec<usize> {
+pub(crate) fn sample_ranks(rng: &mut SimRng, n: usize, count: usize) -> Vec<usize> {
     let mut pool: Vec<usize> = (0..n).collect();
     (0..count)
         .map(|_| {
@@ -87,7 +82,7 @@ pub(crate) fn sample_ranks(rng: &mut StdRng, n: usize, count: usize) -> Vec<usiz
 /// cluster, opening in `[0, start_max]` and `1..=len_max` ticks long (three
 /// draws plus one per rank).
 pub(crate) fn sample_window(
-    rng: &mut StdRng,
+    rng: &mut SimRng,
     n: usize,
     f: usize,
     start_max: u64,
@@ -132,9 +127,9 @@ impl NetIntensity {
 
     /// Samples intensities below `knobs` (four draws; three when
     /// `extra_delay_max` is zero).
-    pub(crate) fn sample(rng: &mut StdRng, knobs: &AdversaryKnobs) -> Self {
-        let drop_p = unit(rng) * knobs.drop_p_max;
-        let duplicate_p = unit(rng) * knobs.duplicate_p_max;
+    pub(crate) fn sample(rng: &mut SimRng, knobs: &AdversaryKnobs) -> Self {
+        let drop_p = rng.next_f64() * knobs.drop_p_max;
+        let duplicate_p = rng.next_f64() * knobs.duplicate_p_max;
         let extra_delay = if knobs.extra_delay_max > 0 {
             rng.gen_range(0..=knobs.extra_delay_max)
         } else {
@@ -144,7 +139,7 @@ impl NetIntensity {
             drop_p,
             duplicate_p,
             extra_delay,
-            reorder_p: unit(rng) * knobs.reorder_p_max,
+            reorder_p: rng.next_f64() * knobs.reorder_p_max,
             reorder_window: knobs.reorder_window,
         }
     }

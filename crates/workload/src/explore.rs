@@ -29,15 +29,14 @@
 //! `exploration` integration tests.
 
 use crate::engine::{
-    campaign, liveness_guaranteed, sample_ranks, sample_window, unit, NetIntensity, Outcome,
-    Report, Target,
+    campaign, liveness_guaranteed, sample_ranks, sample_window, NetIntensity, Outcome, Report,
+    Target,
 };
 pub use crate::engine::{shrink, shrink_liveness, AdversaryKnobs};
 use crate::scenario::value_of;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use soda_consistency::{History, Violation};
 use soda_registry::{ClusterBuilder, PartitionWindow, ProtocolKind};
+use soda_simnet::rng::SimRng;
 use soda_simnet::{NetworkConfig, SimTime};
 use std::fmt;
 
@@ -262,10 +261,10 @@ impl fmt::Display for Scenario {
 
 /// Deterministically derives the scenario for `(config, seed)`.
 pub fn generate_scenario(cfg: &ExploreConfig, seed: u64) -> Scenario {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x50DA_5EED);
+    let mut rng = SimRng::new(seed ^ 0x50DA_5EED);
     let mut ops = Vec::with_capacity(cfg.ops);
     for i in 0..cfg.ops {
-        let write_roll = unit(&mut rng);
+        let write_roll = rng.next_f64();
         // Degenerate campaigns (0 writers or 0 readers) only get the op
         // kind they can execute.
         let is_write = if cfg.writers == 0 {
@@ -278,7 +277,7 @@ pub fn generate_scenario(cfg: &ExploreConfig, seed: u64) -> Scenario {
         let handles = if is_write { cfg.writers } else { cfg.readers };
         ops.push(PlannedOp {
             at: rng.gen_range(0..=cfg.horizon),
-            client: rng.gen::<usize>() % handles.max(1),
+            client: rng.gen_range(0..handles.max(1)),
             is_write,
             fill: (i as u8).wrapping_mul(13).wrapping_add(1),
         });
@@ -297,13 +296,13 @@ pub fn generate_scenario(cfg: &ExploreConfig, seed: u64) -> Scenario {
     }
     let mut writer_crashes = Vec::new();
     for w in 0..cfg.writers {
-        if unit(&mut rng) < cfg.client_crash_p {
+        if rng.next_f64() < cfg.client_crash_p {
             writer_crashes.push((w, rng.gen_range(0..=cfg.horizon * 2)));
         }
     }
     let mut reader_crashes = Vec::new();
     for r in 0..cfg.readers {
-        if unit(&mut rng) < cfg.client_crash_p {
+        if rng.next_f64() < cfg.client_crash_p {
             reader_crashes.push((r, rng.gen_range(0..=cfg.horizon * 2)));
         }
     }
@@ -324,10 +323,10 @@ pub fn generate_scenario(cfg: &ExploreConfig, seed: u64) -> Scenario {
     let mut server_repairs = Vec::new();
     let mut follow_up_crashes = Vec::new();
     for &(rank, at) in &server_crashes {
-        if unit(&mut rng) < cfg.repair_p {
+        if rng.next_f64() < cfg.repair_p {
             let repair_at = at + 1 + rng.gen_range(0..=cfg.horizon);
             server_repairs.push((rank, repair_at));
-            if !ranks.is_empty() && unit(&mut rng) < 0.5 {
+            if !ranks.is_empty() && rng.next_f64() < 0.5 {
                 let pick = rng.gen_range(0..ranks.len());
                 follow_up_crashes.push((
                     ranks.swap_remove(pick),
@@ -342,8 +341,8 @@ pub fn generate_scenario(cfg: &ExploreConfig, seed: u64) -> Scenario {
     // partitions consume zero extra draws, so their seeds keep reproducing
     // bit-identical scenarios.
     let mut partitions = Vec::new();
-    if cfg.partition_p > 0.0 && cfg.f > 0 && unit(&mut rng) < cfg.partition_p {
-        let windows = 1 + usize::from(unit(&mut rng) < 0.3);
+    if cfg.partition_p > 0.0 && cfg.f > 0 && rng.next_f64() < cfg.partition_p {
+        let windows = 1 + usize::from(rng.next_f64() < 0.3);
         for _ in 0..windows {
             let (start_max, len_max) = (cfg.horizon, cfg.partition_len_max);
             partitions.push(sample_window(&mut rng, cfg.n, cfg.f, start_max, len_max));

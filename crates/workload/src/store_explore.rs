@@ -24,14 +24,13 @@
 //! ```
 
 use crate::engine::{
-    campaign, liveness_guaranteed, sample_window, unit, AdversaryKnobs, NetIntensity, Outcome,
-    Report, Target,
+    campaign, liveness_guaranteed, sample_window, AdversaryKnobs, NetIntensity, Outcome, Report,
+    Target,
 };
 pub use crate::engine::{shrink as shrink_store, shrink_liveness as shrink_store_liveness};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use soda_consistency::{KeyViolation, KeyedHistory};
 use soda_registry::{PartitionWindow, ProtocolKind};
+use soda_simnet::rng::SimRng;
 use soda_store::{ShardedStore, StoreBuilder, StoreMetrics, StoreRuntime};
 use std::fmt;
 
@@ -264,16 +263,16 @@ impl fmt::Display for StoreScenario {
 
 /// Deterministically derives the store scenario for `(config, seed)`.
 pub fn generate_store_scenario(cfg: &StoreExploreConfig, seed: u64) -> StoreScenario {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x5704_E5EED);
+    let mut rng = SimRng::new(seed ^ 0x5704_E5EED);
     let mut fill: u8 = 0;
     let phases = (0..cfg.phases)
         .map(|_| {
             (0..cfg.ops_per_phase)
                 .map(|_| {
-                    let is_write = unit(&mut rng) < 0.5;
+                    let is_write = rng.next_f64() < 0.5;
                     fill = fill.wrapping_mul(31).wrapping_add(7);
                     StoreOp {
-                        key: rng.gen::<usize>() % cfg.keys.max(1),
+                        key: rng.gen_range(0..cfg.keys.max(1)),
                         is_write,
                         fill,
                     }
@@ -283,7 +282,7 @@ pub fn generate_store_scenario(cfg: &StoreExploreConfig, seed: u64) -> StoreScen
         .collect();
     let mut shard_crashes = Vec::new();
     for shard in 0..cfg.shards {
-        if cfg.f > 0 && unit(&mut rng) < cfg.shard_crash_p {
+        if cfg.f > 0 && rng.next_f64() < cfg.shard_crash_p {
             shard_crashes.push((shard, rng.gen_range(1..=cfg.f)));
         }
     }
@@ -294,14 +293,14 @@ pub fn generate_store_scenario(cfg: &StoreExploreConfig, seed: u64) -> StoreScen
     let mut shard_repairs = Vec::new();
     let mut follow_up_crashes = Vec::new();
     for &(shard, count) in &shard_crashes {
-        if cfg.phases > 1 && unit(&mut rng) < cfg.repair_p {
+        if cfg.phases > 1 && rng.next_f64() < cfg.repair_p {
             let repair_phase = rng.gen_range(1..cfg.phases);
             for rank in 0..count {
                 shard_repairs.push((repair_phase, shard, rank));
             }
             // Spend the freed budget on a rank the initial crash never
             // touched, one phase (or more) after the repair settles.
-            if repair_phase + 1 < cfg.phases && count < cfg.n && unit(&mut rng) < 0.5 {
+            if repair_phase + 1 < cfg.phases && count < cfg.n && rng.next_f64() < 0.5 {
                 follow_up_crashes.push((
                     rng.gen_range(repair_phase + 1..cfg.phases),
                     shard,
@@ -315,7 +314,7 @@ pub fn generate_store_scenario(cfg: &StoreExploreConfig, seed: u64) -> StoreScen
     let mut shard_partitions = Vec::new();
     if cfg.partition_p > 0.0 && cfg.f > 0 {
         for shard in 0..cfg.shards {
-            if unit(&mut rng) < cfg.partition_p {
+            if rng.next_f64() < cfg.partition_p {
                 let max = cfg.partition_len_max;
                 shard_partitions.push((shard, sample_window(&mut rng, cfg.n, cfg.f, max, max)));
             }
@@ -325,7 +324,7 @@ pub fn generate_store_scenario(cfg: &StoreExploreConfig, seed: u64) -> StoreScen
         // tick 0, so the repair is scheduled while (or right after) its
         // survivor fan-out crosses a cut that then heals under the retries.
         for &(shard, count) in &shard_crashes {
-            if shard_repairs.iter().any(|&(_, s, _)| s == shard) && unit(&mut rng) < cfg.partition_p
+            if shard_repairs.iter().any(|&(_, s, _)| s == shard) && rng.next_f64() < cfg.partition_p
             {
                 let window = PartitionWindow {
                     ranks: (0..count).collect(),

@@ -6,10 +6,9 @@
 //! All four protocols are driven by the *same* generic function through the
 //! `RegisterCluster` facade.
 
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha12Rng;
 use soda_consistency::History;
 use soda_registry::{ClusterBuilder, ProtocolKind, SodaRegisterCluster};
+use soda_simnet::rng::SimRng;
 use soda_simnet::{NetworkConfig, SimTime};
 
 /// Drives any protocol's cluster with a random interleaving of writes and
@@ -22,7 +21,7 @@ fn run_random(
     faulty: Vec<usize>,
     value_prefix: &str,
 ) -> History {
-    let mut rng = ChaCha12Rng::seed_from_u64(seed);
+    let mut rng = SimRng::network(seed);
     let mut cluster = ClusterBuilder::new(kind, n, f)
         .with_seed(seed)
         .with_clients(2, 2)
