@@ -7,7 +7,7 @@ use soda::{SodaConfig, SodaSpec};
 use soda_baselines::abd::AbdSpec;
 use soda_baselines::cas::{CasConfig, CasSpec};
 use soda_protocol::Layout;
-use soda_simnet::{NetFaultPlan, NetworkConfig, Partition, ProcessId, SimTime};
+use soda_simnet::{NetFaultPlan, NetworkConfig, ProcessId, SimTime};
 use std::error::Error;
 use std::fmt;
 
@@ -129,10 +129,10 @@ impl Error for BuildError {}
 /// other process** of their cluster (surviving servers and all client
 /// handles, both directions) during `[start, end)` ticks, healing at `end`.
 ///
-/// Installed by [`ClusterBuilder::with_partition_window`] as deterministic
-/// [`soda_simnet::LinkWindow`]s, so the cuts consume no randomness: a cluster
-/// with windows and one without sample identical RNG streams for everything
-/// else.
+/// Installed by [`ClusterBuilder::with_partition_window`] as a deterministic
+/// isolation ([`NetFaultPlan::with_isolation`]), so the cuts consume no
+/// randomness: a cluster with windows and one without sample identical RNG
+/// streams for everything else.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PartitionWindow {
     /// Isolated server ranks.
@@ -374,20 +374,16 @@ impl ClusterBuilder {
 
     /// The installed adversary plus every scheduled [`PartitionWindow`]. This
     /// is the one place that turns server ranks into a process-level cut:
-    /// servers are `ProcessId(0..n)`, writer then reader handles follow, and
-    /// a window splits its ranks from all the rest.
+    /// servers are registered first, so rank `r` is `ProcessId(r)`, and the
+    /// isolation cuts it off from every other process.
     pub(crate) fn take_net_fault_plan(&mut self) -> NetFaultPlan {
-        let total = (self.n + self.num_writers + self.num_readers) as u32;
         let mut plan = std::mem::take(&mut self.net_faults);
         for window in &self.partitions {
-            let (isolated, rest): (Vec<ProcessId>, Vec<ProcessId>) = (0..total)
-                .map(ProcessId)
-                .partition(|pid| window.ranks.contains(&(pid.0 as usize)));
-            plan = plan.with_partition(Partition::split(
-                &[isolated, rest],
+            plan = plan.with_isolation(
+                window.ranks.iter().map(|&rank| ProcessId(rank as u32)),
                 SimTime::from_ticks(window.start),
                 SimTime::from_ticks(window.end),
-            ));
+            );
         }
         plan
     }
@@ -402,14 +398,9 @@ impl ClusterBuilder {
             faulty_disks: std::mem::take(&mut self.faulty_disks),
             relay_enabled: self.relay_enabled,
         };
-        let mut corruptor = None;
-        if !self.byzantine_servers.is_empty() {
-            let ranks = std::mem::take(&mut self.byzantine_servers);
-            self.net_faults = self
-                .net_faults
-                .with_corrupt_senders(ranks.iter().map(|&r| ProcessId(r as u32)));
-            corruptor = Some(soda::coded_element_corruptor(ranks.into_iter().collect()));
-        }
+        let corruptor = (!self.byzantine_servers.is_empty()).then(|| {
+            soda::coded_element_corruptor(self.byzantine_servers.iter().copied().collect())
+        });
         Harness::new(spec, self, corruptor)
     }
 
@@ -546,21 +537,29 @@ mod tests {
             start,
             end,
         };
-        // Order-insensitive: the cut is computed at build, after `with_clients`.
         let mut builder = ClusterBuilder::new(ProtocolKind::Abd, 5, 2)
             .with_partition_window(&window(&[3, 0, 9], 50, 1000))
             .with_partition_window(&window(&[7], 0, 10)) // names no server
             .with_partition_window(&window(&[1], 10, 10)) // empty
             .with_clients(1, 2);
-        // 5 servers, then 1 writer and 2 readers: ProcessId(0..8).
-        let isolated = vec![ProcessId(3), ProcessId(0)];
-        let rest = [1, 2, 4, 5, 6, 7].map(ProcessId).to_vec();
-        let expected = NetFaultPlan::none().with_partition(Partition::split(
-            &[isolated, rest],
-            SimTime::from_ticks(50),
-            SimTime::from_ticks(1000),
-        ));
-        assert_eq!(builder.take_net_fault_plan(), expected);
+        let (start, end) = (SimTime::from_ticks(50), SimTime::from_ticks(1000));
+        let expected =
+            NetFaultPlan::none().with_isolation([ProcessId(0), ProcessId(3)], start, end);
+        let plan = builder.take_net_fault_plan();
+        assert_eq!(plan, expected);
+        // 5 servers, then 1 writer and 2 readers: ProcessId(0..8). Ranks 0
+        // and 3 are cut from every other process, both ways, and keep their
+        // link to each other.
+        let isolated = |p: u32| p == 0 || p == 3;
+        for from in 0..8 {
+            for to in (0..8).filter(|&to| to != from) {
+                assert_eq!(
+                    plan.is_partitioned(ProcessId(from), ProcessId(to), start),
+                    isolated(from) != isolated(to),
+                    "{from} -> {to}"
+                );
+            }
+        }
     }
 
     #[test]

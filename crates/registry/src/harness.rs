@@ -54,8 +54,8 @@ pub type CasRegisterCluster = Harness<CasSpec>;
 
 impl<P: ProtocolSpec> Harness<P> {
     /// Builds the validated `builder`'s cluster out of `spec`'s processes.
-    /// `corruptor` is the payload-corruption hook for the byzantine senders
-    /// the builder's network adversary names, if the protocol has one.
+    /// `corruptor` is the payload-corruption hook of the builder's byzantine
+    /// servers, if it names any; the hook filters by rank itself.
     pub(crate) fn new(
         spec: P,
         mut builder: ClusterBuilder,

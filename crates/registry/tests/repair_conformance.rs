@@ -6,7 +6,7 @@
 
 use soda_protocol::{REPAIR_MAX_ATTEMPTS, REPAIR_RETRY_INTERVAL};
 use soda_registry::{ClusterBuilder, OpRecord, ProtocolKind, RegisterCluster, RepairError};
-use soda_simnet::{NetFaultPlan, Partition, ProcessId, SimTime};
+use soda_simnet::{NetFaultPlan, ProcessId, SimTime};
 use std::collections::BTreeSet;
 
 /// Representative parameters per protocol: `(kind, n, f)` chosen so every
@@ -154,16 +154,13 @@ fn repair_during_inflight_write_preserves_atomicity_across_seeds() {
 }
 
 /// A plan that cuts rank 0 off from every other process — servers *and*
-/// client handles — during `[start, end)` ticks. The cluster has 1 writer
-/// and 2 readers, so process ids run `0..n + 3`.
-fn isolate_rank_zero(n: usize, start: u64, end: u64) -> NetFaultPlan {
-    let isolated = vec![ProcessId(0)];
-    let rest: Vec<ProcessId> = (1..(n + 3) as u32).map(ProcessId).collect();
-    NetFaultPlan::none().with_partition(Partition::split(
-        &[isolated, rest],
+/// client handles — during `[start, end)` ticks.
+fn isolate_rank_zero(start: u64, end: u64) -> NetFaultPlan {
+    NetFaultPlan::none().with_isolation(
+        [ProcessId(0)],
         SimTime::from_ticks(start),
         SimTime::from_ticks(end),
-    ))
+    )
 }
 
 /// The crash → partition(repairer ⟂ survivors) → heal → repair-settles
@@ -185,7 +182,7 @@ fn repair_behind_a_partition_settles_after_the_heal_for_every_kind() {
         let mut cluster = ClusterBuilder::new(kind, n, f)
             .with_seed(11)
             .with_clients(1, 2)
-            .with_net_faults(isolate_rank_zero(n, 50, 1000))
+            .with_net_faults(isolate_rank_zero(50, 1000))
             .build()
             .unwrap();
         drive_partitioned_repair(cluster.as_mut());
@@ -230,7 +227,7 @@ fn partitioned_repair_replays_bit_identically() {
             let mut cluster = ClusterBuilder::new(kind, n, f)
                 .with_seed(29)
                 .with_clients(1, 2)
-                .with_net_faults(isolate_rank_zero(n, 50, 1000))
+                .with_net_faults(isolate_rank_zero(50, 1000))
                 .build()
                 .unwrap();
             drive_partitioned_repair(cluster.as_mut());
@@ -255,7 +252,7 @@ fn repair_that_outlives_the_window_fails_retryably_for_every_kind() {
         let mut cluster = ClusterBuilder::new(kind, n, f)
             .with_seed(13)
             .with_clients(1, 2)
-            .with_net_faults(isolate_rank_zero(n, 50, 5000))
+            .with_net_faults(isolate_rank_zero(50, 5000))
             .build()
             .unwrap();
         cluster.invoke_write_at(SimTime::from_ticks(0), 0, b"outlives".to_vec());
@@ -309,7 +306,7 @@ fn every_kind_gives_up_a_cut_off_repair_at_the_same_instant() {
         let mut cluster = ClusterBuilder::new(kind, n, f)
             .with_seed(17)
             .with_clients(1, 2)
-            .with_net_faults(isolate_rank_zero(n, 50, 10_000))
+            .with_net_faults(isolate_rank_zero(50, 10_000))
             .build()
             .unwrap();
         cluster.invoke_write_at(SimTime::from_ticks(0), 0, b"cut off".to_vec());

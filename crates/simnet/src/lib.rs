@@ -21,11 +21,13 @@
 //!   [`Simulation::schedule_recovery`] replaces a crashed process with a
 //!   fresh (empty-state) one, modelling server repair.
 //! * [`NetFaultPlan`] / [`Simulation::set_net_fault_plan`] — the network
-//!   adversary: per-link message drop, extra delay, reordering (hold-back),
-//!   duplication, byzantine payload corruption via a message-type specific
-//!   [`CorruptionHook`], and scheduled [`LinkWindow`] / [`Partition`]
-//!   outages that cut links during `[start, end)` and heal — without
-//!   consuming any randomness, so seeds keep their schedules.
+//!   adversary: message drop, extra delay, reordering (hold-back) and
+//!   duplication on every link, and scheduled isolations
+//!   ([`NetFaultPlan::with_isolation`]) that cut a set of processes off from
+//!   everyone else during `[start, end)` and heal — without consuming any
+//!   randomness, so seeds keep their schedules. Byzantine payload
+//!   corruption is a message-type specific [`CorruptionHook`]
+//!   ([`Simulation::set_corruption_hook`]) that picks its own senders.
 //! * [`Trace`] / [`Stats`] — accounting of messages and **data bytes** (bytes
 //!   of object-value payload, excluding metadata) exactly mirroring the
 //!   paper's storage/communication cost model, which ignores metadata.
@@ -75,7 +77,7 @@ mod trace;
 mod wheel;
 
 pub use config::{DelayModel, NetworkConfig};
-pub use netfault::{LinkFaults, LinkWindow, NetFaultPlan, Partition};
+pub use netfault::{LinkFaults, NetFaultPlan};
 pub use process::{Context, Message, Process, ProcessId};
 pub use sim::{CorruptionHook, RunOutcome, Simulation};
 pub use time::SimTime;

@@ -4,20 +4,19 @@
 //! ([`crate::Simulation::schedule_crash`]); this module models the *network*
 //! adversary of the asynchronous model: an execution in which
 //! messages may be *dropped*, *delayed* by arbitrary finite amounts,
-//! *reordered*, *duplicated*, or — for senders designated byzantine —
-//! *corrupted* in flight. The SODA/SODAerr atomicity proofs (and the ABD and
-//! CAS proofs they are compared against) are stated for exactly this
-//! adversary, so a reproduction that only ever runs clean schedules is not
-//! exercising the claims.
+//! *reordered*, *duplicated*, or *cut* by a partition. The SODA/SODAerr
+//! atomicity proofs (and the ABD and CAS proofs they are compared against)
+//! are stated for exactly this adversary, so a reproduction that only ever
+//! runs clean schedules is not exercising the claims.
 //!
-//! A [`NetFaultPlan`] holds a default [`LinkFaults`] applying to every
-//! directed link, optional per-link overrides, and the set of corrupt
-//! senders. It is handed to [`crate::Simulation::set_net_fault_plan`] and
-//! consulted on every process-to-process send (externally injected
-//! invocations and timers are never faulted). Payload corruption is
-//! message-type specific, so the plan only *selects* the corrupt senders; the
-//! mutation itself is performed by a [`crate::CorruptionHook`] installed
-//! with [`crate::Simulation::set_corruption_hook`].
+//! A [`NetFaultPlan`] holds one [`LinkFaults`] applying to every link and a
+//! list of isolation windows. It is handed to
+//! [`crate::Simulation::set_net_fault_plan`] and consulted on every
+//! process-to-process send (externally injected invocations and timers are
+//! never faulted). Byzantine payload corruption is not part of the plan: it
+//! is message-type specific, so a [`crate::CorruptionHook`] installed with
+//! [`crate::Simulation::set_corruption_hook`] decides alone which sends it
+//! mutates.
 //!
 //! Probabilistic faults are sampled per message from the simulation's
 //! network stream ([`crate::rng::SimRng::network`]), so a given
@@ -25,12 +24,12 @@
 //! failing schedules can be replayed exactly.
 //!
 //! On top of the probabilistic adversary, the plan carries *scheduled*
-//! [`LinkWindow`]s: a directed link is unreachable during `[start, end)` and
-//! heals at `end`. Windows are deterministic — a partitioned send is dropped
-//! by a membership test that consumes **no** RNG draws, so adding windows to
-//! a plan never perturbs the schedule an existing seed produces on the
-//! still-connected links. The [`Partition`] helper expands a symmetric
-//! multi-group partition into the cross-group windows it implies.
+//! isolations ([`NetFaultPlan::with_isolation`]): during `[start, end)` every
+//! link between a member and a non-member is cut in both directions, and the
+//! cut heals at `end`. Cuts are deterministic — a cut send is dropped by a
+//! membership test that consumes **no** RNG draws, so adding isolations to a
+//! plan never perturbs the schedule an existing seed produces on the links
+//! that stay connected.
 //!
 //! What is *not* modeled: unbounded delay (delays are finite so that
 //! `run_to_quiescence` terminates; liveness under a fair adversary is
@@ -40,10 +39,8 @@ use crate::config::DelayModel;
 use crate::process::ProcessId;
 use crate::rng::SimRng;
 use crate::time::SimTime;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-/// Adversarial behaviour of one directed link (probabilities are per
-/// message).
+/// Adversarial behaviour of a link (probabilities are per message).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LinkFaults {
     /// Probability that a message is silently dropped.
@@ -115,98 +112,26 @@ impl Default for LinkFaults {
     }
 }
 
-/// A scheduled outage of one directed link: messages sent from `from` to
-/// `to` while `start <= now < end` are dropped deterministically (no RNG
-/// draw), and the link heals at `end`. Use `end = SimTime::MAX` for a
-/// partition that never heals.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LinkWindow {
-    /// Sender side of the cut link.
-    pub from: ProcessId,
-    /// Receiver side of the cut link.
-    pub to: ProcessId,
-    /// First instant at which sends are cut (inclusive).
-    pub start: SimTime,
-    /// Heal time: first instant at which sends go through again (exclusive
-    /// end of the outage).
-    pub end: SimTime,
-}
-
-impl LinkWindow {
-    /// A window cutting `from → to` during `[start, end)`.
-    pub fn new(from: ProcessId, to: ProcessId, start: SimTime, end: SimTime) -> Self {
-        LinkWindow {
-            from,
-            to,
-            start,
-            end,
-        }
-    }
-
-    /// Whether a send at `now` falls inside the outage.
-    pub fn covers(&self, now: SimTime) -> bool {
-        self.start <= now && now < self.end
-    }
-}
-
-/// A symmetric network partition: during `[start, end)` every link that
-/// crosses a group boundary is cut in both directions; links inside a group
-/// are untouched. Expands to the [`LinkWindow`]s it implies via
-/// [`Partition::split`].
+/// One scheduled isolation: `members` (sorted, deduplicated) are cut off
+/// from everyone else during `[start, end)`.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Partition {
-    windows: Vec<LinkWindow>,
+struct Isolation {
+    members: Vec<ProcessId>,
+    start: SimTime,
+    end: SimTime,
 }
 
-impl Partition {
-    /// Cuts all cross-group links symmetrically during `[start, end)`; the
-    /// partition heals at `end`. Processes not listed in any group are
-    /// unaffected (they stay reachable from everyone). A process listed in
-    /// two groups keeps its links to both (the groups overlap there), so
-    /// callers normally pass disjoint groups.
-    pub fn split(groups: &[Vec<ProcessId>], start: SimTime, end: SimTime) -> Self {
-        let mut windows = Vec::new();
-        for (i, a) in groups.iter().enumerate() {
-            for b in groups.iter().skip(i + 1) {
-                for &p in a {
-                    for &q in b {
-                        if p == q {
-                            continue;
-                        }
-                        windows.push(LinkWindow::new(p, q, start, end));
-                        windows.push(LinkWindow::new(q, p, start, end));
-                    }
-                }
-            }
-        }
-        Partition { windows }
-    }
-
-    /// The directed link windows this partition expands to.
-    pub fn windows(&self) -> &[LinkWindow] {
-        &self.windows
-    }
-
-    /// Consumes the partition, yielding its link windows.
-    pub fn into_windows(self) -> Vec<LinkWindow> {
-        self.windows
-    }
-}
-
-/// The network adversary for one execution: per-link fault behaviour plus the
-/// set of byzantine (payload-corrupting) senders.
+/// The network adversary for one execution: the fault behaviour of every
+/// link plus scheduled isolation windows.
 ///
 /// Composes with crashes: those are scheduled on the simulation
 /// ([`crate::Simulation::schedule_crash`]), message-level faults through this
 /// plan, and both can be active in the same execution.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct NetFaultPlan {
-    default: LinkFaults,
-    link_overrides: HashMap<(ProcessId, ProcessId), LinkFaults>,
-    corrupt_senders: BTreeSet<ProcessId>,
-    /// Scheduled outages per directed link (sorted map so iteration — e.g.
-    /// for display — is deterministic).
-    windows: BTreeMap<(ProcessId, ProcessId), Vec<(SimTime, SimTime)>>,
+    /// The fault behaviour of every link.
+    pub(crate) faults: LinkFaults,
+    isolations: Vec<Isolation>,
 }
 
 impl NetFaultPlan {
@@ -215,93 +140,55 @@ impl NetFaultPlan {
         NetFaultPlan::default()
     }
 
-    /// Sets the fault behaviour applying to every link without an override.
+    /// Sets the fault behaviour of every link.
     pub fn with_default(mut self, faults: LinkFaults) -> Self {
-        self.default = faults;
+        self.faults = faults;
         self
     }
 
-    /// Overrides the fault behaviour of one directed link.
-    pub fn with_link(mut self, from: ProcessId, to: ProcessId, faults: LinkFaults) -> Self {
-        self.link_overrides.insert((from, to), faults);
+    /// Isolates `processes` during `[start, end)`: every link between a
+    /// member and a non-member is cut in both directions, links among
+    /// members stay up, and the cut heals at `end` (`SimTime::MAX` never
+    /// heals). Isolations stack and may overlap.
+    pub fn with_isolation<I: IntoIterator<Item = ProcessId>>(
+        mut self,
+        processes: I,
+        start: SimTime,
+        end: SimTime,
+    ) -> Self {
+        let mut members: Vec<ProcessId> = processes.into_iter().collect();
+        members.sort_unstable();
+        members.dedup();
+        self.isolations.push(Isolation {
+            members,
+            start,
+            end,
+        });
         self
     }
 
-    /// Marks a sender as byzantine: every message it sends is offered to the
-    /// corruption hook installed with
-    /// [`crate::Simulation::set_corruption_hook`].
-    pub fn with_corrupt_sender(mut self, sender: ProcessId) -> Self {
-        self.corrupt_senders.insert(sender);
-        self
-    }
-
-    /// Marks several senders as byzantine.
-    pub fn with_corrupt_senders<I: IntoIterator<Item = ProcessId>>(mut self, senders: I) -> Self {
-        self.corrupt_senders.extend(senders);
-        self
-    }
-
-    /// Adds one scheduled link outage.
-    pub fn with_window(mut self, window: LinkWindow) -> Self {
-        self.windows
-            .entry((window.from, window.to))
-            .or_default()
-            .push((window.start, window.end));
-        self
-    }
-
-    /// Adds several scheduled link outages.
-    pub fn with_windows<I: IntoIterator<Item = LinkWindow>>(mut self, windows: I) -> Self {
-        for w in windows {
-            self = self.with_window(w);
-        }
-        self
-    }
-
-    /// Adds every link window a symmetric [`Partition`] implies.
-    pub fn with_partition(self, partition: Partition) -> Self {
-        self.with_windows(partition.into_windows())
-    }
-
-    /// Whether a send from `from` to `to` at time `now` falls inside a
-    /// scheduled outage. This is a pure membership test — it consumes no
-    /// randomness — so plans that only differ in windows produce identical
-    /// RNG streams on the links that stay connected.
+    /// Whether a send from `from` to `to` at time `now` is cut by an
+    /// isolation. This is a pure membership test — it consumes no
+    /// randomness — so plans that only differ in isolations produce
+    /// identical RNG streams on the links that stay connected.
     pub fn is_partitioned(&self, from: ProcessId, to: ProcessId, now: SimTime) -> bool {
-        if self.windows.is_empty() {
-            return false;
-        }
-        self.windows
-            .get(&(from, to))
-            .is_some_and(|spans| spans.iter().any(|&(start, end)| start <= now && now < end))
-    }
-
-    /// The fault behaviour applying to a particular directed link.
-    pub fn faults_for(&self, from: ProcessId, to: ProcessId) -> LinkFaults {
-        self.link_overrides
-            .get(&(from, to))
-            .copied()
-            .unwrap_or(self.default)
-    }
-
-    /// Whether `sender`'s messages are offered to the corruption hook.
-    pub fn corrupts_sends_of(&self, sender: ProcessId) -> bool {
-        self.corrupt_senders.contains(&sender)
+        self.isolations.iter().any(|iso| {
+            iso.start <= now
+                && now < iso.end
+                && iso.members.contains(&from) != iso.members.contains(&to)
+        })
     }
 
     /// Whether the plan changes nothing about delivery (the state a fresh
     /// [`crate::Simulation`] starts in). A passthrough plan consumes no
     /// randomness, so executions with and without it are identical.
     ///
-    /// Any scheduled window disqualifies the plan — even one entirely in the
-    /// past or future. The simulation caches this answer once at
+    /// Any isolation disqualifies the plan — even one entirely in the past
+    /// or future. The simulation caches this answer once at
     /// [`crate::Simulation::set_net_fault_plan`] time, so a plan that is
     /// clean *now* but partitions *later* must never report passthrough.
     pub fn is_passthrough(&self) -> bool {
-        self.default.is_clean()
-            && self.link_overrides.values().all(LinkFaults::is_clean)
-            && self.corrupt_senders.is_empty()
-            && self.windows.is_empty()
+        self.faults.is_clean() && self.isolations.is_empty()
     }
 }
 
@@ -309,27 +196,16 @@ impl NetFaultPlan {
 mod tests {
     use super::*;
 
+    fn ticks(t: u64) -> SimTime {
+        SimTime::from_ticks(t)
+    }
+
     #[test]
     fn default_plan_is_passthrough() {
         let plan = NetFaultPlan::none();
         assert!(plan.is_passthrough());
-        assert!(plan.faults_for(ProcessId(0), ProcessId(1)).is_clean());
-        assert!(!plan.corrupts_sends_of(ProcessId(0)));
-    }
-
-    #[test]
-    fn link_overrides_and_corrupt_senders() {
-        let lossy = LinkFaults {
-            drop_p: 0.5,
-            ..LinkFaults::NONE
-        };
-        let plan = NetFaultPlan::none()
-            .with_link(ProcessId(0), ProcessId(1), lossy)
-            .with_corrupt_sender(ProcessId(3));
-        assert!(!plan.is_passthrough());
-        assert_eq!(plan.faults_for(ProcessId(0), ProcessId(1)), lossy);
-        assert!(plan.faults_for(ProcessId(1), ProcessId(0)).is_clean());
-        assert!(plan.corrupts_sends_of(ProcessId(3)));
+        assert!(plan.faults.is_clean());
+        assert!(!plan.is_partitioned(ProcessId(0), ProcessId(1), SimTime::ZERO));
     }
 
     #[test]
@@ -346,70 +222,57 @@ mod tests {
     fn windowed_plan_is_never_passthrough() {
         // Regression: the simulation caches `is_passthrough` once, so a plan
         // that is clean at t=0 but partitions later must not pass through.
-        let future = NetFaultPlan::none().with_window(LinkWindow::new(
-            ProcessId(0),
-            ProcessId(1),
-            SimTime::from_ticks(100),
-            SimTime::from_ticks(200),
-        ));
+        let future = NetFaultPlan::none().with_isolation([ProcessId(0)], ticks(100), ticks(200));
         assert!(!future.is_partitioned(ProcessId(0), ProcessId(1), SimTime::ZERO));
         assert!(!future.is_passthrough(), "clean-now, partitioned-later");
 
         // Even a window entirely in the past keeps the general path.
-        let past = NetFaultPlan::none().with_window(LinkWindow::new(
-            ProcessId(0),
-            ProcessId(1),
-            SimTime::ZERO,
-            SimTime::from_ticks(1),
-        ));
+        let past = NetFaultPlan::none().with_isolation([ProcessId(0)], SimTime::ZERO, ticks(1));
         assert!(!past.is_passthrough());
     }
 
     #[test]
     fn window_membership_is_half_open() {
-        let plan = NetFaultPlan::none().with_window(LinkWindow::new(
-            ProcessId(2),
-            ProcessId(3),
-            SimTime::from_ticks(10),
-            SimTime::from_ticks(20),
-        ));
-        let cut = |t| plan.is_partitioned(ProcessId(2), ProcessId(3), SimTime::from_ticks(t));
+        let plan = NetFaultPlan::none().with_isolation([ProcessId(2)], ticks(10), ticks(20));
+        let cut = |t| plan.is_partitioned(ProcessId(2), ProcessId(3), ticks(t));
         assert!(!cut(9));
         assert!(cut(10), "start is inclusive");
         assert!(cut(19));
         assert!(!cut(20), "end is the heal instant");
-        // Only the scheduled direction is cut.
-        assert!(!plan.is_partitioned(ProcessId(3), ProcessId(2), SimTime::from_ticks(15)));
+        // Both directions are cut.
+        assert!(plan.is_partitioned(ProcessId(3), ProcessId(2), ticks(15)));
     }
 
     #[test]
     fn partition_split_cuts_cross_group_links_symmetrically() {
-        let g0 = vec![ProcessId(0), ProcessId(1)];
-        let g1 = vec![ProcessId(2)];
-        let part = Partition::split(&[g0, g1], SimTime::from_ticks(5), SimTime::from_ticks(15));
-        // 2 cross-group pairs, both directions.
-        assert_eq!(part.windows().len(), 4);
-        let plan = NetFaultPlan::none().with_partition(part);
-        let at = SimTime::from_ticks(7);
+        let plan = NetFaultPlan::none().with_isolation(
+            [ProcessId(1), ProcessId(0), ProcessId(1)],
+            ticks(5),
+            ticks(15),
+        );
+        let at = ticks(7);
         assert!(plan.is_partitioned(ProcessId(0), ProcessId(2), at));
         assert!(plan.is_partitioned(ProcessId(2), ProcessId(0), at));
         assert!(plan.is_partitioned(ProcessId(1), ProcessId(2), at));
         assert!(plan.is_partitioned(ProcessId(2), ProcessId(1), at));
-        // Intra-group links stay connected.
+        // Members keep their links to each other, and so do non-members.
         assert!(!plan.is_partitioned(ProcessId(0), ProcessId(1), at));
+        assert!(!plan.is_partitioned(ProcessId(1), ProcessId(0), at));
+        assert!(!plan.is_partitioned(ProcessId(2), ProcessId(3), at));
         // Heals at end.
-        assert!(!plan.is_partitioned(ProcessId(0), ProcessId(2), SimTime::from_ticks(15)));
+        assert!(!plan.is_partitioned(ProcessId(0), ProcessId(2), ticks(15)));
+        // Member order and repeats do not matter.
+        assert_eq!(
+            plan,
+            NetFaultPlan::none().with_isolation([ProcessId(0), ProcessId(1)], ticks(5), ticks(15))
+        );
     }
 
     #[test]
     fn never_healing_window_reports_max_heal() {
-        let plan = NetFaultPlan::none().with_window(LinkWindow::new(
-            ProcessId(0),
-            ProcessId(1),
-            SimTime::from_ticks(3),
-            SimTime::MAX,
-        ));
-        assert!(plan.is_partitioned(ProcessId(0), ProcessId(1), SimTime::from_ticks(1 << 40)));
+        let plan = NetFaultPlan::none().with_isolation([ProcessId(0)], ticks(3), SimTime::MAX);
+        assert!(plan.is_partitioned(ProcessId(0), ProcessId(1), ticks(1 << 40)));
+        assert!(plan.is_partitioned(ProcessId(1), ProcessId(0), ticks(u64::MAX - 1)));
     }
 
     #[test]

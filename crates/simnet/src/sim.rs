@@ -9,13 +9,14 @@ use crate::trace::{Stats, Trace};
 use crate::wheel::{EventWheel, Scheduled};
 use std::cmp::Ordering;
 
-/// Message-type-specific payload corruption, applied to sends of processes a
-/// [`NetFaultPlan`] marks as byzantine. Receives `(from, to, message)` and
+/// Message-type-specific payload corruption, offered every process-to-process
+/// send the [`NetFaultPlan`] does not cut. Receives `(from, to, message)` and
 /// returns whether it actually mutated the message (so the trace can count
-/// corrupted deliveries). It draws no randomness. Installed with
+/// corrupted deliveries). The hook alone decides which senders are byzantine
+/// and which payloads it touches; it draws no randomness. Installed with
 /// [`Simulation::set_corruption_hook`]; protocol crates provide hooks that
 /// corrupt only the payloads their threat model allows (e.g. SODAerr corrupts
-/// coded elements sent to readers, never metadata).
+/// coded elements its byzantine servers send to readers, never metadata).
 pub type CorruptionHook<M> = Box<dyn FnMut(ProcessId, ProcessId, &mut M) -> bool + Send>;
 
 /// What happens when an event fires.
@@ -122,8 +123,8 @@ pub struct Simulation<M: Message> {
     trace: Trace,
     event_cap: u64,
     net_faults: NetFaultPlan,
-    /// Cached [`NetFaultPlan::is_passthrough`] so the per-send fast path is a
-    /// single flag test instead of a per-link fault lookup.
+    /// Cached "the plan is [`NetFaultPlan::is_passthrough`] and no corruption
+    /// hook is installed", so the per-send fast path is a single flag test.
     net_passthrough: bool,
     corruptor: Option<CorruptionHook<M>>,
 }
@@ -155,14 +156,15 @@ impl<M: Message> Simulation<M> {
     /// A passthrough plan consumes no randomness, so installing
     /// [`NetFaultPlan::none`] leaves executions bit-identical.
     pub fn set_net_fault_plan(&mut self, plan: NetFaultPlan) {
-        self.net_passthrough = plan.is_passthrough();
+        self.net_passthrough = plan.is_passthrough() && self.corruptor.is_none();
         self.net_faults = plan;
     }
 
-    /// Installs the payload-corruption hook applied to sends of the
-    /// byzantine senders in the installed [`NetFaultPlan`]. Without a hook,
-    /// marking senders byzantine has no effect.
+    /// Installs the payload-corruption hook, which is offered every
+    /// process-to-process send the installed [`NetFaultPlan`] does not cut.
+    /// Either setter may be called first.
     pub fn set_corruption_hook(&mut self, hook: CorruptionHook<M>) {
+        self.net_passthrough = false;
         self.corruptor = Some(hook);
     }
 
@@ -392,26 +394,23 @@ impl<M: Message> Simulation<M> {
             });
             return;
         }
-        // Scheduled partition windows cut the link deterministically. The
+        // Scheduled isolations cut the link deterministically. The
         // membership test consumes no randomness and runs before every
         // sampling step (and before the corruption hook), so seeds without
-        // windows keep their schedules and seeds with windows keep the RNG
+        // isolations keep their schedules and seeds with them keep the RNG
         // stream of the still-connected links.
         if self.net_faults.is_partitioned(from, to, self.now) {
             self.trace.record_send(from, msg.data_bytes(), true);
             self.trace.record_net_partition();
             return;
         }
-        let faults = self.net_faults.faults_for(from, to);
-        // Byzantine senders: let the installed hook corrupt the payload
+        let faults = self.net_faults.faults;
+        // The hook decides which sends a byzantine sender corrupts. It runs
         // before delivery (and before duplication, so both copies carry the
         // same corruption, as a byzantine sender would produce).
-        if self.net_faults.corrupts_sends_of(from) {
-            if let Some(mut hook) = self.corruptor.take() {
-                if hook(from, to, &mut msg) {
-                    self.trace.record_net_corrupt();
-                }
-                self.corruptor = Some(hook);
+        if let Some(hook) = self.corruptor.as_mut() {
+            if hook(from, to, &mut msg) {
+                self.trace.record_net_corrupt();
             }
         }
         let data_bytes = msg.data_bytes();
@@ -789,15 +788,14 @@ mod tests {
         // A window that never overlaps the execution forces the general
         // (non-passthrough) send path; since the membership test consumes no
         // randomness the execution must still be bit-identical.
-        let run = |with_window: bool| {
+        let run = |isolated: bool| {
             let (mut sim, a, _b) = two_process_sim(11);
-            if with_window {
-                let plan = NetFaultPlan::none().with_window(crate::netfault::LinkWindow::new(
-                    ProcessId(0),
-                    ProcessId(1),
+            if isolated {
+                let plan = NetFaultPlan::none().with_isolation(
+                    [ProcessId(1)],
                     SimTime::from_ticks(1_000_000),
                     SimTime::from_ticks(2_000_000),
-                ));
+                );
                 assert!(!plan.is_passthrough());
                 sim.set_net_fault_plan(plan);
             }
@@ -815,16 +813,13 @@ mod tests {
     #[test]
     fn partition_window_cuts_then_heals_and_is_counted_separately() {
         let (mut sim, a, b) = two_process_sim(13);
-        // Cut a → b during [0, 50): the first relay is lost; a retry kicked
+        // Isolate b during [0, 50): the first relay is lost; a retry kicked
         // off after the heal goes through and the ping-pong completes.
-        sim.set_net_fault_plan(
-            NetFaultPlan::none().with_window(crate::netfault::LinkWindow::new(
-                a,
-                b,
-                SimTime::ZERO,
-                SimTime::from_ticks(50),
-            )),
-        );
+        sim.set_net_fault_plan(NetFaultPlan::none().with_isolation(
+            [b],
+            SimTime::ZERO,
+            SimTime::from_ticks(50),
+        ));
         sim.send_external(a, TestMsg::Ping(0));
         sim.send_external_at(SimTime::from_ticks(100), a, TestMsg::Ping(0));
         sim.run_to_quiescence();
@@ -918,14 +913,10 @@ mod tests {
         let mut sim: Simulation<TestMsg> = Simulation::new(0, NetworkConfig::constant(1));
         let a = sim.add_process(Box::new(Sink { got: vec![] }));
         let b = sim.add_process(Box::new(Sink { got: vec![] }));
-        sim.set_net_fault_plan(
-            NetFaultPlan::none()
-                .with_default(LinkFaults {
-                    extra_delay: Some(DelayModel::Constant(100)),
-                    ..LinkFaults::NONE
-                })
-                .with_corrupt_sender(a),
-        );
+        sim.set_net_fault_plan(NetFaultPlan::none().with_default(LinkFaults {
+            extra_delay: Some(DelayModel::Constant(100)),
+            ..LinkFaults::NONE
+        }));
         sim.set_corruption_hook(Box::new(|_from, _to, msg| {
             if let TestMsg::Data(d) = msg {
                 for byte in d.iter_mut() {
@@ -945,6 +936,64 @@ mod tests {
     }
 
     #[test]
+    fn corruption_hook_alone_decides_and_disables_passthrough() {
+        /// Forwards its ENV kick-off to the next of three processes as data.
+        struct Relay {
+            got: Vec<Vec<u8>>,
+        }
+        impl Process<TestMsg> for Relay {
+            fn on_message(&mut self, from: ProcessId, m: TestMsg, ctx: &mut Context<'_, TestMsg>) {
+                if from == ProcessId::ENV {
+                    let next = ProcessId((ctx.self_id().0 + 1) % 3);
+                    ctx.send(next, TestMsg::Data(vec![7, 7, 7]));
+                } else if let TestMsg::Data(d) = m {
+                    self.got.push(d);
+                }
+            }
+            fn as_any(&self) -> &dyn std::any::Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+                self
+            }
+        }
+        // Corrupts whatever process 0 sends, and nothing else.
+        let hook = || -> CorruptionHook<TestMsg> {
+            Box::new(|from, _to, msg| match msg {
+                TestMsg::Data(d) if from == ProcessId(0) => {
+                    d.iter_mut().for_each(|byte| *byte ^= 0xFF);
+                    true
+                }
+                _ => false,
+            })
+        };
+        for hook_first in [false, true] {
+            let mut sim: Simulation<TestMsg> = Simulation::new(0, NetworkConfig::constant(1));
+            let ids: Vec<ProcessId> = (0..3)
+                .map(|_| sim.add_process(Box::new(Relay { got: vec![] })))
+                .collect();
+            if hook_first {
+                sim.set_corruption_hook(hook());
+                sim.set_net_fault_plan(NetFaultPlan::none());
+            } else {
+                sim.set_net_fault_plan(NetFaultPlan::none());
+                assert!(sim.net_passthrough, "clean plan, no hook");
+                sim.set_corruption_hook(hook());
+            }
+            assert!(!sim.net_passthrough, "hook_first: {hook_first}");
+            for &id in &ids {
+                sim.send_external(id, TestMsg::Ping(0));
+            }
+            sim.run_to_quiescence();
+            let got = |id| sim.process_as::<Relay>(id).unwrap().got.clone();
+            assert_eq!(got(ids[1]), vec![vec![0xF8; 3]], "0 → 1 is corrupted");
+            assert_eq!(got(ids[2]), vec![vec![7; 3]], "1 → 2 is not");
+            assert_eq!(got(ids[0]), vec![vec![7; 3]], "2 → 0 is not");
+            assert_eq!(sim.stats().messages_corrupted, 1);
+        }
+    }
+
+    #[test]
     fn network_draws_are_the_documented_count() {
         // Constant delays draw nothing; uniform ones draw once per send.
         for (config, draws) in [
@@ -959,11 +1008,15 @@ mod tests {
             assert_eq!(sim.stats().messages_sent, 7, "one injection, six sends");
             assert_eq!(sim.rng.draws(), draws);
         }
-        // A send a window cuts draws nothing, also with the corruption hook on.
+        // A send an isolation cuts draws nothing, also with the corruption
+        // hook on.
         for hooked in [false, true] {
             let (mut sim, a, b) = two_process_sim(13);
-            let cut = crate::netfault::LinkWindow::new(a, b, SimTime::ZERO, SimTime::MAX);
-            sim.set_net_fault_plan(NetFaultPlan::none().with_window(cut).with_corrupt_sender(a));
+            sim.set_net_fault_plan(NetFaultPlan::none().with_isolation(
+                [b],
+                SimTime::ZERO,
+                SimTime::MAX,
+            ));
             if hooked {
                 sim.set_corruption_hook(Box::new(|_, _, _| true));
             }

@@ -36,10 +36,10 @@ pub struct Stats {
     /// ([`crate::NetFaultPlan`] drop faults). Also counted in
     /// [`Stats::messages_dropped`].
     pub messages_lost: u64,
-    /// Messages cut by a scheduled partition window
-    /// ([`crate::LinkWindow`]). Deterministic drops, counted separately from
-    /// the probabilistic [`Stats::messages_lost`]; also counted in
-    /// [`Stats::messages_dropped`].
+    /// Messages cut by a scheduled isolation
+    /// ([`crate::NetFaultPlan::with_isolation`]). Deterministic drops,
+    /// counted separately from the probabilistic [`Stats::messages_lost`];
+    /// also counted in [`Stats::messages_dropped`].
     pub messages_partitioned: u64,
     /// Extra deliveries created by adversarial duplication. Duplicates are
     /// channel artifacts: they are *not* counted in [`Stats::messages_sent`]

@@ -9,12 +9,11 @@
 //! concurrent writes, which is the strongest adversary the SODAerr decoder
 //! must survive.
 //!
-//! The hook plugs into the simulator's delivery path: mark the byzantine
-//! servers in a [`soda_simnet::NetFaultPlan`] (via
-//! `NetFaultPlan::with_corrupt_sender`) and install
+//! The hook plugs into the simulator's delivery path: install
 //! [`coded_element_corruptor`] with
-//! [`soda_simnet::Simulation::set_corruption_hook`]. The
-//! `soda-registry` facade wires both up from
+//! [`soda_simnet::Simulation::set_corruption_hook`]. The simulator offers
+//! it every send the network does not cut, and the hook itself picks the
+//! byzantine servers' messages. The `soda-registry` facade installs it from
 //! `ClusterBuilder::with_byzantine_servers`.
 
 use crate::messages::SodaMsg;

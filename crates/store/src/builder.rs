@@ -147,6 +147,14 @@ pub enum StoreBuildError {
         /// The window's end tick.
         end: u64,
     },
+    /// Every key needs at least one writer and one reader handle, or its
+    /// puts or gets could never be issued.
+    NoClientHandles {
+        /// Writer handles per key.
+        writers: usize,
+        /// Reader handles per key.
+        readers: usize,
+    },
 }
 
 impl fmt::Display for StoreBuildError {
@@ -170,6 +178,11 @@ impl fmt::Display for StoreBuildError {
             StoreBuildError::PartitionEmptyWindow { shard, start, end } => write!(
                 out,
                 "shard {shard}: partition window [{start}, {end}) isolates nothing"
+            ),
+            StoreBuildError::NoClientHandles { writers, readers } => write!(
+                out,
+                "every key needs a writer and a reader handle, got {writers} writers and \
+                 {readers} readers per key"
             ),
         }
     }
@@ -305,20 +318,14 @@ impl StoreBuilder {
         self
     }
 
-    /// Schedules a partition window on one shard: the named server ranks are
+    /// Schedules a [`PartitionWindow`] on one shard: its server ranks are
     /// cut off from every other process of each key's cluster during
     /// `[start, end)` ticks, healing at `end`. Windows may be stacked (call
     /// repeatedly) and overlap freely. Rejected at `build` if a rank is out
     /// of range or the window is empty.
-    pub fn with_shard_partition(
-        mut self,
-        shard: usize,
-        ranks: Vec<usize>,
-        start: u64,
-        end: u64,
-    ) -> Self {
+    pub fn with_shard_partition(mut self, shard: usize, window: &PartitionWindow) -> Self {
         match self.specs.get_mut(shard) {
-            Some(spec) => spec.partitions.push(PartitionWindow { ranks, start, end }),
+            Some(spec) => spec.partitions.push(window.clone()),
             None => self
                 .errors
                 .push(StoreBuildErrorKind::ShardOutOfRange { shard }),
@@ -360,6 +367,12 @@ impl StoreBuilder {
             return Err(StoreBuildError::NoShards);
         }
         for (shard, spec) in self.specs.iter().enumerate() {
+            if spec.writers_per_key == 0 || spec.readers_per_key == 0 {
+                return Err(StoreBuildError::NoClientHandles {
+                    writers: spec.writers_per_key,
+                    readers: spec.readers_per_key,
+                });
+            }
             for window in &spec.partitions {
                 if window.is_empty() {
                     return Err(StoreBuildError::PartitionEmptyWindow {
@@ -451,6 +464,24 @@ mod tests {
             ),
             "{err}"
         );
+    }
+
+    #[test]
+    fn rejects_keys_without_writer_or_reader_handles() {
+        for (writers, readers) in [(0, 1), (1, 0)] {
+            let err = StoreBuilder::new(2, ProtocolKind::Abd, 5, 2)
+                .with_clients_per_key(writers, readers)
+                .build()
+                .unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    StoreBuildError::NoClientHandles { writers: w, readers: r }
+                        if (w, r) == (writers, readers)
+                ),
+                "{err}"
+            );
+        }
     }
 
     #[test]

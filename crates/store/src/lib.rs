@@ -73,7 +73,6 @@
 #![forbid(unsafe_code)]
 
 mod builder;
-mod fasthash;
 mod map;
 mod metrics;
 mod pool;

@@ -1,14 +1,13 @@
 //! The sharded multi-object store proper.
 
 use crate::builder::{ShardSpec, StoreRuntime};
-use crate::fasthash::FastHashMap;
 use crate::map::{fnv1a, ShardMap};
 use crate::metrics::{PoolMetrics, ShardMetrics, StoreMetrics, StoreTotals};
 use crate::pool::{Task, WorkerPool};
 use soda_consistency::{KeyViolation, KeyedHistory, KeyedOp};
 use soda_registry::{OpKind, OpRecord, RegisterCluster};
 use soda_simnet::{ProcessId, SimTime};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 /// Why the store refused a runtime fault-injection request.
@@ -289,7 +288,7 @@ struct Shard {
     index: usize,
     spec: ShardSpec,
     clusters: Vec<KeyCluster>,
-    key_index: FastHashMap<Vec<u8>, usize>,
+    key_index: HashMap<Vec<u8>, usize>,
     /// Ranks currently crashed in every cluster of the shard, existing and
     /// future.
     downed: BTreeSet<usize>,
@@ -401,7 +400,7 @@ impl ShardedStore {
                 index,
                 spec,
                 clusters: Vec::new(),
-                key_index: FastHashMap::default(),
+                key_index: HashMap::new(),
                 downed: BTreeSet::new(),
                 repairing: BTreeSet::new(),
                 settled: StoreTotals::default(),
@@ -465,7 +464,7 @@ impl ShardedStore {
     /// registers' empty initial value encodes *absent*).
     ///
     /// # Panics
-    /// Panics if `value` is empty or the store has no writer handles.
+    /// Panics if `value` is empty.
     pub fn put(&mut self, key: Vec<u8>, value: Vec<u8>) -> Ticket {
         assert!(
             !value.is_empty(),
@@ -478,7 +477,6 @@ impl ShardedStore {
         let shard = &mut self.shards[shard_idx];
         let kc = shard.cluster_for(&key, seed);
         let writers = kc.writers.len();
-        assert!(writers > 0, "store built with zero writer handles per key");
         let handle = kc.next_writer;
         kc.next_writer = (kc.next_writer + 1) % writers;
         kc.writers[handle].tickets.push(ticket.0);
@@ -487,9 +485,6 @@ impl ShardedStore {
     }
 
     /// Queues a get of `key`.
-    ///
-    /// # Panics
-    /// Panics if the store has no reader handles.
     pub fn get(&mut self, key: Vec<u8>) -> Ticket {
         let ticket = self.issue_ticket();
         let shard_idx = self.map.shard_of(&key);
@@ -497,7 +492,6 @@ impl ShardedStore {
         let shard = &mut self.shards[shard_idx];
         let kc = shard.cluster_for(&key, seed);
         let readers = kc.readers.len();
-        assert!(readers > 0, "store built with zero reader handles per key");
         let handle = kc.next_reader;
         kc.next_reader = (kc.next_reader + 1) % readers;
         kc.readers[handle].tickets.push(ticket.0);

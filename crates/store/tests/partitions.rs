@@ -4,8 +4,16 @@
 //! the window outlives the whole retry budget), and everything stays
 //! deterministic across runtimes.
 
-use soda_registry::ProtocolKind;
+use soda_registry::{PartitionWindow, ProtocolKind};
 use soda_store::{ShardedStore, StoreBuildError, StoreBuilder, StoreRuntime};
+
+fn window(ranks: &[usize], start: u64, end: u64) -> PartitionWindow {
+    PartitionWindow {
+        ranks: ranks.to_vec(),
+        start,
+        end,
+    }
+}
 
 /// The 8-shard mixed-protocol fleet with rank 4 partitioned away from every
 /// other process during `[0, 200)` ticks on every shard.
@@ -25,7 +33,7 @@ fn partitioned_mixed_store(runtime: StoreRuntime, seed: u64) -> ShardedStore {
         .with_seed(seed)
         .with_runtime(runtime);
     for shard in 0..8 {
-        builder = builder.with_shard_partition(shard, vec![4], 0, 200);
+        builder = builder.with_shard_partition(shard, &window(&[4], 0, 200));
     }
     builder.build().unwrap()
 }
@@ -134,7 +142,7 @@ fn repair_behind_a_partition_fails_retryably_then_succeeds_after_heal() {
     // 2800 ticks), short enough that the second repair's retries cross it.
     let mut store = StoreBuilder::new(1, ProtocolKind::Soda, 5, 2)
         .with_seed(9)
-        .with_shard_partition(0, vec![0], 0, 4000)
+        .with_shard_partition(0, &window(&[0], 0, 4000))
         .build()
         .unwrap();
     store.put(b"k".to_vec(), b"survives-partitions".to_vec());
@@ -181,7 +189,7 @@ fn repair_behind_a_partition_fails_retryably_then_succeeds_after_heal() {
 #[test]
 fn malformed_partitions_are_rejected_at_build() {
     let err = StoreBuilder::new(2, ProtocolKind::Soda, 5, 2)
-        .with_shard_partition(1, vec![6], 0, 100)
+        .with_shard_partition(1, &window(&[6], 0, 100))
         .build()
         .unwrap_err();
     assert!(
@@ -197,7 +205,7 @@ fn malformed_partitions_are_rejected_at_build() {
     );
 
     let err = StoreBuilder::new(2, ProtocolKind::Soda, 5, 2)
-        .with_shard_partition(0, vec![1], 200, 200)
+        .with_shard_partition(0, &window(&[1], 200, 200))
         .build()
         .unwrap_err();
     assert!(
@@ -206,7 +214,7 @@ fn malformed_partitions_are_rejected_at_build() {
     );
 
     let err = StoreBuilder::new(2, ProtocolKind::Soda, 5, 2)
-        .with_shard_partition(9, vec![1], 0, 100)
+        .with_shard_partition(9, &window(&[1], 0, 100))
         .build()
         .unwrap_err();
     assert!(

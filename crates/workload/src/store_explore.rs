@@ -428,7 +428,7 @@ pub fn run_store_scenario(
     .with_runtime(cfg.runtime);
     for (shard, window) in &scenario.shard_partitions {
         if let Some(w) = window.on_cluster(cfg.n) {
-            builder = builder.with_shard_partition(*shard, w.ranks, w.start, w.end);
+            builder = builder.with_shard_partition(*shard, &w);
         }
     }
     if let Some(quorum) = cfg.quorum_override {

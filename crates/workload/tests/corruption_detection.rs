@@ -37,6 +37,10 @@ fn completed_read_values(cluster: &SodaRegisterCluster) -> Vec<Vec<u8>> {
 #[test]
 fn in_budget_byzantine_corruption_is_transparently_corrected() {
     for seed in 0..5u64 {
+        // Without byzantine servers nothing is corrupted.
+        let clean = write_then_read(sodaerr().with_seed(seed).build_soda().unwrap());
+        assert_eq!(clean.stats().messages_corrupted, 0, "seed {seed}");
+
         let cluster = write_then_read(
             sodaerr()
                 .with_seed(seed)
@@ -44,6 +48,8 @@ fn in_budget_byzantine_corruption_is_transparently_corrected() {
                 .build_soda()
                 .unwrap(),
         );
+        // Rank 2 sends the reader one coded element, and the hook corrupts it.
+        assert_eq!(cluster.stats().messages_corrupted, 1, "seed {seed}");
         let reads = completed_read_values(&cluster);
         assert_eq!(reads.len(), 1, "seed {seed}: the read must complete");
         assert_eq!(

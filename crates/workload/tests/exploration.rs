@@ -309,13 +309,13 @@ fn partition_fuzz_smoke() {
         // Vacuity guard: the seed range must actually contain windows, and
         // scenarios combining crashes, repairs and windows (the chains).
         let seeds = seed_start..seed_start + schedules as u64;
-        let with_windows = count_scenarios(&cfg, seeds.clone(), |s| !s.partitions.is_empty());
+        let windowed = count_scenarios(&cfg, seeds.clone(), |s| !s.partitions.is_empty());
         let with_chains = count_scenarios(&cfg, seeds, |s| {
             !s.partitions.is_empty() && !s.server_crashes.is_empty() && !s.server_repairs.is_empty()
         });
         assert!(
-            with_windows * 2 >= schedules,
-            "{}: only {with_windows}/{schedules} schedules contain windows",
+            windowed * 2 >= schedules,
+            "{}: only {windowed}/{schedules} schedules contain windows",
             cfg.kind.name()
         );
         assert!(
@@ -325,7 +325,7 @@ fn partition_fuzz_smoke() {
         );
         let report = expect_clean(&cfg, seed_start, schedules);
         eprintln!(
-            "{:>7}: {schedules} schedules ({with_windows} with windows, {with_chains} \
+            "{:>7}: {schedules} schedules ({windowed} with windows, {with_chains} \
              crash→partition→heal→repair), {} ops, all atomic, all live",
             cfg.kind.name(),
             report.completed_ops

@@ -167,15 +167,15 @@ fn store_partition_fuzz_smoke() {
         ..StoreExploreConfig::mixed(4).with_partitions(1.0, 1200)
     };
     let seeds = seed_start..seed_start + schedules as u64;
-    let with_windows = count_scenarios(&cfg, seeds.clone(), |s| !s.shard_partitions.is_empty());
+    let windowed = count_scenarios(&cfg, seeds.clone(), |s| !s.shard_partitions.is_empty());
     // A chain: some crashed-then-repaired shard also carries a window.
     let with_chains = count_scenarios(&cfg, seeds, |s| {
         let mut windowed = s.shard_partitions.iter().map(|&(shard, _)| shard);
         windowed.any(|shard| s.shard_repairs.iter().any(|&(_, sh, _)| sh == shard))
     });
     assert!(
-        with_windows * 2 >= schedules,
-        "only {with_windows}/{schedules} store schedules contain windows"
+        windowed * 2 >= schedules,
+        "only {windowed}/{schedules} store schedules contain windows"
     );
     assert!(
         with_chains > 0,
@@ -185,7 +185,7 @@ fn store_partition_fuzz_smoke() {
     eprintln!(
         "store-partition: {} schedules ({} with windows, {} chains), {} tickets, \
          all per-key atomic, all live",
-        report.schedules, with_windows, with_chains, report.completed_ops
+        report.schedules, windowed, with_chains, report.completed_ops
     );
 }
 
