@@ -341,8 +341,7 @@ impl AbdClient {
 
     fn complete(&mut self, ctx: &mut Context<'_, AbdMsg>) {
         let tag = self.ops.tag().expect("store tag set");
-        let read = self.read_value.take().map(|value| value.to_vec());
-        self.ops.complete(ctx.now(), tag, read);
+        self.ops.complete(ctx.now(), tag, self.read_value.take());
         self.phase = AbdPhase::Idle;
         self.start_next(ctx);
     }

@@ -18,8 +18,8 @@
 //! per-read cost is compared against in Table I and Section I-B.
 
 use soda_protocol::{
-    CodeCacheStats, Invocation, Layout, OpKind, OpQueue, ProtocolSpec, QuorumTracker, RepairDriver,
-    RepairStatus, Tag, Value,
+    value_from, CodeCacheStats, Invocation, Layout, OpKind, OpQueue, ProtocolSpec, QuorumTracker,
+    RepairDriver, RepairStatus, Tag, Value,
 };
 use soda_rs_code::{CodedElement, MdsCode, VandermondeCode};
 use soda_simnet::{Context, Message, Process, ProcessId, SimTime, Simulation};
@@ -545,12 +545,12 @@ impl CasClient {
             .code()
             .decode(&elements)
             .expect("quorum intersection provides k consistent elements");
-        self.complete(Some(value), ctx);
+        self.complete(Some(value_from(value)), ctx);
     }
 
     /// Completes the operation in flight: `read` is the value a read
     /// returns, `None` for a write.
-    fn complete(&mut self, read: Option<Vec<u8>>, ctx: &mut Context<'_, CasMsg>) {
+    fn complete(&mut self, read: Option<Value>, ctx: &mut Context<'_, CasMsg>) {
         let tag = self.ops.tag().expect("tag set");
         self.ops.complete(ctx.now(), tag, read);
         self.phase = CasPhase::Idle;

@@ -118,7 +118,7 @@ pub(crate) fn check_atomicity(history: &History) -> Result<(), Violation> {
     // the initial value when the version is the initial one.
     for read in ops.iter().filter(|op| op.kind == Kind::Read) {
         if read.version == Version::INITIAL {
-            if read.value != history.initial_value() {
+            if *read.value != *history.initial_value() {
                 return Err(Violation::WrongReadValue { read: read.id });
             }
             continue;
@@ -172,7 +172,7 @@ fn search(history: &History, linearized: &mut Vec<bool>, current: &[u8], remaini
         let op = &ops[candidate];
         match op.kind {
             Kind::Read => {
-                if op.value == current {
+                if *op.value == *current {
                     linearized[candidate] = true;
                     if search(history, linearized, current, remaining - 1) {
                         return true;

@@ -1,5 +1,7 @@
 //! Operation histories.
 
+use std::sync::Arc;
+
 /// A protocol-independent version identifier: `(z, writer)` pairs exactly like
 /// the paper's tags, but without depending on the protocol crates.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
@@ -45,8 +47,9 @@ pub struct Op {
     pub invoked: u64,
     /// Response time.
     pub responded: u64,
-    /// The value written (for writes) or returned (for reads).
-    pub value: Vec<u8>,
+    /// The value written (for writes) or returned (for reads). Shared, not
+    /// copied, with whatever the history was built from.
+    pub value: Arc<[u8]>,
     /// The version (tag) the protocol associated with the operation.
     pub version: Version,
 }
@@ -75,15 +78,15 @@ impl History {
         }
     }
 
-    /// Adds a completed operation and returns its id.
-    #[allow(clippy::too_many_arguments)]
+    /// Adds a completed operation and returns its id. An `Arc<[u8]>` value
+    /// is kept as is, so a history shares the values it is built from.
     pub fn push(
         &mut self,
         client: u64,
         kind: Kind,
         invoked: u64,
         responded: u64,
-        value: Vec<u8>,
+        value: impl Into<Arc<[u8]>>,
         version: Version,
     ) -> OpId {
         let id = self.ops.len();
@@ -93,7 +96,7 @@ impl History {
             kind,
             invoked,
             responded,
-            value,
+            value: value.into(),
             version,
         });
         id

@@ -5,8 +5,8 @@
 //! exactly one register, so the per-key serializations interleave freely).
 //! This module gives the store layer the checker-side counterpart of that
 //! argument: a [`KeyedHistory`] collects operations labeled with the key they
-//! touched, [`KeyedHistory::project`] extracts one key's [`History`], and
-//! [`KeyedHistory::check_each_key`] runs the tag-based atomicity checker over
+//! touched, and [`KeyedHistory::check_each_key`] projects it onto each key's
+//! [`History`] in one pass and runs the tag-based atomicity checker over
 //! every projection independently.
 //!
 //! Timestamps are only compared *within* a projection, so operations on
@@ -15,6 +15,8 @@
 
 use crate::checker::Violation;
 use crate::history::{History, Kind, Version};
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One completed (or pending-closed) operation labeled with the key it
 /// touched.
@@ -24,8 +26,9 @@ use crate::history::{History, Kind, Version};
 /// work-stealing backends produce **bit-identical** per-key histories.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct KeyedOp {
-    /// The key the operation addressed.
-    pub key: Vec<u8>,
+    /// The key the operation addressed. A store shares one allocation per
+    /// key across all of that key's operations.
+    pub key: Arc<[u8]>,
     /// Store-wide unique client identifier. Callers composing histories from
     /// several simulations must namespace per-simulation process ids into
     /// this field themselves.
@@ -36,13 +39,14 @@ pub struct KeyedOp {
     pub invoked: u64,
     /// Response time (`u64::MAX` for writes closed under pending).
     pub responded: u64,
-    /// The value written or returned.
-    pub value: Vec<u8>,
+    /// The value written or returned, shared with the operation record it
+    /// came from.
+    pub value: Arc<[u8]>,
     /// The version the protocol associated with the operation.
     pub version: Version,
 }
 
-/// A multi-key operation history, projectable to per-key [`History`] values.
+/// A multi-key operation history, checked one key's projection at a time.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct KeyedHistory {
     initial_value: Vec<u8>,
@@ -80,23 +84,18 @@ impl KeyedHistory {
         self.ops.is_empty()
     }
 
-    /// The distinct keys observed, in first-appearance order.
-    pub fn keys(&self) -> Vec<Vec<u8>> {
-        let mut keys: Vec<Vec<u8>> = Vec::new();
+    /// Every key's single-register history, in first-appearance order of
+    /// the keys, built in one pass over the operations. Values and keys are
+    /// shared with this history, not copied.
+    fn projections(&self) -> Vec<(Arc<[u8]>, History)> {
+        let mut slot: HashMap<&[u8], usize> = HashMap::new();
+        let mut projections: Vec<(Arc<[u8]>, History)> = Vec::new();
         for op in &self.ops {
-            if !keys.iter().any(|k| k == &op.key) {
-                keys.push(op.key.clone());
-            }
-        }
-        keys
-    }
-
-    /// Projects the history onto one key: the single-register history of
-    /// exactly the operations that addressed `key`.
-    pub fn project(&self, key: &[u8]) -> History {
-        let mut history = History::new(self.initial_value.clone());
-        for op in self.ops.iter().filter(|op| op.key == key) {
-            history.push(
+            let index = *slot.entry(&op.key).or_insert_with(|| {
+                projections.push((op.key.clone(), History::new(self.initial_value.clone())));
+                projections.len() - 1
+            });
+            projections[index].1.push(
                 op.client,
                 op.kind,
                 op.invoked,
@@ -105,15 +104,18 @@ impl KeyedHistory {
                 op.version,
             );
         }
-        history
+        projections
     }
 
     /// Checks every key's projected history for atomicity, returning the
-    /// first offending key and its violation.
+    /// first offending key (in first-appearance order) and its violation.
     pub fn check_each_key(&self) -> Result<(), KeyViolation> {
-        for key in self.keys() {
-            if let Err(violation) = self.project(&key).check_atomicity() {
-                return Err(KeyViolation { key, violation });
+        for (key, history) in self.projections() {
+            if let Err(violation) = history.check_atomicity() {
+                return Err(KeyViolation {
+                    key: key.to_vec(),
+                    violation,
+                });
             }
         }
         Ok(())
@@ -149,12 +151,12 @@ mod tests {
 
     fn op(key: &[u8], client: u64, kind: Kind, t: (u64, u64), v: &[u8], ver: Version) -> KeyedOp {
         KeyedOp {
-            key: key.to_vec(),
+            key: key.into(),
             client,
             kind,
             invoked: t.0,
             responded: t.1,
-            value: v.to_vec(),
+            value: v.into(),
             version: ver,
         }
     }
@@ -166,10 +168,15 @@ mod tests {
         h.push(op(b"b", 2, Kind::Write, (0, 10), b"y", Version::new(1, 2)));
         h.push(op(b"a", 3, Kind::Read, (12, 20), b"x", Version::new(1, 1)));
         assert_eq!(h.len(), 3);
-        assert_eq!(h.keys(), vec![b"a".to_vec(), b"b".to_vec()]);
-        assert_eq!(h.project(b"a").len(), 2);
-        assert_eq!(h.project(b"b").len(), 1);
-        assert!(h.project(b"missing").is_empty());
+        let projections = h.projections();
+        let keys: Vec<&[u8]> = projections.iter().map(|(key, _)| &key[..]).collect();
+        assert_eq!(keys, [b"a".as_slice(), b"b"], "first-appearance order");
+        let lens: Vec<usize> = projections
+            .iter()
+            .map(|(_, history)| history.len())
+            .collect();
+        assert_eq!(lens, [2, 1]);
+        assert!(KeyedHistory::default().projections().is_empty());
         assert!(h.check_each_key().is_ok());
     }
 
@@ -206,6 +213,34 @@ mod tests {
         let err = h.check_each_key().unwrap_err();
         assert_eq!(err.key, b"bad".to_vec());
         assert!(err.to_string().contains("bad"), "{err}");
+    }
+
+    #[test]
+    fn the_first_failing_key_to_appear_is_reported() {
+        // Both keys fail and "late" fails earlier in the history, but
+        // "early" appeared first.
+        let mut h = KeyedHistory::new(Vec::new());
+        let stale_read =
+            |key: &[u8], t: u64| op(key, 9, Kind::Read, (t, t + 1), b"", Version::INITIAL);
+        h.push(op(
+            b"early",
+            1,
+            Kind::Write,
+            (0, 10),
+            b"x",
+            Version::new(1, 1),
+        ));
+        h.push(op(
+            b"late",
+            2,
+            Kind::Write,
+            (0, 10),
+            b"y",
+            Version::new(1, 2),
+        ));
+        h.push(stale_read(b"late", 20));
+        h.push(stale_read(b"early", 30));
+        assert_eq!(h.check_each_key().unwrap_err().key, b"early".to_vec());
     }
 
     #[test]

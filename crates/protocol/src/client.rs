@@ -88,8 +88,9 @@ impl OpQueue {
 
     /// Completes the operation in flight at `now` with `tag` and appends its
     /// record. `returned` is the value a read returns; a write passes `None`
-    /// and records the value it wrote. Panics if no operation is in flight.
-    pub fn complete(&mut self, now: SimTime, tag: Tag, returned: Option<Vec<u8>>) {
+    /// and its record keeps the value it wrote, without a copy. Panics if no
+    /// operation is in flight.
+    pub fn complete(&mut self, now: SimTime, tag: Tag, returned: Option<Value>) {
         let op = self.current.take().expect("no operation in flight");
         self.completed.push(OpRecord {
             client: self.client,
@@ -98,7 +99,7 @@ impl OpQueue {
             invoked_at: op.invoked_at,
             completed_at: now,
             tag,
-            value: returned.or_else(|| op.value.map(|written| written.to_vec())),
+            value: returned.or(op.value),
         });
     }
 
@@ -139,7 +140,7 @@ impl OpQueue {
             seq: self.seq,
             invoked_at: op.invoked_at,
             tag: op.tag,
-            value: op.value.as_ref()?.to_vec(),
+            value: op.value.clone()?,
         })
     }
 }
@@ -154,21 +155,30 @@ mod tests {
         let (me, t) = (ProcessId(7), SimTime::from_ticks);
         let mut ops = OpQueue::new(me);
         ops.push(Invocation::Read);
-        ops.push(Invocation::Write(value_from(b"v".to_vec())));
+        let written = value_from(b"v".to_vec());
+        ops.push(Invocation::Write(written.clone()));
         assert_eq!(ops.start_next(t(1)), Some((1, OpKind::Read)));
         assert_eq!((ops.start_next(t(2)), ops.queued()), (None, 1), "busy");
         assert!(ops.in_flight_write().is_none(), "reads and queued writes");
-        ops.complete(t(4), Tag::INITIAL, Some(b"v0".to_vec()));
+        ops.complete(t(4), Tag::INITIAL, Some(value_from(b"v0".to_vec())));
 
         assert_eq!(ops.start_next(t(5)), Some((2, OpKind::Write)));
         let pending = ops.in_flight_write().unwrap();
         assert_eq!((pending.client, pending.seq, pending.tag), (7, 2, None));
+        assert!(Value::ptr_eq(&pending.value, &written), "no copy");
         ops.set_tag(Tag::new(1, me));
         assert_eq!(ops.in_flight_write().unwrap().tag, Some(Tag::new(1, me)));
         ops.complete(t(9), Tag::new(1, me), None);
 
         let values: Vec<_> = ops.completed().iter().map(|op| op.value.clone()).collect();
-        assert_eq!(values, [Some(b"v0".to_vec()), Some(b"v".to_vec())]);
+        assert_eq!(
+            values,
+            [Some(value_from(b"v0".to_vec())), Some(written.clone())]
+        );
+        assert!(
+            Value::ptr_eq(values[1].as_ref().unwrap(), &written),
+            "no copy"
+        );
         assert_eq!(ops.completed()[1].latency(), 4);
         assert!(ops.in_flight_write().is_none() && ops.start_next(t(9)).is_none());
     }

@@ -7,7 +7,7 @@
 //! experiments and the atomicity checker consume histories without knowing
 //! which algorithm produced them, and without a conversion step.
 
-use crate::Tag;
+use crate::{Tag, Value};
 use soda_simnet::SimTime;
 
 /// Whether an operation was a read or a write.
@@ -46,8 +46,10 @@ pub struct OpRecord {
     pub completed_at: SimTime,
     /// The tag associated with the operation (`tag(π)` in the paper).
     pub tag: Tag,
-    /// The value written (for writes) or returned (for reads).
-    pub value: Option<Vec<u8>>,
+    /// The value written (for writes) or returned (for reads): the
+    /// allocation the write's invocation carried, or the one the read
+    /// returned, shared rather than copied.
+    pub value: Option<Value>,
 }
 
 impl OpRecord {
@@ -78,8 +80,8 @@ pub struct PendingWrite {
     /// still in its query phase — no server has seen the value yet, so no
     /// read can have observed it.
     pub tag: Option<Tag>,
-    /// The value being written.
-    pub value: Vec<u8>,
+    /// The value being written (shared with the writer's invocation).
+    pub value: Value,
 }
 
 #[cfg(test)]

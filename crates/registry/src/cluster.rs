@@ -137,14 +137,15 @@ pub trait RegisterCluster: Send {
     /// `from` is a cursor the caller owns: a client's log only ever grows at
     /// its end, so a caller that advances `from` by the number of records
     /// each call appended sees every completed operation exactly once, and a
-    /// call costs time (and one value copy) per *new* record, not per record
-    /// ever completed. A cursor at or past the end of the log, or a process
-    /// that is not one of this cluster's clients, appends nothing.
-    /// Implementations must only append.
+    /// call costs time per *new* record, not per record ever completed. The
+    /// appended records share their values with the client's log. A cursor
+    /// at or past the end of the log, or a process that is not one of this
+    /// cluster's clients, appends nothing. Implementations must only append.
     fn completed_since(&self, client: ProcessId, from: usize, out: &mut Vec<OpRecord>);
 
-    /// All operations completed by all clients, ordered by completion time (ties by client id, then `seq`). Copies
-    /// the whole history; callers that follow a cluster over time should
+    /// All operations completed by all clients, ordered by completion time
+    /// (ties by client id, then `seq`). Clones every record (values are
+    /// shared, not copied); callers that follow a cluster over time should
     /// hold cursors into [`Self::completed_since`] instead.
     fn completed_ops(&self) -> Vec<OpRecord> {
         let descriptor = self.descriptor();

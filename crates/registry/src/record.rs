@@ -16,7 +16,8 @@ pub fn version_of_tag(tag: Tag) -> Version {
     Version::new(tag.z, tag.writer.0 as u64)
 }
 
-/// Builds a checker [`History`] from shared operation records.
+/// Builds a checker [`History`] from shared operation records. The history
+/// shares each record's value allocation; nothing is copied.
 pub fn history_from_records(initial_value: &[u8], records: &[OpRecord]) -> History {
     let mut history = History::new(initial_value.to_vec());
     for record in records {
@@ -76,6 +77,7 @@ pub(crate) fn sort_records(records: &mut [OpRecord]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use soda_protocol::value_from;
     use soda_simnet::{ProcessId, SimTime};
 
     #[test]
@@ -98,7 +100,7 @@ mod tests {
                 invoked_at: SimTime::from_ticks(0),
                 completed_at: SimTime::from_ticks(20),
                 tag: Tag::new(1, ProcessId(10)),
-                value: Some(b"x".to_vec()),
+                value: Some(value_from(b"x".to_vec())),
             },
             OpRecord {
                 client: 11,
@@ -107,7 +109,7 @@ mod tests {
                 invoked_at: SimTime::from_ticks(30),
                 completed_at: SimTime::from_ticks(50),
                 tag: Tag::new(1, ProcessId(10)),
-                value: Some(b"x".to_vec()),
+                value: Some(value_from(b"x".to_vec())),
             },
         ];
         let history = history_from_records(b"", &records);

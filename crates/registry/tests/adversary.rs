@@ -101,7 +101,7 @@ fn pending_writes_report_the_in_flight_operation_for_every_protocol() {
         let pending = cluster.pending_writes();
         assert_eq!(pending.len(), 1, "{name}");
         assert_eq!((pending[0].seq, pending[0].tag), (1, None), "{name}");
-        assert_eq!(pending[0].value, b"stalled", "{name}");
+        assert_eq!(pending[0].value, *b"stalled", "{name}");
         // Step until the protocol has chosen the write's tag.
         let mut tick = 1;
         let tagged = loop {

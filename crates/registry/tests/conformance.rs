@@ -2,7 +2,9 @@
 //! [`ProtocolKind`] via the [`RegisterCluster`] trait, and every resulting
 //! history is machine-checked for atomicity with `soda_consistency`.
 
-use soda_registry::{ClusterBuilder, OpRecord, PartitionWindow, ProtocolKind, RegisterCluster};
+use soda_registry::{
+    ClusterBuilder, OpRecord, PartitionWindow, ProtocolKind, RegisterCluster, Value,
+};
 use soda_simnet::{ProcessId, SimTime};
 
 /// Representative parameters per protocol: `(kind, n, f)` chosen so every
@@ -314,7 +316,7 @@ fn run_until_stops_at_the_deadline() {
 }
 
 /// Every field of a record, comparable (`OpRecord` itself is not `PartialEq`).
-fn fields(op: &OpRecord) -> (u64, u64, bool, u64, u64, u64, u64, Option<Vec<u8>>) {
+fn fields(op: &OpRecord) -> (u64, u64, bool, u64, u64, u64, u64, Option<Value>) {
     (
         op.client,
         op.seq,

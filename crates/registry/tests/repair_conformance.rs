@@ -5,7 +5,7 @@
 //! in the closed history.
 
 use soda_protocol::{REPAIR_MAX_ATTEMPTS, REPAIR_RETRY_INTERVAL};
-use soda_registry::{ClusterBuilder, OpRecord, ProtocolKind, RegisterCluster, RepairError};
+use soda_registry::{ClusterBuilder, OpRecord, ProtocolKind, RegisterCluster, RepairError, Value};
 use soda_simnet::{NetFaultPlan, ProcessId, SimTime};
 use std::collections::BTreeSet;
 
@@ -36,7 +36,7 @@ fn drive_crash_repair_read(cluster: &mut dyn RegisterCluster) {
     cluster.run_to_quiescence();
 }
 
-fn fingerprint(ops: &[OpRecord]) -> Vec<(u64, u64, bool, u64, u64, Vec<u8>)> {
+fn fingerprint(ops: &[OpRecord]) -> Vec<(u64, u64, bool, u64, u64, Value)> {
     ops.iter()
         .map(|op| {
             (

@@ -311,7 +311,7 @@ fn crash_then_repair_restores_the_coded_element() {
     cluster.run_to_quiescence();
     let ops = cluster.completed_ops();
     let read = ops.iter().find(|op| op.kind == OpKind::Read).unwrap();
-    assert_eq!(read.value.as_ref(), Some(&value));
+    assert_eq!(read.value.as_deref(), Some(&value[..]));
 }
 
 #[test]

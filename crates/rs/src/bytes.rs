@@ -8,6 +8,13 @@
 //! allocation with no extra indirection (unlike `Arc<Vec<u8>>`, the length
 //! lives in the fat pointer, not behind a second pointer chase).
 //!
+//! Whole object values are [`Bytes`] too, and one value is one allocation
+//! for its whole life: the writer's invocation, every network message that
+//! carries it, the client's completed-operation log, the store's ticket
+//! outcome and the checker's history all hold the same buffer. The checker
+//! crate depends on no protocol crate, so it stores plain `Arc<[u8]>`, and
+//! `Arc::<[u8]>::from(bytes)` hands the buffer over without a copy.
+//!
 //! Cost accounting is unaffected: every message still reports the full byte
 //! length of the payload it carries, matching the paper's model where sending
 //! a value costs its size regardless of sharing tricks inside the simulator.
@@ -95,6 +102,13 @@ impl Borrow<[u8]> for Bytes {
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         Bytes(Arc::from(v))
+    }
+}
+
+/// Zero-copy: the `Arc` is the buffer itself.
+impl From<Bytes> for Arc<[u8]> {
+    fn from(bytes: Bytes) -> Self {
+        bytes.0
     }
 }
 
@@ -202,5 +216,13 @@ mod tests {
         assert_eq!(c, vec![0u8, 1, 2, 3]);
         assert_eq!(Bytes::from(&[7u8, 8][..]), Bytes::from([7u8, 8]));
         assert!(format!("{a:?}").contains("2 bytes"));
+    }
+
+    #[test]
+    fn conversion_to_arc_shares_the_allocation() {
+        let a = Bytes::from(vec![1u8, 2, 3]);
+        let arc: Arc<[u8]> = a.clone().into();
+        assert_eq!(arc.as_ptr(), a.as_slice().as_ptr());
+        assert_eq!(arc[..], a[..]);
     }
 }

@@ -20,7 +20,7 @@
 use crate::config::SodaConfig;
 use crate::messages::{MetaPayload, OpId, SodaMsg};
 use soda_protocol::md::{md_meta_send, MessageId};
-use soda_protocol::{Invocation, OpQueue, QuorumTracker, Tag};
+use soda_protocol::{value_from, Invocation, OpQueue, QuorumTracker, Tag};
 use soda_rs_code::{CodeError, CodedElement};
 use soda_simnet::{Context, Process, ProcessId};
 use std::collections::BTreeMap;
@@ -186,7 +186,7 @@ impl ReaderProcess {
             let dest = self.config.layout().server(dispatch.to_rank);
             ctx.send(dest, SodaMsg::MdMeta(dispatch.msg));
         }
-        self.ops.complete(ctx.now(), tag, Some(value));
+        self.ops.complete(ctx.now(), tag, Some(value_from(value)));
         self.elements.clear();
         self.phase = ReadPhase::Idle;
         self.start_next(ctx);

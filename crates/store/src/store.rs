@@ -5,10 +5,11 @@ use crate::map::{fnv1a, ShardMap};
 use crate::metrics::{PoolMetrics, ShardMetrics, StoreMetrics, StoreTotals};
 use crate::pool::{Task, WorkerPool};
 use soda_consistency::{KeyViolation, KeyedHistory, KeyedOp};
-use soda_registry::{OpKind, OpRecord, RegisterCluster};
+use soda_registry::{OpKind, OpRecord, RegisterCluster, Value};
 use soda_simnet::{ProcessId, SimTime};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::sync::Arc;
 
 /// Why the store refused a runtime fault-injection request.
 ///
@@ -152,16 +153,20 @@ impl TicketStatus {
 /// A completed store operation.
 #[derive(Clone, Debug)]
 pub struct OpOutcome {
-    /// The key the operation addressed.
-    pub key: Vec<u8>,
+    /// The key the operation addressed: the one allocation the key's cluster
+    /// holds, shared by all of that key's outcomes and
+    /// [`ShardedStore::keyed_history`] operations.
+    pub key: Arc<[u8]>,
     /// The shard that served it.
     pub shard: usize,
     /// Put ([`OpKind::Write`]) or get ([`OpKind::Read`]).
     pub kind: OpKind,
     /// The value written, or the value a get returned (`None` when the key
     /// had never been written — the store treats the registers' empty initial
-    /// value as *absent*, so empty values cannot be stored).
-    pub value: Option<Vec<u8>>,
+    /// value as *absent*, so empty values cannot be stored). The same
+    /// allocation as the value in the client's operation record and in
+    /// [`ShardedStore::keyed_history`].
+    pub value: Option<Value>,
     /// Operation latency in the shard's simulated ticks.
     pub latency_ticks: u64,
 }
@@ -206,7 +211,7 @@ impl Handle {
 /// that maps the cluster's per-client operation records back to store
 /// tickets.
 struct KeyCluster {
-    key: Vec<u8>,
+    key: Arc<[u8]>,
     cluster: Box<dyn RegisterCluster>,
     /// Round-robin cursors over the writer/reader handles.
     next_writer: usize,
@@ -288,7 +293,8 @@ struct Shard {
     index: usize,
     spec: ShardSpec,
     clusters: Vec<KeyCluster>,
-    key_index: HashMap<Vec<u8>, usize>,
+    /// Each key's index in `clusters`; shares the cluster's key allocation.
+    key_index: HashMap<Arc<[u8]>, usize>,
     /// Ranks currently crashed in every cluster of the shard, existing and
     /// future.
     downed: BTreeSet<usize>,
@@ -330,9 +336,10 @@ impl Shard {
             .map(|r| Handle::new(cluster.reader_process(r)))
             .collect();
         let idx = self.clusters.len();
-        self.key_index.insert(key.to_vec(), idx);
+        let key: Arc<[u8]> = key.into();
+        self.key_index.insert(key.clone(), idx);
         self.clusters.push(KeyCluster {
-            key: key.to_vec(),
+            key,
             cluster,
             next_writer: 0,
             next_reader: 0,
@@ -518,9 +525,10 @@ impl ShardedStore {
     /// The status of a ticket. Completions are harvested by
     /// [`Self::run_until_quiescent`], not here.
     ///
-    /// This clones the outcome (key and value included) so `TicketStatus` can
-    /// be held while the store is driven further; a hot loop that only
-    /// inspects outcomes should use the borrowing [`Self::outcome`] instead.
+    /// This clones the outcome so `TicketStatus` can be held while the store
+    /// is driven further. The clone copies no bytes: key and value are
+    /// shared, so it bumps two reference counts. A hot loop that only
+    /// inspects outcomes can use the borrowing [`Self::outcome`] instead.
     ///
     /// # Panics
     /// Panics on a ticket this store never issued.
@@ -828,6 +836,8 @@ impl ShardedStore {
     /// The store-wide operation history, labeled by key, with every cluster's
     /// completed operations closed under its pending writes. Client ids are
     /// namespaced per cluster so the per-key projections are well-formed.
+    /// Keys and values are shared with the clusters and the ticket outcomes,
+    /// not copied.
     pub fn keyed_history(&self) -> KeyedHistory {
         let mut history = KeyedHistory::new(Vec::new());
         for (shard_idx, shard) in self.shards.iter().enumerate() {
@@ -912,5 +922,74 @@ impl ShardedStore {
             .flat_map(|s| s.clusters.iter())
             .map(|kc| kc.cluster.now().since(SimTime::from_ticks(0)))
             .sum()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::StoreBuilder;
+    use soda_registry::ProtocolKind;
+
+    /// A key is one allocation and so is a value: the ticket outcome, the
+    /// client's operation record and the keyed history hold the same
+    /// buffers, for every protocol.
+    #[test]
+    fn outcomes_records_and_history_share_each_allocation() {
+        for kind in soda_registry::ALL_KINDS {
+            let mut store = StoreBuilder::new(1, kind, 7, 2)
+                .with_seed(17)
+                .build()
+                .unwrap();
+            // Sequential rounds, so tickets, records and history ops line up.
+            let mut tickets = Vec::new();
+            for round in 0..2u8 {
+                tickets.push(store.put(b"k".to_vec(), vec![round + 1; 256]));
+                store.run_until_quiescent();
+                tickets.push(store.get(b"k".to_vec()));
+                store.run_until_quiescent();
+            }
+            let outcomes: Vec<&OpOutcome> = tickets
+                .iter()
+                .map(|&ticket| store.outcome(ticket).expect("settled"))
+                .collect();
+            let records = store.shards[0].clusters[0].cluster.completed_ops();
+            let history = store.keyed_history();
+            assert_eq!((records.len(), history.len()), (4, 4), "{}", kind.name());
+
+            let key = &store.shards[0].clusters[0].key;
+            for ((outcome, record), op) in outcomes.iter().zip(&records).zip(history.ops()) {
+                assert_eq!(outcome.kind, record.kind, "{}", kind.name());
+                let value = outcome.value.as_ref().expect("every op has a value");
+                let recorded = record.value.as_ref().expect("every record has a value");
+                assert!(
+                    Value::ptr_eq(value, recorded),
+                    "{}: record copy",
+                    kind.name()
+                );
+                assert_eq!(
+                    op.value.as_ptr(),
+                    value.as_ptr(),
+                    "{}: history copy",
+                    kind.name()
+                );
+                assert!(
+                    Arc::ptr_eq(&outcome.key, key),
+                    "{}: outcome key",
+                    kind.name()
+                );
+                assert!(Arc::ptr_eq(&op.key, key), "{}: history key", kind.name());
+            }
+            assert_eq!(outcomes[3].value.as_deref(), Some(&[2u8; 256][..]));
+            if kind == ProtocolKind::Abd {
+                // ABD servers store and return the writer's buffer, so a read
+                // returns the allocation the put made.
+                let (written, read) = (&outcomes[2].value, &outcomes[3].value);
+                assert!(Value::ptr_eq(
+                    written.as_ref().unwrap(),
+                    read.as_ref().unwrap()
+                ));
+            }
+        }
     }
 }

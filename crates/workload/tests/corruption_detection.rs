@@ -30,7 +30,7 @@ fn completed_read_values(cluster: &SodaRegisterCluster) -> Vec<Vec<u8>> {
         .completed_ops()
         .into_iter()
         .filter(|op| op.kind == OpKind::Read)
-        .map(|op| op.value.unwrap_or_default())
+        .map(|op| op.value.unwrap_or_default().to_vec())
         .collect()
 }
 
