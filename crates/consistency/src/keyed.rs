@@ -22,8 +22,8 @@ use std::sync::Arc;
 /// touched.
 ///
 /// Derives `Eq` so whole histories can be compared field-for-field — the
-/// store's runtime-conformance tests assert that its serial, threaded and
-/// work-stealing backends produce **bit-identical** per-key histories.
+/// store's runtime-conformance tests assert that its serial and parallel
+/// drains produce **bit-identical** per-key histories.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct KeyedOp {
     /// The key the operation addressed. A store shares one allocation per

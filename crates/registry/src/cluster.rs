@@ -30,8 +30,7 @@ use std::any::Any;
 ///
 /// Clusters are `Send` (every process, message and RNG in the stack is), and
 /// boxed clusters are `'static`, so higher layers — the sharded store in
-/// `crates/store` — can drive disjoint clusters from parallel OS threads,
-/// including moving them onto a persistent worker pool and back.
+/// `crates/store` — can drive disjoint clusters from parallel OS threads.
 pub trait RegisterCluster: Send {
     /// The static description of this cluster (protocol, `n`, `f`, client
     /// counts).

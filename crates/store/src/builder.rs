@@ -17,24 +17,26 @@ use std::fmt;
 /// crashes, partitions and repairs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum StoreRuntime {
-    /// Every shard is stepped serially on the calling thread, in shard order.
-    /// Fully deterministic: the same store, seed and operation sequence
-    /// reproduce the same histories, which is what tests and the adversarial
-    /// exploration campaigns need.
+    /// Every key cluster is run on the calling thread, in `(shard,
+    /// cluster-index)` order. Fully deterministic: the same store, seed and
+    /// operation sequence reproduce the same histories, which is what tests
+    /// and the adversarial exploration campaigns need.
     #[default]
     Simulation,
-    /// The same pool as `WorkStealing { workers: 0 }`: one worker per
-    /// hardware thread, one task per key cluster.
+    /// The same drain as `WorkStealing { workers: 0 }`: one thread per
+    /// hardware thread.
     Threaded,
-    /// The persistent work-stealing pool: every key's cluster is its own
-    /// task, and workers steal tasks from each other when their own queues
-    /// run dry, so skewed key populations still balance. See
-    /// [`crate::PoolMetrics`] for the pool counters.
+    /// Parallel drains: each drain spawns `workers − 1` scoped threads, the
+    /// calling thread joins them, and every thread claims the next key
+    /// cluster from one shared cursor until none is left, so skewed key
+    /// populations still balance. Nothing is stolen; the name is kept for
+    /// the benchmark, which spells it. See [`crate::PoolMetrics`] for the
+    /// drains' counters.
     WorkStealing {
-        /// Worker threads in the pool. `0` means one per hardware thread
-        /// (degrading to the serial loop on single-threaded hosts); an
-        /// explicit count is honored as given, which lets tests exercise the
-        /// pool machinery regardless of the host's core count.
+        /// Threads per drain, the calling thread included. `0` means one per
+        /// hardware thread (so one, the calling thread, on a single-threaded
+        /// host); an explicit count is honored as given, which lets tests
+        /// run parallel drains regardless of the host's core count.
         workers: usize,
     },
 }

@@ -18,11 +18,12 @@
 //!   construction, and the store machine-checks it after the fact.
 //! * [`ShardedStore`] — the batched, async-flavored client API: [`put`],
 //!   [`get`], [`multi_get`] and [`put_batch`] return [`Ticket`]s immediately;
-//!   [`run_until_quiescent`] drains every shard (serially under
-//!   [`StoreRuntime::Simulation`]; one task per **key cluster** on a
-//!   persistent work-stealing pool created at build time under
+//!   [`run_until_quiescent`] drains every shard: scoped threads claim **key
+//!   clusters** one at a time from a shared cursor and run each to
+//!   quiescence (one thread, the caller, under
+//!   [`StoreRuntime::Simulation`]; several under
 //!   [`StoreRuntime::WorkStealing`] and its alias
-//!   [`StoreRuntime::Threaded`], with [`PoolMetrics`] exposing the pool's
+//!   [`StoreRuntime::Threaded`], with [`PoolMetrics`] exposing the drains'
 //!   scheduling counters); [`poll`] redeems tickets. Histories are
 //!   bit-identical across runtimes.
 //! * [`StoreMetrics`] — per-shard and aggregate op counts, message/storage
@@ -75,7 +76,6 @@
 mod builder;
 mod map;
 mod metrics;
-mod pool;
 mod store;
 
 pub use builder::{StoreBuildError, StoreBuilder, StoreRuntime};

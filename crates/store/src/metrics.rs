@@ -204,31 +204,35 @@ pub struct StoreMetrics {
     pub aggregate: StoreTotals,
 }
 
-/// Lifetime counters of the persistent worker pool behind
+/// Lifetime counters of the parallel drains behind
 /// [`StoreRuntime::WorkStealing`](crate::StoreRuntime::WorkStealing) and
 /// its alias [`StoreRuntime::Threaded`](crate::StoreRuntime::Threaded), as
 /// returned by [`crate::ShardedStore::pool_metrics`].
 ///
 /// These are **scheduling** counters: unlike everything in [`StoreMetrics`],
 /// which is derived from deterministic simulations and is bit-identical
-/// across runtimes, `steals` and `busy_nanos` depend on which worker reached
-/// which cluster first and vary run to run. `tasks_executed` is deterministic
-/// for a fixed operation sequence (one task per key cluster per drain).
+/// across runtimes, `busy_nanos` is wall-clock time and varies run to run.
+/// `tasks_executed` is deterministic for a fixed operation sequence (one per
+/// key cluster per drain).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolMetrics {
-    /// Worker threads in the pool.
+    /// Threads per drain, the calling thread included.
     pub workers: usize,
-    /// Tasks executed since the store was built (including panicked ones).
+    /// Key clusters run, summed over drains.
     pub tasks_executed: u64,
-    /// Tasks a worker took from another worker's deque.
+    /// Always 0. Every thread claims clusters from one shared cursor, so
+    /// there is no per-thread queue to steal from. The field stays because
+    /// the benchmark reports it.
     pub steals: u64,
-    /// Wall-clock nanoseconds workers spent inside task bodies, summed over
-    /// workers (so up to `workers ×` the drain's wall-clock time).
+    /// Wall-clock nanoseconds the draining threads spent claiming and
+    /// running clusters, summed over threads (so up to `workers ×` the
+    /// drains' wall-clock time).
     pub busy_nanos: u64,
 }
 
 impl PoolMetrics {
-    /// Wall-clock time workers spent executing tasks, summed over workers.
+    /// Wall-clock time the draining threads spent claiming and running
+    /// clusters, summed over threads.
     pub fn busy(&self) -> std::time::Duration {
         std::time::Duration::from_nanos(self.busy_nanos)
     }

@@ -3,13 +3,13 @@
 use crate::builder::{ShardSpec, StoreRuntime};
 use crate::map::{fnv1a, ShardMap};
 use crate::metrics::{PoolMetrics, ShardMetrics, StoreMetrics, StoreTotals};
-use crate::pool::{Task, WorkerPool};
 use soda_consistency::{KeyViolation, KeyedHistory, KeyedOp};
 use soda_registry::{OpKind, OpRecord, RegisterCluster, Value};
 use soda_simnet::{ProcessId, SimTime};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
+use std::time::{Duration, Instant};
 
 /// Why the store refused a runtime fault-injection request.
 ///
@@ -100,21 +100,20 @@ fn hardware_parallelism() -> usize {
     })
 }
 
-/// The worker pool `runtime` needs, or `None` where the serial loop is the
-/// backend: always for [`StoreRuntime::Simulation`], and for the pool
-/// runtimes when the worker count resolves to one (`workers: 0` and
-/// [`StoreRuntime::Threaded`] on a single-hardware-thread host, where
-/// threads buy no parallelism). An *explicit* worker count is honored even
-/// on a single core, so tests can exercise the pool machinery on any host.
-fn pool_for(runtime: StoreRuntime) -> Option<WorkerPool> {
-    let workers = match runtime {
+/// The threads that drain the store under `runtime`, the calling thread
+/// included: 1 for [`StoreRuntime::Simulation`], one per hardware thread for
+/// [`StoreRuntime::Threaded`] and `WorkStealing { workers: 0 }` (so 1 on a
+/// single-hardware-thread host, where threads buy no parallelism), and an
+/// explicit count as given even on a single core, so tests can exercise
+/// parallel drains on any host.
+fn workers_for(runtime: StoreRuntime) -> usize {
+    match runtime {
         StoreRuntime::Simulation => 1,
         StoreRuntime::Threaded | StoreRuntime::WorkStealing { workers: 0 } => {
             hardware_parallelism()
         }
         StoreRuntime::WorkStealing { workers } => workers,
-    };
-    (workers > 1).then(|| WorkerPool::new(workers))
+    }
 }
 
 /// Handle for one asynchronously-invoked store operation. Obtained from
@@ -277,16 +276,6 @@ impl KeyCluster {
     }
 }
 
-/// What one pool task sends back to the draining thread: the key cluster it
-/// ran, addressed by its original `(shard, cluster-index)` slot so
-/// reinstallation is order-exact.
-struct DrainedCluster {
-    shard: usize,
-    index: usize,
-    cluster: KeyCluster,
-    hit_cap: bool,
-}
-
 /// One shard: a fleet of per-key register clusters sharing a [`ShardSpec`]
 /// (protocol, `n`/`f`, fault plan and client-handle shape).
 struct Shard {
@@ -349,14 +338,19 @@ impl Shard {
         &mut self.clusters[idx]
     }
 
-    /// Runs every cluster of the shard to quiescence. Returns true if any
-    /// simulation hit its event cap.
-    fn run_to_quiescence(&mut self) -> bool {
-        let mut hit_cap = false;
-        for kc in &mut self.clusters {
-            hit_cap |= kc.cluster.run_to_quiescence().hit_event_cap;
+    /// Marks `rank` downed and crashes it in every cluster of the shard.
+    /// Crashing a rank that was mid-repair kills its replacement; either way
+    /// the rank is now plain dead. Returns false, changing nothing, if the
+    /// rank was already down.
+    fn crash(&mut self, rank: usize) -> bool {
+        if !self.downed.insert(rank) {
+            return false;
         }
-        hit_cap
+        self.repairing.remove(&rank);
+        for kc in &mut self.clusters {
+            kc.cluster.crash_server_at(kc.cluster.now(), rank);
+        }
+        true
     }
 }
 
@@ -370,10 +364,12 @@ pub struct ShardedStore {
     shards: Vec<Shard>,
     seed: u64,
     runtime: StoreRuntime,
-    /// The persistent worker pool behind the pool runtimes, created once
-    /// at build time (`None` when the serial loop is the backend — see
-    /// [`pool_for`]).
-    pool: Option<WorkerPool>,
+    /// Threads per drain, the calling thread included; see [`workers_for`].
+    workers: usize,
+    /// Clusters run, summed over drains.
+    clusters_run: u64,
+    /// Time the draining threads spent in their claim loops, summed.
+    busy: Duration,
     /// One slot per ticket issued, filled when the ticket settles. Ticket
     /// ids are dense (1, 2, 3, …), so ticket `id` lives at index `id - 1`.
     outcomes: Vec<Option<OpOutcome>>,
@@ -413,13 +409,14 @@ impl ShardedStore {
                 settled: StoreTotals::default(),
             })
             .collect();
-        let pool = pool_for(runtime);
         ShardedStore {
             map,
             shards,
             seed,
             runtime,
-            pool,
+            workers: workers_for(runtime),
+            clusters_run: 0,
+            busy: Duration::ZERO,
             outcomes: Vec::new(),
             scratch: Vec::new(),
         }
@@ -440,20 +437,24 @@ impl ShardedStore {
         self.shards.iter().map(|s| s.clusters.len()).collect()
     }
 
-    /// Scheduling counters of the persistent worker pool: tasks executed,
-    /// steals, and summed worker busy-time. `None` when the store runs the
-    /// serial loop ([`StoreRuntime::Simulation`], or the automatic worker
-    /// count on a single-hardware-thread host). Unlike [`Self::metrics`],
-    /// steal and busy-time counts are wall-clock artifacts and vary run to
-    /// run; histories never do.
+    /// Scheduling counters of the parallel drains: clusters run and summed
+    /// thread busy-time. `None` when one thread drains the store
+    /// ([`StoreRuntime::Simulation`], or the automatic worker count on a
+    /// single-hardware-thread host). Unlike [`Self::metrics`], busy time is
+    /// a wall-clock artifact and varies run to run; histories never do.
     pub fn pool_metrics(&self) -> Option<PoolMetrics> {
-        self.pool.as_ref().map(WorkerPool::metrics)
+        (self.workers > 1).then_some(PoolMetrics {
+            workers: self.workers,
+            tasks_executed: self.clusters_run,
+            steals: 0,
+            busy_nanos: self.busy.as_nanos() as u64,
+        })
     }
 
-    /// Worker threads driving the store: the pool size, or 1 on the serial
-    /// loop.
+    /// Threads draining the store, the calling thread included: 1 under
+    /// [`StoreRuntime::Simulation`].
     pub fn pool_workers(&self) -> usize {
-        self.pool.as_ref().map_or(1, WorkerPool::num_workers)
+        self.workers
     }
 
     fn issue_ticket(&mut self) -> Ticket {
@@ -553,29 +554,24 @@ impl ShardedStore {
     }
 
     /// Drives every shard until no messages remain anywhere, then settles
-    /// tickets. With [`StoreRuntime::Simulation`] shards run serially in
-    /// shard order; on the pool runtimes each **key cluster** is its own task
-    /// on the store's persistent worker pool. Every runtime produces
-    /// bit-identical histories: clusters are self-contained deterministic
-    /// simulations, and tickets and repairs are settled on the calling thread
-    /// in `(shard, cluster-index)` order after the drain, whatever order the
-    /// workers finished in. At the automatic worker count the pool degrades
-    /// to the serial loop on single-hardware-thread hosts, where extra
-    /// threads buy no parallelism and cost real time.
+    /// tickets. [`Self::pool_workers`] threads drain the store together, each
+    /// claiming the next key cluster and running it to quiescence; under
+    /// [`StoreRuntime::Simulation`] that is one thread, the caller, going
+    /// through the clusters in `(shard, cluster-index)` order. Every runtime
+    /// produces bit-identical histories: clusters are self-contained
+    /// deterministic simulations, and tickets and repairs are settled on the
+    /// calling thread in `(shard, cluster-index)` order after the drain,
+    /// whatever order the threads ran the clusters in.
     ///
     /// A shard whose clusters cannot make progress (e.g. a majority of its
     /// servers crashed) still quiesces — its operations simply stay pending —
     /// so a dead shard never blocks the others.
+    ///
+    /// # Panics
+    /// Re-raises the panic of a cluster simulation, once every thread of
+    /// the drain has stopped.
     pub fn run_until_quiescent(&mut self) -> StoreRunOutcome {
-        let hit_event_cap = if self.pool.is_some() {
-            self.drain_on_pool()
-        } else {
-            let mut hit = false;
-            for shard in &mut self.shards {
-                hit |= shard.run_to_quiescence();
-            }
-            hit
-        };
+        let hit_event_cap = self.drain();
         let scratch = &mut self.scratch;
         for shard in &mut self.shards {
             for kc in &mut shard.clusters {
@@ -616,11 +612,7 @@ impl ShardedStore {
                     shard.repairing.remove(&rank);
                 }
                 for rank in failed {
-                    shard.repairing.remove(&rank);
-                    shard.downed.insert(rank);
-                    for kc in &mut shard.clusters {
-                        kc.cluster.crash_server_at(kc.cluster.now(), rank);
-                    }
+                    shard.crash(rank);
                 }
             }
         }
@@ -632,68 +624,42 @@ impl ShardedStore {
         }
     }
 
-    /// Drains every shard on the persistent worker pool: key clusters are
-    /// moved out of their shards (the only mutable state a task touches),
-    /// scheduled one task per cluster, and reinstalled at their original
-    /// `(shard, cluster-index)` slots once every task has reported back — so
-    /// everything after the drain observes the same deterministic order the
-    /// serial loop produces, whatever order the workers finished in.
-    ///
-    /// # Panics
-    /// Panics if a worker task panicked (the underlying cluster simulation
-    /// raised; its state is lost, so the store cannot continue).
-    fn drain_on_pool(&mut self) -> bool {
-        let pool = self.pool.as_ref().expect("pool drain without a pool");
-        let (tx, rx) = std::sync::mpsc::channel::<DrainedCluster>();
-        let mut tasks: Vec<Task> = Vec::new();
-        let mut staging: Vec<Vec<Option<KeyCluster>>> = Vec::with_capacity(self.shards.len());
-        for shard in &mut self.shards {
-            let clusters = std::mem::take(&mut shard.clusters);
-            staging.push((0..clusters.len()).map(|_| None).collect());
-            let shard_index = shard.index;
-            for (index, mut kc) in clusters.into_iter().enumerate() {
-                let tx = tx.clone();
-                tasks.push(Box::new(move || {
-                    let hit_cap = kc.cluster.run_to_quiescence().hit_event_cap;
-                    let _ = tx.send(DrainedCluster {
-                        shard: shard_index,
-                        index,
-                        cluster: kc,
-                        hit_cap,
-                    });
-                }));
+    /// Runs every key cluster to quiescence on [`Self::pool_workers`]
+    /// threads: the calling thread and `workers − 1` scoped ones, each
+    /// claiming the next cluster from one shared cursor until none is left.
+    /// A claimed cluster belongs to its thread alone while it runs, and the
+    /// cursor's lock is released before the run, so a panicking simulation
+    /// never poisons it. Returns true if any simulation hit its event cap.
+    fn drain(&mut self) -> bool {
+        let cursor = Mutex::new(self.shards.iter_mut().flat_map(|shard| &mut shard.clusters));
+        let claim_loop = || {
+            let started = Instant::now();
+            let (mut ran, mut hit_cap) = (0, false);
+            loop {
+                let claimed = cursor.lock().unwrap_or_else(PoisonError::into_inner).next();
+                let Some(kc) = claimed else { break };
+                hit_cap |= kc.cluster.run_to_quiescence().hit_event_cap;
+                ran += 1;
             }
-        }
-        drop(tx);
-        let expected = tasks.len();
-        pool.submit(tasks);
-        let mut hit_event_cap = false;
-        let mut collected = 0;
-        // Results arrive in completion order; the staging slots restore
-        // cluster order. The channel disconnects once every task has
-        // reported or died.
-        for drained in rx {
-            collected += 1;
-            hit_event_cap |= drained.hit_cap;
-            staging[drained.shard][drained.index] = Some(drained.cluster);
-        }
-        // The barrier: a task's sender drops before its worker has counted
-        // it, so only now are the pool's counters settled for this drain.
-        pool.wait_idle();
-        assert!(
-            collected == expected,
-            "a store worker task panicked while draining \
-             ({collected} of {expected} results collected, \
-             {} panics observed pool-lifetime)",
-            pool.panics()
-        );
-        for (shard, slots) in self.shards.iter_mut().zip(staging) {
-            shard.clusters = slots
+            (ran, hit_cap, started.elapsed())
+        };
+        let (ran, hit_cap, busy) = std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..self.workers).map(|_| scope.spawn(claim_loop)).collect();
+            let own = claim_loop();
+            helpers
                 .into_iter()
-                .map(|slot| slot.expect("every drained cluster reports back exactly once"))
-                .collect();
-        }
-        hit_event_cap
+                .map(|helper| {
+                    helper
+                        .join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                })
+                .fold(own, |(ran, hit_cap, busy), (r, h, b)| {
+                    (ran + r, hit_cap | h, busy + b)
+                })
+        });
+        self.clusters_run += ran;
+        self.busy += busy;
+        hit_cap
     }
 
     /// Crashes server ranks `0..count` in every cluster of `shard`, existing
@@ -743,14 +709,7 @@ impl ShardedStore {
             });
         }
         for rank in ranks {
-            if s.downed.insert(rank) {
-                // Crashing a server that was mid-repair kills its replacement;
-                // either way the rank is now plain dead.
-                s.repairing.remove(&rank);
-                for kc in &mut s.clusters {
-                    kc.cluster.crash_server_at(kc.cluster.now(), rank);
-                }
-            }
+            s.crash(rank);
         }
         Ok(())
     }
@@ -768,12 +727,7 @@ impl ShardedStore {
         assert!(shard < self.shards.len(), "shard {shard} out of range");
         let s = &mut self.shards[shard];
         for rank in 0..count.min(s.spec.n) {
-            if s.downed.insert(rank) {
-                s.repairing.remove(&rank);
-                for kc in &mut s.clusters {
-                    kc.cluster.crash_server_at(kc.cluster.now(), rank);
-                }
-            }
+            s.crash(rank);
         }
     }
 

@@ -78,8 +78,8 @@ fn threaded_and_simulated_runs_agree_exactly() {
     // Shards are driven by self-contained deterministic simulations, so the
     // parallel runtimes must reproduce the serial backend's histories bit
     // for bit — worker threads only change wall-clock, never outcomes. The
-    // explicit work-stealing worker count keeps the pool machinery exercised
-    // even on single-core hosts.
+    // explicit worker count keeps parallel drains exercised even on
+    // single-core hosts.
     let mut results = Vec::new();
     for runtime in [
         StoreRuntime::Simulation,

@@ -1,5 +1,6 @@
-//! Runtime-conformance suite for the work-stealing pool: the scheduling
-//! backend must be invisible in every observable outcome. The acceptance
+//! Runtime-conformance suite for parallel drains (threads claiming key
+//! clusters from one shared cursor): how many threads drain the store must
+//! be invisible in every observable outcome. The acceptance
 //! scenario is an 8-shard mixed-protocol store under adversarial network
 //! faults with crash → repair chains running *while* writes are in flight —
 //! the full fault surface — and the assertion is not a digest but the whole
@@ -70,9 +71,9 @@ fn chaos_histories_and_metrics_are_bit_identical_across_all_runtimes() {
     let runtimes = [
         StoreRuntime::Simulation,
         StoreRuntime::Threaded,
-        // An explicit worker count keeps the pool machinery (deques,
-        // stealing, cluster ownership transfer) exercised even when the
-        // test host has a single hardware thread.
+        // An explicit worker count keeps parallel drains (several threads
+        // claiming clusters from one cursor) exercised even when the test
+        // host has a single hardware thread.
         StoreRuntime::WorkStealing { workers: 4 },
     ];
     let stores: Vec<ShardedStore> = runtimes
@@ -121,76 +122,94 @@ fn chaos_histories_and_metrics_are_bit_identical_across_all_runtimes() {
         );
     }
 
-    // The scheduling counters, by contrast, tell the three backends apart:
-    // no pool under Simulation, a live one under the parallel runtimes.
+    // The scheduling counters, by contrast, tell the backends apart: none
+    // under Simulation, live ones under the parallel runtimes. All 32 keys
+    // exist from the first of the three drains, and each drain runs each
+    // cluster once.
     assert!(stores[0].pool_metrics().is_none());
     assert_eq!(stores[0].pool_workers(), 1);
     let ws = stores[2]
         .pool_metrics()
-        .expect("WorkStealing with explicit workers always builds a pool");
+        .expect("an explicit worker count above one always drains in parallel");
     assert_eq!(ws.workers, 4);
     assert_eq!(stores[2].pool_workers(), 4);
-    assert!(
-        ws.tasks_executed > 0,
-        "the pool must have run the cluster tasks"
-    );
+    assert_eq!(ws.tasks_executed, 3 * 32);
+    assert_eq!(ws.steals, 0);
+}
+
+/// A 1-shard SODA store driven through two put + multi-get rounds over
+/// `keys` keys. Also returns the clusters the drains had to run: the sum,
+/// over drains, of the clusters that existed at each.
+fn drive_hot_shard(runtime: StoreRuntime, keys: usize) -> (ShardedStore, u64) {
+    let keys: Vec<Vec<u8>> = (0..keys).map(|i| format!("hot/{i}").into_bytes()).collect();
+    let mut store = StoreBuilder::new(1, ProtocolKind::Soda, 5, 2)
+        .with_seed(7)
+        .with_runtime(runtime)
+        .build()
+        .unwrap();
+    let mut clusters = 0;
+    for round in 0..2 {
+        store.put_batch(
+            keys.iter()
+                .map(|k| (k.clone(), format!("v{round}").into_bytes())),
+        );
+        store.multi_get(keys.iter().cloned());
+        clusters += store.keys_per_shard().iter().sum::<usize>() as u64;
+        let outcome = store.run_until_quiescent();
+        assert_eq!(outcome.pending_tickets, 0);
+    }
+    store.check_per_key_atomicity().unwrap();
+    (store, clusters)
 }
 
 #[test]
 fn a_single_hot_shard_fans_out_one_task_per_key_cluster() {
-    // Every pool runtime schedules one task per key cluster per drain, so
-    // even a 1-shard store spreads its hot keys over every worker.
-    // `Threaded` is the automatic-worker pool under another name.
-    let keys: Vec<Vec<u8>> = (0..48).map(|i| format!("hot/{i}").into_bytes()).collect();
-
-    let mut results = Vec::new();
-    let mut pool_tasks = Vec::new();
-    let mut pool_workers = Vec::new();
-    for runtime in [
+    // Every parallel runtime runs each key cluster once per drain, so even a
+    // 1-shard store spreads its hot keys over every thread. `Threaded` is
+    // the automatic worker count under another name. Three keys under eight
+    // threads, and no key at all, leave threads that find the cursor empty
+    // and return at once.
+    let runtimes = [
         StoreRuntime::Simulation,
         StoreRuntime::WorkStealing { workers: 3 },
+        StoreRuntime::WorkStealing { workers: 8 },
         StoreRuntime::Threaded,
         StoreRuntime::WorkStealing { workers: 0 },
-    ] {
-        let mut store = StoreBuilder::new(1, ProtocolKind::Soda, 5, 2)
-            .with_seed(7)
-            .with_runtime(runtime)
-            .build()
-            .unwrap();
-        for round in 0..2 {
-            store.put_batch(
-                keys.iter()
-                    .map(|k| (k.clone(), format!("v{round}").into_bytes())),
-            );
-            store.multi_get(keys.iter().cloned());
-            store.run_until_quiescent();
+        StoreRuntime::WorkStealing { workers: 1 },
+    ];
+    for keys in [48, 3, 0] {
+        let runs: Vec<(ShardedStore, u64)> = runtimes
+            .iter()
+            .map(|&runtime| drive_hot_shard(runtime, keys))
+            .collect();
+        let (serial, clusters) = &runs[0];
+        assert_eq!(*clusters, 2 * keys as u64);
+        assert_eq!(serial.keyed_history().len(), 4 * keys);
+        for (store, _) in &runs[1..] {
+            assert_eq!(serial.keyed_history(), store.keyed_history(), "{keys} keys");
         }
-        store.check_per_key_atomicity().unwrap();
-        results.push(store.keyed_history());
-        pool_tasks.push(store.pool_metrics().map_or(0, |m| m.tasks_executed));
-        pool_workers.push(store.pool_workers());
-    }
 
-    for history in &results[1..] {
-        assert_eq!(&results[0], history);
-    }
-    // Each of the two drains dispatches every active cluster as its own
-    // task, so the counter must reach well past the key count.
-    assert!(
-        pool_tasks[1] >= keys.len() as u64,
-        "expected at least {} cluster tasks, saw {}",
-        keys.len(),
-        pool_tasks[1]
-    );
-    // `Threaded` sizes its pool like `workers: 0` and, wherever that is a
-    // pool (more than one hardware thread), runs the same per-cluster tasks.
-    assert_eq!(pool_workers[2], pool_workers[3]);
-    if pool_workers[2] > 1 {
-        assert!(
-            pool_tasks[2] >= keys.len() as u64,
-            "expected at least {} cluster tasks under Threaded, saw {}",
-            keys.len(),
-            pool_tasks[2]
-        );
+        for (store, workers) in [(&runs[1].0, 3), (&runs[2].0, 8)] {
+            let metrics = store.pool_metrics().expect("explicit workers drain");
+            assert_eq!(
+                (metrics.workers, metrics.tasks_executed, metrics.steals),
+                (workers, *clusters, 0),
+                "{keys} keys: every cluster runs once per drain, and one \
+                 shared cursor leaves nothing to steal"
+            );
+        }
+
+        // `Threaded` sizes its drains like `workers: 0` and, wherever that
+        // is more than one thread, runs the same clusters.
+        let (threaded, auto) = (&runs[3].0, &runs[4].0);
+        assert_eq!(threaded.pool_workers(), auto.pool_workers());
+        if let Some(metrics) = threaded.pool_metrics() {
+            assert_eq!(metrics.tasks_executed, *clusters);
+        }
+
+        // One explicit worker is the calling thread alone, like Simulation.
+        let one = &runs[5].0;
+        assert_eq!(one.pool_metrics(), None);
+        assert_eq!(one.pool_workers(), 1);
     }
 }

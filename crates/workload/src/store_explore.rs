@@ -86,8 +86,9 @@ pub struct StoreExploreConfig {
     /// Store runtime every scenario is driven under. Defaults to
     /// [`StoreRuntime::Simulation`]; campaigns are bit-identical across
     /// runtimes (that is itself a checked property), so switching this to
-    /// [`StoreRuntime::WorkStealing`] fuzzes the pool's scheduling machinery
-    /// without changing which histories get explored.
+    /// [`StoreRuntime::WorkStealing`] runs every drain on several threads
+    /// claiming clusters from one cursor, without changing which histories
+    /// get explored.
     pub runtime: StoreRuntime,
 }
 

@@ -102,8 +102,8 @@ fn store_campaigns_are_deterministic_per_seed_range() {
 #[test]
 fn work_stealing_campaigns_match_the_simulation_digest() {
     // The runtime knob must not change *what* gets explored — only how the
-    // shard work is scheduled. The explicit worker count exercises the pool
-    // even on single-core hosts.
+    // shard work is scheduled. The explicit worker count runs parallel
+    // drains even on single-core hosts.
     let serial = StoreExploreConfig::mixed(4);
     let pooled = StoreExploreConfig {
         runtime: StoreRuntime::WorkStealing { workers: 3 },
@@ -225,9 +225,9 @@ fn store_repair_fuzz_smoke() {
 
 /// The work-stealing store fuzz-smoke CI runs nightly: the full mixed-fleet
 /// campaign (crashes, repairs, partition windows, the standard adversary)
-/// driven entirely under [`StoreRuntime::WorkStealing`], so the pool's
-/// cluster-granular scheduling soaks against the same schedule space the
-/// serial smokes cover — and the campaign digest must match a serial rerun
+/// driven entirely under [`StoreRuntime::WorkStealing`], so parallel drains
+/// (threads claiming key clusters from one cursor) soak against the same
+/// schedule space the serial smokes cover — and the campaign digest must match a serial rerun
 /// bit for bit. Ignored in tier-1; scale with `EXPLORE_SCHEDULES`.
 #[test]
 #[ignore = "nightly fuzz-smoke budget; run with --ignored (EXPLORE_SCHEDULES to scale)"]
