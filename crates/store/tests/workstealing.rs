@@ -213,3 +213,44 @@ fn a_single_hot_shard_fans_out_one_task_per_key_cluster() {
         assert_eq!(one.pool_workers(), 1);
     }
 }
+
+#[test]
+fn a_parallel_drain_runs_every_key_cluster_exactly_once() {
+    // 64 keys over 2 shards, one put each, drained by 3 threads: every
+    // cluster is claimed once, so the drain counts 64 clusters and every
+    // ticket completes with its own key's value.
+    let mut store = StoreBuilder::new(2, ProtocolKind::Abd, 3, 1)
+        .with_seed(5)
+        .with_runtime(StoreRuntime::WorkStealing { workers: 3 })
+        .build()
+        .unwrap();
+    let keys: Vec<Vec<u8>> = (0..64).map(|i| format!("once/{i}").into_bytes()).collect();
+    let tickets = store.put_batch(keys.iter().map(|k| (k.clone(), k.clone())));
+    let outcome = store.run_until_quiescent();
+    assert_eq!(outcome.pending_tickets, 0);
+
+    for (key, ticket) in keys.iter().zip(tickets) {
+        let op = store.outcome(ticket).expect("every put completes");
+        assert_eq!(&*op.key, key.as_slice());
+        assert_eq!(op.value.as_deref(), Some(key.as_slice()));
+    }
+    assert_eq!(store.keyed_history().len(), 64);
+    let metrics = store.pool_metrics().expect("three workers drain in parallel");
+    assert_eq!((metrics.workers, metrics.tasks_executed), (3, 64));
+}
+
+#[test]
+fn a_drain_of_an_empty_store_returns_at_once() {
+    // With no key there is no cluster to claim: every thread finds the
+    // cursor empty, and repeated drains run nothing.
+    let mut store = StoreBuilder::new(2, ProtocolKind::Soda, 5, 2)
+        .with_runtime(StoreRuntime::WorkStealing { workers: 2 })
+        .build()
+        .unwrap();
+    for _ in 0..2 {
+        let outcome = store.run_until_quiescent();
+        assert_eq!((outcome.completed_tickets, outcome.pending_tickets), (0, 0));
+        assert!(!outcome.hit_event_cap);
+    }
+    assert_eq!(store.pool_metrics().map(|m| m.tasks_executed), Some(0));
+}
