@@ -13,8 +13,8 @@
 //! cost `n`.
 
 use soda_protocol::{
-    value_from, Invocation, Layout, OpKind, OpQueue, ProtocolSpec, QuorumTracker, RepairDriver,
-    RepairStatus, Tag, Value,
+    value_from, Invocation, Layout, OpKind, OpQueue, PhaseDriver, ProtocolSpec, RepairDriver,
+    RepairStatus, Reply, Tag, Value,
 };
 use soda_simnet::{Context, Message, Process, ProcessId, ProcessStats, Simulation};
 
@@ -71,11 +71,45 @@ impl Message for AbdMsg {
     }
 }
 
+/// The phases of an ABD operation. A replacement server's repair runs the
+/// query phase.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum AbdPhase {
+    Query,
+    Store,
+}
+
+impl AbdPhase {
+    /// The replies `self` waits for: ABD's thresholds, written once. Every
+    /// phase waits for a majority, unless a test overrides it (see
+    /// [`AbdClient::with_quorum`]); a repair passes no override.
+    fn needed(self, layout: &Layout, quorum_override: Option<usize>) -> usize {
+        match self {
+            AbdPhase::Query | AbdPhase::Store => {
+                quorum_override.unwrap_or_else(|| layout.majority())
+            }
+        }
+    }
+}
+
+/// The highest query reply so far, with its responder: the highest tag, and
+/// of equal tags the highest responder id, so the pick does not depend on
+/// the order the replies arrived in.
+type MaxReply<V> = Option<(Tag, ProcessId, V)>;
+
+/// Folds a query reply from `from` into `max`.
+fn fold_max<V>(max: &mut MaxReply<V>, tag: Tag, from: ProcessId, value: V) {
+    if max.as_ref().is_none_or(|&(t, p, _)| (tag, from) > (t, p)) {
+        *max = Some((tag, from, value));
+    }
+}
+
 /// In-flight state re-acquisition of a replacement ABD server.
 struct AbdRepair {
     layout: Layout,
     seq: u64,
-    tracker: QuorumTracker<(Tag, Value)>,
+    phase: PhaseDriver<AbdPhase>,
+    max: MaxReply<Value>,
     driver: RepairDriver,
 }
 
@@ -109,14 +143,17 @@ impl AbdServer {
     /// acknowledges stores — a stored pair is durable from that moment on.
     /// `epoch` distinguishes successive incarnations of the same rank.
     pub fn replacement(layout: Layout, epoch: u64) -> Self {
-        let majority = layout.majority();
+        let mut phase = PhaseDriver::default();
+        let needed = AbdPhase::Query.needed(&layout, None);
+        phase.begin(AbdPhase::Query, epoch, needed);
         AbdServer {
             tag: Tag::INITIAL,
             value: value_from(Vec::new()),
             repair: Some(AbdRepair {
                 layout,
                 seq: epoch,
-                tracker: QuorumTracker::new(majority),
+                phase,
+                max: None,
                 driver: RepairDriver::default(),
             }),
         }
@@ -159,8 +196,8 @@ impl Process<AbdMsg> for AbdServer {
 
     fn on_timer(&mut self, token: u64, ctx: &mut Context<'_, AbdMsg>) {
         if let Some(repair) = self.repair.as_mut() {
-            // Duplicate queries are idempotent: the quorum tracker records
-            // each responder once.
+            // Duplicate queries are idempotent: the phase driver counts each
+            // responder once.
             let (layout, seq) = (&repair.layout, repair.seq);
             repair.driver.on_timer(token, ctx, |ctx| {
                 let query = AbdMsg::Query {
@@ -204,20 +241,19 @@ impl Process<AbdMsg> for AbdServer {
                 let Some(repair) = self.repair.as_mut() else {
                     return;
                 };
-                if !repair.driver.in_progress() || seq != repair.seq {
+                if !repair.driver.in_progress() || !repair.phase.is_running(AbdPhase::Query, seq) {
                     return;
                 }
                 repair.driver.add_traffic(value.len());
-                repair.tracker.record(from, (tag, value));
-                if !repair.tracker.is_complete() {
+                let reply = repair.phase.record(AbdPhase::Query, seq, from);
+                if reply != Reply::Ignored {
+                    fold_max(&mut repair.max, tag, from, value);
+                }
+                if reply != Reply::Completed {
                     return;
                 }
-                let (max_tag, max_value) = repair
-                    .tracker
-                    .responses()
-                    .max_by_key(|(_, (tag, _))| *tag)
-                    .map(|(_, (tag, value))| (*tag, value.clone()))
-                    .expect("a complete quorum is non-empty");
+                let (max_tag, _, max_value) =
+                    repair.max.take().expect("a complete quorum is non-empty");
                 repair.driver.finish(ctx.now());
                 // Monotone adoption: a concurrent write's store may already
                 // have installed a newer pair.
@@ -238,43 +274,34 @@ impl Process<AbdMsg> for AbdServer {
     }
 }
 
-/// Phase of an in-flight ABD client operation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum AbdPhase {
-    Idle,
-    Query,
-    Store,
-}
-
 /// An ABD client: performs both writes and reads (the two differ only in how
 /// the phase-2 tag/value are chosen and in what is recorded on completion).
 pub struct AbdClient {
     layout: Layout,
     self_id: ProcessId,
-    /// Responses each phase waits for. Always `layout.majority()` in correct
-    /// deployments; see [`AbdClient::with_quorum`].
-    quorum: usize,
-    phase: AbdPhase,
+    /// Responses each phase waits for instead of a majority; `None` in
+    /// correct deployments, see [`AbdClient::with_quorum`].
+    quorum_override: Option<usize>,
     ops: OpQueue,
+    phase: PhaseDriver<AbdPhase>,
+    /// The highest `(tag, value)` the query phase has heard so far; taken
+    /// when the store phase begins.
+    max: MaxReply<Option<Value>>,
     /// The value a read writes back in its store phase, and returns.
     read_value: Option<Value>,
-    query_tracker: QuorumTracker<(Tag, Option<Value>)>,
-    ack_tracker: QuorumTracker<()>,
 }
 
 impl AbdClient {
     /// Creates a client for the given layout.
     pub fn new(layout: Layout, self_id: ProcessId) -> Self {
-        let majority = layout.majority();
         AbdClient {
             layout,
             self_id,
-            quorum: majority,
-            phase: AbdPhase::Idle,
+            quorum_override: None,
             ops: OpQueue::new(self_id),
+            phase: PhaseDriver::default(),
+            max: None,
             read_value: None,
-            query_tracker: QuorumTracker::new(majority),
-            ack_tracker: QuorumTracker::new(majority),
         }
     }
 
@@ -284,7 +311,7 @@ impl AbdClient {
     /// uses this deliberately broken configuration to verify that the
     /// atomicity checker catches non-atomic executions.
     pub fn with_quorum(mut self, quorum: usize) -> Self {
-        self.quorum = quorum.clamp(1, self.layout.n());
+        self.quorum_override = Some(quorum.clamp(1, self.layout.n()));
         self
     }
 
@@ -298,24 +325,25 @@ impl AbdClient {
         let Some((seq, kind)) = self.ops.start_next(ctx.now()) else {
             return;
         };
-        self.phase = AbdPhase::Query;
-        self.query_tracker = QuorumTracker::new(self.quorum);
-        for &server in self.layout.servers() {
-            let query = AbdMsg::Query {
-                seq,
-                with_value: kind.is_read(),
-            };
-            ctx.send(server, query);
-        }
+        self.begin(AbdPhase::Query);
+        let query = AbdMsg::Query {
+            seq,
+            with_value: kind.is_read(),
+        };
+        ctx.send_all(self.layout.servers().iter().copied(), query);
+    }
+
+    /// Starts `phase` of the operation in flight.
+    fn begin(&mut self, phase: AbdPhase) {
+        let needed = phase.needed(&self.layout, self.quorum_override);
+        self.phase.begin(phase, self.ops.seq(), needed);
     }
 
     fn begin_store(&mut self, ctx: &mut Context<'_, AbdMsg>) {
         let (max_tag, max_value) = self
-            .query_tracker
-            .responses()
-            .max_by_key(|(_, (tag, _))| *tag)
-            .map(|(_, (tag, value))| (*tag, value.clone()))
-            .unwrap_or((Tag::INITIAL, None));
+            .max
+            .take()
+            .map_or((Tag::INITIAL, None), |(tag, _, value)| (tag, value));
         let (tag, value) = match self.ops.value() {
             Some(written) => (max_tag.next(self.self_id), written.clone()),
             None => {
@@ -325,24 +353,19 @@ impl AbdClient {
             }
         };
         self.ops.set_tag(tag);
-        self.phase = AbdPhase::Store;
-        self.ack_tracker = QuorumTracker::new(self.quorum);
-        for &server in self.layout.servers() {
-            ctx.send(
-                server,
-                AbdMsg::Store {
-                    seq: self.ops.seq(),
-                    tag,
-                    value: value.clone(),
-                },
-            );
-        }
+        self.begin(AbdPhase::Store);
+        let store = AbdMsg::Store {
+            seq: self.ops.seq(),
+            tag,
+            value,
+        };
+        ctx.send_all(self.layout.servers().iter().copied(), store);
     }
 
     fn complete(&mut self, ctx: &mut Context<'_, AbdMsg>) {
         let tag = self.ops.tag().expect("store tag set");
         self.ops.complete(ctx.now(), tag, self.read_value.take());
-        self.phase = AbdPhase::Idle;
+        self.phase.end();
         self.start_next(ctx);
     }
 }
@@ -358,19 +381,19 @@ impl Process<AbdMsg> for AbdClient {
                 self.ops.push(Invocation::Read);
                 self.start_next(ctx);
             }
-            AbdMsg::QueryResp { seq, tag, value }
-                if self.phase == AbdPhase::Query && seq == self.ops.seq() =>
-            {
-                self.query_tracker.record(from, (tag, value));
-                if self.query_tracker.is_complete() {
+            AbdMsg::QueryResp { seq, tag, value } => {
+                let reply = self.phase.record(AbdPhase::Query, seq, from);
+                if reply != Reply::Ignored {
+                    fold_max(&mut self.max, tag, from, value);
+                }
+                if reply == Reply::Completed {
                     self.begin_store(ctx);
                 }
             }
-            AbdMsg::StoreAck { seq } if self.phase == AbdPhase::Store && seq == self.ops.seq() => {
-                self.ack_tracker.record(from, ());
-                if self.ack_tracker.is_complete() {
-                    self.complete(ctx);
-                }
+            AbdMsg::StoreAck { seq }
+                if self.phase.record(AbdPhase::Store, seq, from) == Reply::Completed =>
+            {
+                self.complete(ctx)
             }
             _ => {}
         }
@@ -451,6 +474,50 @@ mod tests {
 
     fn t(ticks: u64) -> SimTime {
         SimTime::from_ticks(ticks)
+    }
+
+    #[test]
+    fn a_client_waits_for_its_threshold_and_ties_go_to_the_highest_responder() {
+        let me = ProcessId(7);
+        let layout = Layout::new((0..5u32).map(ProcessId).collect(), 2);
+        let tag = Tag::new(2, ProcessId(9));
+        // A majority of five, then the test-only override, clamped to 1..=n.
+        for (quorum, needed) in [(None, 3), (Some(1), 1), (Some(9), 5)] {
+            let mut c = AbdClient::new(layout.clone(), me);
+            if let Some(quorum) = quorum {
+                c = c.with_quorum(quorum);
+            }
+            deliver(&mut c, me, t(1), ProcessId::ENV, AbdMsg::InvokeRead);
+            // One tag from every server, each with its own value; the
+            // highest responder of the first `needed` is not the last.
+            let order = [3u32, 4, 2, 1, 0];
+            let mut step = None;
+            for &server in &order[..needed] {
+                let value = Some(value_from(vec![server as u8]));
+                let resp = AbdMsg::QueryResp { seq: 1, tag, value };
+                step = Some(deliver(&mut c, me, t(2), ProcessId(server), resp));
+            }
+            let stores = step.unwrap().sends;
+            assert_eq!(stores.len(), 5, "quorum {quorum:?}: the store phase began");
+            let picked = order[..needed].iter().max().unwrap();
+            assert!(stores.iter().all(|(_, m)| matches!(
+                m,
+                AbdMsg::Store { value, .. } if value[..] == [*picked as u8]
+            )));
+            for server in 0..needed as u32 {
+                assert!(c.ops().completed().is_empty(), "quorum {quorum:?}");
+                deliver(&mut c, me, t(3), ProcessId(0), AbdMsg::StoreAck { seq: 1 });
+                deliver(
+                    &mut c,
+                    me,
+                    t(3),
+                    ProcessId(server),
+                    AbdMsg::StoreAck { seq: 1 },
+                );
+            }
+            let read = &c.ops().completed()[0];
+            assert_eq!(read.value.as_deref(), Some([*picked as u8].as_slice()));
+        }
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //! per-read cost is compared against in Table I and Section I-B.
 
 use soda_protocol::{
-    value_from, CodeCacheStats, Invocation, Layout, OpKind, OpQueue, ProtocolSpec, QuorumTracker,
-    RepairDriver, RepairStatus, Tag, Value,
+    value_from, CodeCacheStats, Invocation, Layout, OpKind, OpQueue, PhaseDriver, ProtocolSpec,
+    RepairDriver, RepairStatus, Reply, Tag, Value,
 };
 use soda_rs_code::{CodedElement, MdsCode, VandermondeCode};
 use soda_simnet::{Context, Message, Process, ProcessId, SimTime, Simulation};
@@ -153,11 +153,6 @@ impl CasConfig {
         })
     }
 
-    /// The quorum size `n − f`.
-    pub fn quorum(&self) -> usize {
-        self.layout.n() - self.layout.f()
-    }
-
     /// Code dimension `k = n − 2f`.
     pub fn k(&self) -> usize {
         self.code.k()
@@ -174,10 +169,38 @@ impl CasConfig {
     }
 }
 
+/// The phases of a CAS operation, and the state pull of a replacement
+/// server's repair.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum CasPhase {
+    QueryTag,
+    PreWrite,
+    Finalize,
+    ReadValue,
+    RepairPull,
+}
+
+impl CasPhase {
+    /// The replies `self` waits for: CAS's thresholds, written once. Every
+    /// phase waits for a quorum of `n − f`, and any two such quorums
+    /// intersect in `k = n − 2f` servers. `read-value` also needs `k`
+    /// elements of its tag, beside the count (see
+    /// [`CasClient::try_complete_read`]).
+    fn needed(self, layout: &Layout) -> usize {
+        match self {
+            CasPhase::QueryTag
+            | CasPhase::PreWrite
+            | CasPhase::Finalize
+            | CasPhase::ReadValue
+            | CasPhase::RepairPull => layout.n() - layout.f(),
+        }
+    }
+}
+
 /// In-flight full-replica state transfer of a replacement CAS server.
 struct CasRepair {
     seq: u64,
-    responses: QuorumTracker<()>,
+    phase: PhaseDriver<CasPhase>,
     /// Union of survivor state: tag → (elements by index, finalized).
     collected: BTreeMap<Tag, (BTreeMap<usize, CodedElement>, bool)>,
     driver: RepairDriver,
@@ -224,14 +247,16 @@ impl CasServer {
     /// acknowledges pre-writes and finalizes — those are durable and are
     /// preserved by the merge. `epoch` distinguishes incarnations.
     pub fn replacement(config: Arc<CasConfig>, my_rank: usize, epoch: u64) -> Self {
-        let quorum = config.quorum();
+        let mut phase = PhaseDriver::default();
+        let needed = CasPhase::RepairPull.needed(config.layout());
+        phase.begin(CasPhase::RepairPull, epoch, needed);
         CasServer {
             config,
             my_rank,
             versions: BTreeMap::new(),
             repair: Some(CasRepair {
                 seq: epoch,
-                responses: QuorumTracker::new(quorum),
+                phase,
                 collected: BTreeMap::new(),
                 driver: RepairDriver::default(),
             }),
@@ -340,8 +365,8 @@ impl Process<CasMsg> for CasServer {
     fn on_timer(&mut self, token: u64, ctx: &mut Context<'_, CasMsg>) {
         if let Some(repair) = self.repair.as_mut() {
             // Duplicate pulls are idempotent for state: the collected map
-            // merges by tag and element index, and the quorum tracker
-            // records each responder once.
+            // merges by tag and element index, and the phase driver counts
+            // each responder once.
             let (layout, seq) = (self.config.layout(), repair.seq);
             repair.driver.on_timer(token, ctx, |ctx| {
                 ctx.send_all(layout.peers_of(ctx.self_id()), CasMsg::RepairPull { seq })
@@ -407,9 +432,13 @@ impl Process<CasMsg> for CasServer {
                     let Some(repair) = self.repair.as_mut() else {
                         return;
                     };
-                    if !repair.driver.in_progress() || seq != repair.seq {
+                    if !repair.driver.in_progress()
+                        || !repair.phase.is_running(CasPhase::RepairPull, seq)
+                    {
                         return;
                     }
+                    // A repeated responder's versions are merged too: a
+                    // retry's answer may know more.
                     for (tag, element, fin) in versions {
                         let entry = repair.collected.entry(tag).or_default();
                         entry.1 |= fin;
@@ -418,8 +447,7 @@ impl Process<CasMsg> for CasServer {
                             entry.0.insert(element.index, element);
                         }
                     }
-                    repair.responses.record(from, ());
-                    if !repair.responses.is_complete() {
+                    if repair.phase.record(CasPhase::RepairPull, seq, from) != Reply::Completed {
                         return;
                     }
                 }
@@ -437,40 +465,27 @@ impl Process<CasMsg> for CasServer {
     }
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum CasPhase {
-    Idle,
-    QueryTag,
-    PreWrite,
-    Finalize,
-    ReadValue,
-}
-
 /// A CAS / CASGC client performing both writes and reads.
 pub struct CasClient {
     config: Arc<CasConfig>,
     self_id: ProcessId,
-    phase: CasPhase,
     ops: OpQueue,
-    tag_tracker: QuorumTracker<Tag>,
-    ack_tracker: QuorumTracker<()>,
+    phase: PhaseDriver<CasPhase>,
+    /// The highest finalized tag the tag query has heard so far.
+    max_tag: Tag,
     read_elements: BTreeMap<usize, CodedElement>,
-    read_responses: QuorumTracker<()>,
 }
 
 impl CasClient {
     /// Creates a client.
     pub fn new(config: Arc<CasConfig>, self_id: ProcessId) -> Self {
-        let q = config.quorum();
         CasClient {
             config,
             self_id,
-            phase: CasPhase::Idle,
             ops: OpQueue::new(self_id),
-            tag_tracker: QuorumTracker::new(q),
-            ack_tracker: QuorumTracker::new(q),
+            phase: PhaseDriver::default(),
+            max_tag: Tag::INITIAL,
             read_elements: BTreeMap::new(),
-            read_responses: QuorumTracker::new(q),
         }
     }
 
@@ -484,41 +499,40 @@ impl CasClient {
         let Some((seq, _)) = self.ops.start_next(ctx.now()) else {
             return;
         };
-        self.phase = CasPhase::QueryTag;
-        self.tag_tracker = QuorumTracker::new(self.config.quorum());
-        for &server in self.config.layout().servers() {
-            ctx.send(server, CasMsg::QueryTag { seq });
-        }
+        self.begin(CasPhase::QueryTag);
+        self.max_tag = Tag::INITIAL;
+        ctx.send_all(self.servers(), CasMsg::QueryTag { seq });
+    }
+
+    /// Starts `phase` of the operation in flight.
+    fn begin(&mut self, phase: CasPhase) {
+        let needed = phase.needed(self.config.layout());
+        self.phase.begin(phase, self.ops.seq(), needed);
+    }
+
+    fn servers(&self) -> impl Iterator<Item = ProcessId> + '_ {
+        self.config.layout().servers().iter().copied()
     }
 
     fn after_tag_query(&mut self, ctx: &mut Context<'_, CasMsg>) {
-        let max_tag = self
-            .tag_tracker
-            .max_response()
-            .copied()
-            .unwrap_or(Tag::INITIAL);
-        let seq = self.ops.seq();
+        let (max_tag, seq) = (self.max_tag, self.ops.seq());
         match self.ops.value().cloned() {
             None => {
                 self.ops.set_tag(max_tag);
-                self.phase = CasPhase::ReadValue;
+                self.begin(CasPhase::ReadValue);
                 self.read_elements.clear();
-                self.read_responses = QuorumTracker::new(self.config.quorum());
-                for &server in self.config.layout().servers() {
-                    ctx.send(server, CasMsg::ReadFinalize { seq, tag: max_tag });
-                }
+                ctx.send_all(self.servers(), CasMsg::ReadFinalize { seq, tag: max_tag });
             }
             Some(value) => {
                 let tag = max_tag.next(self.self_id);
                 self.ops.set_tag(tag);
-                self.phase = CasPhase::PreWrite;
-                self.ack_tracker = QuorumTracker::new(self.config.quorum());
+                self.begin(CasPhase::PreWrite);
                 let elements = self
                     .config
                     .code()
                     .encode(&value)
                     .expect("encoding never fails for valid parameters");
-                for (&server, element) in self.config.layout().servers().iter().zip(elements) {
+                for (server, element) in self.servers().zip(elements) {
                     ctx.send(server, CasMsg::PreWrite { seq, tag, element });
                 }
             }
@@ -526,17 +540,14 @@ impl CasClient {
     }
 
     fn begin_finalize(&mut self, ctx: &mut Context<'_, CasMsg>) {
-        self.phase = CasPhase::Finalize;
-        self.ack_tracker = QuorumTracker::new(self.config.quorum());
+        self.begin(CasPhase::Finalize);
         let seq = self.ops.seq();
         let tag = self.ops.tag().expect("finalize requires a tag");
-        for &server in self.config.layout().servers() {
-            ctx.send(server, CasMsg::Finalize { seq, tag });
-        }
+        ctx.send_all(self.servers(), CasMsg::Finalize { seq, tag });
     }
 
     fn try_complete_read(&mut self, ctx: &mut Context<'_, CasMsg>) {
-        if !self.read_responses.is_complete() || self.read_elements.len() < self.config.k() {
+        if !self.phase.reached() || self.read_elements.len() < self.config.k() {
             return;
         }
         let elements: Vec<CodedElement> = self.read_elements.values().cloned().collect();
@@ -553,7 +564,7 @@ impl CasClient {
     fn complete(&mut self, read: Option<Value>, ctx: &mut Context<'_, CasMsg>) {
         let tag = self.ops.tag().expect("tag set");
         self.ops.complete(ctx.now(), tag, read);
-        self.phase = CasPhase::Idle;
+        self.phase.end();
         self.read_elements.clear();
         self.start_next(ctx);
     }
@@ -570,36 +581,33 @@ impl Process<CasMsg> for CasClient {
                 self.ops.push(Invocation::Read);
                 self.start_next(ctx);
             }
-            CasMsg::QueryTagResp { seq, tag }
-                if self.phase == CasPhase::QueryTag && seq == self.ops.seq() =>
-            {
-                self.tag_tracker.record(from, tag);
-                if self.tag_tracker.is_complete() {
+            CasMsg::QueryTagResp { seq, tag } => {
+                let reply = self.phase.record(CasPhase::QueryTag, seq, from);
+                if reply != Reply::Ignored {
+                    self.max_tag = self.max_tag.max(tag);
+                }
+                if reply == Reply::Completed {
                     self.after_tag_query(ctx);
                 }
             }
             CasMsg::PreWriteAck { seq }
-                if self.phase == CasPhase::PreWrite && seq == self.ops.seq() =>
+                if self.phase.record(CasPhase::PreWrite, seq, from) == Reply::Completed =>
             {
-                self.ack_tracker.record(from, ());
-                if self.ack_tracker.is_complete() {
-                    self.begin_finalize(ctx);
-                }
+                self.begin_finalize(ctx)
             }
             CasMsg::FinalizeAck { seq }
-                if self.phase == CasPhase::Finalize && seq == self.ops.seq() =>
+                if self.phase.record(CasPhase::Finalize, seq, from) == Reply::Completed =>
             {
-                self.ack_tracker.record(from, ());
-                if self.ack_tracker.is_complete() {
-                    self.complete(None, ctx);
-                }
+                self.complete(None, ctx)
             }
+            // A repeated responder's element is kept too: it may hold the
+            // element now. The read completes once the quorum has answered
+            // and `k` elements are in, whichever comes last.
             CasMsg::ReadFinalizeResp { seq, tag, element }
-                if self.phase == CasPhase::ReadValue
-                    && seq == self.ops.seq()
+                if self.phase.is_running(CasPhase::ReadValue, seq)
                     && Some(tag) == self.ops.tag() =>
             {
-                self.read_responses.record(from, ());
+                self.phase.record(CasPhase::ReadValue, seq, from);
                 if let Some(element) = element {
                     self.read_elements.insert(element.index, element);
                 }

@@ -10,7 +10,10 @@
 //!   `n` servers, which are clients, what `f` is), including the majority
 //!   quorum size and the ordered "first `f + 1` servers" set `D` used by the
 //!   message-disperse primitives.
-//! * [`QuorumTracker`] — response collection until a quorum is reached.
+//! * [`PhaseDriver`], [`Reply`] — the quorum phase every client and repair
+//!   runs: which phase is in flight for which operation, stale replies
+//!   dropped, each responder counted once, completion reported once. The
+//!   protocols fold the replies' payloads and write their thresholds.
 //! * [`md`] — the **message-disperse primitives** MD-VALUE and MD-META
 //!   (Section III): pure state machines that, given a received message,
 //!   produce the relays and local deliveries the IO Automata specification
@@ -21,8 +24,8 @@
 //! * [`cost`] — normalization helpers implementing the paper's cost model
 //!   (everything is measured in units of the object-value size; metadata is
 //!   free).
-//! * [`Value`] — cheaply clonable object values (`Arc<Vec<u8>>`), since the
-//!   simulator clones messages on every hop.
+//! * [`Value`] — cheaply clonable object values (`Bytes` over one
+//!   `Arc<[u8]>`), since the simulator clones messages on every hop.
 //! * [`OpRecord`], [`OpKind`], [`PendingWrite`] — the one record vocabulary
 //!   every protocol's clients log their operations in.
 //! * [`OpQueue`], [`Invocation`] — the client half every protocol shares:
@@ -42,7 +45,7 @@ pub mod md;
 
 mod client;
 mod layout;
-mod quorum;
+mod phase;
 mod record;
 mod repair;
 mod runs;
@@ -52,7 +55,7 @@ mod value;
 
 pub use client::{Invocation, OpQueue};
 pub use layout::Layout;
-pub use quorum::QuorumTracker;
+pub use phase::{PhaseDriver, Reply};
 pub use record::{OpKind, OpRecord, PendingWrite};
 pub use repair::{
     RepairDriver, RepairError, RepairStatus, REPAIR_MAX_ATTEMPTS, REPAIR_RETRY_INTERVAL,

@@ -50,6 +50,20 @@ impl DiskFaultModel {
     }
 }
 
+/// The phases of a SODA operation. A replacement server's repair is a read
+/// that re-encodes, so it runs the read's two.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Phase {
+    /// `write-get`: query every server's tag.
+    WriteGet,
+    /// `write-put`: disperse the value, collect acks.
+    WritePut,
+    /// `read-get`: query every server's tag.
+    ReadGet,
+    /// `read-value`: registered with the servers, collecting coded elements.
+    ReadValue,
+}
+
 /// Immutable configuration shared by all processes of one deployment.
 pub struct SodaConfig {
     layout: Layout,
@@ -131,6 +145,19 @@ impl SodaConfig {
     /// (READ-DISPERSE bookkeeping).
     pub fn read_threshold(&self) -> usize {
         self.k() + 2 * self.variant.error_budget()
+    }
+
+    /// The replies `phase` waits for: SODA's thresholds, written once. The
+    /// two get phases wait for a majority of responders and `write-put` for
+    /// `k` acks. `read-value` waits for [`Self::read_threshold`] coded
+    /// elements *of one tag*, which the read's element collector counts, not
+    /// the phase driver.
+    pub(crate) fn needed(&self, phase: Phase) -> usize {
+        match phase {
+            Phase::WriteGet | Phase::ReadGet => self.layout.majority(),
+            Phase::WritePut => self.k(),
+            Phase::ReadValue => self.read_threshold(),
+        }
     }
 
     /// Decodes a value from the gathered elements, correcting up to the

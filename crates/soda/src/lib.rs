@@ -81,7 +81,7 @@ mod writer;
 pub use adversary::coded_element_corruptor;
 pub use config::{DiskFaultModel, SodaConfig, SodaVariant};
 pub use messages::{MetaPayload, OpId, SodaMsg};
-pub use reader::{ReadPhase, ReaderProcess};
+pub use reader::ReaderProcess;
 pub use server::ServerProcess;
 pub use spec::SodaSpec;
-pub use writer::{WritePhase, WriterProcess};
+pub use writer::WriterProcess;

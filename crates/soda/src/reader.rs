@@ -17,43 +17,29 @@
 //! Readers are well-formed clients: invocations that arrive while a read is in
 //! flight wait in the reader's [`OpQueue`].
 
-use crate::config::SodaConfig;
+use crate::config::{Phase, SodaConfig};
 use crate::messages::{MetaPayload, OpId, SodaMsg};
 use soda_protocol::md::{md_meta_send, MessageId};
-use soda_protocol::{value_from, Invocation, OpQueue, QuorumTracker, Tag};
+use soda_protocol::{value_from, Invocation, OpQueue, PhaseDriver, Reply, Tag};
 use soda_rs_code::{CodeError, CodedElement};
 use soda_simnet::{Context, Process, ProcessId};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Phase of the in-flight read operation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ReadPhase {
-    /// No operation in flight.
-    Idle,
-    /// Waiting for a majority of `read-get` responses.
-    Get,
-    /// Registered with the servers; accumulating coded elements.
-    Value,
-}
-
 /// The coded elements a read collected, grouped by tag and keyed by the
 /// sender's rank, and the read's rule over them: tags below `t_r` are
-/// dropped, and the highest tag holding [`SodaConfig::read_threshold`]
+/// dropped, and the highest tag holding the `read-value` threshold of
 /// elements is decoded. A replacement server's repair is a read that
 /// re-encodes, so it collects through this type too.
+#[derive(Default)]
 pub(crate) struct ElementCollector {
-    /// `t_r`: the tag the read-get phase selected.
+    /// `t_r`: the highest tag the read-get phase heard, raised as its
+    /// replies arrive; no element is collected before that phase is over.
     pub(crate) floor: Tag,
     by_tag: BTreeMap<Tag, BTreeMap<usize, CodedElement>>,
 }
 
 impl ElementCollector {
-    pub(crate) fn new(floor: Tag) -> Self {
-        let by_tag = BTreeMap::new();
-        ElementCollector { floor, by_tag }
-    }
-
     /// Keeps `element` unless its tag is below `t_r`; returns whether it did.
     pub(crate) fn insert(&mut self, tag: Tag, element: CodedElement) -> bool {
         let keep = tag >= self.floor;
@@ -67,7 +53,7 @@ impl ElementCollector {
     /// Decodes the highest tag holding enough elements (any would do for
     /// correctness; the highest is deterministic), or `None` while none does.
     pub(crate) fn decode(&self, config: &SodaConfig) -> Option<(Tag, Result<Vec<u8>, CodeError>)> {
-        let threshold = config.read_threshold();
+        let threshold = config.needed(Phase::ReadValue);
         let (&tag, elements) = self
             .by_tag
             .iter()
@@ -87,10 +73,10 @@ impl ElementCollector {
 pub struct ReaderProcess {
     config: Arc<SodaConfig>,
     self_id: ProcessId,
-    phase: ReadPhase,
     ops: OpQueue,
     md_counter: u64,
-    get_tracker: QuorumTracker<Tag>,
+    /// The phase in flight: `read-get`, then `read-value`.
+    phase: PhaseDriver<Phase, OpId>,
     elements: ElementCollector,
     /// Count of decode attempts that failed (diagnostics; should stay 0 when
     /// the corruption budget is respected).
@@ -101,15 +87,13 @@ impl ReaderProcess {
     /// Creates a reader. `self_id` must be the process id under which the
     /// reader is registered with the simulation.
     pub fn new(config: Arc<SodaConfig>, self_id: ProcessId) -> Self {
-        let majority = config.layout().majority();
         ReaderProcess {
             config,
             self_id,
-            phase: ReadPhase::Idle,
             ops: OpQueue::new(self_id),
             md_counter: 0,
-            get_tracker: QuorumTracker::new(majority),
-            elements: ElementCollector::new(Tag::INITIAL),
+            phase: PhaseDriver::default(),
+            elements: ElementCollector::default(),
             decode_failures: 0,
         }
     }
@@ -117,11 +101,6 @@ impl ReaderProcess {
     /// The reader's operations: those completed and the one in flight.
     pub fn ops(&self) -> &OpQueue {
         &self.ops
-    }
-
-    /// Current phase.
-    pub fn phase(&self) -> ReadPhase {
-        self.phase
     }
 
     /// Number of decode attempts that failed (0 unless the corruption budget
@@ -145,22 +124,21 @@ impl ReaderProcess {
             return;
         };
         let op = OpId::new(self.self_id, seq);
-        self.phase = ReadPhase::Get;
-        self.get_tracker = QuorumTracker::new(self.config.layout().majority());
-        for &server in self.config.layout().servers() {
-            ctx.send(server, SodaMsg::ReadGet { op });
-        }
+        self.begin(Phase::ReadGet);
+        self.elements = ElementCollector::default();
+        let servers = self.config.layout().servers().iter().copied();
+        ctx.send_all(servers, SodaMsg::ReadGet { op });
+    }
+
+    /// Starts `phase` of the operation in flight.
+    fn begin(&mut self, phase: Phase) {
+        let needed = self.config.needed(phase);
+        self.phase.begin(phase, self.op(), needed);
     }
 
     fn begin_value_phase(&mut self, ctx: &mut Context<'_, SodaMsg>) {
-        let tr = self
-            .get_tracker
-            .max_response()
-            .copied()
-            .unwrap_or(Tag::INITIAL);
-        self.elements = ElementCollector::new(tr);
-        self.phase = ReadPhase::Value;
-        let (mid, op) = (self.next_mid(), self.op());
+        let (mid, op, tr) = (self.next_mid(), self.op(), self.elements.floor);
+        self.begin(Phase::ReadValue);
         let payload = MetaPayload::ReadValue { op, tag: tr };
         for dispatch in md_meta_send(self.config.layout(), mid, payload) {
             let dest = self.config.layout().server(dispatch.to_rank);
@@ -188,7 +166,7 @@ impl ReaderProcess {
         }
         self.ops.complete(ctx.now(), tag, Some(value_from(value)));
         self.elements.clear();
-        self.phase = ReadPhase::Idle;
+        self.phase.end();
         self.start_next(ctx);
     }
 }
@@ -200,14 +178,19 @@ impl Process<SodaMsg> for ReaderProcess {
                 self.ops.push(Invocation::Read);
                 self.start_next(ctx);
             }
-            SodaMsg::ReadGetResp { op, tag } if self.phase == ReadPhase::Get && self.op() == op => {
-                self.get_tracker.record(from, tag);
-                if self.get_tracker.is_complete() {
+            SodaMsg::ReadGetResp { op, tag } => {
+                let reply = self.phase.record(Phase::ReadGet, op, from);
+                if reply != Reply::Ignored {
+                    self.elements.floor = self.elements.floor.max(tag);
+                }
+                if reply == Reply::Completed {
                     self.begin_value_phase(ctx);
                 }
             }
+            // Elements are counted per tag by the collector, not per
+            // responder: a server also relays concurrent writes' elements.
             SodaMsg::CodedToReader { op, tag, element }
-                if self.phase == ReadPhase::Value && self.op() == op =>
+                if self.phase.is_running(Phase::ReadValue, op) =>
             {
                 if !self.elements.insert(tag, element) {
                     return;
@@ -233,7 +216,7 @@ mod tests {
     use super::*;
     use soda_protocol::md::MdMetaMsg;
     use soda_protocol::{Layout, MdsCode, OpKind};
-    use soda_simnet::testkit::deliver;
+    use soda_simnet::testkit::{deliver, StepResult};
     use soda_simnet::SimTime;
 
     const READER: ProcessId = ProcessId(200);
@@ -243,21 +226,44 @@ mod tests {
         SodaConfig::soda(layout)
     }
 
-    fn t(ticks: u64) -> SimTime {
-        SimTime::from_ticks(ticks)
+    /// Delivers `msg` from `from` at `ticks`.
+    fn send(
+        r: &mut ReaderProcess,
+        ticks: u64,
+        from: ProcessId,
+        msg: SodaMsg,
+    ) -> StepResult<SodaMsg> {
+        deliver(r, READER, SimTime::from_ticks(ticks), from, msg)
+    }
+
+    /// Delivers server `rank`'s coded element for `tag` to read `op`.
+    fn element(
+        r: &mut ReaderProcess,
+        ticks: u64,
+        rank: usize,
+        op: OpId,
+        tag: Tag,
+        element: &CodedElement,
+    ) -> StepResult<SodaMsg> {
+        let element = element.clone();
+        send(
+            r,
+            ticks,
+            ProcessId(rank as u32),
+            SodaMsg::CodedToReader { op, tag, element },
+        )
     }
 
     fn start_read(reader: &mut ReaderProcess) -> OpId {
-        deliver(reader, READER, t(1), ProcessId::ENV, SodaMsg::InvokeRead);
+        send(reader, 1, ProcessId::ENV, SodaMsg::InvokeRead);
         reader.op()
     }
 
     fn answer_get_phase(reader: &mut ReaderProcess, op: OpId, tags: &[Tag]) {
         for (i, &tag) in tags.iter().enumerate() {
-            deliver(
+            send(
                 reader,
-                READER,
-                t(2),
+                2,
                 ProcessId(i as u32),
                 SodaMsg::ReadGetResp { op, tag },
             );
@@ -267,31 +273,22 @@ mod tests {
     #[test]
     fn invoke_queries_all_servers() {
         let mut r = ReaderProcess::new(config(5, 2), READER);
-        assert_eq!((r.phase(), r.ops().queued()), (ReadPhase::Idle, 0));
-        deliver(&mut r, READER, t(1), ProcessId::ENV, SodaMsg::InvokeRead);
-        assert_eq!(r.phase(), ReadPhase::Get);
+        assert_eq!((r.phase.phase(), r.ops().queued()), (None, 0));
+        send(&mut r, 1, ProcessId::ENV, SodaMsg::InvokeRead);
+        assert_eq!(r.phase.phase(), Some(Phase::ReadGet));
     }
 
     #[test]
     fn majority_get_responses_trigger_read_value_registration() {
-        let cfg = config(5, 2);
-        let mut r = ReaderProcess::new(cfg, READER);
+        let mut r = ReaderProcess::new(config(5, 2), READER);
         let op = start_read(&mut r);
         // Two responses are not a majority of 5.
         answer_get_phase(&mut r, op, &[Tag::INITIAL, Tag::new(1, ProcessId(1))]);
-        assert_eq!(r.phase(), ReadPhase::Get);
+        assert_eq!(r.phase.phase(), Some(Phase::ReadGet));
         // Third response: the reader registers via MD-META with tr = (1, p1).
-        let result = deliver(
-            &mut r,
-            READER,
-            t(3),
-            ProcessId(2),
-            SodaMsg::ReadGetResp {
-                op,
-                tag: Tag::INITIAL,
-            },
-        );
-        assert_eq!(r.phase(), ReadPhase::Value);
+        let tag = Tag::INITIAL;
+        let result = send(&mut r, 3, ProcessId(2), SodaMsg::ReadGetResp { op, tag });
+        assert_eq!(r.phase.phase(), Some(Phase::ReadValue));
         assert_eq!(result.sends.len(), 3, "READ-VALUE goes to the f+1 backbone");
         for (dest, msg) in &result.sends {
             assert!(dest.0 < 3);
@@ -316,69 +313,29 @@ mod tests {
         let op = start_read(&mut r);
         let tw = Tag::new(2, ProcessId(50));
         answer_get_phase(&mut r, op, &[tw, Tag::INITIAL, Tag::INITIAL]);
-        assert_eq!(r.phase(), ReadPhase::Value);
+        assert_eq!(r.phase.phase(), Some(Phase::ReadValue));
 
         let value = b"the committed object value".to_vec();
         let elements = code.encode(&value).unwrap();
         // Elements for an *older* tag are ignored (below tr).
-        let old = deliver(
-            &mut r,
-            READER,
-            t(4),
-            ProcessId(0),
-            SodaMsg::CodedToReader {
-                op,
-                tag: Tag::new(1, ProcessId(50)),
-                element: elements[0].clone(),
-            },
-        );
+        let old = element(&mut r, 4, 0, op, Tag::new(1, ProcessId(50)), &elements[0]);
         assert!(old.sends.is_empty());
         // Two elements with tag tw: not enough yet.
-        for (rank, element) in elements.iter().enumerate().take(2) {
-            deliver(
-                &mut r,
-                READER,
-                t(5),
-                ProcessId(rank as u32),
-                SodaMsg::CodedToReader {
-                    op,
-                    tag: tw,
-                    element: element.clone(),
-                },
-            );
+        for (rank, e) in elements.iter().enumerate().take(2) {
+            element(&mut r, 5, rank, op, tw, e);
         }
         assert!(r.ops().completed().is_empty());
         // Duplicate element from the same server does not count.
-        deliver(
-            &mut r,
-            READER,
-            t(5),
-            ProcessId(1),
-            SodaMsg::CodedToReader {
-                op,
-                tag: tw,
-                element: elements[1].clone(),
-            },
-        );
+        element(&mut r, 5, 1, op, tw, &elements[1]);
         assert!(r.ops().completed().is_empty());
         // Third distinct element completes the read.
-        let done = deliver(
-            &mut r,
-            READER,
-            t(6),
-            ProcessId(4),
-            SodaMsg::CodedToReader {
-                op,
-                tag: tw,
-                element: elements[4].clone(),
-            },
-        );
+        let done = element(&mut r, 6, 4, op, tw, &elements[4]);
         assert_eq!(r.ops().completed().len(), 1);
         let rec = &r.ops().completed()[0];
         assert_eq!(rec.kind, OpKind::Read);
         assert_eq!(rec.tag, tw);
         assert_eq!(rec.value.as_deref(), Some(value.as_slice()));
-        assert_eq!(r.phase(), ReadPhase::Idle);
+        assert_eq!(r.phase.phase(), None);
         // READ-COMPLETE is dispersed to the backbone.
         assert_eq!(done.sends.len(), 3);
         assert!(done.sends.iter().all(|(_, m)| matches!(
@@ -403,17 +360,7 @@ mod tests {
         let value = b"newer value".to_vec();
         let elements = code.encode(&value).unwrap();
         for rank in [4usize, 2, 0] {
-            deliver(
-                &mut r,
-                READER,
-                t(5),
-                ProcessId(rank as u32),
-                SodaMsg::CodedToReader {
-                    op,
-                    tag: tw,
-                    element: elements[rank].clone(),
-                },
-            );
+            element(&mut r, 5, rank, op, tw, &elements[rank]);
         }
         assert_eq!(r.ops().completed().len(), 1);
         assert_eq!(r.ops().completed()[0].tag, tw);
@@ -432,18 +379,8 @@ mod tests {
         answer_get_phase(&mut r, op, &[Tag::INITIAL, Tag::INITIAL, Tag::INITIAL]);
         let stale_op = OpId::new(READER, 42);
         let elements = code.encode(b"x").unwrap();
-        for (rank, element) in elements.iter().enumerate().take(3) {
-            deliver(
-                &mut r,
-                READER,
-                t(4),
-                ProcessId(rank as u32),
-                SodaMsg::CodedToReader {
-                    op: stale_op,
-                    tag: Tag::new(1, ProcessId(0)),
-                    element: element.clone(),
-                },
-            );
+        for (rank, e) in elements.iter().enumerate().take(3) {
+            element(&mut r, 4, rank, stale_op, Tag::new(1, ProcessId(0)), e);
         }
         assert!(r.ops().completed().is_empty());
     }
@@ -453,27 +390,17 @@ mod tests {
         let cfg = config(3, 1); // k = 2, majority = 2
         let code = cfg.code().clone();
         let mut r = ReaderProcess::new(cfg, READER);
-        deliver(&mut r, READER, t(1), ProcessId::ENV, SodaMsg::InvokeRead);
-        deliver(&mut r, READER, t(1), ProcessId::ENV, SodaMsg::InvokeRead);
+        send(&mut r, 1, ProcessId::ENV, SodaMsg::InvokeRead);
+        send(&mut r, 1, ProcessId::ENV, SodaMsg::InvokeRead);
         let op1 = OpId::new(READER, 1);
         answer_get_phase(&mut r, op1, &[Tag::INITIAL, Tag::INITIAL]);
         let elements = code.encode(b"v").unwrap();
-        for (rank, element) in elements.iter().enumerate().take(2) {
-            deliver(
-                &mut r,
-                READER,
-                t(3),
-                ProcessId(rank as u32),
-                SodaMsg::CodedToReader {
-                    op: op1,
-                    tag: Tag::INITIAL,
-                    element: element.clone(),
-                },
-            );
+        for (rank, e) in elements.iter().enumerate().take(2) {
+            element(&mut r, 3, rank, op1, Tag::INITIAL, e);
         }
         assert_eq!(r.ops().completed().len(), 1);
         // The second read started automatically.
-        assert_eq!(r.phase(), ReadPhase::Get);
+        assert_eq!(r.phase.phase(), Some(Phase::ReadGet));
         assert_eq!(r.op(), OpId::new(READER, 2));
     }
 
@@ -484,12 +411,8 @@ mod tests {
         let code = cfg.code().clone();
         let mut r = ReaderProcess::new(cfg, READER);
         let op = start_read(&mut r);
-        answer_get_phase(
-            &mut r,
-            op,
-            &[Tag::INITIAL, Tag::INITIAL, Tag::INITIAL, Tag::INITIAL],
-        );
-        assert_eq!(r.phase(), ReadPhase::Value);
+        answer_get_phase(&mut r, op, &[Tag::INITIAL; 4]);
+        assert_eq!(r.phase.phase(), Some(Phase::ReadValue));
         let tw = Tag::new(1, ProcessId(33));
         let value = b"guarded against silent disk corruption".to_vec();
         let mut elements = code.encode(&value).unwrap();
@@ -497,31 +420,11 @@ mod tests {
         for b in elements[3].data.make_mut() {
             *b ^= 0xA5;
         }
-        for (rank, element) in elements.iter().enumerate().take(4) {
-            deliver(
-                &mut r,
-                READER,
-                t(4),
-                ProcessId(rank as u32),
-                SodaMsg::CodedToReader {
-                    op,
-                    tag: tw,
-                    element: element.clone(),
-                },
-            );
+        for (rank, e) in elements.iter().enumerate().take(4) {
+            element(&mut r, 4, rank, op, tw, e);
             assert!(r.ops().completed().is_empty(), "needs k + 2e = 5 elements");
         }
-        deliver(
-            &mut r,
-            READER,
-            t(5),
-            ProcessId(4),
-            SodaMsg::CodedToReader {
-                op,
-                tag: tw,
-                element: elements[4].clone(),
-            },
-        );
+        element(&mut r, 5, 4, op, tw, &elements[4]);
         assert_eq!(r.ops().completed().len(), 1);
         assert_eq!(
             r.ops().completed()[0].value.as_deref(),

@@ -49,33 +49,24 @@
 //! never collide with the tombstones survivors hold for the previous
 //! incarnation's dispersals.
 
-use crate::config::{DiskFaultModel, SodaConfig};
+use crate::config::{DiskFaultModel, Phase, SodaConfig};
 use crate::messages::{MetaPayload, OpId, SodaMsg};
 use crate::reader::ElementCollector;
 use soda_protocol::md::{md_meta_send, MdMetaRelay, MdValueMsg, MdValueRelay, MessageId};
-use soda_protocol::{QuorumTracker, RepairDriver, RepairStatus, RunSet, Tag, Value};
+use soda_protocol::{PhaseDriver, RepairDriver, RepairStatus, Reply, RunSet, Tag, Value};
 use soda_rs_code::{CodedElement, MdsCode};
 use soda_simnet::{Context, Process, ProcessId};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Phase of an in-flight repair (the reader automaton run by a replacement
-/// server). Whether the repair is still in flight at all is the
-/// [`RepairDriver`]'s to say.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum RepairPhase {
-    /// Waiting for a majority of `read-get` responses from the survivors.
-    Get,
-    /// Registered with the survivors; accumulating coded elements.
-    Value,
-}
-
 /// Internal repair state machine of a replacement server.
 struct RepairState {
     /// The repair's operation id (unique per incarnation via the epoch).
     op: OpId,
-    phase: RepairPhase,
-    get_tracker: QuorumTracker<Tag>,
+    /// The read phase in flight: `read-get`, then `read-value`, which stays
+    /// in flight once the repair is done. Whether the repair is still in
+    /// flight at all is the [`RepairDriver`]'s to say.
+    phase: PhaseDriver<Phase, OpId>,
     /// Elements accumulated under the reader's rule, with the `t_r` the get
     /// phase selected.
     elements: ElementCollector,
@@ -175,8 +166,9 @@ impl ServerProcess {
     /// incarnation sent, so survivors' deduplication tombstones cannot
     /// swallow the new dispersals.
     pub fn replacement(config: Arc<SodaConfig>, my_rank: usize, epoch: u64) -> Self {
-        let self_pid = config.layout().server(my_rank);
-        let majority = config.layout().majority();
+        let op = OpId::new(config.layout().server(my_rank), epoch);
+        let mut phase = PhaseDriver::default();
+        phase.begin(Phase::ReadGet, op, config.needed(Phase::ReadGet));
         ServerProcess {
             config,
             my_rank,
@@ -191,10 +183,9 @@ impl ServerProcess {
             disk_fault: DiskFaultModel::None,
             relay_enabled: true,
             repair: Some(RepairState {
-                op: OpId::new(self_pid, epoch),
-                phase: RepairPhase::Get,
-                get_tracker: QuorumTracker::new(majority),
-                elements: ElementCollector::new(Tag::INITIAL),
+                op,
+                phase,
+                elements: ElementCollector::default(),
                 driver: RepairDriver::default(),
             }),
             scratch_interested: Vec::new(),
@@ -447,7 +438,7 @@ impl ServerProcess {
 
     /// Sends the current repair phase's fan-out to the survivors: the
     /// `read-get` query, or the READ-VALUE registration under `t_r`.
-    /// Both are idempotent at the survivors (trackers and the element map
+    /// Both are idempotent (the phase driver and the element map
     /// deduplicate, and survivors re-register the same op id), so the retry
     /// loop may repeat them; a repeated registration goes out under a fresh
     /// message id so the survivors' tombstones for the earlier dispersal do
@@ -455,18 +446,15 @@ impl ServerProcess {
     fn send_repair_fan_out(
         &mut self,
         op: OpId,
-        phase: RepairPhase,
+        phase: Option<Phase>,
         tr: Tag,
         ctx: &mut Context<'_, SodaMsg>,
     ) {
-        match phase {
-            RepairPhase::Get => {
-                let peers = self.config.layout().peers_of(ctx.self_id());
-                ctx.send_all(peers, SodaMsg::ReadGet { op });
-            }
-            RepairPhase::Value => {
-                self.disperse_meta(MetaPayload::ReadValue { op, tag: tr }, ctx);
-            }
+        if phase == Some(Phase::ReadGet) {
+            let peers = self.config.layout().peers_of(ctx.self_id());
+            ctx.send_all(peers, SodaMsg::ReadGet { op });
+        } else {
+            self.disperse_meta(MetaPayload::ReadValue { op, tag: tr }, ctx);
         }
     }
 
@@ -482,21 +470,17 @@ impl ServerProcess {
         let Some(repair) = self.repair.as_mut() else {
             return;
         };
-        if repair.phase != RepairPhase::Get || repair.op != op {
+        let reply = repair.phase.record(Phase::ReadGet, op, from);
+        if reply != Reply::Ignored {
+            repair.elements.floor = repair.elements.floor.max(tag);
+        }
+        if reply != Reply::Completed {
             return;
         }
-        repair.get_tracker.record(from, tag);
-        if !repair.get_tracker.is_complete() {
-            return;
-        }
-        let tr = repair
-            .get_tracker
-            .max_response()
-            .copied()
-            .unwrap_or(Tag::INITIAL);
-        repair.elements = ElementCollector::new(tr);
-        repair.phase = RepairPhase::Value;
-        self.send_repair_fan_out(op, RepairPhase::Value, tr, ctx);
+        let needed = self.config.needed(Phase::ReadValue);
+        repair.phase.begin(Phase::ReadValue, op, needed);
+        let tr = repair.elements.floor;
+        self.send_repair_fan_out(op, Some(Phase::ReadValue), tr, ctx);
     }
 
     /// Handles a coded element sent to the repairing server (a survivor's
@@ -512,10 +496,9 @@ impl ServerProcess {
             let Some(repair) = self.repair.as_mut() else {
                 return;
             };
-            // The phase stays `Value` once the repair is done; stragglers
+            // The phase stays `ReadValue` once the repair is done; stragglers
             // from slower survivors must not be charged or collected then.
-            if !repair.driver.in_progress() || repair.phase != RepairPhase::Value || repair.op != op
-            {
+            if !repair.driver.in_progress() || !repair.phase.is_running(Phase::ReadValue, op) {
                 return;
             }
             repair.driver.add_traffic(element.data.len());
@@ -580,7 +563,7 @@ impl Process<SodaMsg> for ServerProcess {
     // needs the rest of the server mutably while the driver runs it.
     fn on_start(&mut self, ctx: &mut Context<'_, SodaMsg>) {
         if let Some(mut repair) = self.repair.take() {
-            let (op, phase, tr) = (repair.op, repair.phase, repair.elements.floor);
+            let (op, phase, tr) = (repair.op, repair.phase.phase(), repair.elements.floor);
             repair
                 .driver
                 .start(ctx, |ctx| self.send_repair_fan_out(op, phase, tr, ctx));
@@ -590,7 +573,7 @@ impl Process<SodaMsg> for ServerProcess {
 
     fn on_timer(&mut self, token: u64, ctx: &mut Context<'_, SodaMsg>) {
         if let Some(mut repair) = self.repair.take() {
-            let (op, phase, tr) = (repair.op, repair.phase, repair.elements.floor);
+            let (op, phase, tr) = (repair.op, repair.phase.phase(), repair.elements.floor);
             repair.driver.on_timer(token, ctx, |ctx| {
                 self.send_repair_fan_out(op, phase, tr, ctx)
             });

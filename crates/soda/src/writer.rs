@@ -13,47 +13,34 @@
 //! previous one completed, so invocations that arrive while an operation is in
 //! flight wait in the writer's [`OpQueue`].
 
-use crate::config::SodaConfig;
+use crate::config::{Phase, SodaConfig};
 use crate::messages::{OpId, SodaMsg};
 use soda_protocol::md::{md_value_send, MessageId};
-use soda_protocol::{Invocation, OpQueue, QuorumTracker, Tag};
+use soda_protocol::{Invocation, OpQueue, PhaseDriver, Reply, Tag};
 use soda_simnet::{Context, Process, ProcessId};
 use std::sync::Arc;
-
-/// Phase of the in-flight write operation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WritePhase {
-    /// No operation in flight.
-    Idle,
-    /// Waiting for a majority of `write-get` responses.
-    Get,
-    /// Value dispersed; waiting for `k` acknowledgements.
-    Put,
-}
 
 /// A SODA writer client process.
 pub struct WriterProcess {
     config: Arc<SodaConfig>,
     self_id: ProcessId,
-    phase: WritePhase,
     ops: OpQueue,
-    get_tracker: QuorumTracker<Tag>,
-    ack_tracker: QuorumTracker<()>,
+    /// The phase in flight: `write-get`, then `write-put`.
+    phase: PhaseDriver<Phase, OpId>,
+    /// `t_max`: the highest tag the write-get phase has heard so far.
+    max_tag: Tag,
 }
 
 impl WriterProcess {
     /// Creates a writer. `self_id` must be the process id under which the
     /// writer is registered with the simulation.
     pub fn new(config: Arc<SodaConfig>, self_id: ProcessId) -> Self {
-        let majority = config.layout().majority();
-        let k = config.k();
         WriterProcess {
             config,
             self_id,
-            phase: WritePhase::Idle,
             ops: OpQueue::new(self_id),
-            get_tracker: QuorumTracker::new(majority),
-            ack_tracker: QuorumTracker::new(k),
+            phase: PhaseDriver::default(),
+            max_tag: Tag::INITIAL,
         }
     }
 
@@ -61,11 +48,6 @@ impl WriterProcess {
     /// after a crash, since crashed processes keep their state).
     pub fn ops(&self) -> &OpQueue {
         &self.ops
-    }
-
-    /// Current phase.
-    pub fn phase(&self) -> WritePhase {
-        self.phase
     }
 
     /// The id of the operation in flight.
@@ -78,23 +60,22 @@ impl WriterProcess {
             return;
         };
         let op = OpId::new(self.self_id, seq);
-        self.phase = WritePhase::Get;
-        self.get_tracker = QuorumTracker::new(self.config.layout().majority());
-        for &server in self.config.layout().servers() {
-            ctx.send(server, SodaMsg::WriteGet { op });
-        }
+        self.begin(Phase::WriteGet);
+        self.max_tag = Tag::INITIAL;
+        let servers = self.config.layout().servers().iter().copied();
+        ctx.send_all(servers, SodaMsg::WriteGet { op });
+    }
+
+    /// Starts `phase` of the operation in flight.
+    fn begin(&mut self, phase: Phase) {
+        let needed = self.config.needed(phase);
+        self.phase.begin(phase, self.op(), needed);
     }
 
     fn begin_put(&mut self, ctx: &mut Context<'_, SodaMsg>) {
-        let t_max = self
-            .get_tracker
-            .max_response()
-            .copied()
-            .unwrap_or(Tag::INITIAL);
-        let tag = t_max.next(self.self_id);
+        let tag = self.max_tag.next(self.self_id);
         self.ops.set_tag(tag);
-        self.phase = WritePhase::Put;
-        self.ack_tracker = QuorumTracker::new(self.config.k());
+        self.begin(Phase::WritePut);
         let value = self
             .ops
             .value()
@@ -109,7 +90,7 @@ impl WriterProcess {
 
     fn complete(&mut self, tag: Tag, ctx: &mut Context<'_, SodaMsg>) {
         self.ops.complete(ctx.now(), tag, None);
-        self.phase = WritePhase::Idle;
+        self.phase.end();
         self.start_next(ctx);
     }
 }
@@ -121,21 +102,22 @@ impl Process<SodaMsg> for WriterProcess {
                 self.ops.push(Invocation::Write(value));
                 self.start_next(ctx);
             }
-            SodaMsg::WriteGetResp { op, tag }
-                if self.phase == WritePhase::Get && self.op() == op =>
-            {
-                self.get_tracker.record(from, tag);
-                if self.get_tracker.is_complete() {
+            SodaMsg::WriteGetResp { op, tag } => {
+                let reply = self.phase.record(Phase::WriteGet, op, from);
+                if reply != Reply::Ignored {
+                    self.max_tag = self.max_tag.max(tag);
+                }
+                if reply == Reply::Completed {
                     self.begin_put(ctx);
                 }
             }
+            // Acks name the write by its tag: the servers send them as
+            // MD-VALUE deliveries land, not as replies to one request.
             SodaMsg::WriteAck { tag }
-                if self.phase == WritePhase::Put && self.ops.tag() == Some(tag) =>
+                if self.ops.tag() == Some(tag)
+                    && self.phase.record(Phase::WritePut, self.op(), from) == Reply::Completed =>
             {
-                self.ack_tracker.record(from, ());
-                if self.ack_tracker.is_complete() {
-                    self.complete(tag, ctx);
-                }
+                self.complete(tag, ctx)
             }
             // Writers ignore read-protocol traffic and stray messages.
             _ => {}
@@ -156,40 +138,63 @@ mod tests {
     use super::*;
     use soda_protocol::md::MdValueMsg;
     use soda_protocol::{value_from, Layout, OpKind};
-    use soda_simnet::testkit::deliver;
+    use soda_simnet::testkit::{deliver, StepResult};
     use soda_simnet::SimTime;
 
     const WRITER: ProcessId = ProcessId(100);
+    /// The writer's first operation.
+    const OP: OpId = OpId {
+        client: WRITER,
+        seq: 1,
+    };
 
     fn config(n: usize, f: usize) -> Arc<SodaConfig> {
         let layout = Layout::new((0..n as u32).map(ProcessId).collect(), f);
         SodaConfig::soda(layout)
     }
 
-    fn t(ticks: u64) -> SimTime {
-        SimTime::from_ticks(ticks)
+    /// Delivers `msg` from server `from` (or the environment) at `ticks`.
+    fn send(
+        w: &mut WriterProcess,
+        ticks: u64,
+        from: ProcessId,
+        msg: SodaMsg,
+    ) -> StepResult<SodaMsg> {
+        deliver(w, WRITER, SimTime::from_ticks(ticks), from, msg)
+    }
+
+    fn invoke(w: &mut WriterProcess, value: Vec<u8>) -> StepResult<SodaMsg> {
+        send(
+            w,
+            1,
+            ProcessId::ENV,
+            SodaMsg::InvokeWrite(value_from(value)),
+        )
+    }
+
+    fn get_resp(
+        w: &mut WriterProcess,
+        ticks: u64,
+        from: u32,
+        op: OpId,
+        tag: Tag,
+    ) -> StepResult<SodaMsg> {
+        send(w, ticks, ProcessId(from), SodaMsg::WriteGetResp { op, tag })
     }
 
     #[test]
     fn initial_state_is_idle() {
         let w = WriterProcess::new(config(5, 2), WRITER);
-        assert_eq!(w.phase(), WritePhase::Idle);
+        assert_eq!(w.phase.phase(), None);
         assert_eq!(w.ops().queued(), 0);
         assert!(w.ops().completed().is_empty());
     }
 
     #[test]
     fn invoke_starts_get_phase_querying_all_servers() {
-        let cfg = config(5, 2);
-        let mut w = WriterProcess::new(cfg, WRITER);
-        let result = deliver(
-            &mut w,
-            WRITER,
-            t(1),
-            ProcessId::ENV,
-            SodaMsg::InvokeWrite(value_from(vec![1, 2, 3])),
-        );
-        assert_eq!(w.phase(), WritePhase::Get);
+        let mut w = WriterProcess::new(config(5, 2), WRITER);
+        let result = invoke(&mut w, vec![1, 2, 3]);
+        assert_eq!(w.phase.phase(), Some(Phase::WriteGet));
         assert_eq!(result.sends.len(), 5);
         assert!(result
             .sends
@@ -199,44 +204,18 @@ mod tests {
 
     #[test]
     fn majority_of_get_responses_triggers_md_value_dispersal() {
-        let cfg = config(5, 2);
-        let mut w = WriterProcess::new(cfg, WRITER);
-        deliver(
-            &mut w,
-            WRITER,
-            t(1),
-            ProcessId::ENV,
-            SodaMsg::InvokeWrite(value_from(vec![7u8; 40])),
-        );
-        let op = OpId::new(WRITER, 1);
+        let mut w = WriterProcess::new(config(5, 2), WRITER);
+        invoke(&mut w, vec![7u8; 40]);
         // Two responses: still in Get phase (majority of 5 is 3).
         for s in 0..2u32 {
-            let r = deliver(
-                &mut w,
-                WRITER,
-                t(2),
-                ProcessId(s),
-                SodaMsg::WriteGetResp {
-                    op,
-                    tag: Tag::new(s as u64, ProcessId(s)),
-                },
-            );
+            let r = get_resp(&mut w, 2, s, OP, Tag::new(s as u64, ProcessId(s)));
             assert!(r.sends.is_empty());
-            assert_eq!(w.phase(), WritePhase::Get);
+            assert_eq!(w.phase.phase(), Some(Phase::WriteGet));
         }
-        // Third response completes the majority; the writer picks the highest
-        // tag (2, p1... actually (1, p1)) and disperses with (2, WRITER).
-        let r = deliver(
-            &mut w,
-            WRITER,
-            t(3),
-            ProcessId(2),
-            SodaMsg::WriteGetResp {
-                op,
-                tag: Tag::new(2, ProcessId(2)),
-            },
-        );
-        assert_eq!(w.phase(), WritePhase::Put);
+        // Third response completes the majority; the writer picks the
+        // highest tag, (2, p2), and disperses with (3, WRITER).
+        let r = get_resp(&mut w, 3, 2, OP, Tag::new(2, ProcessId(2)));
+        assert_eq!(w.phase.phase(), Some(Phase::WritePut));
         // Full value goes to the first f + 1 = 3 servers only.
         assert_eq!(r.sends.len(), 3);
         for (i, (dest, msg)) in r.sends.iter().enumerate() {
@@ -253,96 +232,38 @@ mod tests {
 
     #[test]
     fn duplicate_get_responses_do_not_advance_phase() {
-        let cfg = config(5, 2);
-        let mut w = WriterProcess::new(cfg, WRITER);
-        deliver(
-            &mut w,
-            WRITER,
-            t(1),
-            ProcessId::ENV,
-            SodaMsg::InvokeWrite(value_from(vec![1])),
-        );
-        let op = OpId::new(WRITER, 1);
+        let mut w = WriterProcess::new(config(5, 2), WRITER);
+        invoke(&mut w, vec![1]);
         for _ in 0..5 {
-            deliver(
-                &mut w,
-                WRITER,
-                t(2),
-                ProcessId(0),
-                SodaMsg::WriteGetResp {
-                    op,
-                    tag: Tag::INITIAL,
-                },
-            );
+            get_resp(&mut w, 2, 0, OP, Tag::INITIAL);
         }
-        assert_eq!(w.phase(), WritePhase::Get, "same server repeated");
+        let phase = w.phase.phase();
+        assert_eq!(phase, Some(Phase::WriteGet), "same server repeated");
     }
 
     #[test]
     fn k_acks_complete_the_write_and_start_the_next() {
-        let cfg = config(5, 2); // k = 3
-        let mut w = WriterProcess::new(cfg, WRITER);
-        deliver(
-            &mut w,
-            WRITER,
-            t(1),
-            ProcessId::ENV,
-            SodaMsg::InvokeWrite(value_from(vec![1])),
-        );
+        let mut w = WriterProcess::new(config(5, 2), WRITER); // k = 3
+        invoke(&mut w, vec![1]);
         // Queue a second write while the first is in flight.
-        deliver(
-            &mut w,
-            WRITER,
-            t(1),
-            ProcessId::ENV,
-            SodaMsg::InvokeWrite(value_from(vec![2])),
-        );
+        invoke(&mut w, vec![2]);
         assert_eq!(w.ops().queued(), 1);
-        let op = OpId::new(WRITER, 1);
         for s in 0..3u32 {
-            deliver(
-                &mut w,
-                WRITER,
-                t(2),
-                ProcessId(s),
-                SodaMsg::WriteGetResp {
-                    op,
-                    tag: Tag::INITIAL,
-                },
-            );
+            get_resp(&mut w, 2, s, OP, Tag::INITIAL);
         }
         let tag = Tag::new(1, WRITER);
-        assert_eq!(w.phase(), WritePhase::Put);
+        assert_eq!(w.phase.phase(), Some(Phase::WritePut));
         // Acks from 2 servers: not yet complete.
         for s in 0..2u32 {
-            deliver(
-                &mut w,
-                WRITER,
-                t(4),
-                ProcessId(s),
-                SodaMsg::WriteAck { tag },
-            );
+            send(&mut w, 4, ProcessId(s), SodaMsg::WriteAck { tag });
         }
         assert!(w.ops().completed().is_empty());
         // Ack with the wrong tag is ignored.
-        deliver(
-            &mut w,
-            WRITER,
-            t(4),
-            ProcessId(4),
-            SodaMsg::WriteAck {
-                tag: Tag::new(9, WRITER),
-            },
-        );
+        let wrong = Tag::new(9, WRITER);
+        send(&mut w, 4, ProcessId(4), SodaMsg::WriteAck { tag: wrong });
         assert!(w.ops().completed().is_empty());
         // Third matching ack completes the write and starts the queued one.
-        let r = deliver(
-            &mut w,
-            WRITER,
-            t(5),
-            ProcessId(2),
-            SodaMsg::WriteAck { tag },
-        );
+        let r = send(&mut w, 5, ProcessId(2), SodaMsg::WriteAck { tag });
         assert_eq!(w.ops().completed().len(), 1);
         let rec = &w.ops().completed()[0];
         assert_eq!(rec.tag, tag);
@@ -350,37 +271,20 @@ mod tests {
         assert_eq!(rec.value.as_deref(), Some([1u8].as_slice()));
         assert_eq!(rec.latency(), 4);
         // The queued write immediately issued its write-get round.
-        assert_eq!(w.phase(), WritePhase::Get);
+        assert_eq!(w.phase.phase(), Some(Phase::WriteGet));
         assert_eq!(r.sends.len(), 5);
         assert_eq!(w.ops().queued(), 0);
     }
 
     #[test]
     fn responses_for_stale_ops_are_ignored() {
-        let cfg = config(5, 1);
-        let mut w = WriterProcess::new(cfg, WRITER);
-        deliver(
-            &mut w,
-            WRITER,
-            t(1),
-            ProcessId::ENV,
-            SodaMsg::InvokeWrite(value_from(vec![1])),
-        );
-        let stale = OpId::new(WRITER, 99);
-        let r = deliver(
-            &mut w,
-            WRITER,
-            t(2),
-            ProcessId(0),
-            SodaMsg::WriteGetResp {
-                op: stale,
-                tag: Tag::INITIAL,
-            },
-        );
+        let mut w = WriterProcess::new(config(5, 1), WRITER);
+        invoke(&mut w, vec![1]);
+        let r = get_resp(&mut w, 2, 0, OpId::new(WRITER, 99), Tag::INITIAL);
         assert!(r.sends.is_empty());
-        assert_eq!(w.phase(), WritePhase::Get);
+        assert_eq!(w.phase.phase(), Some(Phase::WriteGet));
         // Irrelevant message kinds are ignored too.
-        let r = deliver(&mut w, WRITER, t(2), ProcessId(0), SodaMsg::InvokeRead);
+        let r = send(&mut w, 2, ProcessId(0), SodaMsg::InvokeRead);
         assert!(r.sends.is_empty());
     }
 }

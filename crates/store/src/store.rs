@@ -685,11 +685,7 @@ impl ShardedStore {
         shard: usize,
         ranks: impl IntoIterator<Item = usize>,
     ) -> Result<(), StoreError> {
-        let shards = self.shards.len();
-        let s = self
-            .shards
-            .get_mut(shard)
-            .ok_or(StoreError::ShardOutOfRange { shard, shards })?;
+        let s = self.shard_mut(shard)?;
         let ranks: BTreeSet<usize> = ranks.into_iter().collect();
         if let Some(&rank) = ranks.iter().find(|&&r| r >= s.spec.n) {
             return Err(StoreError::RankOutOfRange {
@@ -719,16 +715,17 @@ impl ShardedStore {
     /// `count > f` the shard loses its quorums: its operations stop
     /// completing (they stay pending), while other shards are unaffected.
     /// This is the adversarial entry point for tests that deliberately kill a
-    /// shard.
-    ///
-    /// # Panics
-    /// Panics if `shard` is out of range.
-    pub fn crash_shard_servers_unchecked(&mut self, shard: usize, count: usize) {
-        assert!(shard < self.shards.len(), "shard {shard} out of range");
-        let s = &mut self.shards[shard];
+    /// shard. The one check is [`StoreError::ShardOutOfRange`].
+    pub fn crash_shard_servers_unchecked(
+        &mut self,
+        shard: usize,
+        count: usize,
+    ) -> Result<(), StoreError> {
+        let s = self.shard_mut(shard)?;
         for rank in 0..count.min(s.spec.n) {
             s.crash(rank);
         }
+        Ok(())
     }
 
     /// Schedules the **repair** of a downed server rank in every existing
@@ -745,11 +742,7 @@ impl ShardedStore {
     /// watermark could not express. Clusters created for new keys after the
     /// repair start healthy at this rank.
     pub fn repair_shard_server(&mut self, shard: usize, rank: usize) -> Result<(), StoreError> {
-        let shards = self.shards.len();
-        let s = self
-            .shards
-            .get_mut(shard)
-            .ok_or(StoreError::ShardOutOfRange { shard, shards })?;
+        let s = self.shard_mut(shard)?;
         if rank >= s.spec.n {
             return Err(StoreError::RankOutOfRange {
                 shard,
@@ -769,22 +762,32 @@ impl ShardedStore {
 
     /// The ranks currently crashed on `shard` (repaired ranks have left the
     /// set).
-    ///
-    /// # Panics
-    /// Panics if `shard` is out of range.
-    pub fn shard_downed_servers(&self, shard: usize) -> Vec<usize> {
-        self.shards[shard].downed.iter().copied().collect()
+    pub fn shard_downed_servers(&self, shard: usize) -> Result<Vec<usize>, StoreError> {
+        Ok(self.shard(shard)?.downed.iter().copied().collect())
     }
 
     /// Servers on `shard` currently dead or still under repair — the quantity
     /// the dynamic fault-tolerance invariant bounds by the shard's crash
     /// budget.
-    ///
-    /// # Panics
-    /// Panics if `shard` is out of range.
-    pub fn shard_dead_or_repairing(&self, shard: usize) -> usize {
-        let s = &self.shards[shard];
-        s.downed.len() + s.repairing.len()
+    pub fn shard_dead_or_repairing(&self, shard: usize) -> Result<usize, StoreError> {
+        let s = self.shard(shard)?;
+        Ok(s.downed.len() + s.repairing.len())
+    }
+
+    /// Shard `shard`, or [`StoreError::ShardOutOfRange`].
+    fn shard(&self, shard: usize) -> Result<&Shard, StoreError> {
+        let shards = self.shards.len();
+        self.shards
+            .get(shard)
+            .ok_or(StoreError::ShardOutOfRange { shard, shards })
+    }
+
+    /// Shard `shard`, mutably, or [`StoreError::ShardOutOfRange`].
+    fn shard_mut(&mut self, shard: usize) -> Result<&mut Shard, StoreError> {
+        let shards = self.shards.len();
+        self.shards
+            .get_mut(shard)
+            .ok_or(StoreError::ShardOutOfRange { shard, shards })
     }
 
     /// The store-wide operation history, labeled by key, with every cluster's

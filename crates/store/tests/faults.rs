@@ -134,7 +134,7 @@ fn a_crashed_shard_does_not_block_the_others() {
         "{err}"
     );
     // … so wedging the shard takes the explicitly-adversarial entry point.
-    store.crash_shard_servers_unchecked(dead_shard, 3);
+    store.crash_shard_servers_unchecked(dead_shard, 3).unwrap();
 
     let doomed_put = store.put(victim.clone(), b"lost".to_vec());
     let doomed_get = store.get(victim);

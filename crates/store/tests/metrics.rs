@@ -119,7 +119,7 @@ fn drive(runtime: StoreRuntime) -> (ShardedStore, Vec<u64>) {
     assert_eq!(reported(&before), recompute(&store, &issued));
     store.run_until_quiescent();
 
-    store.crash_shard_servers_unchecked(WEDGED, 3);
+    store.crash_shard_servers_unchecked(WEDGED, 3).unwrap();
     round(&mut store, "repairing", &mut issued);
     for shard in 0..WEDGED {
         store.repair_shard_server(shard, 1).unwrap();

@@ -152,13 +152,13 @@ fn repair_behind_a_partition_fails_retryably_then_succeeds_after_heal() {
     // replacement's survivor fan-outs are all cut, every retry included.
     store.crash_shard_server(0, 0).unwrap();
     store.repair_shard_server(0, 0).unwrap();
-    assert_eq!(store.shard_dead_or_repairing(0), 1);
+    assert_eq!(store.shard_dead_or_repairing(0).unwrap(), 1);
     store.run_until_quiescent();
 
     // The repair gave up: the rank is plain dead again (still holding its
     // crash-budget slot), and the give-up is visible in the metrics.
-    assert_eq!(store.shard_downed_servers(0), vec![0]);
-    assert_eq!(store.shard_dead_or_repairing(0), 1);
+    assert_eq!(store.shard_downed_servers(0).unwrap(), vec![0]);
+    assert_eq!(store.shard_dead_or_repairing(0).unwrap(), 1);
     let m = store.metrics();
     assert_eq!(m.aggregate.repairs_failed, 1);
     assert_eq!(m.aggregate.repairs_completed, 0);
@@ -167,7 +167,7 @@ fn repair_behind_a_partition_fails_retryably_then_succeeds_after_heal() {
     // reaches past the heal at tick 4000, where survivors answer.
     store.repair_shard_server(0, 0).unwrap();
     store.run_until_quiescent();
-    assert_eq!(store.shard_dead_or_repairing(0), 0);
+    assert_eq!(store.shard_dead_or_repairing(0).unwrap(), 0);
     let m = store.metrics();
     assert_eq!(m.aggregate.repairs_completed, 1);
     assert_eq!(

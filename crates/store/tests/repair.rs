@@ -63,7 +63,7 @@ fn drive_crash_repair_crash(runtime: StoreRuntime, seed: u64) -> ShardedStore {
     store.put_batch(keys.iter().map(|k| (k.clone(), b"round-three".to_vec())));
     for shard in 0..store.num_shards() {
         store.repair_shard_server(shard, 0).unwrap();
-        assert_eq!(store.shard_dead_or_repairing(shard), 1);
+        assert_eq!(store.shard_dead_or_repairing(shard).unwrap(), 1);
     }
     store.run_until_quiescent();
 
@@ -71,7 +71,11 @@ fn drive_crash_repair_crash(runtime: StoreRuntime, seed: u64) -> ShardedStore {
     // rank — the request the static watermark could never have granted after
     // an earlier f-sized crash.
     for shard in 0..store.num_shards() {
-        assert_eq!(store.shard_dead_or_repairing(shard), 0, "shard {shard}");
+        assert_eq!(
+            store.shard_dead_or_repairing(shard).unwrap(),
+            0,
+            "shard {shard}"
+        );
         store.crash_shard_server(shard, 1).unwrap();
     }
     store.put_batch(keys.iter().map(|k| (k.clone(), b"round-four".to_vec())));
@@ -158,6 +162,16 @@ fn crash_budget_is_dynamic_and_validated() {
         store.repair_shard_server(0, 3),
         Err(StoreError::ServerNotDown { rank: 3, .. })
     ));
+    let missing = StoreError::ShardOutOfRange {
+        shard: 1,
+        shards: 1,
+    };
+    assert_eq!(
+        store.crash_shard_servers_unchecked(1, 1),
+        Err(missing.clone())
+    );
+    assert_eq!(store.shard_downed_servers(1), Err(missing.clone()));
+    assert_eq!(store.shard_dead_or_repairing(1), Err(missing));
 
     // Fill the budget, then one more is refused.
     store.crash_shard_servers(0, 2).unwrap();
@@ -171,11 +185,11 @@ fn crash_budget_is_dynamic_and_validated() {
     ));
     // Re-crashing an already-dead rank is a no-op, not a budget violation.
     store.crash_shard_server(0, 1).unwrap();
-    assert_eq!(store.shard_downed_servers(0), vec![0, 1]);
+    assert_eq!(store.shard_downed_servers(0).unwrap(), vec![0, 1]);
 
     // A *scheduled* repair does not free the budget yet …
     store.repair_shard_server(0, 0).unwrap();
-    assert_eq!(store.shard_dead_or_repairing(0), 2);
+    assert_eq!(store.shard_dead_or_repairing(0).unwrap(), 2);
     assert!(matches!(
         store.crash_shard_server(0, 2),
         Err(StoreError::ExceedsCrashBudget { .. })
@@ -183,9 +197,9 @@ fn crash_budget_is_dynamic_and_validated() {
 
     // … only an observed-complete repair does.
     store.run_until_quiescent();
-    assert_eq!(store.shard_dead_or_repairing(0), 1);
+    assert_eq!(store.shard_dead_or_repairing(0).unwrap(), 1);
     store.crash_shard_server(0, 2).unwrap();
-    assert_eq!(store.shard_downed_servers(0), vec![1, 2]);
+    assert_eq!(store.shard_downed_servers(0).unwrap(), vec![1, 2]);
 
     store.run_until_quiescent();
     store.check_per_key_atomicity().unwrap();

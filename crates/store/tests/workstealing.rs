@@ -235,7 +235,9 @@ fn a_parallel_drain_runs_every_key_cluster_exactly_once() {
         assert_eq!(op.value.as_deref(), Some(key.as_slice()));
     }
     assert_eq!(store.keyed_history().len(), 64);
-    let metrics = store.pool_metrics().expect("three workers drain in parallel");
+    let metrics = store
+        .pool_metrics()
+        .expect("three workers drain in parallel");
     assert_eq!((metrics.workers, metrics.tasks_executed), (3, 64));
 }
 

@@ -73,6 +73,10 @@ pub struct Claim {
     pub relation: &'static str,
     /// The paper's closed form at the same parameters.
     pub closed_form: f64,
+    /// What `measured` is checked against: `closed_form · (1 + padding)`,
+    /// the closed form with its coded elements at the bytes they occupy.
+    /// Equal to `closed_form` where nothing is coded.
+    pub bound: f64,
     /// Whether the relation holds, up to the coded-element padding.
     pub holds: bool,
 }
@@ -83,6 +87,7 @@ json_row!(Claim {
     measured,
     relation,
     closed_form,
+    bound,
     holds,
 });
 
@@ -105,7 +110,8 @@ impl Claim {
         padding: f64,
     ) -> Claim {
         const EPS: f64 = 1e-9;
-        let upper = closed_form * (1.0 + padding) + EPS;
+        let bound = closed_form * (1.0 + padding);
+        let upper = bound + EPS;
         let (relation, holds) = match relation {
             Relation::Equal => ("=", closed_form - EPS <= measured && measured <= upper),
             Relation::AtMost => ("≤", measured <= upper),
@@ -116,6 +122,7 @@ impl Claim {
             measured,
             relation,
             closed_form,
+            bound,
             holds,
         }
     }
@@ -149,11 +156,12 @@ impl fmt::Display for Table {
                     format!("{:.3}", c.measured),
                     c.relation.to_string(),
                     format!("{:.3}", c.closed_form),
+                    format!("{:.3}", c.bound),
                     if c.holds { "yes" } else { "NO" }.to_string(),
                 ]
             })
             .collect();
-        let headers = ["quantity", "measured", "", "closed form", "holds"];
+        let headers = ["quantity", "measured", "", "closed form", "bound", "holds"];
         write!(f, "{}\n\n{}", self.title, render_table(&headers, &rows))
     }
 }
@@ -688,8 +696,31 @@ mod tests {
             padding(Some(3), 64),
         );
         assert!(claim.holds, "{claim:?}");
+        // The padded row shows the bound it is checked against, above the
+        // closed form.
+        let table = Table {
+            title: "Theorem 5.3".into(),
+            claims: vec![claim.clone()],
+        };
+        let rendered = table.to_string();
+        let row = rendered.lines().find(|l| l.contains("storage")).unwrap();
+        let cells: Vec<&str> = row.split('|').map(str::trim).collect();
+        let (closed_form, bound): (f64, f64) =
+            (cells[4].parse().unwrap(), cells[5].parse().unwrap());
+        assert!(bound > closed_form, "{row}");
+        assert_eq!(
+            cells[4..],
+            [
+                format!("{:.3}", claim.closed_form),
+                format!("{:.3}", claim.bound),
+                "yes".into(),
+                String::new()
+            ],
+            "{row}"
+        );
         let json = to_json(&[claim]);
         assert!(json.contains("\"relation\": \"=\""), "{json}");
+        assert!(json.contains("\"bound\": "), "{json}");
         assert!(json.contains("\"holds\": true"), "{json}");
     }
 
