@@ -107,53 +107,59 @@ mod tests {
         Put,
     }
 
-    /// The threshold, replies to `(Get, seq 1)` as `(phase, seq, from)`,
-    /// what each reply is, and whether the threshold is reached after them.
-    type Case = (usize, &'static [(Phase, u64, u32)], &'static [Reply], bool);
+    /// Begins `(Get, seq 1)` waiting for `needed` responders, feeds it
+    /// `replies` as `(phase, seq, from)`, and checks what each reply is and
+    /// whether the threshold is reached after them.
+    fn check(needed: usize, replies: &[(Phase, u64, u32)], expected: &[Reply], reached: bool) {
+        let mut driver = PhaseDriver::default();
+        assert_eq!((driver.phase(), driver.reached()), (None, false), "idle");
+        driver.begin(Phase::Get, 1, needed);
+        assert_eq!(driver.phase(), Some(Phase::Get));
+        let got: Vec<Reply> = replies
+            .iter()
+            .map(|&(phase, seq, from)| driver.record(phase, seq, ProcessId(from)))
+            .collect();
+        assert_eq!(got, expected, "needed {needed}");
+        assert_eq!(driver.reached(), reached, "needed {needed}");
+    }
 
     #[test]
-    fn counts_each_responder_of_the_phase_in_flight_once_and_completes_once() {
+    fn quorum_completes_after_needed_distinct_responses() {
         use Reply::{Completed, Counted, Ignored};
-        let cases: [Case; 4] = [
-            // Three distinct responders complete; a duplicate counts once;
-            // a reply after the threshold does not complete again.
-            (
-                3,
-                &[
-                    (Phase::Get, 1, 0),
-                    (Phase::Get, 1, 1),
-                    (Phase::Get, 1, 1),
-                    (Phase::Get, 1, 2),
-                    (Phase::Get, 1, 3),
-                    (Phase::Get, 1, 2),
-                ],
-                &[Counted, Counted, Ignored, Completed, Counted, Ignored],
-                true,
-            ),
-            // A stale sequence number and a wrong phase are dropped.
-            (
-                2,
-                &[(Phase::Get, 0, 0), (Phase::Put, 1, 1), (Phase::Get, 1, 4)],
-                &[Ignored, Ignored, Counted],
-                false,
-            ),
-            // One responder suffices.
-            (1, &[(Phase::Get, 1, 9)], &[Completed], true),
-            // Nothing needed: reached at once, never reported.
-            (0, &[(Phase::Get, 1, 0)], &[Counted], true),
-        ];
-        for (needed, replies, expected, reached) in cases {
-            let mut driver = PhaseDriver::default();
-            assert_eq!((driver.phase(), driver.reached()), (None, false), "idle");
-            driver.begin(Phase::Get, 1, needed);
-            assert_eq!(driver.phase(), Some(Phase::Get));
-            let got: Vec<Reply> = replies
-                .iter()
-                .map(|&(phase, seq, from)| driver.record(phase, seq, ProcessId(from)))
-                .collect();
-            assert_eq!(got, expected, "needed {needed}");
-            assert_eq!(driver.reached(), reached, "needed {needed}");
-        }
+        // Three distinct responders complete; a duplicate counts once; a
+        // reply after the threshold does not complete again.
+        check(
+            3,
+            &[
+                (Phase::Get, 1, 0),
+                (Phase::Get, 1, 1),
+                (Phase::Get, 1, 1),
+                (Phase::Get, 1, 2),
+                (Phase::Get, 1, 3),
+                (Phase::Get, 1, 2),
+            ],
+            &[Counted, Counted, Ignored, Completed, Counted, Ignored],
+            true,
+        );
+        // One responder suffices.
+        check(1, &[(Phase::Get, 1, 9)], &[Completed], true);
+    }
+
+    #[test]
+    fn stale_sequence_numbers_and_other_phases_are_dropped() {
+        use Reply::{Counted, Ignored};
+        check(
+            2,
+            &[(Phase::Get, 0, 0), (Phase::Put, 1, 1), (Phase::Get, 1, 4)],
+            &[Ignored, Ignored, Counted],
+            false,
+        );
+    }
+
+    #[test]
+    fn zero_needed_is_immediately_complete() {
+        // Nothing needed: reached at once, never reported.
+        check(0, &[(Phase::Get, 1, 0)], &[Reply::Counted], true);
     }
 
     #[test]
