@@ -76,6 +76,21 @@ pub enum BuildError {
         /// The offending protocol's name.
         kind: &'static str,
     },
+    /// A [`PartitionWindow`] names a server rank the cluster does not have.
+    PartitionRankOutOfRange {
+        /// The offending rank.
+        rank: usize,
+        /// Number of servers.
+        n: usize,
+    },
+    /// A [`PartitionWindow`] is empty (`start >= end`) or isolates no
+    /// ranks: it could never cut a link, so it is almost certainly a typo.
+    PartitionEmptyWindow {
+        /// The window's start tick.
+        start: u64,
+        /// The window's end tick.
+        end: u64,
+    },
 }
 
 impl fmt::Display for BuildError {
@@ -119,6 +134,13 @@ impl fmt::Display for BuildError {
                 out,
                 "the test-only quorum override exists only for ABD, not for {kind}"
             ),
+            BuildError::PartitionRankOutOfRange { rank, n } => write!(
+                out,
+                "partition isolates rank {rank} but the cluster has {n} servers"
+            ),
+            BuildError::PartitionEmptyWindow { start, end } => {
+                write!(out, "partition window [{start}, {end}) isolates nothing")
+            }
         }
     }
 }
@@ -226,6 +248,12 @@ impl ClusterBuilder {
         }
     }
 
+    /// Sets the protocol the cluster runs.
+    pub fn with_kind(mut self, kind: ProtocolKind) -> Self {
+        self.kind = kind;
+        self
+    }
+
     /// Sets the RNG seed controlling message delays (and thus the
     /// interleaving).
     pub fn with_seed(mut self, seed: u64) -> Self {
@@ -276,10 +304,12 @@ impl ClusterBuilder {
     }
 
     /// Schedules a [`PartitionWindow`] on top of the installed adversary.
-    /// Windows may be stacked (call repeatedly) and overlap freely; ranks
-    /// that name no server and empty windows cut nothing.
+    /// Windows may be stacked (call repeatedly) and overlap freely. Rejected
+    /// at `build` if a rank names no server or the window is empty; callers
+    /// holding windows drawn for another cluster size trim them first with
+    /// [`PartitionWindow::on_cluster`].
     pub fn with_partition_window(mut self, window: &PartitionWindow) -> Self {
-        self.partitions.extend(window.on_cluster(self.n));
+        self.partitions.push(window.clone());
         self
     }
 
@@ -353,10 +383,23 @@ impl ClusterBuilder {
                 kind: self.kind.name(),
             });
         }
+        for window in &self.partitions {
+            if window.is_empty() {
+                return Err(BuildError::PartitionEmptyWindow {
+                    start: window.start,
+                    end: window.end,
+                });
+            }
+            if let Some(&rank) = window.ranks.iter().find(|&&rank| rank >= self.n) {
+                return Err(BuildError::PartitionRankOutOfRange { rank, n: self.n });
+            }
+        }
         Ok(())
     }
 
-    pub(crate) fn descriptor(&self) -> ClusterDescriptor {
+    /// The shape the cluster will be built with: protocol, `n`, `f` and
+    /// client handles.
+    pub fn descriptor(&self) -> ClusterDescriptor {
         ClusterDescriptor {
             kind: self.kind,
             n: self.n,
@@ -538,10 +581,9 @@ mod tests {
             end,
         };
         let mut builder = ClusterBuilder::new(ProtocolKind::Abd, 5, 2)
-            .with_partition_window(&window(&[3, 0, 9], 50, 1000))
-            .with_partition_window(&window(&[7], 0, 10)) // names no server
-            .with_partition_window(&window(&[1], 10, 10)) // empty
+            .with_partition_window(&window(&[3, 0], 50, 1000))
             .with_clients(1, 2);
+        builder.validate().unwrap();
         let (start, end) = (SimTime::from_ticks(50), SimTime::from_ticks(1000));
         let expected =
             NetFaultPlan::none().with_isolation([ProcessId(0), ProcessId(3)], start, end);
@@ -560,6 +602,35 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn rejects_malformed_partition_windows() {
+        let with_window = |ranks: &[usize], start, end| {
+            ClusterBuilder::new(ProtocolKind::Soda, 5, 2)
+                .with_partition_window(&PartitionWindow {
+                    ranks: ranks.to_vec(),
+                    start,
+                    end,
+                })
+                .validate()
+        };
+        assert_eq!(
+            with_window(&[1, 5], 0, 100),
+            Err(BuildError::PartitionRankOutOfRange { rank: 5, n: 5 })
+        );
+        assert_eq!(
+            with_window(&[1], 200, 200),
+            Err(BuildError::PartitionEmptyWindow {
+                start: 200,
+                end: 200
+            })
+        );
+        assert_eq!(
+            with_window(&[], 0, 100),
+            Err(BuildError::PartitionEmptyWindow { start: 0, end: 100 })
+        );
+        assert_eq!(with_window(&[0, 4], 0, 100), Ok(()));
     }
 
     #[test]

@@ -44,67 +44,8 @@ pub enum StoreRuntime {
 /// Virtual nodes per shard on the consistent-hash placement ring.
 const VNODES_PER_SHARD: usize = 16;
 
-/// Per-shard configuration: the register-cluster shape every key placed on
-/// the shard is built with.
-#[derive(Clone, Debug)]
-pub(crate) struct ShardSpec {
-    /// The register protocol this shard runs.
-    pub kind: ProtocolKind,
-    /// Servers per register cluster.
-    pub n: usize,
-    /// Tolerated server crashes per register cluster.
-    pub f: usize,
-    /// Writer handles per key.
-    pub writers_per_key: usize,
-    /// Reader handles per key.
-    pub readers_per_key: usize,
-    /// Message delay model for the shard's clusters.
-    pub network: NetworkConfig,
-    /// Network adversary applied to every cluster of the shard.
-    pub net_faults: NetFaultPlan,
-    /// Scheduled partition windows applied to every cluster of the shard.
-    pub partitions: Vec<PartitionWindow>,
-    /// **Test-only.** Sub-majority quorum override for ABD shards (rejected
-    /// at `build` for every other kind) — deliberately breaks atomicity so
-    /// the store-level exploration harness and its shrinker can be validated
-    /// against a known-broken protocol.
-    pub unsound_quorum: Option<usize>,
-}
-
-impl ShardSpec {
-    /// How many of the shard's servers may be simultaneously dead or under
-    /// repair without wedging the shard: the declared crash tolerance `f`.
-    ///
-    /// This is the *dynamic* budget — repairing a server returns it to the
-    /// budget once the repair completes, so a long-lived shard can survive
-    /// far more than `f` crashes in total. For SODAerr the corruption budget
-    /// `e` is already priced into the code dimension (`k = n − f − 2e`), so
-    /// its crash budget is still `f`: reads need `k + 2e = n − f` responders,
-    /// and corrupting servers keep responding.
-    pub fn crash_budget(&self) -> usize {
-        self.f
-    }
-
-    /// The representative [`ClusterBuilder`] for this spec (used both for
-    /// validation and for building each key's cluster).
-    pub(crate) fn cluster_builder(&self, seed: u64) -> ClusterBuilder {
-        let mut builder = ClusterBuilder::new(self.kind, self.n, self.f)
-            .with_seed(seed)
-            .with_clients(self.writers_per_key, self.readers_per_key)
-            .with_network(self.network.clone())
-            .with_net_faults(self.net_faults.clone());
-        for window in &self.partitions {
-            builder = builder.with_partition_window(window);
-        }
-        if let Some(quorum) = self.unsound_quorum {
-            builder = builder.with_unsound_quorum(quorum);
-        }
-        builder
-    }
-}
-
 /// Why a [`StoreBuilder`] refused to build.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub enum StoreBuildError {
     /// The store has no shards.
     NoShards,
@@ -130,25 +71,6 @@ pub enum StoreBuildError {
         /// The underlying cluster-builder error.
         source: BuildError,
     },
-    /// A [`PartitionWindow`] names a server rank the shard does not have.
-    PartitionRankOutOfRange {
-        /// The offending shard index.
-        shard: usize,
-        /// The out-of-range rank.
-        rank: usize,
-        /// Servers per cluster on that shard.
-        n: usize,
-    },
-    /// A [`PartitionWindow`] is empty (`start >= end`) or isolates no
-    /// ranks — it could never cut a link, so it is almost certainly a typo.
-    PartitionEmptyWindow {
-        /// The offending shard index.
-        shard: usize,
-        /// The window's start tick.
-        start: u64,
-        /// The window's end tick.
-        end: u64,
-    },
     /// Every key needs at least one writer and one reader handle, or its
     /// puts or gets could never be issued.
     NoClientHandles {
@@ -173,14 +95,6 @@ impl fmt::Display for StoreBuildError {
             StoreBuildError::Shard { shard, source } => {
                 write!(out, "shard {shard}: {source}")
             }
-            StoreBuildError::PartitionRankOutOfRange { shard, rank, n } => write!(
-                out,
-                "shard {shard}: partition isolates rank {rank} but clusters have {n} servers"
-            ),
-            StoreBuildError::PartitionEmptyWindow { shard, start, end } => write!(
-                out,
-                "shard {shard}: partition window [{start}, {end}) isolates nothing"
-            ),
             StoreBuildError::NoClientHandles { writers, readers } => write!(
                 out,
                 "every key needs a writer and a reader handle, got {writers} writers and \
@@ -219,18 +133,14 @@ impl Error for StoreBuildError {
 /// ```
 #[derive(Clone, Debug)]
 pub struct StoreBuilder {
-    specs: Vec<ShardSpec>,
+    /// One template per shard: every key placed on shard `i` gets
+    /// `templates[i]` with its own derived seed.
+    templates: Vec<ClusterBuilder>,
     seed: u64,
     runtime: StoreRuntime,
-    errors: Vec<StoreBuildErrorKind>,
-}
-
-/// Deferred-error bookkeeping so the chained builder methods stay infallible
-/// (errors surface at `build`, like `ClusterBuilder`).
-#[derive(Clone, Debug)]
-enum StoreBuildErrorKind {
-    ShardKindsLength { kinds: usize },
-    ShardOutOfRange { shard: usize },
+    /// The first error of a chained setter, so that the setters stay
+    /// infallible and errors surface at `build`, like `ClusterBuilder`'s.
+    error: Option<StoreBuildError>,
 }
 
 impl StoreBuilder {
@@ -238,23 +148,38 @@ impl StoreBuilder {
     /// tolerating `f` crashes, with one writer and one reader handle per key,
     /// seed 0 and the deterministic [`StoreRuntime::Simulation`] backend.
     pub fn new(shards: usize, kind: ProtocolKind, n: usize, f: usize) -> Self {
-        let spec = ShardSpec {
-            kind,
-            n,
-            f,
-            writers_per_key: 1,
-            readers_per_key: 1,
-            network: NetworkConfig::uniform(10),
-            net_faults: NetFaultPlan::none(),
-            partitions: Vec::new(),
-            unsound_quorum: None,
-        };
         StoreBuilder {
-            specs: vec![spec; shards],
+            templates: vec![ClusterBuilder::new(kind, n, f); shards],
             seed: 0,
             runtime: StoreRuntime::Simulation,
-            errors: Vec::new(),
+            error: None,
         }
+    }
+
+    /// Applies `set` to every shard's template.
+    fn with_each(mut self, set: impl Fn(ClusterBuilder) -> ClusterBuilder) -> Self {
+        self.templates = self.templates.into_iter().map(set).collect();
+        self
+    }
+
+    /// Applies `set` to shard `shard`'s template, or defers
+    /// [`StoreBuildError::ShardOutOfRange`] to `build`.
+    fn with_one(
+        mut self,
+        shard: usize,
+        set: impl FnOnce(ClusterBuilder) -> ClusterBuilder,
+    ) -> Self {
+        let shards = self.templates.len();
+        match self.templates.get_mut(shard) {
+            Some(template) => *template = set(template.clone()),
+            None => self.defer(StoreBuildError::ShardOutOfRange { shard, shards }),
+        }
+        self
+    }
+
+    /// Keeps `error` for `build` unless an earlier setter already failed.
+    fn defer(&mut self, error: StoreBuildError) {
+        self.error.get_or_insert(error);
     }
 
     /// Sets the store seed (mixed with each key's hash to derive per-cluster
@@ -273,66 +198,47 @@ impl StoreBuilder {
     /// Gives every shard its own protocol (`kinds[i]` for shard `i`) — mixed
     /// fleets in one store. The list length must equal the shard count.
     pub fn with_shard_kinds(mut self, kinds: Vec<ProtocolKind>) -> Self {
-        if kinds.len() != self.specs.len() {
-            self.errors
-                .push(StoreBuildErrorKind::ShardKindsLength { kinds: kinds.len() });
+        if kinds.len() != self.templates.len() {
+            self.defer(StoreBuildError::ShardKindsLength {
+                shards: self.templates.len(),
+                kinds: kinds.len(),
+            });
             return self;
         }
-        for (spec, kind) in self.specs.iter_mut().zip(kinds) {
-            spec.kind = kind;
-        }
+        self.templates = (self.templates.into_iter().zip(kinds))
+            .map(|(template, kind)| template.with_kind(kind))
+            .collect();
         self
     }
 
     /// Overrides one shard's protocol.
-    pub fn with_shard_kind(mut self, shard: usize, kind: ProtocolKind) -> Self {
-        match self.specs.get_mut(shard) {
-            Some(spec) => spec.kind = kind,
-            None => self
-                .errors
-                .push(StoreBuildErrorKind::ShardOutOfRange { shard }),
-        }
-        self
+    pub fn with_shard_kind(self, shard: usize, kind: ProtocolKind) -> Self {
+        self.with_one(shard, |template| template.with_kind(kind))
     }
 
     /// Sets writer/reader handles per key, for every shard.
-    pub fn with_clients_per_key(mut self, writers: usize, readers: usize) -> Self {
-        for spec in &mut self.specs {
-            spec.writers_per_key = writers;
-            spec.readers_per_key = readers;
-        }
-        self
+    pub fn with_clients_per_key(self, writers: usize, readers: usize) -> Self {
+        self.with_each(|template| template.with_clients(writers, readers))
     }
 
     /// Sets the message delay model for every shard.
-    pub fn with_network(mut self, network: NetworkConfig) -> Self {
-        for spec in &mut self.specs {
-            spec.network = network.clone();
-        }
-        self
+    pub fn with_network(self, network: NetworkConfig) -> Self {
+        self.with_each(|template| template.with_network(network.clone()))
     }
 
     /// Installs a network adversary on every shard.
-    pub fn with_net_faults(mut self, plan: NetFaultPlan) -> Self {
-        for spec in &mut self.specs {
-            spec.net_faults = plan.clone();
-        }
-        self
+    pub fn with_net_faults(self, plan: NetFaultPlan) -> Self {
+        self.with_each(|template| template.with_net_faults(plan.clone()))
     }
 
     /// Schedules a [`PartitionWindow`] on one shard: its server ranks are
     /// cut off from every other process of each key's cluster during
     /// `[start, end)` ticks, healing at `end`. Windows may be stacked (call
     /// repeatedly) and overlap freely. Rejected at `build` if a rank is out
-    /// of range or the window is empty.
-    pub fn with_shard_partition(mut self, shard: usize, window: &PartitionWindow) -> Self {
-        match self.specs.get_mut(shard) {
-            Some(spec) => spec.partitions.push(window.clone()),
-            None => self
-                .errors
-                .push(StoreBuildErrorKind::ShardOutOfRange { shard }),
-        }
-        self
+    /// of range or the window is empty (see
+    /// [`ClusterBuilder::with_partition_window`]).
+    pub fn with_shard_partition(self, shard: usize, window: &PartitionWindow) -> Self {
+        self.with_one(shard, |template| template.with_partition_window(window))
     }
 
     /// **Test-only.** Overrides the ABD quorum size on every shard, below
@@ -340,58 +246,27 @@ impl StoreBuilder {
     /// store-level exploration harness and its shrinker can be validated
     /// against a known-broken protocol. Rejected at `build` unless every
     /// shard runs ABD.
-    pub fn with_unsound_quorum(mut self, quorum: usize) -> Self {
-        for spec in &mut self.specs {
-            spec.unsound_quorum = Some(quorum);
-        }
-        self
+    pub fn with_unsound_quorum(self, quorum: usize) -> Self {
+        self.with_each(|template| template.with_unsound_quorum(quorum))
     }
 
     /// Checks every shard's parameters without building anything.
     pub fn validate(&self) -> Result<(), StoreBuildError> {
-        if let Some(err) = self.errors.first() {
-            return Err(match *err {
-                StoreBuildErrorKind::ShardKindsLength { kinds } => {
-                    StoreBuildError::ShardKindsLength {
-                        shards: self.specs.len(),
-                        kinds,
-                    }
-                }
-                StoreBuildErrorKind::ShardOutOfRange { shard } => {
-                    StoreBuildError::ShardOutOfRange {
-                        shard,
-                        shards: self.specs.len(),
-                    }
-                }
-            });
+        if let Some(error) = &self.error {
+            return Err(error.clone());
         }
-        if self.specs.is_empty() {
+        if self.templates.is_empty() {
             return Err(StoreBuildError::NoShards);
         }
-        for (shard, spec) in self.specs.iter().enumerate() {
-            if spec.writers_per_key == 0 || spec.readers_per_key == 0 {
+        for (shard, template) in self.templates.iter().enumerate() {
+            let descriptor = template.descriptor();
+            if descriptor.num_writers == 0 || descriptor.num_readers == 0 {
                 return Err(StoreBuildError::NoClientHandles {
-                    writers: spec.writers_per_key,
-                    readers: spec.readers_per_key,
+                    writers: descriptor.num_writers,
+                    readers: descriptor.num_readers,
                 });
             }
-            for window in &spec.partitions {
-                if window.is_empty() {
-                    return Err(StoreBuildError::PartitionEmptyWindow {
-                        shard,
-                        start: window.start,
-                        end: window.end,
-                    });
-                }
-                if let Some(&rank) = window.ranks.iter().find(|&&r| r >= spec.n) {
-                    return Err(StoreBuildError::PartitionRankOutOfRange {
-                        shard,
-                        rank,
-                        n: spec.n,
-                    });
-                }
-            }
-            spec.cluster_builder(0)
+            template
                 .validate()
                 .map_err(|source| StoreBuildError::Shard { shard, source })?;
         }
@@ -401,8 +276,13 @@ impl StoreBuilder {
     /// Builds the store.
     pub fn build(self) -> Result<ShardedStore, StoreBuildError> {
         self.validate()?;
-        let map = ShardMap::new(self.specs.len(), VNODES_PER_SHARD);
-        Ok(ShardedStore::new(map, self.specs, self.seed, self.runtime))
+        let map = ShardMap::new(self.templates.len(), VNODES_PER_SHARD);
+        Ok(ShardedStore::new(
+            map,
+            self.templates,
+            self.seed,
+            self.runtime,
+        ))
     }
 }
 

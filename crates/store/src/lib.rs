@@ -9,13 +9,22 @@
 //! * Placement — a byte-string keyspace placed onto `S` shards by
 //!   consistent hashing over a ring of virtual nodes
 //!   ([`ShardedStore::shard_of`]).
-//! * [`StoreBuilder`] — each shard is a register-cluster
-//!   fleet with its *own* protocol choice ([`soda_registry::ProtocolKind`]
-//!   per shard; mixed SODA/ABD/CAS fleets in one store are legal), fault
-//!   plan, network model and client-handle shape. Every key placed on a
-//!   shard gets its own register cluster built from the shard's spec —
-//!   atomic objects compose, so per-key registers give per-key atomicity by
-//!   construction, and the store machine-checks it after the fact.
+//! * [`StoreBuilder`] — each shard holds one
+//!   [`soda_registry::ClusterBuilder`] template, and every key placed on the
+//!   shard gets its own register cluster: the template with a seed derived
+//!   from the store seed, the key and the shard
+//!   ([`ShardedStore::cluster_builder_for`]). Only the protocol
+//!   ([`soda_registry::ProtocolKind`]; mixed SODA/ABD/CAS fleets in one
+//!   store are legal) and the partition windows are per shard; the network
+//!   model, the network adversary, the client handles per key and the
+//!   test-only quorum override apply to every shard.
+//!
+//!   Atomic objects compose, so per-key registers give per-key atomicity,
+//!   provided the store drives each key's cluster exactly as a lone cluster
+//!   built from that builder would be driven. The model test
+//!   `crates/workload/tests/store_model.rs` checks this op for op under
+//!   every runtime, and [`ShardedStore::check_per_key_atomicity`] checks
+//!   the result after the fact.
 //! * [`ShardedStore`] — the batched, async-flavored client API: [`put`],
 //!   [`get`], [`multi_get`] and [`put_batch`] return [`Ticket`]s immediately;
 //!   [`run_until_quiescent`] drains every shard: scoped threads claim **key

@@ -1,10 +1,10 @@
 //! The sharded multi-object store proper.
 
-use crate::builder::{ShardSpec, StoreRuntime};
+use crate::builder::StoreRuntime;
 use crate::map::{fnv1a, ShardMap};
 use crate::metrics::{PoolMetrics, ShardMetrics, StoreMetrics, StoreTotals};
 use soda_consistency::{KeyViolation, KeyedHistory, KeyedOp};
-use soda_registry::{OpKind, OpRecord, RegisterCluster, Value};
+use soda_registry::{ClusterBuilder, ClusterDescriptor, OpKind, OpRecord, RegisterCluster, Value};
 use soda_simnet::{ProcessId, SimTime};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
@@ -276,11 +276,11 @@ impl KeyCluster {
     }
 }
 
-/// One shard: a fleet of per-key register clusters sharing a [`ShardSpec`]
-/// (protocol, `n`/`f`, fault plan and client-handle shape).
+/// One shard: a fleet of per-key register clusters, each built from the
+/// shard's template with a seed derived from its key.
 struct Shard {
     index: usize,
-    spec: ShardSpec,
+    template: ClusterBuilder,
     clusters: Vec<KeyCluster>,
     /// Each key's index in `clusters`; shares the cluster's key allocation.
     key_index: HashMap<Arc<[u8]>, usize>,
@@ -298,19 +298,24 @@ struct Shard {
 }
 
 impl Shard {
-    /// The cluster for `key`, created lazily from the shard spec.
+    /// The builder of `key`'s cluster: the shard's template with a seed
+    /// derived from the store seed, the key and the shard.
+    fn cluster_builder(&self, key: &[u8], store_seed: u64) -> ClusterBuilder {
+        let seed = store_seed
+            ^ fnv1a(key).rotate_left(17)
+            ^ (self.index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.template.clone().with_seed(seed)
+    }
+
+    /// The cluster for `key`, created lazily from the shard's template.
     fn cluster_for(&mut self, key: &[u8], store_seed: u64) -> &mut KeyCluster {
         if let Some(&idx) = self.key_index.get(key) {
             return &mut self.clusters[idx];
         }
-        let seed = store_seed
-            ^ fnv1a(key).rotate_left(17)
-            ^ (self.index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let mut cluster = self
-            .spec
-            .cluster_builder(seed)
+            .cluster_builder(key, store_seed)
             .build()
-            .expect("spec was validated at store build time");
+            .expect("the template was validated at store build time");
         // A fresh cluster starts with all servers alive; only the ranks that
         // are *currently* down get crashed. Ranks mid-repair elsewhere were
         // never crashed here, so they simply stay healthy.
@@ -356,8 +361,8 @@ impl Shard {
 
 /// A sharded, multi-object atomic KV store: a byte-string keyspace placed
 /// onto `S` shards by consistent hashing, each shard a register-cluster fleet
-/// with its own protocol choice (mixed fleets allowed), fault plan and client
-/// handles. See the crate docs for the composition argument and
+/// with its own protocol choice (mixed fleets allowed) and partition windows.
+/// See the crate docs for the composition argument and
 /// [`StoreBuilder`](crate::StoreBuilder) for construction.
 pub struct ShardedStore {
     map: ShardMap,
@@ -392,16 +397,16 @@ impl std::fmt::Debug for ShardedStore {
 impl ShardedStore {
     pub(crate) fn new(
         map: ShardMap,
-        specs: Vec<ShardSpec>,
+        templates: Vec<ClusterBuilder>,
         seed: u64,
         runtime: StoreRuntime,
     ) -> Self {
-        let shards = specs
+        let shards = templates
             .into_iter()
             .enumerate()
-            .map(|(index, spec)| Shard {
+            .map(|(index, template)| Shard {
                 index,
-                spec,
+                template,
                 clusters: Vec::new(),
                 key_index: HashMap::new(),
                 downed: BTreeSet::new(),
@@ -430,6 +435,14 @@ impl ShardedStore {
     /// The shard that serves `key`.
     pub fn shard_of(&self, key: &[u8]) -> usize {
         self.map.shard_of(key)
+    }
+
+    /// The builder `key`'s cluster is (or will be) built from: its shard's
+    /// template with the key's derived seed. A lone cluster built from it
+    /// and driven with the calls the store makes on the key has the key's
+    /// history, op for op.
+    pub fn cluster_builder_for(&self, key: &[u8]) -> ClusterBuilder {
+        self.shards[self.shard_of(key)].cluster_builder(key, self.seed)
     }
 
     /// Distinct keys the store has seen, per shard.
@@ -686,17 +699,18 @@ impl ShardedStore {
         ranks: impl IntoIterator<Item = usize>,
     ) -> Result<(), StoreError> {
         let s = self.shard_mut(shard)?;
+        let ClusterDescriptor { n, f, .. } = s.template.descriptor();
         let ranks: BTreeSet<usize> = ranks.into_iter().collect();
-        if let Some(&rank) = ranks.iter().find(|&&r| r >= s.spec.n) {
-            return Err(StoreError::RankOutOfRange {
-                shard,
-                rank,
-                n: s.spec.n,
-            });
+        if let Some(&rank) = ranks.iter().find(|&&r| r >= n) {
+            return Err(StoreError::RankOutOfRange { shard, rank, n });
         }
         let mut down_after: BTreeSet<usize> = s.downed.union(&s.repairing).copied().collect();
         down_after.extend(ranks.iter().copied());
-        let tolerated = s.spec.crash_budget();
+        // The crash budget is the declared tolerance `f`, also for SODAerr:
+        // its corruption budget `e` is already priced into the code
+        // dimension (`k = n − f − 2e`), so reads need `k + 2e = n − f`
+        // responders, and corrupting servers keep responding.
+        let tolerated = f;
         if down_after.len() > tolerated {
             return Err(StoreError::ExceedsCrashBudget {
                 shard,
@@ -722,7 +736,7 @@ impl ShardedStore {
         count: usize,
     ) -> Result<(), StoreError> {
         let s = self.shard_mut(shard)?;
-        for rank in 0..count.min(s.spec.n) {
+        for rank in 0..count.min(s.template.descriptor().n) {
             s.crash(rank);
         }
         Ok(())
@@ -743,12 +757,9 @@ impl ShardedStore {
     /// repair start healthy at this rank.
     pub fn repair_shard_server(&mut self, shard: usize, rank: usize) -> Result<(), StoreError> {
         let s = self.shard_mut(shard)?;
-        if rank >= s.spec.n {
-            return Err(StoreError::RankOutOfRange {
-                shard,
-                rank,
-                n: s.spec.n,
-            });
+        let n = s.template.descriptor().n;
+        if rank >= n {
+            return Err(StoreError::RankOutOfRange { shard, rank, n });
         }
         if !s.downed.remove(&rank) {
             return Err(StoreError::ServerNotDown { shard, rank });
@@ -831,6 +842,7 @@ impl ShardedStore {
         let mut aggregate = StoreTotals::default();
         let mut per_shard = Vec::with_capacity(self.shards.len());
         for shard in &self.shards {
+            let descriptor = shard.template.descriptor();
             let mut totals = StoreTotals {
                 keys: shard.clusters.len(),
                 ..shard.settled.clone()
@@ -847,7 +859,7 @@ impl ShardedStore {
                 totals.data_bytes_sent += stats.data_bytes_sent;
                 totals.stored_bytes += kc.cluster.total_stored_bytes();
                 totals.pending_tickets += kc.pending() as u64;
-                for report in (0..shard.spec.n).filter_map(|rank| kc.cluster.repair_report(rank)) {
+                for report in (0..descriptor.n).filter_map(|rank| kc.cluster.repair_report(rank)) {
                     totals.repair_traffic_bytes += report.traffic_bytes;
                     if let Some(latency) = report.latency() {
                         totals.repairs_completed += 1;
@@ -861,7 +873,7 @@ impl ShardedStore {
             aggregate.add(&totals);
             per_shard.push(ShardMetrics {
                 shard: shard.index,
-                protocol: shard.spec.kind.name(),
+                protocol: descriptor.kind.name(),
                 totals,
             });
         }

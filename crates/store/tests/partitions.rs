@@ -4,7 +4,7 @@
 //! the window outlives the whole retry budget), and everything stays
 //! deterministic across runtimes.
 
-use soda_registry::{PartitionWindow, ProtocolKind};
+use soda_registry::{BuildError, PartitionWindow, ProtocolKind};
 use soda_store::{ShardedStore, StoreBuildError, StoreBuilder, StoreRuntime};
 
 fn window(ranks: &[usize], start: u64, end: u64) -> PartitionWindow {
@@ -195,10 +195,9 @@ fn malformed_partitions_are_rejected_at_build() {
     assert!(
         matches!(
             err,
-            StoreBuildError::PartitionRankOutOfRange {
+            StoreBuildError::Shard {
                 shard: 1,
-                rank: 6,
-                n: 5
+                source: BuildError::PartitionRankOutOfRange { rank: 6, n: 5 }
             }
         ),
         "{err}"
@@ -209,7 +208,13 @@ fn malformed_partitions_are_rejected_at_build() {
         .build()
         .unwrap_err();
     assert!(
-        matches!(err, StoreBuildError::PartitionEmptyWindow { shard: 0, .. }),
+        matches!(
+            err,
+            StoreBuildError::Shard {
+                shard: 0,
+                source: BuildError::PartitionEmptyWindow { .. }
+            }
+        ),
         "{err}"
     );
 

@@ -461,7 +461,9 @@ fn liveness_violation(
 }
 
 /// Builds the cluster for `(config, scenario)` and runs the scenario to
-/// quiescence, returning the checked outcome.
+/// quiescence, returning the checked outcome. Windows are applied the way
+/// the cluster sees them: ranks it does not have are dropped, and windows
+/// that cut nothing are skipped.
 ///
 /// # Panics
 /// Panics if the configuration is invalid for the protocol kind (see
@@ -472,8 +474,12 @@ pub fn run_scenario(cfg: &ExploreConfig, scenario: &Scenario) -> Outcome<Explore
         .with_clients(cfg.writers, cfg.readers)
         .with_network(NetworkConfig::uniform(10))
         .with_net_faults(scenario.net.fault_plan());
-    for window in &scenario.partitions {
-        builder = builder.with_partition_window(window);
+    for window in scenario
+        .partitions
+        .iter()
+        .filter_map(|w| w.on_cluster(cfg.n))
+    {
+        builder = builder.with_partition_window(&window);
     }
     if !scenario.byzantine.is_empty() {
         builder = builder.with_byzantine_servers(scenario.byzantine.clone());

@@ -404,18 +404,15 @@ fn store_liveness_violation(
     None
 }
 
-/// Builds the store for `(config, scenario)`, drives every phase to
-/// quiescence, and machine-checks per-key atomicity over the closed store
-/// history. Windows are applied the way a cluster would see them: ranks the
-/// shards do not have are dropped, and windows that cut nothing are skipped.
+/// Builds the store `(config, scenario)` runs on, before any crash or
+/// operation. Windows are applied the way a cluster would see them: ranks
+/// the shards do not have are dropped, and windows that cut nothing are
+/// skipped.
 ///
 /// # Panics
 /// Panics if the configuration is invalid for any shard's protocol kind
 /// (see [`soda_store::StoreBuilder`] validation).
-pub fn run_store_scenario(
-    cfg: &StoreExploreConfig,
-    scenario: &StoreScenario,
-) -> Outcome<StoreExploreConfig> {
+pub fn build_store(cfg: &StoreExploreConfig, scenario: &StoreScenario) -> ShardedStore {
     let mut builder = StoreBuilder::new(
         cfg.shards,
         cfg.kinds.first().copied().unwrap_or(ProtocolKind::Soda),
@@ -435,9 +432,22 @@ pub fn run_store_scenario(
     if let Some(quorum) = cfg.quorum_override {
         builder = builder.with_unsound_quorum(quorum);
     }
-    let mut store: ShardedStore = builder
+    builder
         .build()
-        .unwrap_or_else(|e| panic!("invalid store exploration config: {e}"));
+        .unwrap_or_else(|e| panic!("invalid store exploration config: {e}"))
+}
+
+/// Builds the store for `(config, scenario)` with [`build_store`], drives
+/// every phase to quiescence, and machine-checks per-key atomicity over the
+/// closed store history.
+///
+/// # Panics
+/// Panics if the configuration is invalid for any shard's protocol kind.
+pub fn run_store_scenario(
+    cfg: &StoreExploreConfig,
+    scenario: &StoreScenario,
+) -> Outcome<StoreExploreConfig> {
+    let mut store = build_store(cfg, scenario);
     for &(shard, count) in &scenario.shard_crashes {
         store
             .crash_shard_servers(shard, count)

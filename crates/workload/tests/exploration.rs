@@ -24,7 +24,7 @@ mod common;
 
 use common::{count_scenarios, expect_clean, schedules_from_env};
 use soda_consistency::Violation;
-use soda_registry::ProtocolKind;
+use soda_registry::{PartitionWindow, ProtocolKind};
 use soda_workload::engine::{shrink, NetIntensity, Scenario, Target};
 use soda_workload::explore::{
     explore, generate_scenario, run_scenario, AdversaryKnobs, ExploreConfig,
@@ -290,6 +290,43 @@ fn all_five_protocols_survive_partitioned_schedules() {
     for cfg in campaigns() {
         expect_clean(&cfg.with_partitions(0.7, 1200), 0, 15);
     }
+}
+
+#[test]
+fn hand_built_windows_are_applied_the_way_the_cluster_sees_them() {
+    // The cluster builder rejects a window with no ranks, with ranks the
+    // cluster does not have, or that heals before it opens; the runner has
+    // to skip or trim them instead, as the store runner does, or a
+    // hand-built (or shrunk) scenario panics.
+    let cfg = ExploreConfig::new(ProtocolKind::Abd, 5, 2);
+    let window = |ranks: &[usize], start, end| PartitionWindow {
+        ranks: ranks.to_vec(),
+        start,
+        end,
+    };
+    let run_with = |partitions| {
+        let scenario = soda_workload::explore::Scenario {
+            partitions,
+            ..generate_scenario(&cfg, 3)
+        };
+        let outcome = run_scenario(&cfg, &scenario);
+        assert!(outcome.violation.is_none() && !outcome.hit_event_cap);
+        (outcome.completed_ops, outcome.pending)
+    };
+    let nothing_cut = run_with(vec![
+        window(&[], 0, 500),
+        window(&[cfg.n, cfg.n + 3], 0, 500),
+        window(&[1], 300, 300),
+    ]);
+    assert_eq!(nothing_cut, run_with(Vec::new()));
+    // A rank out of range is dropped from its window, not the window with it.
+    // (Three ranks exceed f = 2, so the cut cluster visibly starves.)
+    let trimmed = run_with(vec![window(&[0, 1, 2, cfg.n], 0, 100_000)]);
+    assert_eq!(trimmed, run_with(vec![window(&[0, 1, 2], 0, 100_000)]));
+    assert_ne!(
+        trimmed, nothing_cut,
+        "the surviving ranks must still be cut"
+    );
 }
 
 /// The partition-focused fuzz-smoke pass CI runs nightly: every scenario
