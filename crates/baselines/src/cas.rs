@@ -18,8 +18,8 @@
 //! per-read cost is compared against in Table I and Section I-B.
 
 use soda_protocol::{
-    value_from, CodeCacheStats, Invocation, Layout, OpKind, OpQueue, PhaseDriver, ProtocolSpec,
-    RepairDriver, RepairStatus, Reply, Tag, Value,
+    CodeCacheStats, Invocation, Layout, OpKind, OpQueue, PhaseDriver, ProtocolSpec, RepairDriver,
+    RepairStatus, Reply, Tag, Value,
 };
 use soda_rs_code::{CodedElement, MdsCode, VandermondeCode};
 use soda_simnet::{Context, Message, Process, ProcessId, SimTime, Simulation};
@@ -556,7 +556,7 @@ impl CasClient {
             .code()
             .decode(&elements)
             .expect("quorum intersection provides k consistent elements");
-        self.complete(Some(value_from(value)), ctx);
+        self.complete(Some(value), ctx);
     }
 
     /// Completes the operation in flight: `read` is the value a read

@@ -191,57 +191,48 @@ impl Matrix {
     /// Applies the matrix to `k` equal-length byte shards, producing
     /// `self.rows()` output shards: `out[i] = Σ_j self[i][j] * shards[j]`.
     ///
-    /// This is the bulk-data path used by the Reed–Solomon encoder; it avoids
-    /// materializing per-byte `Gf256` vectors and runs on the wide
-    /// split-nibble kernel ([`crate::mul_slice_xor`]).
+    /// Each output shard is one [`Self::apply_row_to_shards`] into a zeroed
+    /// buffer.
     pub fn apply_to_shards(&self, shards: &[&[u8]]) -> Result<Vec<Vec<u8>>, MatrixError> {
-        if shards.len() != self.cols {
-            return Err(MatrixError::DimensionMismatch {
-                context: "apply_to_shards",
-            });
-        }
         let shard_len = shards.first().map_or(0, |s| s.len());
-        if shards.iter().any(|s| s.len() != shard_len) {
-            return Err(MatrixError::DimensionMismatch {
-                context: "apply_to_shards: unequal shard lengths",
-            });
-        }
-        let mut out = vec![vec![0u8; shard_len]; self.rows];
-        for i in 0..self.rows {
-            for (j, shard) in shards.iter().enumerate() {
-                crate::mul_slice_xor(self[(i, j)], shard, &mut out[i]);
-            }
-        }
-        Ok(out)
+        (0..self.rows)
+            .map(|row| {
+                let mut out = vec![0u8; shard_len];
+                self.apply_row_to_shards(row, shards, &mut out)?;
+                Ok(out)
+            })
+            .collect()
     }
 
-    /// Applies a single row of the matrix to `k` equal-length byte shards,
-    /// producing one output shard: `out = Σ_j self[row][j] * shards[j]`.
+    /// Adds one row of the matrix applied to `k` byte shards into `out`:
+    /// `out ^= Σ_j self[row][j] * shards[j]` (addition in GF(2^8) is XOR), so
+    /// a zeroed `out` receives the product. Every shard must be as long as
+    /// `out`.
     ///
-    /// This is the `Φ_i(v)` fast path: encoding only one server's coded
-    /// element (server state init, repair re-encoding) without computing the
-    /// other `n − 1` rows.
-    pub fn apply_row_to_shards(
+    /// This is the bulk-data path of the Reed–Solomon code: the encoder
+    /// computes a parity row, and the decoder a data shard (or the columns of
+    /// one it needs), straight into the buffer that keeps it. It runs on the
+    /// wide split-nibble kernel ([`crate::mul_slice_xor`]).
+    pub fn apply_row_to_shards<S: AsRef<[u8]>>(
         &self,
         row: usize,
-        shards: &[&[u8]],
-    ) -> Result<Vec<u8>, MatrixError> {
+        shards: &[S],
+        out: &mut [u8],
+    ) -> Result<(), MatrixError> {
         if shards.len() != self.cols {
             return Err(MatrixError::DimensionMismatch {
                 context: "apply_row_to_shards",
             });
         }
-        let shard_len = shards.first().map_or(0, |s| s.len());
-        if shards.iter().any(|s| s.len() != shard_len) {
+        if shards.iter().any(|s| s.as_ref().len() != out.len()) {
             return Err(MatrixError::DimensionMismatch {
                 context: "apply_row_to_shards: unequal shard lengths",
             });
         }
-        let mut out = vec![0u8; shard_len];
         for (j, shard) in shards.iter().enumerate() {
-            crate::mul_slice_xor(self[(row, j)], shard, &mut out);
+            crate::mul_slice_xor(self[(row, j)], shard.as_ref(), out);
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Gauss–Jordan inversion. Returns [`MatrixError::Singular`] if the matrix
@@ -423,11 +414,21 @@ mod tests {
         let shard_refs: Vec<&[u8]> = shards.iter().map(|s| s.as_slice()).collect();
         let full = m.apply_to_shards(&shard_refs).unwrap();
         for (i, expected) in full.iter().enumerate() {
-            assert_eq!(&m.apply_row_to_shards(i, &shard_refs).unwrap(), expected);
+            let mut out = vec![0u8; 4];
+            m.apply_row_to_shards(i, &shards, &mut out).unwrap();
+            assert_eq!(&out, expected);
+            // The row is added into `out`: applying it again cancels it.
+            m.apply_row_to_shards(i, &shard_refs, &mut out).unwrap();
+            assert_eq!(out, [0u8; 4]);
         }
         let ragged: Vec<&[u8]> = vec![&[1, 2], &[3]];
-        assert!(m.apply_row_to_shards(0, &ragged).is_err());
-        assert!(m.apply_row_to_shards(0, &shard_refs[..2]).is_err());
+        assert!(m.apply_row_to_shards(0, &ragged, &mut [0u8; 2]).is_err());
+        assert!(m
+            .apply_row_to_shards(0, &shard_refs[..2], &mut [0u8; 4])
+            .is_err());
+        assert!(m
+            .apply_row_to_shards(0, &shard_refs, &mut [0u8; 3])
+            .is_err());
     }
 
     #[test]

@@ -14,6 +14,16 @@
 //! (c) delivers locally. Servers outside `D` never relay; they just deliver
 //! the first copy they receive.
 //!
+//! The backbone shares `Φ(v)`. In the paper every server of `D` computes
+//! `Φ(v)` from the same full value; here they all hold one immutable buffer
+//! for `v`, so the sender wraps it in a [`DispersedValue`] that every copy of
+//! the dispersal's full-value message shares, and the first backbone server
+//! to handle it encodes once for all of them — one encode per dispersal
+//! instead of up to `f + 1`. `Φ` is a pure function of the immutable value,
+//! so sharing its result is the same step as sharing the value's buffer:
+//! which messages are sent, in what order, and the bytes each is charged
+//! (`data_bytes`, the full value) are those of the paper's primitive.
+//!
 //! The types here are *pure* state machines: they compute which messages to
 //! send and what to deliver, and the protocol processes in the `soda` crate
 //! put them on the simulated network. This keeps the primitive
@@ -22,7 +32,9 @@
 //!
 //! After a message is delivered, no value or coded-element data is retained —
 //! only the message id, as a tombstone for deduplication — which is the
-//! no-state-bloat property of Theorem 3.2. The tombstones are a [`RunSet`]:
+//! no-state-bloat property of Theorem 3.2. (The shared encoding lives in the
+//! dispersal's messages, not in any relay: it is freed with the last of
+//! them.) The tombstones are a [`RunSet`]:
 //! message ids are dense per origin, so a relay that has delivered every
 //! dispersal of an origin keeps one run of counters for it, however many
 //! dispersals that was.
@@ -30,6 +42,7 @@
 use crate::{Layout, RunSet, Tag, Value};
 use soda_rs_code::{CodedElement, MdsCode, VandermondeCode};
 use soda_simnet::ProcessId;
+use std::sync::{Arc, OnceLock};
 
 /// Unique identifier of one invocation of a message-disperse primitive.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -47,6 +60,34 @@ impl MessageId {
     }
 }
 
+/// One dispersal's full value together with `Φ(value)`, which the first
+/// backbone server to handle the dispersal computes and every later one
+/// reuses. Every copy of the dispersal's [`MdValueMsg::Full`] messages — the
+/// sender's, the backbone's forwards and any the network duplicates — shares
+/// it, so a clone is one reference-count bump.
+#[derive(Clone, Debug)]
+pub struct DispersedValue(Arc<(Value, OnceLock<Vec<CodedElement>>)>);
+
+impl DispersedValue {
+    /// A value about to be dispersed, not yet encoded.
+    pub fn new(value: Value) -> Self {
+        DispersedValue(Arc::new((value, OnceLock::new())))
+    }
+
+    /// The full value.
+    pub fn value(&self) -> &Value {
+        &self.0 .0
+    }
+
+    /// `Φ(value)`: encoded on the first call, shared afterwards.
+    fn elements(&self, code: &VandermondeCode) -> &[CodedElement] {
+        self.0 .1.get_or_init(|| {
+            code.encode(self.value())
+                .expect("layout and code dimensions agree")
+        })
+    }
+}
+
 /// A message produced by the MD-VALUE primitive.
 #[derive(Clone, Debug)]
 pub enum MdValueMsg {
@@ -56,8 +97,8 @@ pub enum MdValueMsg {
         mid: MessageId,
         /// Version tag being written.
         tag: Tag,
-        /// The full object value.
-        value: Value,
+        /// The full object value, with the dispersal's one `Φ(value)`.
+        value: DispersedValue,
     },
     /// The coded element targeted at one particular server.
     Coded {
@@ -75,7 +116,7 @@ impl MdValueMsg {
     /// contribution of this message).
     pub fn data_bytes(&self) -> usize {
         match self {
-            MdValueMsg::Full { value, .. } => value.len(),
+            MdValueMsg::Full { value, .. } => value.value().len(),
             MdValueMsg::Coded { element, .. } => element.data.len(),
         }
     }
@@ -99,14 +140,16 @@ pub struct Dispatch<M> {
 
 /// Sender side of MD-VALUE: the messages the invoking process (a writer in
 /// SODA) must send, in order. The full value goes to the first `f + 1`
-/// servers. Returned lazily: the hot path iterates straight into the
-/// network without materializing a dispatch vector.
+/// servers, all sharing one [`DispersedValue`]. Returned lazily: the hot
+/// path iterates straight into the network without materializing a
+/// dispatch vector.
 pub fn md_value_send(
     layout: &Layout,
     mid: MessageId,
     tag: Tag,
     value: Value,
 ) -> impl Iterator<Item = Dispatch<MdValueMsg>> {
+    let value = DispersedValue::new(value);
     layout.relay_set().map(move |rank| Dispatch {
         to_rank: rank,
         msg: MdValueMsg::Full {
@@ -153,14 +196,15 @@ impl MdValueRelay {
     /// server and its coded element for every other server, as they are
     /// produced — the server feeds them straight into the network context —
     /// and returns the local element to deliver; a duplicate relays nothing
-    /// and returns `None`.
+    /// and returns `None`. The coded elements are the dispersal's shared
+    /// `Φ(value)`: only the first backbone server to get here encodes.
     pub fn on_full(
         &mut self,
         layout: &Layout,
         code: &VandermondeCode,
         mid: MessageId,
         tag: Tag,
-        value: &Value,
+        value: &DispersedValue,
         mut relay: impl FnMut(Dispatch<MdValueMsg>),
     ) -> Option<(Tag, CodedElement)> {
         if !self.handled.insert(mid.origin, mid.counter) {
@@ -168,9 +212,7 @@ impl MdValueRelay {
         }
         let n = layout.n();
         let relay_top = layout.relay_set().end; // f + 1 (capped at n)
-        let elements = code
-            .encode(value)
-            .expect("layout and code dimensions agree");
+        let elements = value.elements(code);
         // (a) forward the full value to higher-ranked servers in D.
         for rank in (self.my_rank + 1)..relay_top {
             relay(Dispatch {
@@ -329,7 +371,8 @@ impl MdMetaRelay {
 mod tests {
     use super::*;
     use crate::value_from;
-    use soda_rs_code::VandermondeCode;
+    use soda_rs_code::{Bytes, VandermondeCode};
+    use std::collections::VecDeque;
 
     fn layout(n: usize, f: usize) -> Layout {
         Layout::new((0..n as u32).map(ProcessId).collect(), f)
@@ -352,7 +395,8 @@ mod tests {
         v: &Value,
     ) -> (Option<(Tag, CodedElement)>, Vec<Dispatch<MdValueMsg>>) {
         let mut relays = Vec::new();
-        let deliver = relay.on_full(l, code, mid, tag(), v, |d| relays.push(d));
+        let v = DispersedValue::new(v.clone());
+        let deliver = relay.on_full(l, code, mid, tag(), &v, |d| relays.push(d));
         (deliver, relays)
     }
 
@@ -377,7 +421,7 @@ mod tests {
         for (i, d) in sends.iter().enumerate() {
             assert_eq!(d.to_rank, i);
             match &d.msg {
-                MdValueMsg::Full { value, .. } => assert_eq!(value.len(), 30),
+                MdValueMsg::Full { value, .. } => assert_eq!(value.value().len(), 30),
                 other => panic!("expected Full, got {other:?}"),
             }
             assert_eq!(d.msg.data_bytes(), 30);
@@ -512,7 +556,7 @@ mod tests {
                 MdValueMsg::Full {
                     mid: mid(9),
                     tag: tag(),
-                    value: v.clone(),
+                    value: DispersedValue::new(v.clone()),
                 },
             )];
             while let Some((rank, msg)) = inbox.pop() {
@@ -534,6 +578,77 @@ mod tests {
                 delivered.iter().all(|&d| d),
                 "all servers must deliver when backbone server {reached} got the value"
             );
+        }
+    }
+
+    #[test]
+    fn a_dispersal_is_encoded_once_and_shared_by_every_copy() {
+        // Complete dispersals after every crash prefix of the sender (it
+        // reached backbone servers `0..reached` in rank order), with every
+        // `Full` duplicated by the network and the inbox drained in both
+        // orders: each delivered element comes from the one shared encoding.
+        for (n, f) in [(5, 2), (7, 2), (9, 4)] {
+            let l = layout(n, f);
+            let code = VandermondeCode::new(n, n - f).unwrap();
+            let v = value_from((0..200u8).collect());
+            let expected = code.encode(&v).unwrap();
+            for reached in 1..=f + 1 {
+                for lifo in [true, false] {
+                    let mut relays: Vec<MdValueRelay> = (0..n).map(MdValueRelay::new).collect();
+                    let mut delivered: Vec<Option<CodedElement>> = vec![None; n];
+                    let mut inbox: VecDeque<(usize, MdValueMsg)> =
+                        md_value_send(&l, mid(4), tag(), v.clone())
+                            .take(reached)
+                            .map(|d| (d.to_rank, d.msg))
+                            .collect();
+                    let MdValueMsg::Full { value: sent, .. } = &inbox[0].1 else {
+                        panic!("the sender sends the full value");
+                    };
+                    let sent = sent.clone();
+                    assert!(sent.0 .1.get().is_none(), "the sender does not encode");
+                    let mut duplicated = 0;
+                    while let Some((rank, msg)) = if lifo {
+                        inbox.pop_back()
+                    } else {
+                        inbox.pop_front()
+                    } {
+                        if let MdValueMsg::Full { value, .. } = &msg {
+                            // Every copy, a network duplicate (the clone
+                            // queued here) included, shares the sent cell.
+                            assert!(Arc::ptr_eq(&value.0, &sent.0));
+                            if duplicated < 2 * n {
+                                duplicated += 1;
+                                inbox.push_front((rank, msg.clone()));
+                            }
+                        }
+                        let deliver = match msg {
+                            MdValueMsg::Full { mid, tag, value } => {
+                                relays[rank].on_full(&l, &code, mid, tag, &value, |d| {
+                                    inbox.push_back((d.to_rank, d.msg))
+                                })
+                            }
+                            MdValueMsg::Coded { mid, tag, element } => {
+                                relays[rank].on_coded(mid, tag, element)
+                            }
+                        };
+                        if let Some((_, element)) = deliver {
+                            assert!(delivered[rank].replace(element).is_none());
+                        }
+                    }
+                    let shared = sent.0 .1.get().expect("a backbone server encoded");
+                    for (rank, element) in delivered.iter().enumerate() {
+                        let element = element.as_ref().unwrap_or_else(|| {
+                            panic!("n={n} f={f} reached={reached}: rank {rank} did not deliver")
+                        });
+                        assert!(
+                            Bytes::ptr_eq(&element.data, &shared[rank].data),
+                            "n={n} f={f} reached={reached} lifo={lifo}: rank {rank}'s \
+                             element is not the shared encoding's"
+                        );
+                        assert_eq!(element, &expected[rank]);
+                    }
+                }
+            }
         }
     }
 

@@ -3,10 +3,12 @@
 //! The simulated network clones messages on every hop, so values are
 //! [`Bytes`] — a shared immutable buffer whose clone is O(1) (an `Arc` bump,
 //! no copy). A value is allocated once, when it is invoked (a write) or
-//! decoded (a read), and every later holder shares that allocation: the
-//! network messages that carry it, the client's completed-operation log
-//! ([`OpRecord`](crate::OpRecord), [`PendingWrite`](crate::PendingWrite)),
-//! a sharded store's ticket outcome and the atomicity checker's history.
+//! decoded (a read: `MdsCode::decode` writes the value into its one buffer,
+//! and the reader completes with that buffer as is), and every later holder
+//! shares that allocation: the network messages that carry it, the client's
+//! completed-operation log ([`OpRecord`](crate::OpRecord),
+//! [`PendingWrite`](crate::PendingWrite)), a sharded store's ticket outcome
+//! and the atomicity checker's history.
 //!
 //! Cost accounting still reports the full byte length of the value for every
 //! message that carries it, matching the paper's model where sending a value

@@ -24,7 +24,7 @@
 //! where a corrupt element happens to agree with the true codeword in the
 //! probed column.
 
-use crate::{reassemble, CodeError, CodedElement, MdsCode, VandermondeCode};
+use crate::{reassemble, Bytes, CodeError, CodedElement, MdsCode, VandermondeCode};
 use soda_gf::{Gf256, Poly};
 
 /// SODAerr's constructor for the one code type: the `[n, n − f − 2e]`
@@ -134,7 +134,7 @@ impl VandermondeCode {
         &self,
         elements: &[CodedElement],
         max_errors: usize,
-    ) -> Result<Vec<u8>, CodeError> {
+    ) -> Result<Bytes, CodeError> {
         let k = self.k();
         let shard_len = elements[0].data.len();
         let mut data_shards = vec![vec![0u8; shard_len]; k];
@@ -148,7 +148,7 @@ impl VandermondeCode {
                 shard[col] = p.eval(Self::point(i)).value();
             }
         }
-        Ok(reassemble(&data_shards)?)
+        Ok(reassemble(&data_shards)?.into())
     }
 
     /// `Φ⁻¹_err` with `max_errors > 0`: decodes from at least
@@ -158,7 +158,7 @@ impl VandermondeCode {
         &self,
         elements: &[CodedElement],
         max_errors: usize,
-    ) -> Result<Vec<u8>, CodeError> {
+    ) -> Result<Bytes, CodeError> {
         let k = self.k();
         self.validate_elements(elements, k + 2 * max_errors)?;
         if elements[0].data.is_empty() {
@@ -179,15 +179,15 @@ impl VandermondeCode {
                 .collect();
             if good.len() >= k {
                 if let Ok(value) = self.decode(&good) {
-                    // Verify the decoded value explains every element we kept;
-                    // if a corrupt element slipped into `good` (it matched the
-                    // true codeword in column 0 only), fall back to the exact
-                    // per-column decoder.
-                    if let Ok(reencoded) = self.encode(&value) {
-                        let consistent = good.iter().all(|e| reencoded[e.index].data == e.data);
-                        if consistent {
-                            return Ok(value);
-                        }
+                    // Verify the decoded value explains every element we kept
+                    // (re-encoding only those rows); if a corrupt element
+                    // slipped into `good` (it matched the true codeword in
+                    // column 0 only), fall back to the exact per-column
+                    // decoder.
+                    let rows: Vec<usize> = good.iter().map(|e| e.index).collect();
+                    let reencoded = self.encode_rows(&value, &rows);
+                    if reencoded.iter().zip(&good).all(|(r, e)| r.data == e.data) {
+                        return Ok(value);
                     }
                 }
             }

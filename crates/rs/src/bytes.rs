@@ -11,7 +11,10 @@
 //! Whole object values are [`Bytes`] too, and one value is one allocation
 //! for its whole life: the writer's invocation, every network message that
 //! carries it, the client's completed-operation log, the store's ticket
-//! outcome and the checker's history all hold the same buffer. The checker
+//! outcome and the checker's history all hold the same buffer. A decoded
+//! value is one allocation from the start: the decoder writes each data
+//! shard's bytes straight into it (and the encoder each coded element), so
+//! no `Vec` is built and then copied into an `Arc`. The checker
 //! crate depends on no protocol crate, so it stores plain `Arc<[u8]>`, and
 //! `Arc::<[u8]>::from(bytes)` hands the buffer over without a copy.
 //!
@@ -47,6 +50,15 @@ impl Bytes {
     #[inline]
     pub fn as_slice(&self) -> &[u8] {
         &self.0
+    }
+
+    /// A `len`-byte buffer written in place by `fill`, which receives it
+    /// zeroed: one allocation, no copy. The encoder computes each coded
+    /// element this way and the decoder each value.
+    pub(crate) fn filled(len: usize, fill: impl FnOnce(&mut [u8])) -> Self {
+        let mut buf: Arc<[u8]> = std::iter::repeat_n(0, len).collect();
+        fill(Arc::get_mut(&mut buf).expect("a fresh buffer is unique"));
+        Bytes(buf)
     }
 
     /// Copies the bytes into a fresh `Vec<u8>`.
@@ -216,6 +228,16 @@ mod tests {
         assert_eq!(c, vec![0u8, 1, 2, 3]);
         assert_eq!(Bytes::from(&[7u8, 8][..]), Bytes::from([7u8, 8]));
         assert!(format!("{a:?}").contains("2 bytes"));
+    }
+
+    #[test]
+    fn filled_writes_into_a_zeroed_buffer() {
+        let b = Bytes::filled(5, |buf| {
+            assert_eq!(buf, [0u8; 5]);
+            buf[1] = 7;
+        });
+        assert_eq!(b, [0u8, 7, 0, 0, 0]);
+        assert!(Bytes::filled(0, |buf| assert!(buf.is_empty())).is_empty());
     }
 
     #[test]

@@ -63,7 +63,8 @@ pub trait MdsCode: Send + Sync {
     fn k(&self) -> usize;
 
     /// Encodes the value into `n` coded elements, one per server index
-    /// `0..n`. This is the paper's `Φ(v)`.
+    /// `0..n`. This is the paper's `Φ(v)`. Each element is one allocation,
+    /// written in place.
     fn encode(&self, value: &[u8]) -> Result<Vec<CodedElement>, CodeError>;
 
     /// Encodes and returns only the element for server `index`
@@ -71,8 +72,10 @@ pub trait MdsCode: Send + Sync {
     fn encode_one(&self, value: &[u8], index: usize) -> Result<CodedElement, CodeError>;
 
     /// Decodes a value from at least `k` coded elements with distinct, known
-    /// indices and no corruption. This is the paper's `Φ⁻¹(C)`.
-    fn decode(&self, elements: &[CodedElement]) -> Result<Vec<u8>, CodeError>;
+    /// indices and no corruption. This is the paper's `Φ⁻¹(C)`. The value is
+    /// returned as [`Bytes`], one allocation that each data shard's bytes
+    /// are computed straight into, ready to be shared as a protocol value.
+    fn decode(&self, elements: &[CodedElement]) -> Result<Bytes, CodeError>;
 
     /// Decodes a value from coded elements of which up to `max_errors` may be
     /// silently corrupted (wrong bytes under a correct index). Requires at
@@ -82,7 +85,7 @@ pub trait MdsCode: Send + Sync {
         &self,
         elements: &[CodedElement],
         max_errors: usize,
-    ) -> Result<Vec<u8>, CodeError>;
+    ) -> Result<Bytes, CodeError>;
 
     /// The normalized size of one coded element relative to the value size
     /// (`1/k` in the paper's cost model).

@@ -7,10 +7,16 @@
 //! `L = ceil((len+8)/k)`. Byte `j` of the `k` data shards together is one
 //! Reed–Solomon message word, so shard length = coded-element length = `L`,
 //! matching the paper's "each coded element has size 1/k" accounting.
-//! Splitting and reassembly are slice copies, never per-byte work.
+//! Splitting and reassembly are slice copies, never per-byte work, and the
+//! encoder and decoder never build the padded buffer: the encoder copies each data shard
+//! straight from the value into its coded element (parity rows borrow the
+//! shards that lie wholly inside the value), and the decoder writes each
+//! data shard's value bytes straight into the decoded value.
 
 use crate::Bytes;
+use std::borrow::Cow;
 use std::fmt;
+use std::ops::Range;
 
 /// One coded element `c_i = Φ_i(v)`: the index identifies which of the `n`
 /// code positions (equivalently, which server) this element belongs to.
@@ -113,7 +119,7 @@ fn shard_len(value_len: usize, k: usize) -> usize {
 
 /// The padded payload: the length header, the value, then zeros up to a
 /// multiple of `k` — `k` data shards of [`shard_len`] bytes back to back.
-pub(crate) fn pad(value: &[u8], k: usize) -> Vec<u8> {
+fn pad(value: &[u8], k: usize) -> Vec<u8> {
     let padded_len = shard_len(value.len(), k) * k;
     let mut padded = Vec::with_capacity(padded_len);
     padded.extend_from_slice(&(value.len() as u64).to_le_bytes());
@@ -122,18 +128,47 @@ pub(crate) fn pad(value: &[u8], k: usize) -> Vec<u8> {
     padded
 }
 
-/// Data shard `i` alone — bytes `[i·L, (i+1)·L)` of [`pad`]'s output —
-/// without padding the rest of the value.
-pub(crate) fn data_shard(value: &[u8], k: usize, i: usize) -> Vec<u8> {
-    let len = shard_len(value.len(), k);
-    let (start, end) = (i * len, (i + 1) * len);
+/// Writes data shard `i` of `value` — bytes `[i·L, (i+1)·L)` of [`pad`]'s
+/// output, `L = out.len()` — into `out`, without padding the rest of the
+/// value: its part of the length header, its part of the value, then zeros.
+fn fill_data_shard(value: &[u8], i: usize, out: &mut [u8]) {
+    let (start, end) = (i * out.len(), (i + 1) * out.len());
     let header = (value.len() as u64).to_le_bytes();
-    let mut shard = Vec::with_capacity(len);
-    shard.extend_from_slice(&header[start.min(LENGTH_HEADER)..end.min(LENGTH_HEADER)]);
+    let header = &header[start.min(LENGTH_HEADER)..end.min(LENGTH_HEADER)];
     let body = |at: usize| at.saturating_sub(LENGTH_HEADER).min(value.len());
-    shard.extend_from_slice(&value[body(start)..body(end)]);
-    shard.resize(len, 0);
-    shard
+    let body = &value[body(start)..body(end)];
+    let (head, rest) = out.split_at_mut(header.len());
+    head.copy_from_slice(header);
+    let (middle, padding) = rest.split_at_mut(body.len());
+    middle.copy_from_slice(body);
+    padding.fill(0);
+}
+
+/// Data shard `i` of `value` as a coded element's payload: the systematic
+/// element `Φ_i(v)`, copied once from the value into its own buffer.
+pub(crate) fn data_element(value: &[u8], k: usize, i: usize) -> Bytes {
+    Bytes::filled(shard_len(value.len(), k), |out| {
+        fill_data_shard(value, i, out)
+    })
+}
+
+/// The `k` data shards of `value`. A shard that lies wholly inside the value
+/// is borrowed from it; only the shards holding the length header or the
+/// zero padding are assembled.
+pub(crate) fn data_shards(value: &[u8], k: usize) -> Vec<Cow<'_, [u8]>> {
+    let len = shard_len(value.len(), k);
+    (0..k)
+        .map(|i| {
+            let start = i * len;
+            if start >= LENGTH_HEADER && start + len <= LENGTH_HEADER + value.len() {
+                Cow::Borrowed(&value[start - LENGTH_HEADER..start + len - LENGTH_HEADER])
+            } else {
+                let mut shard = vec![0; len];
+                fill_data_shard(value, i, &mut shard);
+                Cow::Owned(shard)
+            }
+        })
+        .collect()
 }
 
 /// Prefixes the value with its length, pads it to a multiple of `k`, and
@@ -148,6 +183,21 @@ pub fn pad_and_split(value: &[u8], k: usize) -> Vec<Vec<u8>> {
         .chunks_exact(shard_len(value.len(), k))
         .map(<[u8]>::to_vec)
         .collect()
+}
+
+/// The value length a length header claims, checked against the `capacity`
+/// payload bytes the shards hold after the header.
+fn claimed_len(header: [u8; LENGTH_HEADER], capacity: usize) -> Result<usize, ReassembleError> {
+    let claimed = u64::from_le_bytes(header);
+    // Compare in u64: a header claiming close to 2^64 must not wrap when cast
+    // to usize on 32-bit targets.
+    if claimed > capacity as u64 {
+        return Err(ReassembleError::LengthOutOfBounds {
+            claimed: claimed.min(usize::MAX as u64) as usize,
+            capacity,
+        });
+    }
+    Ok(claimed as usize)
 }
 
 /// Inverse of [`pad_and_split`]: reassembles the original value from the `k`
@@ -172,19 +222,10 @@ pub fn reassemble(shards: &[Vec<u8>]) -> Result<Vec<u8>, ReassembleError> {
     for (slot, &byte) in len_bytes.iter_mut().zip(shards.iter().flatten()) {
         *slot = byte;
     }
-    let claimed = u64::from_le_bytes(len_bytes);
-    let capacity = padded_len - LENGTH_HEADER;
-    // Compare in u64: a header claiming close to 2^64 must not wrap when cast
-    // to usize on 32-bit targets.
-    if claimed > capacity as u64 {
-        return Err(ReassembleError::LengthOutOfBounds {
-            claimed: claimed.min(usize::MAX as u64) as usize,
-            capacity,
-        });
-    }
+    let claimed = claimed_len(len_bytes, padded_len - LENGTH_HEADER)?;
     // Concatenate the shards' bytes in `[8, 8 + claimed)` of the padded
     // payload: one slice copy per shard.
-    let (start, end) = (LENGTH_HEADER, LENGTH_HEADER + claimed as usize);
+    let (start, end) = (LENGTH_HEADER, LENGTH_HEADER + claimed);
     let mut value = Vec::with_capacity(end - start);
     for (i, shard) in shards.iter().enumerate() {
         let at = i * shard_len;
@@ -193,6 +234,42 @@ pub fn reassemble(shards: &[Vec<u8>]) -> Result<Vec<u8>, ReassembleError> {
         value.extend_from_slice(&shard[from..to]);
     }
     Ok(value)
+}
+
+/// The value carried by `k` data shards of `shard_len` bytes each, which
+/// `shard(i, cols, out)` computes on demand: it adds columns `cols` of data
+/// shard `i` into the zeroed `out`. The 8 header bytes are computed first
+/// and checked against the shards' capacity, then each shard's value bytes
+/// once, straight into the value's one buffer; no shard is materialized
+/// whole. Fails exactly where [`reassemble`] fails on the same shards.
+pub(crate) fn value_from_shards(
+    k: usize,
+    shard_len: usize,
+    mut shard: impl FnMut(usize, Range<usize>, &mut [u8]),
+) -> Result<Bytes, ReassembleError> {
+    let padded_len = shard_len * k;
+    if padded_len < LENGTH_HEADER {
+        return Err(ReassembleError::TruncatedHeader {
+            available: padded_len,
+        });
+    }
+    // Header byte `j` is column `j mod L` of shard `j / L`.
+    let mut header = [0u8; LENGTH_HEADER];
+    for (i, part) in header.chunks_mut(shard_len).enumerate() {
+        shard(i, 0..part.len(), part);
+    }
+    let len = claimed_len(header, padded_len - LENGTH_HEADER)?;
+    let (start, end) = (LENGTH_HEADER, LENGTH_HEADER + len);
+    Ok(Bytes::filled(len, |value| {
+        for i in 0..k {
+            let at = i * shard_len;
+            let from = start.clamp(at, at + shard_len);
+            let to = end.clamp(at, at + shard_len);
+            if from < to {
+                shard(i, from - at..to - at, &mut value[from - start..to - start]);
+            }
+        }
+    }))
 }
 
 #[cfg(test)]
@@ -326,11 +403,47 @@ mod tests {
                 assert_eq!(&padded[LENGTH_HEADER..LENGTH_HEADER + len], &value[..]);
                 let shards = pad_and_split(&value, k);
                 assert_eq!(shards.concat(), padded, "len={len} k={k}");
+                let borrowed = data_shards(&value, k);
                 for (i, shard) in shards.iter().enumerate() {
-                    assert_eq!(&data_shard(&value, k, i), shard, "len={len} k={k} i={i}");
+                    assert_eq!(&data_element(&value, k, i), shard, "len={len} k={k} i={i}");
+                    assert_eq!(&*borrowed[i], &shard[..], "len={len} k={k} i={i}");
+                    // Only the shards holding header or padding bytes are
+                    // assembled; every other one is a slice of the value.
+                    let inside = i * shard.len() >= LENGTH_HEADER
+                        && (i + 1) * shard.len() <= LENGTH_HEADER + len;
+                    assert_eq!(matches!(borrowed[i], Cow::Borrowed(_)), inside);
                 }
             }
         }
+    }
+
+    #[test]
+    fn value_from_shards_matches_reassemble() {
+        // Honest shards, a header spanning shards, and every header that
+        // claims a length around the capacity.
+        for (len, k) in [(0usize, 1usize), (10, 3), (100, 7), (5, 17), (1000, 4)] {
+            let value: Vec<u8> = (0..len).map(|i| (i * 13 % 251) as u8).collect();
+            let shards = pad_and_split(&value, k);
+            let capacity = shards[0].len() * k - LENGTH_HEADER;
+            for claimed in [len as u64, capacity as u64, capacity as u64 + 1, u64::MAX] {
+                let shards = with_header(&shards, claimed);
+                let computed = value_from_shards(k, shards[0].len(), |i, cols, out| {
+                    for (o, &b) in out.iter_mut().zip(&shards[i][cols]) {
+                        *o ^= b;
+                    }
+                });
+                assert_eq!(
+                    computed.map(|v| v.to_vec()),
+                    reassemble(&shards),
+                    "len={len} k={k} claimed={claimed}"
+                );
+            }
+        }
+        // Too few bytes for a header at all.
+        assert_eq!(
+            value_from_shards(3, 2, |_, _, _| unreachable!()),
+            Err(ReassembleError::TruncatedHeader { available: 6 })
+        );
     }
 
     #[test]

@@ -13,12 +13,21 @@
 //! are memoized per survivor index set in an LRU shared by clones of the
 //! instance — one inversion per survivor set, not one per decode.
 //!
+//! Every byte is written once, straight into the buffer that keeps it:
+//! [`MdsCode::encode`] copies each data shard from the value into its coded
+//! element (no padded copy of the whole value) and computes each parity row
+//! into its element's buffer; [`MdsCode::encode_one`] borrows the data shards
+//! that lie wholly inside the value and assembles only the ones holding the
+//! length header or padding; [`MdsCode::decode`] computes the 8-byte length
+//! header first, checks it, then writes each data shard's value bytes
+//! straight into the decoded value's one allocation.
+//!
 //! The same code corrects silent corruption: `decode_with_errors` with
 //! `max_errors > 0` runs the Berlekamp–Welch decoder (`bw.rs`).
 
 use crate::cache::{encode_matrix_for, DecodeCache};
-use crate::shard::{data_shard, pad};
-use crate::{reassemble, validate_params, CodeCacheStats, CodeError, CodedElement, MdsCode};
+use crate::shard::{data_element, data_shards, value_from_shards};
+use crate::{validate_params, Bytes, CodeCacheStats, CodeError, CodedElement, MdsCode};
 use soda_gf::Matrix;
 use std::sync::Arc;
 
@@ -84,6 +93,35 @@ impl VandermondeCode {
         &self.encoding
     }
 
+    /// Parity element `Φ_i(v)`, `i ≥ k`, computed straight into its buffer
+    /// from the `k` data shards.
+    fn parity_row<S: AsRef<[u8]>>(&self, i: usize, data: &[S]) -> Bytes {
+        Bytes::filled(data[0].as_ref().len(), |out| {
+            self.parity
+                .apply_row_to_shards(i - self.k, data, out)
+                .expect("shard count equals k by construction")
+        })
+    }
+
+    /// `Φ_i(v)` for each `i` in `rows`, in order, computing only those rows:
+    /// a data row is copied once from the value, and a parity row reads the
+    /// data shards borrowed from the value (only the shards holding the
+    /// length header or the padding are assembled). Every `i` is below `n`.
+    pub(crate) fn encode_rows(&self, value: &[u8], rows: &[usize]) -> Vec<CodedElement> {
+        let mut data = None;
+        rows.iter()
+            .map(|&i| {
+                let element = if i < self.k {
+                    data_element(value, self.k, i)
+                } else {
+                    let data = data.get_or_insert_with(|| data_shards(value, self.k));
+                    self.parity_row(i, data)
+                };
+                CodedElement::new(i, element)
+            })
+            .collect()
+    }
+
     /// Validates a set of coded elements: distinct in-range indices, equal
     /// lengths, at least `need` of them. Returns the selection truncated to
     /// exactly `need` elements, **sorted by index** — decode output is
@@ -134,28 +172,19 @@ impl MdsCode for VandermondeCode {
 
     fn encode(&self, value: &[u8]) -> Result<Vec<CodedElement>, CodeError> {
         // Systematic fast path: rows `0..k` of the encoding matrix are the
-        // identity, so the data shards *are* the first `k` coded elements —
-        // only the `n - k` parity rows need GF multiplies. The data shards
-        // are contiguous slices of one padded buffer, each copied once into
-        // its element.
-        let padded = pad(value, self.k);
-        let data: Vec<&[u8]> = padded.chunks_exact(padded.len() / self.k).collect();
-        let parity = self
-            .parity
-            .apply_to_shards(&data)
-            .expect("shard count equals k by construction");
-        let mut out = Vec::with_capacity(self.n);
-        out.extend(
-            data.iter()
-                .enumerate()
-                .map(|(i, &shard)| CodedElement::new(i, shard)),
-        );
-        out.extend(
-            parity
-                .into_iter()
-                .enumerate()
-                .map(|(j, data)| CodedElement::new(self.k + j, data)),
-        );
+        // identity, so the data shards *are* the first `k` coded elements,
+        // each copied once from the value into its own buffer — no padded
+        // copy of the whole value. Only the `n - k` parity rows need GF
+        // multiplies; each reads the data elements just built and is
+        // computed straight into its element's buffer.
+        let mut out: Vec<CodedElement> = (0..self.k)
+            .map(|i| CodedElement::new(i, data_element(value, self.k, i)))
+            .collect();
+        let data: Vec<&[u8]> = out.iter().map(|e| &e.data[..]).collect();
+        let parity: Vec<CodedElement> = (self.k..self.n)
+            .map(|i| CodedElement::new(i, self.parity_row(i, &data)))
+            .collect();
+        out.extend(parity);
         Ok(out)
     }
 
@@ -163,20 +192,10 @@ impl MdsCode for VandermondeCode {
         if index >= self.n {
             return Err(CodeError::InvalidIndex { index, n: self.n });
         }
-        if index < self.k {
-            // Systematic row: the coded element is that one data shard.
-            return Ok(CodedElement::new(index, data_shard(value, self.k, index)));
-        }
-        let padded = pad(value, self.k);
-        let data: Vec<&[u8]> = padded.chunks_exact(padded.len() / self.k).collect();
-        let element = self
-            .parity
-            .apply_row_to_shards(index - self.k, &data)
-            .expect("shard count equals k by construction");
-        Ok(CodedElement::new(index, element))
+        Ok(self.encode_rows(value, &[index]).remove(0))
     }
 
-    fn decode(&self, elements: &[CodedElement]) -> Result<Vec<u8>, CodeError> {
+    fn decode(&self, elements: &[CodedElement]) -> Result<Bytes, CodeError> {
         let chosen = self.validate_elements(elements, self.k)?;
         let indices: Vec<usize> = chosen.iter().map(|e| e.index).collect();
         let inv = self.decode_cache.get_or_invert(&indices, || {
@@ -185,18 +204,22 @@ impl MdsCode for VandermondeCode {
                 .inverse()
                 .map_err(|_| CodeError::TooManyErrors)
         })?;
-        let shard_refs: Vec<&[u8]> = chosen.iter().map(|e| &e.data[..]).collect();
-        let data_shards = inv
-            .apply_to_shards(&shard_refs)
-            .expect("dimensions agree by construction");
-        Ok(reassemble(&data_shards)?)
+        // Data shard `i` is row `i` of the inverse applied to the chosen
+        // elements; `value_from_shards` asks for the header columns first and
+        // then for each shard's value columns, written into the value.
+        let value = value_from_shards(self.k, chosen[0].data.len(), |i, cols, out| {
+            let columns: Vec<&[u8]> = chosen.iter().map(|e| &e.data[cols.clone()]).collect();
+            inv.apply_row_to_shards(i, &columns, out)
+                .expect("dimensions agree by construction");
+        })?;
+        Ok(value)
     }
 
     fn decode_with_errors(
         &self,
         elements: &[CodedElement],
         max_errors: usize,
-    ) -> Result<Vec<u8>, CodeError> {
+    ) -> Result<Bytes, CodeError> {
         if max_errors == 0 {
             return self.decode(elements);
         }
@@ -476,6 +499,6 @@ mod tests {
             elements[2].clone(),
             elements[0].clone(),
         ];
-        assert_eq!(code.decode(&subset).unwrap(), Vec::<u8>::new());
+        assert!(code.decode(&subset).unwrap().is_empty());
     }
 }

@@ -1,6 +1,6 @@
 //! Shared configuration of one SODA / SODAerr deployment.
 
-use soda_protocol::Layout;
+use soda_protocol::{Layout, Value};
 use soda_rs_code::{BerlekampWelchCode, MdsCode, VandermondeCode};
 use std::fmt;
 use std::sync::Arc;
@@ -165,7 +165,7 @@ impl SodaConfig {
     pub fn decode(
         &self,
         elements: &[soda_rs_code::CodedElement],
-    ) -> Result<Vec<u8>, soda_rs_code::CodeError> {
+    ) -> Result<Value, soda_rs_code::CodeError> {
         self.code
             .decode_with_errors(elements, self.variant.error_budget())
     }

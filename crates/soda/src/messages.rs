@@ -136,7 +136,7 @@ impl Message for SodaMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use soda_protocol::md::MessageId;
+    use soda_protocol::md::{DispersedValue, MessageId};
     use soda_protocol::value_from;
 
     #[test]
@@ -145,7 +145,7 @@ mod tests {
         let full = SodaMsg::MdValue(MdValueMsg::Full {
             mid: MessageId::new(ProcessId(1), 1),
             tag: Tag::INITIAL,
-            value,
+            value: DispersedValue::new(value),
         });
         assert_eq!(full.data_bytes(), 100);
 

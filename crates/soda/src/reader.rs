@@ -20,7 +20,7 @@
 use crate::config::{Phase, SodaConfig};
 use crate::messages::{MetaPayload, OpId, SodaMsg};
 use soda_protocol::md::{md_meta_send, MessageId};
-use soda_protocol::{value_from, Invocation, OpQueue, PhaseDriver, Reply, Tag};
+use soda_protocol::{Invocation, OpQueue, PhaseDriver, Reply, Tag, Value};
 use soda_rs_code::{CodeError, CodedElement};
 use soda_simnet::{Context, Process, ProcessId};
 use std::collections::BTreeMap;
@@ -52,7 +52,7 @@ impl ElementCollector {
 
     /// Decodes the highest tag holding enough elements (any would do for
     /// correctness; the highest is deterministic), or `None` while none does.
-    pub(crate) fn decode(&self, config: &SodaConfig) -> Option<(Tag, Result<Vec<u8>, CodeError>)> {
+    pub(crate) fn decode(&self, config: &SodaConfig) -> Option<(Tag, Result<Value, CodeError>)> {
         let threshold = config.needed(Phase::ReadValue);
         let (&tag, elements) = self
             .by_tag
@@ -156,7 +156,7 @@ impl ReaderProcess {
         }
     }
 
-    fn complete(&mut self, tag: Tag, value: Vec<u8>, ctx: &mut Context<'_, SodaMsg>) {
+    fn complete(&mut self, tag: Tag, value: Value, ctx: &mut Context<'_, SodaMsg>) {
         // read-complete phase: tell the servers to unregister this read.
         let (mid, op, tr) = (self.next_mid(), self.op(), self.elements.floor);
         let payload = MetaPayload::ReadComplete { op, tag: tr };
@@ -164,7 +164,7 @@ impl ReaderProcess {
             let dest = self.config.layout().server(dispatch.to_rank);
             ctx.send(dest, SodaMsg::MdMeta(dispatch.msg));
         }
-        self.ops.complete(ctx.now(), tag, Some(value_from(value)));
+        self.ops.complete(ctx.now(), tag, Some(value));
         self.elements.clear();
         self.phase.end();
         self.start_next(ctx);

@@ -666,7 +666,7 @@ impl Process<SodaMsg> for ServerProcess {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use soda_protocol::md::MdMetaMsg;
+    use soda_protocol::md::{DispersedValue, MdMetaMsg};
     use soda_protocol::{value_from, Layout};
     use soda_simnet::testkit::deliver;
     use soda_simnet::SimTime;
@@ -691,7 +691,7 @@ mod tests {
         SodaMsg::MdValue(MdValueMsg::Full {
             mid: MessageId::new(tag.writer, counter),
             tag,
-            value: value_from(value.to_vec()),
+            value: DispersedValue::new(value_from(value.to_vec())),
         })
     }
 
@@ -1145,7 +1145,7 @@ mod tests {
             SodaMsg::MdValue(MdValueMsg::Full {
                 mid: MessageId::new(WRITER, 1),
                 tag: tw,
-                value: value_from(relayed_value),
+                value: DispersedValue::new(value_from(relayed_value)),
             }),
         );
         let relayed = r

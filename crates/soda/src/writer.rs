@@ -223,7 +223,7 @@ mod tests {
             match msg {
                 SodaMsg::MdValue(MdValueMsg::Full { tag, value, .. }) => {
                     assert_eq!(*tag, Tag::new(3, WRITER));
-                    assert_eq!(value.len(), 40);
+                    assert_eq!(value.value().len(), 40);
                 }
                 other => panic!("expected Full, got {other:?}"),
             }
