@@ -34,18 +34,6 @@ pub enum BuildError {
         /// Requested error budget.
         e: usize,
     },
-    /// Faulty-disk injection is only meaningful for SODA / SODAerr.
-    FaultyDisksUnsupported {
-        /// The offending protocol's name.
-        kind: &'static str,
-    },
-    /// A faulty-disk rank does not name a server.
-    FaultyDiskOutOfRange {
-        /// The offending rank.
-        rank: usize,
-        /// Number of servers.
-        n: usize,
-    },
     /// The relay-ablation switch only exists in SODA / SODAerr.
     RelayAblationUnsupported {
         /// The offending protocol's name.
@@ -105,14 +93,6 @@ impl fmt::Display for BuildError {
             BuildError::InvalidCodeDimension { n, f, e } => write!(
                 out,
                 "no valid code dimension: k = n - f - 2e = {n} - {f} - 2*{e} < 1"
-            ),
-            BuildError::FaultyDisksUnsupported { kind } => write!(
-                out,
-                "faulty-disk injection is a SODA/SODAerr feature, not available for {kind}"
-            ),
-            BuildError::FaultyDiskOutOfRange { rank, n } => write!(
-                out,
-                "faulty-disk rank {rank} out of range for n = {n} servers"
             ),
             BuildError::RelayAblationUnsupported { kind } => write!(
                 out,
@@ -217,7 +197,6 @@ pub struct ClusterBuilder {
     pub(crate) seed: u64,
     pub(crate) network: NetworkConfig,
     pub(crate) initial_value: Vec<u8>,
-    pub(crate) faulty_disks: Vec<usize>,
     pub(crate) relay_enabled: bool,
     pub(crate) net_faults: NetFaultPlan,
     pub(crate) partitions: Vec<PartitionWindow>,
@@ -239,7 +218,6 @@ impl ClusterBuilder {
             seed: 0,
             network: NetworkConfig::uniform(10),
             initial_value: Vec::new(),
-            faulty_disks: Vec::new(),
             relay_enabled: true,
             net_faults: NetFaultPlan::none(),
             partitions: Vec::new(),
@@ -280,13 +258,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Marks the given server ranks as having error-prone local disks
-    /// (SODA / SODAerr only).
-    pub fn with_faulty_disks(mut self, ranks: Vec<usize>) -> Self {
-        self.faulty_disks = ranks;
-        self
-    }
-
     /// Disables concurrent-write relaying at every server (SODA / SODAerr
     /// ablation only).
     pub fn with_relay_disabled(mut self) -> Self {
@@ -314,12 +285,13 @@ impl ClusterBuilder {
     }
 
     /// Marks the given server ranks as byzantine (SODA / SODAerr only): every
-    /// coded element they send to a reader is corrupted in flight — the
-    /// network-level strengthening of [`Self::with_faulty_disks`], covering
-    /// relays of concurrent writes too. SODAerr tolerates up to `e` such
-    /// servers per read; exceeding the budget is allowed here precisely so
-    /// tests can verify that over-budget corruption is *detected* rather
-    /// than silently decoded.
+    /// coded element they send to a reader is corrupted in flight, their
+    /// stored elements and their relays of concurrent writes alike, and a
+    /// repaired rank stays byzantine. This is SODAerr's threat model (see
+    /// `soda::adversary`). SODAerr tolerates up to `e` such servers per
+    /// read; exceeding the budget is allowed here precisely so tests can
+    /// verify that over-budget corruption is *detected* rather than silently
+    /// decoded.
     pub fn with_byzantine_servers(mut self, ranks: Vec<usize>) -> Self {
         self.byzantine_servers = ranks;
         self
@@ -355,20 +327,10 @@ impl ClusterBuilder {
                 });
             }
         }
-        if !self.kind.is_soda_family() {
-            if !self.faulty_disks.is_empty() {
-                return Err(BuildError::FaultyDisksUnsupported {
-                    kind: self.kind.name(),
-                });
-            }
-            if !self.relay_enabled {
-                return Err(BuildError::RelayAblationUnsupported {
-                    kind: self.kind.name(),
-                });
-            }
-        }
-        if let Some(&rank) = self.faulty_disks.iter().find(|&&rank| rank >= self.n) {
-            return Err(BuildError::FaultyDiskOutOfRange { rank, n: self.n });
+        if !self.relay_enabled && !self.kind.is_soda_family() {
+            return Err(BuildError::RelayAblationUnsupported {
+                kind: self.kind.name(),
+            });
         }
         if !self.byzantine_servers.is_empty() && !self.kind.is_soda_family() {
             return Err(BuildError::ByzantineUnsupported {
@@ -431,14 +393,13 @@ impl ClusterBuilder {
         plan
     }
 
-    fn soda_harness(mut self) -> SodaRegisterCluster {
+    fn soda_harness(self) -> SodaRegisterCluster {
         let layout = self.layout();
         let spec = SodaSpec {
             config: match self.kind.error_budget() {
                 0 => SodaConfig::soda(layout),
                 e => SodaConfig::soda_err(layout, e),
             },
-            faulty_disks: std::mem::take(&mut self.faulty_disks),
             relay_enabled: self.relay_enabled,
         };
         let corruptor = (!self.byzantine_servers.is_empty()).then(|| {
@@ -551,26 +512,11 @@ mod tests {
 
     #[test]
     fn rejects_soda_only_features_on_baselines() {
-        let err = ClusterBuilder::new(ProtocolKind::Abd, 5, 2)
-            .with_faulty_disks(vec![0])
-            .validate()
-            .unwrap_err();
-        assert_eq!(err, BuildError::FaultyDisksUnsupported { kind: "ABD" });
-
         let err = ClusterBuilder::new(ProtocolKind::Casgc { gc: 1 }, 5, 2)
             .with_relay_disabled()
             .validate()
             .unwrap_err();
         assert_eq!(err, BuildError::RelayAblationUnsupported { kind: "CASGC" });
-    }
-
-    #[test]
-    fn rejects_faulty_disk_ranks_beyond_n() {
-        let err = ClusterBuilder::new(ProtocolKind::SodaErr { e: 1 }, 7, 2)
-            .with_faulty_disks(vec![7])
-            .validate()
-            .unwrap_err();
-        assert_eq!(err, BuildError::FaultyDiskOutOfRange { rank: 7, n: 7 });
     }
 
     #[test]

@@ -266,7 +266,7 @@ impl Harness<SodaSpec> {
     }
 
     /// Total decode failures across all readers (must stay zero whenever the
-    /// error budget covers the corrupted disks).
+    /// error budget `e` covers the byzantine servers).
     pub fn decode_failures(&self) -> u64 {
         self.readers
             .clone()

@@ -44,8 +44,8 @@ impl ProtocolKind {
         }
     }
 
-    /// True for SODA and SODAerr (the kinds that support faulty-disk
-    /// injection and the relay ablation switch).
+    /// True for SODA and SODAerr (the kinds that support byzantine servers
+    /// and the relay ablation switch).
     pub fn is_soda_family(&self) -> bool {
         matches!(self, ProtocolKind::Soda | ProtocolKind::SodaErr { .. })
     }

@@ -72,7 +72,7 @@ fn operations_complete_despite_f_crashes() {
 fn sodaerr_cluster_reads_correctly_with_faulty_disks() {
     let mut cluster = ClusterBuilder::new(ProtocolKind::SodaErr { e: 1 }, 7, 2)
         .with_seed(5)
-        .with_faulty_disks(vec![2])
+        .with_byzantine_servers(vec![2])
         .build_soda()
         .unwrap();
     cluster.invoke_write(0, b"error protected".to_vec());

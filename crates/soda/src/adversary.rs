@@ -2,12 +2,14 @@
 //!
 //! Section VI's threat model is that up to `e` servers may serve *corrupted
 //! coded elements* to readers without noticing — the tags, acknowledgements
-//! and dispersal metadata they produce stay correct. The disk-level variant
-//! of this ([`crate::DiskFaultModel`]) corrupts only elements read from the
-//! server's local disk; the network-level variant here corrupts **every**
-//! coded element a designated server sends to a reader, including relays of
-//! concurrent writes, which is the strongest adversary the SODAerr decoder
-//! must survive.
+//! and dispersal metadata they produce stay correct. This is the repo's one
+//! model of it: a designated server's **every** coded element to a reader is
+//! corrupted, its stored element and the relays of concurrent writes alike.
+//! A server whose disk silently rots corrupts a subset of that. The decoder
+//! is provisioned for `e` bad elements per tag, and a server sends a read at
+//! most one element per tag, so `e` byzantine servers stay within budget.
+//! The rank stays byzantine across crashes: its replacement, once repaired,
+//! corrupts what it sends just the same.
 //!
 //! The hook plugs into the simulator's delivery path: install
 //! [`coded_element_corruptor`] with
@@ -20,9 +22,7 @@ use crate::messages::SodaMsg;
 use soda_simnet::{CorruptionHook, ProcessId};
 use std::collections::BTreeSet;
 
-/// Flips bits of a coded element's payload, mirroring
-/// [`crate::DiskFaultModel::Always`] so disk-level and network-level
-/// corruption are indistinguishable to the decoder.
+/// Flips bits of a coded element's payload.
 pub(crate) fn corrupt_element_data(data: &mut [u8]) {
     for byte in data.iter_mut() {
         *byte ^= 0x5A;

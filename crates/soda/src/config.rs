@@ -28,28 +28,6 @@ impl SodaVariant {
     }
 }
 
-/// Model of a server whose local disk returns corrupted coded elements.
-///
-/// SODAerr's threat model (Section VI) is that a server may read a corrupted
-/// element from its local disk during the `read-value` phase without noticing;
-/// relayed elements (which come straight from memory) and metadata are never
-/// corrupted. `Always` makes every local disk read bad, which is the
-/// worst-case behaviour for a designated faulty-disk server.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DiskFaultModel {
-    /// The disk never corrupts anything.
-    None,
-    /// Every local disk read returns a corrupted element.
-    Always,
-}
-
-impl DiskFaultModel {
-    /// Whether a local disk read should be corrupted.
-    pub fn corrupts(&self) -> bool {
-        matches!(self, DiskFaultModel::Always)
-    }
-}
-
 /// The phases of a SODA operation. A replacement server's repair is a read
 /// that re-encodes, so it runs the read's two.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -150,8 +128,8 @@ impl SodaConfig {
     /// The replies `phase` waits for: SODA's thresholds, written once. The
     /// two get phases wait for a majority of responders and `write-put` for
     /// `k` acks. `read-value` waits for [`Self::read_threshold`] coded
-    /// elements *of one tag*, which the read's element collector counts, not
-    /// the phase driver.
+    /// elements *of one tag*, which the read counts per tag, not the phase
+    /// driver.
     pub(crate) fn needed(&self, phase: Phase) -> usize {
         match phase {
             Phase::WriteGet | Phase::ReadGet => self.layout.majority(),
@@ -220,11 +198,5 @@ mod tests {
         }
         elements.truncate(5);
         assert_eq!(cfg.decode(&elements).unwrap(), value);
-    }
-
-    #[test]
-    fn disk_fault_model() {
-        assert!(!DiskFaultModel::None.corrupts());
-        assert!(DiskFaultModel::Always.corrupts());
     }
 }

@@ -10,8 +10,8 @@
 //!   multi-writer multi-reader atomic register with total storage cost
 //!   `n/(n−f)`, write cost `O(f²)` and read cost `n/(n−f)·(δw + 1)`;
 //! * the **SODAerr** variant (Section VI): the same protocol with
-//!   `k = n − f − 2e`, tolerating up to `e` silently corrupted coded elements
-//!   served from the servers' local disks during reads;
+//!   `k = n − f − 2e`, tolerating up to `e` byzantine servers that silently
+//!   corrupt every coded element they send a reader ([`adversary`]);
 //! * [`SodaSpec`], the [`soda_protocol::ProtocolSpec`] through which the
 //!   generic cluster harness of `soda-registry` builds these automata inside
 //!   the simulator and reads their operation logs, storage occupancy and
@@ -23,7 +23,7 @@
 //! |---|---|---|
 //! | writer `w ∈ W` | [`WriterProcess`] | `write-get` (majority tag query) then `write-put` (MD-VALUE dispersal, wait for `k` acks) |
 //! | reader `r ∈ R` | [`ReaderProcess`] | `read-get` (majority tag query), `read-value` (register + collect coded elements of tags `≥ t_r`, decode the highest tag with `k` / `k + 2e` of them), `read-complete` |
-//! | server `s ∈ S` | [`ServerProcess`] | stores one `(tag, coded element)` pair, relays concurrent writes to registered readers, runs the READ-DISPERSE bookkeeping that eventually unregisters every reader; a replacement repairs by a read that re-encodes, collecting elements by the reader's rule |
+//! | server `s ∈ S` | [`ServerProcess`] | stores one `(tag, coded element)` pair, relays concurrent writes to registered readers, runs the READ-DISPERSE bookkeeping that eventually unregisters every reader; a replacement repairs by running the reader's read against the survivors and re-encoding its own element |
 //!
 //! Both clients keep their operations in a [`soda_protocol::OpQueue`] (the
 //! invocation queue, the operation in flight and the completed log, shared
@@ -79,7 +79,7 @@ mod spec;
 mod writer;
 
 pub use adversary::coded_element_corruptor;
-pub use config::{DiskFaultModel, SodaConfig, SodaVariant};
+pub use config::{SodaConfig, SodaVariant};
 pub use messages::{MetaPayload, OpId, SodaMsg};
 pub use reader::ReaderProcess;
 pub use server::ServerProcess;

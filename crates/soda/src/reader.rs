@@ -26,33 +26,104 @@ use soda_simnet::{Context, Process, ProcessId};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// The coded elements a read collected, grouped by tag and keyed by the
-/// sender's rank, and the read's rule over them: tags below `t_r` are
-/// dropped, and the highest tag holding the `read-value` threshold of
-/// elements is decoded. A replacement server's repair is a read that
-/// re-encodes, so it collects through this type too.
-#[derive(Default)]
-pub(crate) struct ElementCollector {
+/// One SODA read of Fig. 4, up to its decode: the `read-get` phase picks
+/// `t_r`, the `read-value` phase collects coded elements of tags `≥ t_r`,
+/// grouped by tag and keyed by element index, and decodes the highest tag
+/// holding the `read-value` threshold of them. Whoever runs the read sends
+/// its messages: a reader, or a replacement server, whose repair is a read
+/// that re-encodes.
+pub(crate) struct Read {
+    op: OpId,
+    /// The phase in flight: `read-get`, then `read-value`; ended once the
+    /// read has decoded.
+    phase: PhaseDriver<Phase, OpId>,
     /// `t_r`: the highest tag the read-get phase heard, raised as its
     /// replies arrive; no element is collected before that phase is over.
-    pub(crate) floor: Tag,
+    tr: Tag,
     by_tag: BTreeMap<Tag, BTreeMap<usize, CodedElement>>,
 }
 
-impl ElementCollector {
-    /// Keeps `element` unless its tag is below `t_r`; returns whether it did.
-    pub(crate) fn insert(&mut self, tag: Tag, element: CodedElement) -> bool {
-        let keep = tag >= self.floor;
-        if keep {
-            let elements = self.by_tag.entry(tag).or_default();
-            elements.insert(element.index, element);
+impl Read {
+    /// An idle read of `op`: no phase runs until [`Self::begin`].
+    pub(crate) fn new(op: OpId) -> Self {
+        Read {
+            op,
+            phase: PhaseDriver::default(),
+            tr: Tag::INITIAL,
+            by_tag: BTreeMap::new(),
         }
-        keep
     }
 
-    /// Decodes the highest tag holding enough elements (any would do for
-    /// correctness; the highest is deterministic), or `None` while none does.
-    pub(crate) fn decode(&self, config: &SodaConfig) -> Option<(Tag, Result<Value, CodeError>)> {
+    /// Begins the `read-get` phase of `op`, forgetting the previous read.
+    pub(crate) fn begin(&mut self, config: &SodaConfig, op: OpId) {
+        self.op = op;
+        self.phase
+            .begin(Phase::ReadGet, op, config.needed(Phase::ReadGet));
+        self.tr = Tag::INITIAL;
+        self.by_tag.clear();
+    }
+
+    /// The read's operation id.
+    pub(crate) fn op(&self) -> OpId {
+        self.op
+    }
+
+    /// `t_r`, final once `read-value` has begun.
+    pub(crate) fn tr(&self) -> Tag {
+        self.tr
+    }
+
+    /// The phase in flight; `None` before the read begins and after it
+    /// decoded.
+    pub(crate) fn phase(&self) -> Option<Phase> {
+        self.phase.phase()
+    }
+
+    /// Whether `read-value` of `op` is collecting elements.
+    pub(crate) fn collects(&self, op: OpId) -> bool {
+        self.phase.is_running(Phase::ReadValue, op)
+    }
+
+    /// Folds `from`'s `read-get` reply; returns true once the reply that
+    /// completes the majority has begun `read-value` under [`Self::tr`].
+    pub(crate) fn on_get_resp(
+        &mut self,
+        config: &SodaConfig,
+        from: ProcessId,
+        op: OpId,
+        tag: Tag,
+    ) -> bool {
+        let reply = self.phase.record(Phase::ReadGet, op, from);
+        if reply != Reply::Ignored {
+            self.tr = self.tr.max(tag);
+        }
+        if reply != Reply::Completed {
+            return false;
+        }
+        let needed = config.needed(Phase::ReadValue);
+        self.phase.begin(Phase::ReadValue, op, needed);
+        true
+    }
+
+    /// Collects `element` for `read-value` of `op` unless its tag is below
+    /// `t_r`, then decodes the highest tag holding enough elements (any would
+    /// do for correctness; the highest is deterministic). Elements are
+    /// counted per tag, not per responder: a server also relays concurrent
+    /// writes' elements. A decoded value ends the read; a failed decode (more
+    /// corrupted elements than the budget) leaves it collecting, since more
+    /// relays may arrive.
+    pub(crate) fn on_element(
+        &mut self,
+        config: &SodaConfig,
+        op: OpId,
+        tag: Tag,
+        element: CodedElement,
+    ) -> Option<(Tag, Result<Value, CodeError>)> {
+        if !self.collects(op) || tag < self.tr {
+            return None;
+        }
+        let elements = self.by_tag.entry(tag).or_default();
+        elements.insert(element.index, element);
         let threshold = config.needed(Phase::ReadValue);
         let (&tag, elements) = self
             .by_tag
@@ -60,12 +131,12 @@ impl ElementCollector {
             .rev()
             .find(|(_, e)| e.len() >= threshold)?;
         let elements: Vec<CodedElement> = elements.values().cloned().collect();
-        Some((tag, config.decode(&elements)))
-    }
-
-    /// Drops everything collected.
-    pub(crate) fn clear(&mut self) {
-        self.by_tag.clear();
+        let decoded = config.decode(&elements);
+        if decoded.is_ok() {
+            self.phase.end();
+            self.by_tag.clear();
+        }
+        Some((tag, decoded))
     }
 }
 
@@ -75,9 +146,8 @@ pub struct ReaderProcess {
     self_id: ProcessId,
     ops: OpQueue,
     md_counter: u64,
-    /// The phase in flight: `read-get`, then `read-value`.
-    phase: PhaseDriver<Phase, OpId>,
-    elements: ElementCollector,
+    /// The read in flight, restarted for each operation.
+    read: Read,
     /// Count of decode attempts that failed (diagnostics; should stay 0 when
     /// the corruption budget is respected).
     decode_failures: u64,
@@ -92,8 +162,7 @@ impl ReaderProcess {
             self_id,
             ops: OpQueue::new(self_id),
             md_counter: 0,
-            phase: PhaseDriver::default(),
-            elements: ElementCollector::default(),
+            read: Read::new(OpId::new(self_id, 0)),
             decode_failures: 0,
         }
     }
@@ -109,64 +178,32 @@ impl ReaderProcess {
         self.decode_failures
     }
 
-    /// The id of the operation in flight.
-    fn op(&self) -> OpId {
-        OpId::new(self.self_id, self.ops.seq())
-    }
-
-    fn next_mid(&mut self) -> MessageId {
-        self.md_counter += 1;
-        MessageId::new(self.self_id, self.md_counter)
-    }
-
     fn start_next(&mut self, ctx: &mut Context<'_, SodaMsg>) {
         let Some((seq, _)) = self.ops.start_next(ctx.now()) else {
             return;
         };
         let op = OpId::new(self.self_id, seq);
-        self.begin(Phase::ReadGet);
-        self.elements = ElementCollector::default();
+        self.read.begin(&self.config, op);
         let servers = self.config.layout().servers().iter().copied();
         ctx.send_all(servers, SodaMsg::ReadGet { op });
     }
 
-    /// Starts `phase` of the operation in flight.
-    fn begin(&mut self, phase: Phase) {
-        let needed = self.config.needed(phase);
-        self.phase.begin(phase, self.op(), needed);
-    }
-
-    fn begin_value_phase(&mut self, ctx: &mut Context<'_, SodaMsg>) {
-        let (mid, op, tr) = (self.next_mid(), self.op(), self.elements.floor);
-        self.begin(Phase::ReadValue);
-        let payload = MetaPayload::ReadValue { op, tag: tr };
+    /// Disperses `payload` to every server through MD-META, under a fresh
+    /// message id of this reader.
+    fn disperse(&mut self, payload: MetaPayload, ctx: &mut Context<'_, SodaMsg>) {
+        self.md_counter += 1;
+        let mid = MessageId::new(self.self_id, self.md_counter);
         for dispatch in md_meta_send(self.config.layout(), mid, payload) {
             let dest = self.config.layout().server(dispatch.to_rank);
             ctx.send(dest, SodaMsg::MdMeta(dispatch.msg));
-        }
-    }
-
-    fn try_decode(&mut self, ctx: &mut Context<'_, SodaMsg>) {
-        match self.elements.decode(&self.config) {
-            Some((tag, Ok(value))) => self.complete(tag, value, ctx),
-            // More corrupted elements than the budget allows; keep
-            // collecting (more relays may arrive) and record the failure.
-            Some((_, Err(_))) => self.decode_failures += 1,
-            None => {}
         }
     }
 
     fn complete(&mut self, tag: Tag, value: Value, ctx: &mut Context<'_, SodaMsg>) {
         // read-complete phase: tell the servers to unregister this read.
-        let (mid, op, tr) = (self.next_mid(), self.op(), self.elements.floor);
-        let payload = MetaPayload::ReadComplete { op, tag: tr };
-        for dispatch in md_meta_send(self.config.layout(), mid, payload) {
-            let dest = self.config.layout().server(dispatch.to_rank);
-            ctx.send(dest, SodaMsg::MdMeta(dispatch.msg));
-        }
+        let (op, tr) = (self.read.op(), self.read.tr());
+        self.disperse(MetaPayload::ReadComplete { op, tag: tr }, ctx);
         self.ops.complete(ctx.now(), tag, Some(value));
-        self.elements.clear();
-        self.phase.end();
         self.start_next(ctx);
     }
 }
@@ -178,24 +215,20 @@ impl Process<SodaMsg> for ReaderProcess {
                 self.ops.push(Invocation::Read);
                 self.start_next(ctx);
             }
-            SodaMsg::ReadGetResp { op, tag } => {
-                let reply = self.phase.record(Phase::ReadGet, op, from);
-                if reply != Reply::Ignored {
-                    self.elements.floor = self.elements.floor.max(tag);
-                }
-                if reply == Reply::Completed {
-                    self.begin_value_phase(ctx);
-                }
-            }
-            // Elements are counted per tag by the collector, not per
-            // responder: a server also relays concurrent writes' elements.
-            SodaMsg::CodedToReader { op, tag, element }
-                if self.phase.is_running(Phase::ReadValue, op) =>
+            // The reply that completes the majority begins `read-value`:
+            // register with the servers under `t_r`.
+            SodaMsg::ReadGetResp { op, tag }
+                if self.read.on_get_resp(&self.config, from, op, tag) =>
             {
-                if !self.elements.insert(tag, element) {
-                    return;
+                let tr = self.read.tr();
+                self.disperse(MetaPayload::ReadValue { op, tag: tr }, ctx);
+            }
+            SodaMsg::CodedToReader { op, tag, element } => {
+                match self.read.on_element(&self.config, op, tag, element) {
+                    Some((tag, Ok(value))) => self.complete(tag, value, ctx),
+                    Some((_, Err(_))) => self.decode_failures += 1,
+                    None => {}
                 }
-                self.try_decode(ctx);
             }
             // Readers ignore write-protocol traffic and stray messages.
             _ => {}
@@ -256,7 +289,7 @@ mod tests {
 
     fn start_read(reader: &mut ReaderProcess) -> OpId {
         send(reader, 1, ProcessId::ENV, SodaMsg::InvokeRead);
-        reader.op()
+        reader.read.op()
     }
 
     fn answer_get_phase(reader: &mut ReaderProcess, op: OpId, tags: &[Tag]) {
@@ -273,9 +306,9 @@ mod tests {
     #[test]
     fn invoke_queries_all_servers() {
         let mut r = ReaderProcess::new(config(5, 2), READER);
-        assert_eq!((r.phase.phase(), r.ops().queued()), (None, 0));
+        assert_eq!((r.read.phase(), r.ops().queued()), (None, 0));
         send(&mut r, 1, ProcessId::ENV, SodaMsg::InvokeRead);
-        assert_eq!(r.phase.phase(), Some(Phase::ReadGet));
+        assert_eq!(r.read.phase(), Some(Phase::ReadGet));
     }
 
     #[test]
@@ -284,11 +317,11 @@ mod tests {
         let op = start_read(&mut r);
         // Two responses are not a majority of 5.
         answer_get_phase(&mut r, op, &[Tag::INITIAL, Tag::new(1, ProcessId(1))]);
-        assert_eq!(r.phase.phase(), Some(Phase::ReadGet));
+        assert_eq!(r.read.phase(), Some(Phase::ReadGet));
         // Third response: the reader registers via MD-META with tr = (1, p1).
         let tag = Tag::INITIAL;
         let result = send(&mut r, 3, ProcessId(2), SodaMsg::ReadGetResp { op, tag });
-        assert_eq!(r.phase.phase(), Some(Phase::ReadValue));
+        assert_eq!(r.read.phase(), Some(Phase::ReadValue));
         assert_eq!(result.sends.len(), 3, "READ-VALUE goes to the f+1 backbone");
         for (dest, msg) in &result.sends {
             assert!(dest.0 < 3);
@@ -313,7 +346,7 @@ mod tests {
         let op = start_read(&mut r);
         let tw = Tag::new(2, ProcessId(50));
         answer_get_phase(&mut r, op, &[tw, Tag::INITIAL, Tag::INITIAL]);
-        assert_eq!(r.phase.phase(), Some(Phase::ReadValue));
+        assert_eq!(r.read.phase(), Some(Phase::ReadValue));
 
         let value = b"the committed object value".to_vec();
         let elements = code.encode(&value).unwrap();
@@ -335,7 +368,7 @@ mod tests {
         assert_eq!(rec.kind, OpKind::Read);
         assert_eq!(rec.tag, tw);
         assert_eq!(rec.value.as_deref(), Some(value.as_slice()));
-        assert_eq!(r.phase.phase(), None);
+        assert_eq!(r.read.phase(), None);
         // READ-COMPLETE is dispersed to the backbone.
         assert_eq!(done.sends.len(), 3);
         assert!(done.sends.iter().all(|(_, m)| matches!(
@@ -400,8 +433,8 @@ mod tests {
         }
         assert_eq!(r.ops().completed().len(), 1);
         // The second read started automatically.
-        assert_eq!(r.phase.phase(), Some(Phase::ReadGet));
-        assert_eq!(r.op(), OpId::new(READER, 2));
+        assert_eq!(r.read.phase(), Some(Phase::ReadGet));
+        assert_eq!(r.read.op(), OpId::new(READER, 2));
     }
 
     #[test]
@@ -412,7 +445,7 @@ mod tests {
         let mut r = ReaderProcess::new(cfg, READER);
         let op = start_read(&mut r);
         answer_get_phase(&mut r, op, &[Tag::INITIAL; 4]);
-        assert_eq!(r.phase.phase(), Some(Phase::ReadValue));
+        assert_eq!(r.read.phase(), Some(Phase::ReadValue));
         let tw = Tag::new(1, ProcessId(33));
         let value = b"guarded against silent disk corruption".to_vec();
         let mut elements = code.encode(&value).unwrap();

@@ -25,11 +25,14 @@
 //! ([`ServerProcess::replacement`]) that must re-acquire a valid
 //! `(tag, coded element)` pair before it may serve get queries again — the
 //! paper's §V discussion and its RADON sequel. The repair procedure is
-//! deliberately *a read that re-encodes*: the replacement runs the reader
-//! automaton of Fig. 4 against the survivors (read-get majority → READ-VALUE
-//! registration → collect `k` / `k + 2e` coded elements → decode), then
-//! re-encodes **its own** coded element from the decoded value via
-//! `encode_one` and adopts the pair. Registration means survivors relay the
+//! deliberately *a read that re-encodes*: the replacement runs the reader's
+//! own read of Fig. 4 (the same `Read` a [`crate::ReaderProcess`] runs)
+//! against the survivors (read-get majority → READ-VALUE registration →
+//! collect `k` / `k + 2e` coded elements → decode), then re-encodes **its
+//! own** coded element from the decoded value via `encode_one` and adopts
+//! the pair. The server adds only what is the repair's own: the survivors-
+//! only fan-out and its retries, the traffic accounting, the monotone
+//! adoption and the deferred readers. Registration means survivors relay the
 //! elements of concurrent writes to the repairing server exactly as they
 //! would to a reader, so repair inherits the liveness of Theorem 5.1 and the
 //! quorum-intersection safety of reads: the adopted tag is at least the tag
@@ -49,11 +52,11 @@
 //! never collide with the tombstones survivors hold for the previous
 //! incarnation's dispersals.
 
-use crate::config::{DiskFaultModel, Phase, SodaConfig};
+use crate::config::{Phase, SodaConfig};
 use crate::messages::{MetaPayload, OpId, SodaMsg};
-use crate::reader::ElementCollector;
+use crate::reader::Read;
 use soda_protocol::md::{md_meta_send, MdMetaRelay, MdValueMsg, MdValueRelay, MessageId};
-use soda_protocol::{PhaseDriver, RepairDriver, RepairStatus, Reply, RunSet, Tag, Value};
+use soda_protocol::{RepairDriver, RepairStatus, RunSet, Tag, Value};
 use soda_rs_code::{CodedElement, MdsCode};
 use soda_simnet::{Context, Process, ProcessId};
 use std::collections::BTreeMap;
@@ -61,15 +64,10 @@ use std::sync::Arc;
 
 /// Internal repair state machine of a replacement server.
 struct RepairState {
-    /// The repair's operation id (unique per incarnation via the epoch).
-    op: OpId,
-    /// The read phase in flight: `read-get`, then `read-value`, which stays
-    /// in flight once the repair is done. Whether the repair is still in
-    /// flight at all is the [`RepairDriver`]'s to say.
-    phase: PhaseDriver<Phase, OpId>,
-    /// Elements accumulated under the reader's rule, with the `t_r` the get
-    /// phase selected.
-    elements: ElementCollector,
+    /// The reader's read, under an op id unique per incarnation (via the
+    /// epoch). It ends once it has decoded; whether the repair is still in
+    /// flight is the [`RepairDriver`]'s to say.
+    read: Read,
     /// Retry cadence, give-up and cost accounting. Its traffic is coded-
     /// element bytes, bounded by `n · ⌈size/k⌉` plus relayed concurrent
     /// writes.
@@ -115,8 +113,6 @@ pub struct ServerProcess {
     md_meta: MdMetaRelay,
     /// Counter for this server's own MD-META invocations (READ-DISPERSE).
     md_counter: u64,
-    /// Local-disk fault model (SODAerr experiments mark some servers bad).
-    disk_fault: DiskFaultModel,
     /// Ablation switch: when `false`, the server does not relay the elements
     /// of concurrent writes to registered readers (Fig. 5, response 3, lines
     /// 4–8 disabled). Used by the relay ablation of the paper gate to show
@@ -150,7 +146,6 @@ impl ServerProcess {
             md_value: MdValueRelay::new(my_rank),
             md_meta: MdMetaRelay::new(my_rank),
             md_counter: 0,
-            disk_fault: DiskFaultModel::None,
             relay_enabled: true,
             repair: None,
             scratch_interested: Vec::new(),
@@ -167,8 +162,8 @@ impl ServerProcess {
     /// swallow the new dispersals.
     pub fn replacement(config: Arc<SodaConfig>, my_rank: usize, epoch: u64) -> Self {
         let op = OpId::new(config.layout().server(my_rank), epoch);
-        let mut phase = PhaseDriver::default();
-        phase.begin(Phase::ReadGet, op, config.needed(Phase::ReadGet));
+        let mut read = Read::new(op);
+        read.begin(&config, op);
         ServerProcess {
             config,
             my_rank,
@@ -180,23 +175,13 @@ impl ServerProcess {
             md_value: MdValueRelay::new(my_rank),
             md_meta: MdMetaRelay::new(my_rank),
             md_counter: epoch << 32,
-            disk_fault: DiskFaultModel::None,
             relay_enabled: true,
             repair: Some(RepairState {
-                op,
-                phase,
-                elements: ElementCollector::default(),
+                read,
                 driver: RepairDriver::default(),
             }),
             scratch_interested: Vec::new(),
         }
-    }
-
-    /// Marks this server's local disk as error-prone: every element it reads
-    /// from "disk" during the read-value phase is silently corrupted.
-    pub fn with_disk_fault(mut self, fault: DiskFaultModel) -> Self {
-        self.disk_fault = fault;
-        self
     }
 
     /// Disables relaying of concurrent writes to registered readers
@@ -271,25 +256,6 @@ impl ServerProcess {
             let dest = self.server_pid(dispatch.to_rank);
             ctx.send(dest, SodaMsg::MdMeta(dispatch.msg));
         }
-    }
-
-    /// Reads the locally stored element "from disk", applying the configured
-    /// disk-fault model (SODAerr threat model: corruption only on local disk
-    /// reads performed for the read-value phase).
-    fn local_disk_read(&self) -> CodedElement {
-        let mut element = self.element.clone();
-        if self.disk_fault.corrupts() {
-            let data = element.data.make_mut();
-            for byte in data.iter_mut() {
-                *byte ^= 0x5A;
-            }
-            // An all-zero element would still differ; also perturb the first
-            // byte deterministically so even empty payloads change shape.
-            if let Some(first) = data.first_mut() {
-                *first = first.wrapping_add(1);
-            }
-        }
-        element
     }
 
     /// Sends `(tag, element)` to the reader of `op` and performs the
@@ -375,8 +341,6 @@ impl ServerProcess {
             );
         }
         for &op in &interested {
-            // Relayed elements come straight from memory, so the disk-fault
-            // model does not apply here.
             self.send_element_to_reader(op, tag, element.clone(), ctx);
         }
         interested.clear();
@@ -403,8 +367,7 @@ impl ServerProcess {
         // reader (so concurrent writes are relayed to it) but defer serving
         // the stored element until the repair completes.
         if !self.is_repairing() && self.tag >= requested {
-            let tag = self.tag;
-            let element = self.local_disk_read();
+            let (tag, element) = (self.tag, self.element.clone());
             self.send_element_to_reader(op, tag, element, ctx);
         }
     }
@@ -436,92 +399,25 @@ impl ServerProcess {
         self.maybe_unregister(tag, op);
     }
 
-    /// Sends the current repair phase's fan-out to the survivors: the
-    /// `read-get` query, or the READ-VALUE registration under `t_r`.
-    /// Both are idempotent (the phase driver and the element map
-    /// deduplicate, and survivors re-register the same op id), so the retry
-    /// loop may repeat them; a repeated registration goes out under a fresh
-    /// message id so the survivors' tombstones for the earlier dispersal do
-    /// not swallow it.
-    fn send_repair_fan_out(
-        &mut self,
-        op: OpId,
-        phase: Option<Phase>,
-        tr: Tag,
-        ctx: &mut Context<'_, SodaMsg>,
-    ) {
-        if phase == Some(Phase::ReadGet) {
+    /// Sends the repair read's fan-out to the survivors: the `read-get`
+    /// query, or the READ-VALUE registration under `t_r`. Both are
+    /// idempotent (the read deduplicates responders and elements, and
+    /// survivors re-register the same op id), so the retry loop may repeat
+    /// them; a repeated registration goes out under a fresh message id so the
+    /// survivors' tombstones for the earlier dispersal do not swallow it.
+    fn send_repair_fan_out(&mut self, read: &Read, ctx: &mut Context<'_, SodaMsg>) {
+        let op = read.op();
+        if read.phase() == Some(Phase::ReadGet) {
             let peers = self.config.layout().peers_of(ctx.self_id());
             ctx.send_all(peers, SodaMsg::ReadGet { op });
         } else {
-            self.disperse_meta(MetaPayload::ReadValue { op, tag: tr }, ctx);
+            self.disperse_meta(MetaPayload::ReadValue { op, tag: read.tr() }, ctx);
         }
     }
 
-    /// Handles a `read-get` response during repair: once a majority answered,
-    /// register with the survivors under the highest tag seen.
-    fn on_repair_get_resp(
-        &mut self,
-        from: ProcessId,
-        op: OpId,
-        tag: Tag,
-        ctx: &mut Context<'_, SodaMsg>,
-    ) {
-        let Some(repair) = self.repair.as_mut() else {
-            return;
-        };
-        let reply = repair.phase.record(Phase::ReadGet, op, from);
-        if reply != Reply::Ignored {
-            repair.elements.floor = repair.elements.floor.max(tag);
-        }
-        if reply != Reply::Completed {
-            return;
-        }
-        let needed = self.config.needed(Phase::ReadValue);
-        repair.phase.begin(Phase::ReadValue, op, needed);
-        let tr = repair.elements.floor;
-        self.send_repair_fan_out(op, Some(Phase::ReadValue), tr, ctx);
-    }
-
-    /// Handles a coded element sent to the repairing server (a survivor's
-    /// stored element or the relay of a concurrent write).
-    fn on_repair_element(
-        &mut self,
-        op: OpId,
-        tag: Tag,
-        element: CodedElement,
-        ctx: &mut Context<'_, SodaMsg>,
-    ) {
-        {
-            let Some(repair) = self.repair.as_mut() else {
-                return;
-            };
-            // The phase stays `ReadValue` once the repair is done; stragglers
-            // from slower survivors must not be charged or collected then.
-            if !repair.driver.in_progress() || !repair.phase.is_running(Phase::ReadValue, op) {
-                return;
-            }
-            repair.driver.add_traffic(element.data.len());
-            if !repair.elements.insert(tag, element) {
-                return;
-            }
-        }
-        self.try_finish_repair(ctx);
-    }
-
-    /// Decodes once enough elements of one tag are collected, re-encodes this
+    /// Ends the repair once its read decoded `(tag, value)`: re-encodes this
     /// rank's element, adopts the pair, and flushes deferred reader service.
-    fn try_finish_repair(&mut self, ctx: &mut Context<'_, SodaMsg>) {
-        let decoded = self
-            .repair
-            .as_ref()
-            .and_then(|r| r.elements.decode(&self.config));
-        // No tag has enough elements yet, or over-budget corruption
-        // (SODAerr): keep collecting, relays of concurrent writes may still
-        // complete the repair.
-        let Some((tag, Ok(value))) = decoded else {
-            return;
-        };
+    fn finish_repair(&mut self, tag: Tag, value: Value, ctx: &mut Context<'_, SodaMsg>) {
         let my_element = self
             .config
             .code()
@@ -533,12 +429,9 @@ impl ServerProcess {
             self.tag = tag;
             self.element = my_element;
         }
-        let (op, tr) = {
-            let repair = self.repair.as_mut().expect("checked above");
-            repair.driver.finish(ctx.now());
-            repair.elements.clear();
-            (repair.op, repair.elements.floor)
-        };
+        let repair = self.repair.as_mut().expect("only a repair finishes");
+        repair.driver.finish(ctx.now());
+        let (op, tr) = (repair.read.op(), repair.read.tr());
         // read-complete: let the survivors unregister the repair.
         self.disperse_meta(MetaPayload::ReadComplete { op, tag: tr }, ctx);
         // Serve the readers that registered while the repair was in flight
@@ -551,8 +444,7 @@ impl ServerProcess {
             .map(|(&o, _)| o)
             .collect();
         for reader_op in interested {
-            let tag = self.tag;
-            let element = self.local_disk_read();
+            let (tag, element) = (self.tag, self.element.clone());
             self.send_element_to_reader(reader_op, tag, element, ctx);
         }
     }
@@ -563,20 +455,20 @@ impl Process<SodaMsg> for ServerProcess {
     // needs the rest of the server mutably while the driver runs it.
     fn on_start(&mut self, ctx: &mut Context<'_, SodaMsg>) {
         if let Some(mut repair) = self.repair.take() {
-            let (op, phase, tr) = (repair.op, repair.phase.phase(), repair.elements.floor);
+            let read = &repair.read;
             repair
                 .driver
-                .start(ctx, |ctx| self.send_repair_fan_out(op, phase, tr, ctx));
+                .start(ctx, |ctx| self.send_repair_fan_out(read, ctx));
             self.repair = Some(repair);
         }
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut Context<'_, SodaMsg>) {
         if let Some(mut repair) = self.repair.take() {
-            let (op, phase, tr) = (repair.op, repair.phase.phase(), repair.elements.floor);
-            repair.driver.on_timer(token, ctx, |ctx| {
-                self.send_repair_fan_out(op, phase, tr, ctx)
-            });
+            let read = &repair.read;
+            repair
+                .driver
+                .on_timer(token, ctx, |ctx| self.send_repair_fan_out(read, ctx));
             self.repair = Some(repair);
         }
     }
@@ -601,11 +493,34 @@ impl Process<SodaMsg> for ServerProcess {
                 }
                 ctx.send(from, SodaMsg::ReadGetResp { op, tag: self.tag });
             }
+            // The repair's read: its replies and the elements survivors send
+            // or relay to it.
             SodaMsg::ReadGetResp { op, tag } => {
-                self.on_repair_get_resp(from, op, tag, ctx);
+                let Some(repair) = self.repair.as_mut() else {
+                    return;
+                };
+                if repair.read.on_get_resp(&self.config, from, op, tag) {
+                    let tr = repair.read.tr();
+                    self.disperse_meta(MetaPayload::ReadValue { op, tag: tr }, ctx);
+                }
             }
             SodaMsg::CodedToReader { op, tag, element } => {
-                self.on_repair_element(op, tag, element, ctx);
+                let Some(repair) = self.repair.as_mut() else {
+                    return;
+                };
+                // Once the read decoded it collects nothing, so stragglers
+                // from slower survivors are neither charged nor collected.
+                if !repair.read.collects(op) {
+                    return;
+                }
+                repair.driver.add_traffic(element.data.len());
+                // Over-budget corruption (SODAerr) leaves the read collecting:
+                // relays of concurrent writes may still complete the repair.
+                if let Some((tag, Ok(value))) =
+                    repair.read.on_element(&self.config, op, tag, element)
+                {
+                    self.finish_repair(tag, value, ctx);
+                }
             }
             SodaMsg::MdValue(md_msg) => {
                 let config = &self.config;
@@ -1101,67 +1016,6 @@ mod tests {
             "duplicate produces no relays or acks"
         );
         assert_eq!(s.md_tombstones(), 1);
-    }
-
-    #[test]
-    fn corrupted_disk_affects_only_local_reads_not_relays() {
-        let layout = Layout::new((0..7u32).map(ProcessId).collect(), 2);
-        let cfg = SodaConfig::soda_err(layout, 1);
-        let good_element = cfg.code().encode(b"protected value").unwrap()[0].clone();
-        let mut s = ServerProcess::new(cfg.clone(), 0, &value_from(b"protected value".to_vec()))
-            .with_disk_fault(DiskFaultModel::Always);
-        assert_eq!(s.element, good_element, "storage itself is not corrupted");
-
-        // Local read path (registration with a satisfied tag): corrupted.
-        let op = OpId::new(READER, 1);
-        let r = deliver(
-            &mut s,
-            ProcessId(0),
-            t(1),
-            READER,
-            read_value_msg(op, Tag::INITIAL, 1),
-        );
-        let sent = r
-            .sends
-            .iter()
-            .find_map(|(to, m)| match (to, m) {
-                (to, SodaMsg::CodedToReader { element, .. }) if *to == READER => {
-                    Some(element.clone())
-                }
-                _ => None,
-            })
-            .expect("element sent to reader");
-        assert_ne!(sent.data, good_element.data, "local disk read is corrupted");
-
-        // Relay path (concurrent write delivery): not corrupted.
-        let tw = Tag::new(1, WRITER);
-        let relayed_value = b"a concurrent write".to_vec();
-        let expected = cfg.code().encode(&relayed_value).unwrap()[0].clone();
-        let r = deliver(
-            &mut s,
-            ProcessId(0),
-            t(2),
-            WRITER,
-            SodaMsg::MdValue(MdValueMsg::Full {
-                mid: MessageId::new(WRITER, 1),
-                tag: tw,
-                value: DispersedValue::new(value_from(relayed_value)),
-            }),
-        );
-        let relayed = r
-            .sends
-            .iter()
-            .find_map(|(to, m)| match (to, m) {
-                (to, SodaMsg::CodedToReader { element, .. }) if *to == READER => {
-                    Some(element.clone())
-                }
-                _ => None,
-            })
-            .expect("relayed element sent to registered reader");
-        assert_eq!(
-            relayed.data, expected.data,
-            "relayed elements are never corrupted"
-        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! SODA / SODAerr as a [`ProtocolSpec`]: how a cluster harness builds and
 //! inspects the three automata of this crate.
 
-use crate::config::{DiskFaultModel, SodaConfig};
+use crate::config::SodaConfig;
 use crate::messages::SodaMsg;
 use crate::reader::ReaderProcess;
 use crate::server::ServerProcess;
@@ -10,14 +10,13 @@ use soda_protocol::{CodeCacheStats, MdsCode, OpKind, OpQueue, ProtocolSpec, Repa
 use soda_simnet::{Process, ProcessId, Simulation};
 use std::sync::Arc;
 
-/// One SODA or SODAerr deployment: the shared configuration plus the fault
-/// switches the experiments set on its servers.
+/// One SODA or SODAerr deployment: the shared configuration plus the
+/// ablation switch the experiments set on its servers. Byzantine servers are
+/// not the spec's business: the network corrupts what they send (see
+/// [`crate::adversary`]).
 pub struct SodaSpec {
     /// The shared protocol configuration (layout, variant, code).
     pub config: Arc<SodaConfig>,
-    /// Ranks of servers whose local disks silently corrupt elements
-    /// (SODAerr's threat model).
-    pub faulty_disks: Vec<usize>,
     /// Ablation switch: `false` disables the relaying of concurrent writes
     /// to registered readers at every server (`true` is the paper's
     /// behaviour).
@@ -37,9 +36,6 @@ impl ProtocolSpec for SodaSpec {
 
     fn server(&self, rank: usize, initial: &Value) -> Box<dyn Process<SodaMsg>> {
         let mut server = ServerProcess::new(self.config.clone(), rank, initial);
-        if self.faulty_disks.contains(&rank) {
-            server = server.with_disk_fault(DiskFaultModel::Always);
-        }
         if !self.relay_enabled {
             server = server.with_relay_disabled();
         }

@@ -454,7 +454,8 @@ pub fn latency_sweep(points: &[(usize, usize)], delta: u64, value_size: usize, s
 }
 
 /// Theorem 6.3: SODAerr's costs as the error budget `e` grows, with `e`
-/// servers actually serving corrupted elements (`e = 0` is plain SODA).
+/// byzantine servers actually serving corrupted elements (`e = 0` is plain
+/// SODA).
 pub fn sodaerr_sweep(n: usize, f: usize, es: &[usize], value_size: usize, seed: u64) -> Table {
     let mut sheet = Sheet::new("Theorem 6.3", value_size);
     for &e in es {
@@ -464,7 +465,7 @@ pub fn sodaerr_sweep(n: usize, f: usize, es: &[usize], value_size: usize, seed: 
             ProtocolKind::SodaErr { e }
         };
         let outcome = sheet.run(ScenarioParams {
-            faulty_disks: (0..e).collect(),
+            byzantine_servers: (0..e).collect(),
             value_size,
             seed,
             ..ScenarioParams::new(kind, n, f)
@@ -472,7 +473,7 @@ pub fn sodaerr_sweep(n: usize, f: usize, es: &[usize], value_size: usize, seed: 
         sheet.costs(&format!("{} e={e}", kind.name()), &outcome);
     }
     sheet.finish(format!(
-        "Theorem 6.3: SODAerr with e corrupted disks stores n/(n−f−2e), reads at most \
+        "Theorem 6.3: SODAerr with e byzantine servers stores n/(n−f−2e), reads at most \
          n/(n−f−2e)·(δw + 1), writes at most the MD-VALUE fan-out, n = {n}, f = {f}, \
          |v| = {value_size} B"
     ))

@@ -84,9 +84,6 @@ pub struct ExploreConfig {
     pub partition_len_max: u64,
     /// Network-fault intensity bounds.
     pub knobs: AdversaryKnobs,
-    /// For SODAerr: corrupt up to `e` servers' coded elements in flight
-    /// (ignored for every other kind).
-    pub corruption: bool,
     /// **Test-only.** Builds ABD clusters with this (possibly sub-majority)
     /// quorum size, deliberately breaking atomicity so the harness itself can
     /// be validated. See `ClusterBuilder::with_unsound_quorum`.
@@ -114,7 +111,6 @@ impl ExploreConfig {
             partition_p: 0.0,
             partition_len_max: 1600,
             knobs: AdversaryKnobs::standard(),
-            corruption: true,
             quorum_override: None,
         }
     }
@@ -306,8 +302,8 @@ pub fn generate_scenario(cfg: &ExploreConfig, seed: u64) -> Scenario {
             reader_crashes.push((r, rng.gen_range(0..=cfg.horizon * 2)));
         }
     }
-    let byzantine = match (cfg.corruption, cfg.kind) {
-        (true, ProtocolKind::SodaErr { e }) if e > 0 => {
+    let byzantine = match cfg.kind {
+        ProtocolKind::SodaErr { e } if e > 0 => {
             // Up to `e` distinct ranks: always within the budget the decoder
             // is provisioned for.
             let count = rng.gen_range(0..=e);
@@ -703,11 +699,6 @@ mod tests {
             unique.dedup();
             assert_eq!(unique.len(), s.byzantine.len(), "ranks must be distinct");
         }
-        let off = ExploreConfig {
-            corruption: false,
-            ..cfg
-        };
-        assert!(generate_scenario(&off, 7).byzantine.is_empty());
     }
 
     #[test]

@@ -41,8 +41,9 @@ pub struct ScenarioParams {
     pub delta: u64,
     /// Use a constant delay of exactly Δ instead of uniform `[1, Δ]`.
     pub constant_delay: bool,
-    /// Server ranks with corrupted local disks (SODAerr experiments only).
-    pub faulty_disks: Vec<usize>,
+    /// Ranks of byzantine servers, which corrupt every coded element they
+    /// send a reader (SODA / SODAerr only).
+    pub byzantine_servers: Vec<usize>,
     /// Ablation: disable concurrent-write relaying to registered readers
     /// (SODA / SODAerr only).
     pub relay_enabled: bool,
@@ -69,7 +70,7 @@ impl ScenarioParams {
             seed: 1,
             delta: 10,
             constant_delay: false,
-            faulty_disks: Vec::new(),
+            byzantine_servers: Vec::new(),
             relay_enabled: true,
             crashed_servers: Vec::new(),
             concurrent_write_lead: 0,
@@ -142,7 +143,7 @@ pub fn run_scenario(params: &ScenarioParams) -> ScenarioOutcome {
         .with_seed(params.seed)
         .with_clients(writers_needed, 1)
         .with_network(network(params.delta, params.constant_delay))
-        .with_faulty_disks(params.faulty_disks.clone());
+        .with_byzantine_servers(params.byzantine_servers.clone());
     if !params.relay_enabled {
         builder = builder.with_relay_disabled();
     }

@@ -18,14 +18,14 @@ fn run_random(
     seed: u64,
     n: usize,
     f: usize,
-    faulty: Vec<usize>,
+    byzantine: Vec<usize>,
     value_prefix: &str,
 ) -> History {
     let mut rng = SimRng::network(seed);
     let mut cluster = ClusterBuilder::new(kind, n, f)
         .with_seed(seed)
         .with_clients(2, 2)
-        .with_faulty_disks(faulty)
+        .with_byzantine_servers(byzantine)
         .with_network(NetworkConfig::uniform(1 + seed % 20))
         .build()
         .unwrap_or_else(|e| panic!("{}: {e}", kind.name()));

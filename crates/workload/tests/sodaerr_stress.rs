@@ -1,6 +1,6 @@
-//! SODAerr stress tests: concurrent workloads where up to `e` servers serve
-//! corrupted coded elements from their local disks on every read, combined
-//! with server crashes. Every read must still return a value some write
+//! SODAerr stress tests: concurrent workloads where up to `e` byzantine
+//! servers corrupt every coded element they send a reader, combined with
+//! server crashes. Every read must still return a value some write
 //! actually produced, every history must be atomic, and the system must
 //! quiesce and clean up its bookkeeping. Clusters are built through the
 //! `RegisterCluster` facade.
@@ -9,7 +9,7 @@ use soda_consistency::Kind;
 use soda_registry::{ClusterBuilder, ProtocolKind, RegisterCluster};
 use soda_simnet::{NetworkConfig, SimTime};
 
-fn run_stress(seed: u64, n: usize, f: usize, e: usize, faulty: Vec<usize>, crash: Vec<usize>) {
+fn run_stress(seed: u64, n: usize, f: usize, e: usize, byzantine: Vec<usize>, crash: Vec<usize>) {
     let kind = if e == 0 {
         ProtocolKind::Soda
     } else {
@@ -18,7 +18,7 @@ fn run_stress(seed: u64, n: usize, f: usize, e: usize, faulty: Vec<usize>, crash
     let mut cluster = ClusterBuilder::new(kind, n, f)
         .with_seed(seed)
         .with_clients(2, 2)
-        .with_faulty_disks(faulty.clone())
+        .with_byzantine_servers(byzantine)
         .with_network(NetworkConfig::uniform(9))
         .build_soda()
         .unwrap();
@@ -96,9 +96,10 @@ fn sodaerr_with_two_bad_disks_and_crashes() {
 
 #[test]
 fn sodaerr_bad_disks_on_backbone_servers() {
-    // The corrupted disks sit on the MD backbone (ranks 0 and 1), which also
-    // relays the dispersal — relayed elements must stay clean (only local disk
-    // reads are corrupted), so reads still succeed.
+    // The byzantine servers sit on the MD backbone (ranks 0 and 1), which
+    // also relays the dispersal. Their relays to readers are corrupted as
+    // well, yet each sends a read at most one element per tag, so reads
+    // stay within the budget and succeed.
     for seed in 0..5 {
         run_stress(200 + seed, 9, 2, 2, vec![0, 1], vec![]);
     }

@@ -1,22 +1,25 @@
-//! SODAerr in action: commodity disks silently corrupt coded elements during
-//! reads, and the `[n, n−f−2e]` code still returns the correct value.
+//! SODAerr in action: servers with bad disks silently corrupt the coded
+//! elements they send readers, and the `[n, n−f−2e]` code still returns the
+//! correct value.
 //!
 //! The example runs the same workload twice on a 9-server cluster where two
-//! servers have bad disks:
+//! servers are byzantine (`with_byzantine_servers`): every coded element they
+//! send a reader is corrupted, as a disk that rots without noticing would
+//! do, and the relays of concurrent writes too.
 //!
 //! * with **SODAerr** (`e = 2`): every read decodes correctly;
 //! * with **plain SODA** (`e = 0`), to show why the extra redundancy matters:
-//!   a reader that happens to pick up a corrupted element decodes garbage (or
+//!   a reader that happens to pick up a corrupted element cannot decode (or
 //!   has to be lucky enough to avoid the bad servers).
 //!
 //! Run with: `cargo run --example error_prone_disks`
 
 use soda_repro::soda_registry::{ClusterBuilder, ProtocolKind};
 
-fn run(kind: ProtocolKind, faulty: Vec<usize>, seed: u64) -> (usize, usize) {
+fn run(kind: ProtocolKind, bad_disks: Vec<usize>, seed: u64) -> (usize, usize) {
     let mut cluster = ClusterBuilder::new(kind, 9, 2)
         .with_seed(seed)
-        .with_faulty_disks(faulty)
+        .with_byzantine_servers(bad_disks)
         .build()
         .expect("valid parameters");
     let expected = b"checksummed by the code itself, not the disk".to_vec();
