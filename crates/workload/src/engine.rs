@@ -12,14 +12,19 @@
 //! events, fault intensities and partition windows are greedily removed
 //! while the violation persists — into a minimal [`Counterexample`].
 //!
-//! Two targets exist: one register cluster ([`crate::explore`]) and a whole
-//! sharded store ([`crate::store_explore`]). Each brings its own config,
-//! generator, runner and liveness witness; everything else — the
+//! One target exists: a register cluster ([`crate::explore`]). It brings its
+//! config, generator, runner and liveness witness; everything else — the
 //! [`campaign`] loop, [`shrink_with`], the [`Report`] and its verdict, the
 //! sampled [`NetIntensity`], the [`liveness_guaranteed`] predicate — is
-//! written here, once. Everything a target derives comes deterministically
-//! from `(config, seed)`, so a reported counterexample replays exactly with
-//! [`Target::generate`] + [`Target::run`].
+//! written here, for any target. Everything a target derives comes
+//! deterministically from `(config, seed)`, so a reported counterexample
+//! replays exactly with [`Target::generate`] + [`Target::run`].
+//!
+//! The sharded store is not a target. It adds no protocol, so its one check
+//! (the `store_model` test over [`crate::store_explore`]'s scenarios) is
+//! that every key runs exactly as its lone cluster would, atomic and live
+//! (using [`liveness_guaranteed`] per shard); a key that breaks is a cluster
+//! schedule this engine can shrink.
 
 use soda_registry::PartitionWindow;
 use soda_simnet::rng::SimRng;
@@ -265,7 +270,7 @@ pub trait Target: Sized {
     /// The checked history an outcome carries.
     type History;
 
-    /// A short name for counterexamples (the protocol, or `"store"`).
+    /// A short name for counterexamples (the protocol).
     fn name(&self) -> &'static str;
 
     /// Deterministically derives the scenario for `seed`.
@@ -285,8 +290,8 @@ pub struct Outcome<T: Target> {
     pub liveness: Option<T::Starvation>,
     /// Operations that completed.
     pub completed_ops: usize,
-    /// Operations the target counts as left pending at quiescence: a
-    /// cluster's writes (starved or writer-crashed), a store's tickets.
+    /// Operations the target counts as left pending at quiescence (a
+    /// cluster's starved or writer-crashed writes).
     pub pending: usize,
     /// Whether a simulation hit its event cap (indicates a protocol bug such
     /// as an infinite relay loop; never expected).

@@ -22,9 +22,11 @@
 //! under crashes, repairs, partitions and network faults, machine-checks
 //! atomicity and liveness, and shrinks any violation to a minimal
 //! reproducer. It is one engine — one campaign loop, one shrinker, one
-//! counterexample type — with two targets: [`explore`] drives a single
-//! register cluster, [`store_explore`] a whole sharded, mixed-protocol
-//! [`soda_store::ShardedStore`] checked per key.
+//! counterexample type — and its target, [`explore`], drives a single
+//! register cluster. [`store_explore`] generates seeded scenarios for a
+//! whole sharded, mixed-protocol [`soda_store::ShardedStore`]; the
+//! `store_model` test runs them and checks that every key runs as its lone
+//! cluster would, atomic and live.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

@@ -1,40 +1,27 @@
-//! The **sharded store** target of the exploration [`engine`](crate::engine).
+//! Seeded store scenarios: what the sharded-store model test runs.
 //!
-//! [`crate::explore`] drives a single register cluster; a
-//! [`StoreExploreConfig`] is the engine [`Target`] that drives a whole
-//! [`soda_store::ShardedStore`]: a mixed-protocol fleet serving many keys
-//! through the batched ticket API, under per-scenario sampled network faults,
-//! in-tolerance shard crashes, crash → repair → crash interleavings at phase
-//! boundaries and per-shard partition windows. [`generate_store_scenario`]
-//! derives the [`StoreScenario`] for a seed; [`run_store_scenario`] drains
-//! every phase to quiescence, machine-checks the store-wide history projected
-//! per key ([`soda_consistency::KeyedHistory::check_each_key`]) and looks for
-//! a shard that starved although it was guaranteed to serve every ticket
-//! ([`StoreLivenessViolation`]). The campaign loop, the shrinker, the report
-//! and the counterexample type are the engine's; [`explore_store`],
-//! [`shrink_store`] and [`shrink_store_liveness`] are its entry points under
-//! their store names. Once a violation is localized to one key's schedule,
-//! the cluster target is the right tool to dig further.
+//! A [`StoreExploreConfig`] describes a mixed-protocol fleet of
+//! [`soda_store::ShardedStore`] shards serving many keys through the batched
+//! ticket API, under per-scenario sampled network faults, in-tolerance shard
+//! crashes, crash → repair → crash interleavings at phase boundaries and
+//! per-shard partition windows. [`generate_store_scenario`] derives the
+//! [`StoreScenario`] for a seed and [`build_store`] the store it runs on.
 //!
-//! ```
-//! use soda_workload::store_explore::{explore_store, StoreExploreConfig};
-//!
-//! let report = explore_store(&StoreExploreConfig::mixed(4), 0, 3);
-//! assert_eq!(report.check(), Ok(()));
-//! ```
+//! The store adds no protocol, and atomicity is a per-object property, so
+//! the store is correct if and only if every key's cluster runs exactly as a
+//! lone cluster would, atomic and live. The model test
+//! (`crates/workload/tests/store_model.rs`) drives each scenario through the
+//! store and through one lone cluster per key side by side, and checks
+//! exactly that: it is the store's one check. A schedule that breaks a key
+//! is then the cluster target's ([`crate::explore`]) to dig into.
 
-use crate::engine::{
-    campaign, liveness_guaranteed, sample_window, AdversaryKnobs, NetIntensity, Outcome, Report,
-    Target,
-};
-pub use crate::engine::{shrink as shrink_store, shrink_liveness as shrink_store_liveness};
-use soda_consistency::{KeyViolation, KeyedHistory};
+use crate::engine::{sample_window, AdversaryKnobs, NetIntensity};
 use soda_registry::{PartitionWindow, ProtocolKind};
 use soda_simnet::rng::SimRng;
-use soda_store::{ShardedStore, StoreBuilder, StoreMetrics, StoreRuntime};
+use soda_store::{ShardedStore, StoreBuilder, StoreRuntime};
 use std::fmt;
 
-/// Parameters of one store-level exploration campaign.
+/// Parameters of a family of seeded store scenarios.
 #[derive(Clone, Debug)]
 pub struct StoreExploreConfig {
     /// Number of shards.
@@ -79,13 +66,13 @@ pub struct StoreExploreConfig {
     /// once it heals rather than exhausting their retries.
     pub partition_len_max: u64,
     /// **Test-only.** Builds every shard's ABD clusters with this (possibly
-    /// sub-majority) quorum size, deliberately breaking atomicity so the
-    /// store-level harness and shrinker can themselves be validated. See
+    /// sub-majority) quorum size, deliberately breaking atomicity (or, above
+    /// `n − f`, liveness) so the store's check can itself be validated. See
     /// `ClusterBuilder::with_unsound_quorum`.
     pub quorum_override: Option<usize>,
     /// Store runtime every scenario is driven under. Defaults to
-    /// [`StoreRuntime::Simulation`]; campaigns are bit-identical across
-    /// runtimes (that is itself a checked property), so switching this to
+    /// [`StoreRuntime::Simulation`]; every key's history is the same under
+    /// every runtime (the model test checks it), so switching this to
     /// [`StoreRuntime::WorkStealing`] runs every drain on several threads
     /// claiming clusters from one cursor, without changing which histories
     /// get explored.
@@ -169,9 +156,9 @@ pub struct StoreScenario {
     /// operations are in flight.
     pub shard_repairs: Vec<(usize, usize, usize)>,
     /// `(phase, shard, rank)` crashes of a *different* rank applied at that
-    /// phase's start, after a repair has freed the budget. Applied
-    /// best-effort: if the budget is still spent (e.g. the enabling repair
-    /// was shrunk away), the crash is skipped.
+    /// phase's start, after a repair has freed the budget. The store refuses
+    /// it if the budget is still spent (the enabling repair has not
+    /// settled).
     pub follow_up_crashes: Vec<(usize, usize, usize)>,
     /// `(shard, window)` scheduled partition windows: the window's ranks are
     /// cut off from every other process of that shard's clusters, and the
@@ -180,47 +167,6 @@ pub struct StoreScenario {
     pub shard_partitions: Vec<(usize, PartitionWindow)>,
     /// Network-fault intensities for this scenario.
     pub net: NetIntensity,
-}
-
-impl crate::engine::Scenario for StoreScenario {
-    /// Operations newest phase first, then fault events — follow-up crashes
-    /// before the repairs that enabled them, repairs before the initial
-    /// crashes they answer — then the windows.
-    fn event_lists(&self) -> Vec<usize> {
-        let phases = self.phases.iter().rev().map(Vec::len);
-        phases
-            .chain([
-                self.follow_up_crashes.len(),
-                self.shard_repairs.len(),
-                self.shard_crashes.len(),
-                self.shard_partitions.len(),
-            ])
-            .collect()
-    }
-
-    fn remove_event(&mut self, list: usize, index: usize) {
-        let phases = self.phases.len();
-        match list.checked_sub(phases) {
-            None => drop(self.phases[phases - 1 - list].remove(index)),
-            Some(0) => drop(self.follow_up_crashes.remove(index)),
-            Some(1) => drop(self.shard_repairs.remove(index)),
-            Some(2) => drop(self.shard_crashes.remove(index)),
-            Some(_) => drop(self.shard_partitions.remove(index)),
-        }
-    }
-
-    fn net(&self) -> &NetIntensity {
-        &self.net
-    }
-
-    fn net_mut(&mut self) -> &mut NetIntensity {
-        &mut self.net
-    }
-
-    fn windows_mut(&mut self) -> Vec<&mut PartitionWindow> {
-        let windows = self.shard_partitions.iter_mut();
-        windows.map(|(_, window)| window).collect()
-    }
 }
 
 impl fmt::Display for StoreScenario {
@@ -347,63 +293,6 @@ pub fn generate_store_scenario(cfg: &StoreExploreConfig, seed: u64) -> StoreScen
     }
 }
 
-/// A **liveness** violation at the store layer: a shard on which every
-/// ticket was guaranteed to complete — the shard's crashes and windows pass
-/// [`liveness_guaranteed`] — still had tickets pending after the final drain.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct StoreLivenessViolation {
-    /// The starved shard.
-    pub shard: usize,
-    /// Name of the protocol the shard runs.
-    pub protocol: &'static str,
-    /// Tickets routed to the shard that never completed.
-    pub pending_tickets: u64,
-}
-
-impl fmt::Display for StoreLivenessViolation {
-    fn fmt(&self, out: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            out,
-            "liveness: shard {} ({}) left {} ticket(s) pending although a \
-             quorum stayed reachable",
-            self.shard, self.protocol, self.pending_tickets
-        )
-    }
-}
-
-/// Finds the first guaranteed-but-starved shard, if any.
-fn store_liveness_violation(
-    cfg: &StoreExploreConfig,
-    scenario: &StoreScenario,
-    metrics: &StoreMetrics,
-    hit_event_cap: bool,
-) -> Option<StoreLivenessViolation> {
-    for shard_m in &metrics.per_shard {
-        if shard_m.pending_tickets == 0 {
-            continue;
-        }
-        let shard = shard_m.shard;
-        // Every rank that was ever dead or isolated on this shard counts
-        // against the budget for the whole scenario.
-        let initial = scenario.shard_crashes.iter();
-        let initial = initial.filter_map(|&(s, count)| (s == shard).then_some(0..count));
-        let follow_ups = scenario.follow_up_crashes.iter();
-        let follow_ups = follow_ups.filter_map(|&(_, s, rank)| (s == shard).then_some(rank));
-        let crashed = initial.flatten().chain(follow_ups);
-        let windows = scenario.shard_partitions.iter();
-        let windows = windows.filter_map(|(s, window)| (*s == shard).then_some(window));
-        if !liveness_guaranteed(cfg.n, cfg.f, &scenario.net, hit_event_cap, crashed, windows) {
-            continue;
-        }
-        return Some(StoreLivenessViolation {
-            shard,
-            protocol: shard_m.protocol,
-            pending_tickets: shard_m.pending_tickets,
-        });
-    }
-    None
-}
-
 /// Builds the store `(config, scenario)` runs on, before any crash or
 /// operation. Windows are applied the way a cluster would see them: ranks
 /// the shards do not have are dropped, and windows that cut nothing are
@@ -435,100 +324,6 @@ pub fn build_store(cfg: &StoreExploreConfig, scenario: &StoreScenario) -> Sharde
     builder
         .build()
         .unwrap_or_else(|e| panic!("invalid store exploration config: {e}"))
-}
-
-/// Builds the store for `(config, scenario)` with [`build_store`], drives
-/// every phase to quiescence, and machine-checks per-key atomicity over the
-/// closed store history.
-///
-/// # Panics
-/// Panics if the configuration is invalid for any shard's protocol kind.
-pub fn run_store_scenario(
-    cfg: &StoreExploreConfig,
-    scenario: &StoreScenario,
-) -> Outcome<StoreExploreConfig> {
-    let mut store = build_store(cfg, scenario);
-    for &(shard, count) in &scenario.shard_crashes {
-        store
-            .crash_shard_servers(shard, count)
-            .expect("generated crash counts stay within each shard's budget");
-    }
-    let mut completed = 0;
-    let mut pending = 0;
-    let mut hit_event_cap = false;
-    for (phase_idx, phase) in scenario.phases.iter().enumerate() {
-        // Fault events fire at the phase boundary, racing this phase's
-        // operations. Both are best-effort (`.ok()`): after shrinking, a
-        // repair may target a rank that was never crashed, and a follow-up
-        // crash may find the budget still spent — the scenario must stay
-        // runnable under any subset of its events.
-        for &(at, shard, rank) in &scenario.shard_repairs {
-            if at == phase_idx {
-                store.repair_shard_server(shard, rank).ok();
-            }
-        }
-        for &(at, shard, rank) in &scenario.follow_up_crashes {
-            if at == phase_idx {
-                store.crash_shard_server(shard, rank).ok();
-            }
-        }
-        for op in phase {
-            let key = format!("key/{}", op.key).into_bytes();
-            if op.is_write {
-                store.put(key, vec![op.fill; 24]);
-            } else {
-                store.get(key);
-            }
-        }
-        let outcome = store.run_until_quiescent();
-        completed = outcome.completed_tickets;
-        pending = outcome.pending_tickets;
-        hit_event_cap |= outcome.hit_event_cap;
-    }
-    let history = store.keyed_history();
-    Outcome {
-        violation: history.check_each_key().err(),
-        liveness: store_liveness_violation(cfg, scenario, &store.metrics(), hit_event_cap),
-        completed_ops: completed,
-        pending,
-        hit_event_cap,
-        history,
-    }
-}
-
-impl Target for StoreExploreConfig {
-    type Scenario = StoreScenario;
-    type Violation = KeyViolation;
-    type Starvation = StoreLivenessViolation;
-    type History = KeyedHistory;
-
-    fn name(&self) -> &'static str {
-        "store"
-    }
-
-    fn generate(&self, seed: u64) -> StoreScenario {
-        generate_store_scenario(self, seed)
-    }
-
-    fn run(&self, scenario: &StoreScenario) -> Outcome<Self> {
-        run_store_scenario(self, scenario)
-    }
-}
-
-/// What [`explore_store`] returns.
-pub type StoreExplorationReport = Report<StoreExploreConfig>;
-
-/// [`campaign`] against a sharded store: runs `schedules` seeded store
-/// scenarios (`seed_start`, `seed_start + 1`, …), shrinking every violation.
-///
-/// # Panics
-/// Panics if the configuration is invalid for any shard's protocol kind.
-pub fn explore_store(
-    cfg: &StoreExploreConfig,
-    seed_start: u64,
-    schedules: usize,
-) -> StoreExplorationReport {
-    campaign(cfg, seed_start, schedules)
 }
 
 #[cfg(test)]
@@ -630,85 +425,6 @@ mod tests {
     }
 
     #[test]
-    fn crash_repair_crash_schedules_stay_atomic() {
-        // Force repairs on and run real scenarios: crash → repair → crash a
-        // different rank, with operations racing every transition.
-        let cfg = StoreExploreConfig {
-            shard_crash_p: 1.0,
-            repair_p: 1.0,
-            knobs: AdversaryKnobs::off(),
-            shards: 3,
-            keys: 6,
-            ops_per_phase: 8,
-            ..StoreExploreConfig::mixed(3)
-        };
-        let mut ran_with_repairs = 0;
-        for seed in 0..6 {
-            let scenario = generate_store_scenario(&cfg, seed);
-            ran_with_repairs += usize::from(!scenario.shard_repairs.is_empty());
-            let outcome = run_store_scenario(&cfg, &scenario);
-            assert!(outcome.violation.is_none(), "seed {seed}");
-            assert!(!outcome.hit_event_cap, "seed {seed}");
-        }
-        assert!(ran_with_repairs > 0);
-    }
-
-    #[test]
-    fn the_store_shrinker_drops_irrelevant_repair_events() {
-        // Validate the shrinker against a deliberately broken protocol: a
-        // homogeneous weakened-ABD fleet (quorum 1) violates even fault-free.
-        // Shards are independent simulations, so crash/repair/follow-up
-        // events injected on the shard that does NOT host the violating key
-        // are provably irrelevant — the shrinker must strip every one.
-        let cfg = StoreExploreConfig {
-            kinds: vec![ProtocolKind::Abd],
-            quorum_override: Some(1),
-            shard_crash_p: 0.0,
-            knobs: AdversaryKnobs::off(),
-            keys: 2,
-            phases: 3,
-            ops_per_phase: 6,
-            ..StoreExploreConfig::mixed(2)
-        };
-        let base = (0..64)
-            .find_map(|seed| {
-                let scenario = generate_store_scenario(&cfg, seed);
-                run_store_scenario(&cfg, &scenario)
-                    .violation
-                    .map(|_| scenario)
-            })
-            .expect("weakened ABD must violate within 64 seeds");
-        // At least one of the two shards is not where the violation lives;
-        // events injected there keep the violation alive.
-        let scenario = (0..cfg.shards)
-            .find_map(|shard| {
-                let mut candidate = base.clone();
-                candidate.shard_crashes = vec![(shard, 1)];
-                candidate.shard_repairs = vec![(1, shard, 0)];
-                candidate.follow_up_crashes = vec![(2, shard, 1)];
-                run_store_scenario(&cfg, &candidate)
-                    .violation
-                    .map(|_| candidate)
-            })
-            .expect("one shard must be irrelevant to the violation");
-        let (minimized, violation) = shrink_store(&cfg, &scenario);
-        // The minimized scenario still reproduces …
-        assert!(run_store_scenario(&cfg, &minimized).violation.is_some());
-        assert_eq!(
-            run_store_scenario(&cfg, &minimized).violation.unwrap().key,
-            violation.key
-        );
-        // … with the noise gone: injected crash, repair and follow-up are
-        // all stripped, the op schedule shrank, and no net faults remain.
-        assert!(minimized.shard_repairs.is_empty(), "{minimized}");
-        assert!(minimized.follow_up_crashes.is_empty(), "{minimized}");
-        assert!(minimized.shard_crashes.is_empty(), "{minimized}");
-        let ops = |s: &StoreScenario| s.phases.iter().map(Vec::len).sum::<usize>();
-        assert!(ops(&minimized) < ops(&scenario), "{minimized}");
-        assert!(!minimized.net.has_net_faults());
-    }
-
-    #[test]
     fn store_partition_draws_are_appended_and_gated() {
         let base = StoreExploreConfig::mixed(6);
         let with = base.clone().with_partitions(1.0, 800);
@@ -756,74 +472,5 @@ mod tests {
             });
         }
         assert!(saw_chain, "chain windows must be sampled");
-    }
-
-    #[test]
-    fn partitioned_store_schedules_stay_atomic_and_live() {
-        // The only adversity is scheduled windows plus in-budget crash,
-        // repair and chain events: every shard stays within `f` once-dead-or-
-        // isolated ranks unless the union overflows, and the liveness checker
-        // must find nothing on the guaranteed shards.
-        let cfg = StoreExploreConfig {
-            knobs: AdversaryKnobs::off(),
-            shard_crash_p: 0.5,
-            repair_p: 1.0,
-            shards: 3,
-            keys: 6,
-            ops_per_phase: 8,
-            ..StoreExploreConfig::mixed(3).with_partitions(0.7, 600)
-        };
-        assert_eq!(explore_store(&cfg, 0, 8).check(), Ok(()));
-    }
-
-    #[test]
-    fn unsound_store_quorum_starvation_is_shrunk_and_replayable() {
-        // Every shard runs ABD waiting for all n = 5 responses; crashing one
-        // server starves every ticket on that shard while the guarantee
-        // predicate holds — the store-level liveness checker must flag it
-        // and the shrinker must strip the noise.
-        let cfg = StoreExploreConfig {
-            kinds: vec![ProtocolKind::Abd],
-            quorum_override: Some(5),
-            knobs: AdversaryKnobs::off(),
-            shard_crash_p: 1.0,
-            repair_p: 0.0,
-            keys: 4,
-            phases: 2,
-            ops_per_phase: 6,
-            ..StoreExploreConfig::mixed(2)
-        };
-        let report = explore_store(&cfg, 0, 8);
-        assert!(!report.all_live(), "unsound quorum must starve");
-        let verdict = report.check().unwrap_err();
-        assert!(verdict.starts_with("not live"), "{verdict}");
-        let cx = &report.liveness_counterexamples[0];
-        assert!(cx.violation.pending_tickets > 0);
-        assert!(cx.to_string().contains("liveness"), "{cx}");
-        // Minimized scenario still reproduces from scratch …
-        let replay = run_store_scenario(&cfg, &cx.minimized);
-        assert!(replay.liveness.is_some());
-        // … and the seed alone reproduces the original.
-        let regen = generate_store_scenario(&cfg, cx.seed);
-        assert!(run_store_scenario(&cfg, &regen).liveness.is_some());
-        // The shrinker pared the operation schedule down.
-        let ops = |s: &StoreScenario| s.phases.iter().map(Vec::len).sum::<usize>();
-        assert!(ops(&cx.minimized) <= ops(&cx.original));
-    }
-
-    #[test]
-    fn a_clean_mixed_store_schedule_is_atomic_and_fully_served() {
-        let cfg = StoreExploreConfig {
-            knobs: AdversaryKnobs::off(),
-            shard_crash_p: 0.0,
-            phases: 2,
-            ops_per_phase: 8,
-            ..StoreExploreConfig::mixed(4)
-        };
-        let outcome = run_store_scenario(&cfg, &generate_store_scenario(&cfg, 1));
-        assert!(outcome.violation.is_none());
-        assert!(!outcome.hit_event_cap);
-        assert_eq!(outcome.pending, 0, "fault-free runs serve everything");
-        assert_eq!(outcome.completed_ops, 16);
     }
 }

@@ -17,19 +17,40 @@
 //! `run_scenario` with the printed seed (see `engine::Counterexample`).
 //!
 //! The shrinker is the engine's, so its local-minimality property is written
-//! once here, generic over the target, and run against a weakened-ABD cluster
-//! and a weakened-ABD store.
+//! here generic over the target, and run against a weakened-ABD cluster. The
+//! store is not an exploration target: `store_model.rs` checks that every
+//! key runs as its lone cluster would, so a store schedule that breaks a key
+//! is a cluster schedule this engine can shrink.
 
 mod common;
 
-use common::{count_scenarios, expect_clean, schedules_from_env};
+use common::schedules_from_env;
 use soda_consistency::Violation;
 use soda_registry::{PartitionWindow, ProtocolKind};
-use soda_workload::engine::{shrink, NetIntensity, Scenario, Target};
+use soda_workload::engine::{campaign, shrink, NetIntensity, Report, Scenario, Target};
 use soda_workload::explore::{
     explore, generate_scenario, run_scenario, AdversaryKnobs, ExploreConfig,
 };
-use soda_workload::store_explore::StoreExploreConfig;
+use std::ops::Range;
+
+/// Runs the campaign and fails the test with its verdict unless it is clean.
+fn expect_clean<T: Target>(target: &T, seed_start: u64, schedules: usize) -> Report<T> {
+    let report = campaign(target, seed_start, schedules);
+    if let Err(verdict) = report.check() {
+        panic!("{} over {schedules} schedules: {verdict}", target.name());
+    }
+    report
+}
+
+/// How many of the `seeds`' scenarios satisfy `wanted` — the smokes' guard
+/// against a campaign that never samples what it is meant to soak.
+fn count_scenarios<T: Target>(
+    target: &T,
+    seeds: Range<u64>,
+    wanted: impl Fn(&T::Scenario) -> bool,
+) -> usize {
+    seeds.filter(|&seed| wanted(&target.generate(seed))).count()
+}
 
 /// The five protocol configurations every exploration test sweeps. SODAerr
 /// gets `n = 7` so `k = n − f − 2e = 3` is a real code; CASGC gets a
@@ -219,25 +240,11 @@ fn weakened_cluster() -> ExploreConfig {
     }
 }
 
-/// The same broken protocol on every shard of a small store.
-fn weakened_store() -> StoreExploreConfig {
-    StoreExploreConfig {
-        kinds: vec![ProtocolKind::Abd],
-        quorum_override: Some(1),
-        keys: 2,
-        phases: 2,
-        ops_per_phase: 6,
-        ..StoreExploreConfig::mixed(2)
-    }
-}
-
 #[test]
 fn shrinking_strips_irrelevant_faults() {
     // With the partition sampler on, so windows are among the noise.
     let cluster = weakened_cluster().with_partitions(0.5, 400);
     assert_shrinking_reaches_a_local_minimum(&cluster, 3, |_| true);
-    let store = weakened_store().with_partitions(0.5, 400);
-    assert_shrinking_reaches_a_local_minimum(&store, 2, |_| true);
 }
 
 #[test]
@@ -246,7 +253,6 @@ fn shrinking_bisects_fault_intensities_to_a_local_minimum() {
     // bisected, and switched off wholesale only if the violation allows it.
     let noisy = |net: &NetIntensity| net.has_net_faults();
     assert_shrinking_reaches_a_local_minimum(&weakened_cluster(), 4, |s| noisy(&s.net));
-    assert_shrinking_reaches_a_local_minimum(&weakened_store(), 2, |s| noisy(&s.net));
 }
 
 /// ROADMAP's fix-first item, pinned: under the standard adversary SODAerr and
@@ -296,8 +302,8 @@ fn all_five_protocols_survive_partitioned_schedules() {
 fn hand_built_windows_are_applied_the_way_the_cluster_sees_them() {
     // The cluster builder rejects a window with no ranks, with ranks the
     // cluster does not have, or that heals before it opens; the runner has
-    // to skip or trim them instead, as the store runner does, or a
-    // hand-built (or shrunk) scenario panics.
+    // to skip or trim them instead, as `build_store` does, or a hand-built
+    // (or shrunk) scenario panics.
     let cfg = ExploreConfig::new(ProtocolKind::Abd, 5, 2);
     let window = |ranks: &[usize], start, end| PartitionWindow {
         ranks: ranks.to_vec(),
