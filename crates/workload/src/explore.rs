@@ -1,18 +1,25 @@
-//! The **register cluster** target of the exploration [`engine`](crate::engine):
-//! machine-checked atomicity and liveness of one cluster under an adversarial
-//! network.
+//! Seeded adversarial exploration of one register cluster: machine-checked
+//! atomicity and liveness under crashes, repairs, partitions and an
+//! adversarial network.
 //!
-//! An [`ExploreConfig`] is an engine [`Target`]: [`generate_scenario`] derives
-//! a [`Scenario`] — planned reads and writes, server and client crashes,
-//! repairs, byzantine servers, partition windows and sampled network-fault
-//! intensities — from a seed, and [`run_scenario`] drives it to quiescence
+//! The paper's safety and liveness claims are universally quantified over
+//! asynchronous, adversarial executions — *every* schedule of message delays,
+//! losses, reorderings, duplications, partitions, crashes, repairs and (for
+//! SODAerr) in-budget element corruption must yield an atomic history in
+//! which every guaranteed operation completes. This module samples that
+//! quantifier. [`generate_scenario`] derives a [`Scenario`] — planned reads
+//! and writes, server and client crashes, repairs, byzantine servers,
+//! partition windows and sampled network-fault intensities — from an
+//! [`ExploreConfig`] and a seed. [`run_scenario`] drives it to quiescence
 //! through the [`soda_registry::RegisterCluster`] facade, closes the history
-//! under pending writes, feeds it to
-//! [`soda_consistency::History::check_atomicity`] and looks for a starved
-//! operation that was guaranteed to complete ([`LivenessViolation`]). The
-//! campaign loop, the shrinker, the report and the counterexample type are
-//! the engine's; [`explore`], [`shrink`] and [`shrink_liveness`] are its
-//! entry points under their cluster names.
+//! under pending writes, feeds it to [`History::check_atomicity`] and looks
+//! for a starved operation that was guaranteed to complete
+//! ([`LivenessViolation`]). [`explore`] runs a range of seeds and **shrinks**
+//! every violation — events, fault intensities and partition windows are
+//! greedily removed while the violation persists — into a minimal
+//! [`Counterexample`]. Everything derives deterministically from
+//! `(config, seed)`, so a counterexample replays exactly with
+//! [`generate_scenario`] + [`run_scenario`].
 //!
 //! ```
 //! use soda_registry::ProtocolKind;
@@ -27,18 +34,226 @@
 //! ([`ExploreConfig::quorum_override`]) quickly produces
 //! non-atomic histories, which exploration catches and minimizes — see the
 //! `exploration` integration tests.
+//!
+//! The sharded store is not explored here. It adds no protocol, so its one
+//! check (the `store_model` test, which generates its own seeded store
+//! scenarios from [`NetIntensity::sample`] and [`sample_window`]) is that
+//! every key runs exactly as its lone cluster would, atomic and live (using
+//! [`liveness_guaranteed`] per shard); a key that breaks is a cluster
+//! schedule this module can shrink.
 
-use crate::engine::{
-    campaign, liveness_guaranteed, sample_ranks, sample_window, NetIntensity, Outcome, Report,
-    Target,
-};
-pub use crate::engine::{shrink, shrink_liveness, AdversaryKnobs};
 use crate::scenario::value_of;
 use soda_consistency::{History, Violation};
 use soda_registry::{ClusterBuilder, PartitionWindow, ProtocolKind};
 use soda_simnet::rng::SimRng;
-use soda_simnet::{NetworkConfig, SimTime};
+use soda_simnet::{DelayModel, LinkFaults, NetFaultPlan, NetworkConfig, ProcessId, SimTime};
 use std::fmt;
+
+/// Upper bounds for the per-scenario sampled network-fault intensities.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct AdversaryKnobs {
+    /// Maximum per-message drop probability.
+    pub drop_p_max: f64,
+    /// Maximum per-message duplication probability.
+    pub duplicate_p_max: f64,
+    /// Maximum extra delivery delay in ticks (sampled uniformly per message).
+    pub extra_delay_max: u64,
+    /// Maximum probability that a message is held back (reordered).
+    pub reorder_p_max: f64,
+    /// Hold-back window in ticks for reordered messages.
+    pub reorder_window: u64,
+}
+
+impl AdversaryKnobs {
+    /// The default adversary: lossy, duplicating, reordering delivery that
+    /// still lets most operations finish (drop probability stays well below
+    /// the point where quorums become unreachable in every phase).
+    pub fn standard() -> Self {
+        AdversaryKnobs {
+            drop_p_max: 0.15,
+            duplicate_p_max: 0.2,
+            extra_delay_max: 40,
+            reorder_p_max: 0.3,
+            reorder_window: 60,
+        }
+    }
+
+    /// No network faults at all (crash-only exploration).
+    pub fn off() -> Self {
+        AdversaryKnobs {
+            drop_p_max: 0.0,
+            duplicate_p_max: 0.0,
+            extra_delay_max: 0,
+            reorder_p_max: 0.0,
+            reorder_window: 0,
+        }
+    }
+}
+
+/// Draws `count` distinct server ranks of an `n`-server cluster.
+fn sample_ranks(rng: &mut SimRng, n: usize, count: usize) -> Vec<usize> {
+    let mut pool: Vec<usize> = (0..n).collect();
+    (0..count)
+        .map(|_| {
+            let pick = rng.gen_range(0..pool.len());
+            pool.swap_remove(pick)
+        })
+        .collect()
+}
+
+/// Draws a partition window isolating `1..=f` distinct ranks of an `(n, f)`
+/// cluster, opening in `[0, start_max]` and `1..=len_max` ticks long (three
+/// draws plus one per rank). The cluster generator draws its windows with
+/// it, and so does the `store_model` test's generator, one per shard.
+pub fn sample_window(
+    rng: &mut SimRng,
+    n: usize,
+    f: usize,
+    start_max: u64,
+    len_max: u64,
+) -> PartitionWindow {
+    let count = rng.gen_range(1..=f);
+    let ranks = sample_ranks(rng, n, count);
+    let start = rng.gen_range(0..=start_max);
+    let end = start + rng.gen_range(1..=len_max.max(1));
+    PartitionWindow { ranks, start, end }
+}
+
+/// One halving step toward zero for a fault probability: values below `1e-3`
+/// snap to `0.0` so the descent terminates instead of chasing denormals.
+fn halve_probability(p: f64) -> f64 {
+    if p < 1e-3 {
+        0.0
+    } else {
+        p / 2.0
+    }
+}
+
+/// The network-fault intensities one scenario runs under, sampled below an
+/// [`AdversaryKnobs`] bound. `Display` renders the scenario's `net:` line.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct NetIntensity {
+    /// Per-message drop probability.
+    pub drop_p: f64,
+    /// Per-message duplication probability.
+    pub duplicate_p: f64,
+    /// Maximum extra delay in ticks (uniform per message when non-zero).
+    pub extra_delay: u64,
+    /// Per-message hold-back (reordering) probability.
+    pub reorder_p: f64,
+    /// Hold-back window in ticks.
+    pub reorder_window: u64,
+}
+
+impl NetIntensity {
+    /// How many intensities [`NetIntensity::halved`] can step.
+    pub const KNOBS: usize = 5;
+
+    /// Samples intensities below `knobs` (four draws; three when
+    /// `extra_delay_max` is zero). The cluster generator draws its
+    /// network faults with it, and so does the `store_model` test's.
+    pub fn sample(rng: &mut SimRng, knobs: &AdversaryKnobs) -> Self {
+        let drop_p = rng.next_f64() * knobs.drop_p_max;
+        let duplicate_p = rng.next_f64() * knobs.duplicate_p_max;
+        let extra_delay = if knobs.extra_delay_max > 0 {
+            rng.gen_range(0..=knobs.extra_delay_max)
+        } else {
+            0
+        };
+        NetIntensity {
+            drop_p,
+            duplicate_p,
+            extra_delay,
+            reorder_p: rng.next_f64() * knobs.reorder_p_max,
+            reorder_window: knobs.reorder_window,
+        }
+    }
+
+    fn link_faults(&self) -> LinkFaults {
+        LinkFaults {
+            drop_p: self.drop_p,
+            duplicate_p: self.duplicate_p,
+            extra_delay: (self.extra_delay > 0).then_some(DelayModel::Uniform {
+                min: 1,
+                max: self.extra_delay,
+            }),
+            reorder_p: self.reorder_p,
+            reorder_window: self.reorder_window,
+        }
+    }
+
+    /// Whether any network fault is active.
+    pub fn has_net_faults(&self) -> bool {
+        !self.link_faults().is_clean()
+    }
+
+    /// The adversary these intensities install on every link.
+    pub fn fault_plan(&self) -> NetFaultPlan {
+        NetFaultPlan::none().with_default(self.link_faults())
+    }
+
+    /// The shrinker's single step on intensity number `knob` (drop,
+    /// duplication and reordering probabilities, extra delay, hold-back
+    /// window, in that order): the intensity halved, or `None` once it is
+    /// zero. The hold-back window only steps while something is held back.
+    pub fn halved(&self, knob: usize) -> Option<NetIntensity> {
+        let mut next = *self;
+        match knob {
+            0 => next.drop_p = halve_probability(self.drop_p),
+            1 => next.duplicate_p = halve_probability(self.duplicate_p),
+            2 => next.reorder_p = halve_probability(self.reorder_p),
+            3 => next.extra_delay /= 2,
+            _ if self.reorder_p > 0.0 => next.reorder_window /= 2,
+            _ => {}
+        }
+        (next != *self).then_some(next)
+    }
+}
+
+impl fmt::Display for NetIntensity {
+    fn fmt(&self, out: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            out,
+            "net: drop={:.3} dup={:.3} extra_delay<={} reorder={:.3}/{}",
+            self.drop_p, self.duplicate_p, self.extra_delay, self.reorder_p, self.reorder_window
+        )
+    }
+}
+
+/// Whether every operation by a live client is **guaranteed** to complete on
+/// an `(n, f)` cluster: no probabilistic message loss (`drop_p > 0`; delays,
+/// duplication and reordering all still deliver), no event-cap hit, and the
+/// ranks ever `crashed` or ever isolated by one of `windows` total at most
+/// `f`.
+///
+/// The guarantee is deliberately conservative — every exemption is an
+/// execution where starvation can be legitimate. Clients do not retransmit,
+/// so an op that fans out while more than `f` servers are (cumulatively)
+/// dead or isolated may starve; and a server that sat out a window can be
+/// permanently stale (it missed writes the way a crashed server would), so
+/// window-isolated ranks count against the budget for the whole scenario,
+/// heal or no heal. Within that budget every protocol's quorums (`n − f`, or
+/// an ABD majority) stay reachable from invocation onward, so an incomplete
+/// op is a protocol liveness bug, not an adversarial artifact.
+pub fn liveness_guaranteed<'a>(
+    n: usize,
+    f: usize,
+    net: &NetIntensity,
+    hit_event_cap: bool,
+    crashed: impl IntoIterator<Item = usize>,
+    windows: impl IntoIterator<Item = &'a PartitionWindow>,
+) -> bool {
+    if hit_event_cap || net.drop_p > 0.0 {
+        return false;
+    }
+    let mut budget: Vec<usize> = crashed.into_iter().collect();
+    for window in windows.into_iter().filter_map(|w| w.on_cluster(n)) {
+        budget.extend(window.ranks);
+    }
+    budget.sort_unstable();
+    budget.dedup();
+    budget.len() <= f
+}
 
 /// Parameters of one exploration campaign.
 #[derive(Clone, Debug)]
@@ -174,9 +389,12 @@ pub struct Scenario {
     pub partitions: Vec<PartitionWindow>,
 }
 
-impl crate::engine::Scenario for Scenario {
-    fn event_lists(&self) -> Vec<usize> {
-        vec![
+impl Scenario {
+    /// Lengths of the scenario's removable event lists — ops, server
+    /// crashes, server repairs, writer crashes, reader crashes, byzantine
+    /// ranks, partition windows — in the order the shrinker visits them.
+    pub fn event_lists(&self) -> [usize; 7] {
+        [
             self.ops.len(),
             self.server_crashes.len(),
             self.server_repairs.len(),
@@ -187,7 +405,9 @@ impl crate::engine::Scenario for Scenario {
         ]
     }
 
-    fn remove_event(&mut self, list: usize, index: usize) {
+    /// Removes event `index` of list `list` (as numbered by
+    /// [`Scenario::event_lists`]).
+    pub fn remove_event(&mut self, list: usize, index: usize) {
         match list {
             0 => drop(self.ops.remove(index)),
             1 => drop(self.server_crashes.remove(index)),
@@ -197,18 +417,6 @@ impl crate::engine::Scenario for Scenario {
             5 => drop(self.byzantine.remove(index)),
             _ => drop(self.partitions.remove(index)),
         }
-    }
-
-    fn net(&self) -> &NetIntensity {
-        &self.net
-    }
-
-    fn net_mut(&mut self) -> &mut NetIntensity {
-        &mut self.net
-    }
-
-    fn windows_mut(&mut self) -> Vec<&mut PartitionWindow> {
-        self.partitions.iter_mut().collect()
     }
 }
 
@@ -394,7 +602,9 @@ impl fmt::Display for LivenessViolation {
     }
 }
 
-/// Decides whether a scenario's outcome contains a [`LivenessViolation`].
+/// Decides whether a scenario's outcome contains a [`LivenessViolation`],
+/// given the operations completed on each writer handle (`per_writer`) and
+/// each reader handle (`per_reader`).
 ///
 /// Everything is exempt unless the scenario passes [`liveness_guaranteed`];
 /// beyond that, a crashed client's own handle is exempt, and reader handles
@@ -407,7 +617,8 @@ impl fmt::Display for LivenessViolation {
 fn liveness_violation(
     cfg: &ExploreConfig,
     scenario: &Scenario,
-    completed_per_client: &[(u64, usize)],
+    per_writer: &[usize],
+    per_reader: &[usize],
     hit_event_cap: bool,
 ) -> Option<LivenessViolation> {
     let crashed = scenario.server_crashes.iter().map(|&(rank, _)| rank);
@@ -416,17 +627,11 @@ fn liveness_violation(
         return None;
     }
     let any_writer_crashed = !scenario.writer_crashes.is_empty();
-    let completed_by = |client: u64| -> usize {
-        completed_per_client
-            .iter()
-            .find(|&&(c, _)| c == client)
-            .map_or(0, |&(_, n)| n)
-    };
-    for (is_writer, handles, crashes) in [
-        (true, cfg.writers, &scenario.writer_crashes),
-        (false, cfg.readers, &scenario.reader_crashes),
+    for (is_writer, per_handle, crashes) in [
+        (true, per_writer, &scenario.writer_crashes),
+        (false, per_reader, &scenario.reader_crashes),
     ] {
-        for handle in 0..handles {
+        for (handle, &done) in per_handle.iter().enumerate() {
             if crashes.iter().any(|&(h, _)| h == handle) || (!is_writer && any_writer_crashed) {
                 continue;
             }
@@ -435,11 +640,9 @@ fn liveness_violation(
             let mut queue: Vec<&PlannedOp> = scenario
                 .ops
                 .iter()
-                .filter(|op| op.is_write == is_writer && op.client % handles == handle)
+                .filter(|op| op.is_write == is_writer && op.client % per_handle.len() == handle)
                 .collect();
             queue.sort_by_key(|op| op.at);
-            let client = (cfg.n + if is_writer { 0 } else { cfg.writers } + handle) as u64;
-            let done = completed_by(client);
             if done < queue.len() {
                 let starved = queue[done];
                 return Some(LivenessViolation {
@@ -456,6 +659,25 @@ fn liveness_violation(
     None
 }
 
+/// The outcome of running one scenario to quiescence.
+#[derive(Clone, Debug)]
+pub struct Outcome {
+    /// The atomicity violation, if the history failed the checker.
+    pub violation: Option<Violation>,
+    /// The liveness violation, if a guaranteed operation starved (see
+    /// [`liveness_guaranteed`]).
+    pub liveness: Option<LivenessViolation>,
+    /// Operations that completed.
+    pub completed_ops: usize,
+    /// Writes left pending at quiescence (starved, or their writer crashed).
+    pub pending: usize,
+    /// Whether a simulation hit its event cap (indicates a protocol bug such
+    /// as an infinite relay loop; never expected).
+    pub hit_event_cap: bool,
+    /// The checked history (completed ops closed under pending writes).
+    pub history: History,
+}
+
 /// Builds the cluster for `(config, scenario)` and runs the scenario to
 /// quiescence, returning the checked outcome. Windows are applied the way
 /// the cluster sees them: ranks it does not have are dropped, and windows
@@ -464,7 +686,7 @@ fn liveness_violation(
 /// # Panics
 /// Panics if the configuration is invalid for the protocol kind (see
 /// `ClusterBuilder::validate`); campaign entry points validate up front.
-pub fn run_scenario(cfg: &ExploreConfig, scenario: &Scenario) -> Outcome<ExploreConfig> {
+pub fn run_scenario(cfg: &ExploreConfig, scenario: &Scenario) -> Outcome {
     let mut builder = ClusterBuilder::new(cfg.kind, cfg.n, cfg.f)
         .with_seed(scenario.seed)
         .with_clients(cfg.writers, cfg.readers)
@@ -559,58 +781,278 @@ pub fn run_scenario(cfg: &ExploreConfig, scenario: &Scenario) -> Outcome<Explore
     let outcome = cluster.run_to_quiescence();
     let history = cluster.closed_history(&[]);
     let completed = cluster.completed_ops();
-    let mut completed_per_client: Vec<(u64, usize)> = Vec::new();
-    for op in &completed {
-        match completed_per_client
-            .iter_mut()
-            .find(|(c, _)| *c == op.client)
-        {
-            Some((_, n)) => *n += 1,
-            None => completed_per_client.push((op.client, 1)),
-        }
-    }
-    let liveness = liveness_violation(cfg, scenario, &completed_per_client, outcome.hit_event_cap);
+    let done = |process: ProcessId| {
+        let client = u64::from(process.0);
+        completed.iter().filter(|op| op.client == client).count()
+    };
+    let per_writer: Vec<usize> = (0..cfg.writers)
+        .map(|h| done(cluster.writer_process(h)))
+        .collect();
+    let per_reader: Vec<usize> = (0..cfg.readers)
+        .map(|h| done(cluster.reader_process(h)))
+        .collect();
+    let hit_event_cap = outcome.hit_event_cap;
+    let liveness = liveness_violation(cfg, scenario, &per_writer, &per_reader, hit_event_cap);
     Outcome {
         violation: history.check_atomicity().err(),
         liveness,
         completed_ops: completed.len(),
         pending: cluster.pending_writes().len(),
-        hit_event_cap: outcome.hit_event_cap,
+        hit_event_cap,
         history,
     }
 }
 
-impl Target for ExploreConfig {
-    type Scenario = Scenario;
-    type Violation = Violation;
-    type Starvation = LivenessViolation;
-    type History = History;
+/// A minimized, seed-reproducible violation — of atomicity or of liveness,
+/// per `V`. Replay it with [`generate_scenario`] + [`run_scenario`].
+#[derive(Clone, Debug, PartialEq)]
+pub struct Counterexample<V> {
+    /// The seed that produced the violation.
+    pub seed: u64,
+    /// The protocol under test.
+    pub target: &'static str,
+    /// The violation reported for the *minimized* scenario.
+    pub violation: V,
+    /// The scenario as originally generated.
+    pub original: Scenario,
+    /// The greedily minimized scenario (still violating).
+    pub minimized: Scenario,
+}
 
-    fn name(&self) -> &'static str {
-        self.kind.name()
-    }
-
-    fn generate(&self, seed: u64) -> Scenario {
-        generate_scenario(self, seed)
-    }
-
-    fn run(&self, scenario: &Scenario) -> Outcome<Self> {
-        run_scenario(self, scenario)
+impl<V: fmt::Display> fmt::Display for Counterexample<V> {
+    fn fmt(&self, out: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let events = |s: &Scenario| s.event_lists().iter().sum::<usize>();
+        let (target, seed, violation) = (self.target, self.seed, &self.violation);
+        let (kept, generated) = (events(&self.minimized), events(&self.original));
+        writeln!(out, "{target}: counterexample at seed {seed}: {violation}")?;
+        writeln!(out, "minimized repro ({kept} of {generated} events):")?;
+        write!(out, "{}", self.minimized)
     }
 }
 
-/// [`campaign`] against a register cluster: runs `schedules` seeded scenarios
-/// (`seed_start`, `seed_start + 1`, …), shrinking every violation.
+/// Keeps the best scenario found so far and the violation it reproduces.
+struct Shrinker<V, F> {
+    current: Scenario,
+    violation: V,
+    violates: F,
+    changed: bool,
+}
+
+impl<V, F: Fn(&Scenario) -> Option<V>> Shrinker<V, F> {
+    /// Applies `edit` to a copy and keeps it iff *some* violation persists
+    /// (the goal is a minimal repro, not the same repro).
+    fn keep(&mut self, edit: impl FnOnce(&mut Scenario)) -> bool {
+        let mut candidate = self.current.clone();
+        edit(&mut candidate);
+        let Some(violation) = (self.violates)(&candidate) else {
+            return false;
+        };
+        self.current = candidate;
+        self.violation = violation;
+        self.changed = true;
+        true
+    }
+}
+
+/// Greedily shrinks a violating scenario: repeatedly drops single events
+/// (every list of [`Scenario::event_lists`], back to front so indices stay
+/// valid), tries switching the network faults off entirely, bisects each
+/// fault *intensity* down by repeated halving ([`NetIntensity::halved`]), and
+/// bisects each surviving partition window's length and start — so a
+/// counterexample that genuinely needs, say, message drops is reported with
+/// (roughly) the smallest drop probability and the shortest, latest outage
+/// that still reproduce it, and whatever the violation never needed comes
+/// back removed or zero. A change is kept iff `violates` still reports a
+/// violation. Deterministic, and terminates because every kept step removes
+/// something or strictly decreases a quantity that bottoms out.
+///
+/// # Panics
+/// Panics if `scenario` does not violate to begin with.
+fn shrink_with<V>(scenario: &Scenario, violates: impl Fn(&Scenario) -> Option<V>) -> (Scenario, V) {
+    let mut best = Shrinker {
+        violation: violates(scenario).expect("shrinking requires a violating scenario"),
+        current: scenario.clone(),
+        violates,
+        changed: true,
+    };
+    while std::mem::take(&mut best.changed) {
+        for list in 0..best.current.event_lists().len() {
+            for index in (0..best.current.event_lists()[list]).rev() {
+                best.keep(|s| s.remove_event(list, index));
+            }
+        }
+        let mut off = best.current.net;
+        (off.drop_p, off.duplicate_p, off.extra_delay, off.reorder_p) = (0.0, 0.0, 0, 0.0);
+        if best.current.net.has_net_faults() {
+            best.keep(|s| s.net = off);
+        }
+        // All-off failed (or was unnecessary): halve the surviving
+        // intensities one by one, each until the violation is lost.
+        for knob in 0..NetIntensity::KNOBS {
+            while let Some(net) = best.current.net.halved(knob) {
+                if !best.keep(|s| s.net = net) {
+                    break;
+                }
+            }
+        }
+        // Surviving windows: halve the length (healing earlier), then
+        // advance the start toward the end. Both keep the length ≥ 1.
+        for index in 0..best.current.partitions.len() {
+            for advance_start in [false, true] {
+                loop {
+                    let window = &best.current.partitions[index];
+                    let (start, len) = (window.start, window.len());
+                    let kept = len > 1
+                        && best.keep(|s| {
+                            let window = &mut s.partitions[index];
+                            if advance_start {
+                                window.start = start + len.div_ceil(2);
+                            } else {
+                                window.end = start + len / 2;
+                            }
+                        });
+                    if !kept {
+                        break;
+                    }
+                }
+            }
+        }
+    }
+    (best.current, best.violation)
+}
+
+/// Greedily shrinks `scenario` against the **atomicity** checker.
+///
+/// # Panics
+/// Panics if `scenario` does not violate atomicity under `cfg`.
+pub fn shrink(cfg: &ExploreConfig, scenario: &Scenario) -> (Scenario, Violation) {
+    shrink_with(scenario, |candidate| run_scenario(cfg, candidate).violation)
+}
+
+/// Greedily shrinks `scenario` against the **liveness** checker.
+///
+/// # Panics
+/// Panics if `scenario` starves no guaranteed operation under `cfg`.
+pub fn shrink_liveness(cfg: &ExploreConfig, scenario: &Scenario) -> (Scenario, LivenessViolation) {
+    shrink_with(scenario, |candidate| run_scenario(cfg, candidate).liveness)
+}
+
+/// Aggregate result of an [`explore`] campaign.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Report {
+    /// Scenarios run.
+    pub schedules: usize,
+    /// Total operations completed across all scenarios.
+    pub completed_ops: usize,
+    /// Total [`Outcome::pending`] across all scenarios.
+    pub pending: usize,
+    /// Scenarios that hit the event cap (always 0 for healthy protocols).
+    pub event_cap_hits: usize,
+    /// Atomicity violations found, each minimized to a reproducer.
+    pub counterexamples: Vec<Counterexample<Violation>>,
+    /// Liveness violations found (guaranteed ops that starved), each
+    /// minimized to a reproducer.
+    pub liveness_counterexamples: Vec<Counterexample<LivenessViolation>>,
+}
+
+impl Report {
+    /// Whether every schedule passed the atomicity checker.
+    pub fn all_atomic(&self) -> bool {
+        self.counterexamples.is_empty()
+    }
+
+    /// Whether every schedule passed the liveness checker.
+    pub fn all_live(&self) -> bool {
+        self.liveness_counterexamples.is_empty()
+    }
+
+    /// The campaign's verdict: every schedule atomic and live, none hit the
+    /// event cap, and at least one operation completed (or the adversary
+    /// starved everything and the campaign checked nothing). The error
+    /// renders the first counterexample.
+    pub fn check(&self) -> Result<(), String> {
+        let (atomicity, liveness) = (&self.counterexamples, &self.liveness_counterexamples);
+        match (atomicity.first(), liveness.first()) {
+            (Some(first), _) => Err(format!(
+                "not atomic, first of {}:\n{first}",
+                atomicity.len()
+            )),
+            (_, Some(first)) => Err(format!("not live, first of {}:\n{first}", liveness.len())),
+            _ if self.event_cap_hits > 0 => Err(format!(
+                "{} schedule(s) hit the event cap",
+                self.event_cap_hits
+            )),
+            _ if self.completed_ops == 0 => {
+                Err("the adversary starved every operation: the campaign is vacuous".into())
+            }
+            _ => Ok(()),
+        }
+    }
+}
+
+/// Shrinks `original` with `shrink` and records the result.
+fn minimized<V>(
+    cfg: &ExploreConfig,
+    seed: u64,
+    original: &Scenario,
+    shrink: impl Fn(&ExploreConfig, &Scenario) -> (Scenario, V),
+) -> Counterexample<V> {
+    let (minimized, violation) = shrink(cfg, original);
+    Counterexample {
+        seed,
+        target: cfg.kind.name(),
+        violation,
+        original: original.clone(),
+        minimized,
+    }
+}
+
+/// Runs `schedules` seeded scenarios (`seed_start`, `seed_start + 1`, …)
+/// against a register cluster and returns the aggregate report. Every
+/// violation is shrunk to a minimal reproducer before being recorded.
 ///
 /// # Panics
 /// Panics if the configuration is invalid for the protocol kind.
-pub fn explore(cfg: &ExploreConfig, seed_start: u64, schedules: usize) -> Report<ExploreConfig> {
-    campaign(cfg, seed_start, schedules)
+pub fn explore(cfg: &ExploreConfig, seed_start: u64, schedules: usize) -> Report {
+    let mut report = Report::default();
+    for seed in seed_start..seed_start + schedules as u64 {
+        let scenario = generate_scenario(cfg, seed);
+        let outcome = run_scenario(cfg, &scenario);
+        report.schedules += 1;
+        report.completed_ops += outcome.completed_ops;
+        report.pending += outcome.pending;
+        report.event_cap_hits += usize::from(outcome.hit_event_cap);
+        if outcome.violation.is_some() {
+            let found = minimized(cfg, seed, &scenario, shrink);
+            report.counterexamples.push(found);
+        }
+        if outcome.liveness.is_some() {
+            let found = minimized(cfg, seed, &scenario, shrink_liveness);
+            report.liveness_counterexamples.push(found);
+        }
+    }
+    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn probability_halving_reaches_zero_in_finitely_many_steps() {
+        for start in [1.0, 0.15, 0.2, 0.3, 1e-2, 9.99e-4] {
+            let mut p = start;
+            let mut steps = 0;
+            while p > 0.0 {
+                let next = halve_probability(p);
+                assert!(next < p, "halving must strictly decrease ({p} -> {next})");
+                p = next;
+                steps += 1;
+                assert!(steps < 64, "descent from {start} must terminate");
+            }
+        }
+        assert_eq!(halve_probability(0.0), 0.0);
+    }
 
     #[test]
     fn generation_is_deterministic_per_seed() {
@@ -696,6 +1138,7 @@ mod tests {
             let s = generate_scenario(&cfg, seed);
             assert!(s.byzantine.len() <= 2, "seed {seed}: {:?}", s.byzantine);
             let mut unique = s.byzantine.clone();
+            unique.sort_unstable();
             unique.dedup();
             assert_eq!(unique.len(), s.byzantine.len(), "ranks must be distinct");
         }
@@ -827,7 +1270,8 @@ mod tests {
         let mut scenario = generate_scenario(&cfg, 3);
         // Lossy: exempt regardless of what completed.
         scenario.net.drop_p = 0.1;
-        assert!(liveness_violation(&cfg, &scenario, &[], false).is_none());
+        let nothing = [0; 2];
+        assert!(liveness_violation(&cfg, &scenario, &nothing, &nothing, false).is_none());
         // Over budget: crashes ∪ isolated ranks > f.
         scenario.net.drop_p = 0.0;
         scenario.server_crashes = vec![(0, 10)];
@@ -838,12 +1282,12 @@ mod tests {
         }];
         scenario.writer_crashes.clear();
         scenario.reader_crashes.clear();
-        assert!(liveness_violation(&cfg, &scenario, &[], false).is_none());
+        assert!(liveness_violation(&cfg, &scenario, &nothing, &nothing, false).is_none());
         // Event cap: exempt.
         scenario.partitions.clear();
-        assert!(liveness_violation(&cfg, &scenario, &[], true).is_none());
+        assert!(liveness_violation(&cfg, &scenario, &nothing, &nothing, true).is_none());
         // Within budget, nothing completed, clients alive: flagged.
-        let flagged = liveness_violation(&cfg, &scenario, &[], false);
+        let flagged = liveness_violation(&cfg, &scenario, &nothing, &nothing, false);
         assert!(flagged.is_some());
     }
 

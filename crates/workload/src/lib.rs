@@ -17,25 +17,20 @@
 //! asserts it. Integration tests use the scenario runner in [`scenario`]
 //! directly.
 //!
-//! [`engine`] is the adversarial counterpart of [`scenario`]: instead of
+//! [`explore`] is the adversarial counterpart of [`scenario`]: instead of
 //! measuring costs on clean runs, it samples thousands of seeded schedules
-//! under crashes, repairs, partitions and network faults, machine-checks
-//! atomicity and liveness, and shrinks any violation to a minimal
-//! reproducer. It is one engine — one campaign loop, one shrinker, one
-//! counterexample type — and its target, [`explore`], drives a single
-//! register cluster. [`store_explore`] generates seeded scenarios for a
-//! whole sharded, mixed-protocol [`soda_store::ShardedStore`]; the
-//! `store_model` test runs them and checks that every key runs as its lone
-//! cluster would, atomic and live.
+//! of one register cluster under crashes, repairs, partitions and network
+//! faults, machine-checks atomicity and liveness, and shrinks any violation
+//! to a minimal reproducer. The sharded store's one check, the `store_model`
+//! test, generates its own seeded store scenarios and checks that every key
+//! runs as its lone cluster would, atomic and live.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod engine;
 pub mod experiments;
 pub mod explore;
 pub mod json;
 pub mod scenario;
-pub mod store_explore;
 
 pub use scenario::{run_scenario, ScenarioOutcome, ScenarioParams};

@@ -14,42 +14,43 @@
 //! ```
 //!
 //! To replay a reported counterexample, re-run `generate_scenario` +
-//! `run_scenario` with the printed seed (see `engine::Counterexample`).
+//! `run_scenario` with the printed seed (see `explore::Counterexample`).
 //!
-//! The shrinker is the engine's, so its local-minimality property is written
-//! here generic over the target, and run against a weakened-ABD cluster. The
-//! store is not an exploration target: `store_model.rs` checks that every
-//! key runs as its lone cluster would, so a store schedule that breaks a key
-//! is a cluster schedule this engine can shrink.
+//! The shrinker's local-minimality property is checked here against a
+//! weakened-ABD cluster. The store is not explored: `store_model.rs` checks
+//! that every key runs as its lone cluster would, so a store schedule that
+//! breaks a key is a cluster schedule this shrinker can minimize.
 
 mod common;
 
 use common::schedules_from_env;
 use soda_consistency::Violation;
 use soda_registry::{PartitionWindow, ProtocolKind};
-use soda_workload::engine::{campaign, shrink, NetIntensity, Report, Scenario, Target};
 use soda_workload::explore::{
-    explore, generate_scenario, run_scenario, AdversaryKnobs, ExploreConfig,
+    explore, generate_scenario, run_scenario, shrink, AdversaryKnobs, ExploreConfig, NetIntensity,
+    Report, Scenario,
 };
 use std::ops::Range;
 
 /// Runs the campaign and fails the test with its verdict unless it is clean.
-fn expect_clean<T: Target>(target: &T, seed_start: u64, schedules: usize) -> Report<T> {
-    let report = campaign(target, seed_start, schedules);
+fn expect_clean(cfg: &ExploreConfig, seed_start: u64, schedules: usize) -> Report {
+    let report = explore(cfg, seed_start, schedules);
     if let Err(verdict) = report.check() {
-        panic!("{} over {schedules} schedules: {verdict}", target.name());
+        panic!("{} over {schedules} schedules: {verdict}", cfg.kind.name());
     }
     report
 }
 
 /// How many of the `seeds`' scenarios satisfy `wanted` — the smokes' guard
 /// against a campaign that never samples what it is meant to soak.
-fn count_scenarios<T: Target>(
-    target: &T,
+fn count_scenarios(
+    cfg: &ExploreConfig,
     seeds: Range<u64>,
-    wanted: impl Fn(&T::Scenario) -> bool,
+    wanted: impl Fn(&Scenario) -> bool,
 ) -> usize {
-    seeds.filter(|&seed| wanted(&target.generate(seed))).count()
+    seeds
+        .filter(|&seed| wanted(&generate_scenario(cfg, seed)))
+        .count()
 }
 
 /// The five protocol configurations every exploration test sweeps. SODAerr
@@ -141,6 +142,9 @@ fn weakened_abd_is_caught_and_minimized() {
         verdict.starts_with("not atomic") && verdict.contains(&rendered),
         "{verdict}"
     );
+    // The campaign is deterministic, shrinker included: a second run
+    // reports the same counterexamples, minimized scenarios and all.
+    assert_eq!(explore(&cfg, 0, 60), report);
 }
 
 #[test]
@@ -156,29 +160,29 @@ fn weakened_abd_is_caught_under_the_full_adversary_too() {
     );
 }
 
-/// The engine's shrinker is greedy to a fixpoint, so its output is locally
-/// minimal along every axis it steps: dropping any single remaining event,
-/// halving any surviving fault intensity, or bisecting any surviving window
-/// loses the violation — otherwise the shrinker would have taken that step
-/// itself. Checked over the first `want` violating seeds that `select`s.
-fn assert_shrinking_reaches_a_local_minimum<T: Target>(
-    target: &T,
+/// The shrinker is greedy to a fixpoint, so its output is locally minimal
+/// along every axis it steps: dropping any single remaining event, halving
+/// any surviving fault intensity, or bisecting any surviving window loses
+/// the violation — otherwise the shrinker would have taken that step itself.
+/// Checked over the first `want` violating seeds that `select`s.
+fn assert_shrinking_reaches_a_local_minimum(
+    cfg: &ExploreConfig,
     want: usize,
-    select: impl Fn(&T::Scenario) -> bool,
+    select: impl Fn(&Scenario) -> bool,
 ) {
-    let violates = |scenario: &T::Scenario| target.run(scenario).violation.is_some();
+    let violates = |scenario: &Scenario| run_scenario(cfg, scenario).violation.is_some();
     let mut checked = 0;
     for seed in 0..200 {
-        let scenario = target.generate(seed);
+        let scenario = generate_scenario(cfg, seed);
         if checked == want || !select(&scenario) || !violates(&scenario) {
             continue;
         }
         checked += 1;
-        let (minimized, _) = shrink(target, &scenario);
+        let (minimized, _) = shrink(cfg, &scenario);
         assert!(violates(&minimized), "seed {seed}: the repro must replay");
 
         // Nothing grows during shrinking.
-        let (before, after) = (scenario.net(), minimized.net());
+        let (before, after) = (scenario.net, minimized.net);
         assert!(after.drop_p <= before.drop_p, "seed {seed}");
         assert!(after.duplicate_p <= before.duplicate_p, "seed {seed}");
         assert!(after.reorder_p <= before.reorder_p, "seed {seed}");
@@ -202,17 +206,17 @@ fn assert_shrinking_reaches_a_local_minimum<T: Target>(
         for knob in 0..NetIntensity::KNOBS {
             if let Some(net) = after.halved(knob) {
                 let mut calmer = minimized.clone();
-                *calmer.net_mut() = net;
+                calmer.net = net;
                 assert!(
                     !violates(&calmer),
                     "seed {seed}: intensity {knob} not bisected to a minimum:\n{minimized}"
                 );
             }
         }
-        for index in 0..minimized.clone().windows_mut().len() {
+        for index in 0..minimized.partitions.len() {
             for advance_start in [false, true] {
                 let mut shorter = minimized.clone();
-                let window = &mut *shorter.windows_mut()[index];
+                let window = &mut shorter.partitions[index];
                 if window.len() <= 1 {
                     continue;
                 }
@@ -274,7 +278,7 @@ fn the_six_fix_first_seeds_still_report_duplicate_write_versions() {
         (abd, 982_938_824_570, (3, 6), 8),
     ] {
         let cfg = cfg.with_partitions(0.3, 400);
-        let outcome = cfg.run(&cfg.generate(seed));
+        let outcome = run_scenario(&cfg, &generate_scenario(&cfg, seed));
         let kind = cfg.kind.name();
         assert_eq!(outcome.completed_ops, completed, "{kind} seed {seed}");
         match outcome.violation {
@@ -311,7 +315,7 @@ fn hand_built_windows_are_applied_the_way_the_cluster_sees_them() {
         end,
     };
     let run_with = |partitions| {
-        let scenario = soda_workload::explore::Scenario {
+        let scenario = Scenario {
             partitions,
             ..generate_scenario(&cfg, 3)
         };

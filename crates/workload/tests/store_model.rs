@@ -14,13 +14,14 @@
 //! - a crash that would leave more than `f` ranks dead or under repair is
 //!   refused.
 //!
-//! Seeded store scenarios (phased batches, shard crashes, repairs, follow-up
-//! crashes and partition windows) drive the store and the model side by
-//! side, and `check_against_lone_clusters` is the only loop that drives a
-//! store scenario. Per scenario it asserts three things: every key's
-//! projection of `keyed_history()` equals its lone cluster's
-//! `closed_history`, op for op; `check_each_key()` passes; and no shard is
-//! starved whose crashes and windows pass `engine::liveness_guaranteed`.
+//! Seeded store scenarios (`store_model/scenarios.rs`: phased batches, shard
+//! crashes, repairs, follow-up crashes and partition windows) drive the
+//! store and the model side by side, and `check_against_lone_clusters` is
+//! the only loop that drives a store scenario. Per scenario it asserts three
+//! things: every key's projection of `keyed_history()` equals its lone
+//! cluster's `closed_history`, op for op; `check_each_key()` passes; and no
+//! shard is starved whose crashes and windows pass
+//! `explore::liveness_guaranteed`.
 //!
 //! The tier-1 tests keep the schedule counts small; `store_model_smoke` is
 //! `#[ignore]`d and run by the nightly CI job with a larger budget, in the
@@ -34,15 +35,16 @@
 //! ```
 
 mod common;
+// Not in `common/`: the `exploration` binary would compile it unused.
+#[path = "store_model/scenarios.rs"]
+mod scenarios;
 
+use scenarios::{build_store, generate_store_scenario, StoreExploreConfig, StoreScenario};
 use soda_consistency::{KeyViolation, Violation};
 use soda_registry::ProtocolKind::{Abd, Cas, Casgc, Soda, SodaErr};
 use soda_registry::{PartitionWindow, RegisterCluster};
 use soda_store::{ShardedStore, StoreMetrics, StoreRuntime};
-use soda_workload::engine::{liveness_guaranteed, AdversaryKnobs};
-use soda_workload::store_explore::{
-    build_store, generate_store_scenario, StoreExploreConfig, StoreScenario,
-};
+use soda_workload::explore::{liveness_guaranteed, AdversaryKnobs};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::ops::Range;

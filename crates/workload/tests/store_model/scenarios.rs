@@ -6,19 +6,20 @@
 //! crashes, crash → repair → crash interleavings at phase boundaries and
 //! per-shard partition windows. [`generate_store_scenario`] derives the
 //! [`StoreScenario`] for a seed and [`build_store`] the store it runs on.
+//! The network faults and windows are drawn with the cluster explorer's own
+//! samplers, `NetIntensity::sample` and `sample_window`.
 //!
 //! The store adds no protocol, and atomicity is a per-object property, so
 //! the store is correct if and only if every key's cluster runs exactly as a
-//! lone cluster would, atomic and live. The model test
-//! (`crates/workload/tests/store_model.rs`) drives each scenario through the
-//! store and through one lone cluster per key side by side, and checks
-//! exactly that: it is the store's one check. A schedule that breaks a key
-//! is then the cluster target's ([`crate::explore`]) to dig into.
+//! lone cluster would, atomic and live. The model test beside this module
+//! drives each scenario through the store and through one lone cluster per
+//! key side by side, and checks exactly that: it is the store's one check. A
+//! schedule that breaks a key is then `soda_workload::explore`'s to dig into.
 
-use crate::engine::{sample_window, AdversaryKnobs, NetIntensity};
 use soda_registry::{PartitionWindow, ProtocolKind};
 use soda_simnet::rng::SimRng;
 use soda_store::{ShardedStore, StoreBuilder, StoreRuntime};
+use soda_workload::explore::{sample_window, AdversaryKnobs, NetIntensity};
 use std::fmt;
 
 /// Parameters of a family of seeded store scenarios.
@@ -326,7 +327,6 @@ pub fn build_store(cfg: &StoreExploreConfig, scenario: &StoreScenario) -> Sharde
         .unwrap_or_else(|e| panic!("invalid store exploration config: {e}"))
 }
 
-#[cfg(test)]
 mod tests {
     use super::*;
 
