@@ -337,12 +337,16 @@ type Followed = (ProcessId, Vec<OpRecord>);
 /// operations, a server crash, a repair racing a write, a quiet tail — and
 /// follows it the way the store does: after every `run_to_quiescence`, one
 /// `completed_since` per client from the cursor that client's previous reads
-/// left. Returns the cluster and, per client, everything its cursor saw.
+/// left. With `idle_polls`, every stage ends with a second
+/// `run_to_quiescence`, which finds nothing to run, as the store's drain
+/// does for every key a round skips. Returns the cluster and, per client,
+/// everything its cursor saw.
 fn follow_with_cursors(
     kind: ProtocolKind,
     n: usize,
     f: usize,
     seed: u64,
+    idle_polls: bool,
 ) -> (Box<dyn RegisterCluster>, Vec<Followed>) {
     let mut cluster = ClusterBuilder::new(kind, n, f)
         .with_seed(seed)
@@ -388,6 +392,10 @@ fn follow_with_cursors(
         }
         let outcome = cluster.run_to_quiescence();
         assert!(!outcome.hit_event_cap, "{} stage {stage}", kind.name());
+        if idle_polls {
+            let idle = cluster.run_to_quiescence();
+            assert_eq!(idle.events_processed, 0, "{} stage {stage}", kind.name());
+        }
         for (client, records) in &mut seen {
             let before = records.len();
             cluster.completed_since(*client, before, records);
@@ -403,7 +411,7 @@ fn follow_with_cursors(
 fn advancing_cursors_see_each_completed_op_exactly_once_for_every_kind() {
     for (kind, n, f) in matrix() {
         let name = kind.name();
-        let (cluster, seen) = follow_with_cursors(kind, n, f, 17);
+        let (cluster, seen) = follow_with_cursors(kind, n, f, 17, false);
         assert!(
             cluster
                 .repair_reports()
@@ -448,12 +456,51 @@ fn advancing_cursors_see_each_completed_op_exactly_once_for_every_kind() {
         assert!(out.is_empty(), "{name}: server process");
 
         // Replay is bit-identical, cursor read by cursor read.
-        let (_, replay) = follow_with_cursors(kind, n, f, 17);
+        let (_, replay) = follow_with_cursors(kind, n, f, 17, false);
         for ((client, a), (_, b)) in seen.iter().zip(&replay) {
             assert_eq!(
                 a.iter().map(fields).collect::<Vec<_>>(),
                 b.iter().map(fields).collect::<Vec<_>>(),
                 "{name}: client {client:?} replay"
+            );
+        }
+    }
+}
+
+#[test]
+fn idle_polls_change_no_schedule_for_every_kind() {
+    // An idle poll gives the event queue's slots back, and the next stage
+    // takes a slab again, maybe another simulation's. Neither may move an
+    // event: the two runs must agree on every operation, every counter and
+    // the closed history.
+    for (kind, n, f) in matrix() {
+        let name = kind.name();
+        for seed in [5, 17] {
+            let (plain, _) = follow_with_cursors(kind, n, f, seed, false);
+            let (polled, _) = follow_with_cursors(kind, n, f, seed, true);
+            let ops = |c: &dyn RegisterCluster| -> Vec<_> {
+                c.completed_ops().iter().map(fields).collect()
+            };
+            assert_eq!(ops(&*plain), ops(&*polled), "{name} seed {seed}: ops");
+            assert_eq!(plain.stats(), polled.stats(), "{name} seed {seed}: stats");
+            let history = |c: &dyn RegisterCluster| -> Vec<_> {
+                (c.closed_history(&[]).ops().iter())
+                    .map(|op| {
+                        (
+                            op.client,
+                            op.kind,
+                            op.invoked,
+                            op.responded,
+                            op.value.clone(),
+                            op.version,
+                        )
+                    })
+                    .collect()
+            };
+            assert_eq!(
+                history(&*plain),
+                history(&*polled),
+                "{name} seed {seed}: closed history"
             );
         }
     }

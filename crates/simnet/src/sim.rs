@@ -506,6 +506,14 @@ impl<M: Message> Simulation<M> {
 
     /// Runs until the next event is strictly after `deadline`, the queue is
     /// empty, or the event cap is hit.
+    ///
+    /// A run that finds the queue empty and processes nothing is an idle
+    /// poll. It gives back the event queue's slots, which the simulation
+    /// grew for its last burst of messages, to a reserve of empty slabs; the
+    /// next burst of any simulation of this message type takes one from
+    /// there. A run that processes events keeps its slots, so a cluster
+    /// driven every round never pays for the release. Releasing draws no
+    /// randomness and changes no schedule.
     pub fn run_until(&mut self, deadline: SimTime) -> RunOutcome {
         self.ensure_started();
         let mut processed = 0u64;
@@ -526,6 +534,9 @@ impl<M: Message> Simulation<M> {
                 break;
             }
             processed += 1;
+        }
+        if processed == 0 {
+            self.queue.release_if_empty();
         }
         RunOutcome {
             events_processed: processed,

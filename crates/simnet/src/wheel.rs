@@ -21,22 +21,95 @@
 //!
 //! Memory follows the live events, not the window. Near events sit in one
 //! slab of slots; each bucket is a FIFO chained through the slots by index,
-//! and popped slots go on a free list that the next push reuses. The slab
-//! therefore holds exactly as many slots as the most near events ever live
-//! at once — a fresh wheel allocates nothing — and once it has grown to
-//! that peak, pushes and pops allocate nothing either. A bucket's head is a
-//! chain link like a slot's successor, and an empty bucket's tail is its
-//! head, so an append is two stores and never branches on whether the
-//! bucket was empty, which a hot event loop would mispredict about every
-//! other push.
+//! and popped slots go on a free list that the next push reuses. While the
+//! wheel is busy, the slab therefore holds exactly as many slots as the most
+//! near events ever live at once — a fresh wheel allocates nothing — and
+//! once it has grown to that peak, pushes and pops allocate nothing either.
+//! An idle wheel gives the slab back: [`EventWheel::release_if_empty`] takes
+//! every slot of an empty wheel and keeps only the chain links. A released
+//! slab goes to a process-wide [`Reserve`] of empty slabs, one per event
+//! type, and the next wheel of that type to refill takes it from there. The
+//! reserve keeps as many slabs as its recent bursts of refills took, and
+//! frees the rest. Handing every released slab back to the allocator
+//! instead fragments its heap: in a store of 4 KiB values, the CAS and
+//! CASGC clusters then took about 30 % longer per event. A refill takes
+//! whichever slab was released last, whatever its size, and a slab only
+//! grows, so the wheels of one event type drift toward the largest burst
+//! any of them had (SODA and SODAerr clusters share one type; in a store
+//! they share `n`, and so about the same `n²` read burst). Slot indices
+//! never decide pop order, so neither a release nor the slab a refill
+//! receives changes a schedule.
+//!
+//! A bucket's head is a chain link like a slot's successor, and an empty
+//! bucket's tail is its head, so an append is two stores and never branches
+//! on whether the bucket was empty, which a hot event loop would mispredict
+//! about every other push.
 
+use std::any::{Any, TypeId};
 use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BinaryHeap};
+use std::sync::{Mutex, PoisonError};
 
 /// Width of the near window in ticks. Power of two (the bucket index is
 /// `at % SPAN`); comfortably larger than every delay model's typical range so
 /// the overflow heap stays empty in ordinary executions.
 const SPAN: u64 = 64;
+
+/// Empty slabs that idle wheels of one event type released, for the next
+/// wheels of that type to refill from.
+///
+/// How many to keep is what the reserve observes: the refills it serves
+/// between two releases, its bursts. A store submits a round's operations
+/// before it drains, so every key the round wakes refills in one burst, and
+/// the round's drain then releases the keys the round skipped, for the next
+/// round's burst to take back. The reserve keeps as many slabs as the larger
+/// of its last two bursts took, and frees the rest. So one narrow burst in
+/// between (a lone put, a crash scheduled into every cluster) does not make
+/// it free slabs the next round wants, and one wide burst (a store's preload
+/// of every key) is forgotten two bursts later.
+#[derive(Default)]
+struct Reserve {
+    /// Empty `Vec<Option<E>>` slabs, boxed as `Any`; a refill takes the
+    /// last.
+    slabs: Vec<Box<dyn Any + Send>>,
+    /// Refills since the last release: the burst in progress.
+    burst: usize,
+    /// The last two completed bursts, the latest first.
+    bursts: [usize; 2],
+}
+
+impl Reserve {
+    /// The most slabs the reserve keeps.
+    fn keep(&self) -> usize {
+        self.bursts[0].max(self.bursts[1])
+    }
+
+    /// Counts a refill and hands it the slab released last, if any.
+    fn refill(&mut self) -> Option<Box<dyn Any + Send>> {
+        self.burst += 1;
+        self.slabs.pop()
+    }
+
+    /// Takes `slab` if there is room; drops it otherwise.
+    fn release(&mut self, slab: Box<dyn Any + Send>) {
+        if self.burst > 0 {
+            self.bursts = [self.burst, self.bursts[0]];
+            self.burst = 0;
+            self.slabs.truncate(self.keep());
+        }
+        if self.slabs.len() < self.keep() {
+            self.slabs.push(slab);
+        }
+    }
+}
+
+/// The reserves, by event type. One lock for the process, not one reserve
+/// per thread: the store's drain releases on its worker threads, which end
+/// with the drain, and its next round refills on the thread that submits.
+/// A wheel takes the lock once when it goes idle and once when it wakes, not
+/// per event; how it contends with more than two drain threads has not been
+/// measured.
+static RESERVES: Mutex<BTreeMap<TypeId, Reserve>> = Mutex::new(BTreeMap::new());
 
 /// An entry the wheel can order: a scheduled time in ticks plus the
 /// monotonically increasing sequence number assigned at push time.
@@ -98,7 +171,7 @@ pub(crate) struct EventWheel<E: Scheduled> {
     len: usize,
 }
 
-impl<E: Scheduled> EventWheel<E> {
+impl<E: Scheduled + Send + 'static> EventWheel<E> {
     pub(crate) fn new() -> Self {
         EventWheel {
             links: Vec::new(),
@@ -109,6 +182,43 @@ impl<E: Scheduled> EventWheel<E> {
             cursor: 0,
             near_len: 0,
             len: 0,
+        }
+    }
+
+    /// Gives the slab of an empty wheel to the reserve and keeps its chain
+    /// links, so an idle wheel holds no event-sized memory per slot. A wheel
+    /// with queued events is left as it is.
+    pub(crate) fn release_if_empty(&mut self) {
+        if self.len > 0 || self.events.capacity() == 0 {
+            return;
+        }
+        // Empty, so every bucket head is `NIL` and every slot is free.
+        let mut slab = std::mem::take(&mut self.events);
+        slab.clear();
+        let mut reserves = RESERVES.lock().unwrap_or_else(PoisonError::into_inner);
+        reserves
+            .entry(TypeId::of::<E>())
+            .or_default()
+            .release(Box::new(slab));
+        drop(reserves);
+        // The chains keep their buffer, four bytes a slot against the
+        // slab's event-sized ones: freeing it too cost more in allocator
+        // traffic than it saved.
+        self.links.truncate(BUCKETS);
+        self.free = NIL;
+    }
+
+    /// Takes the slab released last from the reserve, if it holds one.
+    /// Kept out of line: pushes call it once per burst at most.
+    #[cold]
+    #[inline(never)]
+    fn refill(&mut self) {
+        let slab = (RESERVES.lock().unwrap_or_else(PoisonError::into_inner))
+            .entry(TypeId::of::<E>())
+            .or_default()
+            .refill();
+        if let Some(slab) = slab {
+            self.events = *slab.downcast().expect("the reserve is keyed by type");
         }
     }
 
@@ -138,6 +248,11 @@ impl<E: Scheduled> EventWheel<E> {
             // that never held a near event holds no memory.
             if self.links.is_empty() {
                 self.links.resize(BUCKETS, NIL);
+            }
+            // The first slot of a fresh or released wheel takes a slab from
+            // the reserve.
+            if self.events.capacity() == 0 {
+                self.refill();
             }
             let node = u32::try_from(self.links.len())
                 .ok()
@@ -341,6 +456,164 @@ mod tests {
         }
         assert_eq!(wheel.pop(), None);
         assert_eq!(wheel.events.len(), peak_near);
+    }
+
+    #[test]
+    fn release_and_refill_keep_pop_order_and_reuse_the_released_slab() {
+        // Its own event type, so that no other test shares its reserve.
+        #[derive(Debug, PartialEq)]
+        struct Own {
+            at: u64,
+            seq: u64,
+        }
+        impl Scheduled for Own {
+            fn at_ticks(&self) -> u64 {
+                self.at
+            }
+            fn seq(&self) -> u64 {
+                self.seq
+            }
+        }
+        // Bursts of events, as a cluster's operations produce them, each
+        // drained against the reference heap with pushes interleaved into
+        // the drain. Most bursts drain to empty and release the wheel; the
+        // rest stop halfway, where a release must change nothing.
+        let mut rng = SimRng::network(7);
+        let mut wheel = EventWheel::new();
+        let mut reference: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+        let (mut now, mut seq) = (0u64, 0u64);
+        let mut push = |wheel: &mut EventWheel<Own>,
+                        reference: &mut BinaryHeap<_>,
+                        rng: &mut SimRng,
+                        now: u64| {
+            let delay = if rng.gen_bool(0.05) {
+                rng.gen_range(SPAN..SPAN * 4)
+            } else {
+                rng.gen_range(0..12)
+            };
+            seq += 1;
+            wheel.push(Own {
+                at: now + delay,
+                seq,
+            });
+            reference.push(Reverse((now + delay, seq)));
+        };
+        let (mut released, mut refills) = (None, 0);
+        for _ in 0..400 {
+            // The first slot after a release takes back the released slab:
+            // the wheel is the only one of its type.
+            let mut expect_refill = |wheel: &EventWheel<Own>| {
+                if wheel.events.is_empty() {
+                    return;
+                }
+                if let Some(slab) = released.take() {
+                    assert_eq!(wheel.events.as_ptr(), slab, "the released slab");
+                    refills += 1;
+                }
+            };
+            for _ in 0..rng.gen_range(1..48u64) {
+                push(&mut wheel, &mut reference, &mut rng, now);
+                expect_refill(&wheel);
+            }
+            let drain_all = rng.gen_bool(0.8);
+            let stop_at = if drain_all { 0 } else { reference.len() / 2 };
+            while reference.len() > stop_at {
+                let Reverse((at, expect_seq)) = reference.pop().unwrap();
+                let got = wheel.pop().expect("wheel has the same events");
+                assert_eq!((got.at, got.seq), (at, expect_seq));
+                now = at;
+                if rng.gen_bool(0.3) {
+                    push(&mut wheel, &mut reference, &mut rng, now);
+                    expect_refill(&wheel);
+                }
+            }
+            assert_eq!(wheel.len(), reference.len());
+            let (slots, capacity) = (wheel.events.len(), wheel.events.capacity());
+            let slab = wheel.events.as_ptr();
+            wheel.release_if_empty();
+            if reference.is_empty() {
+                released = (capacity > 0).then_some(slab);
+                assert_eq!(wheel.events.capacity(), 0, "a released wheel holds no slot");
+                assert_eq!(wheel.links.len(), BUCKETS, "only the bucket heads stay");
+                assert!(wheel.links[..BUCKETS].iter().all(|&head| head == NIL));
+            } else {
+                assert_eq!(
+                    (
+                        wheel.events.len(),
+                        wheel.events.capacity(),
+                        wheel.events.as_ptr()
+                    ),
+                    (slots, capacity, slab),
+                    "a wheel with queued events keeps its slab"
+                );
+            }
+        }
+        assert!(refills > 200, "{refills} refills");
+        while let Some(Reverse((at, expect_seq))) = reference.pop() {
+            let got = wheel.pop().unwrap();
+            assert_eq!((got.at, got.seq), (at, expect_seq));
+        }
+        assert_eq!(wheel.pop(), None);
+    }
+
+    #[test]
+    fn the_reserve_keeps_what_its_last_two_bursts_of_refills_took() {
+        // Its own event type, so that no other test shares its reserve.
+        #[derive(Debug, PartialEq)]
+        struct Own(u64);
+        impl Scheduled for Own {
+            fn at_ticks(&self) -> u64 {
+                self.0
+            }
+            fn seq(&self) -> u64 {
+                self.0
+            }
+        }
+        // (slabs held, slabs kept at most)
+        let reserve = || {
+            let reserves = RESERVES.lock().unwrap();
+            (reserves.get(&TypeId::of::<Own>()))
+                .map_or((0, 0), |reserve| (reserve.slabs.len(), reserve.keep()))
+        };
+        let wake = |wheels: &mut [EventWheel<Own>]| {
+            for wheel in wheels {
+                wheel.push(Own(1));
+                assert_eq!(wheel.pop(), Some(Own(1)));
+            }
+        };
+        let release = |wheels: &mut [EventWheel<Own>]| {
+            for wheel in wheels {
+                wheel.release_if_empty();
+                assert_eq!(wheel.events.capacity(), 0);
+            }
+        };
+        let mut wheels: Vec<EventWheel<Own>> = (0..48).map(|_| EventWheel::new()).collect();
+        // Two wakes with no release between are one burst of 32, and the
+        // releases after it keep 32 slabs.
+        wake(&mut wheels[..20]);
+        wake(&mut wheels[20..32]);
+        assert_eq!(reserve(), (0, 0));
+        let released = wheels[31].events.as_ptr();
+        release(&mut wheels[31..32]);
+        assert_eq!(reserve(), (1, 32));
+        // The next burst takes the last slab released first, then new ones.
+        wake(&mut wheels[32..40]);
+        assert_eq!(wheels[32].events.as_ptr(), released);
+        assert_eq!(reserve(), (0, 32));
+        // 39 slabs come back: the reserve keeps 32, the larger of its last
+        // two bursts, and frees the rest.
+        release(&mut wheels[..40]);
+        assert_eq!(reserve(), (32, 32));
+        // Two narrow bursts in a row forget the wide one: the reserve frees
+        // what it holds beyond them.
+        wake(&mut wheels[..4]);
+        release(&mut wheels[..4]);
+        assert_eq!(reserve(), (8, 8));
+        // A wider burst empties the reserve and raises the cap at once.
+        wake(&mut wheels);
+        assert_eq!(reserve(), (0, 8));
+        release(&mut wheels);
+        assert_eq!(reserve(), (48, 48));
     }
 
     #[test]

@@ -312,6 +312,14 @@ impl ServerProcess {
     /// replacement's repair (see [`Self::closed`]).
     fn close(&mut self, op: OpId) {
         self.history.remove(&op);
+        // A `BTreeMap` keeps its root node after its last `remove`; `clear`
+        // frees it, so a server with no read in flight holds neither map.
+        if self.history.is_empty() {
+            self.history.clear();
+        }
+        if self.registered.is_empty() {
+            self.registered.clear();
+        }
         if !self.config.layout().servers().contains(&op.client) {
             self.closed.insert(op.client, op.seq);
         }

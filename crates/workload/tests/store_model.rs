@@ -23,6 +23,13 @@
 //! shard is starved whose crashes and windows pass
 //! `explore::liveness_guaranteed`.
 //!
+//! The store's drain runs every key's cluster each round, so a key that a
+//! batch skips is polled idle and gives its event queue's slots back. The
+//! model runs every lone cluster at each drain too, so both sides are polled
+//! idle alike, and equal histories here do not show that idle polls change
+//! no schedule. `soda-registry`'s conformance test
+//! `idle_polls_change_no_schedule_for_every_kind` shows that.
+//!
 //! The tier-1 tests keep the schedule counts small; `store_model_smoke` is
 //! `#[ignore]`d and run by the nightly CI job with a larger budget, in the
 //! same invocation as the cluster smokes. `EXPLORE_SCHEDULES` is the
