@@ -212,6 +212,15 @@ pub struct CasServer {
     my_rank: usize,
     /// All known versions: tag → (element if stored, label).
     versions: BTreeMap<Tag, (Option<CodedElement>, Label)>,
+    /// The highest finalized tag, the answer to a `query-tag`.
+    max_fin: Tag,
+    /// CASGC: the cutoff of the last collection. No version below it holds
+    /// an element, except those in `late`.
+    gc_floor: Tag,
+    /// Versions below `gc_floor` that received an element since the last
+    /// collection (a late pre-write, or a repair's re-encoding); the next
+    /// collection clears them, as it clears every version below its cutoff.
+    late: Vec<Tag>,
     repair: Option<CasRepair>,
 }
 
@@ -228,6 +237,9 @@ impl CasServer {
             config,
             my_rank,
             versions,
+            max_fin: Tag::INITIAL,
+            gc_floor: Tag::INITIAL,
+            late: Vec::new(),
             repair: None,
         }
     }
@@ -254,6 +266,9 @@ impl CasServer {
             config,
             my_rank,
             versions: BTreeMap::new(),
+            max_fin: Tag::INITIAL,
+            gc_floor: Tag::INITIAL,
+            late: Vec::new(),
             repair: Some(CasRepair {
                 seq: epoch,
                 phase,
@@ -286,6 +301,7 @@ impl CasServer {
             let entry = self.versions.entry(tag).or_insert((None, Label::Pre));
             if fin {
                 entry.1 = Label::Fin;
+                self.max_fin = self.max_fin.max(tag);
             }
             // Concurrent pre-writes during the repair already stored this
             // rank's own element; never overwrite it.
@@ -293,6 +309,9 @@ impl CasServer {
                 let elems: Vec<CodedElement> = elements.into_values().collect();
                 if let Ok(value) = self.config.code.decode(&elems) {
                     entry.0 = self.config.code.encode_one(&value, self.my_rank).ok();
+                    if tag < self.gc_floor {
+                        self.late.push(tag);
+                    }
                 }
             }
         }
@@ -313,42 +332,39 @@ impl CasServer {
         self.versions.values().filter(|(e, _)| e.is_some()).count()
     }
 
-    /// The highest finalized tag.
-    fn max_fin_tag(&self) -> Tag {
-        self.versions
-            .iter()
-            .filter(|(_, (_, label))| *label == Label::Fin)
-            .map(|(tag, _)| *tag)
-            .max()
-            .unwrap_or(Tag::INITIAL)
+    /// Labels `tag` finalized and returns its entry.
+    fn finalize(&mut self, tag: Tag) -> &mut (Option<CodedElement>, Label) {
+        self.max_fin = self.max_fin.max(tag);
+        let entry = self.versions.entry(tag).or_insert((None, Label::Pre));
+        entry.1 = Label::Fin;
+        entry
     }
 
     /// CASGC garbage collection: keep elements only for the `δ + 1` highest
     /// finalized versions (and any pre-written versions newer than the cutoff).
+    /// Finalized tags only accumulate, so the cutoff only rises: a collection
+    /// walks down from the newest version to the cutoff and clears the
+    /// versions between the last cutoff and this one, plus the late ones.
     fn garbage_collect(&mut self) {
         let Some(keep) = self.config.gc_versions else {
             return;
         };
-        let mut fin_tags: Vec<Tag> = self
-            .versions
-            .iter()
+        let Some(cutoff) = (self.versions.iter().rev())
             .filter(|(_, (_, label))| *label == Label::Fin)
+            .nth(keep.max(1) - 1)
             .map(|(tag, _)| *tag)
-            .collect();
-        fin_tags.sort_unstable_by(|a, b| b.cmp(a));
-        let Some(&cutoff) =
-            fin_tags.get(keep.saturating_sub(1).min(fin_tags.len().saturating_sub(1)))
         else {
             return;
         };
-        if fin_tags.len() < keep {
-            return;
+        for (_, (element, _)) in self.versions.range_mut(self.gc_floor..cutoff) {
+            *element = None;
         }
-        for (tag, (element, _)) in self.versions.iter_mut() {
-            if *tag < cutoff {
+        for tag in self.late.drain(..) {
+            if let Some((element, _)) = self.versions.get_mut(&tag) {
                 *element = None;
             }
         }
+        self.gc_floor = cutoff;
     }
 }
 
@@ -388,7 +404,7 @@ impl Process<CasMsg> for CasServer {
                     from,
                     CasMsg::QueryTagResp {
                         seq,
-                        tag: self.max_fin_tag(),
+                        tag: self.max_fin,
                     },
                 );
             }
@@ -396,12 +412,14 @@ impl Process<CasMsg> for CasServer {
                 let entry = self.versions.entry(tag).or_insert((None, Label::Pre));
                 if entry.0.is_none() {
                     entry.0 = Some(element);
+                    if tag < self.gc_floor {
+                        self.late.push(tag);
+                    }
                 }
                 ctx.send(from, CasMsg::PreWriteAck { seq });
             }
             CasMsg::Finalize { seq, tag } => {
-                let entry = self.versions.entry(tag).or_insert((None, Label::Pre));
-                entry.1 = Label::Fin;
+                self.finalize(tag);
                 self.garbage_collect();
                 ctx.send(from, CasMsg::FinalizeAck { seq });
             }
@@ -409,9 +427,7 @@ impl Process<CasMsg> for CasServer {
                 if self.is_repairing() {
                     return;
                 }
-                let entry = self.versions.entry(tag).or_insert((None, Label::Pre));
-                entry.1 = Label::Fin;
-                let element = entry.0.clone();
+                let element = self.finalize(tag).0.clone();
                 self.garbage_collect();
                 ctx.send(from, CasMsg::ReadFinalizeResp { seq, tag, element });
             }
@@ -738,6 +754,182 @@ mod tests {
                 assert_eq!(element.as_ref().unwrap().data, elements[0].data);
             }
             other => panic!("expected a read-finalize response, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn garbage_collection_matches_the_full_scan_rule() {
+        use soda_simnet::rng::SimRng;
+        use std::collections::BTreeSet;
+        /// A version as the reference sees it: element stored, label.
+        type Model = BTreeMap<Tag, (bool, Label)>;
+        /// The rule the collection must keep: clear every element below the
+        /// `keep`-th highest finalized tag, found by scanning every version.
+        fn full_scan(model: &mut Model, keep: usize) {
+            let mut fin: Vec<Tag> = (model.iter())
+                .filter(|(_, (_, label))| *label == Label::Fin)
+                .map(|(tag, _)| *tag)
+                .collect();
+            fin.sort_unstable_by(|a, b| b.cmp(a));
+            let Some(&cutoff) = fin.get(keep.saturating_sub(1).min(fin.len().saturating_sub(1)))
+            else {
+                return;
+            };
+            if fin.len() < keep {
+                return;
+            }
+            for (tag, (element, _)) in model.iter_mut() {
+                if *tag < cutoff {
+                    *element = false;
+                }
+            }
+        }
+        let (me, client) = (ProcessId(0), ProcessId(9));
+        let layout = Layout::new((0..5u32).map(ProcessId).collect(), 1); // k = 3
+        let value = value_from(b"one value for every version".to_vec());
+        for (keep, replacement) in [(1, false), (2, false), (3, false), (2, true)] {
+            let config = CasConfig::new(layout.clone(), Some(keep));
+            let elements = config.code().encode(&value).unwrap();
+            let elem_len = elements[0].data.len();
+            let name = format!("keep {keep}, replacement {replacement}");
+            let (mut server, mut model) = if replacement {
+                let mut server = CasServer::replacement(config.clone(), 0, 1);
+                start(&mut server, me, t(0));
+                (server, Model::new())
+            } else {
+                let server = CasServer::new(config.clone(), 0, &value);
+                (server, Model::from([(Tag::INITIAL, (true, Label::Fin))]))
+            };
+            let mut rng = SimRng::new(keep as u64 + 10 * replacement as u64);
+            let (mut top, mut below_floor) = (1u64, 0);
+            // Mostly at the newest versions, sometimes far behind them.
+            let random_tag = |rng: &mut SimRng, top: &mut u64| {
+                *top += u64::from(rng.gen_bool(0.2));
+                let top = *top;
+                let z = if rng.gen_bool(0.15) {
+                    rng.gen_range(1..top + 1)
+                } else {
+                    top.saturating_sub(rng.gen_range(0..3u64)).max(1)
+                };
+                Tag::new(z, ProcessId(rng.gen_range(1..3u64) as u32))
+            };
+            for step in 0..2000u64 {
+                let tag = random_tag(&mut rng, &mut top);
+                let now = t(step + 1);
+                match rng.gen_range(0..3u64) {
+                    0 => {
+                        let entry = model.entry(tag).or_insert((false, Label::Pre));
+                        below_floor += usize::from(!entry.0 && tag < server.gc_floor);
+                        entry.0 = true;
+                        let element = elements[0].clone();
+                        let msg = CasMsg::PreWrite {
+                            seq: 1,
+                            tag,
+                            element,
+                        };
+                        deliver(&mut server, me, now, client, msg);
+                    }
+                    1 => {
+                        model.entry(tag).or_insert((false, Label::Pre)).1 = Label::Fin;
+                        full_scan(&mut model, keep);
+                        deliver(
+                            &mut server,
+                            me,
+                            now,
+                            client,
+                            CasMsg::Finalize { seq: 1, tag },
+                        );
+                    }
+                    _ if server.is_repairing() => {
+                        let msg = CasMsg::ReadFinalize { seq: 1, tag };
+                        let served = deliver(&mut server, me, now, client, msg);
+                        assert!(
+                            served.sends.is_empty(),
+                            "{name}: a repairing server serves no read"
+                        );
+                    }
+                    _ => {
+                        let entry = model.entry(tag).or_insert((false, Label::Pre));
+                        entry.1 = Label::Fin;
+                        let stored = entry.0;
+                        full_scan(&mut model, keep);
+                        let msg = CasMsg::ReadFinalize { seq: 1, tag };
+                        let served = deliver(&mut server, me, now, client, msg);
+                        assert!(matches!(
+                            &served.sends[0].1,
+                            CasMsg::ReadFinalizeResp { element, .. } if element.is_some() == stored
+                        ));
+                    }
+                }
+                // The replacement's repair: a quorum of survivors answers with
+                // most versions so far, and the merge re-encodes every version
+                // with `k` survivor elements that the server does not hold,
+                // many of them below the floor.
+                if replacement && step == 400 {
+                    let floor = server.gc_floor;
+                    let mut collected: BTreeMap<Tag, (BTreeSet<usize>, bool)> = BTreeMap::new();
+                    // Every peer but this server's rank 0, each with its own element.
+                    for (peer, own) in elements.iter().enumerate().skip(1) {
+                        let tags =
+                            (1..=top).flat_map(|z| [1, 2].map(|w| Tag::new(z, ProcessId(w))));
+                        let mut versions = Vec::new();
+                        for tag in tags {
+                            if rng.gen_bool(0.8) {
+                                let element = rng.gen_bool(0.8).then(|| own.clone());
+                                versions.push((tag, element, rng.gen_bool(0.3)));
+                            }
+                        }
+                        for (tag, element, fin) in &versions {
+                            let entry = collected.entry(*tag).or_default();
+                            if element.is_some() {
+                                entry.0.insert(peer);
+                            }
+                            entry.1 |= fin;
+                        }
+                        let msg = CasMsg::RepairState { seq: 1, versions };
+                        deliver(&mut server, me, now, ProcessId(peer as u32), msg);
+                    }
+                    assert!(!server.is_repairing(), "{name}: the quorum answered");
+                    for (tag, (peers, fin)) in collected {
+                        let entry = model.entry(tag).or_insert((false, Label::Pre));
+                        if fin {
+                            entry.1 = Label::Fin;
+                        }
+                        if !entry.0 && peers.len() >= config.k() {
+                            entry.0 = true;
+                            below_floor += usize::from(tag < floor);
+                        }
+                    }
+                    full_scan(&mut model, keep);
+                }
+                let versions: Vec<_> = (server.versions.iter())
+                    .map(|(tag, (element, label))| (*tag, element.is_some(), *label))
+                    .collect();
+                let expected: Vec<_> = (model.iter())
+                    .map(|(tag, (element, label))| (*tag, *element, *label))
+                    .collect();
+                assert_eq!(versions, expected, "{name}: step {step}");
+                let stored = model.values().filter(|(element, _)| *element).count();
+                assert_eq!(
+                    server.stored_bytes(),
+                    stored * elem_len,
+                    "{name}: step {step}"
+                );
+                if !server.is_repairing() {
+                    let asked = deliver(&mut server, me, now, client, CasMsg::QueryTag { seq: 1 });
+                    let max_fin = (model.iter().rev())
+                        .find(|(_, (_, label))| *label == Label::Fin)
+                        .map_or(Tag::INITIAL, |(tag, _)| *tag);
+                    assert!(
+                        matches!(asked.sends[0].1, CasMsg::QueryTagResp { tag, .. } if tag == max_fin),
+                        "{name}: step {step}"
+                    );
+                }
+            }
+            assert!(
+                below_floor > 20,
+                "{name}: {below_floor} pre-writes below the floor"
+            );
         }
     }
 }

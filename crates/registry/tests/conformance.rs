@@ -2,10 +2,12 @@
 //! [`ProtocolKind`] via the [`RegisterCluster`] trait, and every resulting
 //! history is machine-checked for atomicity with `soda_consistency`.
 
+use soda_consistency::{Kind, Version};
 use soda_registry::{
     ClusterBuilder, OpRecord, PartitionWindow, ProtocolKind, RegisterCluster, Value,
 };
-use soda_simnet::{ProcessId, SimTime};
+use soda_simnet::{ProcessId, SimTime, Stats};
+use std::sync::Arc;
 
 /// Representative parameters per protocol: `(kind, n, f)` chosen so every
 /// kind is valid and tolerates two crashes where the scenario injects them.
@@ -333,33 +335,38 @@ fn fields(op: &OpRecord) -> (u64, u64, bool, u64, u64, u64, u64, Option<Value>) 
 /// A client and everything its advancing cursor saw.
 type Followed = (ProcessId, Vec<OpRecord>);
 
-/// Drives a staged scenario on a 2-writer, 2-reader cluster — concurrent
-/// operations, a server crash, a repair racing a write, a quiet tail — and
-/// follows it the way the store does: after every `run_to_quiescence`, one
-/// `completed_since` per client from the cursor that client's previous reads
-/// left. With `idle_polls`, every stage ends with a second
-/// `run_to_quiescence`, which finds nothing to run, as the store's drain
-/// does for every key a round skips. Returns the cluster and, per client,
-/// everything its cursor saw.
-fn follow_with_cursors(
-    kind: ProtocolKind,
-    n: usize,
-    f: usize,
-    seed: u64,
-    idle_polls: bool,
-) -> (Box<dyn RegisterCluster>, Vec<Followed>) {
-    let mut cluster = ClusterBuilder::new(kind, n, f)
-        .with_seed(seed)
-        .with_clients(2, 2)
-        .build()
-        .unwrap();
-    let clients: Vec<ProcessId> = (0..2)
-        .map(|w| cluster.writer_process(w))
-        .chain((0..2).map(|r| cluster.reader_process(r)))
-        .collect();
-    let mut seen: Vec<Followed> = clients.iter().map(|&c| (c, Vec::new())).collect();
+/// A 2-writer, 2-reader cluster driven through the staged scenario of
+/// [`follow_with_cursors`], with its clients' cursors.
+struct Staged {
+    cluster: Box<dyn RegisterCluster>,
+    seen: Vec<Followed>,
+}
 
-    for stage in 0..5u64 {
+/// Stages of the scenario: concurrent operations, a server crash, a repair
+/// racing a write, one handle alone, and a quiet tail.
+const STAGES: u64 = 5;
+
+impl Staged {
+    fn new(kind: ProtocolKind, n: usize, f: usize, seed: u64) -> Self {
+        let cluster = ClusterBuilder::new(kind, n, f)
+            .with_seed(seed)
+            .with_clients(2, 2)
+            .build()
+            .unwrap();
+        let seen = (0..2)
+            .map(|w| cluster.writer_process(w))
+            .chain((0..2).map(|r| cluster.reader_process(r)))
+            .map(|client| (client, Vec::new()))
+            .collect();
+        Staged { cluster, seen }
+    }
+
+    /// Injects stage `stage`, runs the cluster to quiescence and reads one
+    /// `completed_since` per client from its cursor. With `idle_polls`, a
+    /// second `run_to_quiescence` follows, which finds nothing to run.
+    fn run_stage(&mut self, stage: u64, idle_polls: bool) {
+        let cluster = &mut self.cluster;
+        let name = cluster.descriptor().kind.name();
         let now = cluster.now();
         match stage {
             // Two operations queued per handle, all concurrent.
@@ -391,20 +398,66 @@ fn follow_with_cursors(
             _ => {}
         }
         let outcome = cluster.run_to_quiescence();
-        assert!(!outcome.hit_event_cap, "{} stage {stage}", kind.name());
+        assert!(!outcome.hit_event_cap, "{name} stage {stage}");
         if idle_polls {
             let idle = cluster.run_to_quiescence();
-            assert_eq!(idle.events_processed, 0, "{} stage {stage}", kind.name());
+            assert_eq!(idle.events_processed, 0, "{name} stage {stage}");
         }
-        for (client, records) in &mut seen {
+        for (client, records) in &mut self.seen {
             let before = records.len();
             cluster.completed_since(*client, before, records);
-            if stage == 4 {
-                assert_eq!(records.len(), before, "{}: quiet stage", kind.name());
+            if stage == STAGES - 1 {
+                assert_eq!(records.len(), before, "{name}: quiet stage");
             }
         }
     }
-    (cluster, seen)
+}
+
+/// Drives the staged scenario on a 2-writer, 2-reader cluster — concurrent
+/// operations, a server crash, a repair racing a write, a quiet tail — and
+/// follows it the way the store does: after every `run_to_quiescence`, one
+/// `completed_since` per client from the cursor that client's previous reads
+/// left. With `idle_polls`, every stage ends with a second
+/// `run_to_quiescence`, which finds nothing to run, as the store's drain
+/// does for every key a round skips. Returns the cluster and, per client,
+/// everything its cursor saw.
+fn follow_with_cursors(
+    kind: ProtocolKind,
+    n: usize,
+    f: usize,
+    seed: u64,
+    idle_polls: bool,
+) -> (Box<dyn RegisterCluster>, Vec<Followed>) {
+    let mut staged = Staged::new(kind, n, f, seed);
+    for stage in 0..STAGES {
+        staged.run_stage(stage, idle_polls);
+    }
+    (staged.cluster, staged.seen)
+}
+
+/// What a run of a cluster must reproduce: every completed operation, every
+/// counter and the closed history.
+type Outcome = (
+    Vec<(u64, u64, bool, u64, u64, u64, u64, Option<Value>)>,
+    Stats,
+    Vec<(u64, Kind, u64, u64, Arc<[u8]>, Version)>,
+);
+
+fn outcome(cluster: &dyn RegisterCluster) -> Outcome {
+    let ops = cluster.completed_ops().iter().map(fields).collect();
+    let history = (cluster.closed_history(&[]).ops().iter())
+        .map(|op| {
+            (
+                op.client,
+                op.kind,
+                op.invoked,
+                op.responded,
+                op.value.clone(),
+                op.version,
+            )
+        })
+        .collect();
+    (ops, cluster.stats(), history)
 }
 
 #[test]
@@ -469,39 +522,51 @@ fn advancing_cursors_see_each_completed_op_exactly_once_for_every_kind() {
 
 #[test]
 fn idle_polls_change_no_schedule_for_every_kind() {
-    // An idle poll gives the event queue's slots back, and the next stage
-    // takes a slab again, maybe another simulation's. Neither may move an
-    // event: the two runs must agree on every operation, every counter and
-    // the closed history.
+    // An idle poll gives nothing back that a run did not, and the next stage
+    // takes the thread's spare event slab again, maybe another simulation's.
+    // Neither may move an event: the two runs must agree on every operation,
+    // every counter and the closed history.
     for (kind, n, f) in matrix() {
         let name = kind.name();
         for seed in [5, 17] {
             let (plain, _) = follow_with_cursors(kind, n, f, seed, false);
             let (polled, _) = follow_with_cursors(kind, n, f, seed, true);
-            let ops = |c: &dyn RegisterCluster| -> Vec<_> {
-                c.completed_ops().iter().map(fields).collect()
-            };
-            assert_eq!(ops(&*plain), ops(&*polled), "{name} seed {seed}: ops");
-            assert_eq!(plain.stats(), polled.stats(), "{name} seed {seed}: stats");
-            let history = |c: &dyn RegisterCluster| -> Vec<_> {
-                (c.closed_history(&[]).ops().iter())
-                    .map(|op| {
-                        (
-                            op.client,
-                            op.kind,
-                            op.invoked,
-                            op.responded,
-                            op.value.clone(),
-                            op.version,
-                        )
-                    })
-                    .collect()
-            };
-            assert_eq!(
-                history(&*plain),
-                history(&*polled),
-                "{name} seed {seed}: closed history"
-            );
+            assert_eq!(outcome(&*plain), outcome(&*polled), "{name} seed {seed}");
+        }
+    }
+}
+
+#[test]
+fn clusters_sharing_a_thread_keep_their_schedules_for_every_kind() {
+    // Eight clusters driven round-robin, stage by stage, on one thread: each
+    // run takes the slab the previous cluster's run gave back. They must
+    // agree with the same clusters driven one at a time, and with the
+    // round-robin run again on a scoped thread, which starts with no spare
+    // slab and frees it when it ends.
+    const CLUSTERS: u64 = 8;
+    let round_robin = |kind, n, f| -> Vec<Outcome> {
+        let mut clusters: Vec<_> = (0..CLUSTERS)
+            .map(|seed| Staged::new(kind, n, f, 100 + seed))
+            .collect();
+        for stage in 0..STAGES {
+            for staged in &mut clusters {
+                staged.run_stage(stage, false);
+            }
+        }
+        clusters.iter().map(|s| outcome(&*s.cluster)).collect()
+    };
+    for (kind, n, f) in matrix() {
+        let name = kind.name();
+        let alone: Vec<_> = (0..CLUSTERS)
+            .map(|seed| outcome(&*follow_with_cursors(kind, n, f, 100 + seed, false).0))
+            .collect();
+        let shared = round_robin(kind, n, f);
+        let scoped =
+            std::thread::scope(|scope| scope.spawn(|| round_robin(kind, n, f)).join().unwrap());
+        for (seed, ((alone, shared), scoped)) in alone.iter().zip(&shared).zip(&scoped).enumerate()
+        {
+            assert_eq!(alone, shared, "{name} cluster {seed}: round-robin");
+            assert_eq!(alone, scoped, "{name} cluster {seed}: scoped thread");
         }
     }
 }

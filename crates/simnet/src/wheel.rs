@@ -25,20 +25,20 @@
 //! wheel is busy, the slab therefore holds exactly as many slots as the most
 //! near events ever live at once — a fresh wheel allocates nothing — and
 //! once it has grown to that peak, pushes and pops allocate nothing either.
-//! An idle wheel gives the slab back: [`EventWheel::release_if_empty`] takes
-//! every slot of an empty wheel and keeps only the chain links. A released
-//! slab goes to a process-wide [`Reserve`] of empty slabs, one per event
-//! type, and the next wheel of that type to refill takes it from there. The
-//! reserve keeps as many slabs as its recent bursts of refills took, and
-//! frees the rest. Handing every released slab back to the allocator
-//! instead fragments its heap: in a store of 4 KiB values, the CAS and
-//! CASGC clusters then took about 30 % longer per event. A refill takes
-//! whichever slab was released last, whatever its size, and a slab only
-//! grows, so the wheels of one event type drift toward the largest burst
-//! any of them had (SODA and SODAerr clusters share one type; in a store
-//! they share `n`, and so about the same `n²` read burst). Slot indices
-//! never decide pop order, so neither a release nor the slab a refill
-//! receives changes a schedule.
+//! An empty wheel gives its slab and its chain links away:
+//! [`EventWheel::give_back_if_empty`] hands both to this thread's spare set
+//! for the event type, which holds one set per type, and the next wheel of
+//! that type on the thread to push a near event takes them back. So a
+//! thread that runs many simulations of one type one after another, as the
+//! store's drain does with its key clusters, keeps one warm slab for all of
+//! them, and a wheel that is not running holds none. A hand-over takes no
+//! lock, allocates nothing and touches no slot: each type's spare lives in a
+//! box allocated once per thread, and an empty wheel's buckets are all empty
+//! and its slots all on the free chain, so the set moves as it is. A scoped
+//! thread's spares are freed when it ends. If the spare is taken when an
+//! empty wheel gives back, the larger slab stays and the other is freed.
+//! Slot indices never decide pop order, so neither a give nor the slab a
+//! take receives changes a schedule.
 //!
 //! A bucket's head is a chain link like a slot's successor, and an empty
 //! bucket's tail is its head, so an append is two stores and never branches
@@ -46,70 +46,45 @@
 //! about every other push.
 
 use std::any::{Any, TypeId};
+use std::cell::RefCell;
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BTreeMap, BinaryHeap};
-use std::sync::{Mutex, PoisonError};
+use std::collections::BinaryHeap;
 
 /// Width of the near window in ticks. Power of two (the bucket index is
 /// `at % SPAN`); comfortably larger than every delay model's typical range so
 /// the overflow heap stays empty in ordinary executions.
 const SPAN: u64 = 64;
 
-/// Empty slabs that idle wheels of one event type released, for the next
-/// wheels of that type to refill from.
-///
-/// How many to keep is what the reserve observes: the refills it serves
-/// between two releases, its bursts. A store submits a round's operations
-/// before it drains, so every key the round wakes refills in one burst, and
-/// the round's drain then releases the keys the round skipped, for the next
-/// round's burst to take back. The reserve keeps as many slabs as the larger
-/// of its last two bursts took, and frees the rest. So one narrow burst in
-/// between (a lone put, a crash scheduled into every cluster) does not make
-/// it free slabs the next round wants, and one wide burst (a store's preload
-/// of every key) is forgotten two bursts later.
-#[derive(Default)]
-struct Reserve {
-    /// Empty `Vec<Option<E>>` slabs, boxed as `Any`; a refill takes the
-    /// last.
-    slabs: Vec<Box<dyn Any + Send>>,
-    /// Refills since the last release: the burst in progress.
-    burst: usize,
-    /// The last two completed bursts, the latest first.
-    bursts: [usize; 2],
+/// The slab and the chain links an empty wheel gave back, as they were: every
+/// bucket empty and every slot free, on the chain from `free`.
+struct Spare<E> {
+    events: Vec<Option<E>>,
+    links: Vec<u32>,
+    free: u32,
 }
 
-impl Reserve {
-    /// The most slabs the reserve keeps.
-    fn keep(&self) -> usize {
-        self.bursts[0].max(self.bursts[1])
-    }
-
-    /// Counts a refill and hands it the slab released last, if any.
-    fn refill(&mut self) -> Option<Box<dyn Any + Send>> {
-        self.burst += 1;
-        self.slabs.pop()
-    }
-
-    /// Takes `slab` if there is room; drops it otherwise.
-    fn release(&mut self, slab: Box<dyn Any + Send>) {
-        if self.burst > 0 {
-            self.bursts = [self.burst, self.bursts[0]];
-            self.burst = 0;
-            self.slabs.truncate(self.keep());
-        }
-        if self.slabs.len() < self.keep() {
-            self.slabs.push(slab);
-        }
-    }
+thread_local! {
+    /// This thread's spare sets, by event type: an `Option<Spare<E>>` boxed
+    /// as `Any`. A type's box is allocated when a wheel of that type first
+    /// gives back on the thread, and a hand-over only moves its contents.
+    static SPARES: RefCell<Vec<(TypeId, Box<dyn Any>)>> = const { RefCell::new(Vec::new()) };
 }
 
-/// The reserves, by event type. One lock for the process, not one reserve
-/// per thread: the store's drain releases on its worker threads, which end
-/// with the drain, and its next round refills on the thread that submits.
-/// A wheel takes the lock once when it goes idle and once when it wakes, not
-/// per event; how it contends with more than two drain threads has not been
-/// measured.
-static RESERVES: Mutex<BTreeMap<TypeId, Reserve>> = Mutex::new(BTreeMap::new());
+/// Runs `f` on this thread's spare set for event type `E`.
+fn with_spare<E: 'static, R>(f: impl FnOnce(&mut Option<Spare<E>>) -> R) -> R {
+    SPARES.with_borrow_mut(|spares| {
+        let id = TypeId::of::<E>();
+        let index = match spares.iter().position(|(type_id, _)| *type_id == id) {
+            Some(index) => index,
+            None => {
+                spares.push((id, Box::new(None::<Spare<E>>)));
+                spares.len() - 1
+            }
+        };
+        let spare = spares[index].1.downcast_mut();
+        f(spare.expect("spares are keyed by type"))
+    })
+}
 
 /// An entry the wheel can order: a scheduled time in ticks plus the
 /// monotonically increasing sequence number assigned at push time.
@@ -147,18 +122,24 @@ const NIL: u32 = u32::MAX;
 /// Near buckets, as `usize` for indexing.
 const BUCKETS: usize = SPAN as usize;
 
+/// Where the bucket tails start in the chain links.
+const TAILS: usize = BUCKETS;
+
+/// The first slot's node.
+const SLOTS: usize = 2 * BUCKETS;
+
 /// The event queue: a near ring of FIFO buckets over one slab of slots, plus
 /// a far overflow heap.
 pub(crate) struct EventWheel<E: Scheduled> {
     /// The chains, by node: node `b < SPAN` is bucket `b`'s head and node
-    /// `SPAN + s` is slab slot `s`; each entry is the node that follows, or
-    /// `NIL`. Bucket `b` chains the slots of the events scheduled for tick `t`
-    /// with `t % SPAN == b` and `cursor <= t < cursor + SPAN`, in push (= seq)
-    /// order; free slots form one more chain from `free`.
+    /// `2 · SPAN + s` is slab slot `s`; each entry is the node that follows,
+    /// or `NIL`. Bucket `b` chains the slots of the events scheduled for tick
+    /// `t` with `t % SPAN == b` and `cursor <= t < cursor + SPAN`, in push
+    /// (= seq) order; free slots form one more chain from `free`. Entry
+    /// `SPAN + b` is no node but bucket `b`'s tail, the last node of its
+    /// chain: `b` itself while the bucket is empty. The tails live here, not
+    /// in the wheel, so that they come and go with the links.
     links: Vec<u32>,
-    /// `tails[b]` is the last node of bucket `b`'s chain: `b` itself while
-    /// the bucket is empty.
-    tails: [u32; BUCKETS],
     /// The slab: every near event, by slot. `None` while the slot is free.
     events: Vec<Option<E>>,
     /// First free node, or `NIL`.
@@ -171,11 +152,10 @@ pub(crate) struct EventWheel<E: Scheduled> {
     len: usize,
 }
 
-impl<E: Scheduled + Send + 'static> EventWheel<E> {
+impl<E: Scheduled + 'static> EventWheel<E> {
     pub(crate) fn new() -> Self {
         EventWheel {
             links: Vec::new(),
-            tails: std::array::from_fn(|b| b as u32),
             events: Vec::new(),
             free: NIL,
             far: BinaryHeap::new(),
@@ -185,40 +165,47 @@ impl<E: Scheduled + Send + 'static> EventWheel<E> {
         }
     }
 
-    /// Gives the slab of an empty wheel to the reserve and keeps its chain
-    /// links, so an idle wheel holds no event-sized memory per slot. A wheel
-    /// with queued events is left as it is.
-    pub(crate) fn release_if_empty(&mut self) {
-        if self.len > 0 || self.events.capacity() == 0 {
+    /// Gives the slab and the chain links of an empty wheel to this
+    /// thread's spare set for `E`, so a wheel with nothing queued holds no
+    /// memory per slot. A wheel with queued events is left as it is.
+    pub(crate) fn give_back_if_empty(&mut self) {
+        if self.len > 0 || self.links.is_empty() {
             return;
         }
-        // Empty, so every bucket head is `NIL` and every slot is free.
-        let mut slab = std::mem::take(&mut self.events);
-        slab.clear();
-        let mut reserves = RESERVES.lock().unwrap_or_else(PoisonError::into_inner);
-        reserves
-            .entry(TypeId::of::<E>())
-            .or_default()
-            .release(Box::new(slab));
-        drop(reserves);
-        // The chains keep their buffer, four bytes a slot against the
-        // slab's event-sized ones: freeing it too cost more in allocator
-        // traffic than it saved.
-        self.links.truncate(BUCKETS);
-        self.free = NIL;
+        // Empty, so every bucket head is `NIL`, every tail is its bucket and
+        // every slot is on the free chain: the set is ready for the next
+        // wheel as it is, and a hand-over touches no slot.
+        let given = Spare {
+            events: std::mem::take(&mut self.events),
+            links: std::mem::take(&mut self.links),
+            free: std::mem::replace(&mut self.free, NIL),
+        };
+        with_spare(|spare: &mut Option<Spare<E>>| {
+            if spare
+                .as_ref()
+                .is_none_or(|held| held.events.capacity() < given.events.capacity())
+            {
+                *spare = Some(given);
+            }
+        });
     }
 
-    /// Takes the slab released last from the reserve, if it holds one.
-    /// Kept out of line: pushes call it once per burst at most.
+    /// Takes this thread's spare set for `E` if it holds one, or lays out
+    /// the bucket heads and tails of a fresh set. Kept out of line: a wheel
+    /// calls it once per run at most.
     #[cold]
     #[inline(never)]
-    fn refill(&mut self) {
-        let slab = (RESERVES.lock().unwrap_or_else(PoisonError::into_inner))
-            .entry(TypeId::of::<E>())
-            .or_default()
-            .refill();
-        if let Some(slab) = slab {
-            self.events = *slab.downcast().expect("the reserve is keyed by type");
+    fn take_spare(&mut self) {
+        if let Some(Spare {
+            events,
+            links,
+            free,
+        }) = with_spare(Option::take)
+        {
+            (self.events, self.links, self.free) = (events, links, free);
+        } else {
+            self.links.resize(BUCKETS, NIL);
+            self.links.extend(0..BUCKETS as u32);
         }
     }
 
@@ -226,6 +213,12 @@ impl<E: Scheduled + Send + 'static> EventWheel<E> {
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.len
+    }
+
+    /// Slots and chain links held, as capacities.
+    #[cfg(test)]
+    pub(crate) fn memory_held(&self) -> (usize, usize) {
+        (self.events.capacity(), self.links.capacity())
     }
 
     pub(crate) fn push(&mut self, event: E) {
@@ -243,21 +236,17 @@ impl<E: Scheduled + Send + 'static> EventWheel<E> {
     /// Appends `event` to tick `at`'s bucket, in a free slot if there is one.
     #[inline(always)]
     fn push_near(&mut self, at: u64, event: E) {
+        // The first near event of a fresh or emptied wheel takes the
+        // thread's spare slab and links, bucket heads and tails included, so
+        // that a wheel that holds no near event holds no memory.
+        if self.links.is_empty() {
+            self.take_spare();
+        }
         let node = if self.free == NIL {
-            // The bucket heads come with the first slot, so that a wheel
-            // that never held a near event holds no memory.
-            if self.links.is_empty() {
-                self.links.resize(BUCKETS, NIL);
-            }
-            // The first slot of a fresh or released wheel takes a slab from
-            // the reserve.
-            if self.events.capacity() == 0 {
-                self.refill();
-            }
             let node = u32::try_from(self.links.len())
                 .ok()
                 .filter(|&node| node != NIL)
-                .expect("fewer than 2^32 - 65 near events live at once");
+                .expect("fewer than 2^32 - 129 near events live at once");
             self.links.push(NIL);
             self.events.push(Some(event));
             node
@@ -265,12 +254,13 @@ impl<E: Scheduled + Send + 'static> EventWheel<E> {
             let node = self.free;
             self.free = self.links[node as usize];
             self.links[node as usize] = NIL;
-            self.events[node as usize - BUCKETS] = Some(event);
+            self.events[node as usize - SLOTS] = Some(event);
             node
         };
-        let bucket = (at % SPAN) as usize;
-        self.links[self.tails[bucket] as usize] = node;
-        self.tails[bucket] = node;
+        let tail = TAILS + (at % SPAN) as usize;
+        let last = self.links[tail];
+        self.links[last as usize] = node;
+        self.links[tail] = node;
         self.near_len += 1;
     }
 
@@ -304,13 +294,13 @@ impl<E: Scheduled + Send + 'static> EventWheel<E> {
                     let next = self.links[node as usize];
                     self.links[bucket] = next;
                     if next == NIL {
-                        self.tails[bucket] = bucket as u32;
+                        self.links[TAILS + bucket] = bucket as u32;
                     }
                     self.links[node as usize] = self.free;
                     self.free = node;
                     self.len -= 1;
                     self.near_len -= 1;
-                    return self.events[node as usize - BUCKETS].take();
+                    return self.events[node as usize - SLOTS].take();
                 }
                 self.cursor += 1;
             } else {
@@ -459,8 +449,8 @@ mod tests {
     }
 
     #[test]
-    fn release_and_refill_keep_pop_order_and_reuse_the_released_slab() {
-        // Its own event type, so that no other test shares its reserve.
+    fn give_and_take_keep_pop_order_and_reuse_the_given_slab() {
+        // Its own event type, so that no other test shares its spare.
         #[derive(Debug, PartialEq)]
         struct Own {
             at: u64,
@@ -474,10 +464,23 @@ mod tests {
                 self.seq
             }
         }
-        // Bursts of events, as a cluster's operations produce them, each
-        // drained against the reference heap with pushes interleaved into
-        // the drain. Most bursts drain to empty and release the wheel; the
-        // rest stop halfway, where a release must change nothing.
+        /// Where a wheel's slab and links live, and the slab's slots: right
+        /// after a take and one push, the same as when given, since the push
+        /// reuses a free slot of the given set.
+        fn memory(wheel: &EventWheel<Own>) -> (*const Option<Own>, *const u32, usize) {
+            let events = &wheel.events;
+            (events.as_ptr(), wheel.links.as_ptr(), events.len())
+        }
+        fn assert_given(wheel: &EventWheel<Own>) {
+            assert_eq!(wheel.events.capacity(), 0, "an emptied wheel holds no slot");
+            assert_eq!(wheel.links.capacity(), 0, "nor any chain link");
+        }
+        // Bursts of events, as a cluster's runs produce them, each drained
+        // against the reference heap with pushes interleaved into the drain.
+        // Most bursts drain to empty and the wheel gives back; the rest stop
+        // halfway, where a give must change nothing. Between bursts another
+        // wheel of the type sometimes runs on the spare and gives it back, as
+        // the next cluster of a store's drain does.
         let mut rng = SimRng::network(7);
         let mut wheel = EventWheel::new();
         let mut reference: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
@@ -498,22 +501,31 @@ mod tests {
             });
             reference.push(Reverse((now + delay, seq)));
         };
-        let (mut released, mut refills) = (None, 0);
+        let (mut given, mut takes, mut shared) = (None, 0, 0);
         for _ in 0..400 {
-            // The first slot after a release takes back the released slab:
-            // the wheel is the only one of its type.
-            let mut expect_refill = |wheel: &EventWheel<Own>| {
-                if wheel.events.is_empty() {
+            if given.is_some() && rng.gen_bool(0.3) {
+                let mut other = EventWheel::new();
+                other.push(Own { at: 3, seq: 1 });
+                assert_eq!(Some(memory(&other)), given, "the other wheel's take");
+                assert_eq!(other.pop(), Some(Own { at: 3, seq: 1 }));
+                other.give_back_if_empty();
+                assert_given(&other);
+                shared += 1;
+            }
+            // The first near push after a give takes back the given slab and
+            // links: no other wheel of the type holds them.
+            let mut expect_take = |wheel: &EventWheel<Own>| {
+                if wheel.links.is_empty() {
                     return;
                 }
-                if let Some(slab) = released.take() {
-                    assert_eq!(wheel.events.as_ptr(), slab, "the released slab");
-                    refills += 1;
+                if let Some(memory_given) = given.take() {
+                    assert_eq!(memory(wheel), memory_given, "the given slab");
+                    takes += 1;
                 }
             };
             for _ in 0..rng.gen_range(1..48u64) {
                 push(&mut wheel, &mut reference, &mut rng, now);
-                expect_refill(&wheel);
+                expect_take(&wheel);
             }
             let drain_all = rng.gen_bool(0.8);
             let stop_at = if drain_all { 0 } else { reference.len() / 2 };
@@ -524,96 +536,56 @@ mod tests {
                 now = at;
                 if rng.gen_bool(0.3) {
                     push(&mut wheel, &mut reference, &mut rng, now);
-                    expect_refill(&wheel);
+                    expect_take(&wheel);
                 }
             }
             assert_eq!(wheel.len(), reference.len());
             let (slots, capacity) = (wheel.events.len(), wheel.events.capacity());
-            let slab = wheel.events.as_ptr();
-            wheel.release_if_empty();
+            let (links, held) = (wheel.links.len(), memory(&wheel));
+            wheel.give_back_if_empty();
             if reference.is_empty() {
-                released = (capacity > 0).then_some(slab);
-                assert_eq!(wheel.events.capacity(), 0, "a released wheel holds no slot");
-                assert_eq!(wheel.links.len(), BUCKETS, "only the bucket heads stay");
-                assert!(wheel.links[..BUCKETS].iter().all(|&head| head == NIL));
+                given = (capacity > 0).then_some(held);
+                assert_given(&wheel);
             } else {
                 assert_eq!(
                     (
                         wheel.events.len(),
                         wheel.events.capacity(),
-                        wheel.events.as_ptr()
+                        wheel.links.len(),
+                        memory(&wheel)
                     ),
-                    (slots, capacity, slab),
-                    "a wheel with queued events keeps its slab"
+                    (slots, capacity, links, held),
+                    "a wheel with queued events keeps its slab and links"
                 );
             }
         }
-        assert!(refills > 200, "{refills} refills");
+        assert!(takes > 200 && shared > 50, "{takes} takes, {shared} shared");
         while let Some(Reverse((at, expect_seq))) = reference.pop() {
             let got = wheel.pop().unwrap();
             assert_eq!((got.at, got.seq), (at, expect_seq));
         }
         assert_eq!(wheel.pop(), None);
-    }
 
-    #[test]
-    fn the_reserve_keeps_what_its_last_two_bursts_of_refills_took() {
-        // Its own event type, so that no other test shares its reserve.
-        #[derive(Debug, PartialEq)]
-        struct Own(u64);
-        impl Scheduled for Own {
-            fn at_ticks(&self) -> u64 {
-                self.0
+        // The spare holds one set: of two given back, the larger slab stays,
+        // whichever comes first, and the next take receives it. A wheel that
+        // keeps an event holds on to the slab the loop above gave back.
+        let mut holder = EventWheel::new();
+        holder.push(Own { at: 1, seq: 1 });
+        for larger_first in [false, true] {
+            let mut wheels: [EventWheel<Own>; 2] = std::array::from_fn(|_| EventWheel::new());
+            for (events, wheel) in [2u64, 40].into_iter().zip(&mut wheels) {
+                (1..=events).for_each(|seq| wheel.push(Own { at: 1, seq }));
+                while wheel.pop().is_some() {}
             }
-            fn seq(&self) -> u64 {
-                self.0
+            let larger = memory(&wheels[1]);
+            if larger_first {
+                wheels.reverse();
             }
+            wheels.iter_mut().for_each(EventWheel::give_back_if_empty);
+            let mut taker = EventWheel::new();
+            taker.push(Own { at: 1, seq: 1 });
+            assert_eq!(memory(&taker), larger, "larger first: {larger_first}");
         }
-        // (slabs held, slabs kept at most)
-        let reserve = || {
-            let reserves = RESERVES.lock().unwrap();
-            (reserves.get(&TypeId::of::<Own>()))
-                .map_or((0, 0), |reserve| (reserve.slabs.len(), reserve.keep()))
-        };
-        let wake = |wheels: &mut [EventWheel<Own>]| {
-            for wheel in wheels {
-                wheel.push(Own(1));
-                assert_eq!(wheel.pop(), Some(Own(1)));
-            }
-        };
-        let release = |wheels: &mut [EventWheel<Own>]| {
-            for wheel in wheels {
-                wheel.release_if_empty();
-                assert_eq!(wheel.events.capacity(), 0);
-            }
-        };
-        let mut wheels: Vec<EventWheel<Own>> = (0..48).map(|_| EventWheel::new()).collect();
-        // Two wakes with no release between are one burst of 32, and the
-        // releases after it keep 32 slabs.
-        wake(&mut wheels[..20]);
-        wake(&mut wheels[20..32]);
-        assert_eq!(reserve(), (0, 0));
-        let released = wheels[31].events.as_ptr();
-        release(&mut wheels[31..32]);
-        assert_eq!(reserve(), (1, 32));
-        // The next burst takes the last slab released first, then new ones.
-        wake(&mut wheels[32..40]);
-        assert_eq!(wheels[32].events.as_ptr(), released);
-        assert_eq!(reserve(), (0, 32));
-        // 39 slabs come back: the reserve keeps 32, the larger of its last
-        // two bursts, and frees the rest.
-        release(&mut wheels[..40]);
-        assert_eq!(reserve(), (32, 32));
-        // Two narrow bursts in a row forget the wide one: the reserve frees
-        // what it holds beyond them.
-        wake(&mut wheels[..4]);
-        release(&mut wheels[..4]);
-        assert_eq!(reserve(), (8, 8));
-        // A wider burst empties the reserve and raises the cap at once.
-        wake(&mut wheels);
-        assert_eq!(reserve(), (0, 8));
-        release(&mut wheels);
-        assert_eq!(reserve(), (48, 48));
     }
 
     #[test]
