@@ -18,8 +18,8 @@
 //! per-read cost is compared against in Table I and Section I-B.
 
 use soda_protocol::{
-    CodeCacheStats, Invocation, Layout, OpKind, OpQueue, PhaseDriver, ProtocolSpec, RepairDriver,
-    RepairStatus, Reply, Tag, Value,
+    Invocation, Layout, OpKind, OpQueue, PhaseDriver, ProtocolSpec, RepairDriver, RepairStatus,
+    Reply, Tag, Value,
 };
 use soda_rs_code::{CodedElement, MdsCode, VandermondeCode};
 use soda_simnet::{Context, Message, Process, ProcessId, SimTime, Simulation};
@@ -681,10 +681,6 @@ impl ProtocolSpec for CasSpec {
 
     fn client_ops(sim: &Simulation<CasMsg>, client: ProcessId) -> Option<&OpQueue> {
         sim.process_as::<CasClient>(client).map(CasClient::ops)
-    }
-
-    fn decode_cache_stats(&self) -> CodeCacheStats {
-        self.config.code().cache_stats()
     }
 }
 

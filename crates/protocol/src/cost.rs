@@ -2,18 +2,9 @@
 //!
 //! Both storage and communication costs are normalized by the size of the
 //! object value: a value counts as 1 unit, a coded element of an `[n, k]` code
-//! as `1/k` units, and metadata as 0. These helpers convert raw byte counts
-//! reported by the simulator into normalized units and provide the closed-form
-//! expressions from the paper's theorems for comparison.
-
-/// Converts a raw byte count into normalized units given the value size in
-/// bytes. Returns 0 for an empty value (degenerate case used only in tests).
-pub fn normalized(bytes: u64, value_size: usize) -> f64 {
-    if value_size == 0 {
-        return 0.0;
-    }
-    bytes as f64 / value_size as f64
-}
+//! as `1/k` units, and metadata as 0. [`paper`] holds the closed-form
+//! expressions from the paper's theorems, which measurements are compared
+//! against.
 
 /// Closed-form costs stated by the paper, used by the experiment harness to
 /// compare measurement against theory.
@@ -36,7 +27,7 @@ pub mod paper {
     /// full values up the backbone (`f(f+1)/2` in all) and its coded elements
     /// to everyone else (`(f+1)(n−1−f) + f(f+1)/2`), normalized with a coded
     /// element of an `[n, k]` code counting `1/k`. This is what
-    /// [`crate::md::MdValueRelay::on_full`] relays; a backbone server that
+    /// [`crate::md::MdRelay::on_full`] relays; a backbone server that
     /// receives its coded element before the full value relays nothing, so a
     /// write costs at most this. SODAerr's write is bounded by it; Theorem 5.4's `5f²` is
     /// proven for SODA only, and SODAerr's small `k` exceeds it.
@@ -97,14 +88,6 @@ pub mod paper {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn normalization() {
-        assert_eq!(normalized(2048, 1024), 2.0);
-        assert_eq!(normalized(0, 1024), 0.0);
-        assert_eq!(normalized(100, 0), 0.0);
-        assert!((normalized(1536, 1024) - 1.5).abs() < 1e-12);
-    }
 
     #[test]
     fn paper_formulas_match_table_one_at_fmax() {

@@ -61,7 +61,7 @@ pub use repair::{
     RepairDriver, RepairError, RepairStatus, REPAIR_MAX_ATTEMPTS, REPAIR_RETRY_INTERVAL,
 };
 pub use runs::RunSet;
-pub use soda_rs_code::{CodeCacheStats, MdsCode};
+pub use soda_rs_code::MdsCode;
 pub use spec::ProtocolSpec;
 pub use tag::Tag;
 pub use value::{value_from, value_len, Value};

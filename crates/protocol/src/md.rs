@@ -160,21 +160,48 @@ pub fn md_value_send(
     })
 }
 
-/// Server-side state of the MD-VALUE primitive (one per server process).
+/// A message produced by the MD-META primitive: the metadata payload plus the
+/// invocation id.
+#[derive(Clone, Debug, PartialEq)]
+pub struct MdMetaMsg<P> {
+    /// Invocation id.
+    pub mid: MessageId,
+    /// The metadata payload being dispersed.
+    pub payload: P,
+}
+
+/// Sender side of MD-META: send the payload to the first `f + 1` servers.
+/// Returned lazily, like [`md_value_send`].
+pub fn md_meta_send<P: Clone>(
+    layout: &Layout,
+    mid: MessageId,
+    payload: P,
+) -> impl Iterator<Item = Dispatch<MdMetaMsg<P>>> {
+    layout.relay_set().map(move |rank| Dispatch {
+        to_rank: rank,
+        msg: MdMetaMsg {
+            mid,
+            payload: payload.clone(),
+        },
+    })
+}
+
+/// Server-side state of one message-disperse primitive, MD-VALUE or
+/// MD-META; a server keeps one for each, so each keeps its own tombstones.
 ///
 /// Keeps only message-id tombstones between invocations, as runs of
-/// counters per origin; values and coded elements never outlive the handler
-/// (Theorem 3.2).
+/// counters per origin; values, coded elements and metadata never outlive
+/// the handler (Theorem 3.2).
 #[derive(Debug)]
-pub struct MdValueRelay {
+pub struct MdRelay {
     my_rank: usize,
     handled: RunSet,
 }
 
-impl MdValueRelay {
+impl MdRelay {
     /// Creates the relay state for the server with the given rank.
     pub fn new(my_rank: usize) -> Self {
-        MdValueRelay {
+        MdRelay {
             my_rank,
             handled: RunSet::default(),
         }
@@ -191,13 +218,14 @@ impl MdValueRelay {
         &self.handled
     }
 
-    /// Handles receipt of the full value. On the first receipt this hands the
-    /// `relay` callback the full value for every higher-ranked backbone
-    /// server and its coded element for every other server, as they are
-    /// produced — the server feeds them straight into the network context —
-    /// and returns the local element to deliver; a duplicate relays nothing
-    /// and returns `None`. The coded elements are the dispersal's shared
-    /// `Φ(value)`: only the first backbone server to get here encodes.
+    /// MD-VALUE: handles receipt of the full value. On the first receipt
+    /// this hands the `relay` callback the full value for every
+    /// higher-ranked backbone server and its coded element for every other
+    /// server, as they are produced — the server feeds them straight into
+    /// the network context — and returns the local element to deliver; a
+    /// duplicate relays nothing and returns `None`. The coded elements are
+    /// the dispersal's shared `Φ(value)`: only the first backbone server to
+    /// get here encodes.
     pub fn on_full(
         &mut self,
         layout: &Layout,
@@ -242,8 +270,8 @@ impl MdValueRelay {
         Some((tag, elements[self.my_rank].clone()))
     }
 
-    /// Handles receipt of a coded element addressed to this server. Delivers
-    /// it the first time, ignores duplicates.
+    /// MD-VALUE: handles receipt of a coded element addressed to this
+    /// server. Delivers it the first time, ignores duplicates.
     pub fn on_coded(
         &mut self,
         mid: MessageId,
@@ -255,64 +283,10 @@ impl MdValueRelay {
         }
         Some((tag, element))
     }
-}
 
-/// A message produced by the MD-META primitive: the metadata payload plus the
-/// invocation id.
-#[derive(Clone, Debug, PartialEq)]
-pub struct MdMetaMsg<P> {
-    /// Invocation id.
-    pub mid: MessageId,
-    /// The metadata payload being dispersed.
-    pub payload: P,
-}
-
-/// Sender side of MD-META: send the payload to the first `f + 1` servers.
-/// Returned lazily, like [`md_value_send`].
-pub fn md_meta_send<P: Clone>(
-    layout: &Layout,
-    mid: MessageId,
-    payload: P,
-) -> impl Iterator<Item = Dispatch<MdMetaMsg<P>>> {
-    layout.relay_set().map(move |rank| Dispatch {
-        to_rank: rank,
-        msg: MdMetaMsg {
-            mid,
-            payload: payload.clone(),
-        },
-    })
-}
-
-/// Server-side state of the MD-META primitive: like [`MdValueRelay`], only
-/// message-id tombstones, as runs of counters per origin.
-#[derive(Debug)]
-pub struct MdMetaRelay {
-    my_rank: usize,
-    handled: RunSet,
-}
-
-impl MdMetaRelay {
-    /// Creates the relay state for the server with the given rank.
-    pub fn new(my_rank: usize) -> Self {
-        MdMetaRelay {
-            my_rank,
-            handled: RunSet::default(),
-        }
-    }
-
-    /// Number of message ids remembered.
-    pub fn tombstones(&self) -> usize {
-        self.handled.len()
-    }
-
-    /// The tombstones themselves.
-    pub fn handled(&self) -> &RunSet {
-        &self.handled
-    }
-
-    /// Handles receipt of a metadata message. On first receipt: hand the
-    /// `relay` callback the payload for the higher-ranked backbone servers
-    /// and every server outside the backbone, and return it for local
+    /// MD-META: handles receipt of a metadata message. On first receipt: hand
+    /// the `relay` callback the payload for the higher-ranked backbone
+    /// servers and every server outside the backbone, and return it for local
     /// delivery. Duplicates relay nothing and return `None`.
     ///
     /// Only servers inside the backbone `D` relay; servers outside it receive
@@ -388,7 +362,7 @@ mod tests {
 
     /// `on_full` with its relays collected.
     fn full(
-        relay: &mut MdValueRelay,
+        relay: &mut MdRelay,
         l: &Layout,
         code: &VandermondeCode,
         mid: MessageId,
@@ -402,7 +376,7 @@ mod tests {
 
     /// `on_meta` with its relays collected.
     fn meta<P: Clone>(
-        relay: &mut MdMetaRelay,
+        relay: &mut MdRelay,
         l: &Layout,
         mid: MessageId,
         payload: &P,
@@ -436,7 +410,7 @@ mod tests {
         let l = layout(n, f);
         let code = VandermondeCode::new(n, n - f).unwrap();
         let v = value_from((0..64u8).collect());
-        let mut relay = MdValueRelay::new(0);
+        let mut relay = MdRelay::new(0);
         let (deliver, relays) = full(&mut relay, &l, &code, mid(1), &v);
 
         // Local delivery of own element.
@@ -472,7 +446,7 @@ mod tests {
         let l = layout(n, f);
         let code = VandermondeCode::new(n, n - f).unwrap();
         let v = value_from(vec![9u8; 16]);
-        let mut relay = MdValueRelay::new(2);
+        let mut relay = MdRelay::new(2);
         let (_, relays) = full(&mut relay, &l, &code, mid(5), &v);
         let coded_targets: Vec<usize> = relays
             .iter()
@@ -495,7 +469,7 @@ mod tests {
         let l = layout(n, f);
         let code = VandermondeCode::new(n, n - f).unwrap();
         let v = value_from(vec![7u8; 10]);
-        let mut relay = MdValueRelay::new(1);
+        let mut relay = MdRelay::new(1);
         assert!(full(&mut relay, &l, &code, mid(1), &v).0.is_some());
         let (deliver, relays) = full(&mut relay, &l, &code, mid(1), &v);
         assert!(deliver.is_none());
@@ -513,7 +487,7 @@ mod tests {
         let elems = code.encode(&v).unwrap();
 
         // Coded first, then full: only the coded delivery happens.
-        let mut relay = MdValueRelay::new(0);
+        let mut relay = MdRelay::new(0);
         let delivered = relay.on_coded(mid(1), tag(), elems[0].clone());
         assert!(delivered.is_some());
         let (deliver, relays) = full(&mut relay, &l, &code, mid(1), &v);
@@ -521,14 +495,14 @@ mod tests {
         assert!(relays.is_empty());
 
         // Full first, then coded duplicate: only the full delivery happens.
-        let mut relay = MdValueRelay::new(0);
+        let mut relay = MdRelay::new(0);
         assert!(full(&mut relay, &l, &code, mid(2), &v).0.is_some());
         assert!(relay.on_coded(mid(2), tag(), elems[0].clone()).is_none());
     }
 
     #[test]
     fn distinct_mids_are_independent() {
-        let mut relay = MdValueRelay::new(3);
+        let mut relay = MdRelay::new(3);
         let elem = CodedElement::new(3, vec![1, 2, 3]);
         assert!(relay.on_coded(mid(1), tag(), elem.clone()).is_some());
         assert!(relay.on_coded(mid(2), tag(), elem.clone()).is_some());
@@ -549,7 +523,7 @@ mod tests {
 
         for reached in 0..=f {
             // The sender only managed to send the full value to server `reached`.
-            let mut relays: Vec<MdValueRelay> = (0..n).map(MdValueRelay::new).collect();
+            let mut relays: Vec<MdRelay> = (0..n).map(MdRelay::new).collect();
             let mut delivered = vec![false; n];
             let mut inbox: Vec<(usize, MdValueMsg)> = vec![(
                 reached,
@@ -594,7 +568,7 @@ mod tests {
             let expected = code.encode(&v).unwrap();
             for reached in 1..=f + 1 {
                 for lifo in [true, false] {
-                    let mut relays: Vec<MdValueRelay> = (0..n).map(MdValueRelay::new).collect();
+                    let mut relays: Vec<MdRelay> = (0..n).map(MdRelay::new).collect();
                     let mut delivered: Vec<Option<CodedElement>> = vec![None; n];
                     let mut inbox: VecDeque<(usize, MdValueMsg)> =
                         md_value_send(&l, mid(4), tag(), v.clone())
@@ -660,7 +634,7 @@ mod tests {
         assert_eq!(sends[0].to_rank, 0);
         assert_eq!(sends[2].msg.payload, "READ-VALUE");
 
-        let mut relay = MdMetaRelay::new(1);
+        let mut relay = MdRelay::new(1);
         let (deliver, relays) = meta(&mut relay, &l, mid(1), &"READ-VALUE");
         assert_eq!(deliver, Some("READ-VALUE"));
         let targets: Vec<usize> = relays.iter().map(|d| d.to_rank).collect();
@@ -677,7 +651,7 @@ mod tests {
     #[test]
     fn meta_non_backbone_server_delivers_without_relaying() {
         let l = layout(6, 2);
-        let mut relay = MdMetaRelay::new(5);
+        let mut relay = MdRelay::new(5);
         let (deliver, relays) = meta(&mut relay, &l, mid(2), &42u32);
         assert_eq!(deliver, Some(42));
         assert!(relays.is_empty());
@@ -693,7 +667,7 @@ mod tests {
         let f = 2;
         let l = layout(n, f);
         for reached in 0..=f {
-            let mut relays: Vec<MdMetaRelay> = (0..n).map(MdMetaRelay::new).collect();
+            let mut relays: Vec<MdRelay> = (0..n).map(MdRelay::new).collect();
             let mut delivered = vec![false; n];
             let mut inbox = vec![(
                 reached,
@@ -726,7 +700,7 @@ mod tests {
             let code = VandermondeCode::new(n, k).unwrap();
             let value_size = 1000usize;
             let v = value_from(vec![1u8; value_size]);
-            let mut relays: Vec<MdValueRelay> = (0..n).map(MdValueRelay::new).collect();
+            let mut relays: Vec<MdRelay> = (0..n).map(MdRelay::new).collect();
             let mut bytes: u64 = 0;
             let mut inbox: Vec<(usize, MdValueMsg)> = Vec::new();
             for d in md_value_send(&l, mid(1), tag(), v.clone()) {

@@ -8,7 +8,7 @@
 //! any of them through this trait, and everything else about a cluster is
 //! written once.
 
-use crate::{CodeCacheStats, OpKind, OpQueue, RepairStatus, Value};
+use crate::{OpKind, OpQueue, RepairStatus, Value};
 use soda_simnet::{Message, Process, ProcessId, ProcessStats, Simulation};
 
 /// One register protocol, as seen by a cluster harness: its message type,
@@ -54,12 +54,6 @@ pub trait ProtocolSpec: Send + 'static {
     /// The client's operations — the log of those it completed and the one
     /// in flight — or `None` for a process that is not a client.
     fn client_ops(sim: &Simulation<Self::Msg>, client: ProcessId) -> Option<&OpQueue>;
-
-    /// Decode-matrix cache counters of the deployment's erasure code; all
-    /// zeros for a protocol that never inverts a matrix.
-    fn decode_cache_stats(&self) -> CodeCacheStats {
-        CodeCacheStats::default()
-    }
 
     /// The value-data bytes a read costs its reader, given the reader's
     /// counters over a window covering the read. Bytes delivered to the

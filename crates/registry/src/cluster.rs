@@ -4,7 +4,7 @@
 use crate::kind::ClusterDescriptor;
 use crate::record::{history_from_records, history_with_pending, sort_records};
 use soda_consistency::History;
-use soda_protocol::{CodeCacheStats, OpRecord, PendingWrite, RepairStatus};
+use soda_protocol::{OpRecord, PendingWrite, RepairStatus};
 use soda_simnet::{ProcessId, RunOutcome, SimTime, Stats};
 use std::any::Any;
 
@@ -173,11 +173,6 @@ pub trait RegisterCluster: Send {
     fn total_stored_bytes(&self) -> u64 {
         self.stored_bytes_per_server().iter().sum()
     }
-
-    /// Decode-matrix cache counters of the cluster's erasure code (hits,
-    /// misses, inversions). Replication-based protocols, which never invert a
-    /// matrix, report all zeros.
-    fn decode_cache_stats(&self) -> CodeCacheStats;
 
     /// The value-data bytes attributable to one read, given a windowed
     /// [`Stats`] covering it (see [`Stats::since`]): the bytes *delivered to*

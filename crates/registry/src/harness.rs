@@ -7,9 +7,7 @@ use crate::kind::ClusterDescriptor;
 use soda::{ReaderProcess, ServerProcess, SodaSpec};
 use soda_baselines::abd::AbdSpec;
 use soda_baselines::cas::{CasServer, CasSpec};
-use soda_protocol::{
-    value_from, CodeCacheStats, OpKind, OpRecord, PendingWrite, ProtocolSpec, RepairStatus, Tag,
-};
+use soda_protocol::{value_from, OpKind, OpRecord, PendingWrite, ProtocolSpec, RepairStatus, Tag};
 use soda_simnet::{CorruptionHook, ProcessId, RunOutcome, SimTime, Simulation, Stats};
 use std::any::Any;
 use std::ops::Range;
@@ -210,10 +208,6 @@ impl<P: ProtocolSpec> RegisterCluster for Harness<P> {
             .iter()
             .map(|&id| P::stored_bytes(&self.sim, id))
             .collect()
-    }
-
-    fn decode_cache_stats(&self) -> CodeCacheStats {
-        self.spec.decode_cache_stats()
     }
 
     fn read_cost_bytes(&self, window: &Stats, reader: usize) -> u64 {

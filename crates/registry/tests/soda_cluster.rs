@@ -69,7 +69,7 @@ fn operations_complete_despite_f_crashes() {
 }
 
 #[test]
-fn sodaerr_cluster_reads_correctly_with_faulty_disks() {
+fn sodaerr_cluster_reads_correctly_with_a_byzantine_server() {
     let mut cluster = ClusterBuilder::new(ProtocolKind::SodaErr { e: 1 }, 7, 2)
         .with_seed(5)
         .with_byzantine_servers(vec![2])

@@ -68,8 +68,8 @@ impl Bytes {
 
     /// Mutable access via copy-on-write: if this buffer is shared, the bytes
     /// are copied into a fresh unique allocation first. Used by fault
-    /// injection (disk corruption, byzantine senders) and tests; the protocol
-    /// hot paths never mutate payloads.
+    /// injection (byzantine senders) and tests; the protocol hot paths never
+    /// mutate payloads.
     pub fn make_mut(&mut self) -> &mut [u8] {
         if Arc::get_mut(&mut self.0).is_none() {
             self.0 = Arc::from(&self.0[..]);

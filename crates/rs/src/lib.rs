@@ -39,14 +39,12 @@
 
 mod bw;
 mod bytes;
-mod cache;
 mod error;
 mod shard;
 mod vandermonde;
 
 pub use bw::BerlekampWelchCode;
 pub use bytes::Bytes;
-pub use cache::CodeCacheStats;
 pub use error::CodeError;
 pub use shard::{pad_and_split, reassemble, CodedElement, ReassembleError, LENGTH_HEADER};
 pub use vandermonde::VandermondeCode;
@@ -72,9 +70,11 @@ pub trait MdsCode: Send + Sync {
     fn encode_one(&self, value: &[u8], index: usize) -> Result<CodedElement, CodeError>;
 
     /// Decodes a value from at least `k` coded elements with distinct, known
-    /// indices and no corruption. This is the paper's `Φ⁻¹(C)`. The value is
-    /// returned as [`Bytes`], one allocation that each data shard's bytes
-    /// are computed straight into, ready to be shared as a protocol value.
+    /// indices and no corruption. This is the paper's `Φ⁻¹(C)`. Each call
+    /// inverts the `k × k` submatrix of the first `k` elements' rows; nothing
+    /// is cached between calls. The value is returned as [`Bytes`], one
+    /// allocation that each data shard's bytes are computed straight into,
+    /// ready to be shared as a protocol value.
     fn decode(&self, elements: &[CodedElement]) -> Result<Bytes, CodeError>;
 
     /// Decodes a value from coded elements of which up to `max_errors` may be
@@ -98,10 +98,6 @@ pub trait MdsCode: Send + Sync {
     fn total_storage_fraction(&self) -> f64 {
         self.n() as f64 / self.k() as f64
     }
-
-    /// Decode-matrix cache counters of this code instance (hits, misses,
-    /// inversions performed).
-    fn cache_stats(&self) -> CodeCacheStats;
 }
 
 /// Validates `[n, k]` code parameters.

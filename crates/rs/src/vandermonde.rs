@@ -8,10 +8,10 @@
 //! property is preserved by column operations), so the value can be decoded
 //! from any `k` coded elements by inverting the corresponding row submatrix.
 //!
-//! Matrix construction and inversion are cached (see [`crate::cache`]): the
-//! encoding matrix is shared process-wide per `(n, k)`, and decode matrices
-//! are memoized per survivor index set in an LRU shared by clones of the
-//! instance — one inversion per survivor set, not one per decode.
+//! The encoding matrix is built once per `(n, k)` and shared process-wide,
+//! so a sharded store spinning up thousands of per-key clusters builds it
+//! once. Decoding caches nothing: each [`MdsCode::decode`] inverts the
+//! `k × k` submatrix of the rows it was given.
 //!
 //! Every byte is written once, straight into the buffer that keeps it:
 //! [`MdsCode::encode`] copies each data shard from the value into its coded
@@ -25,11 +25,27 @@
 //! The same code corrects silent corruption: `decode_with_errors` with
 //! `max_errors > 0` runs the Berlekamp–Welch decoder (`bw.rs`).
 
-use crate::cache::{encode_matrix_for, DecodeCache};
 use crate::shard::{data_element, data_shards, value_from_shards};
-use crate::{validate_params, Bytes, CodeCacheStats, CodeError, CodedElement, MdsCode};
+use crate::{validate_params, Bytes, CodeError, CodedElement, MdsCode};
 use soda_gf::Matrix;
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, OnceLock};
+
+/// Map from code parameters `(n, k)` to the shared encoding matrix.
+type EncodeMatrixMap = HashMap<(usize, usize), Arc<Matrix>>;
+
+/// Process-wide cache of systematic encoding matrices, keyed by `(n, k)`.
+static ENCODE_MATRICES: OnceLock<Mutex<EncodeMatrixMap>> = OnceLock::new();
+
+/// Returns the cached systematic encoding matrix for `(n, k)`, building it
+/// with `build` on first use.
+fn encode_matrix_for(n: usize, k: usize, build: impl FnOnce() -> Matrix) -> Arc<Matrix> {
+    let cache = ENCODE_MATRICES.get_or_init(|| Mutex::new(HashMap::new()));
+    let mut map = cache.lock().expect("encode-matrix cache poisoned");
+    map.entry((n, k))
+        .or_insert_with(|| Arc::new(build()))
+        .clone()
+}
 
 /// Systematic Vandermonde-derived `[n, k]` MDS code, with an erasure decoder
 /// and a Berlekamp–Welch error-and-erasure decoder.
@@ -43,8 +59,6 @@ pub struct VandermondeCode {
     /// these: the systematic rows are the identity, so the data shards are
     /// the first `k` coded elements verbatim.
     parity: Matrix,
-    /// Survivor-set → inverted-matrix LRU, shared by clones of this instance.
-    decode_cache: Arc<DecodeCache>,
 }
 
 impl std::fmt::Debug for VandermondeCode {
@@ -76,7 +90,6 @@ impl VandermondeCode {
             k,
             encoding,
             parity,
-            decode_cache: Arc::new(DecodeCache::default()),
         })
     }
 
@@ -123,15 +136,12 @@ impl VandermondeCode {
     }
 
     /// Validates a set of coded elements: distinct in-range indices, equal
-    /// lengths, at least `need` of them. Returns the selection truncated to
-    /// exactly `need` elements, **sorted by index** — decode output is
-    /// independent of row order, and the sorted index set is the canonical
-    /// decode-cache key.
+    /// lengths, at least `need` of them. Returns the first `need` elements.
     pub(crate) fn validate_elements<'a>(
         &self,
         elements: &'a [CodedElement],
         need: usize,
-    ) -> Result<Vec<&'a CodedElement>, CodeError> {
+    ) -> Result<&'a [CodedElement], CodeError> {
         if elements.len() < need {
             return Err(CodeError::NotEnoughElements {
                 have: elements.len(),
@@ -155,9 +165,7 @@ impl VandermondeCode {
                 return Err(CodeError::InconsistentElementLength);
             }
         }
-        let mut chosen: Vec<&CodedElement> = elements.iter().take(need).collect();
-        chosen.sort_unstable_by_key(|e| e.index);
-        Ok(chosen)
+        Ok(&elements[..need])
     }
 }
 
@@ -198,12 +206,11 @@ impl MdsCode for VandermondeCode {
     fn decode(&self, elements: &[CodedElement]) -> Result<Bytes, CodeError> {
         let chosen = self.validate_elements(elements, self.k)?;
         let indices: Vec<usize> = chosen.iter().map(|e| e.index).collect();
-        let inv = self.decode_cache.get_or_invert(&indices, || {
-            self.encoding
-                .select_rows(&indices)
-                .inverse()
-                .map_err(|_| CodeError::TooManyErrors)
-        })?;
+        let inv = self
+            .encoding
+            .select_rows(&indices)
+            .inverse()
+            .map_err(|_| CodeError::TooManyErrors)?;
         // Data shard `i` is row `i` of the inverse applied to the chosen
         // elements; `value_from_shards` asks for the header columns first and
         // then for each shard's value columns, written into the value.
@@ -224,10 +231,6 @@ impl MdsCode for VandermondeCode {
             return self.decode(elements);
         }
         self.decode_correcting(elements, max_errors)
-    }
-
-    fn cache_stats(&self) -> CodeCacheStats {
-        self.decode_cache.stats()
     }
 }
 
@@ -283,63 +286,6 @@ mod tests {
             let subset: Vec<CodedElement> = order.iter().map(|&i| elements[i].clone()).collect();
             assert_eq!(code.decode(&subset).unwrap(), value, "order {order:?}");
         }
-        // All four permutations share one survivor set {1, 3, 5}: exactly one
-        // inversion.
-        let stats = code.cache_stats();
-        assert_eq!(stats.inversions, 1);
-        assert_eq!(stats.hits, 3);
-    }
-
-    #[test]
-    fn repeated_decodes_invert_once_per_survivor_set() {
-        let code = VandermondeCode::new(5, 3).unwrap();
-        let value = sample_value(80);
-        let elements = code.encode(&value).unwrap();
-        let set_a = vec![
-            elements[0].clone(),
-            elements[1].clone(),
-            elements[4].clone(),
-        ];
-        let set_b = vec![
-            elements[2].clone(),
-            elements[3].clone(),
-            elements[4].clone(),
-        ];
-        for _ in 0..10 {
-            assert_eq!(code.decode(&set_a).unwrap(), value);
-        }
-        for _ in 0..5 {
-            assert_eq!(code.decode(&set_b).unwrap(), value);
-        }
-        let stats = code.cache_stats();
-        assert_eq!(stats.inversions, 2, "one inversion per survivor set");
-        assert_eq!(stats.misses, 2);
-        assert_eq!(stats.hits, 13);
-        assert!(stats.hit_rate() > 0.85);
-    }
-
-    #[test]
-    fn clones_share_the_decode_cache() {
-        let code = VandermondeCode::new(5, 2).unwrap();
-        let value = sample_value(16);
-        let elements = code.encode(&value).unwrap();
-        let subset = vec![elements[0].clone(), elements[3].clone()];
-        code.decode(&subset).unwrap();
-        let clone = code.clone();
-        clone.decode(&subset).unwrap();
-        assert_eq!(clone.cache_stats().hits, 1, "clone hits the shared cache");
-        assert_eq!(code.cache_stats().inversions, 1);
-    }
-
-    #[test]
-    fn separate_instances_have_separate_counters() {
-        let a = VandermondeCode::new(5, 3).unwrap();
-        let b = VandermondeCode::new(5, 3).unwrap();
-        let value = sample_value(30);
-        let elements = a.encode(&value).unwrap();
-        a.decode(&elements[..3]).unwrap();
-        assert_eq!(a.cache_stats().misses, 1);
-        assert_eq!(b.cache_stats(), CodeCacheStats::default());
     }
 
     #[test]
@@ -465,6 +411,13 @@ mod tests {
         assert!(VandermondeCode::new(3, 5).is_err());
         assert!(VandermondeCode::new(0, 0).is_err());
         assert!(VandermondeCode::new(300, 10).is_err());
+    }
+
+    #[test]
+    fn encode_matrix_is_shared_per_parameters() {
+        let a = encode_matrix_for(201, 7, || Matrix::vandermonde(201, 7));
+        let b = encode_matrix_for(201, 7, || panic!("must be cached"));
+        assert!(Arc::ptr_eq(&a, &b));
     }
 
     #[test]

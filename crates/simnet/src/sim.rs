@@ -109,7 +109,7 @@ pub struct Simulation<M: Message> {
     started: Vec<bool>,
     queue: EventWheel<Event<M>>,
     /// Events injected since the last run began, in `seq` order. They enter
-    /// the queue when the next run or step begins, so injecting into a
+    /// the queue when the next run begins, so injecting into a
     /// quiescent simulation takes no queue memory until it runs.
     staged: Vec<Event<M>>,
     now: SimTime,
@@ -487,16 +487,6 @@ impl<M: Message> Simulation<M> {
         for event in self.staged.drain(..) {
             self.queue.push(event);
         }
-    }
-
-    /// Processes the next scheduled event. Returns `false` when the queue is
-    /// empty. A step that leaves the queue empty gives its memory back, as a
-    /// run does (see [`Self::run_until`]).
-    pub fn step(&mut self) -> bool {
-        self.admit_staged();
-        let stepped = self.step_queued();
-        self.queue.give_back_if_empty();
-        stepped
     }
 
     /// Processes the next queued event; `false` when there is none.

@@ -447,7 +447,7 @@ mod tests {
         answer_get_phase(&mut r, op, &[Tag::INITIAL; 4]);
         assert_eq!(r.read.phase(), Some(Phase::ReadValue));
         let tw = Tag::new(1, ProcessId(33));
-        let value = b"guarded against silent disk corruption".to_vec();
+        let value = b"guarded against silent corruption".to_vec();
         let mut elements = code.encode(&value).unwrap();
         // One of the five delivered elements is silently corrupted.
         for b in elements[3].data.make_mut() {

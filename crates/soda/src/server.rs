@@ -55,7 +55,7 @@
 use crate::config::{Phase, SodaConfig};
 use crate::messages::{MetaPayload, OpId, SodaMsg};
 use crate::reader::Read;
-use soda_protocol::md::{md_meta_send, MdMetaRelay, MdValueMsg, MdValueRelay, MessageId};
+use soda_protocol::md::{md_meta_send, MdRelay, MdValueMsg, MessageId};
 use soda_protocol::{RepairDriver, RepairStatus, RunSet, Tag, Value};
 use soda_rs_code::{CodedElement, MdsCode};
 use soda_simnet::{Context, Process, ProcessId};
@@ -108,9 +108,9 @@ pub struct ServerProcess {
     /// [`Self::send_repair_fan_out`]), so they keep recording as before.
     closed: RunSet,
     /// Relay state of the MD-VALUE primitive.
-    md_value: MdValueRelay,
+    md_value: MdRelay,
     /// Relay state of the MD-META primitive.
-    md_meta: MdMetaRelay,
+    md_meta: MdRelay,
     /// Counter for this server's own MD-META invocations (READ-DISPERSE).
     md_counter: u64,
     /// Ablation switch: when `false`, the server does not relay the elements
@@ -143,8 +143,8 @@ impl ServerProcess {
             registered: BTreeMap::new(),
             history: BTreeMap::new(),
             closed: RunSet::default(),
-            md_value: MdValueRelay::new(my_rank),
-            md_meta: MdMetaRelay::new(my_rank),
+            md_value: MdRelay::new(my_rank),
+            md_meta: MdRelay::new(my_rank),
             md_counter: 0,
             relay_enabled: true,
             repair: None,
@@ -172,8 +172,8 @@ impl ServerProcess {
             registered: BTreeMap::new(),
             history: BTreeMap::new(),
             closed: RunSet::default(),
-            md_value: MdValueRelay::new(my_rank),
-            md_meta: MdMetaRelay::new(my_rank),
+            md_value: MdRelay::new(my_rank),
+            md_meta: MdRelay::new(my_rank),
             md_counter: epoch << 32,
             relay_enabled: true,
             repair: Some(RepairState {

@@ -6,7 +6,7 @@ use crate::messages::SodaMsg;
 use crate::reader::ReaderProcess;
 use crate::server::ServerProcess;
 use crate::writer::WriterProcess;
-use soda_protocol::{CodeCacheStats, MdsCode, OpKind, OpQueue, ProtocolSpec, RepairStatus, Value};
+use soda_protocol::{OpKind, OpQueue, ProtocolSpec, RepairStatus, Value};
 use soda_simnet::{Process, ProcessId, Simulation};
 use std::sync::Arc;
 
@@ -69,9 +69,5 @@ impl ProtocolSpec for SodaSpec {
                 sim.process_as::<ReaderProcess>(client)
                     .map(ReaderProcess::ops)
             })
-    }
-
-    fn decode_cache_stats(&self) -> CodeCacheStats {
-        self.config.code().cache_stats()
     }
 }

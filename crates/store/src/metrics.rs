@@ -155,12 +155,14 @@ pub struct StoreTotals {
     /// the whole retry budget — e.g. behind a partition window). Failed
     /// repairs are retryable; this counts the give-ups, not the ranks.
     pub repairs_failed: u64,
-    /// Decode-matrix cache hits (coded protocols only; replication shards
-    /// report 0).
+    /// Always 0. The erasure decoder caches no decode matrix, so there is
+    /// no hit to count. The field stays because the benchmark reports it.
     pub decode_cache_hits: u64,
-    /// Decode-matrix cache misses.
+    /// Always 0, like `decode_cache_hits`. The field stays because the
+    /// benchmark reports it.
     pub decode_cache_misses: u64,
-    /// Matrix inversions actually performed by the erasure decoders.
+    /// Always 0: decode-matrix inversions are not counted. The field stays
+    /// because the benchmark reports it.
     pub decode_inversions: u64,
 }
 
@@ -183,9 +185,6 @@ impl StoreTotals {
         self.repair_traffic_bytes += other.repair_traffic_bytes;
         self.repair_latency.merge(&other.repair_latency);
         self.repairs_failed += other.repairs_failed;
-        self.decode_cache_hits += other.decode_cache_hits;
-        self.decode_cache_misses += other.decode_cache_misses;
-        self.decode_inversions += other.decode_inversions;
     }
 
     /// Completed operations of both kinds.
@@ -301,9 +300,6 @@ mod tests {
             repairs_completed: 1,
             repair_traffic_bytes: 30,
             repairs_failed: 1,
-            decode_cache_hits: 9,
-            decode_cache_misses: 1,
-            decode_inversions: 1,
             ..StoreTotals::default()
         };
         let mut totals = StoreTotals::default();
@@ -318,9 +314,6 @@ mod tests {
         assert_eq!(totals.repairs_completed, 2);
         assert_eq!(totals.repair_traffic_bytes, 60);
         assert_eq!(totals.repairs_failed, 2);
-        assert_eq!(totals.decode_cache_hits, 18);
-        assert_eq!(totals.decode_cache_misses, 2);
-        assert_eq!(totals.decode_inversions, 2);
     }
 
     #[test]

@@ -849,10 +849,6 @@ impl ShardedStore {
             };
             for kc in &shard.clusters {
                 let stats = kc.cluster.stats_ref();
-                let cache = kc.cluster.decode_cache_stats();
-                totals.decode_cache_hits += cache.hits;
-                totals.decode_cache_misses += cache.misses;
-                totals.decode_inversions += cache.inversions;
                 totals.messages_sent += stats.messages_sent;
                 totals.messages_lost += stats.messages_lost;
                 totals.messages_partitioned += stats.messages_partitioned;

@@ -165,56 +165,3 @@ fn deterministic_replay_per_seed() {
     };
     assert_eq!(run(), run(), "same seed must reproduce the same execution");
 }
-
-#[test]
-fn repeated_reads_hit_the_decode_matrix_cache() {
-    let mut store = StoreBuilder::new(1, ProtocolKind::Soda, 5, 2)
-        .with_seed(5)
-        .build()
-        .unwrap();
-    let key = b"hot-object".to_vec();
-    let put = store.put(key.clone(), b"decoded once, served many times".to_vec());
-    store.run_until_quiescent();
-    assert!(store.poll(put).is_done());
-
-    const READS: usize = 120;
-    let mut gets = Vec::with_capacity(READS);
-    for _ in 0..READS {
-        gets.push(store.get(key.clone()));
-        store.run_until_quiescent();
-    }
-    assert!(gets.iter().all(|&t| store.poll(t).is_done()));
-
-    let totals = store.metrics().aggregate;
-    let decodes = totals.decode_cache_hits + totals.decode_cache_misses;
-    assert!(decodes as usize >= READS, "every read decodes: {totals:?}");
-    assert_eq!(
-        totals.decode_inversions, totals.decode_cache_misses,
-        "inversions are exactly the cache misses"
-    );
-    // With n = 5, k = 3 there are only C(5, 3) = 10 possible survivor sets,
-    // so inversions are bounded by 10 no matter how network latencies shuffle
-    // which k elements reach the reader first; every further decode is a hit.
-    assert!(totals.decode_inversions <= 10, "{totals:?}");
-    let hit_rate = totals.decode_cache_hits as f64 / decodes as f64;
-    assert!(
-        hit_rate >= 0.9,
-        "hit rate {hit_rate:.2} below 90%: {totals:?}"
-    );
-}
-
-#[test]
-fn replication_shards_report_zero_decode_cache_activity() {
-    let mut store = StoreBuilder::new(1, ProtocolKind::Abd, 5, 2)
-        .with_seed(5)
-        .build()
-        .unwrap();
-    let put = store.put(b"k".to_vec(), b"replicated".to_vec());
-    let get = store.get(b"k".to_vec());
-    store.run_until_quiescent();
-    assert!(store.poll(put).is_done() && store.poll(get).is_done());
-    let totals = store.metrics().aggregate;
-    assert_eq!(totals.decode_cache_hits, 0);
-    assert_eq!(totals.decode_cache_misses, 0);
-    assert_eq!(totals.decode_inversions, 0);
-}

@@ -44,17 +44,8 @@ pub struct ScenarioParams {
     /// Ranks of byzantine servers, which corrupt every coded element they
     /// send a reader (SODA / SODAerr only).
     pub byzantine_servers: Vec<usize>,
-    /// Ablation: disable concurrent-write relaying to registered readers
-    /// (SODA / SODAerr only).
-    pub relay_enabled: bool,
     /// Ranks of servers to crash at the start of the measurement.
     pub crashed_servers: Vec<usize>,
-    /// How many ticks the concurrent writes are invoked *before* the measured
-    /// read. A non-zero lead makes the read's get phase observe a partially
-    /// propagated write (its tag is known to a majority but its coded
-    /// elements have not reached every server yet), which is the situation
-    /// where SODA's relay mechanism is essential for liveness.
-    pub concurrent_write_lead: u64,
 }
 
 impl ScenarioParams {
@@ -71,9 +62,7 @@ impl ScenarioParams {
             delta: 10,
             constant_delay: false,
             byzantine_servers: Vec::new(),
-            relay_enabled: true,
             crashed_servers: Vec::new(),
-            concurrent_write_lead: 0,
         }
     }
 }
@@ -98,8 +87,6 @@ pub struct ScenarioOutcome {
     pub read_latency: u64,
     /// The Δ bound used by the network (for converting latencies to Δ units).
     pub delta: u64,
-    /// Number of reads that were requested in the run.
-    pub reads_requested: usize,
     /// Number of reads that completed.
     pub reads_completed: usize,
     /// The full operation history.
@@ -139,15 +126,11 @@ pub(crate) fn value_of(size: usize, fill: u8) -> Vec<u8> {
 /// [`ClusterBuilder::validate`]).
 pub fn run_scenario(params: &ScenarioParams) -> ScenarioOutcome {
     let writers_needed = params.delta_w.max(1);
-    let mut builder = ClusterBuilder::new(params.kind, params.n, params.f)
+    let mut cluster = ClusterBuilder::new(params.kind, params.n, params.f)
         .with_seed(params.seed)
         .with_clients(writers_needed, 1)
         .with_network(network(params.delta, params.constant_delay))
-        .with_byzantine_servers(params.byzantine_servers.clone());
-    if !params.relay_enabled {
-        builder = builder.with_relay_disabled();
-    }
-    let mut cluster = builder
+        .with_byzantine_servers(params.byzantine_servers.clone())
         .build()
         .unwrap_or_else(|e| panic!("invalid scenario parameters: {e}"));
     for &rank in &params.crashed_servers {
@@ -166,19 +149,12 @@ pub fn run_scenario(params: &ScenarioParams) -> ScenarioOutcome {
     let write_stats = cluster.stats().since(&before_write);
     let write_cost = write_stats.data_bytes_sent as f64 / value_size as f64;
 
-    // Phase 3: one read invoked together with delta_w concurrent writes. When
-    // a lead is configured, the writes start first and the read begins while
-    // their dispersal is still in flight.
+    // Phase 3: one read invoked together with delta_w concurrent writes.
     let before_read = cluster.stats();
-    let write_start = cluster.now() + 10;
-    let read_start = write_start + params.concurrent_write_lead;
-    cluster.invoke_read_at(read_start, 0);
+    let start = cluster.now() + 10;
+    cluster.invoke_read_at(start, 0);
     for i in 0..params.delta_w {
-        cluster.invoke_write_at(
-            write_start,
-            i % writers_needed,
-            value_of(value_size, 3 + i as u8),
-        );
+        cluster.invoke_write_at(start, i % writers_needed, value_of(value_size, 3 + i as u8));
     }
     cluster.run_to_quiescence();
     let read_window = cluster.stats().since(&before_read);
@@ -216,7 +192,6 @@ pub fn run_scenario(params: &ScenarioParams) -> ScenarioOutcome {
         write_latency,
         read_latency,
         delta: params.delta,
-        reads_requested: 1,
         reads_completed,
         history,
         atomic,
