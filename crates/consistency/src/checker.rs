@@ -79,11 +79,69 @@ fn before(a: &Op, b: &Op) -> bool {
         || (a.version == b.version && a.kind == Kind::Write && b.kind == Kind::Read)
 }
 
-/// Checks P1/P2/P3 of Lemma 2.1 under the tag-based order.
+/// The position of `op` in the tag-based order: [`before`]`(a, b)` iff
+/// `rank(a) < rank(b)`.
+fn rank(op: &Op) -> (Version, bool) {
+    (op.version, op.kind == Kind::Read)
+}
+
+/// Checks P1/P2/P3 of Lemma 2.1 under the tag-based order. A history
+/// [`holds`] passes in `O(n log n)`; any other one goes through [`scan`],
+/// which names the first violation.
 pub(crate) fn check_atomicity(history: &History) -> Result<(), Violation> {
     if let Err((first, second)) = history.check_well_formed() {
         return Err(Violation::NotWellFormed { first, second });
     }
+    if holds(history) {
+        return Ok(());
+    }
+    scan(history)
+}
+
+/// Whether P1, P2 and P3 all hold: `scan(history).is_ok()`, decided in
+/// `O(n log n)`.
+fn holds(history: &History) -> bool {
+    let ops = history.ops();
+    // P2: sorted, two writes with one version are neighbours.
+    let mut writes: Vec<&Op> = ops.iter().filter(|op| op.kind == Kind::Write).collect();
+    writes.sort_unstable_by_key(|write| write.version);
+    if writes
+        .windows(2)
+        .any(|pair| pair[0].version == pair[1].version)
+    {
+        return false;
+    }
+    // P3: with P2 holding, each version names at most one write.
+    let value_ok = |read: &Op| {
+        if read.version == Version::INITIAL {
+            return *read.value == *history.initial_value();
+        }
+        writes
+            .binary_search_by_key(&read.version, |write| write.version)
+            .is_ok_and(|at| writes[at].value == read.value)
+    };
+    if !ops.iter().filter(|op| op.kind == Kind::Read).all(value_ok) {
+        return false;
+    }
+    // P1: no `b` is ranked below an `a` that responded before `b` was
+    // invoked. Sweep the ops by invocation, keeping the highest rank among
+    // the ops that responded earlier.
+    let mut by_invocation: Vec<&Op> = ops.iter().collect();
+    by_invocation.sort_unstable_by_key(|op| op.invoked);
+    let mut by_response: Vec<&Op> = ops.iter().collect();
+    by_response.sort_unstable_by_key(|op| op.responded);
+    let mut responded = by_response.iter().peekable();
+    let mut highest = None;
+    by_invocation.iter().all(|b| {
+        while let Some(a) = responded.next_if(|a| a.responded < b.invoked) {
+            highest = highest.max(Some(rank(a)));
+        }
+        highest.is_none_or(|highest| rank(b) >= highest)
+    })
+}
+
+/// The quadratic scan of P2, then P1, then P3; returns the first violation.
+fn scan(history: &History) -> Result<(), Violation> {
     let ops = history.ops();
 
     // P2: distinct writes must have distinct versions (otherwise they are
@@ -196,6 +254,7 @@ fn search(history: &History, linearized: &mut Vec<bool>, current: &[u8], remaini
 mod tests {
     use super::*;
     use crate::history::History;
+    use std::sync::Arc;
 
     fn v(z: u64, w: u64) -> Version {
         Version::new(z, w)
@@ -304,6 +363,97 @@ mod tests {
             h.check_atomicity(),
             Err(Violation::NotWellFormed { .. })
         ));
+    }
+
+    /// A well-formed history of up to 40 ops by four clients, atomic unless
+    /// one edit breaks it. Each op takes effect at a point inside its
+    /// interval; in point order, writes take rising versions and each read
+    /// returns the last write's. The edit, in 3 of 5 histories, moves a read
+    /// or write to another version or gives a read another value.
+    fn random_history(rng: &mut soda_simnet::rng::SimRng) -> History {
+        let mut next_free = [0u64; 4];
+        let (mut ops, mut points) = (Vec::new(), Vec::new());
+        for id in 0..rng.gen_range(0..40usize) {
+            let client = rng.gen_range(0..4usize);
+            let invoked = next_free[client].max(rng.gen_range(0..200u64));
+            let responded = invoked + rng.gen_range(0..30u64);
+            next_free[client] = responded + 1;
+            points.push(rng.gen_range(invoked..=responded));
+            ops.push(Op {
+                id,
+                client: client as u64,
+                kind: [Kind::Write, Kind::Read][rng.gen_range(0..2usize)],
+                invoked,
+                responded,
+                value: Arc::from([]),
+                version: Version::INITIAL,
+            });
+        }
+        let mut order: Vec<usize> = (0..ops.len()).collect();
+        order.sort_by_key(|&i| (points[i], i));
+        let mut last: (Arc<[u8]>, Version) = (Arc::from(&b"v0"[..]), Version::INITIAL);
+        for (writes, i) in (1..).zip(order) {
+            let op = &mut ops[i];
+            if op.kind == Kind::Write {
+                let value = [writes as u8, op.client as u8];
+                last = (Arc::from(&value[..]), v(writes, op.client));
+            }
+            (op.value, op.version) = last.clone();
+        }
+        if !ops.is_empty() && rng.gen_bool(0.6) {
+            let (donor, edited) = (rng.gen_range(0..ops.len()), rng.gen_range(0..ops.len()));
+            let donor = ops[donor].clone();
+            let op = &mut ops[edited];
+            match (rng.gen_range(0..4u64), op.kind) {
+                (0, Kind::Read) => (op.value, op.version) = (donor.value, donor.version),
+                (1, Kind::Read) => op.value = Arc::from(&b"junk"[..]),
+                (2, Kind::Read) => op.version = v(op.version.z, 9),
+                (_, Kind::Write) => op.version = donor.version,
+                _ => op.version = v(op.version.z.saturating_sub(1), op.version.writer),
+            }
+        }
+        let mut history = History::new(b"v0".to_vec());
+        for op in ops {
+            let Op {
+                client,
+                kind,
+                invoked,
+                responded,
+                value,
+                version,
+                ..
+            } = op;
+            history.push(client, kind, invoked, responded, value, version);
+        }
+        history
+    }
+
+    #[test]
+    fn the_fast_pass_decides_exactly_what_the_scan_rejects() {
+        let mut rng = soda_simnet::rng::SimRng::new(0xa70);
+        let mut seen = std::collections::BTreeMap::<&str, usize>::new();
+        for case in 0..4_000 {
+            let history = random_history(&mut rng);
+            assert!(history.check_well_formed().is_ok());
+            let reference = scan(&history);
+            assert_eq!(
+                holds(&history),
+                reference.is_ok(),
+                "case {case}: {history:?}"
+            );
+            assert_eq!(check_atomicity(&history), reference);
+            let outcome = match reference {
+                Ok(()) => "atomic",
+                Err(Violation::RealTimeOrderViolated { .. }) => "P1",
+                Err(Violation::DuplicateWriteVersion { .. }) => "P2",
+                Err(Violation::WrongReadValue { .. }) => "P3 value",
+                Err(Violation::ReadOfUnknownVersion { .. }) => "P3 unknown",
+                Err(Violation::NotWellFormed { .. }) => unreachable!("checked above"),
+            };
+            *seen.entry(outcome).or_default() += 1;
+        }
+        assert_eq!(seen.len(), 5, "{seen:?}");
+        assert!(seen.values().all(|&count| count >= 100), "{seen:?}");
     }
 
     #[test]

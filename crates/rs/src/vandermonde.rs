@@ -27,7 +27,7 @@
 
 use crate::shard::{data_element, data_shards, value_from_shards};
 use crate::{validate_params, Bytes, CodeError, CodedElement, MdsCode};
-use soda_gf::Matrix;
+use soda_gf::{mul_slice_xor, Matrix};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -205,19 +205,21 @@ impl MdsCode for VandermondeCode {
 
     fn decode(&self, elements: &[CodedElement]) -> Result<Bytes, CodeError> {
         let chosen = self.validate_elements(elements, self.k)?;
-        let indices: Vec<usize> = chosen.iter().map(|e| e.index).collect();
-        let inv = self
-            .encoding
-            .select_rows(&indices)
-            .inverse()
-            .map_err(|_| CodeError::TooManyErrors)?;
+        // The encoding rows of the chosen elements, copied straight in.
+        let mut rows = Matrix::zero(self.k, self.k);
+        for (r, element) in chosen.iter().enumerate() {
+            for c in 0..self.k {
+                rows[(r, c)] = self.encoding[(element.index, c)];
+            }
+        }
+        let inv = rows.inverse().map_err(|_| CodeError::TooManyErrors)?;
         // Data shard `i` is row `i` of the inverse applied to the chosen
         // elements; `value_from_shards` asks for the header columns first and
         // then for each shard's value columns, written into the value.
         let value = value_from_shards(self.k, chosen[0].data.len(), |i, cols, out| {
-            let columns: Vec<&[u8]> = chosen.iter().map(|e| &e.data[cols.clone()]).collect();
-            inv.apply_row_to_shards(i, &columns, out)
-                .expect("dimensions agree by construction");
+            for (j, element) in chosen.iter().enumerate() {
+                mul_slice_xor(inv[(i, j)], &element.data[cols.clone()], out);
+            }
         })?;
         Ok(value)
     }

@@ -1,5 +1,6 @@
 //! Process (actor) abstraction and the handler-side context.
 
+use crate::sim::Simulation;
 use crate::time::SimTime;
 use std::any::Any;
 use std::fmt;
@@ -68,8 +69,7 @@ pub trait Process<M: Message>: Send {
     fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
-/// Actions a handler can emit; collected by the simulation after the handler
-/// returns and turned into future events.
+/// A handler's effect as [`crate::testkit`] records it.
 #[derive(Debug)]
 pub(crate) enum Action<M> {
     Send { to: ProcessId, msg: M },
@@ -77,15 +77,23 @@ pub(crate) enum Action<M> {
     Halt,
 }
 
+/// Where a [`Context`]'s effects go: into the running simulation, or into
+/// the list [`crate::testkit`] hands back.
+pub(crate) enum Sink<'a, M: Message> {
+    Sim(&'a mut Simulation<M>),
+    Buffer(&'a mut Vec<Action<M>>),
+}
+
 /// Handler-side view of the simulation: lets a process send messages, set
-/// timers, halt and read the clock. All effects are buffered in the
-/// scheduler's action list and applied after the handler returns, which keeps
-/// handlers deterministic and side-effect free. Handlers draw no randomness:
-/// every draw in a run is the network's.
+/// timers, halt and read the clock. Each effect enters the scheduler at the
+/// call, in the order the handler makes the calls: a send samples its delay
+/// and faults then, a timer is queued then and a halt crashes the process
+/// then. No effect runs another handler, so none re-enters the process.
+/// Handlers draw no randomness: every draw in a run is the network's.
 pub struct Context<'a, M: Message> {
     pub(crate) self_id: ProcessId,
     pub(crate) now: SimTime,
-    pub(crate) actions: &'a mut Vec<Action<M>>,
+    pub(crate) sink: Sink<'a, M>,
 }
 
 impl<'a, M: Message> Context<'a, M> {
@@ -102,7 +110,10 @@ impl<'a, M: Message> Context<'a, M> {
     /// Sends `msg` to `to` over the reliable point-to-point channel. Delivery
     /// is asynchronous; the delay is sampled from the network configuration.
     pub fn send(&mut self, to: ProcessId, msg: M) {
-        self.actions.push(Action::Send { to, msg });
+        match &mut self.sink {
+            Sink::Sim(sim) => sim.enqueue_send(self.self_id, to, msg),
+            Sink::Buffer(actions) => actions.push(Action::Send { to, msg }),
+        }
     }
 
     /// Sends the same message to every process in `to`, in order.
@@ -114,14 +125,20 @@ impl<'a, M: Message> Context<'a, M> {
 
     /// Schedules `on_timer(token)` on this process after `delay` ticks.
     pub fn set_timer(&mut self, delay: u64, token: u64) {
-        self.actions.push(Action::SetTimer { delay, token });
+        match &mut self.sink {
+            Sink::Sim(sim) => sim.enqueue_timer(self.self_id, delay, token),
+            Sink::Buffer(actions) => actions.push(Action::SetTimer { delay, token }),
+        }
     }
 
-    /// Crashes this process at the end of the current handler: no further
-    /// events will be delivered to it (messages already sent by it remain in
-    /// the channels, matching the paper's channel model).
+    /// Crashes this process: no further events will be delivered to it.
+    /// Messages it has sent, before the halt or after it in the same
+    /// handler, remain in the channels, matching the paper's channel model.
     pub fn halt(&mut self) {
-        self.actions.push(Action::Halt);
+        match &mut self.sink {
+            Sink::Sim(sim) => sim.crash_now(self.self_id),
+            Sink::Buffer(actions) => actions.push(Action::Halt),
+        }
     }
 }
 
@@ -152,14 +169,14 @@ mod tests {
         let mut ctx: Context<'_, Dummy> = Context {
             self_id: ProcessId(0),
             now: SimTime::from_ticks(5),
-            actions: &mut actions,
+            sink: Sink::Buffer(&mut actions),
         };
         ctx.send(ProcessId(1), Dummy);
         ctx.send_all([ProcessId(2), ProcessId(3)], Dummy);
         ctx.set_timer(10, 99);
         ctx.halt();
-        assert_eq!(ctx.actions.len(), 5);
         assert_eq!(ctx.now().ticks(), 5);
         assert_eq!(ctx.self_id(), ProcessId(0));
+        assert_eq!(actions.len(), 5);
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::config::NetworkConfig;
 use crate::netfault::NetFaultPlan;
-use crate::process::{Action, Context, Message, Process, ProcessId};
+use crate::process::{Context, Message, Process, ProcessId, Sink};
 use crate::rng::SimRng;
 use crate::time::SimTime;
 use crate::trace::{Stats, Trace};
@@ -118,10 +118,6 @@ pub struct Simulation<M: Message> {
     /// run; cleared when a process is added or replaced. Lets the event loop
     /// skip the all-processes scan on the hot path.
     all_started: bool,
-    /// Scratch buffer handed to handlers through [`Context`], reused across
-    /// dispatches so the hot path does not allocate an actions vector per
-    /// event.
-    scratch_actions: Vec<Action<M>>,
     /// The network's stream: base delays and link faults, nothing else.
     rng: SimRng,
     trace: Trace,
@@ -146,7 +142,6 @@ impl<M: Message> Simulation<M> {
             now: SimTime::ZERO,
             seq: 0,
             all_started: true,
-            scratch_actions: Vec::new(),
             rng: SimRng::network(seed),
             trace: Trace::default(),
             event_cap: 50_000_000,
@@ -292,7 +287,7 @@ impl<M: Message> Simulation<M> {
     }
 
     /// Crashes a process immediately.
-    fn crash_now(&mut self, process: ProcessId) {
+    pub(crate) fn crash_now(&mut self, process: ProcessId) {
         if let Some(flag) = self.crashed.get_mut(process.index()) {
             *flag = true;
         }
@@ -328,7 +323,9 @@ impl<M: Message> Simulation<M> {
         }
     }
 
-    /// Runs a handler on a process and applies the actions it produced.
+    /// Runs a handler on a process. The process is out of its slot while
+    /// the handler runs, and its [`Context`] applies each send, timer and
+    /// halt to this simulation at the call.
     fn dispatch<F>(&mut self, target: ProcessId, handler: F)
     where
         F: FnOnce(&mut dyn Process<M>, &mut Context<'_, M>),
@@ -340,46 +337,32 @@ impl<M: Message> Simulation<M> {
         let Some(mut process) = slot.take() else {
             return;
         };
-        let mut actions = std::mem::take(&mut self.scratch_actions);
         let mut ctx = Context {
             self_id: target,
             now: self.now,
-            actions: &mut actions,
+            sink: Sink::Sim(self),
         };
         handler(process.as_mut(), &mut ctx);
         self.processes[idx] = Some(process);
-        self.apply_actions(target, actions);
     }
 
-    fn apply_actions(&mut self, source: ProcessId, mut actions: Vec<Action<M>>) {
-        for action in actions.drain(..) {
-            match action {
-                Action::Send { to, msg } => self.enqueue_send(source, to, msg),
-                Action::SetTimer { delay, token } => {
-                    let at = self.now + delay.max(1);
-                    let seq = self.next_seq();
-                    self.queue.push(Event {
-                        at,
-                        seq,
-                        target: source,
-                        kind: EventKind::Timer { token },
-                        data_bytes: 0,
-                    });
-                }
-                Action::Halt => {
-                    self.crash_now(source);
-                }
-            }
-        }
-        // Hand the (now empty) buffer back for the next dispatch. Nested
-        // dispatches (recovery on_start) already took the scratch, so only
-        // keep the larger buffer.
-        if actions.capacity() > self.scratch_actions.capacity() {
-            self.scratch_actions = actions;
-        }
+    /// Schedules `on_timer(token)` on `source` after `delay` ticks, at
+    /// least one.
+    pub(crate) fn enqueue_timer(&mut self, source: ProcessId, delay: u64, token: u64) {
+        let at = self.now + delay.max(1);
+        let seq = self.next_seq();
+        self.queue.push(Event {
+            at,
+            seq,
+            target: source,
+            kind: EventKind::Timer { token },
+            data_bytes: 0,
+        });
     }
 
-    fn enqueue_send(&mut self, from: ProcessId, to: ProcessId, mut msg: M) {
+    /// Sends `msg` from `from` to `to`: samples its delay and the plan's
+    /// faults and schedules its delivery.
+    pub(crate) fn enqueue_send(&mut self, from: ProcessId, to: ProcessId, mut msg: M) {
         if self.net_passthrough {
             // Reliable network (the common case): no drop/duplicate/corrupt
             // sampling to do. A passthrough plan consumes no randomness, so
@@ -489,12 +472,8 @@ impl<M: Message> Simulation<M> {
         }
     }
 
-    /// Processes the next queued event; `false` when there is none.
-    fn step_queued(&mut self) -> bool {
-        self.ensure_started();
-        let Some(event) = self.queue.pop() else {
-            return false;
-        };
+    /// Processes one event the queue has popped.
+    fn step(&mut self, event: Event<M>) {
         self.now = self.now.max(event.at);
         let target = event.target;
         match event.kind {
@@ -522,7 +501,6 @@ impl<M: Message> Simulation<M> {
                 }
             }
         }
-        true
     }
 
     /// Runs until no events remain (or the event cap is hit).
@@ -549,14 +527,10 @@ impl<M: Message> Simulation<M> {
             if processed >= self.event_cap {
                 break true;
             }
-            match self.queue.peek_at() {
-                None => break false,
-                Some(at) if at > deadline.ticks() => break false,
-                Some(_) => {}
-            }
-            if !self.step_queued() {
+            let Some(event) = self.queue.pop_due(deadline.ticks()) else {
                 break false;
-            }
+            };
+            self.step(event);
             processed += 1;
         };
         self.queue.give_back_if_empty();
@@ -1250,6 +1224,153 @@ mod tests {
             far > 20 && left_queued > 20 && recoveries > 5,
             "{far} far, {left_queued} runs left events queued, {recoveries} recoveries"
         );
+    }
+
+    #[test]
+    fn handler_effects_keep_their_order_under_a_faulty_plan() {
+        use std::sync::{Arc, Mutex};
+        /// Every delivery as `(tick, from, to, payload)`; a `Data` payload
+        /// logs as `1000 + its byte`, so a corrupted one shows.
+        type Log = Vec<(u64, u32, u32, u64)>;
+        const PEERS: u32 = 4;
+        /// A handler that mixes every effect. An invocation from the
+        /// environment makes it send, send to all, set a timer, halt (rank
+        /// 0 only) and send again, in that order; pings bounce back up to a
+        /// hop limit, data hops round the ring and timers send once more.
+        struct Chatter {
+            log: Arc<Mutex<Log>>,
+            replacement: bool,
+        }
+        impl Process<TestMsg> for Chatter {
+            fn on_start(&mut self, ctx: &mut Context<'_, TestMsg>) {
+                if self.replacement {
+                    let me = ctx.self_id().0;
+                    ctx.send(ProcessId((me + 1) % PEERS), TestMsg::Ping(50));
+                }
+            }
+            fn on_message(
+                &mut self,
+                from: ProcessId,
+                msg: TestMsg,
+                ctx: &mut Context<'_, TestMsg>,
+            ) {
+                let me = ctx.self_id().0;
+                let payload = match &msg {
+                    TestMsg::Ping(v) => *v,
+                    TestMsg::Data(d) => 1000 + u64::from(d[0]),
+                };
+                let entry = (ctx.now().ticks(), from.0, me, payload);
+                self.log.lock().unwrap().push(entry);
+                let next = ProcessId((me + 1) % PEERS);
+                match msg {
+                    TestMsg::Ping(v) if from == ProcessId::ENV => {
+                        ctx.send(next, TestMsg::Ping(v + 1));
+                        let others = (0..PEERS).filter(|&p| p != me).map(ProcessId);
+                        ctx.send_all(others, TestMsg::Data(vec![v as u8]));
+                        ctx.set_timer(3, v);
+                        if me == 0 {
+                            ctx.halt();
+                        }
+                        ctx.send(ProcessId((me + PEERS - 1) % PEERS), TestMsg::Ping(v + 2));
+                    }
+                    TestMsg::Ping(v) if v % 10 < 6 => ctx.send(from, TestMsg::Ping(v + 1)),
+                    TestMsg::Data(d) if d[0] % 10 < 3 => {
+                        ctx.send(next, TestMsg::Data(vec![d[0] + 1]))
+                    }
+                    _ => {}
+                }
+            }
+            fn on_timer(&mut self, token: u64, ctx: &mut Context<'_, TestMsg>) {
+                let me = ctx.self_id().0;
+                ctx.send(ProcessId((me + 2) % PEERS), TestMsg::Ping(token + 20));
+            }
+            fn as_any(&self) -> &dyn std::any::Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+                self
+            }
+        }
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let chatter = |replacement| {
+            Box::new(Chatter {
+                log: log.clone(),
+                replacement,
+            })
+        };
+        let mut sim: Simulation<TestMsg> = Simulation::new(45, NetworkConfig::uniform(5));
+        for _ in 0..PEERS {
+            sim.add_process(chatter(false));
+        }
+        sim.set_net_fault_plan(NetFaultPlan::none().with_default(LinkFaults {
+            drop_p: 0.15,
+            duplicate_p: 0.2,
+            reorder_p: 0.3,
+            reorder_window: 6,
+            ..LinkFaults::NONE
+        }));
+        // Rank 1 corrupts the data it sends.
+        sim.set_corruption_hook(Box::new(|from, _to, msg| match msg {
+            TestMsg::Data(d) if from == ProcessId(1) => {
+                d[0] ^= 0x80;
+                true
+            }
+            _ => false,
+        }));
+        sim.send_external(ProcessId(0), TestMsg::Ping(0));
+        sim.send_external_at(SimTime::from_ticks(4), ProcessId(2), TestMsg::Ping(10));
+        sim.schedule_recovery(SimTime::from_ticks(20), ProcessId(0), chatter(true));
+        sim.send_external_at(SimTime::from_ticks(30), ProcessId(0), TestMsg::Ping(30));
+        sim.run_to_quiescence();
+        // Recorded when handler effects were still buffered and applied
+        // after the handler returned: effects applied at the call keep
+        // every sequence number, draw and crash check in the same order.
+        const ENV: u32 = u32::MAX;
+        #[rustfmt::skip]
+        let expected: Log = vec![
+            (0, ENV, 0, 0), (1, 0, 2, 1000), (1, 0, 3, 2), (2, 0, 1, 1), (2, 0, 1, 1000),
+            (2, 0, 2, 1000), (3, 2, 3, 1001), (3, 2, 3, 1001), (4, ENV, 2, 10),
+            (4, 2, 3, 1001), (5, 2, 3, 1010), (6, 2, 1, 1010), (7, 1, 2, 1129),
+            (8, 2, 1, 12), (9, 2, 3, 11), (9, 1, 2, 1139), (10, 0, 1, 1), (10, 1, 2, 13),
+            (11, 1, 2, 13), (15, 2, 1, 14), (20, 1, 2, 15), (23, 0, 1, 50), (25, 2, 1, 16),
+            (25, 1, 0, 51), (27, 2, 1, 16), (28, 0, 1, 52), (30, ENV, 0, 30),
+            (31, 0, 1, 1030), (31, 0, 3, 32), (33, 0, 1, 31), (33, 1, 2, 1159),
+            (34, 0, 2, 1030), (35, 0, 3, 1030), (35, 1, 2, 1159), (37, 2, 3, 1031),
+        ];
+        assert_eq!(*log.lock().unwrap(), expected);
+        let stats = sim.stats();
+        assert_eq!(
+            (
+                stats.messages_sent,
+                stats.messages_delivered,
+                stats.messages_dropped,
+                stats.messages_lost,
+                stats.messages_partitioned,
+                stats.messages_duplicated,
+                stats.messages_corrupted,
+                stats.data_bytes_sent,
+                stats.metadata_messages,
+            ),
+            (46, 35, 31, 4, 0, 8, 3, 21, 25)
+        );
+        let per_process: Vec<_> = stats
+            .per_process
+            .iter()
+            .map(|p| {
+                let sent = (p.messages_sent, p.data_bytes_sent);
+                (sent, (p.messages_received, p.data_bytes_received))
+            })
+            .collect();
+        assert_eq!(
+            per_process,
+            [
+                ((12, 6), (3, 0)),
+                ((10, 3), (12, 3)),
+                ((12, 6), (11, 7)),
+                ((9, 6), (9, 6))
+            ]
+        );
+        assert_eq!(sim.rng.draws(), 185);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! simulation: deliver a single message, timer or start event to a process and
 //! observe exactly which sends, timers and halts it produced.
 
-use crate::process::{Action, Context, Message, Process, ProcessId};
+use crate::process::{Action, Context, Message, Process, ProcessId, Sink};
 use crate::time::SimTime;
 
 /// The externally visible effects of delivering one event to a process.
@@ -44,7 +44,7 @@ fn run_step<M: Message, P: Process<M> + ?Sized>(
     let mut ctx = Context {
         self_id,
         now,
-        actions: &mut actions,
+        sink: Sink::Buffer(&mut actions),
     };
     handler(process, &mut ctx);
     StepResult::from_actions(actions)

@@ -19,6 +19,17 @@
 //!   can target it — so migrated events keep their lower sequence numbers
 //!   ahead of later near pushes.
 //!
+//! The next event is found in `O(1)` however many ticks lie empty before
+//! it. One bit per bucket records whether the bucket holds an event, and
+//! the first set bit at or after the cursor's, found by one rotate and one
+//! trailing-zeros count, is the next near tick. A pop jumps the cursor
+//! straight there and migrates once. That keeps the order: after every
+//! migration all overflow events lie at `cursor + SPAN` or later, so each is
+//! later than every near event, and the ones the jump brings into the
+//! window land after the tick it jumped to. A pop with a deadline the next
+//! event is past moves nothing, so a later push before that event is not
+//! clamped to it.
+//!
 //! Memory follows the live events, not the window. Near events sit in one
 //! slab of slots; each bucket is a FIFO chained through the slots by index,
 //! and popped slots go on a free list that the next push reuses. While the
@@ -148,7 +159,8 @@ pub(crate) struct EventWheel<E: Scheduled> {
     far: BinaryHeap<Reverse<FarEntry<E>>>,
     /// The earliest tick that may still hold events. Monotone.
     cursor: u64,
-    near_len: usize,
+    /// Bit `b` is set while bucket `b` holds an event.
+    occupied: u64,
     len: usize,
 }
 
@@ -160,7 +172,7 @@ impl<E: Scheduled + 'static> EventWheel<E> {
             free: NIL,
             far: BinaryHeap::new(),
             cursor: 0,
-            near_len: 0,
+            occupied: 0,
             len: 0,
         }
     }
@@ -257,63 +269,55 @@ impl<E: Scheduled + 'static> EventWheel<E> {
             self.events[node as usize - SLOTS] = Some(event);
             node
         };
-        let tail = TAILS + (at % SPAN) as usize;
-        let last = self.links[tail];
+        let bucket = (at % SPAN) as usize;
+        let last = self.links[TAILS + bucket];
         self.links[last as usize] = node;
-        self.links[tail] = node;
-        self.near_len += 1;
+        self.links[TAILS + bucket] = node;
+        self.occupied |= 1 << bucket;
     }
 
     /// Time of the next event, if any.
     pub(crate) fn peek_at(&self) -> Option<u64> {
-        if self.len == 0 {
-            return None;
-        }
-        if self.near_len > 0 {
-            let mut tick = self.cursor;
-            loop {
-                if self.links[(tick % SPAN) as usize] != NIL {
-                    return Some(tick);
-                }
-                tick += 1;
-            }
+        if self.occupied != 0 {
+            // The first occupied bucket at or after the cursor's: every near
+            // event lies in `[cursor, cursor + SPAN)`, so a bucket names one
+            // tick, and every far event is later still.
+            let offset = self.occupied.rotate_right((self.cursor % SPAN) as u32);
+            return Some(self.cursor + u64::from(offset.trailing_zeros()));
         }
         self.far.peek().map(|Reverse(e)| e.0.at_ticks())
     }
 
-    /// Removes and returns the next event in ascending `(at, seq)` order.
-    pub(crate) fn pop(&mut self) -> Option<E> {
-        if self.len == 0 {
-            return None;
-        }
-        loop {
-            if self.near_len > 0 {
-                let bucket = (self.cursor % SPAN) as usize;
-                let node = self.links[bucket];
-                if node != NIL {
-                    let next = self.links[node as usize];
-                    self.links[bucket] = next;
-                    if next == NIL {
-                        self.links[TAILS + bucket] = bucket as u32;
-                    }
-                    self.links[node as usize] = self.free;
-                    self.free = node;
-                    self.len -= 1;
-                    self.near_len -= 1;
-                    return self.events[node as usize - SLOTS].take();
-                }
-                self.cursor += 1;
-            } else {
-                // Near ring drained: jump straight to the overflow head.
-                let head_at = self
-                    .far
-                    .peek()
-                    .map(|Reverse(e)| e.0.at_ticks())
-                    .expect("len > 0 and near empty imply far non-empty");
-                self.cursor = head_at;
-            }
+    /// Removes and returns the next event in ascending `(at, seq)` order if
+    /// it is due at or before tick `deadline`; otherwise changes nothing.
+    pub(crate) fn pop_due(&mut self, deadline: u64) -> Option<E> {
+        let at = self.peek_at().filter(|&at| at <= deadline)?;
+        if at != self.cursor {
+            // Jump over the empty ticks and migrate once. Before the jump
+            // every far event was at `cursor + SPAN` or later, so later than
+            // every near event: the events the jump brings into the window
+            // are later than `at` and share no tick with a near event.
+            self.cursor = at;
             self.migrate();
         }
+        let bucket = (at % SPAN) as usize;
+        let node = self.links[bucket];
+        let next = self.links[node as usize];
+        self.links[bucket] = next;
+        if next == NIL {
+            self.links[TAILS + bucket] = bucket as u32;
+            self.occupied &= !(1 << bucket);
+        }
+        self.links[node as usize] = self.free;
+        self.free = node;
+        self.len -= 1;
+        self.events[node as usize - SLOTS].take()
+    }
+
+    /// Removes and returns the next event, however far ahead.
+    #[cfg(test)]
+    pub(crate) fn pop(&mut self) -> Option<E> {
+        self.pop_due(u64::MAX)
     }
 
     /// Moves every overflow event that has entered the near window into its
@@ -433,7 +437,7 @@ mod tests {
                 wheel.peek_at(),
                 reference.peek().map(|Reverse((at, _))| *at)
             );
-            peak_near = peak_near.max(wheel.near_len);
+            peak_near = peak_near.max(wheel.len() - wheel.far.len());
             assert!(
                 wheel.events.len() <= peak_near,
                 "slab outgrew the live peak"
@@ -446,6 +450,65 @@ mod tests {
         }
         assert_eq!(wheel.pop(), None);
         assert_eq!(wheel.events.len(), peak_near);
+    }
+
+    #[test]
+    fn matches_reference_heap_across_sparse_gaps() {
+        // Sparse traffic: bursts on one tick, then gaps from one tick to
+        // several windows, with far-future events pushed among them. Pops
+        // cross long runs of empty ticks and enter windows that hold far
+        // events, in every combination of near and far.
+        let mut rng = SimRng::network(45);
+        let mut wheel = EventWheel::new();
+        let mut reference: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+        let (mut now, mut seq) = (0u64, 0u64);
+        let (mut pops, mut jumps, mut far, mut misses) = (0usize, 0usize, 0usize, 0usize);
+        for _ in 0..20_000 {
+            if rng.gen_bool(0.2) || reference.is_empty() {
+                let scale = [1, 2, SPAN / 2, SPAN - 1, SPAN, SPAN + 1, 3 * SPAN, 9 * SPAN]
+                    [rng.gen_range(0..8usize)];
+                let at = now + rng.gen_range(1..=scale);
+                far += usize::from(at >= now + SPAN);
+                for _ in 0..rng.gen_range(1..6u64) {
+                    seq += 1;
+                    wheel.push(Ev { at, seq });
+                    reference.push(Reverse((at, seq)));
+                }
+            } else {
+                // A deadline short of the next event pops nothing and moves
+                // nothing, as a run that stops at its deadline does.
+                let deadline = now + rng.gen_range(0..2 * SPAN);
+                let got = wheel.pop_due(deadline);
+                if reference
+                    .peek()
+                    .is_some_and(|Reverse((at, _))| *at <= deadline)
+                {
+                    let Reverse((at, expect_seq)) = reference.pop().unwrap();
+                    let got = got.expect("wheel has the same events");
+                    assert_eq!((got.at, got.seq), (at, expect_seq));
+                    jumps += usize::from(at > now + 1);
+                    now = at;
+                    pops += 1;
+                } else {
+                    assert_eq!(got, None, "not due by {deadline}");
+                    misses += 1;
+                }
+            }
+            assert_eq!(wheel.len(), reference.len());
+            assert_eq!(
+                wheel.peek_at(),
+                reference.peek().map(|Reverse((at, _))| *at)
+            );
+        }
+        assert!(
+            pops > 5_000 && jumps > 2_000 && far > 500 && misses > 1_000,
+            "{pops} pops, {jumps} jumps, {far} far, {misses} not due"
+        );
+        while let Some(Reverse((at, expect_seq))) = reference.pop() {
+            let got = wheel.pop().unwrap();
+            assert_eq!((got.at, got.seq), (at, expect_seq));
+        }
+        assert_eq!(wheel.pop(), None);
     }
 
     #[test]

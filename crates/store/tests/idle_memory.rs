@@ -108,16 +108,16 @@ fn idle_bytes_per_key(kind: ProtocolKind, n: usize, f: usize) -> [isize; 2] {
 #[test]
 fn an_idle_key_keeps_only_its_protocol_state() {
     // (kind, n, f, bound in bytes per key). Each bound is the measured
-    // figure (8 972, 11 394, 5 353, 9 009 and 9 002 B) plus about 5 %. An
-    // idle key that still held its event queue slots and the SODA servers'
-    // emptied maps measured 20 397, 31 636, 6 722, 10 166 and 10 166 B; one
-    // that held its chain links, 9 612, 12 546, 6 009, 9 377 and 9 370 B.
+    // figure (7 951, 9 797, 4 881, 8 092 and 8 085 B) plus about 5 %. An
+    // idle key whose simulation kept a buffer for its handlers' actions
+    // measured 8 551, 10 973, 5 353, 8 628 and 8 621 B; each of those is
+    // over its bound here.
     let cases = [
-        (ProtocolKind::Soda, 5, 2, 9_400),
-        (ProtocolKind::SodaErr { e: 1 }, 7, 2, 11_950),
-        (ProtocolKind::Abd, 5, 2, 5_600),
-        (ProtocolKind::Cas, 5, 2, 9_450),
-        (ProtocolKind::Casgc { gc: 2 }, 5, 2, 9_450),
+        (ProtocolKind::Soda, 5, 2, 8_350),
+        (ProtocolKind::SodaErr { e: 1 }, 7, 2, 10_300),
+        (ProtocolKind::Abd, 5, 2, 5_150),
+        (ProtocolKind::Cas, 5, 2, 8_500),
+        (ProtocolKind::Casgc { gc: 2 }, 5, 2, 8_500),
     ];
     let measured: Vec<_> = cases
         .iter()
