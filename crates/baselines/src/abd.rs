@@ -16,7 +16,7 @@ use soda_protocol::{
     value_from, Invocation, Layout, OpKind, OpQueue, PhaseDriver, ProtocolSpec, RepairDriver,
     RepairStatus, Reply, Tag, Value,
 };
-use soda_simnet::{Context, Message, Process, ProcessId, ProcessStats, Simulation};
+use soda_simnet::{Context, Message, Process, ProcessId, Simulation};
 
 /// Messages of the ABD protocol.
 #[derive(Clone, Debug)]
@@ -265,13 +265,6 @@ impl Process<AbdMsg> for AbdServer {
             _ => {}
         }
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 /// An ABD client: performs both writes and reads (the two differ only in how
@@ -398,13 +391,6 @@ impl Process<AbdMsg> for AbdClient {
             _ => {}
         }
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 /// One ABD deployment, as the cluster harness sees it.
@@ -456,13 +442,6 @@ impl ProtocolSpec for AbdSpec {
 
     fn client_ops(sim: &Simulation<AbdMsg>, client: ProcessId) -> Option<&OpQueue> {
         sim.process_as::<AbdClient>(client).map(AbdClient::ops)
-    }
-
-    /// An ABD read also *sends* the value back to the servers in its
-    /// write-back phase; both directions are part of the read's
-    /// communication cost.
-    fn read_cost_bytes(reader: &ProcessStats) -> u64 {
-        reader.data_bytes_received + reader.data_bytes_sent
     }
 }
 

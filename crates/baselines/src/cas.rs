@@ -472,13 +472,6 @@ impl Process<CasMsg> for CasServer {
             _ => {}
         }
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 /// A CAS / CASGC client performing both writes and reads.
@@ -631,13 +624,6 @@ impl Process<CasMsg> for CasClient {
             }
             _ => {}
         }
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 

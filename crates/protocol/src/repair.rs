@@ -183,12 +183,6 @@ mod tests {
         fn on_timer(&mut self, token: u64, ctx: &mut Context<'_, Pull>) {
             self.0.on_timer(token, ctx, |ctx| ctx.send(PEER, Pull));
         }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
     }
 
     const ME: ProcessId = ProcessId(0);

@@ -9,7 +9,7 @@
 //! written once.
 
 use crate::{OpKind, OpQueue, RepairStatus, Value};
-use soda_simnet::{Message, Process, ProcessId, ProcessStats, Simulation};
+use soda_simnet::{Message, Process, ProcessId, Simulation};
 
 /// One register protocol, as seen by a cluster harness: its message type,
 /// the processes it is made of, and probes into their state.
@@ -54,11 +54,4 @@ pub trait ProtocolSpec: Send + 'static {
     /// The client's operations — the log of those it completed and the one
     /// in flight — or `None` for a process that is not a client.
     fn client_ops(sim: &Simulation<Self::Msg>, client: ProcessId) -> Option<&OpQueue>;
-
-    /// The value-data bytes a read costs its reader, given the reader's
-    /// counters over a window covering the read. Bytes delivered to the
-    /// reader, unless the protocol's reads also send value data.
-    fn read_cost_bytes(reader: &ProcessStats) -> u64 {
-        reader.data_bytes_received
-    }
 }

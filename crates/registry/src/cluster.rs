@@ -6,7 +6,6 @@ use crate::record::{history_from_records, history_with_pending, sort_records};
 use soda_consistency::History;
 use soda_protocol::{OpRecord, PendingWrite, RepairStatus};
 use soda_simnet::{ProcessId, RunOutcome, SimTime, Stats};
-use std::any::Any;
 
 /// One client API over every register emulation in this workspace (SODA,
 /// SODAerr, ABD, CAS, CASGC).
@@ -19,7 +18,12 @@ use std::any::Any;
 ///
 /// The one implementation is the generic [`Harness`](crate::Harness); the
 /// trait exists so that callers can hold clusters of different protocols
-/// behind one `Box<dyn RegisterCluster>`.
+/// behind one `Box<dyn RegisterCluster>`. State only one protocol has (SODA's
+/// reader registrations, CAS's stored versions) is not reached through this
+/// trait: build the typed cluster with
+/// [`ClusterBuilder::build_soda`](crate::ClusterBuilder::build_soda) or
+/// [`ClusterBuilder::build_cas`](crate::ClusterBuilder::build_cas) and use its
+/// inherent methods.
 ///
 /// Invocations are *queued*: asking a busy client for another operation is
 /// legal and the client starts it once the current one completes. Crash
@@ -118,16 +122,9 @@ pub trait RegisterCluster: Send {
     /// Current simulated time.
     fn now(&self) -> SimTime;
 
-    /// Message statistics accumulated so far, borrowed: for readers that
-    /// want a few counters and not a copy of the per-process vector.
-    fn stats_ref(&self) -> &Stats;
-
-    /// An owned snapshot of the message statistics, for windowed
-    /// measurements that outlive further driving of the cluster (see
-    /// [`Stats::since`]).
-    fn stats(&self) -> Stats {
-        self.stats_ref().clone()
-    }
+    /// Message statistics accumulated so far. A windowed measurement clones
+    /// them before the window and calls [`Stats::since`] after it.
+    fn stats(&self) -> &Stats;
 
     /// Appends to `out` the operations client process `client` completed
     /// beyond its first `from`, in the order the client completed them —
@@ -174,13 +171,6 @@ pub trait RegisterCluster: Send {
         self.stored_bytes_per_server().iter().sum()
     }
 
-    /// The value-data bytes attributable to one read, given a windowed
-    /// [`Stats`] covering it (see [`Stats::since`]): the bytes *delivered to*
-    /// the reader, plus — for ABD, whose reads write the value back — the
-    /// bytes the reader sent, since the paper charges both directions to the
-    /// read.
-    fn read_cost_bytes(&self, window: &Stats, reader: usize) -> u64;
-
     /// Builds the atomicity-checkable history of everything completed so far.
     ///
     /// In fault-free executions this is the whole story. Under crash or
@@ -197,11 +187,4 @@ pub trait RegisterCluster: Send {
     fn closed_history(&self, initial_value: &[u8]) -> History {
         history_with_pending(initial_value, &self.completed_ops(), &self.pending_writes())
     }
-
-    /// Downcasting support for protocol-specific state inspection (e.g.
-    /// SODA's reader-registration bookkeeping).
-    fn as_any(&self) -> &dyn Any;
-
-    /// Mutable downcasting support.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
 }

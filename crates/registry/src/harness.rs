@@ -9,7 +9,6 @@ use soda_baselines::abd::AbdSpec;
 use soda_baselines::cas::{CasServer, CasSpec};
 use soda_protocol::{value_from, OpKind, OpRecord, PendingWrite, ProtocolSpec, RepairStatus, Tag};
 use soda_simnet::{CorruptionHook, ProcessId, RunOutcome, SimTime, Simulation, Stats};
-use std::any::Any;
 use std::ops::Range;
 
 /// A simulated deployment of protocol `P`: `n` servers plus writer and reader
@@ -186,8 +185,8 @@ impl<P: ProtocolSpec> RegisterCluster for Harness<P> {
         self.sim.now()
     }
 
-    fn stats_ref(&self) -> &Stats {
-        self.sim.trace().stats_ref()
+    fn stats(&self) -> &Stats {
+        self.sim.stats()
     }
 
     fn completed_since(&self, client: ProcessId, from: usize, out: &mut Vec<OpRecord>) {
@@ -208,21 +207,6 @@ impl<P: ProtocolSpec> RegisterCluster for Harness<P> {
             .iter()
             .map(|&id| P::stored_bytes(&self.sim, id))
             .collect()
-    }
-
-    fn read_cost_bytes(&self, window: &Stats, reader: usize) -> u64 {
-        window
-            .per_process
-            .get(self.reader_process(reader).index())
-            .map_or(0, P::read_cost_bytes)
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

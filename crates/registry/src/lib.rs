@@ -23,8 +23,8 @@
 //! Anything protocol-specific (SODA's reader registrations, CASGC's stored
 //! version counts) is an inherent method of that protocol's harness type
 //! ([`SodaRegisterCluster`], [`CasRegisterCluster`]), reached through the
-//! typed `ClusterBuilder::build_*` constructors or
-//! [`RegisterCluster::as_any`] downcasting.
+//! typed [`ClusterBuilder::build_soda`] and [`ClusterBuilder::build_cas`]
+//! constructors.
 //!
 //! # Quick start
 //!

@@ -88,7 +88,7 @@ fn abd_write_communication_cost_is_order_n() {
     // writer with tags only, so every write costs exactly n values — the
     // second too, when the servers' stored value is no longer empty.
     for fill in 1..=2u8 {
-        let before = cluster.stats();
+        let before = cluster.stats().clone();
         cluster.invoke_write(0, vec![fill; value_size]);
         cluster.run_to_quiescence();
         let bytes = cluster.stats().since(&before).data_bytes_sent;
@@ -96,24 +96,67 @@ fn abd_write_communication_cost_is_order_n() {
     }
 }
 
+/// One rule charges every protocol's read: the value-data bytes into plus out
+/// of its reader's process over the read. Only ABD's reader sends value data
+/// (its write-back); the others send metadata alone, so their charge is what
+/// they receive.
 #[test]
-fn abd_read_cost_counts_the_write_back() {
+fn read_charge_is_the_readers_value_bytes_for_every_kind() {
     let value_size = 2000usize;
-    let mut cluster = abd(5, 2)
-        .with_seed(9)
-        .with_network(NetworkConfig::uniform(5))
-        .build()
-        .unwrap();
-    cluster.invoke_write(0, vec![1u8; value_size]);
-    cluster.run_to_quiescence();
-    let before = cluster.stats();
-    cluster.invoke_read(0);
-    cluster.run_to_quiescence();
-    let window = cluster.stats().since(&before);
-    let cost = cluster.read_cost_bytes(&window, 0) as f64 / value_size as f64;
-    // The reader receives the value from a majority AND writes it back to all
-    // n servers, so the two-way cost is far above the receive-only cost.
-    assert!(cost >= 5.0, "two-way ABD read cost {cost}");
+    for (kind, n, f) in [
+        (ProtocolKind::Soda, 5, 2),
+        (ProtocolKind::SodaErr { e: 1 }, 7, 2),
+        (ProtocolKind::Abd, 5, 2),
+        (ProtocolKind::Cas, 5, 1),
+        (ProtocolKind::Casgc { gc: 1 }, 5, 1),
+    ] {
+        let name = kind.name();
+        let mut cluster = ClusterBuilder::new(kind, n, f)
+            .with_seed(9)
+            .with_network(NetworkConfig::uniform(5))
+            .build()
+            .unwrap();
+        cluster.invoke_write(0, vec![1u8; value_size]);
+        cluster.run_to_quiescence();
+        let reader = cluster.reader_process(0).index();
+        let before = cluster
+            .stats()
+            .per_process
+            .get(reader)
+            .copied()
+            .unwrap_or_default();
+        cluster.invoke_read(0);
+        cluster.run_to_quiescence();
+        assert_eq!(
+            cluster.completed_ops().len(),
+            2,
+            "{name}: the read completes"
+        );
+        let after = cluster.stats().per_process[reader];
+        let sent = after.data_bytes_sent - before.data_bytes_sent;
+        let received = after.data_bytes_received - before.data_bytes_received;
+        if matches!(kind, ProtocolKind::Abd) {
+            assert_eq!(sent, (n * value_size) as u64, "{name}: the write-back");
+        } else {
+            assert_eq!(sent, 0, "{name}: a reader sends only metadata");
+        }
+        assert!(
+            received >= value_size as u64,
+            "{name}: the value reaches the reader"
+        );
+        // A coded element is ⌈(|v| + 8)/k⌉ bytes: the value and its 8-byte
+        // length header, split in k and padded.
+        let descriptor = cluster.descriptor();
+        let padded = descriptor
+            .k()
+            .map_or(value_size, |k| k * (value_size + 8).div_ceil(k));
+        let bound = descriptor.paper_read_cost(0) * padded as f64;
+        let charge = (sent + received) as f64;
+        assert!(
+            charge <= bound * (1.0 + 1e-9),
+            "{name}: read charge {charge} above the paper's {bound}"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------

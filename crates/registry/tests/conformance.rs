@@ -457,7 +457,7 @@ fn outcome(cluster: &dyn RegisterCluster) -> Outcome {
             )
         })
         .collect();
-    (ops, cluster.stats(), history)
+    (ops, cluster.stats().clone(), history)
 }
 
 #[test]

@@ -15,7 +15,9 @@
 //!   interleaving (important for debugging and for property tests that shrink
 //!   on failure).
 //! * [`Process`] — the actor trait protocol automata implement
-//!   (`on_start` / `on_message` / `on_timer`).
+//!   (`on_start` / `on_message` / `on_timer`). Its [`std::any::Any`]
+//!   supertrait lets [`Simulation::process_as`] hand back a process's
+//!   concrete state for inspection.
 //! * [`Simulation::schedule_crash`] — crash injection at arbitrary points,
 //!   including mid-operation client crashes — and crash–*recovery*:
 //!   [`Simulation::schedule_recovery`] replaces a crashed process with a
@@ -28,7 +30,7 @@
 //!   randomness, so seeds keep their schedules. Byzantine payload
 //!   corruption is a message-type specific [`CorruptionHook`]
 //!   ([`Simulation::set_corruption_hook`]) that picks its own senders.
-//! * [`Trace`] / [`Stats`] — accounting of messages and **data bytes** (bytes
+//! * [`Stats`] — accounting of messages and **data bytes** (bytes
 //!   of object-value payload, excluding metadata) exactly mirroring the
 //!   paper's storage/communication cost model, which ignores metadata.
 //!
@@ -47,8 +49,6 @@
 //!         self.got.push(msg.0);
 //!         if msg.0 < 3 { ctx.send(self.peer, Ping(msg.0 + 1)); }
 //!     }
-//!     fn as_any(&self) -> &dyn std::any::Any { self }
-//!     fn as_any_mut(&mut self) -> &mut dyn std::any::Any { self }
 //! }
 //!
 //! let mut sim = Simulation::new(42, NetworkConfig::default());
@@ -57,6 +57,7 @@
 //! let b = sim.add_process(Box::new(Echo { peer: ProcessId(0), got: vec![] }));
 //! sim.send_external(a, Ping(0));
 //! sim.run_to_quiescence();
+//! // Inspection downcasts through `Process`'s `Any` supertrait.
 //! let a_state: &Echo = sim.process_as(a).unwrap();
 //! assert_eq!(a_state.got, vec![0, 2]);
 //! let b_state: &Echo = sim.process_as(b).unwrap();
@@ -81,4 +82,4 @@ pub use netfault::{LinkFaults, NetFaultPlan};
 pub use process::{Context, Message, Process, ProcessId};
 pub use sim::{CorruptionHook, RunOutcome, Simulation};
 pub use time::SimTime;
-pub use trace::{ProcessStats, Stats, Trace};
+pub use trace::{ProcessStats, Stats};

@@ -50,9 +50,10 @@ pub trait Message: Clone + fmt::Debug + Send + 'static {
 /// A protocol automaton.
 ///
 /// Handlers receive a [`Context`] through which they can send messages, set
-/// timers and read the current simulated time. State inspection from tests and
-/// experiment harnesses goes through `as_any` downcasting.
-pub trait Process<M: Message>: Send {
+/// timers and read the current simulated time. Tests and experiment harnesses
+/// inspect a process's state with [`Simulation::process_as`], which downcasts
+/// through the [`Any`] supertrait; a process writes nothing for it.
+pub trait Process<M: Message>: Any + Send {
     /// Called once when the simulation starts (before any message delivery).
     fn on_start(&mut self, _ctx: &mut Context<'_, M>) {}
 
@@ -62,11 +63,23 @@ pub trait Process<M: Message>: Send {
     /// Called when a timer set through [`Context::set_timer`] fires.
     fn on_timer(&mut self, _token: u64, _ctx: &mut Context<'_, M>) {}
 
-    /// Downcasting support for state inspection.
-    fn as_any(&self) -> &dyn Any;
+    /// Unused: [`Simulation::process_as`] downcasts through the [`Any`]
+    /// supertrait. Kept because the benchmark's echo probe implements it.
+    fn as_any(&self) -> &dyn Any
+    where
+        Self: Sized,
+    {
+        self
+    }
 
-    /// Mutable downcasting support.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
+    /// Unused, as [`Process::as_any`]. Kept because the benchmark's echo
+    /// probe implements it.
+    fn as_any_mut(&mut self) -> &mut dyn Any
+    where
+        Self: Sized,
+    {
+        self
+    }
 }
 
 /// A handler's effect as [`crate::testkit`] records it.

@@ -5,13 +5,14 @@ use crate::netfault::NetFaultPlan;
 use crate::process::{Context, Message, Process, ProcessId, Sink};
 use crate::rng::SimRng;
 use crate::time::SimTime;
-use crate::trace::{Stats, Trace};
+use crate::trace::Stats;
 use crate::wheel::{EventWheel, Scheduled};
+use std::any::Any;
 use std::cmp::Ordering;
 
 /// Message-type-specific payload corruption, offered every process-to-process
 /// send the [`NetFaultPlan`] does not cut. Receives `(from, to, message)` and
-/// returns whether it actually mutated the message (so the trace can count
+/// returns whether it actually mutated the message (so the stats can count
 /// corrupted deliveries). The hook alone decides which senders are byzantine
 /// and which payloads it touches; it draws no randomness. Installed with
 /// [`Simulation::set_corruption_hook`]; protocol crates provide hooks that
@@ -120,7 +121,7 @@ pub struct Simulation<M: Message> {
     all_started: bool,
     /// The network's stream: base delays and link faults, nothing else.
     rng: SimRng,
-    trace: Trace,
+    stats: Stats,
     event_cap: u64,
     net_faults: NetFaultPlan,
     /// Cached "the plan is [`NetFaultPlan::is_passthrough`] and no corruption
@@ -143,7 +144,7 @@ impl<M: Message> Simulation<M> {
             seq: 0,
             all_started: true,
             rng: SimRng::network(seed),
-            trace: Trace::default(),
+            stats: Stats::default(),
             event_cap: 50_000_000,
             net_faults: NetFaultPlan::none(),
             net_passthrough: true,
@@ -201,23 +202,16 @@ impl<M: Message> Simulation<M> {
         self.crashed.get(id.index()).copied().unwrap_or(false)
     }
 
-    /// Aggregate message statistics so far.
-    pub fn stats(&self) -> Stats {
-        self.trace.stats()
-    }
-
-    /// Access to the trace (for borrowed statistics).
-    pub fn trace(&self) -> &Trace {
-        &self.trace
+    /// Aggregate message statistics so far. Clone them to measure a window
+    /// with [`Stats::since`].
+    pub fn stats(&self) -> &Stats {
+        &self.stats
     }
 
     /// Immutable typed access to a process's state.
     pub fn process_as<T: 'static>(&self, id: ProcessId) -> Option<&T> {
-        self.processes
-            .get(id.index())?
-            .as_ref()?
-            .as_any()
-            .downcast_ref::<T>()
+        let process: &dyn Any = self.processes.get(id.index())?.as_deref()?;
+        process.downcast_ref::<T>()
     }
 
     fn next_seq(&mut self) -> u64 {
@@ -235,7 +229,7 @@ impl<M: Message> Simulation<M> {
     pub fn send_external_at(&mut self, at: SimTime, to: ProcessId, msg: M) {
         let at = at.max(self.now);
         let data_bytes = msg.data_bytes();
-        self.trace.record_send(ProcessId::ENV, data_bytes, false);
+        self.stats.record_send(ProcessId::ENV, data_bytes, false);
         let seq = self.next_seq();
         self.stage(Event {
             at,
@@ -371,7 +365,7 @@ impl<M: Message> Simulation<M> {
             let delay = self.config.delay_for(from, to).sample(&mut self.rng);
             let at = self.now + delay;
             let already_crashed = self.is_crashed(to);
-            self.trace.record_send(from, data_bytes, already_crashed);
+            self.stats.record_send(from, data_bytes, already_crashed);
             let seq = self.next_seq();
             self.queue.push(Event {
                 at,
@@ -388,8 +382,8 @@ impl<M: Message> Simulation<M> {
         // isolations keep their schedules and seeds with them keep the RNG
         // stream of the still-connected links.
         if self.net_faults.is_partitioned(from, to, self.now) {
-            self.trace.record_send(from, msg.data_bytes(), true);
-            self.trace.record_net_partition();
+            self.stats.record_send(from, msg.data_bytes(), true);
+            self.stats.messages_partitioned += 1;
             return;
         }
         let faults = self.net_faults.faults;
@@ -398,14 +392,14 @@ impl<M: Message> Simulation<M> {
         // same corruption, as a byzantine sender would produce).
         if let Some(hook) = self.corruptor.as_mut() {
             if hook(from, to, &mut msg) {
-                self.trace.record_net_corrupt();
+                self.stats.messages_corrupted += 1;
             }
         }
         let data_bytes = msg.data_bytes();
         if faults.sample_drop(&mut self.rng) {
             // The send happened (and is charged) but the channel lost it.
-            self.trace.record_send(from, data_bytes, true);
-            self.trace.record_net_drop();
+            self.stats.record_send(from, data_bytes, true);
+            self.stats.messages_lost += 1;
             return;
         }
         if faults.sample_duplicate(&mut self.rng) {
@@ -416,7 +410,7 @@ impl<M: Message> Simulation<M> {
             // up only in `messages_duplicated` and the delivery-side
             // counters.
             self.enqueue_delivery(&faults, from, to, copy, data_bytes, false);
-            self.trace.record_net_duplicate();
+            self.stats.messages_duplicated += 1;
         }
         self.enqueue_delivery(&faults, from, to, msg, data_bytes, true);
     }
@@ -438,7 +432,7 @@ impl<M: Message> Simulation<M> {
         let at = self.now + delay;
         let already_crashed = self.is_crashed(to);
         if count_send {
-            self.trace.record_send(from, data_bytes, already_crashed);
+            self.stats.record_send(from, data_bytes, already_crashed);
         }
         let seq = self.next_seq();
         self.queue.push(Event {
@@ -494,9 +488,9 @@ impl<M: Message> Simulation<M> {
             }
             EventKind::Deliver { from, msg } => {
                 if self.is_crashed(target) || target.index() >= self.processes.len() {
-                    self.trace.record_drop();
+                    self.stats.messages_dropped += 1;
                 } else {
-                    self.trace.record_delivery(target, event.data_bytes);
+                    self.stats.record_delivery(target, event.data_bytes);
                     self.dispatch(target, |process, ctx| process.on_message(from, msg, ctx));
                 }
             }
@@ -601,12 +595,6 @@ mod tests {
         fn on_timer(&mut self, _token: u64, _ctx: &mut Context<'_, TestMsg>) {
             self.timer_fired = true;
         }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
     }
 
     fn two_process_sim(seed: u64) -> (Simulation<TestMsg>, ProcessId, ProcessId) {
@@ -659,12 +647,6 @@ mod tests {
         struct Sink;
         impl Process<TestMsg> for Sink {
             fn on_message(&mut self, _f: ProcessId, _m: TestMsg, _c: &mut Context<'_, TestMsg>) {}
-            fn as_any(&self) -> &dyn std::any::Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
-            }
         }
         let s = sim.add_process(Box::new(Sink));
         sim.send_external(s, TestMsg::Data(vec![0u8; 123]));
@@ -693,12 +675,6 @@ mod tests {
             fn on_timer(&mut self, token: u64, _ctx: &mut Context<'_, Nothing>) {
                 assert_eq!(token, 1);
                 self.fired = true;
-            }
-            fn as_any(&self) -> &dyn std::any::Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
             }
         }
         let mut sim: Simulation<Nothing> = Simulation::new(0, NetworkConfig::default());
@@ -740,12 +716,6 @@ mod tests {
                     };
                     ctx.send(peer, TestMsg::Ping(v + 1));
                 }
-            }
-            fn as_any(&self) -> &dyn std::any::Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
             }
         }
         let mut sim: Simulation<TestMsg> =
@@ -869,12 +839,6 @@ mod tests {
                     ctx.send(ProcessId(1), TestMsg::Ping(1));
                 }
             }
-            fn as_any(&self) -> &dyn std::any::Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
-            }
         }
         let mut sim: Simulation<TestMsg> = Simulation::new(3, NetworkConfig::constant(2));
         let a = sim.add_process(Box::new(Counter { seen: 0 }));
@@ -909,12 +873,6 @@ mod tests {
                 } else if let TestMsg::Data(d) = m {
                     self.got.push(d);
                 }
-            }
-            fn as_any(&self) -> &dyn std::any::Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
             }
         }
         let mut sim: Simulation<TestMsg> = Simulation::new(0, NetworkConfig::constant(1));
@@ -956,12 +914,6 @@ mod tests {
                 } else if let TestMsg::Data(d) = m {
                     self.got.push(d);
                 }
-            }
-            fn as_any(&self) -> &dyn std::any::Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
             }
         }
         // Corrupts whatever process 0 sends, and nothing else.
@@ -1105,12 +1057,6 @@ mod tests {
             }
             fn on_timer(&mut self, _token: u64, ctx: &mut Context<'_, TestMsg>) {
                 self.record(ctx, TIMER);
-            }
-            fn as_any(&self) -> &dyn std::any::Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
             }
         }
         #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -1284,12 +1230,6 @@ mod tests {
                 let me = ctx.self_id().0;
                 ctx.send(ProcessId((me + 2) % PEERS), TestMsg::Ping(token + 20));
             }
-            fn as_any(&self) -> &dyn std::any::Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
-            }
         }
         let log = Arc::new(Mutex::new(Vec::new()));
         let chatter = |replacement| {
@@ -1389,12 +1329,6 @@ mod tests {
         impl Process<Poke> for Suicidal {
             fn on_message(&mut self, _f: ProcessId, _m: Poke, ctx: &mut Context<'_, Poke>) {
                 ctx.halt();
-            }
-            fn as_any(&self) -> &dyn std::any::Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
             }
         }
         let mut sim: Simulation<Poke> = Simulation::new(0, NetworkConfig::default());

@@ -2,10 +2,11 @@
 //!
 //! The paper's cost model (Section II-h) counts, for communication, the bytes
 //! of object-value data carried in messages and, for storage, the bytes of
-//! coded elements held by servers; metadata is free. The [`Trace`] collects the
-//! communication side of this: every send is recorded with its data-byte count
-//! (as reported by [`crate::Message::data_bytes`]), aggregated globally and per
-//! process, with support for windowed measurements via [`Stats`] snapshots.
+//! coded elements held by servers; metadata is free. A simulation's [`Stats`]
+//! collect the communication side of this: every send is recorded with its
+//! data-byte count (as reported by [`crate::Message::data_bytes`]), aggregated
+//! globally and per process, and a clone taken before a window and
+//! [`Stats::since`] after it measure that window.
 
 use crate::process::ProcessId;
 
@@ -88,38 +89,28 @@ impl Stats {
             per_process,
         }
     }
-}
 
-/// Accumulates the [`Stats`] of one execution.
-#[derive(Debug, Default)]
-pub struct Trace {
-    stats: Stats,
-}
-
-impl Trace {
     fn ensure_process(&mut self, id: ProcessId) -> Option<&mut ProcessStats> {
         if id == ProcessId::ENV {
             return None;
         }
         let idx = id.index();
-        if self.stats.per_process.len() <= idx {
-            self.stats
-                .per_process
-                .resize(idx + 1, ProcessStats::default());
+        if self.per_process.len() <= idx {
+            self.per_process.resize(idx + 1, ProcessStats::default());
         }
-        Some(&mut self.stats.per_process[idx])
+        Some(&mut self.per_process[idx])
     }
 
     /// Records a message send (called by the simulation at send time);
     /// `dropped` says the message is already known to be undeliverable.
-    pub fn record_send(&mut self, from: ProcessId, data_bytes: usize, dropped: bool) {
-        self.stats.messages_sent += 1;
-        self.stats.data_bytes_sent += data_bytes as u64;
+    pub(crate) fn record_send(&mut self, from: ProcessId, data_bytes: usize, dropped: bool) {
+        self.messages_sent += 1;
+        self.data_bytes_sent += data_bytes as u64;
         if data_bytes == 0 {
-            self.stats.metadata_messages += 1;
+            self.metadata_messages += 1;
         }
         if dropped {
-            self.stats.messages_dropped += 1;
+            self.messages_dropped += 1;
         }
         if let Some(p) = self.ensure_process(from) {
             p.messages_sent += 1;
@@ -127,54 +118,13 @@ impl Trace {
         }
     }
 
-    /// Records a message that was dropped at delivery time because its
-    /// destination had crashed in the meantime.
-    pub fn record_drop(&mut self) {
-        self.stats.messages_dropped += 1;
-    }
-
-    /// Records a message lost to the network adversary. The send itself is
-    /// recorded separately (with `dropped = true`), so this only bumps the
-    /// adversary-specific counter.
-    pub fn record_net_drop(&mut self) {
-        self.stats.messages_lost += 1;
-    }
-
-    /// Records a message cut by a scheduled partition window. The send itself
-    /// is recorded separately (with `dropped = true`), so this only bumps the
-    /// partition-specific counter.
-    pub fn record_net_partition(&mut self) {
-        self.stats.messages_partitioned += 1;
-    }
-
-    /// Records an extra delivery created by adversarial duplication.
-    pub fn record_net_duplicate(&mut self) {
-        self.stats.messages_duplicated += 1;
-    }
-
-    /// Records a payload mutation by the byzantine corruption hook.
-    pub fn record_net_corrupt(&mut self) {
-        self.stats.messages_corrupted += 1;
-    }
-
     /// Records a message delivery (called by the simulation at delivery time).
-    pub fn record_delivery(&mut self, to: ProcessId, data_bytes: usize) {
-        self.stats.messages_delivered += 1;
+    pub(crate) fn record_delivery(&mut self, to: ProcessId, data_bytes: usize) {
+        self.messages_delivered += 1;
         if let Some(p) = self.ensure_process(to) {
             p.messages_received += 1;
             p.data_bytes_received += data_bytes as u64;
         }
-    }
-
-    /// Current aggregate statistics (cloned snapshot).
-    pub fn stats(&self) -> Stats {
-        self.stats.clone()
-    }
-
-    /// Current aggregate statistics, borrowed: for readers that want a few
-    /// counters and not a copy of the per-process vector.
-    pub fn stats_ref(&self) -> &Stats {
-        &self.stats
     }
 }
 
@@ -184,11 +134,10 @@ mod tests {
 
     #[test]
     fn aggregates_and_per_process_counters() {
-        let mut trace = Trace::default();
-        trace.record_send(ProcessId(0), 100, false);
-        trace.record_send(ProcessId(1), 0, false);
-        trace.record_delivery(ProcessId(1), 100);
-        let s = trace.stats();
+        let mut s = Stats::default();
+        s.record_send(ProcessId(0), 100, false);
+        s.record_send(ProcessId(1), 0, false);
+        s.record_delivery(ProcessId(1), 100);
         assert_eq!(s.messages_sent, 2);
         assert_eq!(s.messages_delivered, 1);
         assert_eq!(s.data_bytes_sent, 100);
@@ -201,24 +150,23 @@ mod tests {
 
     #[test]
     fn env_sender_is_not_tracked_per_process() {
-        let mut trace = Trace::default();
-        trace.record_send(ProcessId::ENV, 50, false);
-        let s = trace.stats();
+        let mut s = Stats::default();
+        s.record_send(ProcessId::ENV, 50, false);
         assert_eq!(s.messages_sent, 1);
+        assert!(s.per_process.is_empty());
         // ENV has no per-process slot; only process 0 exists after delivery.
-        trace.record_delivery(ProcessId(0), 50);
-        let s = trace.stats();
+        s.record_delivery(ProcessId(0), 50);
         assert_eq!(s.per_process[0].messages_received, 1);
     }
 
     #[test]
     fn stats_since_computes_window() {
-        let mut trace = Trace::default();
-        trace.record_send(ProcessId(0), 10, false);
-        let snapshot = trace.stats();
-        trace.record_send(ProcessId(0), 30, false);
-        trace.record_delivery(ProcessId(1), 30);
-        let window = trace.stats().since(&snapshot);
+        let mut s = Stats::default();
+        s.record_send(ProcessId(0), 10, false);
+        let snapshot = s.clone();
+        s.record_send(ProcessId(0), 30, false);
+        s.record_delivery(ProcessId(1), 30);
+        let window = s.since(&snapshot);
         assert_eq!(window.messages_sent, 1);
         assert_eq!(window.data_bytes_sent, 30);
         assert_eq!(window.messages_delivered, 1);

@@ -848,7 +848,7 @@ impl ShardedStore {
                 ..shard.settled.clone()
             };
             for kc in &shard.clusters {
-                let stats = kc.cluster.stats_ref();
+                let stats = kc.cluster.stats();
                 totals.messages_sent += stats.messages_sent;
                 totals.messages_lost += stats.messages_lost;
                 totals.messages_partitioned += stats.messages_partitioned;

@@ -14,8 +14,7 @@
 //! [`experiments`] states the paper's claims (Table I, Theorems 3.2 and
 //! 5.3–6.3) as one checked list of measured quantities beside their closed
 //! forms; `soda-bench`'s `reproduce` binary prints it and a tier-1 test
-//! asserts it. Integration tests use the scenario runner in [`scenario`]
-//! directly.
+//! asserts it.
 //!
 //! [`explore`] is the adversarial counterpart of [`scenario`]: instead of
 //! measuring costs on clean runs, it samples thousands of seeded schedules

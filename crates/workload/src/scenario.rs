@@ -11,16 +11,17 @@
 //!    write communication cost and write latency;
 //! 3. **read under concurrency** — one read is invoked together with `δw`
 //!    writes (one per concurrent writer), measuring the read communication
-//!    cost (bytes of coded/full value data attributed to the reader — ABD's
-//!    write-back counts both directions via
-//!    [`soda_registry::RegisterCluster::read_cost_bytes`]), the read latency and the
-//!    *actual* number of concurrent writes.
+//!    cost, the read latency and the *actual* number of concurrent writes.
+//!    One rule charges a read under every protocol: the value-data bytes
+//!    into plus out of its reader's process over the phase. Readers that send
+//!    only metadata (SODA, SODAerr, CAS, CASGC) are charged what they
+//!    receive; an ABD read is also charged the value it writes back.
 //!
 //! Storage cost is measured at the end, after the system quiesces.
 
 use soda_consistency::{History, Kind};
 use soda_registry::{ClusterBuilder, ClusterDescriptor, ProtocolKind};
-use soda_simnet::{NetworkConfig, SimTime};
+use soda_simnet::{NetworkConfig, Stats};
 
 /// Parameters of one measurement scenario.
 #[derive(Clone, Debug)]
@@ -44,8 +45,6 @@ pub struct ScenarioParams {
     /// Ranks of byzantine servers, which corrupt every coded element they
     /// send a reader (SODA / SODAerr only).
     pub byzantine_servers: Vec<usize>,
-    /// Ranks of servers to crash at the start of the measurement.
-    pub crashed_servers: Vec<usize>,
 }
 
 impl ScenarioParams {
@@ -62,7 +61,6 @@ impl ScenarioParams {
             delta: 10,
             constant_delay: false,
             byzantine_servers: Vec::new(),
-            crashed_servers: Vec::new(),
         }
     }
 }
@@ -133,9 +131,6 @@ pub fn run_scenario(params: &ScenarioParams) -> ScenarioOutcome {
         .with_byzantine_servers(params.byzantine_servers.clone())
         .build()
         .unwrap_or_else(|e| panic!("invalid scenario parameters: {e}"));
-    for &rank in &params.crashed_servers {
-        cluster.crash_server_at(SimTime::ZERO, rank);
-    }
     let value_size = params.value_size;
 
     // Phase 1: setup write.
@@ -143,22 +138,30 @@ pub fn run_scenario(params: &ScenarioParams) -> ScenarioOutcome {
     cluster.run_to_quiescence();
 
     // Phase 2: solo write to measure write cost.
-    let before_write = cluster.stats();
+    let before_write = cluster.stats().data_bytes_sent;
     cluster.invoke_write(0, value_of(value_size, 2));
     cluster.run_to_quiescence();
-    let write_stats = cluster.stats().since(&before_write);
-    let write_cost = write_stats.data_bytes_sent as f64 / value_size as f64;
+    let write_bytes = cluster.stats().data_bytes_sent - before_write;
+    let write_cost = write_bytes as f64 / value_size as f64;
 
-    // Phase 3: one read invoked together with delta_w concurrent writes.
-    let before_read = cluster.stats();
+    // Phase 3: one read invoked together with delta_w concurrent writes,
+    // charged the value bytes into and out of its reader.
+    let reader = cluster.reader_process(0).index();
+    let reader_bytes = |stats: &Stats| {
+        stats
+            .per_process
+            .get(reader)
+            .map_or(0, |p| p.data_bytes_received + p.data_bytes_sent)
+    };
+    let before_read = reader_bytes(cluster.stats());
     let start = cluster.now() + 10;
     cluster.invoke_read_at(start, 0);
     for i in 0..params.delta_w {
         cluster.invoke_write_at(start, i % writers_needed, value_of(value_size, 3 + i as u8));
     }
     cluster.run_to_quiescence();
-    let read_window = cluster.stats().since(&before_read);
-    let read_cost = cluster.read_cost_bytes(&read_window, 0) as f64 / value_size as f64;
+    let read_bytes = reader_bytes(cluster.stats()) - before_read;
+    let read_cost = read_bytes as f64 / value_size as f64;
 
     let storage_cost = cluster.total_stored_bytes() as f64 / value_size as f64;
 

@@ -7,12 +7,13 @@
 //! `RegisterCluster` facade.
 
 use soda_consistency::History;
-use soda_registry::{ClusterBuilder, ProtocolKind, SodaRegisterCluster};
+use soda_registry::{ClusterBuilder, ProtocolKind, RegisterCluster};
 use soda_simnet::rng::SimRng;
 use soda_simnet::{NetworkConfig, SimTime};
 
-/// Drives any protocol's cluster with a random interleaving of writes and
-/// reads and returns the checked history.
+/// Builds a cluster of `kind`, drives it with a random interleaving of writes
+/// and reads and returns the history. SODA and SODAerr clusters are built
+/// typed, so their reader registrations can be checked after quiescence.
 fn run_random(
     kind: ProtocolKind,
     seed: u64,
@@ -21,14 +22,33 @@ fn run_random(
     byzantine: Vec<usize>,
     value_prefix: &str,
 ) -> History {
-    let mut rng = SimRng::network(seed);
-    let mut cluster = ClusterBuilder::new(kind, n, f)
+    let builder = ClusterBuilder::new(kind, n, f)
         .with_seed(seed)
         .with_clients(2, 2)
         .with_byzantine_servers(byzantine)
-        .with_network(NetworkConfig::uniform(1 + seed % 20))
-        .build()
+        .with_network(NetworkConfig::uniform(1 + seed % 20));
+    if !kind.is_soda_family() {
+        let mut cluster = builder
+            .build()
+            .unwrap_or_else(|e| panic!("{}: {e}", kind.name()));
+        return drive(cluster.as_mut(), seed, value_prefix);
+    }
+    let mut soda = builder
+        .build_soda()
         .unwrap_or_else(|e| panic!("{}: {e}", kind.name()));
+    let history = drive(&mut soda, seed, value_prefix);
+    assert_eq!(
+        soda.total_registered_readers(),
+        0,
+        "seed {seed}: no reader stays registered after quiescence"
+    );
+    history
+}
+
+/// Drives any protocol's cluster with a random interleaving of writes and
+/// reads, runs it to quiescence and returns the history.
+fn drive(cluster: &mut dyn RegisterCluster, seed: u64, value_prefix: &str) -> History {
+    let mut rng = SimRng::network(seed);
     let mut counter = 0u32;
     for _ in 0..8 {
         let at = SimTime::from_ticks(rng.gen_range(0u64..300));
@@ -42,18 +62,11 @@ fn run_random(
         }
     }
     let outcome = cluster.run_to_quiescence();
+    let name = cluster.descriptor().kind.name();
     assert!(
         !outcome.hit_event_cap,
-        "{} seed {seed}: protocol must quiesce",
-        kind.name()
+        "{name} seed {seed}: protocol must quiesce"
     );
-    if let Some(soda) = cluster.as_any().downcast_ref::<SodaRegisterCluster>() {
-        assert_eq!(
-            soda.total_registered_readers(),
-            0,
-            "seed {seed}: no reader stays registered after quiescence"
-        );
-    }
     cluster.history(&[])
 }
 
