@@ -6,26 +6,45 @@
 //! concurrency). Each sweep below runs one of them and returns a [`Table`] of
 //! [`Claim`]s: a measured quantity, its closed form, the relation between
 //! them and whether it holds. Closed forms come from
-//! [`soda_protocol::cost::paper`], evaluated through
-//! [`ClusterDescriptor`](soda_registry::ClusterDescriptor)'s `paper_*`
-//! methods. [`reproduce`] runs all nine tables at the parameters
+//! [`soda_protocol::cost::paper`], evaluated through [`ClusterDescriptor`]'s
+//! `paper_*` methods. [`reproduce`] runs all nine tables at the parameters
 //! this repo reports; `soda-bench`'s `reproduce` binary prints them and exits
 //! non-zero on a failed claim, and a tier-1 test asserts the same.
 //!
 //! Storage is claimed *equal* to its closed form, communication and latency
-//! *at most* theirs, and a coded element counts as the `⌈(|v| + 8)/k⌉` bytes
-//! it occupies rather than the model's `|v|/k` (every element carries its
-//! share of the 8-byte length header, rounded up).
+//! *at most* theirs, except ABD's costs, which are exact: a fault-free ABD
+//! write sends `n` values and a read is charged `2n`. A coded element counts
+//! as the `⌈(|v| + 8)/k⌉` bytes it occupies rather than the model's `|v|/k`
+//! (every element carries its share of the 8-byte length header, rounded
+//! up).
 //!
 //! Every cluster in this module is built and driven through the
 //! [`soda_registry`] facade; the protocol under measurement is just a
-//! [`ProtocolKind`] value.
+//! [`ProtocolKind`] value. The cost sweeps run one three-phase procedure,
+//! `measure`, on the [`ClusterBuilder`] each describes, so Table I's numbers
+//! are directly comparable:
+//!
+//! 1. **setup**: one write establishes a non-initial version everywhere;
+//! 2. **solo write**: writer 0's second write, with nothing else running,
+//!    measures the write communication cost and latency;
+//! 3. **read under concurrency**: one read is invoked together with `δw`
+//!    writes, measuring the read communication cost, the read latency and
+//!    the number of writes *actually* concurrent with the read; storage is
+//!    measured once the system quiesces.
+//!
+//! One rule charges a read under every protocol: the value-data bytes into
+//! plus out of its reader's process over the phase. Readers that send only
+//! metadata (SODA, SODAerr, CAS, CASGC) are charged what they receive; an
+//! ABD read is also charged the value it writes back. A solo write or
+//! measured read that never completes costs and takes infinitely much, as a
+//! repair that never completes does, so every claim on it fails.
 
 use crate::json_row;
-use crate::scenario::{run_scenario, ScenarioOutcome, ScenarioParams};
+use soda_consistency::Kind;
 use soda_protocol::cost::paper;
 use soda_protocol::{Layout, OpRecord};
-use soda_registry::{ClusterBuilder, ProtocolKind, RegisterCluster};
+use soda_registry::{ClusterBuilder, ClusterDescriptor, ProtocolKind, RegisterCluster};
+use soda_simnet::{NetworkConfig, ProcessId, Stats};
 use std::fmt;
 
 /// Renders rows of strings as a fixed-width text table. Widths count
@@ -166,7 +185,7 @@ impl fmt::Display for Table {
     }
 }
 
-/// Collects one table's claims and counts its scenario runs' atomic
+/// Collects one table's claims and counts its measured runs' atomic
 /// histories, which [`Sheet::finish`] claims as one row.
 struct Sheet {
     source: &'static str,
@@ -187,11 +206,11 @@ impl Sheet {
         }
     }
 
-    fn run(&mut self, params: ScenarioParams) -> ScenarioOutcome {
-        let outcome = run_scenario(&params);
+    fn run(&mut self, builder: ClusterBuilder, delta_w: usize) -> Measured {
+        let measured = measure(builder, delta_w, self.value_size);
         self.runs += 1;
-        self.atomic += usize::from(outcome.atomic);
-        outcome
+        self.atomic += usize::from(measured.atomic);
+        measured
     }
 
     fn claim(
@@ -224,13 +243,13 @@ impl Sheet {
 
     /// SODA's write is also checked against the MD-VALUE fan-out, SODAerr's
     /// closed form, which is tighter than Theorem 5.4's `5f²`.
-    fn write(&mut self, label: &str, o: &ScenarioOutcome) {
+    fn write(&mut self, label: &str, o: &Measured) {
         let d = &o.descriptor;
         let write = format!("{label} write");
         self.claim(
             write,
             o.write_cost,
-            Relation::AtMost,
+            cost_relation(d.kind),
             d.paper_write_cost(),
             d.k(),
         );
@@ -241,15 +260,15 @@ impl Sheet {
         }
     }
 
-    fn read(&mut self, label: &str, o: &ScenarioOutcome) {
+    fn read(&mut self, label: &str, o: &Measured) {
         let d = &o.descriptor;
         let dw = o.delta_w_actual;
         let closed = d.paper_read_cost(dw);
         let quantity = format!("{label} read, δw={dw}");
-        self.claim(quantity, o.read_cost, Relation::AtMost, closed, d.k());
+        self.claim(quantity, o.read_cost, cost_relation(d.kind), closed, d.k());
     }
 
-    fn storage(&mut self, label: &str, o: &ScenarioOutcome, relation: Relation) {
+    fn storage(&mut self, label: &str, o: &Measured, relation: Relation) {
         let d = &o.descriptor;
         let quantity = format!("{label} storage");
         self.claim(
@@ -261,7 +280,7 @@ impl Sheet {
         );
     }
 
-    fn costs(&mut self, label: &str, o: &ScenarioOutcome) {
+    fn costs(&mut self, label: &str, o: &Measured) {
         self.write(label, o);
         self.read(label, o);
         self.storage(label, o, Relation::Equal);
@@ -276,6 +295,111 @@ impl Sheet {
             title,
             claims: self.claims,
         }
+    }
+}
+
+/// ABD's fault-free costs are exact (`n` values per write, `2n` per read);
+/// every other protocol's cost closed form is an upper bound.
+fn cost_relation(kind: ProtocolKind) -> Relation {
+    match kind {
+        ProtocolKind::Abd => Relation::Equal,
+        _ => Relation::AtMost,
+    }
+}
+
+/// What [`measure`] reads off one cluster: costs in values, latencies in
+/// ticks, the writes actually concurrent with the measured read, and whether
+/// the history is atomic. `descriptor`'s `paper_*` methods give the closed
+/// forms.
+struct Measured {
+    descriptor: ClusterDescriptor,
+    write_cost: f64,
+    read_cost: f64,
+    storage_cost: f64,
+    delta_w_actual: usize,
+    write_latency: f64,
+    read_latency: f64,
+    atomic: bool,
+}
+
+/// A `size`-byte value counting up from `fill`; the explorer writes these too.
+pub(crate) fn value_of(size: usize, fill: u8) -> Vec<u8> {
+    (0..size).map(|i| fill.wrapping_add(i as u8)).collect()
+}
+
+/// Runs the module doc's three phases on `builder`'s cluster, given one
+/// reader and `max(δw, 1)` writers, with `delta_w` writes concurrent with
+/// the measured read and every value `value_size` bytes.
+///
+/// # Panics
+/// Panics if the builder does not build (see [`ClusterBuilder::validate`]).
+fn measure(builder: ClusterBuilder, delta_w: usize, value_size: usize) -> Measured {
+    let writers = delta_w.max(1);
+    let mut cluster = builder
+        .with_clients(writers, 1)
+        .build()
+        .unwrap_or_else(|e| panic!("invalid gate cluster: {e}"));
+
+    // Phase 1: setup write.
+    cluster.invoke_write(0, value_of(value_size, 1));
+    cluster.run_to_quiescence();
+
+    // Phase 2: solo write to measure write cost.
+    let before_write = cluster.stats().data_bytes_sent;
+    cluster.invoke_write(0, value_of(value_size, 2));
+    cluster.run_to_quiescence();
+    let write_bytes = cluster.stats().data_bytes_sent - before_write;
+
+    // Phase 3: one read invoked together with delta_w concurrent writes,
+    // charged the value bytes into and out of its reader.
+    let reader = cluster.reader_process(0).index();
+    let reader_bytes = |stats: &Stats| {
+        stats
+            .per_process
+            .get(reader)
+            .map_or(0, |p| p.data_bytes_received + p.data_bytes_sent)
+    };
+    let before_read = reader_bytes(cluster.stats());
+    let start = cluster.now() + 10;
+    cluster.invoke_read_at(start, 0);
+    for i in 0..delta_w {
+        cluster.invoke_write_at(start, i % writers, value_of(value_size, 3 + i as u8));
+    }
+    cluster.run_to_quiescence();
+    let read_bytes = reader_bytes(cluster.stats()) - before_read;
+
+    let values = |bytes: u64| bytes as f64 / value_size as f64;
+    let storage_cost = values(cluster.total_stored_bytes());
+
+    let ops = cluster.completed_ops();
+    let history = cluster.history(&[]);
+    // The solo write is writer 0's second operation and the measured read
+    // reader 0's first. One that never completed costs and takes infinitely
+    // much, so every claim on it fails.
+    let priced = |client: ProcessId, seq: u64, bytes: u64| {
+        ops.iter()
+            .find(|o| o.client == u64::from(client.0) && o.seq == seq)
+            .map_or((f64::INFINITY, f64::INFINITY), |o| {
+                (values(bytes), o.latency() as f64)
+            })
+    };
+    let (write_cost, write_latency) = priced(cluster.writer_process(0), 2, write_bytes);
+    let (read_cost, read_latency) = priced(cluster.reader_process(0), 1, read_bytes);
+    Measured {
+        descriptor: *cluster.descriptor(),
+        write_cost,
+        read_cost,
+        storage_cost,
+        delta_w_actual: history
+            .ops()
+            .iter()
+            .filter(|o| o.kind == Kind::Read)
+            .map(|o| history.concurrent_writes(o.id))
+            .max()
+            .unwrap_or(0),
+        write_latency,
+        read_latency,
+        atomic: history.check_atomicity().is_ok(),
     }
 }
 
@@ -315,12 +439,7 @@ pub fn table1(ns: &[usize], delta_w: usize, value_size: usize, seed: u64) -> Tab
             ProtocolKind::Casgc { gc: delta_w },
             ProtocolKind::Soda,
         ] {
-            let outcome = sheet.run(ScenarioParams {
-                delta_w,
-                value_size,
-                seed,
-                ..ScenarioParams::new(kind, n, f)
-            });
+            let outcome = sheet.run(ClusterBuilder::new(kind, n, f).with_seed(seed), delta_w);
             sheet.costs(&format!("{} n={n} f={f}", kind.name()), &outcome);
         }
     }
@@ -337,11 +456,8 @@ pub fn table1(ns: &[usize], delta_w: usize, value_size: usize, seed: u64) -> Tab
 pub fn storage_cost_sweep(points: &[(usize, usize)], value_size: usize, seed: u64) -> Table {
     let mut sheet = Sheet::new("Theorem 5.3", value_size);
     for &(n, f) in points {
-        let outcome = sheet.run(ScenarioParams {
-            value_size,
-            seed,
-            ..ScenarioParams::new(ProtocolKind::Soda, n, f)
-        });
+        let builder = ClusterBuilder::new(ProtocolKind::Soda, n, f).with_seed(seed);
+        let outcome = sheet.run(builder, 0);
         let label = format!("SODA n={n} f={f}");
         sheet.storage(&label, &outcome, Relation::Equal);
         let d = &outcome.descriptor;
@@ -388,11 +504,7 @@ pub fn write_cost_sweep(fs: &[usize], value_size: usize, seed: u64) -> Table {
     for &f in fs {
         let n = 2 * f + 1;
         for kind in [ProtocolKind::Soda, ProtocolKind::Abd] {
-            let outcome = sheet.run(ScenarioParams {
-                value_size,
-                seed,
-                ..ScenarioParams::new(kind, n, f)
-            });
+            let outcome = sheet.run(ClusterBuilder::new(kind, n, f).with_seed(seed), 0);
             sheet.write(&format!("{} n={n} f={f}", kind.name()), &outcome);
         }
     }
@@ -413,12 +525,8 @@ pub fn read_cost_sweep(
 ) -> Table {
     let mut sheet = Sheet::new("Theorem 5.6", value_size);
     for &delta_w in delta_ws {
-        let outcome = sheet.run(ScenarioParams {
-            delta_w,
-            value_size,
-            seed,
-            ..ScenarioParams::new(ProtocolKind::Soda, n, f)
-        });
+        let builder = ClusterBuilder::new(ProtocolKind::Soda, n, f).with_seed(seed);
+        let outcome = sheet.run(builder, delta_w);
         sheet.read(&format!("δw target={delta_w}: SODA"), &outcome);
     }
     sheet.finish(format!(
@@ -432,16 +540,13 @@ pub fn read_cost_sweep(
 pub fn latency_sweep(points: &[(usize, usize)], delta: u64, value_size: usize, seed: u64) -> Table {
     let mut sheet = Sheet::new("Theorem 5.7", value_size);
     for &(n, f) in points {
-        let outcome = sheet.run(ScenarioParams {
-            value_size,
-            seed,
-            delta,
-            constant_delay: true,
-            ..ScenarioParams::new(ProtocolKind::Soda, n, f)
-        });
+        let builder = ClusterBuilder::new(ProtocolKind::Soda, n, f)
+            .with_seed(seed)
+            .with_network(NetworkConfig::constant(delta));
+        let outcome = sheet.run(builder, 0);
         let label = format!("SODA n={n} f={f}");
-        let write = outcome.write_latency_deltas();
-        let read = outcome.read_latency_deltas();
+        let write = outcome.write_latency / delta as f64;
+        let read = outcome.read_latency / delta as f64;
         let write_bound = paper::SODA_WRITE_LATENCY_DELTAS as f64;
         let read_bound = paper::SODA_READ_LATENCY_DELTAS as f64;
         sheet.at_most(format!("{label} write latency (Δ)"), write, write_bound);
@@ -464,12 +569,10 @@ pub fn sodaerr_sweep(n: usize, f: usize, es: &[usize], value_size: usize, seed: 
         } else {
             ProtocolKind::SodaErr { e }
         };
-        let outcome = sheet.run(ScenarioParams {
-            byzantine_servers: (0..e).collect(),
-            value_size,
-            seed,
-            ..ScenarioParams::new(kind, n, f)
-        });
+        let builder = ClusterBuilder::new(kind, n, f)
+            .with_seed(seed)
+            .with_byzantine_servers((0..e).collect());
+        let outcome = sheet.run(builder, 0);
         sheet.costs(&format!("{} e={e}", kind.name()), &outcome);
     }
     sheet.finish(format!(
@@ -571,7 +674,7 @@ pub fn md_state_experiment(points: &[(usize, usize)], value_size: usize, seed: u
 /// the slow dispersal reaches them, and the read finishes. Without relaying
 /// they stay silent forever and the read never terminates.
 pub fn relay_ablation(value_size: usize, seed: u64) -> Table {
-    use soda_simnet::{DelayModel, NetworkConfig, ProcessId, SimTime};
+    use soda_simnet::{DelayModel, SimTime};
     let n = 5usize;
     let f = 2usize;
     let mut sheet = Sheet::new("Theorem 5.1", value_size);
@@ -645,15 +748,10 @@ pub fn storage_elasticity(
     seed: u64,
 ) -> Table {
     let mut sheet = Sheet::new("Section I-B", value_size);
-    let params = |kind| ScenarioParams {
-        delta_w: actual_delta_w,
-        value_size,
-        seed,
-        ..ScenarioParams::new(kind, n, f)
-    };
+    let builder = |kind| ClusterBuilder::new(kind, n, f).with_seed(seed);
     for &delta in provisioned {
-        let soda = sheet.run(params(ProtocolKind::Soda));
-        let casgc = sheet.run(params(ProtocolKind::Casgc { gc: delta }));
+        let soda = sheet.run(builder(ProtocolKind::Soda), actual_delta_w);
+        let casgc = sheet.run(builder(ProtocolKind::Casgc { gc: delta }), actual_delta_w);
         sheet.storage(&format!("δ={delta} SODA"), &soda, Relation::Equal);
         // CASGC's closed form is its provisioned worst case, reached only
         // once δ + 1 versions have been written.
@@ -671,6 +769,7 @@ pub fn storage_elasticity(
 mod tests {
     use super::*;
     use crate::json::to_json;
+    use soda_registry::PartitionWindow;
 
     fn assert_holds(table: &Table) {
         assert!(table.claims.iter().all(|c| c.holds), "{table}");
@@ -755,6 +854,104 @@ mod tests {
     #[test]
     fn relay_ablation_shows_liveness_gap() {
         assert_holds(&relay_ablation(1024, 9));
+    }
+
+    #[test]
+    fn soda_scenario_produces_consistent_measurements() {
+        let soda = ClusterBuilder::new(ProtocolKind::Soda, 5, 2).with_seed(1);
+        let outcome = measure(soda, 0, 2048);
+        assert!(outcome.atomic, "history must be atomic");
+        assert!(outcome.write_cost > 0.0);
+        assert!(outcome.read_cost > 0.0);
+        // Storage is close to n/(n-f) = 5/3.
+        assert!((outcome.storage_cost - 5.0 / 3.0).abs() < 0.1);
+        assert!(outcome.read_cost.is_finite() && outcome.read_latency.is_finite());
+        assert!(outcome.write_latency > 0.0);
+        assert!(outcome.read_latency > 0.0);
+    }
+
+    #[test]
+    fn soda_scenario_with_concurrency_reports_delta_w() {
+        let soda = ClusterBuilder::new(ProtocolKind::Soda, 5, 2).with_seed(1);
+        let outcome = measure(soda, 3, 1024);
+        assert!(outcome.atomic);
+        assert!(outcome.delta_w_actual >= 1, "writes must overlap the read");
+        // Read cost grows with concurrency but stays within the paper bound
+        // n/(n-f) * (delta_w_actual + 1) plus chunking slack.
+        let bound = 5.0 / 3.0 * (outcome.delta_w_actual + 1) as f64 + 0.5;
+        assert!(
+            outcome.read_cost <= bound,
+            "read cost {} exceeds bound {}",
+            outcome.read_cost,
+            bound
+        );
+    }
+
+    #[test]
+    fn abd_scenario_costs_scale_with_n() {
+        let builder = ClusterBuilder::new(ProtocolKind::Abd, 5, 2)
+            .with_seed(3)
+            .with_network(NetworkConfig::uniform(8));
+        let outcome = measure(builder, 0, 2048);
+        assert!(outcome.atomic);
+        assert!(outcome.storage_cost > 4.9, "ABD stores n full copies");
+        assert!(outcome.write_cost >= 5.0, "ABD write cost is at least n");
+    }
+
+    #[test]
+    fn casgc_scenario_costs_match_coded_baseline() {
+        let builder = ClusterBuilder::new(ProtocolKind::Casgc { gc: 2 }, 5, 1)
+            .with_seed(4)
+            .with_network(NetworkConfig::uniform(8));
+        let outcome = measure(builder, 0, 2048);
+        assert!(outcome.atomic);
+        // Per-op communication ~ n/(n-2f) = 5/3.
+        assert!(outcome.write_cost < 3.0);
+        assert!(outcome.read_cost < 3.0);
+    }
+
+    #[test]
+    fn every_kind_runs_the_same_scenario() {
+        for kind in [
+            ProtocolKind::Soda,
+            ProtocolKind::SodaErr { e: 1 },
+            ProtocolKind::Abd,
+            ProtocolKind::Cas,
+            ProtocolKind::Casgc { gc: 1 },
+        ] {
+            let n = if kind.error_budget() > 0 { 7 } else { 5 };
+            let outcome = measure(ClusterBuilder::new(kind, n, 2).with_seed(1), 1, 1024);
+            assert!(outcome.atomic, "{}: history must be atomic", kind.name());
+            assert!(outcome.read_cost.is_finite(), "{}", kind.name());
+            assert!(outcome.read_latency.is_finite(), "{}", kind.name());
+            assert!(outcome.write_cost > 0.0, "{}", kind.name());
+        }
+    }
+
+    /// With ranks 0–2 of five cut off for the whole run no quorum answers:
+    /// the solo write and the measured read never complete, and every claim
+    /// on them fails.
+    #[test]
+    fn a_starved_operation_fails_its_claims() {
+        let cut = PartitionWindow {
+            ranks: vec![0, 1, 2],
+            start: 0,
+            end: u64::MAX,
+        };
+        for kind in [ProtocolKind::Soda, ProtocolKind::Abd] {
+            let builder = ClusterBuilder::new(kind, 5, 2)
+                .with_seed(1)
+                .with_partition_window(&cut);
+            let mut sheet = Sheet::new("starved", 1024);
+            let o = sheet.run(builder, 1);
+            let starved = [o.write_cost, o.read_cost, o.write_latency, o.read_latency];
+            assert_eq!(starved, [f64::INFINITY; 4], "{}", kind.name());
+            sheet.write(kind.name(), &o);
+            sheet.read(kind.name(), &o);
+            let claims = &sheet.claims;
+            assert!(claims.len() >= 2, "{claims:?}");
+            assert!(claims.iter().all(|c| !c.holds), "{claims:?}");
+        }
     }
 
     /// The paper gate: every claim of every table, at the parameters the

@@ -42,7 +42,7 @@
 //! [`liveness_guaranteed`] per shard); a key that breaks is a cluster
 //! schedule this module can shrink.
 
-use crate::scenario::value_of;
+use crate::experiments::value_of;
 use soda_consistency::{History, Violation};
 use soda_registry::{ClusterBuilder, PartitionWindow, ProtocolKind};
 use soda_simnet::rng::SimRng;
