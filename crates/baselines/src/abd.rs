@@ -13,8 +13,8 @@
 //! cost `n`.
 
 use soda_protocol::{
-    value_from, Invocation, Layout, OpKind, OpQueue, PhaseDriver, ProtocolSpec, RepairDriver,
-    RepairStatus, Reply, Tag, Value,
+    value_from, Invocation, Layout, OpKind, OpQueue, PhaseDriver, ProtocolSpec, Quorum,
+    QuorumPhase, QuorumSizes, RepairDriver, RepairStatus, Reply, Tag, Value,
 };
 use soda_simnet::{Context, Message, Process, ProcessId, Simulation};
 
@@ -74,22 +74,20 @@ impl Message for AbdMsg {
 /// The phases of an ABD operation. A replacement server's repair runs the
 /// query phase.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum AbdPhase {
+pub enum AbdPhase {
+    /// Ask every server for its `(tag, value)`, or its tag alone.
     Query,
+    /// Store the written value, or write the read one back.
     Store,
 }
 
-impl AbdPhase {
-    /// The replies `self` waits for: ABD's thresholds, written once. Every
-    /// phase waits for a majority, unless a test overrides it (see
-    /// [`AbdClient::with_quorum`]); a repair passes no override.
-    fn needed(self, layout: &Layout, quorum_override: Option<usize>) -> usize {
-        match self {
-            AbdPhase::Query | AbdPhase::Store => {
-                quorum_override.unwrap_or_else(|| layout.majority())
-            }
-        }
-    }
+/// ABD's thresholds: both phases wait for a majority. A test may shrink the
+/// clients' majority (see [`AbdClient::with_quorum`]); a repair never does.
+impl QuorumPhase for AbdPhase {
+    const QUORUMS: &'static [(AbdPhase, Quorum)] = &[
+        (AbdPhase::Query, Quorum::Majority),
+        (AbdPhase::Store, Quorum::Majority),
+    ];
 }
 
 /// The highest query reply so far, with its responder: the highest tag, and
@@ -144,8 +142,8 @@ impl AbdServer {
     /// `epoch` distinguishes successive incarnations of the same rank.
     pub fn replacement(layout: Layout, epoch: u64) -> Self {
         let mut phase = PhaseDriver::default();
-        let needed = AbdPhase::Query.needed(&layout, None);
-        phase.begin(AbdPhase::Query, epoch, needed);
+        // A full replica is the `k = 1` code.
+        phase.begin(AbdPhase::Query, epoch, &QuorumSizes::new(&layout, 1, 0));
         AbdServer {
             tag: Tag::INITIAL,
             value: value_from(Vec::new()),
@@ -272,9 +270,9 @@ impl Process<AbdMsg> for AbdServer {
 pub struct AbdClient {
     layout: Layout,
     self_id: ProcessId,
-    /// Responses each phase waits for instead of a majority; `None` in
-    /// correct deployments, see [`AbdClient::with_quorum`].
-    quorum_override: Option<usize>,
+    /// The quorums every phase's threshold is read from; a test may shrink
+    /// the majority (see [`AbdClient::with_quorum`]).
+    quorums: QuorumSizes,
     ops: OpQueue,
     phase: PhaseDriver<AbdPhase>,
     /// The highest `(tag, value)` the query phase has heard so far; taken
@@ -288,9 +286,9 @@ impl AbdClient {
     /// Creates a client for the given layout.
     pub fn new(layout: Layout, self_id: ProcessId) -> Self {
         AbdClient {
+            quorums: QuorumSizes::new(&layout, 1, 0),
             layout,
             self_id,
-            quorum_override: None,
             ops: OpQueue::new(self_id),
             phase: PhaseDriver::default(),
             max: None,
@@ -304,7 +302,7 @@ impl AbdClient {
     /// uses this deliberately broken configuration to verify that the
     /// atomicity checker catches non-atomic executions.
     pub fn with_quorum(mut self, quorum: usize) -> Self {
-        self.quorum_override = Some(quorum.clamp(1, self.layout.n()));
+        self.quorums = self.quorums.with_majority(quorum.clamp(1, self.layout.n()));
         self
     }
 
@@ -318,18 +316,12 @@ impl AbdClient {
         let Some((seq, kind)) = self.ops.start_next(ctx.now()) else {
             return;
         };
-        self.begin(AbdPhase::Query);
+        self.phase.begin(AbdPhase::Query, seq, &self.quorums);
         let query = AbdMsg::Query {
             seq,
             with_value: kind.is_read(),
         };
         ctx.send_all(self.layout.servers().iter().copied(), query);
-    }
-
-    /// Starts `phase` of the operation in flight.
-    fn begin(&mut self, phase: AbdPhase) {
-        let needed = phase.needed(&self.layout, self.quorum_override);
-        self.phase.begin(phase, self.ops.seq(), needed);
     }
 
     fn begin_store(&mut self, ctx: &mut Context<'_, AbdMsg>) {
@@ -346,7 +338,8 @@ impl AbdClient {
             }
         };
         self.ops.set_tag(tag);
-        self.begin(AbdPhase::Store);
+        self.phase
+            .begin(AbdPhase::Store, self.ops.seq(), &self.quorums);
         let store = AbdMsg::Store {
             seq: self.ops.seq(),
             tag,

@@ -18,8 +18,8 @@
 //! per-read cost is compared against in Table I and Section I-B.
 
 use soda_protocol::{
-    Invocation, Layout, OpKind, OpQueue, PhaseDriver, ProtocolSpec, RepairDriver, RepairStatus,
-    Reply, Tag, Value,
+    Invocation, Layout, OpKind, OpQueue, PhaseDriver, ProtocolSpec, Quorum, QuorumPhase,
+    QuorumSizes, RepairDriver, RepairStatus, Reply, Tag, Value,
 };
 use soda_rs_code::{CodedElement, MdsCode, VandermondeCode};
 use soda_simnet::{Context, Message, Process, ProcessId, SimTime, Simulation};
@@ -133,6 +133,7 @@ pub struct CasConfig {
     /// `Some(δ + 1)` keeps at most that many finalized versions with elements
     /// (CASGC); `None` never garbage-collects (plain CAS).
     gc_versions: Option<usize>,
+    quorums: QuorumSizes,
 }
 
 impl CasConfig {
@@ -147,6 +148,7 @@ impl CasConfig {
         assert!(n > 2 * f, "CAS requires n > 2f");
         let code = VandermondeCode::new(n, n - 2 * f).expect("valid CAS code parameters");
         Arc::new(CasConfig {
+            quorums: QuorumSizes::new(&layout, code.k(), 0),
             layout,
             code,
             gc_versions,
@@ -167,34 +169,42 @@ impl CasConfig {
     pub fn code(&self) -> &VandermondeCode {
         &self.code
     }
+
+    /// The deployment's quorums, which every phase's threshold is read
+    /// from.
+    pub fn quorums(&self) -> &QuorumSizes {
+        &self.quorums
+    }
 }
 
 /// The phases of a CAS operation, and the state pull of a replacement
 /// server's repair.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum CasPhase {
+pub enum CasPhase {
+    /// `query-tag`: ask every server for its highest finalized tag.
     QueryTag,
+    /// `pre-write`: send every server its coded element, labelled `pre`.
     PreWrite,
+    /// `finalize`: label the written tag `fin` at every server.
     Finalize,
+    /// `read-finalize`: label the read tag `fin` and collect its elements.
     ReadValue,
+    /// A replacement's pull of every survivor's version store.
     RepairPull,
 }
 
-impl CasPhase {
-    /// The replies `self` waits for: CAS's thresholds, written once. Every
-    /// phase waits for a quorum of `n − f`, and any two such quorums
-    /// intersect in `k = n − 2f` servers. `read-value` also needs `k`
-    /// elements of its tag, beside the count (see
-    /// [`CasClient::try_complete_read`]).
-    fn needed(self, layout: &Layout) -> usize {
-        match self {
-            CasPhase::QueryTag
-            | CasPhase::PreWrite
-            | CasPhase::Finalize
-            | CasPhase::ReadValue
-            | CasPhase::RepairPull => layout.n() - layout.f(),
-        }
-    }
+/// CAS's and CASGC's thresholds: every phase waits for a quorum of `n − f`,
+/// and any two such quorums intersect in `k = n − 2f` servers. `read-value`
+/// also needs `k` elements of its tag, beside the count (see the client's
+/// `try_complete_read`).
+impl QuorumPhase for CasPhase {
+    const QUORUMS: &'static [(CasPhase, Quorum)] = &[
+        (CasPhase::QueryTag, Quorum::NMinusF),
+        (CasPhase::PreWrite, Quorum::NMinusF),
+        (CasPhase::Finalize, Quorum::NMinusF),
+        (CasPhase::ReadValue, Quorum::NMinusF),
+        (CasPhase::RepairPull, Quorum::NMinusF),
+    ];
 }
 
 /// In-flight full-replica state transfer of a replacement CAS server.
@@ -260,8 +270,7 @@ impl CasServer {
     /// preserved by the merge. `epoch` distinguishes incarnations.
     pub fn replacement(config: Arc<CasConfig>, my_rank: usize, epoch: u64) -> Self {
         let mut phase = PhaseDriver::default();
-        let needed = CasPhase::RepairPull.needed(config.layout());
-        phase.begin(CasPhase::RepairPull, epoch, needed);
+        phase.begin(CasPhase::RepairPull, epoch, config.quorums());
         CasServer {
             config,
             my_rank,
@@ -508,15 +517,10 @@ impl CasClient {
         let Some((seq, _)) = self.ops.start_next(ctx.now()) else {
             return;
         };
-        self.begin(CasPhase::QueryTag);
+        self.phase
+            .begin(CasPhase::QueryTag, seq, self.config.quorums());
         self.max_tag = Tag::INITIAL;
         ctx.send_all(self.servers(), CasMsg::QueryTag { seq });
-    }
-
-    /// Starts `phase` of the operation in flight.
-    fn begin(&mut self, phase: CasPhase) {
-        let needed = phase.needed(self.config.layout());
-        self.phase.begin(phase, self.ops.seq(), needed);
     }
 
     fn servers(&self) -> impl Iterator<Item = ProcessId> + '_ {
@@ -528,14 +532,16 @@ impl CasClient {
         match self.ops.value().cloned() {
             None => {
                 self.ops.set_tag(max_tag);
-                self.begin(CasPhase::ReadValue);
+                self.phase
+                    .begin(CasPhase::ReadValue, seq, self.config.quorums());
                 self.read_elements.clear();
                 ctx.send_all(self.servers(), CasMsg::ReadFinalize { seq, tag: max_tag });
             }
             Some(value) => {
                 let tag = max_tag.next(self.self_id);
                 self.ops.set_tag(tag);
-                self.begin(CasPhase::PreWrite);
+                self.phase
+                    .begin(CasPhase::PreWrite, seq, self.config.quorums());
                 let elements = self
                     .config
                     .code()
@@ -549,8 +555,9 @@ impl CasClient {
     }
 
     fn begin_finalize(&mut self, ctx: &mut Context<'_, CasMsg>) {
-        self.begin(CasPhase::Finalize);
         let seq = self.ops.seq();
+        self.phase
+            .begin(CasPhase::Finalize, seq, self.config.quorums());
         let tag = self.ops.tag().expect("finalize requires a tag");
         ctx.send_all(self.servers(), CasMsg::Finalize { seq, tag });
     }

@@ -42,11 +42,6 @@ impl Layout {
         self.f
     }
 
-    /// The code dimension SODA uses: `k = n − f`.
-    pub fn k(&self) -> usize {
-        self.n() - self.f
-    }
-
     /// Majority quorum size `⌊n/2⌋ + 1`.
     pub fn majority(&self) -> usize {
         self.n() / 2 + 1
@@ -100,7 +95,6 @@ mod tests {
         let l = Layout::new(servers(10), 4);
         assert_eq!(l.n(), 10);
         assert_eq!(l.f(), 4);
-        assert_eq!(l.k(), 6);
         assert_eq!(l.majority(), 6);
         assert_eq!(l.relay_set(), 0..5);
         assert!(l.in_relay_set(0));

@@ -12,8 +12,9 @@
 //!   message-disperse primitives.
 //! * [`PhaseDriver`], [`Reply`] — the quorum phase every client and repair
 //!   runs: which phase is in flight for which operation, stale replies
-//!   dropped, each responder counted once, completion reported once. The
-//!   protocols fold the replies' payloads and write their thresholds.
+//!   dropped, each responder counted once, completion reported once, every
+//!   threshold read from the protocol's one quorum table ([`QuorumPhase`],
+//!   [`Quorum`], [`QuorumSizes`]). The protocols fold the replies' payloads.
 //! * [`md`] — the **message-disperse primitives** MD-VALUE and MD-META
 //!   (Section III): pure state machines that, given a received message,
 //!   produce the relays and local deliveries the IO Automata specification
@@ -46,6 +47,7 @@ pub mod md;
 mod client;
 mod layout;
 mod phase;
+mod quorum;
 mod record;
 mod repair;
 mod runs;
@@ -56,6 +58,7 @@ mod value;
 pub use client::{Invocation, OpQueue};
 pub use layout::Layout;
 pub use phase::{PhaseDriver, Reply};
+pub use quorum::{Quorum, QuorumPhase, QuorumSizes};
 pub use record::{OpKind, OpRecord, PendingWrite};
 pub use repair::{
     RepairDriver, RepairError, RepairStatus, REPAIR_MAX_ATTEMPTS, REPAIR_RETRY_INTERVAL,

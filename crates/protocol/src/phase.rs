@@ -3,10 +3,12 @@
 //! A client, or a replacement server repairing itself, sends one message to
 //! each server, counts one reply per responder up to a threshold, then moves
 //! on (Figs. 3–4 of the paper; CAS's phases; RADON's repair). The driver
-//! keeps that count. What a reply carries — the highest tag, ABD's
-//! `(tag, value)`, CAS's coded elements — each protocol folds as it arrives,
-//! and each writes its thresholds in one match on its own phase enum.
+//! keeps that count, reading each phase's threshold from its protocol's
+//! quorum table ([`QuorumPhase`]). What a reply carries — the highest tag,
+//! ABD's `(tag, value)`, CAS's coded elements — each protocol folds as it
+//! arrives.
 
+use crate::{QuorumPhase, QuorumSizes};
 use soda_simnet::ProcessId;
 
 /// What [`PhaseDriver::record`] made of a reply.
@@ -52,12 +54,13 @@ impl<P, K> Default for PhaseDriver<P, K> {
     }
 }
 
-impl<P: Copy + Eq, K: Copy + Eq> PhaseDriver<P, K> {
-    /// Starts `phase` of operation `key`, waiting for `needed` distinct
-    /// responders; whatever ran before is forgotten.
-    pub fn begin(&mut self, phase: P, key: K, needed: usize) {
+impl<P: QuorumPhase, K: Copy + Eq> PhaseDriver<P, K> {
+    /// Starts `phase` of operation `key`, waiting for as many distinct
+    /// responders as its row of the quorum table says, evaluated in `sizes`;
+    /// whatever ran before is forgotten.
+    pub fn begin(&mut self, phase: P, key: K, sizes: &QuorumSizes) {
         self.running = Some((phase, key));
-        self.needed = needed;
+        self.needed = sizes.of(phase.quorum());
         self.responders.clear();
     }
 
@@ -100,11 +103,23 @@ impl<P: Copy + Eq, K: Copy + Eq> PhaseDriver<P, K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Layout, Quorum};
 
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
     enum Phase {
         Get,
         Put,
+    }
+
+    /// Both phases wait for `k` replies.
+    impl QuorumPhase for Phase {
+        const QUORUMS: &'static [(Phase, Quorum)] =
+            &[(Phase::Get, Quorum::K), (Phase::Put, Quorum::K)];
+    }
+
+    /// Quorums in which `k` is `needed`.
+    fn sizes(needed: usize) -> QuorumSizes {
+        QuorumSizes::new(&Layout::new(vec![ProcessId(0)], 0), needed, 0)
     }
 
     /// Begins `(Get, seq 1)` waiting for `needed` responders, feeds it
@@ -113,7 +128,7 @@ mod tests {
     fn check(needed: usize, replies: &[(Phase, u64, u32)], expected: &[Reply], reached: bool) {
         let mut driver = PhaseDriver::default();
         assert_eq!((driver.phase(), driver.reached()), (None, false), "idle");
-        driver.begin(Phase::Get, 1, needed);
+        driver.begin(Phase::Get, 1, &sizes(needed));
         assert_eq!(driver.phase(), Some(Phase::Get));
         let got: Vec<Reply> = replies
             .iter()
@@ -165,13 +180,13 @@ mod tests {
     #[test]
     fn begin_resets_the_count_and_end_goes_idle() {
         let mut driver = PhaseDriver::default();
-        driver.begin(Phase::Get, 7, 2);
+        driver.begin(Phase::Get, 7, &sizes(2));
         assert_eq!(driver.record(Phase::Get, 7, ProcessId(0)), Reply::Counted);
         assert_eq!(driver.record(Phase::Get, 7, ProcessId(1)), Reply::Completed);
 
         // The next phase counts the same responders afresh; the last
         // phase's replies are stale.
-        driver.begin(Phase::Put, 7, 2);
+        driver.begin(Phase::Put, 7, &sizes(2));
         assert!(driver.is_running(Phase::Put, 7) && !driver.reached());
         assert_eq!(driver.record(Phase::Get, 7, ProcessId(2)), Reply::Ignored);
         assert_eq!(driver.record(Phase::Put, 7, ProcessId(1)), Reply::Counted);

@@ -122,8 +122,8 @@ pub trait RegisterCluster: Send {
     /// Current simulated time.
     fn now(&self) -> SimTime;
 
-    /// Message statistics accumulated so far. A windowed measurement clones
-    /// them before the window and calls [`Stats::since`] after it.
+    /// Message statistics accumulated so far. A windowed measurement reads a
+    /// counter before the window and subtracts it after.
     fn stats(&self) -> &Stats;
 
     /// Appends to `out` the operations client process `client` completed

@@ -1,5 +1,9 @@
 //! Protocol selection and the static description of a built cluster.
 
+use soda::Phase;
+use soda_baselines::{abd::AbdPhase, cas::CasPhase};
+use soda_protocol::{Quorum, QuorumPhase};
+
 /// Which atomic-register algorithm a cluster runs.
 ///
 /// The five variants are exactly the columns the paper's Table I compares:
@@ -70,6 +74,27 @@ impl ProtocolKind {
         };
         (k >= 1).then_some(k)
     }
+
+    /// The quorum table this kind's clients and repairs read every threshold
+    /// from.
+    pub fn quorum_table(&self) -> QuorumTable {
+        match self {
+            ProtocolKind::Soda | ProtocolKind::SodaErr { .. } => QuorumTable::Soda(Phase::QUORUMS),
+            ProtocolKind::Abd => QuorumTable::Abd(AbdPhase::QUORUMS),
+            ProtocolKind::Cas | ProtocolKind::Casgc { .. } => QuorumTable::Cas(CasPhase::QUORUMS),
+        }
+    }
+}
+
+/// One protocol's quorum table: every phase with the replies it waits for.
+#[derive(Clone, Copy, Debug)]
+pub enum QuorumTable {
+    /// SODA's and SODAerr's.
+    Soda(&'static [(Phase, Quorum)]),
+    /// ABD's.
+    Abd(&'static [(AbdPhase, Quorum)]),
+    /// CAS's and CASGC's.
+    Cas(&'static [(CasPhase, Quorum)]),
 }
 
 /// Static description of a built cluster: which algorithm it runs and its

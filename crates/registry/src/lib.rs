@@ -6,7 +6,7 @@
 //! This crate says so once, which makes the comparison mechanical:
 //!
 //! * [`ProtocolKind`] — the algorithm to run: `Soda`, `SodaErr { e }`, `Abd`,
-//!   `Cas` or `Casgc { gc }`.
+//!   `Cas` or `Casgc { gc }`, and the [`QuorumTable`] its phases read.
 //! * [`ClusterBuilder`] — one named, defaulted, *validated* constructor for
 //!   all five (rejecting e.g. `n ≤ 2f`, or SODAerr parameters with
 //!   `k = n − f − 2e < 1`).
@@ -57,9 +57,9 @@ mod record;
 pub use builder::{BuildError, ClusterBuilder, PartitionWindow};
 pub use cluster::RegisterCluster;
 pub use harness::{AbdRegisterCluster, CasRegisterCluster, Harness, SodaRegisterCluster};
-pub use kind::{ClusterDescriptor, ProtocolKind};
+pub use kind::{ClusterDescriptor, ProtocolKind, QuorumTable};
 pub use record::{history_from_records, history_with_pending, version_of_tag};
-pub use soda_protocol::{OpKind, OpRecord, PendingWrite, RepairError, RepairStatus, Value};
+pub use soda_protocol::{OpKind, OpRecord, PendingWrite, Quorum, RepairError, RepairStatus, Value};
 
 /// All five protocol kinds with representative parameters, for tests and
 /// sweeps that want to cover the whole matrix. `e` and `gc` are placeholders

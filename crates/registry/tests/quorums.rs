@@ -1,0 +1,241 @@
+//! Every kind's quorum table against the quorum intersections its atomicity
+//! proof uses, and every kind's code dimension against the code its cluster
+//! runs, over every legal `(kind, n, f, e)` with `n ≤ 12`.
+
+use soda::Phase;
+use soda_baselines::abd::AbdPhase;
+use soda_baselines::cas::CasPhase;
+use soda_protocol::{Layout, QuorumSizes};
+use soda_registry::{ClusterBuilder, ProtocolKind, Quorum, QuorumTable, RegisterCluster};
+use soda_simnet::ProcessId;
+
+/// Every legal `(kind, n, f)` with `n ≤ 12`: `2f < n`, and for SODAerr every
+/// error budget `e` that leaves a code dimension `n − f − 2e ≥ 1`.
+fn legal_points() -> Vec<(ProtocolKind, usize, usize)> {
+    let mut points = Vec::new();
+    for n in 1..=12 {
+        for f in 0..=(n - 1) / 2 {
+            let fixed = [
+                ProtocolKind::Soda,
+                ProtocolKind::Abd,
+                ProtocolKind::Cas,
+                ProtocolKind::Casgc { gc: 1 },
+            ];
+            let sodaerr = (0..).take_while(|e| f + 2 * e < n);
+            let kinds = fixed
+                .into_iter()
+                .chain(sodaerr.map(|e| ProtocolKind::SodaErr { e }));
+            points.extend(kinds.map(|kind| (kind, n, f)));
+        }
+    }
+    for &(kind, n, f) in &points {
+        let builder = ClusterBuilder::new(kind, n, f);
+        assert!(builder.validate().is_ok(), "{kind:?} n={n} f={f}");
+    }
+    points
+}
+
+/// What a phase does in the proofs.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Role {
+    /// Completes a write, or makes a read's tag stick (ABD's write-back,
+    /// CAS's read-finalize): every later tag query must meet it.
+    Completes,
+    /// Queries tags: a client's first phase, or a repair's pull.
+    Queries,
+    /// CAS's pre-write: the elements a read must find `k` of.
+    PreWrites,
+    /// CAS's read-value, which collects those elements.
+    CollectsElements,
+}
+
+/// One row of a quorum table, with its phase's roles.
+struct Row {
+    phase: String,
+    quorum: Quorum,
+    roles: &'static [Role],
+}
+
+/// `kind`'s quorum table, each phase with the roles the proofs give it.
+fn rows(kind: ProtocolKind) -> Vec<Row> {
+    use Role::{CollectsElements, Completes, PreWrites, Queries};
+    fn row<P: std::fmt::Debug>(phase: P, quorum: Quorum, roles: &'static [Role]) -> Row {
+        let phase = format!("{phase:?}");
+        Row {
+            phase,
+            quorum,
+            roles,
+        }
+    }
+    let rows: Vec<Row> = match kind.quorum_table() {
+        QuorumTable::Soda(table) => table
+            .iter()
+            .map(|&(phase, quorum)| {
+                let roles: &'static [Role] = match phase {
+                    Phase::WriteGet | Phase::ReadGet => &[Queries],
+                    Phase::WritePut => &[Completes],
+                    Phase::ReadValue => &[],
+                };
+                row(phase, quorum, roles)
+            })
+            .collect(),
+        QuorumTable::Abd(table) => table
+            .iter()
+            .map(|&(phase, quorum)| {
+                let roles: &'static [Role] = match phase {
+                    AbdPhase::Query => &[Queries],
+                    AbdPhase::Store => &[Completes],
+                };
+                row(phase, quorum, roles)
+            })
+            .collect(),
+        QuorumTable::Cas(table) => table
+            .iter()
+            .map(|&(phase, quorum)| {
+                let roles: &'static [Role] = match phase {
+                    CasPhase::QueryTag | CasPhase::RepairPull => &[Queries],
+                    CasPhase::PreWrite => &[PreWrites],
+                    CasPhase::Finalize => &[Completes],
+                    CasPhase::ReadValue => &[Completes, CollectsElements],
+                };
+                row(phase, quorum, roles)
+            })
+            .collect(),
+    };
+    for (i, a) in rows.iter().enumerate() {
+        let repeats = rows[..i].iter().any(|b| b.phase == a.phase);
+        assert!(!repeats, "{kind:?}: {} has two rows", a.phase);
+    }
+    rows
+}
+
+/// The obligations `kind`'s table misses at `(n, f)`, one line each.
+fn violations(kind: ProtocolKind, n: usize, f: usize) -> Vec<String> {
+    let layout = Layout::new((0..n as u32).map(ProcessId).collect(), f);
+    // ABD replicates: a full replica is the `k = 1` code.
+    let k = kind.code_dimension(n, f).unwrap_or(1);
+    let sizes = QuorumSizes::new(&layout, k, kind.error_budget());
+    let rows = rows(kind);
+    let size = |row: &Row| sizes.of(row.quorum);
+    let with = |role: Role| rows.iter().filter(move |row| row.roles.contains(&role));
+    let mut missed = Vec::new();
+    for done in with(Role::Completes) {
+        for query in with(Role::Queries) {
+            if size(done) + size(query) <= n {
+                missed.push(format!("{} + {} <= n", done.phase, query.phase));
+            }
+        }
+    }
+    for pre in with(Role::PreWrites) {
+        for read in with(Role::CollectsElements) {
+            if size(pre) + size(read) < n + k {
+                missed.push(format!("{} + {} < n + k", pre.phase, read.phase));
+            }
+        }
+    }
+    for row in &rows {
+        if size(row) > n - f {
+            missed.push(format!("{} > n - f", row.phase));
+        }
+    }
+    missed
+}
+
+#[test]
+fn soda_abd_cas_and_casgc_tables_meet_every_intersection_the_proofs_use() {
+    let failures: Vec<String> = legal_points()
+        .into_iter()
+        .filter(|(kind, _, _)| !matches!(kind, ProtocolKind::SodaErr { .. }))
+        .flat_map(|(kind, n, f)| {
+            let at = format!("{kind:?} n={n} f={f}");
+            violations(kind, n, f)
+                .into_iter()
+                .map(move |missed| format!("{at}: {missed}"))
+        })
+        .collect();
+    assert!(failures.is_empty(), "{failures:#?}");
+}
+
+/// Fix-first (A), pinned: SODAerr's `write-put` waits for `k = n − f − 2e`
+/// acks, so wherever `k + ⌊n/2⌋ + 1 ≤ n` a completed write can miss a later
+/// get's majority. The proofs need `n − f` acks there. When the row is
+/// fixed this pin flips: every point is clean.
+#[test]
+fn sodaerr_write_put_misses_both_gets_where_k_plus_a_majority_is_at_most_n() {
+    let (mut points, mut failing, mut with_faults_and_errors) = (0, 0, (0, 0));
+    for (kind, n, f) in legal_points() {
+        let ProtocolKind::SodaErr { e } = kind else {
+            continue;
+        };
+        let k = n - f - 2 * e;
+        let misses = k + n / 2 < n;
+        let expected: Vec<String> = if misses {
+            vec![
+                "WritePut + WriteGet <= n".into(),
+                "WritePut + ReadGet <= n".into(),
+            ]
+        } else {
+            Vec::new()
+        };
+        assert_eq!(
+            violations(kind, n, f),
+            expected,
+            "SODAerr n={n} f={f} e={e}"
+        );
+        points += 1;
+        failing += usize::from(misses);
+        if f >= 1 && e >= 1 {
+            with_faults_and_errors.0 += 1;
+            with_faults_and_errors.1 += usize::from(misses);
+        }
+    }
+    assert_eq!((points, failing), (147, 70));
+    assert_eq!(with_faults_and_errors, (75, 55));
+    let misses = |n, f, e| !violations(ProtocolKind::SodaErr { e }, n, f).is_empty();
+    assert!(misses(5, 2, 1) && misses(7, 2, 1) && !misses(7, 1, 1));
+}
+
+#[test]
+fn every_phase_has_one_row_in_its_tables() {
+    let phases = |kind: ProtocolKind| -> Vec<String> {
+        let mut phases: Vec<String> = rows(kind).into_iter().map(|row| row.phase).collect();
+        phases.sort();
+        phases
+    };
+    assert_eq!(
+        phases(ProtocolKind::Soda),
+        ["ReadGet", "ReadValue", "WriteGet", "WritePut"]
+    );
+    assert_eq!(phases(ProtocolKind::Abd), ["Query", "Store"]);
+    assert_eq!(
+        phases(ProtocolKind::Cas),
+        [
+            "Finalize",
+            "PreWrite",
+            "QueryTag",
+            "ReadValue",
+            "RepairPull"
+        ]
+    );
+}
+
+/// `ProtocolKind::code_dimension` computes `k` on its own; every built
+/// cluster's descriptor must report the `k` of the code its spec runs.
+#[test]
+fn a_built_clusters_descriptor_reports_the_code_dimension_it_runs() {
+    for (kind, n, f) in legal_points() {
+        let builder = ClusterBuilder::new(kind, n, f);
+        let (reported, runs) = match kind {
+            ProtocolKind::Soda | ProtocolKind::SodaErr { .. } => {
+                let cluster = builder.build_soda().unwrap();
+                (cluster.descriptor().k(), Some(cluster.spec().config.k()))
+            }
+            ProtocolKind::Cas | ProtocolKind::Casgc { .. } => {
+                let cluster = builder.build_cas().unwrap();
+                (cluster.descriptor().k(), Some(cluster.spec().config.k()))
+            }
+            ProtocolKind::Abd => (builder.build().unwrap().descriptor().k(), None),
+        };
+        assert_eq!(reported, runs, "{kind:?} n={n} f={f}");
+    }
+}

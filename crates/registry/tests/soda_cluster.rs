@@ -303,7 +303,7 @@ fn crash_then_repair_restores_the_coded_element() {
         report.traffic_bytes,
         config.read_threshold() as u64 * elem_len
     );
-    assert!(report.traffic_bytes <= config.n() as u64 * elem_len);
+    assert!(report.traffic_bytes <= config.layout().n() as u64 * elem_len);
     assert_eq!(cluster.repair_traffic_bytes(), report.traffic_bytes);
 
     // A read after the repair still returns the written value.

@@ -202,8 +202,8 @@ impl<M: Message> Simulation<M> {
         self.crashed.get(id.index()).copied().unwrap_or(false)
     }
 
-    /// Aggregate message statistics so far. Clone them to measure a window
-    /// with [`Stats::since`].
+    /// Aggregate message statistics so far. A window's cost is a counter's
+    /// difference across it.
     pub fn stats(&self) -> &Stats {
         &self.stats
     }

@@ -5,8 +5,8 @@
 //! coded elements held by servers; metadata is free. A simulation's [`Stats`]
 //! collect the communication side of this: every send is recorded with its
 //! data-byte count (as reported by [`crate::Message::data_bytes`]), aggregated
-//! globally and per process, and a clone taken before a window and
-//! [`Stats::since`] after it measure that window.
+//! globally and per process. A window's cost is a counter's difference
+//! across it.
 
 use crate::process::ProcessId;
 
@@ -59,37 +59,6 @@ pub struct Stats {
 }
 
 impl Stats {
-    /// Difference `self - earlier`, used for windowed measurements
-    /// (e.g. the communication cost of a single operation).
-    pub fn since(&self, earlier: &Stats) -> Stats {
-        let per_process = self
-            .per_process
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                let e = earlier.per_process.get(i).copied().unwrap_or_default();
-                ProcessStats {
-                    messages_sent: p.messages_sent - e.messages_sent,
-                    messages_received: p.messages_received - e.messages_received,
-                    data_bytes_sent: p.data_bytes_sent - e.data_bytes_sent,
-                    data_bytes_received: p.data_bytes_received - e.data_bytes_received,
-                }
-            })
-            .collect();
-        Stats {
-            messages_sent: self.messages_sent - earlier.messages_sent,
-            messages_delivered: self.messages_delivered - earlier.messages_delivered,
-            messages_dropped: self.messages_dropped - earlier.messages_dropped,
-            messages_lost: self.messages_lost - earlier.messages_lost,
-            messages_partitioned: self.messages_partitioned - earlier.messages_partitioned,
-            messages_duplicated: self.messages_duplicated - earlier.messages_duplicated,
-            messages_corrupted: self.messages_corrupted - earlier.messages_corrupted,
-            data_bytes_sent: self.data_bytes_sent - earlier.data_bytes_sent,
-            metadata_messages: self.metadata_messages - earlier.metadata_messages,
-            per_process,
-        }
-    }
-
     fn ensure_process(&mut self, id: ProcessId) -> Option<&mut ProcessStats> {
         if id == ProcessId::ENV {
             return None;
@@ -157,19 +126,5 @@ mod tests {
         // ENV has no per-process slot; only process 0 exists after delivery.
         s.record_delivery(ProcessId(0), 50);
         assert_eq!(s.per_process[0].messages_received, 1);
-    }
-
-    #[test]
-    fn stats_since_computes_window() {
-        let mut s = Stats::default();
-        s.record_send(ProcessId(0), 10, false);
-        let snapshot = s.clone();
-        s.record_send(ProcessId(0), 30, false);
-        s.record_delivery(ProcessId(1), 30);
-        let window = s.since(&snapshot);
-        assert_eq!(window.messages_sent, 1);
-        assert_eq!(window.data_bytes_sent, 30);
-        assert_eq!(window.messages_delivered, 1);
-        assert_eq!(window.per_process[0].data_bytes_sent, 30);
     }
 }

@@ -1,37 +1,13 @@
 //! Shared configuration of one SODA / SODAerr deployment.
 
-use soda_protocol::{Layout, Value};
+use soda_protocol::{Layout, Quorum, QuorumPhase, QuorumSizes, Value};
 use soda_rs_code::{BerlekampWelchCode, MdsCode, VandermondeCode};
-use std::fmt;
 use std::sync::Arc;
-
-/// Which algorithm variant a cluster runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SodaVariant {
-    /// Plain SODA: `k = n − f`, erasure-only decoding (Section IV).
-    Soda,
-    /// SODAerr: `k = n − f − 2e`, reads gather `k + 2e` elements and decode
-    /// through the error-correcting decoder (Section VI).
-    SodaErr {
-        /// Maximum number of error-prone coded elements tolerated per read.
-        e: usize,
-    },
-}
-
-impl SodaVariant {
-    /// The error budget `e` (0 for plain SODA).
-    pub fn error_budget(&self) -> usize {
-        match *self {
-            SodaVariant::Soda => 0,
-            SodaVariant::SodaErr { e } => e,
-        }
-    }
-}
 
 /// The phases of a SODA operation. A replacement server's repair is a read
 /// that re-encodes, so it runs the read's two.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Phase {
+pub enum Phase {
     /// `write-get`: query every server's tag.
     WriteGet,
     /// `write-put`: disperse the value, collect acks.
@@ -42,59 +18,58 @@ pub(crate) enum Phase {
     ReadValue,
 }
 
-/// Immutable configuration shared by all processes of one deployment.
-pub struct SodaConfig {
-    layout: Layout,
-    variant: SodaVariant,
-    code: VandermondeCode,
+/// SODA's and SODAerr's thresholds: the two gets wait for a majority of
+/// responders and `write-put` for `k` acks. `read-value` waits for `k + 2e`
+/// coded elements *of one tag*, which the read counts per tag beside the
+/// phase driver's count of responders.
+impl QuorumPhase for Phase {
+    const QUORUMS: &'static [(Phase, Quorum)] = &[
+        (Phase::WriteGet, Quorum::Majority),
+        (Phase::WritePut, Quorum::K),
+        (Phase::ReadGet, Quorum::Majority),
+        (Phase::ReadValue, Quorum::KPlus2E),
+    ];
 }
 
-impl fmt::Debug for SodaConfig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SodaConfig")
-            .field("n", &self.layout.n())
-            .field("f", &self.layout.f())
-            .field("variant", &self.variant)
-            .field("k", &self.code.k())
-            .finish()
-    }
+/// Immutable configuration shared by all processes of one deployment.
+#[derive(Debug)]
+pub struct SodaConfig {
+    layout: Layout,
+    /// The error budget `e`: SODAerr's reads decode past up to `e`
+    /// corrupted elements. 0 for plain SODA.
+    e: usize,
+    code: VandermondeCode,
+    quorums: QuorumSizes,
 }
 
 impl SodaConfig {
-    /// Configuration for plain SODA: `[n, n − f]` code, erasure decoding.
+    /// Configuration for plain SODA (Section IV): `[n, n − f]` code,
+    /// erasure decoding.
     pub fn soda(layout: Layout) -> Arc<Self> {
-        let code = VandermondeCode::new(layout.n(), layout.n() - layout.f())
-            .expect("layout guarantees 1 <= k <= n <= 255");
-        Arc::new(SodaConfig {
-            layout,
-            variant: SodaVariant::Soda,
-            code,
-        })
+        Self::soda_err(layout, 0)
     }
 
-    /// Configuration for SODAerr with error budget `e`: the same code at
-    /// `[n, n − f − 2e]`, read through its Berlekamp–Welch decoder.
+    /// Configuration for SODAerr with error budget `e` (Section VI): the
+    /// same code at `[n, n − f − 2e]`, whose reads gather `k + 2e` elements
+    /// and decode through its Berlekamp–Welch decoder.
     ///
     /// # Panics
     /// Panics if `f + 2e >= n` (no valid code dimension).
     pub fn soda_err(layout: Layout, e: usize) -> Arc<Self> {
         let code = BerlekampWelchCode::for_fault_tolerance(layout.n(), layout.f(), e)
             .expect("invalid SODAerr parameters: need f + 2e < n");
+        let quorums = QuorumSizes::new(&layout, code.k(), e);
         Arc::new(SodaConfig {
             layout,
-            variant: SodaVariant::SodaErr { e },
+            e,
             code,
+            quorums,
         })
     }
 
     /// The system layout (servers, `f`).
     pub fn layout(&self) -> &Layout {
         &self.layout
-    }
-
-    /// The algorithm variant.
-    pub fn variant(&self) -> SodaVariant {
-        self.variant
     }
 
     /// The erasure code in use.
@@ -107,45 +82,27 @@ impl SodaConfig {
         self.code.k()
     }
 
-    /// Number of servers `n`.
-    pub fn n(&self) -> usize {
-        self.layout.n()
-    }
-
-    /// Fault tolerance `f`.
-    pub fn f(&self) -> usize {
-        self.layout.f()
+    /// The quorums every phase's threshold is read from.
+    pub fn quorums(&self) -> &QuorumSizes {
+        &self.quorums
     }
 
     /// How many distinct coded elements (for one tag) a reader must gather
-    /// before decoding: `k` for SODA, `k + 2e` for SODAerr. The same threshold
-    /// governs when servers conclude that a registered reader is satisfied
-    /// (READ-DISPERSE bookkeeping).
+    /// before decoding: `read-value`'s row of the quorum table, `k` for SODA
+    /// and `k + 2e` for SODAerr. The same threshold governs when servers
+    /// conclude that a registered reader is satisfied (READ-DISPERSE
+    /// bookkeeping).
     pub fn read_threshold(&self) -> usize {
-        self.k() + 2 * self.variant.error_budget()
-    }
-
-    /// The replies `phase` waits for: SODA's thresholds, written once. The
-    /// two get phases wait for a majority of responders and `write-put` for
-    /// `k` acks. `read-value` waits for [`Self::read_threshold`] coded
-    /// elements *of one tag*, which the read counts per tag, not the phase
-    /// driver.
-    pub(crate) fn needed(&self, phase: Phase) -> usize {
-        match phase {
-            Phase::WriteGet | Phase::ReadGet => self.layout.majority(),
-            Phase::WritePut => self.k(),
-            Phase::ReadValue => self.read_threshold(),
-        }
+        self.quorums.of(Phase::ReadValue.quorum())
     }
 
     /// Decodes a value from the gathered elements, correcting up to the
-    /// variant's error budget `e` of them (none for plain SODA).
+    /// error budget `e` of them (none for plain SODA).
     pub fn decode(
         &self,
         elements: &[soda_rs_code::CodedElement],
     ) -> Result<Value, soda_rs_code::CodeError> {
-        self.code
-            .decode_with_errors(elements, self.variant.error_budget())
+        self.code.decode_with_errors(elements, self.e)
     }
 }
 
@@ -163,9 +120,8 @@ mod tests {
         let cfg = SodaConfig::soda(layout(9, 4));
         assert_eq!(cfg.k(), 5);
         assert_eq!(cfg.read_threshold(), 5);
-        assert_eq!(cfg.variant().error_budget(), 0);
-        assert_eq!(cfg.n(), 9);
-        assert_eq!(cfg.f(), 4);
+        assert_eq!(cfg.layout().n(), 9);
+        assert_eq!(cfg.layout().f(), 4);
         assert!(format!("{cfg:?}").contains("n"));
     }
 
@@ -174,7 +130,6 @@ mod tests {
         let cfg = SodaConfig::soda_err(layout(9, 2), 2);
         assert_eq!(cfg.k(), 3);
         assert_eq!(cfg.read_threshold(), 7);
-        assert_eq!(cfg.variant(), SodaVariant::SodaErr { e: 2 });
     }
 
     #[test]

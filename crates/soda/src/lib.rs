@@ -36,21 +36,8 @@
 //! `ClusterBuilder` provide the one validated, protocol-agnostic client API
 //! over SODA, SODAerr and the baselines (select this crate's algorithms with
 //! `ProtocolKind::Soda` / `ProtocolKind::SodaErr { e }`). This crate holds
-//! the automata and their [`SodaSpec`]; the harness that runs them is there.
-//!
-//! ```ignore
-//! use soda_registry::{ClusterBuilder, ProtocolKind};
-//!
-//! let mut cluster = ClusterBuilder::new(ProtocolKind::Soda, 5, 2)
-//!     .with_seed(7)
-//!     .build()
-//!     .unwrap();
-//! cluster.invoke_write(0, b"hello atomic world".to_vec());
-//! cluster.run_to_quiescence();
-//! cluster.invoke_read(0);
-//! cluster.run_to_quiescence();
-//! assert_eq!(cluster.completed_ops().len(), 2);
-//! ```
+//! the automata and their [`SodaSpec`]; the harness that runs them, and its
+//! quick start, are there.
 //!
 //! The protocol pieces themselves stay directly usable, e.g. the shared
 //! configuration:
@@ -79,7 +66,7 @@ mod spec;
 mod writer;
 
 pub use adversary::coded_element_corruptor;
-pub use config::{SodaConfig, SodaVariant};
+pub use config::{Phase, SodaConfig};
 pub use messages::{MetaPayload, OpId, SodaMsg};
 pub use reader::ReaderProcess;
 pub use server::ServerProcess;

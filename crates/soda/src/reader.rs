@@ -57,8 +57,7 @@ impl Read {
     /// Begins the `read-get` phase of `op`, forgetting the previous read.
     pub(crate) fn begin(&mut self, config: &SodaConfig, op: OpId) {
         self.op = op;
-        self.phase
-            .begin(Phase::ReadGet, op, config.needed(Phase::ReadGet));
+        self.phase.begin(Phase::ReadGet, op, config.quorums());
         self.tr = Tag::INITIAL;
         self.by_tag.clear();
     }
@@ -100,8 +99,7 @@ impl Read {
         if reply != Reply::Completed {
             return false;
         }
-        let needed = config.needed(Phase::ReadValue);
-        self.phase.begin(Phase::ReadValue, op, needed);
+        self.phase.begin(Phase::ReadValue, op, config.quorums());
         true
     }
 
@@ -124,7 +122,7 @@ impl Read {
         }
         let elements = self.by_tag.entry(tag).or_default();
         elements.insert(element.index, element);
-        let threshold = config.needed(Phase::ReadValue);
+        let threshold = config.read_threshold();
         let (&tag, elements) = self
             .by_tag
             .iter()

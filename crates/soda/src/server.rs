@@ -1057,7 +1057,7 @@ mod tests {
             .iter()
             .filter(|(_, m)| matches!(m, SodaMsg::ReadGet { op: o } if *o == op))
             .count();
-        assert_eq!(get_count, cfg.n() - 1, "queries every survivor");
+        assert_eq!(get_count, cfg.layout().n() - 1, "queries every survivor");
         // Survivors report their stored tag; majority completes the get phase.
         let mut registration = Vec::new();
         for rank in 1..=cfg.layout().majority() {

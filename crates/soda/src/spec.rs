@@ -15,7 +15,7 @@ use std::sync::Arc;
 /// not the spec's business: the network corrupts what they send (see
 /// [`crate::adversary`]).
 pub struct SodaSpec {
-    /// The shared protocol configuration (layout, variant, code).
+    /// The shared protocol configuration (layout, error budget, code, quorums).
     pub config: Arc<SodaConfig>,
     /// Ablation switch: `false` disables the relaying of concurrent writes
     /// to registered readers at every server (`true` is the paper's

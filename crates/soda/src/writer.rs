@@ -60,22 +60,17 @@ impl WriterProcess {
             return;
         };
         let op = OpId::new(self.self_id, seq);
-        self.begin(Phase::WriteGet);
+        self.phase.begin(Phase::WriteGet, op, self.config.quorums());
         self.max_tag = Tag::INITIAL;
         let servers = self.config.layout().servers().iter().copied();
         ctx.send_all(servers, SodaMsg::WriteGet { op });
     }
 
-    /// Starts `phase` of the operation in flight.
-    fn begin(&mut self, phase: Phase) {
-        let needed = self.config.needed(phase);
-        self.phase.begin(phase, self.op(), needed);
-    }
-
     fn begin_put(&mut self, ctx: &mut Context<'_, SodaMsg>) {
         let tag = self.max_tag.next(self.self_id);
         self.ops.set_tag(tag);
-        self.begin(Phase::WritePut);
+        self.phase
+            .begin(Phase::WritePut, self.op(), self.config.quorums());
         let value = self
             .ops
             .value()

@@ -4,7 +4,8 @@
 use std::fmt;
 
 /// A power-of-two latency histogram over simulated ticks: bucket `i` counts
-/// operations with latency in `[2^(i-1), 2^i)` (bucket 0 is latency 0).
+/// operations with latency in `[2^(i-1), 2^i)` (bucket 0 is latency 0), and
+/// the last bucket, 23, every latency of `2^22` ticks or more.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LatencyHistogram {
     buckets: [u64; 24],
@@ -54,14 +55,16 @@ impl LatencyHistogram {
 
     /// The smallest latency bound `2^i` such that at least `quantile` of the
     /// recorded operations finished within it (an upper bound on the
-    /// quantile, at bucket resolution). Returns 0 when empty.
+    /// quantile, at bucket resolution); the maximum when that is the last,
+    /// unbounded bucket. Returns 0 when empty.
     pub fn quantile_bound(&self, quantile: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
         let threshold = (self.count as f64 * quantile.clamp(0.0, 1.0)).ceil() as u64;
         let mut seen = 0;
-        for (i, &bucket) in self.buckets.iter().enumerate() {
+        let bounded = &self.buckets[..self.buckets.len() - 1];
+        for (i, &bucket) in bounded.iter().enumerate() {
             seen += bucket;
             if seen >= threshold {
                 return if i == 0 { 0 } else { 1u64 << i };
@@ -271,6 +274,11 @@ mod tests {
         assert_eq!(a.max(), 1000);
         // All four ops finished within 2^10 = 1024 ticks.
         assert!(a.quantile_bound(1.0) <= 1024);
+        // The last bucket holds every latency from 2^22 up: its bound is the
+        // maximum.
+        a.record(1 << 30);
+        assert!(a.quantile_bound(1.0) >= 1 << 30);
+        assert_eq!(a.buckets()[23], 1);
         // Buckets: 0 → bucket 0; 3 → bucket 2; 100 → bucket 7; 1000 → 10.
         assert_eq!(a.buckets()[0], 1);
         assert_eq!(a.buckets()[2], 1);
