@@ -13,10 +13,11 @@
 //! cost `n`.
 
 use soda_protocol::{
-    value_from, Invocation, Layout, OpKind, OpQueue, PhaseDriver, ProtocolSpec, Quorum,
+    value_from, Deployment, Invocation, OpKind, OpQueue, PhaseDriver, ProtocolSpec, Quorum,
     QuorumPhase, QuorumSizes, RepairDriver, RepairStatus, Reply, Tag, Value,
 };
 use soda_simnet::{Context, Message, Process, ProcessId, Simulation};
+use std::sync::Arc;
 
 /// Messages of the ABD protocol.
 #[derive(Clone, Debug)]
@@ -104,7 +105,7 @@ fn fold_max<V>(max: &mut MaxReply<V>, tag: Tag, from: ProcessId, value: V) {
 
 /// In-flight state re-acquisition of a replacement ABD server.
 struct AbdRepair {
-    layout: Layout,
+    deployment: Arc<Deployment>,
     seq: u64,
     phase: PhaseDriver<AbdPhase>,
     max: MaxReply<Value>,
@@ -140,15 +141,14 @@ impl AbdServer {
     /// reader's majority and hide a completed write), but it applies and
     /// acknowledges stores — a stored pair is durable from that moment on.
     /// `epoch` distinguishes successive incarnations of the same rank.
-    pub fn replacement(layout: Layout, epoch: u64) -> Self {
+    pub fn replacement(deployment: Arc<Deployment>, epoch: u64) -> Self {
         let mut phase = PhaseDriver::default();
-        // A full replica is the `k = 1` code.
-        phase.begin(AbdPhase::Query, epoch, &QuorumSizes::new(&layout, 1, 0));
+        phase.begin(AbdPhase::Query, epoch, deployment.quorums());
         AbdServer {
             tag: Tag::INITIAL,
             value: value_from(Vec::new()),
             repair: Some(AbdRepair {
-                layout,
+                deployment,
                 seq: epoch,
                 phase,
                 max: None,
@@ -181,7 +181,7 @@ impl AbdServer {
 impl Process<AbdMsg> for AbdServer {
     fn on_start(&mut self, ctx: &mut Context<'_, AbdMsg>) {
         if let Some(repair) = self.repair.as_mut() {
-            let (layout, seq) = (&repair.layout, repair.seq);
+            let (layout, seq) = (repair.deployment.layout(), repair.seq);
             repair.driver.start(ctx, |ctx| {
                 let query = AbdMsg::Query {
                     seq,
@@ -196,7 +196,7 @@ impl Process<AbdMsg> for AbdServer {
         if let Some(repair) = self.repair.as_mut() {
             // Duplicate queries are idempotent: the phase driver counts each
             // responder once.
-            let (layout, seq) = (&repair.layout, repair.seq);
+            let (layout, seq) = (repair.deployment.layout(), repair.seq);
             repair.driver.on_timer(token, ctx, |ctx| {
                 let query = AbdMsg::Query {
                     seq,
@@ -268,10 +268,10 @@ impl Process<AbdMsg> for AbdServer {
 /// An ABD client: performs both writes and reads (the two differ only in how
 /// the phase-2 tag/value are chosen and in what is recorded on completion).
 pub struct AbdClient {
-    layout: Layout,
+    deployment: Arc<Deployment>,
     self_id: ProcessId,
-    /// The quorums every phase's threshold is read from; a test may shrink
-    /// the majority (see [`AbdClient::with_quorum`]).
+    /// The deployment's quorums, every phase's threshold, copied so that a
+    /// test may shrink the majority (see [`AbdClient::with_quorum`]).
     quorums: QuorumSizes,
     ops: OpQueue,
     phase: PhaseDriver<AbdPhase>,
@@ -283,11 +283,12 @@ pub struct AbdClient {
 }
 
 impl AbdClient {
-    /// Creates a client for the given layout.
-    pub fn new(layout: Layout, self_id: ProcessId) -> Self {
+    /// Creates a client of `deployment`, whose code is the `k = 1` code: a
+    /// full replica.
+    pub fn new(deployment: Arc<Deployment>, self_id: ProcessId) -> Self {
         AbdClient {
-            quorums: QuorumSizes::new(&layout, 1, 0),
-            layout,
+            quorums: *deployment.quorums(),
+            deployment,
             self_id,
             ops: OpQueue::new(self_id),
             phase: PhaseDriver::default(),
@@ -297,12 +298,13 @@ impl AbdClient {
     }
 
     /// **Test-only.** Overrides the number of responses each phase waits
-    /// for. Anything below `layout.majority()` breaks the quorum-intersection
+    /// for. Anything below a majority breaks the quorum-intersection
     /// argument ABD's atomicity rests on; the schedule-exploration harness
     /// uses this deliberately broken configuration to verify that the
     /// atomicity checker catches non-atomic executions.
     pub fn with_quorum(mut self, quorum: usize) -> Self {
-        self.quorums = self.quorums.with_majority(quorum.clamp(1, self.layout.n()));
+        let n = self.deployment.layout().n();
+        self.quorums = self.quorums.with_majority(quorum.clamp(1, n));
         self
     }
 
@@ -321,7 +323,7 @@ impl AbdClient {
             seq,
             with_value: kind.is_read(),
         };
-        ctx.send_all(self.layout.servers().iter().copied(), query);
+        ctx.send_all(self.deployment.layout().servers().iter().copied(), query);
     }
 
     fn begin_store(&mut self, ctx: &mut Context<'_, AbdMsg>) {
@@ -345,7 +347,7 @@ impl AbdClient {
             tag,
             value,
         };
-        ctx.send_all(self.layout.servers().iter().copied(), store);
+        ctx.send_all(self.deployment.layout().servers().iter().copied(), store);
     }
 
     fn complete(&mut self, ctx: &mut Context<'_, AbdMsg>) {
@@ -386,11 +388,9 @@ impl Process<AbdMsg> for AbdClient {
     }
 }
 
-/// One ABD deployment, as the cluster harness sees it.
+/// ABD's one option, as the cluster harness sees it. ABD itself always uses
+/// majority quorums, regardless of the layout's `f`.
 pub struct AbdSpec {
-    /// The system layout. ABD itself always uses majority quorums,
-    /// regardless of the layout's `f`.
-    pub layout: Layout,
     /// **Test-only.** Overrides the per-phase quorum size of every client
     /// (see [`AbdClient::with_quorum`]). `None` uses the correct majority
     /// quorum.
@@ -408,16 +408,33 @@ impl ProtocolSpec for AbdSpec {
         AbdMsg::InvokeRead
     }
 
-    fn server(&self, _rank: usize, initial: &Value) -> Box<dyn Process<AbdMsg>> {
+    fn server(
+        &self,
+        _deployment: &Arc<Deployment>,
+        _rank: usize,
+        initial: &Value,
+    ) -> Box<dyn Process<AbdMsg>> {
         Box::new(AbdServer::new(initial))
     }
 
-    fn replacement(&self, _rank: usize, epoch: u64) -> Box<dyn Process<AbdMsg>> {
-        Box::new(AbdServer::replacement(self.layout.clone(), epoch))
+    /// A replacement repairs with the deployment's true majority: the
+    /// unsound override reaches clients only.
+    fn replacement(
+        &self,
+        deployment: &Arc<Deployment>,
+        _rank: usize,
+        epoch: u64,
+    ) -> Box<dyn Process<AbdMsg>> {
+        Box::new(AbdServer::replacement(deployment.clone(), epoch))
     }
 
-    fn client(&self, id: ProcessId, _role: OpKind) -> Box<dyn Process<AbdMsg>> {
-        let client = AbdClient::new(self.layout.clone(), id);
+    fn client(
+        &self,
+        deployment: &Arc<Deployment>,
+        id: ProcessId,
+        _role: OpKind,
+    ) -> Box<dyn Process<AbdMsg>> {
+        let client = AbdClient::new(deployment.clone(), id);
         Box::new(match self.quorum_override {
             Some(quorum) => client.with_quorum(quorum),
             None => client,
@@ -441,8 +458,15 @@ impl ProtocolSpec for AbdSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use soda_protocol::Layout;
     use soda_simnet::testkit::{deliver, start};
     use soda_simnet::SimTime;
+
+    /// Replication on five servers tolerating two crashes.
+    fn deployment() -> Arc<Deployment> {
+        let layout = Layout::new((0..5u32).map(ProcessId).collect(), 2);
+        Arc::new(Deployment::new(layout, 1, 0))
+    }
 
     fn t(ticks: u64) -> SimTime {
         SimTime::from_ticks(ticks)
@@ -451,11 +475,10 @@ mod tests {
     #[test]
     fn a_client_waits_for_its_threshold_and_ties_go_to_the_highest_responder() {
         let me = ProcessId(7);
-        let layout = Layout::new((0..5u32).map(ProcessId).collect(), 2);
         let tag = Tag::new(2, ProcessId(9));
         // A majority of five, then the test-only override, clamped to 1..=n.
         for (quorum, needed) in [(None, 3), (Some(1), 1), (Some(9), 5)] {
-            let mut c = AbdClient::new(layout.clone(), me);
+            let mut c = AbdClient::new(deployment(), me);
             if let Some(quorum) = quorum {
                 c = c.with_quorum(quorum);
             }
@@ -496,8 +519,7 @@ mod tests {
     fn replacement_adopts_the_majority_maximum_and_charges_its_traffic() {
         let me = ProcessId(0);
         let writer = ProcessId(9);
-        let layout = Layout::new((0..5u32).map(ProcessId).collect(), 2);
-        let mut s = AbdServer::replacement(layout, 3);
+        let mut s = AbdServer::replacement(deployment(), 3);
 
         let started = start(&mut s, me, t(10));
         let queried: Vec<ProcessId> = started.sends.iter().map(|(to, _)| *to).collect();

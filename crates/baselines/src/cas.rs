@@ -18,10 +18,10 @@
 //! per-read cost is compared against in Table I and Section I-B.
 
 use soda_protocol::{
-    Invocation, Layout, OpKind, OpQueue, PhaseDriver, ProtocolSpec, Quorum, QuorumPhase,
-    QuorumSizes, RepairDriver, RepairStatus, Reply, Tag, Value,
+    Deployment, Invocation, OpKind, OpQueue, PhaseDriver, ProtocolSpec, Quorum, QuorumPhase,
+    RepairDriver, RepairStatus, Reply, Tag, Value,
 };
-use soda_rs_code::{CodedElement, MdsCode, VandermondeCode};
+use soda_rs_code::{CodedElement, MdsCode};
 use soda_simnet::{Context, Message, Process, ProcessId, SimTime, Simulation};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -126,57 +126,6 @@ enum Label {
     Fin,
 }
 
-/// Shared configuration of a CAS / CASGC deployment.
-pub struct CasConfig {
-    layout: Layout,
-    code: VandermondeCode,
-    /// `Some(δ + 1)` keeps at most that many finalized versions with elements
-    /// (CASGC); `None` never garbage-collects (plain CAS).
-    gc_versions: Option<usize>,
-    quorums: QuorumSizes,
-}
-
-impl CasConfig {
-    /// Creates the configuration. `f` is the number of tolerated crashes; the
-    /// code dimension is `k = n − 2f`.
-    ///
-    /// # Panics
-    /// Panics if `n − 2f < 1`.
-    pub fn new(layout: Layout, gc_versions: Option<usize>) -> Arc<Self> {
-        let n = layout.n();
-        let f = layout.f();
-        assert!(n > 2 * f, "CAS requires n > 2f");
-        let code = VandermondeCode::new(n, n - 2 * f).expect("valid CAS code parameters");
-        Arc::new(CasConfig {
-            quorums: QuorumSizes::new(&layout, code.k(), 0),
-            layout,
-            code,
-            gc_versions,
-        })
-    }
-
-    /// Code dimension `k = n − 2f`.
-    pub fn k(&self) -> usize {
-        self.code.k()
-    }
-
-    /// The system layout.
-    pub fn layout(&self) -> &Layout {
-        &self.layout
-    }
-
-    /// The erasure code.
-    pub fn code(&self) -> &VandermondeCode {
-        &self.code
-    }
-
-    /// The deployment's quorums, which every phase's threshold is read
-    /// from.
-    pub fn quorums(&self) -> &QuorumSizes {
-        &self.quorums
-    }
-}
-
 /// The phases of a CAS operation, and the state pull of a replacement
 /// server's repair.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -218,38 +167,41 @@ struct CasRepair {
 
 /// A CAS / CASGC server.
 pub struct CasServer {
-    config: Arc<CasConfig>,
+    deployment: Arc<Deployment>,
+    /// `Some(δ + 1)` keeps at most that many finalized versions (CASGC);
+    /// `None` never garbage-collects (plain CAS).
+    gc_versions: Option<usize>,
     my_rank: usize,
-    /// All known versions: tag → (element if stored, label).
+    /// All known versions: tag → (element if stored, label). CASGC drops
+    /// every version below its collection's cutoff.
     versions: BTreeMap<Tag, (Option<CodedElement>, Label)>,
-    /// The highest finalized tag, the answer to a `query-tag`.
+    /// The highest finalized tag, the answer to a `query-tag`; it survives
+    /// every collection.
     max_fin: Tag,
-    /// CASGC: the cutoff of the last collection. No version below it holds
-    /// an element, except those in `late`.
-    gc_floor: Tag,
-    /// Versions below `gc_floor` that received an element since the last
-    /// collection (a late pre-write, or a repair's re-encoding); the next
-    /// collection clears them, as it clears every version below its cutoff.
-    late: Vec<Tag>,
     repair: Option<CasRepair>,
 }
 
 impl CasServer {
     /// Creates a server holding the initial value's coded element, finalized.
-    pub fn new(config: Arc<CasConfig>, my_rank: usize, initial: &Value) -> Self {
-        let element = config
-            .code
+    /// `gc_versions` is CASGC's `δ + 1`, `None` for plain CAS.
+    pub fn new(
+        deployment: Arc<Deployment>,
+        gc_versions: Option<usize>,
+        my_rank: usize,
+        initial: &Value,
+    ) -> Self {
+        let element = deployment
+            .code()
             .encode_one(initial, my_rank)
             .expect("rank within range");
         let mut versions = BTreeMap::new();
         versions.insert(Tag::INITIAL, (Some(element), Label::Fin));
         CasServer {
-            config,
+            deployment,
+            gc_versions,
             my_rank,
             versions,
             max_fin: Tag::INITIAL,
-            gc_floor: Tag::INITIAL,
-            late: Vec::new(),
             repair: None,
         }
     }
@@ -268,16 +220,20 @@ impl CasServer {
     /// finalized write from a reader's quorum maximum), but it applies and
     /// acknowledges pre-writes and finalizes — those are durable and are
     /// preserved by the merge. `epoch` distinguishes incarnations.
-    pub fn replacement(config: Arc<CasConfig>, my_rank: usize, epoch: u64) -> Self {
+    pub fn replacement(
+        deployment: Arc<Deployment>,
+        gc_versions: Option<usize>,
+        my_rank: usize,
+        epoch: u64,
+    ) -> Self {
         let mut phase = PhaseDriver::default();
-        phase.begin(CasPhase::RepairPull, epoch, config.quorums());
+        phase.begin(CasPhase::RepairPull, epoch, deployment.quorums());
         CasServer {
-            config,
+            deployment,
+            gc_versions,
             my_rank,
             versions: BTreeMap::new(),
             max_fin: Tag::INITIAL,
-            gc_floor: Tag::INITIAL,
-            late: Vec::new(),
             repair: Some(CasRepair {
                 seq: epoch,
                 phase,
@@ -305,7 +261,7 @@ impl CasServer {
         };
         repair.driver.finish(now);
         let collected = std::mem::take(&mut repair.collected);
-        let k = self.config.k();
+        let code = self.deployment.code();
         for (tag, (elements, fin)) in collected {
             let entry = self.versions.entry(tag).or_insert((None, Label::Pre));
             if fin {
@@ -314,13 +270,10 @@ impl CasServer {
             }
             // Concurrent pre-writes during the repair already stored this
             // rank's own element; never overwrite it.
-            if entry.0.is_none() && elements.len() >= k {
+            if entry.0.is_none() && elements.len() >= code.k() {
                 let elems: Vec<CodedElement> = elements.into_values().collect();
-                if let Ok(value) = self.config.code.decode(&elems) {
-                    entry.0 = self.config.code.encode_one(&value, self.my_rank).ok();
-                    if tag < self.gc_floor {
-                        self.late.push(tag);
-                    }
+                if let Ok(value) = code.decode(&elems) {
+                    entry.0 = code.encode_one(&value, self.my_rank).ok();
                 }
             }
         }
@@ -349,13 +302,14 @@ impl CasServer {
         entry
     }
 
-    /// CASGC garbage collection: keep elements only for the `δ + 1` highest
-    /// finalized versions (and any pre-written versions newer than the cutoff).
-    /// Finalized tags only accumulate, so the cutoff only rises: a collection
-    /// walks down from the newest version to the cutoff and clears the
-    /// versions between the last cutoff and this one, plus the late ones.
+    /// CASGC garbage collection: keep only the `δ + 1` highest finalized
+    /// versions and the versions above the lowest of them, the cutoff; every
+    /// version below it goes, entry and all. A version that arrives below
+    /// the cutoff later (a late pre-write, or a repair's re-encoding) goes at
+    /// the next collection. The cutoff and `max_fin` are kept, so the cutoff
+    /// only rises and tag queries keep their answers.
     fn garbage_collect(&mut self) {
-        let Some(keep) = self.config.gc_versions else {
+        let Some(keep) = self.gc_versions else {
             return;
         };
         let Some(cutoff) = (self.versions.iter().rev())
@@ -365,22 +319,17 @@ impl CasServer {
         else {
             return;
         };
-        for (_, (element, _)) in self.versions.range_mut(self.gc_floor..cutoff) {
-            *element = None;
+        // In place: a `split_off` would allocate a tree per collection.
+        while let Some(oldest) = self.versions.first_entry().filter(|e| *e.key() < cutoff) {
+            oldest.remove();
         }
-        for tag in self.late.drain(..) {
-            if let Some((element, _)) = self.versions.get_mut(&tag) {
-                *element = None;
-            }
-        }
-        self.gc_floor = cutoff;
     }
 }
 
 impl Process<CasMsg> for CasServer {
     fn on_start(&mut self, ctx: &mut Context<'_, CasMsg>) {
         if let Some(repair) = self.repair.as_mut() {
-            let (layout, seq) = (self.config.layout(), repair.seq);
+            let (layout, seq) = (self.deployment.layout(), repair.seq);
             repair.driver.start(ctx, |ctx| {
                 ctx.send_all(layout.peers_of(ctx.self_id()), CasMsg::RepairPull { seq })
             });
@@ -392,7 +341,7 @@ impl Process<CasMsg> for CasServer {
             // Duplicate pulls are idempotent for state: the collected map
             // merges by tag and element index, and the phase driver counts
             // each responder once.
-            let (layout, seq) = (self.config.layout(), repair.seq);
+            let (layout, seq) = (self.deployment.layout(), repair.seq);
             repair.driver.on_timer(token, ctx, |ctx| {
                 ctx.send_all(layout.peers_of(ctx.self_id()), CasMsg::RepairPull { seq })
             });
@@ -419,12 +368,7 @@ impl Process<CasMsg> for CasServer {
             }
             CasMsg::PreWrite { seq, tag, element } => {
                 let entry = self.versions.entry(tag).or_insert((None, Label::Pre));
-                if entry.0.is_none() {
-                    entry.0 = Some(element);
-                    if tag < self.gc_floor {
-                        self.late.push(tag);
-                    }
-                }
+                entry.0.get_or_insert(element);
                 ctx.send(from, CasMsg::PreWriteAck { seq });
             }
             CasMsg::Finalize { seq, tag } => {
@@ -485,7 +429,7 @@ impl Process<CasMsg> for CasServer {
 
 /// A CAS / CASGC client performing both writes and reads.
 pub struct CasClient {
-    config: Arc<CasConfig>,
+    deployment: Arc<Deployment>,
     self_id: ProcessId,
     ops: OpQueue,
     phase: PhaseDriver<CasPhase>,
@@ -495,10 +439,10 @@ pub struct CasClient {
 }
 
 impl CasClient {
-    /// Creates a client.
-    pub fn new(config: Arc<CasConfig>, self_id: ProcessId) -> Self {
+    /// Creates a client of `deployment`.
+    pub fn new(deployment: Arc<Deployment>, self_id: ProcessId) -> Self {
         CasClient {
-            config,
+            deployment,
             self_id,
             ops: OpQueue::new(self_id),
             phase: PhaseDriver::default(),
@@ -518,13 +462,13 @@ impl CasClient {
             return;
         };
         self.phase
-            .begin(CasPhase::QueryTag, seq, self.config.quorums());
+            .begin(CasPhase::QueryTag, seq, self.deployment.quorums());
         self.max_tag = Tag::INITIAL;
         ctx.send_all(self.servers(), CasMsg::QueryTag { seq });
     }
 
     fn servers(&self) -> impl Iterator<Item = ProcessId> + '_ {
-        self.config.layout().servers().iter().copied()
+        self.deployment.layout().servers().iter().copied()
     }
 
     fn after_tag_query(&mut self, ctx: &mut Context<'_, CasMsg>) {
@@ -533,7 +477,7 @@ impl CasClient {
             None => {
                 self.ops.set_tag(max_tag);
                 self.phase
-                    .begin(CasPhase::ReadValue, seq, self.config.quorums());
+                    .begin(CasPhase::ReadValue, seq, self.deployment.quorums());
                 self.read_elements.clear();
                 ctx.send_all(self.servers(), CasMsg::ReadFinalize { seq, tag: max_tag });
             }
@@ -541,9 +485,9 @@ impl CasClient {
                 let tag = max_tag.next(self.self_id);
                 self.ops.set_tag(tag);
                 self.phase
-                    .begin(CasPhase::PreWrite, seq, self.config.quorums());
+                    .begin(CasPhase::PreWrite, seq, self.deployment.quorums());
                 let elements = self
-                    .config
+                    .deployment
                     .code()
                     .encode(&value)
                     .expect("encoding never fails for valid parameters");
@@ -557,18 +501,18 @@ impl CasClient {
     fn begin_finalize(&mut self, ctx: &mut Context<'_, CasMsg>) {
         let seq = self.ops.seq();
         self.phase
-            .begin(CasPhase::Finalize, seq, self.config.quorums());
+            .begin(CasPhase::Finalize, seq, self.deployment.quorums());
         let tag = self.ops.tag().expect("finalize requires a tag");
         ctx.send_all(self.servers(), CasMsg::Finalize { seq, tag });
     }
 
     fn try_complete_read(&mut self, ctx: &mut Context<'_, CasMsg>) {
-        if !self.phase.reached() || self.read_elements.len() < self.config.k() {
+        if !self.phase.reached() || self.read_elements.len() < self.deployment.k() {
             return;
         }
         let elements: Vec<CodedElement> = self.read_elements.values().cloned().collect();
         let value = self
-            .config
+            .deployment
             .code()
             .decode(&elements)
             .expect("quorum intersection provides k consistent elements");
@@ -634,10 +578,11 @@ impl Process<CasMsg> for CasClient {
     }
 }
 
-/// One CAS / CASGC deployment, as the cluster harness sees it.
+/// CAS's or CASGC's one option, as the cluster harness sees it.
 pub struct CasSpec {
-    /// The shared configuration (layout, code, garbage-collection depth).
-    pub config: Arc<CasConfig>,
+    /// `Some(δ + 1)` keeps at most that many finalized versions at every
+    /// server (CASGC); `None` never garbage-collects (plain CAS).
+    pub gc_versions: Option<usize>,
 }
 
 impl ProtocolSpec for CasSpec {
@@ -651,16 +596,33 @@ impl ProtocolSpec for CasSpec {
         CasMsg::InvokeRead
     }
 
-    fn server(&self, rank: usize, initial: &Value) -> Box<dyn Process<CasMsg>> {
-        Box::new(CasServer::new(self.config.clone(), rank, initial))
+    fn server(
+        &self,
+        deployment: &Arc<Deployment>,
+        rank: usize,
+        initial: &Value,
+    ) -> Box<dyn Process<CasMsg>> {
+        let server = CasServer::new(deployment.clone(), self.gc_versions, rank, initial);
+        Box::new(server)
     }
 
-    fn replacement(&self, rank: usize, epoch: u64) -> Box<dyn Process<CasMsg>> {
-        Box::new(CasServer::replacement(self.config.clone(), rank, epoch))
+    fn replacement(
+        &self,
+        deployment: &Arc<Deployment>,
+        rank: usize,
+        epoch: u64,
+    ) -> Box<dyn Process<CasMsg>> {
+        let server = CasServer::replacement(deployment.clone(), self.gc_versions, rank, epoch);
+        Box::new(server)
     }
 
-    fn client(&self, id: ProcessId, _role: OpKind) -> Box<dyn Process<CasMsg>> {
-        Box::new(CasClient::new(self.config.clone(), id))
+    fn client(
+        &self,
+        deployment: &Arc<Deployment>,
+        id: ProcessId,
+        _role: OpKind,
+    ) -> Box<dyn Process<CasMsg>> {
+        Box::new(CasClient::new(deployment.clone(), id))
     }
 
     fn stored_bytes(sim: &Simulation<CasMsg>, server: ProcessId) -> u64 {
@@ -680,20 +642,26 @@ impl ProtocolSpec for CasSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use soda_protocol::value_from;
+    use soda_protocol::{value_from, Layout};
     use soda_simnet::testkit::{deliver, start};
 
     fn t(ticks: u64) -> SimTime {
         SimTime::from_ticks(ticks)
     }
 
+    /// CAS on five servers tolerating one crash: `k = n − 2f = 3`, quorums
+    /// of four.
+    fn deployment() -> Arc<Deployment> {
+        let layout = Layout::new((0..5u32).map(ProcessId).collect(), 1);
+        Arc::new(Deployment::new(layout, 3, 0))
+    }
+
     #[test]
     fn replacement_merges_a_quorum_of_survivor_state_and_reencodes_its_element() {
         let me = ProcessId(0);
         let writer = ProcessId(9);
-        let layout = Layout::new((0..5u32).map(ProcessId).collect(), 1);
-        let config = CasConfig::new(layout, None); // k = 3, quorum = 4
-        let mut s = CasServer::replacement(config.clone(), 0, 2);
+        let deployment = deployment();
+        let mut s = CasServer::replacement(deployment.clone(), None, 0, 2);
 
         let started = start(&mut s, me, t(10));
         assert_eq!(started.sends.len(), 4, "pulls from every peer");
@@ -709,7 +677,7 @@ mod tests {
 
         let tag = Tag::new(1, writer);
         let value = value_from(b"a finalized value".to_vec());
-        let elements = config.code().encode(&value).unwrap();
+        let elements = deployment.code().encode(&value).unwrap();
         let elem_len = elements[0].data.len();
         // Three survivors hold the element; only one has seen the finalize.
         for peer in 1..=4usize {
@@ -752,41 +720,38 @@ mod tests {
         use std::collections::BTreeSet;
         /// A version as the reference sees it: element stored, label.
         type Model = BTreeMap<Tag, (bool, Label)>;
-        /// The rule the collection must keep: clear every element below the
-        /// `keep`-th highest finalized tag, found by scanning every version.
-        fn full_scan(model: &mut Model, keep: usize) {
+        /// The cutoff of a collection: the `keep`-th highest finalized tag,
+        /// found by scanning every version; `None` while fewer are finalized.
+        fn cutoff(model: &Model, keep: usize) -> Option<Tag> {
             let mut fin: Vec<Tag> = (model.iter())
                 .filter(|(_, (_, label))| *label == Label::Fin)
                 .map(|(tag, _)| *tag)
                 .collect();
             fin.sort_unstable_by(|a, b| b.cmp(a));
-            let Some(&cutoff) = fin.get(keep.saturating_sub(1).min(fin.len().saturating_sub(1)))
-            else {
-                return;
-            };
-            if fin.len() < keep {
-                return;
-            }
-            for (tag, (element, _)) in model.iter_mut() {
-                if *tag < cutoff {
-                    *element = false;
-                }
+            fin.get(keep - 1).copied()
+        }
+        /// The rule the collection must keep: drop every version below the
+        /// cutoff.
+        fn full_scan(model: &mut Model, keep: usize) {
+            if let Some(cutoff) = cutoff(model, keep) {
+                model.retain(|tag, _| *tag >= cutoff);
             }
         }
+        // Whether `tag` lies below the last collection's cutoff.
+        let below = |model: &Model, keep: usize, tag: Tag| cutoff(model, keep) > Some(tag);
         let (me, client) = (ProcessId(0), ProcessId(9));
-        let layout = Layout::new((0..5u32).map(ProcessId).collect(), 1); // k = 3
+        let deployment = deployment();
         let value = value_from(b"one value for every version".to_vec());
         for (keep, replacement) in [(1, false), (2, false), (3, false), (2, true)] {
-            let config = CasConfig::new(layout.clone(), Some(keep));
-            let elements = config.code().encode(&value).unwrap();
+            let elements = deployment.code().encode(&value).unwrap();
             let elem_len = elements[0].data.len();
             let name = format!("keep {keep}, replacement {replacement}");
             let (mut server, mut model) = if replacement {
-                let mut server = CasServer::replacement(config.clone(), 0, 1);
+                let mut server = CasServer::replacement(deployment.clone(), Some(keep), 0, 1);
                 start(&mut server, me, t(0));
                 (server, Model::new())
             } else {
-                let server = CasServer::new(config.clone(), 0, &value);
+                let server = CasServer::new(deployment.clone(), Some(keep), 0, &value);
                 (server, Model::from([(Tag::INITIAL, (true, Label::Fin))]))
             };
             let mut rng = SimRng::new(keep as u64 + 10 * replacement as u64);
@@ -807,8 +772,9 @@ mod tests {
                 let now = t(step + 1);
                 match rng.gen_range(0..3u64) {
                     0 => {
+                        let late = below(&model, keep, tag);
                         let entry = model.entry(tag).or_insert((false, Label::Pre));
-                        below_floor += usize::from(!entry.0 && tag < server.gc_floor);
+                        below_floor += usize::from(!entry.0 && late);
                         entry.0 = true;
                         let element = elements[0].clone();
                         let msg = CasMsg::PreWrite {
@@ -855,7 +821,7 @@ mod tests {
                 // with `k` survivor elements that the server does not hold,
                 // many of them below the floor.
                 if replacement && step == 400 {
-                    let floor = server.gc_floor;
+                    let floor = cutoff(&model, keep);
                     let mut collected: BTreeMap<Tag, (BTreeSet<usize>, bool)> = BTreeMap::new();
                     // Every peer but this server's rank 0, each with its own element.
                     for (peer, own) in elements.iter().enumerate().skip(1) {
@@ -884,9 +850,9 @@ mod tests {
                         if fin {
                             entry.1 = Label::Fin;
                         }
-                        if !entry.0 && peers.len() >= config.k() {
+                        if !entry.0 && peers.len() >= deployment.k() {
                             entry.0 = true;
-                            below_floor += usize::from(tag < floor);
+                            below_floor += usize::from(floor > Some(tag));
                         }
                     }
                     full_scan(&mut model, keep);
@@ -920,5 +886,24 @@ mod tests {
                 "{name}: {below_floor} pre-writes below the floor"
             );
         }
+    }
+
+    #[test]
+    fn a_casgc_server_holds_at_most_its_kept_versions() {
+        let (me, client) = (ProcessId(0), ProcessId(9));
+        let deployment = deployment();
+        let value = value_from(b"v".to_vec());
+        let element = deployment.code().encode_one(&value, 0).unwrap();
+        let keep = 3;
+        let mut server = CasServer::new(deployment, Some(keep), 0, &value);
+        for z in 1..=10_000u64 {
+            let (seq, tag) = (z, Tag::new(z, client));
+            let element = element.clone();
+            let pre_write = CasMsg::PreWrite { seq, tag, element };
+            deliver(&mut server, me, t(z), client, pre_write);
+            deliver(&mut server, me, t(z), client, CasMsg::Finalize { seq, tag });
+        }
+        assert!(server.versions.len() <= keep, "{}", server.versions.len());
+        assert_eq!(server.stored_versions(), keep);
     }
 }

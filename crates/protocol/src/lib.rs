@@ -10,11 +10,14 @@
 //!   `n` servers, which are clients, what `f` is), including the majority
 //!   quorum size and the ordered "first `f + 1` servers" set `D` used by the
 //!   message-disperse primitives.
+//! * [`Deployment`] — one cluster's layout, `[n, k]` code, error budget and
+//!   quorums, built once and shared by every process of the cluster.
 //! * [`PhaseDriver`], [`Reply`] — the quorum phase every client and repair
 //!   runs: which phase is in flight for which operation, stale replies
 //!   dropped, each responder counted once, completion reported once, every
 //!   threshold read from the protocol's one quorum table ([`QuorumPhase`],
-//!   [`Quorum`], [`QuorumSizes`]). The protocols fold the replies' payloads.
+//!   [`Quorum`], [`QuorumSizes`], evaluated once per [`Deployment`]). The
+//!   protocols fold the replies' payloads.
 //! * [`md`] — the **message-disperse primitives** MD-VALUE and MD-META
 //!   (Section III): pure state machines that, given a received message,
 //!   produce the relays and local deliveries the IO Automata specification
@@ -45,6 +48,7 @@ pub mod cost;
 pub mod md;
 
 mod client;
+mod deployment;
 mod layout;
 mod phase;
 mod quorum;
@@ -56,6 +60,7 @@ mod tag;
 mod value;
 
 pub use client::{Invocation, OpQueue};
+pub use deployment::Deployment;
 pub use layout::Layout;
 pub use phase::{PhaseDriver, Reply};
 pub use quorum::{Quorum, QuorumPhase, QuorumSizes};

@@ -253,10 +253,10 @@ impl MdRelay {
             });
         }
         // (b) send every remaining server (outside the forwarded range and not
-        // itself) its own coded element.
-        for rank in
-            (0..n).filter(|&r| r != self.my_rank && !((self.my_rank + 1)..relay_top).contains(&r))
-        {
+        // itself) its own coded element. Only backbone servers get the full
+        // value, so `my_rank < relay_top`.
+        debug_assert!(self.my_rank < relay_top, "not a backbone rank");
+        for rank in (0..self.my_rank).chain(relay_top..n) {
             relay(Dispatch {
                 to_rank: rank,
                 msg: MdValueMsg::Coded {
@@ -303,31 +303,12 @@ impl MdRelay {
             return None;
         }
         if layout.in_relay_set(self.my_rank) {
-            let relay_top = layout.relay_set().end;
             // Higher-ranked backbone servers get the payload (continuing the
-            // chain), and every server outside the backbone gets it directly.
-            for rank in (self.my_rank + 1)..relay_top {
-                relay(Dispatch {
-                    to_rank: rank,
-                    msg: MdMetaMsg {
-                        mid,
-                        payload: payload.clone(),
-                    },
-                });
-            }
-            for rank in relay_top..layout.n() {
-                relay(Dispatch {
-                    to_rank: rank,
-                    msg: MdMetaMsg {
-                        mid,
-                        payload: payload.clone(),
-                    },
-                });
-            }
-            // Lower-ranked backbone servers may have been missed if the sender
-            // crashed part-way through its ordered send; cover them too so the
-            // uniformity property holds regardless of where the sender stopped.
-            for rank in 0..self.my_rank {
+            // chain), then every server outside the backbone gets it directly.
+            // Lower-ranked backbone servers come last: they may have been
+            // missed if the sender crashed part-way through its ordered send,
+            // so covering them keeps uniformity wherever the sender stopped.
+            for rank in (self.my_rank + 1..layout.n()).chain(0..self.my_rank) {
                 relay(Dispatch {
                     to_rank: rank,
                     msg: MdMetaMsg {

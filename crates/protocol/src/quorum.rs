@@ -29,7 +29,8 @@ pub trait QuorumPhase: Copy + Eq + 'static {
     }
 }
 
-/// One deployment's quorums, evaluated once from its layout, its code
+/// One deployment's quorums, evaluated once by
+/// [`Deployment::new`](crate::Deployment::new) from its layout, its code
 /// dimension `k` and its error budget `e`; indexed by [`Quorum`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct QuorumSizes([usize; 4]);
@@ -37,7 +38,7 @@ pub struct QuorumSizes([usize; 4]);
 impl QuorumSizes {
     /// The quorums on `layout` of a code of dimension `k` with error budget
     /// `e`. Replication is the `k = 1` code.
-    pub fn new(layout: &Layout, k: usize, e: usize) -> Self {
+    pub(crate) fn new(layout: &Layout, k: usize, e: usize) -> Self {
         QuorumSizes([layout.majority(), layout.n() - layout.f(), k, k + 2 * e])
     }
 

@@ -8,18 +8,21 @@
 //! any of them through this trait, and everything else about a cluster is
 //! written once.
 
-use crate::{OpKind, OpQueue, RepairStatus, Value};
+use crate::{Deployment, OpKind, OpQueue, RepairStatus, Value};
 use soda_simnet::{Message, Process, ProcessId, Simulation};
+use std::sync::Arc;
 
 /// One register protocol, as seen by a cluster harness: its message type,
 /// the processes it is made of, and probes into their state.
 ///
-/// A spec value carries the deployment's shared configuration (layout, code,
-/// fault switches); the probes are associated functions over the simulation
-/// because a process is only reachable by id through it. Every protocol's
-/// clients keep their operations in an [`OpQueue`], so one client probe,
-/// [`client_ops`](Self::client_ops), serves both the completed log and the
-/// write in flight; the server probes read state that differs per protocol.
+/// The harness builds the cluster's one [`Deployment`] (layout, code, error
+/// budget, quorums) and hands it to every process it asks for; a spec value
+/// carries only the protocol's own option. The probes are associated
+/// functions over the simulation because a process is only reachable by id
+/// through it. Every protocol's clients keep their operations in an
+/// [`OpQueue`], so one client probe, [`client_ops`](Self::client_ops),
+/// serves both the completed log and the write in flight; the server probes
+/// read state that differs per protocol.
 pub trait ProtocolSpec: Send + 'static {
     /// The protocol's message type.
     type Msg: Message;
@@ -30,19 +33,35 @@ pub trait ProtocolSpec: Send + 'static {
     /// The message that asks a client to read.
     fn invoke_read() -> Self::Msg;
 
-    /// The original server of rank `rank`, holding the initial value.
-    fn server(&self, rank: usize, initial: &Value) -> Box<dyn Process<Self::Msg>>;
+    /// The original server of rank `rank` of `deployment`, holding the
+    /// initial value.
+    fn server(
+        &self,
+        deployment: &Arc<Deployment>,
+        rank: usize,
+        initial: &Value,
+    ) -> Box<dyn Process<Self::Msg>>;
 
     /// A replacement for the crashed server of rank `rank`: empty state,
     /// repairs itself from the survivors on start. `epoch` counts the rank's
     /// incarnations (1 for the first replacement) and is distinct per
     /// incarnation.
-    fn replacement(&self, rank: usize, epoch: u64) -> Box<dyn Process<Self::Msg>>;
+    fn replacement(
+        &self,
+        deployment: &Arc<Deployment>,
+        rank: usize,
+        epoch: u64,
+    ) -> Box<dyn Process<Self::Msg>>;
 
-    /// The client registered under process id `id`, behind a handle that
-    /// performs operations of kind `role`. Protocols whose clients do both
-    /// ignore `role`.
-    fn client(&self, id: ProcessId, role: OpKind) -> Box<dyn Process<Self::Msg>>;
+    /// The client of `deployment` registered under process id `id`, behind a
+    /// handle that performs operations of kind `role`. Protocols whose
+    /// clients do both ignore `role`.
+    fn client(
+        &self,
+        deployment: &Arc<Deployment>,
+        id: ProcessId,
+        role: OpKind,
+    ) -> Box<dyn Process<Self::Msg>>;
 
     /// Bytes of object-value data the server stores.
     fn stored_bytes(sim: &Simulation<Self::Msg>, server: ProcessId) -> u64;

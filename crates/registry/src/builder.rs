@@ -1,12 +1,11 @@
 //! One validated constructor for every protocol's cluster.
 
 use crate::cluster::RegisterCluster;
-use crate::harness::{AbdRegisterCluster, CasRegisterCluster, Harness, SodaRegisterCluster};
+use crate::harness::{CasRegisterCluster, Harness, SodaRegisterCluster};
 use crate::kind::{ClusterDescriptor, ProtocolKind};
-use soda::{SodaConfig, SodaSpec};
+use soda::SodaSpec;
 use soda_baselines::abd::AbdSpec;
-use soda_baselines::cas::{CasConfig, CasSpec};
-use soda_protocol::Layout;
+use soda_baselines::cas::CasSpec;
 use soda_simnet::{NetFaultPlan, NetworkConfig, ProcessId, SimTime};
 use std::error::Error;
 use std::fmt;
@@ -371,12 +370,6 @@ impl ClusterBuilder {
         }
     }
 
-    /// The layout every protocol here uses: servers are registered first, so
-    /// rank `i` is `ProcessId(i)`.
-    fn layout(&self) -> Layout {
-        Layout::new((0..self.n as u32).map(ProcessId).collect(), self.f)
-    }
-
     /// The installed adversary plus every scheduled [`PartitionWindow`]. This
     /// is the one place that turns server ranks into a process-level cut:
     /// servers are registered first, so rank `r` is `ProcessId(r)`, and the
@@ -394,12 +387,7 @@ impl ClusterBuilder {
     }
 
     fn soda_harness(self) -> SodaRegisterCluster {
-        let layout = self.layout();
         let spec = SodaSpec {
-            config: match self.kind.error_budget() {
-                0 => SodaConfig::soda(layout),
-                e => SodaConfig::soda_err(layout, e),
-            },
             relay_enabled: self.relay_enabled,
         };
         let corruptor = (!self.byzantine_servers.is_empty()).then(|| {
@@ -408,22 +396,12 @@ impl ClusterBuilder {
         Harness::new(spec, self, corruptor)
     }
 
-    fn abd_harness(self) -> AbdRegisterCluster {
-        let spec = AbdSpec {
-            layout: self.layout(),
-            quorum_override: self.quorum_override,
-        };
-        Harness::new(spec, self, None)
-    }
-
     fn cas_harness(self) -> CasRegisterCluster {
         let gc_versions = match self.kind {
             ProtocolKind::Casgc { gc } => Some(gc + 1),
             _ => None,
         };
-        let spec = CasSpec {
-            config: CasConfig::new(self.layout(), gc_versions),
-        };
+        let spec = CasSpec { gc_versions };
         Harness::new(spec, self, None)
     }
 
@@ -432,7 +410,10 @@ impl ClusterBuilder {
         self.validate()?;
         Ok(match self.kind {
             ProtocolKind::Soda | ProtocolKind::SodaErr { .. } => Box::new(self.soda_harness()),
-            ProtocolKind::Abd => Box::new(self.abd_harness()),
+            ProtocolKind::Abd => {
+                let quorum_override = self.quorum_override;
+                Box::new(Harness::new(AbdSpec { quorum_override }, self, None))
+            }
             ProtocolKind::Cas | ProtocolKind::Casgc { .. } => Box::new(self.cas_harness()),
         })
     }

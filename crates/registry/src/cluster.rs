@@ -4,7 +4,7 @@
 use crate::kind::ClusterDescriptor;
 use crate::record::{history_from_records, history_with_pending, sort_records};
 use soda_consistency::History;
-use soda_protocol::{OpRecord, PendingWrite, RepairStatus};
+use soda_protocol::{Deployment, OpRecord, PendingWrite, RepairStatus};
 use soda_simnet::{ProcessId, RunOutcome, SimTime, Stats};
 
 /// One client API over every register emulation in this workspace (SODA,
@@ -39,6 +39,11 @@ pub trait RegisterCluster: Send {
     /// The static description of this cluster (protocol, `n`, `f`, client
     /// counts).
     fn descriptor(&self) -> &ClusterDescriptor;
+
+    /// The deployment every process of this cluster shares: its layout, its
+    /// code (replication is the `k = 1` code), its error budget and the
+    /// quorums every phase's threshold is read from.
+    fn deployment(&self) -> &Deployment;
 
     /// The simulated process id behind writer handle `writer`.
     ///

@@ -7,9 +7,12 @@ use crate::kind::ClusterDescriptor;
 use soda::{ReaderProcess, ServerProcess, SodaSpec};
 use soda_baselines::abd::AbdSpec;
 use soda_baselines::cas::{CasServer, CasSpec};
-use soda_protocol::{value_from, OpKind, OpRecord, PendingWrite, ProtocolSpec, RepairStatus, Tag};
+use soda_protocol::{
+    value_from, Deployment, Layout, OpKind, OpRecord, PendingWrite, ProtocolSpec, RepairStatus, Tag,
+};
 use soda_simnet::{CorruptionHook, ProcessId, RunOutcome, SimTime, Simulation, Stats};
 use std::ops::Range;
+use std::sync::Arc;
 
 /// A simulated deployment of protocol `P`: `n` servers plus writer and reader
 /// clients, all registered with one [`Simulation`].
@@ -23,11 +26,12 @@ use std::ops::Range;
 /// Everything a cluster does is written here once, against
 /// [`ProtocolSpec`]; state only one protocol has is reached through the
 /// inherent methods of [`SodaRegisterCluster`] and [`CasRegisterCluster`].
+/// A cluster is one [`Deployment`], which the harness builds and hands to
+/// every process, plus the protocol's one option in `P`.
 pub struct Harness<P: ProtocolSpec> {
     spec: P,
+    deployment: Arc<Deployment>,
     sim: Simulation<P::Msg>,
-    /// Server process ids, by rank.
-    servers: Vec<ProcessId>,
     /// Process ids (as raw indices) behind the writer and reader handles.
     writers: Range<u32>,
     readers: Range<u32>,
@@ -59,18 +63,23 @@ impl<P: ProtocolSpec> Harness<P> {
         corruptor: Option<CorruptionHook<P::Msg>>,
     ) -> Self {
         let descriptor = builder.descriptor();
+        // Servers are registered first, so rank `i` is `ProcessId(i)`; and
+        // replication is the `k = 1` code.
+        let layout = Layout::new((0..builder.n as u32).map(ProcessId).collect(), builder.f);
+        let k = descriptor.k().unwrap_or(1);
+        let deployment = Arc::new(Deployment::new(layout, k, descriptor.kind.error_budget()));
         let net_faults = builder.take_net_fault_plan();
         let mut sim = Simulation::new(builder.seed, builder.network);
         let initial = value_from(builder.initial_value);
-        let servers: Vec<ProcessId> = (0..builder.n)
-            .map(|rank| sim.add_process(spec.server(rank, &initial)))
-            .collect();
+        for rank in 0..builder.n {
+            sim.add_process(spec.server(&deployment, rank, &initial));
+        }
         let mut add_clients = |count: usize, role: OpKind| {
             let first = sim.num_processes() as u32;
             for _ in 0..count {
                 // Ids are dense, so a client's id is known before it is added.
                 let id = ProcessId(sim.num_processes() as u32);
-                sim.add_process(spec.client(id, role));
+                sim.add_process(spec.client(&deployment, id, role));
             }
             first..sim.num_processes() as u32
         };
@@ -82,8 +91,8 @@ impl<P: ProtocolSpec> Harness<P> {
         }
         Harness {
             spec,
+            deployment,
             sim,
-            servers,
             writers,
             readers,
             epochs: vec![0; builder.n],
@@ -91,9 +100,9 @@ impl<P: ProtocolSpec> Harness<P> {
         }
     }
 
-    /// The protocol's spec: the deployment's shared configuration.
-    pub fn spec(&self) -> &P {
-        &self.spec
+    /// Server process ids, by rank.
+    fn servers(&self) -> &[ProcessId] {
+        self.deployment.layout().servers()
     }
 
     fn client_process(role: &str, handles: &Range<u32>, handle: usize) -> ProcessId {
@@ -109,6 +118,10 @@ impl<P: ProtocolSpec> Harness<P> {
 impl<P: ProtocolSpec> RegisterCluster for Harness<P> {
     fn descriptor(&self) -> &ClusterDescriptor {
         &self.descriptor
+    }
+
+    fn deployment(&self) -> &Deployment {
+        &self.deployment
     }
 
     fn writer_process(&self, writer: usize) -> ProcessId {
@@ -139,18 +152,19 @@ impl<P: ProtocolSpec> RegisterCluster for Harness<P> {
     }
 
     fn crash_server_at(&mut self, at: SimTime, rank: usize) {
-        self.sim.schedule_crash(at, self.servers[rank]);
+        self.sim.schedule_crash(at, self.servers()[rank]);
     }
 
     fn repair_server_at(&mut self, at: SimTime, rank: usize) {
         self.epochs[rank] += 1;
-        let replacement = self.spec.replacement(rank, self.epochs[rank]);
+        let epoch = self.epochs[rank];
+        let replacement = self.spec.replacement(&self.deployment, rank, epoch);
         self.sim
-            .schedule_recovery(at, self.servers[rank], replacement);
+            .schedule_recovery(at, self.servers()[rank], replacement);
     }
 
     fn dead_or_repairing(&self) -> usize {
-        self.servers
+        self.servers()
             .iter()
             .filter(|&&id| {
                 self.sim.is_crashed(id)
@@ -160,7 +174,7 @@ impl<P: ProtocolSpec> RegisterCluster for Harness<P> {
     }
 
     fn repair_report(&self, rank: usize) -> Option<RepairStatus> {
-        P::repair_status(&self.sim, self.servers[rank])
+        P::repair_status(&self.sim, self.servers()[rank])
     }
 
     fn crash_writer_at(&mut self, at: SimTime, writer: usize) {
@@ -203,7 +217,7 @@ impl<P: ProtocolSpec> RegisterCluster for Harness<P> {
     }
 
     fn stored_bytes_per_server(&self) -> Vec<u64> {
-        self.servers
+        self.servers()
             .iter()
             .map(|&id| P::stored_bytes(&self.sim, id))
             .collect()
@@ -214,7 +228,7 @@ impl Harness<SodaSpec> {
     /// The state of the server with the given rank.
     pub fn server_state(&self, rank: usize) -> &ServerProcess {
         self.sim
-            .process_as(self.servers[rank])
+            .process_as(self.servers()[rank])
             .expect("every rank holds a SODA server")
     }
 
@@ -231,14 +245,14 @@ impl Harness<SodaSpec> {
     /// Total reader registrations still held across all servers (Theorem 5.5
     /// implies this returns to zero after all reads finish or crash).
     pub fn total_registered_readers(&self) -> usize {
-        (0..self.servers.len())
+        (0..self.servers().len())
             .map(|rank| self.registered_readers(rank))
             .sum()
     }
 
     /// Total `H` bookkeeping entries left across servers.
     pub fn total_history_entries(&self) -> usize {
-        (0..self.servers.len())
+        (0..self.servers().len())
             .map(|rank| self.server_state(rank).history_len())
             .sum()
     }
@@ -258,7 +272,7 @@ impl Harness<CasSpec> {
     /// Maximum number of versions with stored elements at any single server
     /// (the quantity CASGC's `δ + 1` bound constrains).
     pub fn max_stored_versions(&self) -> usize {
-        self.servers
+        self.servers()
             .iter()
             .filter_map(|&id| self.sim.process_as::<CasServer>(id))
             .map(CasServer::stored_versions)

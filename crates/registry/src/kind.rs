@@ -63,8 +63,10 @@ impl ProtocolKind {
     }
 
     /// The MDS code dimension `k` for an `(n, f)` cluster, or `None` for the
-    /// replication baseline (which stores full copies). Returns `None` as
-    /// well when the parameters leave no valid dimension (`k < 1`).
+    /// replication baseline (which stores full copies, the `k = 1` code).
+    /// Returns `None` as well when the parameters leave no valid dimension
+    /// (`k < 1`). This is the one place `k` is derived: the harness builds
+    /// every cluster's [`Deployment`](soda_protocol::Deployment) from it.
     pub fn code_dimension(&self, n: usize, f: usize) -> Option<usize> {
         let k = match self {
             ProtocolKind::Soda => n.checked_sub(f)?,

@@ -59,7 +59,9 @@ pub use cluster::RegisterCluster;
 pub use harness::{AbdRegisterCluster, CasRegisterCluster, Harness, SodaRegisterCluster};
 pub use kind::{ClusterDescriptor, ProtocolKind, QuorumTable};
 pub use record::{history_from_records, history_with_pending, version_of_tag};
-pub use soda_protocol::{OpKind, OpRecord, PendingWrite, Quorum, RepairError, RepairStatus, Value};
+pub use soda_protocol::{
+    Deployment, OpKind, OpRecord, PendingWrite, Quorum, RepairError, RepairStatus, Value,
+};
 
 /// All five protocol kinds with representative parameters, for tests and
 /// sweeps that want to cover the whole matrix. `e` and `gc` are placeholders

@@ -159,6 +159,32 @@ fn read_charge_is_the_readers_value_bytes_for_every_kind() {
     }
 }
 
+/// The unsound quorum override shrinks the clients' majority only: a
+/// replacement still repairs from a true majority of its peers.
+#[test]
+fn abds_unsound_quorum_reaches_clients_only() {
+    let value = vec![5u8; 100];
+    let mut cluster = abd(5, 2)
+        .with_seed(9)
+        .with_unsound_quorum(1)
+        .build()
+        .unwrap();
+    cluster.invoke_write(0, value.clone());
+    cluster.run_to_quiescence();
+    let now = cluster.now();
+    cluster.crash_server_at(now + 1, 0);
+    cluster.repair_server_at(now + 2, 0);
+    cluster.run_to_quiescence();
+    let report = cluster.repair_report(0).expect("rank 0 was repaired");
+    assert!(
+        report.completed_at.is_some() && !report.failed(),
+        "{report:?}"
+    );
+    // Three of the four peers, each with the whole value; the override
+    // would have stopped at one.
+    assert_eq!(report.traffic_bytes, 3 * value.len() as u64);
+}
+
 // ---------------------------------------------------------------------------
 // CAS / CASGC
 // ---------------------------------------------------------------------------

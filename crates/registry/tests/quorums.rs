@@ -5,9 +5,7 @@
 use soda::Phase;
 use soda_baselines::abd::AbdPhase;
 use soda_baselines::cas::CasPhase;
-use soda_protocol::{Layout, QuorumSizes};
-use soda_registry::{ClusterBuilder, ProtocolKind, Quorum, QuorumTable, RegisterCluster};
-use soda_simnet::ProcessId;
+use soda_registry::{ClusterBuilder, ProtocolKind, Quorum, QuorumTable};
 
 /// Every legal `(kind, n, f)` with `n ≤ 12`: `2f < n`, and for SODAerr every
 /// error budget `e` that leaves a code dimension `n − f − 2e ≥ 1`.
@@ -109,12 +107,11 @@ fn rows(kind: ProtocolKind) -> Vec<Row> {
     rows
 }
 
-/// The obligations `kind`'s table misses at `(n, f)`, one line each.
+/// The obligations `kind`'s table misses at `(n, f)`, one line each, in the
+/// deployment a cluster built there runs.
 fn violations(kind: ProtocolKind, n: usize, f: usize) -> Vec<String> {
-    let layout = Layout::new((0..n as u32).map(ProcessId).collect(), f);
-    // ABD replicates: a full replica is the `k = 1` code.
-    let k = kind.code_dimension(n, f).unwrap_or(1);
-    let sizes = QuorumSizes::new(&layout, k, kind.error_budget());
+    let cluster = ClusterBuilder::new(kind, n, f).build().unwrap();
+    let (sizes, k) = (cluster.deployment().quorums(), cluster.deployment().k());
     let rows = rows(kind);
     let size = |row: &Row| sizes.of(row.quorum);
     let with = |role: Role| rows.iter().filter(move |row| row.roles.contains(&role));
@@ -219,23 +216,17 @@ fn every_phase_has_one_row_in_its_tables() {
     );
 }
 
-/// `ProtocolKind::code_dimension` computes `k` on its own; every built
-/// cluster's descriptor must report the `k` of the code its spec runs.
+/// The paper's cost closed forms read `k` from the descriptor; every built
+/// cluster's descriptor must report the `k` of the code its deployment runs,
+/// and replication must run the `k = 1` code.
 #[test]
 fn a_built_clusters_descriptor_reports_the_code_dimension_it_runs() {
     for (kind, n, f) in legal_points() {
-        let builder = ClusterBuilder::new(kind, n, f);
-        let (reported, runs) = match kind {
-            ProtocolKind::Soda | ProtocolKind::SodaErr { .. } => {
-                let cluster = builder.build_soda().unwrap();
-                (cluster.descriptor().k(), Some(cluster.spec().config.k()))
-            }
-            ProtocolKind::Cas | ProtocolKind::Casgc { .. } => {
-                let cluster = builder.build_cas().unwrap();
-                (cluster.descriptor().k(), Some(cluster.spec().config.k()))
-            }
-            ProtocolKind::Abd => (builder.build().unwrap().descriptor().k(), None),
-        };
-        assert_eq!(reported, runs, "{kind:?} n={n} f={f}");
+        let cluster = ClusterBuilder::new(kind, n, f).build().unwrap();
+        let runs = cluster.deployment().k();
+        match cluster.descriptor().k() {
+            Some(reported) => assert_eq!(reported, runs, "{kind:?} n={n} f={f}"),
+            None => assert_eq!((kind, runs), (ProtocolKind::Abd, 1), "n={n} f={f}"),
+        }
     }
 }

@@ -3,6 +3,7 @@
 //! re-encoded coded element), plus randomized workload-shape executions (the
 //! former property-based suite, rewritten over the seeded `SimRng`).
 
+use soda::Phase;
 use soda_protocol::MdsCode;
 use soda_registry::{ClusterBuilder, OpKind, ProtocolKind, RegisterCluster};
 use soda_simnet::rng::SimRng;
@@ -294,16 +295,16 @@ fn crash_then_repair_restores_the_coded_element() {
     assert_eq!(repaired.stored_element().data, healthy_element.data);
     assert_eq!(cluster.dead_or_repairing(), 0);
 
-    // Repair bandwidth: read_threshold coded elements, well under the
+    // Repair bandwidth: read-value's quorum of coded elements, well under the
     // n·(size/k)+metadata acceptance bound.
     let report = cluster.repair_report(1).expect("was repaired");
     let elem_len = repaired.stored_bytes() as u64;
-    let config = &cluster.spec().config;
+    let deployment = cluster.deployment();
     assert_eq!(
         report.traffic_bytes,
-        config.read_threshold() as u64 * elem_len
+        deployment.quorum(Phase::ReadValue) as u64 * elem_len
     );
-    assert!(report.traffic_bytes <= config.layout().n() as u64 * elem_len);
+    assert!(report.traffic_bytes <= deployment.layout().n() as u64 * elem_len);
     assert_eq!(cluster.repair_traffic_bytes(), report.traffic_bytes);
 
     // A read after the repair still returns the written value.
@@ -335,8 +336,7 @@ fn repair_during_inflight_write_reaches_the_replacement() {
     assert_eq!(
         repaired.stored_element().data,
         cluster
-            .spec()
-            .config
+            .deployment()
             .code()
             .encode_one(b"concurrent write", 0)
             .unwrap()
@@ -361,13 +361,12 @@ fn sodaerr_repair_collects_k_plus_2e_elements() {
     let report = cluster.repair_report(2).unwrap();
     let elem_len = repaired.stored_bytes() as u64;
     // k + 2e = 3 + 2 elements for [7, 3] SODAerr with e = 1.
-    assert_eq!(cluster.spec().config.read_threshold(), 5);
+    assert_eq!(cluster.deployment().quorum(Phase::ReadValue), 5);
     assert_eq!(report.traffic_bytes, 5 * elem_len);
     assert_eq!(
         repaired.stored_element().data,
         cluster
-            .spec()
-            .config
+            .deployment()
             .code()
             .encode_one(b"sodaerr repair", 2)
             .unwrap()

@@ -27,9 +27,11 @@
 use crate::{reassemble, Bytes, CodeError, CodedElement, MdsCode, VandermondeCode};
 use soda_gf::{Gf256, Poly};
 
-/// SODAerr's constructor for the one code type: the `[n, n − f − 2e]`
-/// [`VandermondeCode`], whose `decode_with_errors(elements, e)` corrects up
-/// to `e` corrupt elements among `k + 2e`.
+/// The `[n, n − f − 2e]` constructor for the one code type: the
+/// [`VandermondeCode`] whose `decode_with_errors(elements, e)` corrects up
+/// to `e` corrupt elements among `k + 2e`. No protocol calls it (a cluster
+/// builds its code once, with [`VandermondeCode::new`]); the benchmark's
+/// code probes do.
 #[derive(Debug)]
 pub enum BerlekampWelchCode {}
 

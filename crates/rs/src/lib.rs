@@ -14,8 +14,9 @@
 //! three. Encoding is a matrix–shard product; [`MdsCode::decode`] inverts
 //! the `k × k` submatrix of surviving rows; [`MdsCode::decode_with_errors`]
 //! with `max_errors > 0` runs a Berlekamp–Welch decoder on the same code.
-//! SODA builds it with `k = n − f` ([`VandermondeCode::for_fault_tolerance`]),
-//! SODAerr with `k = n − f − 2e` ([`BerlekampWelchCode::for_fault_tolerance`]).
+//! A cluster builds it once with [`VandermondeCode::new`]: `k = n − f` for
+//! SODA, `k = n − f − 2e` for SODAerr, `k = n − 2f` for CAS and `k = 1` for
+//! ABD's replication.
 //!
 //! Values of arbitrary byte length are cut into `k` contiguous data shards
 //! (see [`pad_and_split`]); byte `j` of every element together is one

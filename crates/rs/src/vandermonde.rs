@@ -93,7 +93,9 @@ impl VandermondeCode {
         })
     }
 
-    /// Convenience constructor matching SODA's choice `k = n - f`.
+    /// Convenience constructor matching SODA's choice `k = n - f`. No
+    /// protocol calls it (a cluster builds its code once, with
+    /// [`Self::new`]); the benchmark's code probes do.
     pub fn for_fault_tolerance(n: usize, f: usize) -> Result<Self, CodeError> {
         if f >= n {
             return Err(CodeError::InvalidParameters { n, k: 0 });

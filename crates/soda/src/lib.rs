@@ -39,18 +39,20 @@
 //! the automata and their [`SodaSpec`]; the harness that runs them, and its
 //! quick start, are there.
 //!
-//! The protocol pieces themselves stay directly usable, e.g. the shared
-//! configuration:
+//! The automata stay directly usable: every process of a cluster shares one
+//! [`soda_protocol::Deployment`], which holds the layout, the code, the error
+//! budget and the quorums that [`Phase`]'s table is read in:
 //!
 //! ```
-//! use soda::SodaConfig;
-//! use soda_protocol::Layout;
+//! use soda::Phase;
+//! use soda_protocol::{Deployment, Layout};
 //! use soda_simnet::ProcessId;
 //!
+//! // SODA on five servers tolerating two crashes runs the [5, 3] code.
 //! let layout = Layout::new((0..5u32).map(ProcessId).collect(), 2);
-//! let config = soda::SodaConfig::soda(layout);
-//! assert_eq!(config.k(), 3); // k = n - f
-//! assert_eq!(config.read_threshold(), 3);
+//! let deployment = Deployment::new(layout, 3, 0);
+//! assert_eq!(deployment.quorum(Phase::WriteGet), 3); // a majority
+//! assert_eq!(deployment.quorum(Phase::ReadValue), 3); // k + 2e elements
 //! ```
 
 #![deny(missing_docs)]
@@ -66,7 +68,7 @@ mod spec;
 mod writer;
 
 pub use adversary::coded_element_corruptor;
-pub use config::{Phase, SodaConfig};
+pub use config::Phase;
 pub use messages::{MetaPayload, OpId, SodaMsg};
 pub use reader::ReaderProcess;
 pub use server::ServerProcess;

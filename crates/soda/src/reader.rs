@@ -17,10 +17,10 @@
 //! Readers are well-formed clients: invocations that arrive while a read is in
 //! flight wait in the reader's [`OpQueue`].
 
-use crate::config::{Phase, SodaConfig};
+use crate::config::Phase;
 use crate::messages::{MetaPayload, OpId, SodaMsg};
 use soda_protocol::md::{md_meta_send, MessageId};
-use soda_protocol::{Invocation, OpQueue, PhaseDriver, Reply, Tag, Value};
+use soda_protocol::{Deployment, Invocation, OpQueue, PhaseDriver, Reply, Tag, Value};
 use soda_rs_code::{CodeError, CodedElement};
 use soda_simnet::{Context, Process, ProcessId};
 use std::collections::BTreeMap;
@@ -55,9 +55,9 @@ impl Read {
     }
 
     /// Begins the `read-get` phase of `op`, forgetting the previous read.
-    pub(crate) fn begin(&mut self, config: &SodaConfig, op: OpId) {
+    pub(crate) fn begin(&mut self, deployment: &Deployment, op: OpId) {
         self.op = op;
-        self.phase.begin(Phase::ReadGet, op, config.quorums());
+        self.phase.begin(Phase::ReadGet, op, deployment.quorums());
         self.tr = Tag::INITIAL;
         self.by_tag.clear();
     }
@@ -87,7 +87,7 @@ impl Read {
     /// completes the majority has begun `read-value` under [`Self::tr`].
     pub(crate) fn on_get_resp(
         &mut self,
-        config: &SodaConfig,
+        deployment: &Deployment,
         from: ProcessId,
         op: OpId,
         tag: Tag,
@@ -99,7 +99,7 @@ impl Read {
         if reply != Reply::Completed {
             return false;
         }
-        self.phase.begin(Phase::ReadValue, op, config.quorums());
+        self.phase.begin(Phase::ReadValue, op, deployment.quorums());
         true
     }
 
@@ -112,7 +112,7 @@ impl Read {
     /// relays may arrive.
     pub(crate) fn on_element(
         &mut self,
-        config: &SodaConfig,
+        deployment: &Deployment,
         op: OpId,
         tag: Tag,
         element: CodedElement,
@@ -122,14 +122,14 @@ impl Read {
         }
         let elements = self.by_tag.entry(tag).or_default();
         elements.insert(element.index, element);
-        let threshold = config.read_threshold();
+        let threshold = deployment.quorum(Phase::ReadValue);
         let (&tag, elements) = self
             .by_tag
             .iter()
             .rev()
             .find(|(_, e)| e.len() >= threshold)?;
         let elements: Vec<CodedElement> = elements.values().cloned().collect();
-        let decoded = config.decode(&elements);
+        let decoded = deployment.decode(&elements);
         if decoded.is_ok() {
             self.phase.end();
             self.by_tag.clear();
@@ -140,7 +140,7 @@ impl Read {
 
 /// A SODA / SODAerr reader client process.
 pub struct ReaderProcess {
-    config: Arc<SodaConfig>,
+    deployment: Arc<Deployment>,
     self_id: ProcessId,
     ops: OpQueue,
     md_counter: u64,
@@ -154,9 +154,9 @@ pub struct ReaderProcess {
 impl ReaderProcess {
     /// Creates a reader. `self_id` must be the process id under which the
     /// reader is registered with the simulation.
-    pub fn new(config: Arc<SodaConfig>, self_id: ProcessId) -> Self {
+    pub fn new(deployment: Arc<Deployment>, self_id: ProcessId) -> Self {
         ReaderProcess {
-            config,
+            deployment,
             self_id,
             ops: OpQueue::new(self_id),
             md_counter: 0,
@@ -181,8 +181,8 @@ impl ReaderProcess {
             return;
         };
         let op = OpId::new(self.self_id, seq);
-        self.read.begin(&self.config, op);
-        let servers = self.config.layout().servers().iter().copied();
+        self.read.begin(&self.deployment, op);
+        let servers = self.deployment.layout().servers().iter().copied();
         ctx.send_all(servers, SodaMsg::ReadGet { op });
     }
 
@@ -191,8 +191,8 @@ impl ReaderProcess {
     fn disperse(&mut self, payload: MetaPayload, ctx: &mut Context<'_, SodaMsg>) {
         self.md_counter += 1;
         let mid = MessageId::new(self.self_id, self.md_counter);
-        for dispatch in md_meta_send(self.config.layout(), mid, payload) {
-            let dest = self.config.layout().server(dispatch.to_rank);
+        for dispatch in md_meta_send(self.deployment.layout(), mid, payload) {
+            let dest = self.deployment.layout().server(dispatch.to_rank);
             ctx.send(dest, SodaMsg::MdMeta(dispatch.msg));
         }
     }
@@ -216,13 +216,13 @@ impl Process<SodaMsg> for ReaderProcess {
             // The reply that completes the majority begins `read-value`:
             // register with the servers under `t_r`.
             SodaMsg::ReadGetResp { op, tag }
-                if self.read.on_get_resp(&self.config, from, op, tag) =>
+                if self.read.on_get_resp(&self.deployment, from, op, tag) =>
             {
                 let tr = self.read.tr();
                 self.disperse(MetaPayload::ReadValue { op, tag: tr }, ctx);
             }
             SodaMsg::CodedToReader { op, tag, element } => {
-                match self.read.on_element(&self.config, op, tag, element) {
+                match self.read.on_element(&self.deployment, op, tag, element) {
                     Some((tag, Ok(value))) => self.complete(tag, value, ctx),
                     Some((_, Err(_))) => self.decode_failures += 1,
                     None => {}
@@ -244,9 +244,9 @@ mod tests {
 
     const READER: ProcessId = ProcessId(200);
 
-    fn config(n: usize, f: usize) -> Arc<SodaConfig> {
+    fn deployment(n: usize, f: usize) -> Arc<Deployment> {
         let layout = Layout::new((0..n as u32).map(ProcessId).collect(), f);
-        SodaConfig::soda(layout)
+        Arc::new(Deployment::new(layout, n - f, 0))
     }
 
     /// Delivers `msg` from `from` at `ticks`.
@@ -295,7 +295,7 @@ mod tests {
 
     #[test]
     fn invoke_queries_all_servers() {
-        let mut r = ReaderProcess::new(config(5, 2), READER);
+        let mut r = ReaderProcess::new(deployment(5, 2), READER);
         assert_eq!((r.read.phase(), r.ops().queued()), (None, 0));
         send(&mut r, 1, ProcessId::ENV, SodaMsg::InvokeRead);
         assert_eq!(r.read.phase(), Some(Phase::ReadGet));
@@ -303,7 +303,7 @@ mod tests {
 
     #[test]
     fn majority_get_responses_trigger_read_value_registration() {
-        let mut r = ReaderProcess::new(config(5, 2), READER);
+        let mut r = ReaderProcess::new(deployment(5, 2), READER);
         let op = start_read(&mut r);
         // Two responses are not a majority of 5.
         answer_get_phase(&mut r, op, &[Tag::INITIAL, Tag::new(1, ProcessId(1))]);
@@ -330,7 +330,7 @@ mod tests {
 
     #[test]
     fn read_completes_once_k_elements_of_one_tag_arrive() {
-        let cfg = config(5, 2); // k = 3
+        let cfg = deployment(5, 2); // k = 3
         let code = cfg.code().clone();
         let mut r = ReaderProcess::new(cfg, READER);
         let op = start_read(&mut r);
@@ -373,7 +373,7 @@ mod tests {
 
     #[test]
     fn elements_of_a_newer_concurrent_write_can_serve_the_read() {
-        let cfg = config(5, 2);
+        let cfg = deployment(5, 2);
         let code = cfg.code().clone();
         let mut r = ReaderProcess::new(cfg, READER);
         let op = start_read(&mut r);
@@ -395,7 +395,7 @@ mod tests {
 
     #[test]
     fn stale_op_elements_are_ignored() {
-        let cfg = config(5, 2);
+        let cfg = deployment(5, 2);
         let code = cfg.code().clone();
         let mut r = ReaderProcess::new(cfg, READER);
         let op = start_read(&mut r);
@@ -410,7 +410,7 @@ mod tests {
 
     #[test]
     fn queued_reads_run_back_to_back() {
-        let cfg = config(3, 1); // k = 2, majority = 2
+        let cfg = deployment(3, 1); // k = 2, majority = 2
         let code = cfg.code().clone();
         let mut r = ReaderProcess::new(cfg, READER);
         send(&mut r, 1, ProcessId::ENV, SodaMsg::InvokeRead);
@@ -430,7 +430,7 @@ mod tests {
     #[test]
     fn sodaerr_reader_waits_for_k_plus_2e_and_tolerates_corruption() {
         let layout = Layout::new((0..7u32).map(ProcessId).collect(), 2);
-        let cfg = SodaConfig::soda_err(layout, 1); // k = 3, threshold 5
+        let cfg = Arc::new(Deployment::new(layout, 3, 1)); // threshold k + 2e = 5
         let code = cfg.code().clone();
         let mut r = ReaderProcess::new(cfg, READER);
         let op = start_read(&mut r);

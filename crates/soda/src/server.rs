@@ -52,11 +52,11 @@
 //! never collide with the tombstones survivors hold for the previous
 //! incarnation's dispersals.
 
-use crate::config::{Phase, SodaConfig};
+use crate::config::Phase;
 use crate::messages::{MetaPayload, OpId, SodaMsg};
 use crate::reader::Read;
 use soda_protocol::md::{md_meta_send, MdRelay, MdValueMsg, MessageId};
-use soda_protocol::{RepairDriver, RepairStatus, RunSet, Tag, Value};
+use soda_protocol::{Deployment, RepairDriver, RepairStatus, RunSet, Tag, Value};
 use soda_rs_code::{CodedElement, MdsCode};
 use soda_simnet::{Context, Process, ProcessId};
 use std::collections::BTreeMap;
@@ -76,7 +76,7 @@ struct RepairState {
 
 /// A SODA / SODAerr server process.
 pub struct ServerProcess {
-    config: Arc<SodaConfig>,
+    deployment: Arc<Deployment>,
     my_rank: usize,
     /// Locally stored `(t, c_s)` pair.
     tag: Tag,
@@ -130,13 +130,39 @@ pub struct ServerProcess {
 impl ServerProcess {
     /// Creates the server with the given rank, storing the coded element of
     /// the initial value `v0` under the initial tag `t0`.
-    pub fn new(config: Arc<SodaConfig>, my_rank: usize, initial_value: &Value) -> Self {
-        let element = config
+    pub fn new(deployment: Arc<Deployment>, my_rank: usize, initial_value: &Value) -> Self {
+        let element = deployment
             .code()
             .encode_one(initial_value, my_rank)
             .expect("rank is within 0..n by construction");
+        Self::holding(deployment, my_rank, element)
+    }
+
+    /// Creates a **replacement** for a crashed server: same rank, empty state.
+    /// On start it runs the repair procedure (see the module docs) against the
+    /// survivors and only then behaves like a full replica. `epoch` counts the
+    /// incarnations of this rank (1 for the first replacement) and must be
+    /// distinct per incarnation: it namespaces the replacement's MD message
+    /// ids and its repair operation id away from anything the previous
+    /// incarnation sent, so survivors' deduplication tombstones cannot
+    /// swallow the new dispersals.
+    pub fn replacement(deployment: Arc<Deployment>, my_rank: usize, epoch: u64) -> Self {
+        let op = OpId::new(deployment.layout().server(my_rank), epoch);
+        let mut read = Read::new(op);
+        read.begin(&deployment, op);
+        let driver = RepairDriver::default();
         ServerProcess {
-            config,
+            md_counter: epoch << 32,
+            repair: Some(RepairState { read, driver }),
+            ..Self::holding(deployment, my_rank, CodedElement::new(my_rank, Vec::new()))
+        }
+    }
+
+    /// The server of rank `my_rank` storing `element` under `t0`, with no
+    /// reader, dispersal or repair yet.
+    fn holding(deployment: Arc<Deployment>, my_rank: usize, element: CodedElement) -> Self {
+        ServerProcess {
+            deployment,
             my_rank,
             tag: Tag::INITIAL,
             element,
@@ -148,38 +174,6 @@ impl ServerProcess {
             md_counter: 0,
             relay_enabled: true,
             repair: None,
-            scratch_interested: Vec::new(),
-        }
-    }
-
-    /// Creates a **replacement** for a crashed server: same rank, empty state.
-    /// On start it runs the repair procedure (see the module docs) against the
-    /// survivors and only then behaves like a full replica. `epoch` counts the
-    /// incarnations of this rank (1 for the first replacement) and must be
-    /// distinct per incarnation: it namespaces the replacement's MD message
-    /// ids and its repair operation id away from anything the previous
-    /// incarnation sent, so survivors' deduplication tombstones cannot
-    /// swallow the new dispersals.
-    pub fn replacement(config: Arc<SodaConfig>, my_rank: usize, epoch: u64) -> Self {
-        let op = OpId::new(config.layout().server(my_rank), epoch);
-        let mut read = Read::new(op);
-        read.begin(&config, op);
-        ServerProcess {
-            config,
-            my_rank,
-            tag: Tag::INITIAL,
-            element: CodedElement::new(my_rank, Vec::new()),
-            registered: BTreeMap::new(),
-            history: BTreeMap::new(),
-            closed: RunSet::default(),
-            md_value: MdRelay::new(my_rank),
-            md_meta: MdRelay::new(my_rank),
-            md_counter: epoch << 32,
-            relay_enabled: true,
-            repair: Some(RepairState {
-                read,
-                driver: RepairDriver::default(),
-            }),
             scratch_interested: Vec::new(),
         }
     }
@@ -244,7 +238,7 @@ impl ServerProcess {
     }
 
     fn server_pid(&self, rank: usize) -> ProcessId {
-        self.config.layout().server(rank)
+        self.deployment.layout().server(rank)
     }
 
     /// Disperses `payload` to every server through MD-META, under a fresh
@@ -252,7 +246,7 @@ impl ServerProcess {
     fn disperse_meta(&mut self, payload: MetaPayload, ctx: &mut Context<'_, SodaMsg>) {
         self.md_counter += 1;
         let mid = MessageId::new(self.server_pid(self.my_rank), self.md_counter);
-        for dispatch in md_meta_send(self.config.layout(), mid, payload) {
+        for dispatch in md_meta_send(self.deployment.layout(), mid, payload) {
             let dest = self.server_pid(dispatch.to_rank);
             ctx.send(dest, SodaMsg::MdMeta(dispatch.msg));
         }
@@ -301,7 +295,7 @@ impl ServerProcess {
         let sent_count = self.history.get(&op).map_or(0, |triples| {
             triples.iter().filter(|(t, _)| *t == tag).count()
         });
-        if sent_count >= self.config.read_threshold() {
+        if sent_count >= self.deployment.quorum(Phase::ReadValue) {
             self.registered.remove(&op);
             self.close(op);
         }
@@ -320,7 +314,7 @@ impl ServerProcess {
         if self.registered.is_empty() {
             self.registered.clear();
         }
-        if !self.config.layout().servers().contains(&op.client) {
+        if !self.deployment.layout().servers().contains(&op.client) {
             self.closed.insert(op.client, op.seq);
         }
     }
@@ -416,7 +410,7 @@ impl ServerProcess {
     fn send_repair_fan_out(&mut self, read: &Read, ctx: &mut Context<'_, SodaMsg>) {
         let op = read.op();
         if read.phase() == Some(Phase::ReadGet) {
-            let peers = self.config.layout().peers_of(ctx.self_id());
+            let peers = self.deployment.layout().peers_of(ctx.self_id());
             ctx.send_all(peers, SodaMsg::ReadGet { op });
         } else {
             self.disperse_meta(MetaPayload::ReadValue { op, tag: read.tr() }, ctx);
@@ -427,7 +421,7 @@ impl ServerProcess {
     /// rank's element, adopts the pair, and flushes deferred reader service.
     fn finish_repair(&mut self, tag: Tag, value: Value, ctx: &mut Context<'_, SodaMsg>) {
         let my_element = self
-            .config
+            .deployment
             .code()
             .encode_one(&value, self.my_rank)
             .expect("rank is within 0..n by construction");
@@ -507,7 +501,7 @@ impl Process<SodaMsg> for ServerProcess {
                 let Some(repair) = self.repair.as_mut() else {
                     return;
                 };
-                if repair.read.on_get_resp(&self.config, from, op, tag) {
+                if repair.read.on_get_resp(&self.deployment, from, op, tag) {
                     let tr = repair.read.tr();
                     self.disperse_meta(MetaPayload::ReadValue { op, tag: tr }, ctx);
                 }
@@ -525,22 +519,22 @@ impl Process<SodaMsg> for ServerProcess {
                 // Over-budget corruption (SODAerr) leaves the read collecting:
                 // relays of concurrent writes may still complete the repair.
                 if let Some((tag, Ok(value))) =
-                    repair.read.on_element(&self.config, op, tag, element)
+                    repair.read.on_element(&self.deployment, op, tag, element)
                 {
                     self.finish_repair(tag, value, ctx);
                 }
             }
             SodaMsg::MdValue(md_msg) => {
-                let config = &self.config;
+                let deployment = &self.deployment;
                 let deliver = match md_msg {
                     MdValueMsg::Full { mid, tag, value } => self.md_value.on_full(
-                        config.layout(),
-                        config.code(),
+                        deployment.layout(),
+                        deployment.code(),
                         mid,
                         tag,
                         &value,
                         |dispatch| {
-                            let dest = config.layout().server(dispatch.to_rank);
+                            let dest = deployment.layout().server(dispatch.to_rank);
                             ctx.send(dest, SodaMsg::MdValue(dispatch.msg));
                         },
                     ),
@@ -553,13 +547,16 @@ impl Process<SodaMsg> for ServerProcess {
                 }
             }
             SodaMsg::MdMeta(meta) => {
-                let config = &self.config;
-                let deliver =
-                    self.md_meta
-                        .on_meta(config.layout(), meta.mid, &meta.payload, |dispatch| {
-                            let dest = config.layout().server(dispatch.to_rank);
-                            ctx.send(dest, SodaMsg::MdMeta(dispatch.msg));
-                        });
+                let deployment = &self.deployment;
+                let deliver = self.md_meta.on_meta(
+                    deployment.layout(),
+                    meta.mid,
+                    &meta.payload,
+                    |dispatch| {
+                        let dest = deployment.layout().server(dispatch.to_rank);
+                        ctx.send(dest, SodaMsg::MdMeta(dispatch.msg));
+                    },
+                );
                 if let Some(payload) = deliver {
                     match payload {
                         MetaPayload::ReadValue { op, tag } => self.on_read_value(op, tag, ctx),
@@ -589,20 +586,20 @@ mod tests {
     const WRITER: ProcessId = ProcessId(100);
     const READER: ProcessId = ProcessId(200);
 
-    fn config(n: usize, f: usize) -> Arc<SodaConfig> {
+    fn deployment(n: usize, f: usize) -> Arc<Deployment> {
         let layout = Layout::new((0..n as u32).map(ProcessId).collect(), f);
-        SodaConfig::soda(layout)
+        Arc::new(Deployment::new(layout, n - f, 0))
     }
 
     fn t(ticks: u64) -> SimTime {
         SimTime::from_ticks(ticks)
     }
 
-    fn server(cfg: &Arc<SodaConfig>, rank: usize) -> ServerProcess {
+    fn server(cfg: &Arc<Deployment>, rank: usize) -> ServerProcess {
         ServerProcess::new(cfg.clone(), rank, &value_from(b"initial".to_vec()))
     }
 
-    fn full_msg(_cfg: &Arc<SodaConfig>, tag: Tag, value: &[u8], counter: u64) -> SodaMsg {
+    fn full_msg(_cfg: &Arc<Deployment>, tag: Tag, value: &[u8], counter: u64) -> SodaMsg {
         SodaMsg::MdValue(MdValueMsg::Full {
             mid: MessageId::new(tag.writer, counter),
             tag,
@@ -637,7 +634,7 @@ mod tests {
 
     #[test]
     fn initial_state_stores_initial_value_element() {
-        let cfg = config(5, 2);
+        let cfg = deployment(5, 2);
         let s = server(&cfg, 3);
         assert_eq!(s.stored_tag(), Tag::INITIAL);
         assert!(s.stored_bytes() > 0);
@@ -648,7 +645,7 @@ mod tests {
 
     #[test]
     fn write_get_and_read_get_respond_with_stored_tag() {
-        let cfg = config(5, 2);
+        let cfg = deployment(5, 2);
         let mut s = server(&cfg, 0);
         let op = OpId::new(WRITER, 1);
         let r = deliver(&mut s, ProcessId(0), t(1), WRITER, SodaMsg::WriteGet { op });
@@ -670,7 +667,7 @@ mod tests {
 
     #[test]
     fn md_value_full_updates_storage_relays_and_acks() {
-        let cfg = config(5, 2);
+        let cfg = deployment(5, 2);
         let mut s = server(&cfg, 0);
         let tag = Tag::new(1, WRITER);
         let r = deliver(
@@ -705,7 +702,7 @@ mod tests {
 
     #[test]
     fn older_tag_does_not_overwrite_but_still_acks() {
-        let cfg = config(5, 2);
+        let cfg = deployment(5, 2);
         let mut s = server(&cfg, 4); // outside the backbone: receives Coded
         let newer = Tag::new(5, WRITER);
         let older = Tag::new(2, WRITER);
@@ -746,7 +743,7 @@ mod tests {
 
     #[test]
     fn registration_sends_stored_element_when_tag_is_high_enough() {
-        let cfg = config(5, 2);
+        let cfg = deployment(5, 2);
         let mut s = server(&cfg, 1);
         let tw = Tag::new(3, WRITER);
         deliver(
@@ -798,7 +795,7 @@ mod tests {
 
     #[test]
     fn registration_with_higher_requested_tag_sends_nothing_until_a_write_arrives() {
-        let cfg = config(5, 2);
+        let cfg = deployment(5, 2);
         let mut s = server(&cfg, 2);
         let op = OpId::new(READER, 1);
         let requested = Tag::new(4, WRITER);
@@ -826,7 +823,7 @@ mod tests {
 
     #[test]
     fn read_complete_unregisters_and_cleans_history() {
-        let cfg = config(5, 2);
+        let cfg = deployment(5, 2);
         let mut s = server(&cfg, 0);
         let op = OpId::new(READER, 1);
         deliver(
@@ -851,7 +848,7 @@ mod tests {
 
     #[test]
     fn read_complete_before_registration_leaves_marker_and_prevents_registration() {
-        let cfg = config(5, 2);
+        let cfg = deployment(5, 2);
         let mut s = server(&cfg, 0);
         let op = OpId::new(READER, 7);
         deliver(
@@ -878,7 +875,7 @@ mod tests {
 
     #[test]
     fn k_read_disperse_reports_unregister_the_reader() {
-        let cfg = config(5, 2); // k = 3
+        let cfg = deployment(5, 2); // k = 3
         let mut s = server(&cfg, 4); // outside backbone; no local element sent for high tags
         let op = OpId::new(READER, 1);
         let requested = Tag::new(2, WRITER);
@@ -916,7 +913,7 @@ mod tests {
     /// hold, unregisters it with k = 3 READ-DISPERSE reports, then delivers
     /// one more report and the READ-COMPLETE, as a slow relay would.
     fn late_reports_after_unregistration(op: OpId) -> ServerProcess {
-        let cfg = config(5, 2);
+        let cfg = deployment(5, 2);
         let mut s = server(&cfg, 4);
         let requested = Tag::new(2, WRITER);
         deliver(
@@ -964,7 +961,7 @@ mod tests {
 
     #[test]
     fn disperse_counts_require_distinct_servers_and_matching_tag() {
-        let cfg = config(5, 2); // k = 3
+        let cfg = deployment(5, 2); // k = 3
         let mut s = server(&cfg, 4);
         let op = OpId::new(READER, 1);
         let tag_a = Tag::new(2, WRITER);
@@ -1004,7 +1001,7 @@ mod tests {
 
     #[test]
     fn duplicate_md_value_messages_are_idempotent() {
-        let cfg = config(5, 2);
+        let cfg = deployment(5, 2);
         let mut s = server(&cfg, 0);
         let tag = Tag::new(1, WRITER);
         let msg = full_msg(&cfg, tag, b"dup", 1);
@@ -1020,7 +1017,7 @@ mod tests {
 
     #[test]
     fn client_messages_are_ignored_by_servers() {
-        let cfg = config(3, 1);
+        let cfg = deployment(3, 1);
         let mut s = server(&cfg, 0);
         let r = deliver(
             &mut s,
@@ -1043,7 +1040,7 @@ mod tests {
     /// Drives a replacement through its full repair exchange by hand:
     /// start → read-get responses → coded elements → done.
     fn run_repair(
-        cfg: &Arc<SodaConfig>,
+        cfg: &Arc<Deployment>,
         s: &mut ServerProcess,
         epoch: u64,
         tag: Tag,
@@ -1079,7 +1076,7 @@ mod tests {
         let elements = cfg.code().encode(value).unwrap();
         let mut finish = Vec::new();
         #[allow(clippy::needless_range_loop)]
-        for rank in 1..=cfg.read_threshold() {
+        for rank in 1..=cfg.quorum(Phase::ReadValue) {
             let r = deliver(
                 s,
                 self_pid,
@@ -1098,7 +1095,7 @@ mod tests {
 
     #[test]
     fn replacement_repairs_by_reencoding_from_survivors() {
-        let cfg = config(5, 2);
+        let cfg = deployment(5, 2);
         let mut s = ServerProcess::replacement(cfg.clone(), 0, 1);
         assert!(s.is_repairing());
         assert_eq!(s.stored_tag(), Tag::INITIAL);
@@ -1122,14 +1119,14 @@ mod tests {
         let element_len = expected.data.len() as u64;
         assert_eq!(
             status.traffic_bytes,
-            element_len * cfg.read_threshold() as u64,
+            element_len * cfg.quorum(Phase::ReadValue) as u64,
             "repair bandwidth is read_threshold coded elements"
         );
     }
 
     #[test]
     fn under_repair_server_is_silent_on_gets_and_defers_readers() {
-        let cfg = config(5, 2);
+        let cfg = deployment(5, 2);
         let mut s = ServerProcess::replacement(cfg.clone(), 0, 1);
 
         // Tag queries get no answer: INITIAL would poison majority maxima.
@@ -1200,7 +1197,7 @@ mod tests {
 
     #[test]
     fn repair_adoption_is_monotone_under_concurrent_writes() {
-        let cfg = config(5, 2);
+        let cfg = deployment(5, 2);
         let mut s = ServerProcess::replacement(cfg.clone(), 0, 1);
 
         // A concurrent write's md-value delivery lands mid-repair and is
@@ -1232,7 +1229,7 @@ mod tests {
 
     #[test]
     fn replacement_epoch_namespaces_message_ids() {
-        let cfg = config(5, 2);
+        let cfg = deployment(5, 2);
         let epoch = 3u64;
         let mut s = ServerProcess::replacement(cfg.clone(), 0, epoch);
         let self_pid = ProcessId(0);

@@ -1,22 +1,19 @@
 //! SODA / SODAerr as a [`ProtocolSpec`]: how a cluster harness builds and
 //! inspects the three automata of this crate.
 
-use crate::config::SodaConfig;
 use crate::messages::SodaMsg;
 use crate::reader::ReaderProcess;
 use crate::server::ServerProcess;
 use crate::writer::WriterProcess;
-use soda_protocol::{OpKind, OpQueue, ProtocolSpec, RepairStatus, Value};
+use soda_protocol::{Deployment, OpKind, OpQueue, ProtocolSpec, RepairStatus, Value};
 use soda_simnet::{Process, ProcessId, Simulation};
 use std::sync::Arc;
 
-/// One SODA or SODAerr deployment: the shared configuration plus the
-/// ablation switch the experiments set on its servers. Byzantine servers are
-/// not the spec's business: the network corrupts what they send (see
-/// [`crate::adversary`]).
+/// SODA's or SODAerr's one option, the ablation switch the experiments set
+/// on its servers; which of the two runs is the deployment's error budget.
+/// Byzantine servers are not the spec's business: the network corrupts what
+/// they send (see [`crate::adversary`]).
 pub struct SodaSpec {
-    /// The shared protocol configuration (layout, error budget, code, quorums).
-    pub config: Arc<SodaConfig>,
     /// Ablation switch: `false` disables the relaying of concurrent writes
     /// to registered readers at every server (`true` is the paper's
     /// behaviour).
@@ -34,22 +31,37 @@ impl ProtocolSpec for SodaSpec {
         SodaMsg::InvokeRead
     }
 
-    fn server(&self, rank: usize, initial: &Value) -> Box<dyn Process<SodaMsg>> {
-        let mut server = ServerProcess::new(self.config.clone(), rank, initial);
+    fn server(
+        &self,
+        deployment: &Arc<Deployment>,
+        rank: usize,
+        initial: &Value,
+    ) -> Box<dyn Process<SodaMsg>> {
+        let mut server = ServerProcess::new(deployment.clone(), rank, initial);
         if !self.relay_enabled {
             server = server.with_relay_disabled();
         }
         Box::new(server)
     }
 
-    fn replacement(&self, rank: usize, epoch: u64) -> Box<dyn Process<SodaMsg>> {
-        Box::new(ServerProcess::replacement(self.config.clone(), rank, epoch))
+    fn replacement(
+        &self,
+        deployment: &Arc<Deployment>,
+        rank: usize,
+        epoch: u64,
+    ) -> Box<dyn Process<SodaMsg>> {
+        Box::new(ServerProcess::replacement(deployment.clone(), rank, epoch))
     }
 
-    fn client(&self, id: ProcessId, role: OpKind) -> Box<dyn Process<SodaMsg>> {
+    fn client(
+        &self,
+        deployment: &Arc<Deployment>,
+        id: ProcessId,
+        role: OpKind,
+    ) -> Box<dyn Process<SodaMsg>> {
         match role {
-            OpKind::Write => Box::new(WriterProcess::new(self.config.clone(), id)),
-            OpKind::Read => Box::new(ReaderProcess::new(self.config.clone(), id)),
+            OpKind::Write => Box::new(WriterProcess::new(deployment.clone(), id)),
+            OpKind::Read => Box::new(ReaderProcess::new(deployment.clone(), id)),
         }
     }
 

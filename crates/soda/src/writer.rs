@@ -13,16 +13,16 @@
 //! previous one completed, so invocations that arrive while an operation is in
 //! flight wait in the writer's [`OpQueue`].
 
-use crate::config::{Phase, SodaConfig};
+use crate::config::Phase;
 use crate::messages::{OpId, SodaMsg};
 use soda_protocol::md::{md_value_send, MessageId};
-use soda_protocol::{Invocation, OpQueue, PhaseDriver, Reply, Tag};
+use soda_protocol::{Deployment, Invocation, OpQueue, PhaseDriver, Reply, Tag};
 use soda_simnet::{Context, Process, ProcessId};
 use std::sync::Arc;
 
 /// A SODA writer client process.
 pub struct WriterProcess {
-    config: Arc<SodaConfig>,
+    deployment: Arc<Deployment>,
     self_id: ProcessId,
     ops: OpQueue,
     /// The phase in flight: `write-get`, then `write-put`.
@@ -34,9 +34,9 @@ pub struct WriterProcess {
 impl WriterProcess {
     /// Creates a writer. `self_id` must be the process id under which the
     /// writer is registered with the simulation.
-    pub fn new(config: Arc<SodaConfig>, self_id: ProcessId) -> Self {
+    pub fn new(deployment: Arc<Deployment>, self_id: ProcessId) -> Self {
         WriterProcess {
-            config,
+            deployment,
             self_id,
             ops: OpQueue::new(self_id),
             phase: PhaseDriver::default(),
@@ -60,9 +60,10 @@ impl WriterProcess {
             return;
         };
         let op = OpId::new(self.self_id, seq);
-        self.phase.begin(Phase::WriteGet, op, self.config.quorums());
+        self.phase
+            .begin(Phase::WriteGet, op, self.deployment.quorums());
         self.max_tag = Tag::INITIAL;
-        let servers = self.config.layout().servers().iter().copied();
+        let servers = self.deployment.layout().servers().iter().copied();
         ctx.send_all(servers, SodaMsg::WriteGet { op });
     }
 
@@ -70,15 +71,15 @@ impl WriterProcess {
         let tag = self.max_tag.next(self.self_id);
         self.ops.set_tag(tag);
         self.phase
-            .begin(Phase::WritePut, self.op(), self.config.quorums());
+            .begin(Phase::WritePut, self.op(), self.deployment.quorums());
         let value = self
             .ops
             .value()
             .cloned()
             .expect("put phase requires a value");
         let mid = MessageId::new(self.self_id, self.ops.seq());
-        for dispatch in md_value_send(self.config.layout(), mid, tag, value) {
-            let dest = self.config.layout().server(dispatch.to_rank);
+        for dispatch in md_value_send(self.deployment.layout(), mid, tag, value) {
+            let dest = self.deployment.layout().server(dispatch.to_rank);
             ctx.send(dest, SodaMsg::MdValue(dispatch.msg));
         }
     }
@@ -135,9 +136,9 @@ mod tests {
         seq: 1,
     };
 
-    fn config(n: usize, f: usize) -> Arc<SodaConfig> {
+    fn deployment(n: usize, f: usize) -> Arc<Deployment> {
         let layout = Layout::new((0..n as u32).map(ProcessId).collect(), f);
-        SodaConfig::soda(layout)
+        Arc::new(Deployment::new(layout, n - f, 0))
     }
 
     /// Delivers `msg` from server `from` (or the environment) at `ticks`.
@@ -171,7 +172,7 @@ mod tests {
 
     #[test]
     fn initial_state_is_idle() {
-        let w = WriterProcess::new(config(5, 2), WRITER);
+        let w = WriterProcess::new(deployment(5, 2), WRITER);
         assert_eq!(w.phase.phase(), None);
         assert_eq!(w.ops().queued(), 0);
         assert!(w.ops().completed().is_empty());
@@ -179,7 +180,7 @@ mod tests {
 
     #[test]
     fn invoke_starts_get_phase_querying_all_servers() {
-        let mut w = WriterProcess::new(config(5, 2), WRITER);
+        let mut w = WriterProcess::new(deployment(5, 2), WRITER);
         let result = invoke(&mut w, vec![1, 2, 3]);
         assert_eq!(w.phase.phase(), Some(Phase::WriteGet));
         assert_eq!(result.sends.len(), 5);
@@ -191,7 +192,7 @@ mod tests {
 
     #[test]
     fn majority_of_get_responses_triggers_md_value_dispersal() {
-        let mut w = WriterProcess::new(config(5, 2), WRITER);
+        let mut w = WriterProcess::new(deployment(5, 2), WRITER);
         invoke(&mut w, vec![7u8; 40]);
         // Two responses: still in Get phase (majority of 5 is 3).
         for s in 0..2u32 {
@@ -219,7 +220,7 @@ mod tests {
 
     #[test]
     fn duplicate_get_responses_do_not_advance_phase() {
-        let mut w = WriterProcess::new(config(5, 2), WRITER);
+        let mut w = WriterProcess::new(deployment(5, 2), WRITER);
         invoke(&mut w, vec![1]);
         for _ in 0..5 {
             get_resp(&mut w, 2, 0, OP, Tag::INITIAL);
@@ -230,7 +231,7 @@ mod tests {
 
     #[test]
     fn k_acks_complete_the_write_and_start_the_next() {
-        let mut w = WriterProcess::new(config(5, 2), WRITER); // k = 3
+        let mut w = WriterProcess::new(deployment(5, 2), WRITER); // k = 3
         invoke(&mut w, vec![1]);
         // Queue a second write while the first is in flight.
         invoke(&mut w, vec![2]);
@@ -265,7 +266,7 @@ mod tests {
 
     #[test]
     fn responses_for_stale_ops_are_ignored() {
-        let mut w = WriterProcess::new(config(5, 1), WRITER);
+        let mut w = WriterProcess::new(deployment(5, 1), WRITER);
         invoke(&mut w, vec![1]);
         let r = get_resp(&mut w, 2, 0, OpId::new(WRITER, 99), Tag::INITIAL);
         assert!(r.sends.is_empty());

@@ -107,11 +107,12 @@ fn idle_bytes_per_key(kind: ProtocolKind, n: usize, f: usize) -> [isize; 2] {
 
 #[test]
 fn an_idle_key_keeps_only_its_protocol_state() {
-    // (kind, n, f, bound in bytes per key). Each bound is the measured
-    // figure (7 951, 9 797, 4 881, 8 092 and 8 085 B) plus about 5 %. An
-    // idle key whose simulation kept a buffer for its handlers' actions
-    // measured 8 551, 10 973, 5 353, 8 628 and 8 621 B; each of those is
-    // over its bound here.
+    // (kind, n, f, bound in bytes per key). An idle key measures 7 931,
+    // 9 769, 4 737, 7 968 and 7 961 B; each bound was set at about 5 % over
+    // the figure of its day and has not moved since. An idle key whose
+    // simulation kept a buffer for its handlers' actions measured 8 551,
+    // 10 973, 5 353, 8 628 and 8 621 B; each of those is over its bound
+    // here.
     let cases = [
         (ProtocolKind::Soda, 5, 2, 8_350),
         (ProtocolKind::SodaErr { e: 1 }, 7, 2, 10_300),
