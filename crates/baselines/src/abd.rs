@@ -314,6 +314,12 @@ impl AbdClient {
         &self.ops
     }
 
+    /// The same operations, mutably, for
+    /// [`ProtocolSpec::client_ops_mut`].
+    pub fn ops_mut(&mut self) -> &mut OpQueue {
+        &mut self.ops
+    }
+
     fn start_next(&mut self, ctx: &mut Context<'_, AbdMsg>) {
         let Some((seq, kind)) = self.ops.start_next(ctx.now()) else {
             return;
@@ -452,6 +458,11 @@ impl ProtocolSpec for AbdSpec {
 
     fn client_ops(sim: &Simulation<AbdMsg>, client: ProcessId) -> Option<&OpQueue> {
         sim.process_as::<AbdClient>(client).map(AbdClient::ops)
+    }
+
+    fn client_ops_mut(sim: &mut Simulation<AbdMsg>, client: ProcessId) -> Option<&mut OpQueue> {
+        sim.process_as_mut::<AbdClient>(client)
+            .map(AbdClient::ops_mut)
     }
 }
 

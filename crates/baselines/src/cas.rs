@@ -254,22 +254,32 @@ impl CasServer {
     }
 
     /// Merges the collected survivor state into the local store once a
-    /// quorum of `repair-state` responses has arrived.
+    /// quorum of `repair-state` responses has arrived: labels first, then a
+    /// collection, then this rank's element of each version the collection
+    /// kept, decoded from `k` survivor elements and re-encoded. A version
+    /// below the cutoff would be dropped as soon as it was re-encoded, so it
+    /// is never decoded.
     fn finish_repair(&mut self, now: SimTime) {
         let Some(repair) = self.repair.as_mut() else {
             return;
         };
         repair.driver.finish(now);
         let collected = std::mem::take(&mut repair.collected);
-        let code = self.deployment.code();
-        for (tag, (elements, fin)) in collected {
+        for (&tag, &(_, fin)) in &collected {
             let entry = self.versions.entry(tag).or_insert((None, Label::Pre));
             if fin {
                 entry.1 = Label::Fin;
                 self.max_fin = self.max_fin.max(tag);
             }
+        }
+        self.garbage_collect();
+        let code = self.deployment.code();
+        for (tag, (elements, _)) in collected {
             // Concurrent pre-writes during the repair already stored this
             // rank's own element; never overwrite it.
+            let Some(entry) = self.versions.get_mut(&tag) else {
+                continue;
+            };
             if entry.0.is_none() && elements.len() >= code.k() {
                 let elems: Vec<CodedElement> = elements.into_values().collect();
                 if let Ok(value) = code.decode(&elems) {
@@ -277,7 +287,6 @@ impl CasServer {
                 }
             }
         }
-        self.garbage_collect();
     }
 
     /// Bytes of coded-element data currently stored (across all versions).
@@ -305,9 +314,9 @@ impl CasServer {
     /// CASGC garbage collection: keep only the `δ + 1` highest finalized
     /// versions and the versions above the lowest of them, the cutoff; every
     /// version below it goes, entry and all. A version that arrives below
-    /// the cutoff later (a late pre-write, or a repair's re-encoding) goes at
-    /// the next collection. The cutoff and `max_fin` are kept, so the cutoff
-    /// only rises and tag queries keep their answers.
+    /// the cutoff later (a late pre-write) goes at the next collection. The
+    /// cutoff and `max_fin` are kept, so the cutoff only rises and tag
+    /// queries keep their answers.
     fn garbage_collect(&mut self) {
         let Some(keep) = self.gc_versions else {
             return;
@@ -455,6 +464,12 @@ impl CasClient {
     /// write's tag is set when its pre-write phase starts.
     pub fn ops(&self) -> &OpQueue {
         &self.ops
+    }
+
+    /// The same operations, mutably, for
+    /// [`ProtocolSpec::client_ops_mut`].
+    pub fn ops_mut(&mut self) -> &mut OpQueue {
+        &mut self.ops
     }
 
     fn start_next(&mut self, ctx: &mut Context<'_, CasMsg>) {
@@ -636,6 +651,11 @@ impl ProtocolSpec for CasSpec {
 
     fn client_ops(sim: &Simulation<CasMsg>, client: ProcessId) -> Option<&OpQueue> {
         sim.process_as::<CasClient>(client).map(CasClient::ops)
+    }
+
+    fn client_ops_mut(sim: &mut Simulation<CasMsg>, client: ProcessId) -> Option<&mut OpQueue> {
+        sim.process_as_mut::<CasClient>(client)
+            .map(CasClient::ops_mut)
     }
 }
 
@@ -884,6 +904,116 @@ mod tests {
             assert!(
                 below_floor > 20,
                 "{name}: {below_floor} pre-writes below the floor"
+            );
+        }
+    }
+
+    /// A replacement decodes only the versions its closing collection keeps
+    /// and ends holding exactly what its earlier merge left, which decoded
+    /// and re-encoded every collected version and then collected. That merge
+    /// is kept here as the reference.
+    #[test]
+    fn a_repair_decodes_only_the_versions_it_keeps_and_ends_as_decoding_all() {
+        use soda_simnet::rng::SimRng;
+        type Versions = BTreeMap<Tag, (Option<CodedElement>, Label)>;
+        type Collected = BTreeMap<Tag, (BTreeMap<usize, CodedElement>, bool)>;
+        /// The earlier merge. Returns the versions and how many re-encoded
+        /// elements the collection dropped.
+        fn decode_everything(
+            mut versions: Versions,
+            collected: Collected,
+            keep: Option<usize>,
+            code: &soda_rs_code::VandermondeCode,
+        ) -> (Versions, usize) {
+            let mut encoded = Vec::new();
+            for (tag, (elements, fin)) in collected {
+                let entry = versions.entry(tag).or_insert((None, Label::Pre));
+                if fin {
+                    entry.1 = Label::Fin;
+                }
+                if entry.0.is_none() && elements.len() >= code.k() {
+                    let elems: Vec<CodedElement> = elements.into_values().collect();
+                    if let Ok(value) = code.decode(&elems) {
+                        entry.0 = code.encode_one(&value, 0).ok();
+                        encoded.push(tag);
+                    }
+                }
+            }
+            let cutoff = keep.and_then(|keep| {
+                (versions.iter().rev())
+                    .filter(|(_, (_, label))| *label == Label::Fin)
+                    .nth(keep - 1)
+                    .map(|(tag, _)| *tag)
+            });
+            if let Some(cutoff) = cutoff {
+                versions.retain(|tag, _| *tag >= cutoff);
+            }
+            let dropped = encoded.iter().filter(|tag| Some(**tag) < cutoff).count();
+            (versions, dropped)
+        }
+        let (me, client) = (ProcessId(0), ProcessId(9));
+        let deployment = deployment();
+        let value_of = |tag: Tag| value_from(format!("the value of {tag:?}").into_bytes());
+        for keep in [None, Some(1), Some(2), Some(3)] {
+            let mut dropped_in_all = 0;
+            for seed in 0..20u64 {
+                let name = format!("keep {keep:?}, seed {seed}");
+                let mut rng = SimRng::new(seed);
+                let mut server = CasServer::replacement(deployment.clone(), keep, 0, 1);
+                start(&mut server, me, t(0));
+                let tags: Vec<Tag> = (1..=12u64)
+                    .flat_map(|z| [1, 2].map(|w| Tag::new(z, ProcessId(w))))
+                    .collect();
+                // Writes that reach the replacement while it repairs: their
+                // elements must survive the merge.
+                for (seq, &tag) in (1..).zip(&tags) {
+                    if !rng.gen_bool(0.2) {
+                        continue;
+                    }
+                    let element = deployment.code().encode_one(&value_of(tag), 0).unwrap();
+                    let pre_write = CasMsg::PreWrite { seq, tag, element };
+                    deliver(&mut server, me, t(1), client, pre_write);
+                    if rng.gen_bool(0.5) {
+                        deliver(&mut server, me, t(1), client, CasMsg::Finalize { seq, tag });
+                    }
+                }
+                let before = server.versions.clone();
+                let mut collected = Collected::new();
+                for peer in 1..=4usize {
+                    let mut versions = Vec::new();
+                    for &tag in &tags {
+                        if rng.gen_bool(0.8) {
+                            let element = rng.gen_bool(0.8).then(|| {
+                                deployment.code().encode_one(&value_of(tag), peer).unwrap()
+                            });
+                            let fin = rng.gen_bool(0.4);
+                            let entry = collected.entry(tag).or_default();
+                            entry.1 |= fin;
+                            if let Some(element) = &element {
+                                entry.0.insert(peer, element.clone());
+                            }
+                            versions.push((tag, element, fin));
+                        }
+                    }
+                    let msg = CasMsg::RepairState { seq: 1, versions };
+                    deliver(&mut server, me, t(2), ProcessId(peer as u32), msg);
+                }
+                assert!(!server.is_repairing(), "{name}: the quorum answered");
+                let (expected, dropped) =
+                    decode_everything(before, collected, keep, deployment.code());
+                assert_eq!(server.versions, expected, "{name}");
+                let max_fin = (expected.iter().rev())
+                    .find(|(_, (_, label))| *label == Label::Fin)
+                    .map_or(Tag::INITIAL, |(tag, _)| *tag);
+                assert_eq!(server.max_fin, max_fin, "{name}");
+                dropped_in_all += dropped;
+            }
+            // The reference re-encodes versions its collection then drops,
+            // except under plain CAS, which never collects.
+            assert_eq!(
+                dropped_in_all > 100,
+                keep.is_some(),
+                "keep {keep:?}: {dropped_in_all}"
             );
         }
     }

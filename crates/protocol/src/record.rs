@@ -47,8 +47,10 @@ pub struct OpRecord {
     /// The tag associated with the operation (`tag(π)` in the paper).
     pub tag: Tag,
     /// The value written (for writes) or returned (for reads): the
-    /// allocation the write's invocation carried, or the one the read
-    /// returned, shared rather than copied.
+    /// allocation the write's invocation carried, shared rather than copied.
+    /// A read holds that write's allocation too: the cluster harness swaps
+    /// a decoded copy for it when the read's run ends, and a read whose
+    /// bytes differ from its tag's write keeps the buffer it returned.
     pub value: Option<Value>,
 }
 

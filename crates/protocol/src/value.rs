@@ -2,13 +2,16 @@
 //!
 //! The simulated network clones messages on every hop, so values are
 //! [`Bytes`] — a shared immutable buffer whose clone is O(1) (an `Arc` bump,
-//! no copy). A value is allocated once, when it is invoked (a write) or
-//! decoded (a read: `MdsCode::decode` writes the value into its one buffer,
-//! and the reader completes with that buffer as is), and every later holder
-//! shares that allocation: the network messages that carry it, the client's
-//! completed-operation log ([`OpRecord`](crate::OpRecord),
+//! no copy). A value is allocated once, when a write is invoked, and every
+//! later holder shares that allocation: the network messages that carry it,
+//! the client's completed-operation log ([`OpRecord`](crate::OpRecord),
 //! [`PendingWrite`](crate::PendingWrite)), a sharded store's ticket outcome
-//! and the atomicity checker's history.
+//! and the atomicity checker's history — a read's too. A decoding read
+//! writes the value into a buffer of its own (`MdsCode::decode` fills one
+//! buffer, and the reader completes with it as is); when the run that
+//! completed the read ends, the cluster harness hands the read's record the
+//! buffer of the write whose tag it returned, if the bytes are equal, and
+//! the decoded copy is freed.
 //!
 //! Cost accounting still reports the full byte length of the value for every
 //! message that carries it, matching the paper's model where sending a value

@@ -118,10 +118,13 @@ pub trait RegisterCluster: Send {
     /// Crashes the process behind reader handle `reader` at time `at`.
     fn crash_reader_at(&mut self, at: SimTime, reader: usize);
 
-    /// Runs the simulation until no events remain.
+    /// Runs the simulation until no events remain. Each read completed in
+    /// the run then holds the buffer of the write whose tag it returned, if
+    /// the bytes are equal, rather than a decoded copy.
     fn run_to_quiescence(&mut self) -> RunOutcome;
 
-    /// Runs the simulation until the given deadline.
+    /// Runs the simulation until the given deadline, then shares read
+    /// buffers as [`Self::run_to_quiescence`] does.
     fn run_until(&mut self, deadline: SimTime) -> RunOutcome;
 
     /// Current simulated time.

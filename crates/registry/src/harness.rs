@@ -8,7 +8,8 @@ use soda::{ReaderProcess, ServerProcess, SodaSpec};
 use soda_baselines::abd::AbdSpec;
 use soda_baselines::cas::{CasServer, CasSpec};
 use soda_protocol::{
-    value_from, Deployment, Layout, OpKind, OpRecord, PendingWrite, ProtocolSpec, RepairStatus, Tag,
+    value_from, Deployment, Layout, OpKind, OpRecord, PendingWrite, ProtocolSpec, RepairStatus,
+    Tag, Value,
 };
 use soda_simnet::{CorruptionHook, ProcessId, RunOutcome, SimTime, Simulation, Stats};
 use std::ops::Range;
@@ -38,6 +39,12 @@ pub struct Harness<P: ProtocolSpec> {
     /// Per-rank incarnation counter: bumped on every scheduled repair so each
     /// replacement gets a fresh message-id namespace.
     epochs: Vec<u64>,
+    /// Per reader handle, how many of its client's completed reads
+    /// [`Harness::share_write_buffers`] has already passed over.
+    shared_reads: Vec<usize>,
+    /// Reads invoked on the reader handles that no pass has visited yet.
+    /// While it is zero no read can complete, so the pass is skipped.
+    unshared_reads: usize,
     descriptor: ClusterDescriptor,
 }
 
@@ -96,8 +103,76 @@ impl<P: ProtocolSpec> Harness<P> {
             writers,
             readers,
             epochs: vec![0; builder.n],
+            shared_reads: vec![0; builder.num_readers],
+            unshared_reads: 0,
             descriptor,
         }
+    }
+
+    /// Hands every read completed since the last pass the buffer of the
+    /// write whose tag it returned, when the two hold equal bytes, so the
+    /// read's decoded copy is freed at once and the reader's log, a store's
+    /// outcomes and its keyed history all hold the write's one allocation. A
+    /// read whose bytes differ keeps its own, so every history is what it
+    /// was. Runs when a run ends; only records and their buffers change, so
+    /// no message, RNG draw, schedule or charged byte moves. While every
+    /// invoked read has been visited, a pass reads one counter and touches
+    /// no process, so idle clusters and runs of writes alone pay nothing;
+    /// otherwise it costs one length compare per reader beyond the reads it
+    /// visits.
+    fn share_write_buffers(&mut self) {
+        if self.unshared_reads == 0 {
+            return;
+        }
+        let sim = &mut self.sim;
+        for (reader, shared) in self.readers.clone().zip(&mut self.shared_reads) {
+            let reader = ProcessId(reader);
+            let Some(completed) = P::client_ops(sim, reader).map(|ops| ops.completed().len())
+            else {
+                continue;
+            };
+            for index in *shared..completed {
+                let read = &P::client_ops(sim, reader).expect("a client").completed()[index];
+                let Some(written) = Self::written_value(sim, read.tag) else {
+                    continue;
+                };
+                // ABD's reads already return their write's buffer.
+                if read
+                    .value
+                    .as_ref()
+                    .is_some_and(|v| Value::ptr_eq(v, written))
+                {
+                    continue;
+                }
+                let written = written.clone();
+                let ops = P::client_ops_mut(sim, reader).expect("a client");
+                ops.share_value(index, &written);
+            }
+            self.unshared_reads -= completed - *shared;
+            *shared = completed;
+        }
+    }
+
+    /// The value the write tagged `tag` carries, if its writer still holds it:
+    /// as the write in flight, or in its completed log. A writer's tags only
+    /// increase, and a read mostly returns one of its writer's last writes,
+    /// so the search starts at the log's end and doubles the tail it covers
+    /// until the tail's first tag is at most `tag`.
+    fn written_value(sim: &Simulation<P::Msg>, tag: Tag) -> Option<&Value> {
+        let ops = P::client_ops(sim, tag.writer)?;
+        if ops.tag() == Some(tag) {
+            return ops.value();
+        }
+        let log = ops.completed();
+        let mut tail = 1;
+        while tail < log.len() && log[log.len() - tail].tag > tag {
+            tail *= 2;
+        }
+        let tail = &log[log.len().saturating_sub(tail)..];
+        let write = tail.get(tail.partition_point(|op| op.tag < tag))?;
+        (write.tag == tag && write.kind.is_write())
+            .then_some(write.value.as_ref())
+            .flatten()
     }
 
     /// Server process ids, by rank.
@@ -148,6 +223,7 @@ impl<P: ProtocolSpec> RegisterCluster for Harness<P> {
 
     fn invoke_read_at(&mut self, at: SimTime, reader: usize) {
         let id = self.reader_process(reader);
+        self.unshared_reads += 1;
         self.sim.send_external_at(at, id, P::invoke_read());
     }
 
@@ -188,11 +264,15 @@ impl<P: ProtocolSpec> RegisterCluster for Harness<P> {
     }
 
     fn run_to_quiescence(&mut self) -> RunOutcome {
-        self.sim.run_to_quiescence()
+        let outcome = self.sim.run_to_quiescence();
+        self.share_write_buffers();
+        outcome
     }
 
     fn run_until(&mut self, deadline: SimTime) -> RunOutcome {
-        self.sim.run_until(deadline)
+        let outcome = self.sim.run_until(deadline);
+        self.share_write_buffers();
+        outcome
     }
 
     fn now(&self) -> SimTime {

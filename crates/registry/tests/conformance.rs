@@ -306,6 +306,74 @@ fn a_handle_beyond_the_built_clients_panics() {
     cluster.invoke_read(2);
 }
 
+/// Once the run that completed it ends, a read holds the buffer of the
+/// write whose tag it returned, whether that write was still in flight or
+/// lay behind later writes in its writer's log. Returns how many reads
+/// found their write each way.
+fn reads_hold_their_writes_buffers(cluster: &dyn RegisterCluster, name: &str) -> [usize; 2] {
+    let ops = cluster.completed_ops();
+    let writes: Vec<&OpRecord> = ops.iter().filter(|op| op.kind.is_write()).collect();
+    let pending = cluster.pending_writes();
+    let mut found = [0, 0];
+    let reads = ops
+        .iter()
+        .filter(|op| op.kind.is_read() && !op.tag.is_initial());
+    for read in reads {
+        let written = match writes.iter().position(|write| write.tag == read.tag) {
+            Some(at) => {
+                let client = writes[at].client;
+                let later = writes[at + 1..].iter().any(|write| write.client == client);
+                found[1] += usize::from(later);
+                writes[at].value.as_ref()
+            }
+            None => {
+                found[0] += 1;
+                (pending.iter())
+                    .find(|write| write.tag == Some(read.tag))
+                    .map(|write| &write.value)
+            }
+        };
+        let (written, returned) = (written.expect("a write"), read.value.as_ref().unwrap());
+        assert!(Value::ptr_eq(written, returned), "{name}: {:?}", read.tag);
+    }
+    found
+}
+
+#[test]
+fn every_read_holds_the_buffer_of_the_write_it_returned_for_every_kind() {
+    let t = SimTime::from_ticks;
+    for (kind, n, f) in matrix() {
+        let name = kind.name();
+        let builder = ClusterBuilder::new(kind, n, f)
+            .with_seed(21)
+            .with_clients(2, 2);
+        // Reads during a burst of queued writes: their writes lie behind
+        // later ones when the run ends.
+        let mut cluster = builder.clone().build().unwrap();
+        for i in 0..24u8 {
+            cluster.invoke_write(usize::from(i % 2), vec![i + 1; 512]);
+        }
+        for at in (0..600).step_by(20) {
+            cluster.invoke_read_at(t(at), at as usize % 40 / 20);
+        }
+        cluster.run_to_quiescence();
+        let behind = reads_hold_their_writes_buffers(&*cluster, name)[1];
+        assert!(behind > 0, "{name}: no read returned an overwritten value");
+        // Reads after a writer crashed mid-write: once its value reached the
+        // servers, they return a write that stays in flight.
+        let mut in_flight = 0;
+        for crash_at in 1..=30 {
+            let mut cluster = builder.clone().build().unwrap();
+            cluster.invoke_write(0, vec![7; 512]);
+            cluster.crash_writer_at(t(crash_at), 0);
+            cluster.invoke_read_at(t(60), 0);
+            cluster.run_to_quiescence();
+            in_flight += reads_hold_their_writes_buffers(&*cluster, name)[0];
+        }
+        assert!(in_flight > 0, "{name}: no read returned a write in flight");
+    }
+}
+
 #[test]
 fn run_until_stops_at_the_deadline() {
     for (kind, n, f) in matrix() {

@@ -4,7 +4,7 @@
 //! former property-based suite, rewritten over the seeded `SimRng`).
 
 use soda::Phase;
-use soda_protocol::MdsCode;
+use soda_protocol::{MdsCode, Value};
 use soda_registry::{ClusterBuilder, OpKind, ProtocolKind, RegisterCluster};
 use soda_simnet::rng::SimRng;
 use soda_simnet::{NetworkConfig, SimTime};
@@ -86,6 +86,36 @@ fn sodaerr_cluster_reads_correctly_with_a_byzantine_server() {
         .find(|o| o.kind.is_read())
         .expect("read completed");
     assert_eq!(read.value.as_deref(), Some(b"error protected".as_slice()));
+    assert_eq!(cluster.decode_failures(), 0);
+}
+
+/// A SODAerr read that Berlekamp–Welch corrects around an in-budget
+/// byzantine rank decodes its own copy of the write's bytes; once the run
+/// ends it holds the write's buffer instead.
+#[test]
+fn a_corrected_sodaerr_read_holds_its_writes_buffer() {
+    let mut cluster = ClusterBuilder::new(ProtocolKind::SodaErr { e: 1 }, 7, 2)
+        .with_seed(5)
+        .with_byzantine_servers(vec![2])
+        .build_soda()
+        .unwrap();
+    // With two ranks down, rank 2's corrupted element is one of the
+    // k + 2e = 5 the read decodes from.
+    cluster.crash_server_at(SimTime::ZERO, 0);
+    cluster.crash_server_at(SimTime::ZERO, 1);
+    let value: Vec<u8> = (0..3000u32).map(|i| (i * 7) as u8).collect();
+    cluster.invoke_write(0, value.clone());
+    cluster.run_to_quiescence();
+    cluster.invoke_read(0);
+    cluster.run_to_quiescence();
+    let ops = cluster.completed_ops();
+    let (write, read) = (&ops[0], &ops[1]);
+    assert!(write.kind.is_write() && read.kind.is_read());
+    assert_eq!(read.tag, write.tag);
+    let (written, returned) = (write.value.as_ref().unwrap(), read.value.as_ref().unwrap());
+    assert_eq!(returned.as_slice(), &value[..]);
+    assert!(Value::ptr_eq(written, returned), "the read keeps a copy");
+    assert!(cluster.stats().messages_corrupted > 0);
     assert_eq!(cluster.decode_failures(), 0);
 }
 

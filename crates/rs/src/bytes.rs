@@ -11,12 +11,15 @@
 //! Whole object values are [`Bytes`] too, and one value is one allocation
 //! for its whole life: the writer's invocation, every network message that
 //! carries it, the client's completed-operation log, the store's ticket
-//! outcome and the checker's history all hold the same buffer. A decoded
-//! value is one allocation from the start: the decoder writes each data
-//! shard's bytes straight into it (and the encoder each coded element), so
-//! no `Vec` is built and then copied into an `Arc`. The checker
-//! crate depends on no protocol crate, so it stores plain `Arc<[u8]>`, and
-//! `Arc::<[u8]>::from(bytes)` hands the buffer over without a copy.
+//! outcome and the checker's history all hold the same buffer, and so does
+//! a read that returned it. A decoded value is one allocation from the
+//! start: the decoder writes each data shard's bytes straight into it (and
+//! the encoder each coded element), so no `Vec` is built and then copied
+//! into an `Arc`; once the read's run ends, the cluster harness swaps that
+//! buffer for the equal one its write carries, and the copy is freed. The
+//! checker crate depends on no protocol crate, so it stores plain
+//! `Arc<[u8]>`, and `Arc::<[u8]>::from(bytes)` hands the buffer over without
+//! a copy.
 //!
 //! Cost accounting is unaffected: every message still reports the full byte
 //! length of the payload it carries, matching the paper's model where sending

@@ -170,6 +170,12 @@ impl ReaderProcess {
         &self.ops
     }
 
+    /// The same operations, mutably, for
+    /// [`ProtocolSpec::client_ops_mut`](soda_protocol::ProtocolSpec::client_ops_mut).
+    pub fn ops_mut(&mut self) -> &mut OpQueue {
+        &mut self.ops
+    }
+
     /// Number of decode attempts that failed (0 unless the corruption budget
     /// was exceeded).
     pub fn decode_failures(&self) -> u64 {

@@ -82,4 +82,15 @@ impl ProtocolSpec for SodaSpec {
                     .map(ReaderProcess::ops)
             })
     }
+
+    fn client_ops_mut(sim: &mut Simulation<SodaMsg>, client: ProcessId) -> Option<&mut OpQueue> {
+        // Two lookups: a failed mutable downcast would hold `sim` borrowed.
+        if sim.process_as::<ReaderProcess>(client).is_some() {
+            return sim
+                .process_as_mut::<ReaderProcess>(client)
+                .map(ReaderProcess::ops_mut);
+        }
+        sim.process_as_mut::<WriterProcess>(client)
+            .map(WriterProcess::ops_mut)
+    }
 }

@@ -164,7 +164,8 @@ pub struct OpOutcome {
     /// had never been written — the store treats the registers' empty initial
     /// value as *absent*, so empty values cannot be stored). The same
     /// allocation as the value in the client's operation record and in
-    /// [`ShardedStore::keyed_history`].
+    /// [`ShardedStore::keyed_history`]; a get's is the allocation of the put
+    /// whose value it returned.
     pub value: Option<Value>,
     /// Operation latency in the shard's simulated ticks.
     pub latency_ticks: u64,
@@ -894,11 +895,10 @@ impl ShardedStore {
 mod tests {
     use super::*;
     use crate::StoreBuilder;
-    use soda_registry::ProtocolKind;
 
     /// A key is one allocation and so is a value: the ticket outcome, the
     /// client's operation record and the keyed history hold the same
-    /// buffers, for every protocol.
+    /// buffers, and a get holds the buffer its put made, for every protocol.
     #[test]
     fn outcomes_records_and_history_share_each_allocation() {
         for kind in soda_registry::ALL_KINDS {
@@ -946,14 +946,16 @@ mod tests {
                 assert!(Arc::ptr_eq(&op.key, key), "{}: history key", kind.name());
             }
             assert_eq!(outcomes[3].value.as_deref(), Some(&[2u8; 256][..]));
-            if kind == ProtocolKind::Abd {
-                // ABD servers store and return the writer's buffer, so a read
-                // returns the allocation the put made.
-                let (written, read) = (&outcomes[2].value, &outcomes[3].value);
-                assert!(Value::ptr_eq(
-                    written.as_ref().unwrap(),
-                    read.as_ref().unwrap()
-                ));
+            // ABD servers store and return the writer's buffer; a decoding
+            // kind's read decodes a copy, which the harness swaps for the
+            // put's buffer when the run ends.
+            for round in outcomes.chunks(2) {
+                let (written, read) = (&round[0].value, &round[1].value);
+                assert!(
+                    Value::ptr_eq(written.as_ref().unwrap(), read.as_ref().unwrap()),
+                    "{}: the get holds a copy of the put's value",
+                    kind.name()
+                );
             }
         }
     }
