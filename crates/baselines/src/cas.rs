@@ -21,7 +21,7 @@ use soda_protocol::{
     Deployment, Invocation, OpKind, OpQueue, PhaseDriver, ProtocolSpec, Quorum, QuorumPhase,
     RepairDriver, RepairStatus, Reply, Tag, Value,
 };
-use soda_rs_code::{CodedElement, MdsCode};
+use soda_rs_code::{CodedElement, MdsCode, Payload};
 use soda_simnet::{Context, Message, Process, ProcessId, SimTime, Simulation};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -172,9 +172,10 @@ pub struct CasServer {
     /// `None` never garbage-collects (plain CAS).
     gc_versions: Option<usize>,
     my_rank: usize,
-    /// All known versions: tag → (element if stored, label). CASGC drops
-    /// every version below its collection's cutoff.
-    versions: BTreeMap<Tag, (Option<CodedElement>, Label)>,
+    /// All known versions: tag → (this rank's element payload if stored,
+    /// label). The element's index is always `my_rank`, so only its payload
+    /// is kept. CASGC drops every version below its collection's cutoff.
+    versions: BTreeMap<Tag, (Option<Payload>, Label)>,
     /// The highest finalized tag, the answer to a `query-tag`; it survives
     /// every collection.
     max_fin: Tag,
@@ -195,7 +196,7 @@ impl CasServer {
             .encode_one(initial, my_rank)
             .expect("rank within range");
         let mut versions = BTreeMap::new();
-        versions.insert(Tag::INITIAL, (Some(element), Label::Fin));
+        versions.insert(Tag::INITIAL, (Some(element.data), Label::Fin));
         CasServer {
             deployment,
             gc_versions,
@@ -283,7 +284,7 @@ impl CasServer {
             if entry.0.is_none() && elements.len() >= code.k() {
                 let elems: Vec<CodedElement> = elements.into_values().collect();
                 if let Ok(value) = code.decode(&elems) {
-                    entry.0 = code.encode_one(&value, self.my_rank).ok();
+                    entry.0 = code.encode_one(&value, self.my_rank).ok().map(|e| e.data);
                 }
             }
         }
@@ -294,7 +295,7 @@ impl CasServer {
         self.versions
             .values()
             .filter_map(|(e, _)| e.as_ref())
-            .map(|e| e.data.len())
+            .map(|e| e.len())
             .sum()
     }
 
@@ -303,8 +304,13 @@ impl CasServer {
         self.versions.values().filter(|(e, _)| e.is_some()).count()
     }
 
+    /// The stored element payload of every version that keeps one, by tag.
+    pub fn stored_payloads(&self) -> impl Iterator<Item = (Tag, &Payload)> {
+        (self.versions.iter()).filter_map(|(&tag, (payload, _))| Some((tag, payload.as_ref()?)))
+    }
+
     /// Labels `tag` finalized and returns its entry.
-    fn finalize(&mut self, tag: Tag) -> &mut (Option<CodedElement>, Label) {
+    fn finalize(&mut self, tag: Tag) -> &mut (Option<Payload>, Label) {
         self.max_fin = self.max_fin.max(tag);
         let entry = self.versions.entry(tag).or_insert((None, Label::Pre));
         entry.1 = Label::Fin;
@@ -377,7 +383,7 @@ impl Process<CasMsg> for CasServer {
             }
             CasMsg::PreWrite { seq, tag, element } => {
                 let entry = self.versions.entry(tag).or_insert((None, Label::Pre));
-                entry.0.get_or_insert(element);
+                entry.0.get_or_insert(element.data);
                 ctx.send(from, CasMsg::PreWriteAck { seq });
             }
             CasMsg::Finalize { seq, tag } => {
@@ -389,7 +395,8 @@ impl Process<CasMsg> for CasServer {
                 if self.is_repairing() {
                     return;
                 }
-                let element = self.finalize(tag).0.clone();
+                let rank = self.my_rank;
+                let element = (self.finalize(tag).0.clone()).map(|p| CodedElement::new(rank, p));
                 self.garbage_collect();
                 ctx.send(from, CasMsg::ReadFinalizeResp { seq, tag, element });
             }
@@ -401,7 +408,10 @@ impl Process<CasMsg> for CasServer {
                 let versions: Vec<(Tag, Option<CodedElement>, bool)> = self
                     .versions
                     .iter()
-                    .map(|(&tag, (element, label))| (tag, element.clone(), *label == Label::Fin))
+                    .map(|(&tag, (payload, label))| {
+                        let element = payload.clone().map(|p| CodedElement::new(self.my_rank, p));
+                        (tag, element, *label == Label::Fin)
+                    })
                     .collect();
                 ctx.send(from, CasMsg::RepairState { seq, versions });
             }
@@ -501,11 +511,9 @@ impl CasClient {
                 self.ops.set_tag(tag);
                 self.phase
                     .begin(CasPhase::PreWrite, seq, self.deployment.quorums());
-                let elements = self
-                    .deployment
-                    .code()
-                    .encode(&value)
-                    .expect("encoding never fails for valid parameters");
+                // Data elements inside the value are views of its buffer,
+                // which the writer's log keeps anyway.
+                let elements = self.deployment.code().encode_shared(&value);
                 for (server, element) in self.servers().zip(elements) {
                     ctx.send(server, CasMsg::PreWrite { seq, tag, element });
                 }
@@ -915,7 +923,7 @@ mod tests {
     #[test]
     fn a_repair_decodes_only_the_versions_it_keeps_and_ends_as_decoding_all() {
         use soda_simnet::rng::SimRng;
-        type Versions = BTreeMap<Tag, (Option<CodedElement>, Label)>;
+        type Versions = BTreeMap<Tag, (Option<Payload>, Label)>;
         type Collected = BTreeMap<Tag, (BTreeMap<usize, CodedElement>, bool)>;
         /// The earlier merge. Returns the versions and how many re-encoded
         /// elements the collection dropped.
@@ -934,7 +942,7 @@ mod tests {
                 if entry.0.is_none() && elements.len() >= code.k() {
                     let elems: Vec<CodedElement> = elements.into_values().collect();
                     if let Ok(value) = code.decode(&elems) {
-                        entry.0 = code.encode_one(&value, 0).ok();
+                        entry.0 = code.encode_one(&value, 0).ok().map(|e| e.data);
                         encoded.push(tag);
                     }
                 }

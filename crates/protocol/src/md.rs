@@ -40,7 +40,7 @@
 //! dispersals that was.
 
 use crate::{Layout, RunSet, Tag, Value};
-use soda_rs_code::{CodedElement, MdsCode, VandermondeCode};
+use soda_rs_code::{CodedElement, VandermondeCode};
 use soda_simnet::ProcessId;
 use std::sync::{Arc, OnceLock};
 
@@ -79,12 +79,11 @@ impl DispersedValue {
         &self.0 .0
     }
 
-    /// `Φ(value)`: encoded on the first call, shared afterwards.
+    /// `Φ(value)`: encoded on the first call, shared afterwards. Each data
+    /// element whose shard lies inside the value is a view of the value's
+    /// buffer, so the servers that store it keep no copy.
     fn elements(&self, code: &VandermondeCode) -> &[CodedElement] {
-        self.0 .1.get_or_init(|| {
-            code.encode(self.value())
-                .expect("layout and code dimensions agree")
-        })
+        self.0 .1.get_or_init(|| code.encode_shared(self.value()))
     }
 }
 
@@ -326,7 +325,7 @@ impl MdRelay {
 mod tests {
     use super::*;
     use crate::value_from;
-    use soda_rs_code::{Bytes, VandermondeCode};
+    use soda_rs_code::{MdsCode, Payload, VandermondeCode};
     use std::collections::VecDeque;
 
     fn layout(n: usize, f: usize) -> Layout {
@@ -596,7 +595,7 @@ mod tests {
                             panic!("n={n} f={f} reached={reached}: rank {rank} did not deliver")
                         });
                         assert!(
-                            Bytes::ptr_eq(&element.data, &shared[rank].data),
+                            Payload::ptr_eq(&element.data, &shared[rank].data),
                             "n={n} f={f} reached={reached} lifo={lifo}: rank {rank}'s \
                              element is not the shared encoding's"
                         );

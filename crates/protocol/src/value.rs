@@ -13,6 +13,16 @@
 //! buffer of the write whose tag it returned, if the bytes are equal, and
 //! the decoded copy is freed.
 //!
+//! A write's coded elements share its buffer too. The writer's encode
+//! (`VandermondeCode::encode_shared`, in SODA's MD-VALUE dispersal and in
+//! CAS's pre-write) makes each data element whose shard lies wholly inside
+//! the value a view of the value's allocation rather than a copy, so a
+//! server storing it keeps no bytes beyond the value the writer's log
+//! already holds. Element 0 (it holds the 8-byte length header), a last
+//! data element holding padding, and the parity elements own their
+//! buffers. A repair's re-encode of a *decoded* value copies, since a view
+//! would pin the whole decoded buffer for a `1/k` part of it.
+//!
 //! Cost accounting still reports the full byte length of the value for every
 //! message that carries it, matching the paper's model where sending a value
 //! costs its size regardless of any sharing tricks inside the simulator.

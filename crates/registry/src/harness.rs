@@ -349,13 +349,18 @@ impl Harness<SodaSpec> {
 }
 
 impl Harness<CasSpec> {
+    /// The state of the server with the given rank.
+    pub fn server_state(&self, rank: usize) -> &CasServer {
+        self.sim
+            .process_as(self.servers()[rank])
+            .expect("every rank holds a CAS server")
+    }
+
     /// Maximum number of versions with stored elements at any single server
     /// (the quantity CASGC's `δ + 1` bound constrains).
     pub fn max_stored_versions(&self) -> usize {
-        self.servers()
-            .iter()
-            .filter_map(|&id| self.sim.process_as::<CasServer>(id))
-            .map(CasServer::stored_versions)
+        (0..self.servers().len())
+            .map(|rank| self.server_state(rank).stored_versions())
             .max()
             .unwrap_or(0)
     }

@@ -249,6 +249,42 @@ fn casgc_bounds_stored_versions_to_delta_plus_one() {
 }
 
 #[test]
+fn casgc_stores_views_of_written_values_and_repairs_into_owned_buffers() {
+    // [5, 3] with 300 B values: each element is 103 B, and data shard 1
+    // (value bytes 95..198) lies wholly inside the value.
+    let element_len = (300 + 8usize).div_ceil(3);
+    let mut cluster = casgc(5, 1, 2).with_seed(9).build_cas().unwrap();
+    for i in 0..3u8 {
+        cluster.invoke_write(0, vec![i + 1; 300]);
+    }
+    cluster.run_to_quiescence();
+    let written = |cluster: &soda_registry::CasRegisterCluster| -> Vec<_> {
+        (cluster.server_state(1).stored_payloads())
+            .filter(|(_, payload)| payload.len() == element_len)
+            .map(|(tag, payload)| (tag, payload.clone()))
+            .collect()
+    };
+    let healthy = written(&cluster);
+    assert_eq!(healthy.len(), 3, "δ + 1 written versions kept");
+    assert!(
+        healthy.iter().all(|(_, payload)| payload.is_view()),
+        "a pre-written element is a view of its write's value"
+    );
+    cluster.crash_server_at(cluster.now() + 10, 1);
+    cluster.run_to_quiescence();
+    cluster.repair_server_at(cluster.now() + 10, 1);
+    cluster.run_to_quiescence();
+    let repaired = written(&cluster);
+    assert_eq!(
+        repaired, healthy,
+        "the repair re-encodes every kept version"
+    );
+    // A re-encoded element owns a buffer of its own size: a view would pin
+    // the whole decoded value, which nothing else holds.
+    assert!(repaired.iter().all(|(_, payload)| !payload.is_view()));
+}
+
+#[test]
 fn casgc_storage_cost_tracks_paper_formula() {
     let (n, f, delta) = (6, 1, 2usize);
     let value_size = 3000usize;

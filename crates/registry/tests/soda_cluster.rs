@@ -312,6 +312,9 @@ fn crash_then_repair_restores_the_coded_element() {
     assert_eq!(cluster.completed_ops().len(), 1, "write completed");
     let healthy_element = cluster.server_state(1).stored_element().clone();
     let healthy_tag = cluster.stored_tag(1);
+    // [5, 3]: rank 1's data shard is value bytes 8..24, so the write left
+    // its element in the value's buffer.
+    assert!(healthy_element.data.is_view());
 
     cluster.crash_server_at(t(600), 1);
     cluster.run_until(t(700));
@@ -323,6 +326,9 @@ fn crash_then_repair_restores_the_coded_element() {
     assert!(!repaired.is_repairing());
     assert_eq!(repaired.stored_tag(), healthy_tag);
     assert_eq!(repaired.stored_element().data, healthy_element.data);
+    // The re-encoded element owns a buffer of its own size: a view would pin
+    // the whole decoded value, which nothing else holds.
+    assert!(!repaired.stored_element().data.is_view());
     assert_eq!(cluster.dead_or_repairing(), 0);
 
     // Repair bandwidth: read-value's quorum of coded elements, well under the
@@ -372,6 +378,51 @@ fn repair_during_inflight_write_reaches_the_replacement() {
             .unwrap()
             .data
     );
+}
+
+#[test]
+fn a_byzantine_rank_corrupting_views_leaves_the_written_value_intact() {
+    // [7, 3] SODAerr with e = 1: a 100 B value has 36 B shards, and rank 1's
+    // (value bytes 28..64) lies wholly inside the value, so every element
+    // rank 1 stores and sends is a view of the write's buffer. Its
+    // corruption is copy-on-write: the write's buffer must not change.
+    let value = (0..100u8).collect::<Vec<u8>>();
+    let mut cluster = ClusterBuilder::new(ProtocolKind::SodaErr { e: 1 }, 7, 2)
+        .with_seed(5)
+        .with_clients(1, 2)
+        .with_byzantine_servers(vec![1])
+        .build_soda()
+        .unwrap();
+    cluster.invoke_write(0, value.clone());
+    cluster.run_to_quiescence();
+    let write = cluster.completed_ops()[0]
+        .value
+        .clone()
+        .expect("a write's value");
+    assert!(cluster.server_state(1).stored_element().data.shares(&write));
+    for round in 0..3 {
+        let at = cluster.now() + 5;
+        cluster.invoke_read_at(at, round % 2);
+        cluster.run_to_quiescence();
+    }
+    assert!(
+        cluster.stats().messages_corrupted >= 3,
+        "every read got a corrupt element"
+    );
+    assert_eq!(cluster.decode_failures(), 0);
+    let ops = cluster.completed_ops();
+    assert_eq!(ops.len(), 4);
+    // The writer's log, every read and the history the checker sees (a
+    // store's `keyed_history()` is each cluster's closed history) all hold
+    // the written bytes.
+    for op in &ops {
+        assert_eq!(op.value.as_deref(), Some(&value[..]), "{:?}", op.kind);
+    }
+    for op in cluster.closed_history(&[]).ops() {
+        assert_eq!(&op.value[..], &value[..]);
+    }
+    assert_eq!(write, value);
+    assert!(cluster.server_state(1).stored_element().data.shares(&write));
 }
 
 #[test]

@@ -185,9 +185,10 @@ impl VandermondeCode {
                     // (re-encoding only those rows); if a corrupt element
                     // slipped into `good` (it matched the true codeword in
                     // column 0 only), fall back to the exact per-column
-                    // decoder.
-                    let rows: Vec<usize> = good.iter().map(|e| e.index).collect();
-                    let reencoded = self.encode_rows(&value, &rows);
+                    // decoder. The re-encoding is dropped at once, so its
+                    // data rows may view the decoded value.
+                    let rows = good.iter().map(|e| e.index);
+                    let reencoded = self.encode_rows(&value, Some(&value), rows);
                     if reencoded.iter().zip(&good).all(|(r, e)| r.data == e.data) {
                         return Ok(value);
                     }

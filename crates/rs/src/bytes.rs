@@ -14,12 +14,24 @@
 //! outcome and the checker's history all hold the same buffer, and so does
 //! a read that returned it. A decoded value is one allocation from the
 //! start: the decoder writes each data shard's bytes straight into it (and
-//! the encoder each coded element), so no `Vec` is built and then copied
-//! into an `Arc`; once the read's run ends, the cluster harness swaps that
-//! buffer for the equal one its write carries, and the copy is freed. The
-//! checker crate depends on no protocol crate, so it stores plain
-//! `Arc<[u8]>`, and `Arc::<[u8]>::from(bytes)` hands the buffer over without
-//! a copy.
+//! the encoder each coded element it computes), so no `Vec` is built and
+//! then copied into an `Arc`; once the read's run ends, the cluster harness
+//! swaps that buffer for the equal one its write carries, and the copy is
+//! freed. The checker crate depends on no protocol crate, so it stores
+//! plain `Arc<[u8]>`, and `Arc::<[u8]>::from(bytes)` hands the buffer over
+//! without a copy.
+//!
+//! A coded element's payload is a [`Payload`]: a [`Bytes`] and the part of
+//! it the element is. An element computed into a buffer of its own is the
+//! whole buffer. A systematic data element that
+//! [`VandermondeCode::encode_shared`] encodes from a value's buffer is a
+//! view of that buffer when its data shard lies in the value byte for byte,
+//! so it costs no bytes beyond the value its writer already holds. Values
+//! stay whole 16-byte [`Bytes`]: only the element payload carries the
+//! offset and length, so a value handed to the checker is still the `Arc`
+//! itself.
+//!
+//! [`VandermondeCode::encode_shared`]: crate::VandermondeCode::encode_shared
 //!
 //! Cost accounting is unaffected: every message still reports the full byte
 //! length of the payload it carries, matching the paper's model where sending
@@ -189,6 +201,117 @@ impl fmt::Debug for Bytes {
     }
 }
 
+/// A coded element's payload: `len` bytes at `start` of a shared buffer.
+/// An element the code computed into a buffer of its own is that whole
+/// buffer; a data element encoded from a value's buffer may be a view of
+/// the part of the value its data shard is. A clone is one `Arc` bump
+/// either way, and equality, hashing and [`Deref`] see only the viewed
+/// bytes.
+#[derive(Clone)]
+pub struct Payload {
+    buf: Bytes,
+    start: u32,
+    len: u32,
+}
+
+impl Payload {
+    /// The bytes `range` of `buf`, without a copy. A range past `u32::MAX`
+    /// is copied out instead.
+    pub(crate) fn view(buf: &Bytes, range: std::ops::Range<usize>) -> Self {
+        match (u32::try_from(range.start), u32::try_from(range.len())) {
+            (Ok(start), Ok(len)) if range.end <= buf.len() => Payload {
+                buf: buf.clone(),
+                start,
+                len,
+            },
+            _ => Payload::from(&buf[range]),
+        }
+    }
+
+    /// True if the payload is a part of a larger buffer (a data element
+    /// left in a longer value) rather than a whole buffer.
+    pub fn is_view(&self) -> bool {
+        self.len as usize != self.buf.len()
+    }
+
+    /// True if the payload's bytes lie in `buf`'s allocation.
+    pub fn shares(&self, buf: &Bytes) -> bool {
+        Bytes::ptr_eq(&self.buf, buf)
+    }
+
+    /// True if two payloads are the same bytes of the same allocation.
+    pub fn ptr_eq(a: &Payload, b: &Payload) -> bool {
+        Bytes::ptr_eq(&a.buf, &b.buf) && (a.start, a.len) == (b.start, b.len)
+    }
+
+    /// Mutable access via copy-on-write: a view is first copied into a
+    /// buffer of its own, so the value it views never changes; a whole
+    /// buffer follows [`Bytes::make_mut`]. Used by fault injection
+    /// (byzantine senders) and tests; the protocol hot paths never mutate
+    /// payloads.
+    pub fn make_mut(&mut self) -> &mut [u8] {
+        if self.is_view() {
+            *self = Payload::from(&self[..]);
+        }
+        self.buf.make_mut()
+    }
+}
+
+impl Deref for Payload {
+    type Target = [u8];
+    #[inline]
+    fn deref(&self) -> &[u8] {
+        let start = self.start as usize;
+        &self.buf[start..start + self.len as usize]
+    }
+}
+
+impl From<Bytes> for Payload {
+    /// The whole buffer. Panics on a buffer of 4 GiB or more.
+    fn from(buf: Bytes) -> Self {
+        let len = u32::try_from(buf.len()).expect("a coded element is under 4 GiB");
+        Payload { buf, start: 0, len }
+    }
+}
+
+impl From<Vec<u8>> for Payload {
+    fn from(v: Vec<u8>) -> Self {
+        Payload::from(Bytes::from(v))
+    }
+}
+
+impl From<&[u8]> for Payload {
+    fn from(v: &[u8]) -> Self {
+        Payload::from(Bytes::from(v))
+    }
+}
+
+impl PartialEq for Payload {
+    fn eq(&self, other: &Self) -> bool {
+        Payload::ptr_eq(self, other) || self[..] == other[..]
+    }
+}
+
+impl Eq for Payload {}
+
+impl std::hash::Hash for Payload {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self[..].hash(state);
+    }
+}
+
+impl PartialEq<Vec<u8>> for Payload {
+    fn eq(&self, other: &Vec<u8>) -> bool {
+        self[..] == other[..]
+    }
+}
+
+impl fmt::Debug for Payload {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Payload({} bytes)", self.len)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,6 +364,22 @@ mod tests {
         });
         assert_eq!(b, [0u8, 7, 0, 0, 0]);
         assert!(Bytes::filled(0, |buf| assert!(buf.is_empty())).is_empty());
+    }
+
+    #[test]
+    fn a_view_reads_its_range_and_copies_on_write() {
+        let value = Bytes::from((0u8..16).collect::<Vec<_>>());
+        let mut view = Payload::view(&value, 4..10);
+        assert_eq!(view[..], [4u8, 5, 6, 7, 8, 9]);
+        assert!(view.is_view() && view.shares(&value));
+        assert_eq!(view, Payload::from(vec![4u8, 5, 6, 7, 8, 9]));
+        assert!(Payload::ptr_eq(&view, &view.clone()));
+        view.make_mut()[0] = 99;
+        assert_eq!(view[..], [99u8, 5, 6, 7, 8, 9]);
+        assert!(!view.is_view() && !view.shares(&value));
+        assert_eq!(value[4], 4, "the viewed value is unchanged");
+        let whole = Payload::view(&value, 0..16);
+        assert!(!whole.is_view() && whole.shares(&value));
     }
 
     #[test]

@@ -45,7 +45,7 @@ mod shard;
 mod vandermonde;
 
 pub use bw::BerlekampWelchCode;
-pub use bytes::Bytes;
+pub use bytes::{Bytes, Payload};
 pub use error::CodeError;
 pub use shard::{pad_and_split, reassemble, CodedElement, ReassembleError, LENGTH_HEADER};
 pub use vandermonde::VandermondeCode;
@@ -63,7 +63,8 @@ pub trait MdsCode: Send + Sync {
 
     /// Encodes the value into `n` coded elements, one per server index
     /// `0..n`. This is the paper's `Φ(v)`. Each element is one allocation,
-    /// written in place.
+    /// written in place. A value held in a [`Bytes`] is encoded with
+    /// [`VandermondeCode::encode_shared`], whose data elements view it.
     fn encode(&self, value: &[u8]) -> Result<Vec<CodedElement>, CodeError>;
 
     /// Encodes and returns only the element for server `index`

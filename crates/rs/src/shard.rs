@@ -8,34 +8,37 @@
 //! Reed–Solomon message word, so shard length = coded-element length = `L`,
 //! matching the paper's "each coded element has size 1/k" accounting.
 //! Splitting and reassembly are slice copies, never per-byte work, and the
-//! encoder and decoder never build the padded buffer: the encoder copies each data shard
-//! straight from the value into its coded element (parity rows borrow the
-//! shards that lie wholly inside the value), and the decoder writes each
-//! data shard's value bytes straight into the decoded value.
+//! encoder and decoder never build the padded buffer. A data shard that lies
+//! wholly inside the value (every shard but the one holding the length
+//! header and a last one holding padding) is read in place: parity rows
+//! borrow it, and its data element is a view of the value's buffer when the
+//! encoder is given one, or else one copy. Only the edge shards are
+//! assembled, each once. The decoder writes each data shard's value bytes
+//! straight into the decoded value.
 
-use crate::Bytes;
-use std::borrow::Cow;
+use crate::{Bytes, Payload};
 use std::fmt;
 use std::ops::Range;
 
 /// One coded element `c_i = Φ_i(v)`: the index identifies which of the `n`
 /// code positions (equivalently, which server) this element belongs to.
 ///
-/// The payload is a [`Bytes`] buffer: cloning an element — which the
-/// simulated network does on every relay, duplication and storage step — is
-/// O(1) and shares the underlying bytes.
+/// The payload is a [`Payload`]: cloning an element — which the simulated
+/// network does on every relay, duplication and storage step — is O(1) and
+/// shares the underlying bytes, which may be a part of the written value's
+/// own buffer.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct CodedElement {
     /// Code position in `0..n`.
     pub index: usize,
     /// The element payload (all elements of one codeword have equal length).
-    pub data: Bytes,
+    pub data: Payload,
 }
 
 impl CodedElement {
-    /// Creates a coded element from anything convertible to [`Bytes`]
-    /// (`Vec<u8>`, `&[u8]`, an existing `Bytes`, …).
-    pub fn new(index: usize, data: impl Into<Bytes>) -> Self {
+    /// Creates a coded element from anything convertible to [`Payload`]
+    /// (`Vec<u8>`, `&[u8]`, a whole [`Bytes`], …).
+    pub fn new(index: usize, data: impl Into<Payload>) -> Self {
         CodedElement {
             index,
             data: data.into(),
@@ -144,31 +147,46 @@ fn fill_data_shard(value: &[u8], i: usize, out: &mut [u8]) {
     padding.fill(0);
 }
 
-/// Data shard `i` of `value` as a coded element's payload: the systematic
-/// element `Φ_i(v)`, copied once from the value into its own buffer.
-pub(crate) fn data_element(value: &[u8], k: usize, i: usize) -> Bytes {
-    Bytes::filled(shard_len(value.len(), k), |out| {
-        fill_data_shard(value, i, out)
-    })
+/// Data shard `i` of a value, as the encoder reads it.
+pub(crate) enum DataShard {
+    /// The shard lies wholly inside the value: bytes `range` of it.
+    Inside(Range<usize>),
+    /// The shard holds length-header or padding bytes, assembled into a
+    /// buffer of its own.
+    Edge(Bytes),
 }
 
-/// The `k` data shards of `value`. A shard that lies wholly inside the value
-/// is borrowed from it; only the shards holding the length header or the
-/// zero padding are assembled.
-pub(crate) fn data_shards(value: &[u8], k: usize) -> Vec<Cow<'_, [u8]>> {
-    let len = shard_len(value.len(), k);
-    (0..k)
-        .map(|i| {
-            let start = i * len;
-            if start >= LENGTH_HEADER && start + len <= LENGTH_HEADER + value.len() {
-                Cow::Borrowed(&value[start - LENGTH_HEADER..start + len - LENGTH_HEADER])
-            } else {
-                let mut shard = vec![0; len];
-                fill_data_shard(value, i, &mut shard);
-                Cow::Owned(shard)
-            }
-        })
-        .collect()
+impl DataShard {
+    /// Data shard `i` of `value` with `k` data shards: a range of the value
+    /// if it lies wholly inside it, else assembled once.
+    pub(crate) fn of(value: &[u8], k: usize, i: usize) -> Self {
+        let len = shard_len(value.len(), k);
+        let start = i * len;
+        if start >= LENGTH_HEADER && start + len <= LENGTH_HEADER + value.len() {
+            DataShard::Inside(start - LENGTH_HEADER..start + len - LENGTH_HEADER)
+        } else {
+            DataShard::Edge(Bytes::filled(len, |out| fill_data_shard(value, i, out)))
+        }
+    }
+
+    /// The shard's bytes, `value` being the value it was cut from.
+    pub(crate) fn bytes<'a>(&'a self, value: &'a [u8]) -> &'a [u8] {
+        match self {
+            DataShard::Inside(range) => &value[range.clone()],
+            DataShard::Edge(shard) => shard,
+        }
+    }
+
+    /// The shard as a data element's payload: a view of `shared`, the
+    /// buffer holding `value`, if given and the shard lies inside it;
+    /// otherwise the shard's own buffer (an inside shard copied once).
+    pub(crate) fn payload(&self, value: &[u8], shared: Option<&Bytes>) -> Payload {
+        match (self, shared) {
+            (DataShard::Inside(range), Some(shared)) => Payload::view(shared, range.clone()),
+            (DataShard::Inside(range), None) => Payload::from(&value[range.clone()]),
+            (DataShard::Edge(shard), _) => Payload::from(shard.clone()),
+        }
+    }
 }
 
 /// Prefixes the value with its length, pads it to a multiple of `k`, and
@@ -403,15 +421,19 @@ mod tests {
                 assert_eq!(&padded[LENGTH_HEADER..LENGTH_HEADER + len], &value[..]);
                 let shards = pad_and_split(&value, k);
                 assert_eq!(shards.concat(), padded, "len={len} k={k}");
-                let borrowed = data_shards(&value, k);
+                let shared = Bytes::from(&value[..]);
                 for (i, shard) in shards.iter().enumerate() {
-                    assert_eq!(&data_element(&value, k, i), shard, "len={len} k={k} i={i}");
-                    assert_eq!(&*borrowed[i], &shard[..], "len={len} k={k} i={i}");
+                    let data = DataShard::of(&value, k, i);
+                    assert_eq!(data.bytes(&value), &shard[..], "len={len} k={k} i={i}");
+                    assert_eq!(&data.payload(&value, None), shard, "len={len} k={k} i={i}");
+                    let view = data.payload(&shared, Some(&shared));
+                    assert_eq!(&view, shard, "len={len} k={k} i={i}");
                     // Only the shards holding header or padding bytes are
-                    // assembled; every other one is a slice of the value.
+                    // assembled; every other one is a range of the value.
                     let inside = i * shard.len() >= LENGTH_HEADER
                         && (i + 1) * shard.len() <= LENGTH_HEADER + len;
-                    assert_eq!(matches!(borrowed[i], Cow::Borrowed(_)), inside);
+                    assert_eq!(matches!(data, DataShard::Inside(_)), inside);
+                    assert_eq!(view.shares(&shared), inside);
                 }
             }
         }
@@ -486,6 +508,6 @@ mod tests {
     fn coded_element_clone_shares_payload() {
         let e = CodedElement::new(1, vec![1u8; 4096]);
         let f = e.clone();
-        assert!(Bytes::ptr_eq(&e.data, &f.data), "clone must be zero-copy");
+        assert!(Payload::ptr_eq(&e.data, &f.data), "clone must be zero-copy");
     }
 }

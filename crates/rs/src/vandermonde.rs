@@ -13,19 +13,24 @@
 //! once. Decoding caches nothing: each [`MdsCode::decode`] inverts the
 //! `k × k` submatrix of the rows it was given.
 //!
-//! Every byte is written once, straight into the buffer that keeps it:
-//! [`MdsCode::encode`] copies each data shard from the value into its coded
-//! element (no padded copy of the whole value) and computes each parity row
-//! into its element's buffer; [`MdsCode::encode_one`] borrows the data shards
-//! that lie wholly inside the value and assembles only the ones holding the
-//! length header or padding; [`MdsCode::decode`] computes the 8-byte length
-//! header first, checks it, then writes each data shard's value bytes
-//! straight into the decoded value's one allocation.
+//! Every byte is written at most once, straight into the buffer that keeps
+//! it. One private row path serves every encode: the data shards that lie
+//! wholly inside the value are read in place and only the ones holding the
+//! length header or padding are assembled, each once; each parity row is
+//! computed into its element's buffer. [`VandermondeCode::encode_shared`]
+//! takes the value's [`Bytes`] and leaves each inside data element in it, a
+//! view that copies nothing; [`MdsCode::encode`] and [`MdsCode::encode_one`]
+//! take a slice and copy such an element once (no padded copy of the whole
+//! value). A re-encode of a decoded value keeps copying, since a `1/k` view
+//! would pin a whole buffer that nothing else holds. [`MdsCode::decode`]
+//! computes the 8-byte length header first, checks it, then writes each
+//! data shard's value bytes straight into the decoded value's one
+//! allocation.
 //!
 //! The same code corrects silent corruption: `decode_with_errors` with
 //! `max_errors > 0` runs the Berlekamp–Welch decoder (`bw.rs`).
 
-use crate::shard::{data_element, data_shards, value_from_shards};
+use crate::shard::{value_from_shards, DataShard};
 use crate::{validate_params, Bytes, CodeError, CodedElement, MdsCode};
 use soda_gf::{mul_slice_xor, Matrix};
 use std::collections::HashMap;
@@ -118,21 +123,38 @@ impl VandermondeCode {
         })
     }
 
-    /// `Φ_i(v)` for each `i` in `rows`, in order, computing only those rows:
-    /// a data row is copied once from the value, and a parity row reads the
-    /// data shards borrowed from the value (only the shards holding the
-    /// length header or the padding are assembled). Every `i` is below `n`.
-    pub(crate) fn encode_rows(&self, value: &[u8], rows: &[usize]) -> Vec<CodedElement> {
-        let mut data = None;
-        rows.iter()
-            .map(|&i| {
-                let element = if i < self.k {
-                    data_element(value, self.k, i)
-                } else {
-                    let data = data.get_or_insert_with(|| data_shards(value, self.k));
-                    self.parity_row(i, data)
+    /// `Φ(v)` of a value held in `value`: the same `n` elements as
+    /// [`MdsCode::encode`], but each data element whose shard lies wholly
+    /// inside the value is a view of `value`'s buffer rather than a copy.
+    /// Only data element 0 (it holds the length header), a last data element
+    /// holding padding, and the parity elements get buffers of their own.
+    pub fn encode_shared(&self, value: &Bytes) -> Vec<CodedElement> {
+        self.encode_rows(value, Some(value), 0..self.n)
+    }
+
+    /// `Φ_i(v)` for each `i` in `rows`, in order, computing only those rows.
+    /// A data row is its shard (see [`DataShard::payload`]: a view of
+    /// `shared`, the buffer holding `value`, when given); a parity row reads
+    /// the `k` data shards, cut from the value once for all parity rows.
+    /// Every `i` is below `n`.
+    pub(crate) fn encode_rows(
+        &self,
+        value: &[u8],
+        shared: Option<&Bytes>,
+        rows: impl IntoIterator<Item = usize> + Clone,
+    ) -> Vec<CodedElement> {
+        let k = self.k;
+        let shards: Option<Vec<DataShard>> = (rows.clone().into_iter().any(|i| i >= k))
+            .then(|| (0..k).map(|i| DataShard::of(value, k, i)).collect());
+        let slices: Vec<&[u8]> = shards.iter().flatten().map(|s| s.bytes(value)).collect();
+        rows.into_iter()
+            .map(|i| {
+                let payload = match &shards {
+                    _ if i >= k => self.parity_row(i, &slices).into(),
+                    Some(shards) => shards[i].payload(value, shared),
+                    None => DataShard::of(value, k, i).payload(value, shared),
                 };
-                CodedElement::new(i, element)
+                CodedElement::new(i, payload)
             })
             .collect()
     }
@@ -181,28 +203,17 @@ impl MdsCode for VandermondeCode {
     }
 
     fn encode(&self, value: &[u8]) -> Result<Vec<CodedElement>, CodeError> {
-        // Systematic fast path: rows `0..k` of the encoding matrix are the
-        // identity, so the data shards *are* the first `k` coded elements,
-        // each copied once from the value into its own buffer — no padded
-        // copy of the whole value. Only the `n - k` parity rows need GF
-        // multiplies; each reads the data elements just built and is
-        // computed straight into its element's buffer.
-        let mut out: Vec<CodedElement> = (0..self.k)
-            .map(|i| CodedElement::new(i, data_element(value, self.k, i)))
-            .collect();
-        let data: Vec<&[u8]> = out.iter().map(|e| &e.data[..]).collect();
-        let parity: Vec<CodedElement> = (self.k..self.n)
-            .map(|i| CodedElement::new(i, self.parity_row(i, &data)))
-            .collect();
-        out.extend(parity);
-        Ok(out)
+        // Systematic: rows `0..k` of the encoding matrix are the identity,
+        // so the data shards *are* the first `k` coded elements. Only the
+        // `n - k` parity rows need GF multiplies.
+        Ok(self.encode_rows(value, None, 0..self.n))
     }
 
     fn encode_one(&self, value: &[u8], index: usize) -> Result<CodedElement, CodeError> {
         if index >= self.n {
             return Err(CodeError::InvalidIndex { index, n: self.n });
         }
-        Ok(self.encode_rows(value, &[index]).remove(0))
+        Ok(self.encode_rows(value, None, [index]).remove(0))
     }
 
     fn decode(&self, elements: &[CodedElement]) -> Result<Bytes, CodeError> {

@@ -8,7 +8,8 @@
 //! `.github/workflows/ci.yml`).
 
 use soda_rs_code::{
-    pad_and_split, reassemble, CodeError, CodedElement, MdsCode, VandermondeCode, LENGTH_HEADER,
+    pad_and_split, reassemble, Bytes, CodeError, CodedElement, MdsCode, VandermondeCode,
+    LENGTH_HEADER,
 };
 use soda_simnet::rng::SimRng;
 
@@ -128,6 +129,64 @@ fn encode_one_repair_matches_full_encode() {
         let index = rng.gen_range(0usize..n);
         let one = code.encode_one(&value, index).unwrap();
         assert_eq!(one, all[index], "n={n} k={k} index={index}");
+    }
+}
+
+#[test]
+fn encode_shared_views_exactly_the_interior_data_shards() {
+    // The value-taking encode computes Φ(v) like the slice encode, but a
+    // data element whose shard lies wholly inside the value is a view of
+    // the value's buffer; element 0 (length header), a last data element
+    // holding padding and every parity element own their buffers.
+    let mut rng = rng(8);
+    for _ in 0..cases() {
+        let (n, k, value) = code_params(&mut rng);
+        let code = VandermondeCode::new(n, k).unwrap();
+        let shared = Bytes::from(value.clone());
+        let viewed = code.encode_shared(&shared);
+        assert_eq!(viewed, code.encode(&value).unwrap(), "n={n} k={k}");
+        let len = (value.len() + LENGTH_HEADER).div_ceil(k);
+        for (i, element) in viewed.iter().enumerate() {
+            let interior =
+                i < k && i * len >= LENGTH_HEADER && (i + 1) * len <= LENGTH_HEADER + value.len();
+            let what = format!("n={n} k={k} |v|={} i={i}", value.len());
+            assert_eq!(element.index, i, "{what}");
+            assert_eq!(element.data.shares(&shared), interior, "{what}");
+            // A shard that is the whole value is the value's buffer itself.
+            let part = interior && len < value.len();
+            assert_eq!(element.data.is_view(), part, "{what}");
+        }
+    }
+}
+
+#[test]
+fn make_mut_on_a_view_copies_and_leaves_the_value_unchanged() {
+    let mut rng = rng(9);
+    let mut checked = 0usize;
+    while checked < cases() {
+        let (n, k, value) = code_params(&mut rng);
+        let code = VandermondeCode::new(n, k).unwrap();
+        let shared = Bytes::from(value.clone());
+        let mut elements = code.encode_shared(&shared);
+        let Some(view) = elements.iter_mut().find(|e| e.data.is_view()) else {
+            continue;
+        };
+        checked += 1;
+        let before = view.data.to_vec();
+        let salt = rng.gen::<u8>() | 1;
+        for b in view.data.make_mut() {
+            *b ^= salt;
+        }
+        assert!(!view.data.is_view() && !view.data.shares(&shared));
+        let flipped: Vec<u8> = before.iter().map(|b| b ^ salt).collect();
+        assert_eq!(view.data, flipped);
+        assert_eq!(shared, value, "the viewed value is unchanged");
+        // Every other element still decodes to the value.
+        let index = view.index;
+        let rest: Vec<CodedElement> = elements.into_iter().filter(|e| e.index != index).collect();
+        if rest.len() >= k {
+            assert_eq!(code.decode(&rest).unwrap(), value);
+        }
     }
 }
 
