@@ -165,6 +165,33 @@ struct CasRepair {
     driver: RepairDriver,
 }
 
+/// The coded-element data a server's versions hold, kept up to date as
+/// payloads are stored and versions dropped, so reading it walks nothing.
+#[derive(Default)]
+struct Held {
+    bytes: usize,
+    versions: usize,
+}
+
+impl Held {
+    /// Stores `payload` in a version's `slot`, unless it holds one already.
+    fn store(&mut self, slot: &mut Option<Payload>, payload: Payload) {
+        if slot.is_none() {
+            self.bytes += payload.len();
+            self.versions += 1;
+            *slot = Some(payload);
+        }
+    }
+
+    /// Forgets a dropped version's payload, if it held one.
+    fn release(&mut self, slot: Option<Payload>) {
+        if let Some(payload) = slot {
+            self.bytes -= payload.len();
+            self.versions -= 1;
+        }
+    }
+}
+
 /// A CAS / CASGC server.
 pub struct CasServer {
     deployment: Arc<Deployment>,
@@ -176,6 +203,8 @@ pub struct CasServer {
     /// label). The element's index is always `my_rank`, so only its payload
     /// is kept. CASGC drops every version below its collection's cutoff.
     versions: BTreeMap<Tag, (Option<Payload>, Label)>,
+    /// What `versions` holds.
+    held: Held,
     /// The highest finalized tag, the answer to a `query-tag`; it survives
     /// every collection.
     max_fin: Tag,
@@ -195,13 +224,16 @@ impl CasServer {
             .code()
             .encode_one(initial, my_rank)
             .expect("rank within range");
-        let mut versions = BTreeMap::new();
-        versions.insert(Tag::INITIAL, (Some(element.data), Label::Fin));
+        let held = Held {
+            bytes: element.len(),
+            versions: 1,
+        };
         CasServer {
             deployment,
             gc_versions,
             my_rank,
-            versions,
+            versions: BTreeMap::from([(Tag::INITIAL, (Some(element.data), Label::Fin))]),
+            held,
             max_fin: Tag::INITIAL,
             repair: None,
         }
@@ -234,6 +266,7 @@ impl CasServer {
             gc_versions,
             my_rank,
             versions: BTreeMap::new(),
+            held: Held::default(),
             max_fin: Tag::INITIAL,
             repair: Some(CasRepair {
                 seq: epoch,
@@ -284,7 +317,9 @@ impl CasServer {
             if entry.0.is_none() && elements.len() >= code.k() {
                 let elems: Vec<CodedElement> = elements.into_values().collect();
                 if let Ok(value) = code.decode(&elems) {
-                    entry.0 = code.encode_one(&value, self.my_rank).ok().map(|e| e.data);
+                    if let Ok(element) = code.encode_one(&value, self.my_rank) {
+                        self.held.store(&mut entry.0, element.data);
+                    }
                 }
             }
         }
@@ -292,16 +327,12 @@ impl CasServer {
 
     /// Bytes of coded-element data currently stored (across all versions).
     pub fn stored_bytes(&self) -> usize {
-        self.versions
-            .values()
-            .filter_map(|(e, _)| e.as_ref())
-            .map(|e| e.len())
-            .sum()
+        self.held.bytes
     }
 
     /// Number of versions whose coded element is still stored.
     pub fn stored_versions(&self) -> usize {
-        self.versions.values().filter(|(e, _)| e.is_some()).count()
+        self.held.versions
     }
 
     /// The stored element payload of every version that keeps one, by tag.
@@ -336,7 +367,7 @@ impl CasServer {
         };
         // In place: a `split_off` would allocate a tree per collection.
         while let Some(oldest) = self.versions.first_entry().filter(|e| *e.key() < cutoff) {
-            oldest.remove();
+            self.held.release(oldest.remove().0);
         }
     }
 }
@@ -383,7 +414,7 @@ impl Process<CasMsg> for CasServer {
             }
             CasMsg::PreWrite { seq, tag, element } => {
                 let entry = self.versions.entry(tag).or_insert((None, Label::Pre));
-                entry.0.get_or_insert(element.data);
+                self.held.store(&mut entry.0, element.data);
                 ctx.send(from, CasMsg::PreWriteAck { seq });
             }
             CasMsg::Finalize { seq, tag } => {
@@ -1043,5 +1074,82 @@ mod tests {
         }
         assert!(server.versions.len() <= keep, "{}", server.versions.len());
         assert_eq!(server.stored_versions(), keep);
+    }
+
+    #[test]
+    fn stored_counters_match_a_walk_of_the_versions() {
+        use soda_simnet::rng::SimRng;
+        /// The reference: every version's stored payload, walked.
+        fn walked(server: &CasServer) -> (usize, usize) {
+            let payloads = (server.versions.values()).filter_map(|(payload, _)| payload.as_ref());
+            (payloads.clone().map(|p| p.len()).sum(), payloads.count())
+        }
+        let (me, client) = (ProcessId(0), ProcessId(9));
+        let deployment = deployment();
+        // Version `z` holds value `z mod 4`; their lengths differ, so the
+        // byte count is not the version count times one element.
+        let encoded: Vec<Vec<CodedElement>> = (0..4usize)
+            .map(|i| {
+                let value = value_from(vec![i as u8; 10 + 40 * i]);
+                deployment.code().encode(&value).unwrap()
+            })
+            .collect();
+        let element = |z: u64, rank: usize| encoded[z as usize % 4][rank].clone();
+        let initial = value_from(b"initial".to_vec());
+        for (gc, replacement) in [
+            (None, false),
+            (None, true),
+            (Some(1), false),
+            (Some(2), true),
+        ] {
+            let name = format!("gc {gc:?}, replacement {replacement}");
+            let mut server = if replacement {
+                let mut server = CasServer::replacement(deployment.clone(), gc, 0, 1);
+                start(&mut server, me, t(0));
+                server
+            } else {
+                CasServer::new(deployment.clone(), gc, 0, &initial)
+            };
+            let mut rng = SimRng::new(7 + u64::from(replacement));
+            let mut peak = 0;
+            for step in 0..1500u64 {
+                let top = step / 4 + 2;
+                let tag = Tag::new(
+                    rng.gen_range(1..top),
+                    ProcessId(rng.gen_range(1..3u64) as u32),
+                );
+                let msg = match rng.gen_range(0..3u64) {
+                    0 => CasMsg::PreWrite {
+                        seq: 1,
+                        tag,
+                        element: element(tag.z, 0),
+                    },
+                    1 => CasMsg::Finalize { seq: 1, tag },
+                    _ => CasMsg::ReadFinalize { seq: 1, tag },
+                };
+                deliver(&mut server, me, t(step + 1), client, msg);
+                // The repair: a quorum of survivors answers with most
+                // versions so far, and the merge re-encodes those this
+                // server lacks.
+                if replacement && step == 500 {
+                    for peer in 1..=4usize {
+                        let versions: Vec<_> = (1..top)
+                            .flat_map(|z| [1, 2].map(|w| Tag::new(z, ProcessId(w))))
+                            .filter_map(|tag| {
+                                let (kept, fin) = (rng.gen_bool(0.9), rng.gen_bool(0.5));
+                                kept.then(|| (tag, Some(element(tag.z, peer)), fin))
+                            })
+                            .collect();
+                        let msg = CasMsg::RepairState { seq: 1, versions };
+                        deliver(&mut server, me, t(step + 1), ProcessId(peer as u32), msg);
+                    }
+                    assert!(!server.is_repairing(), "{name}: the quorum answered");
+                }
+                let counted = (server.stored_bytes(), server.stored_versions());
+                assert_eq!(counted, walked(&server), "{name}: step {step}");
+                peak = peak.max(counted.1);
+            }
+            assert!(peak > 1, "{name}: the walk saw one version at most");
+        }
     }
 }

@@ -673,7 +673,7 @@ mod tests {
         // Count normalized data units generated by a complete dispersal with
         // no crashes and verify it is within the paper's 5f² bound and the
         // fan-out `on_full` implements (up to each coded element's
-        // share of the 8-byte length header, rounded up).
+        // share of the one end-marker byte, rounded up).
         for (n, f) in [(5, 2), (9, 4), (11, 5), (15, 7)] {
             let l = layout(n, f);
             let k = n - f;
@@ -706,7 +706,7 @@ mod tests {
                 normalized <= bound,
                 "n={n} f={f}: cost {normalized:.2} exceeds 5f²={bound}"
             );
-            let padding = ((value_size + 8).div_ceil(k) * k) as f64 / value_size as f64;
+            let padding = ((value_size + 1).div_ceil(k) * k) as f64 / value_size as f64;
             let fanout = crate::cost::paper::md_value_fanout(n, f, k);
             assert!(
                 normalized <= fanout * padding,

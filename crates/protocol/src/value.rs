@@ -18,9 +18,9 @@
 //! CAS's pre-write) makes each data element whose shard lies wholly inside
 //! the value a view of the value's allocation rather than a copy, so a
 //! server storing it keeps no bytes beyond the value the writer's log
-//! already holds. Element 0 (it holds the 8-byte length header), a last
-//! data element holding padding, and the parity elements own their
-//! buffers. A repair's re-encode of a *decoded* value copies, since a view
+//! already holds. The last data element (it holds the end-marker byte and
+//! padding; the last few when an element is shorter than `k` bytes) and the
+//! parity elements own their buffers. A repair's re-encode of a *decoded* value copies, since a view
 //! would pin the whole decoded buffer for a `1/k` part of it.
 //!
 //! Cost accounting still reports the full byte length of the value for every

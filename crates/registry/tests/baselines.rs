@@ -144,12 +144,12 @@ fn read_charge_is_the_readers_value_bytes_for_every_kind() {
             received >= value_size as u64,
             "{name}: the value reaches the reader"
         );
-        // A coded element is ⌈(|v| + 8)/k⌉ bytes: the value and its 8-byte
-        // length header, split in k and padded.
+        // A coded element is ⌈(|v| + 1)/k⌉ bytes: the value and its
+        // end-marker byte, split in k and padded.
         let descriptor = cluster.descriptor();
         let padded = descriptor
             .k()
-            .map_or(value_size, |k| k * (value_size + 8).div_ceil(k));
+            .map_or(value_size, |k| k * (value_size + 1).div_ceil(k));
         let bound = descriptor.paper_read_cost(0) * padded as f64;
         let charge = (sent + received) as f64;
         assert!(
@@ -250,9 +250,9 @@ fn casgc_bounds_stored_versions_to_delta_plus_one() {
 
 #[test]
 fn casgc_stores_views_of_written_values_and_repairs_into_owned_buffers() {
-    // [5, 3] with 300 B values: each element is 103 B, and data shard 1
-    // (value bytes 95..198) lies wholly inside the value.
-    let element_len = (300 + 8usize).div_ceil(3);
+    // [5, 3] with 300 B values: each element is 101 B, and data shards 0
+    // and 1 (value bytes 0..202) lie wholly inside the value.
+    let element_len = (300 + 1usize).div_ceil(3);
     let mut cluster = casgc(5, 1, 2).with_seed(9).build_cas().unwrap();
     for i in 0..3u8 {
         cluster.invoke_write(0, vec![i + 1; 300]);

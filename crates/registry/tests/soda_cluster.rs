@@ -46,8 +46,8 @@ fn storage_cost_matches_n_over_n_minus_f() {
     cluster.run_to_quiescence();
     let stored = cluster.total_stored_bytes() as f64 / value.len() as f64;
     let expected = 6.0 / 4.0;
-    // Chunking overhead (length header + padding) is a few bytes per
-    // element, so allow a small tolerance.
+    // Chunking overhead (the end-marker byte + padding) is at most one
+    // byte per element, so allow a small tolerance.
     assert!(
         (stored - expected).abs() < 0.05,
         "normalized storage {stored:.3} vs expected {expected:.3}"

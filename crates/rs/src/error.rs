@@ -37,8 +37,9 @@ pub enum CodeError {
     /// The error-correcting decoder could not produce a consistent codeword
     /// (more corrupt elements than the code can tolerate).
     TooManyErrors,
-    /// The decoded payload failed structural validation (length header larger
-    /// than the padded payload), indicating corruption beyond repair.
+    /// The decoded payload holds no end marker where one must be (its last
+    /// `k` bytes are all zero, or their last non-zero byte is not `0x80`),
+    /// indicating corruption beyond repair.
     CorruptPayload,
 }
 

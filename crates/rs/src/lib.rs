@@ -18,8 +18,9 @@
 //! SODA, `k = n − f − 2e` for SODAerr, `k = n − 2f` for CAS and `k = 1` for
 //! ABD's replication.
 //!
-//! Values of arbitrary byte length are cut into `k` contiguous data shards
-//! (see [`pad_and_split`]); byte `j` of every element together is one
+//! Values of arbitrary byte length are closed by one end-marker byte and cut
+//! into `k` contiguous data shards of `⌈(|v|+1)/k⌉` bytes (see
+//! [`pad_and_split`]); byte `j` of every element together is one
 //! independent RS codeword.
 //!
 //! # Example

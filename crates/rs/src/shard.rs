@@ -1,20 +1,23 @@
 //! Value ↔ shard conversion.
 //!
 //! A value is an arbitrary byte string. To feed it through an `[n, k]` code it
-//! is (1) prefixed with an 8-byte little-endian length header, (2) padded with
-//! zeros to a multiple of `k`, and (3) cut into `k` equal contiguous data
-//! shards: shard `i` is bytes `[i·L, (i+1)·L)` of the padded buffer, where
-//! `L = ceil((len+8)/k)`. Byte `j` of the `k` data shards together is one
-//! Reed–Solomon message word, so shard length = coded-element length = `L`,
-//! matching the paper's "each coded element has size 1/k" accounting.
-//! Splitting and reassembly are slice copies, never per-byte work, and the
-//! encoder and decoder never build the padded buffer. A data shard that lies
-//! wholly inside the value (every shard but the one holding the length
-//! header and a last one holding padding) is read in place: parity rows
-//! borrow it, and its data element is a view of the value's buffer when the
-//! encoder is given one, or else one copy. Only the edge shards are
-//! assembled, each once. The decoder writes each data shard's value bytes
-//! straight into the decoded value.
+//! is (1) followed by one end-marker byte, `0x80`, (2) padded with fewer than
+//! `k` zeros to a multiple of `k`, and (3) cut into `k` equal contiguous data
+//! shards: shard `i` is bytes `[i·L, (i+1)·L)` of the padded payload
+//! `v ‖ 0x80 ‖ 0…0`, where `L = ⌈(|v|+1)/k⌉`. The value ends at the payload's
+//! last non-zero byte, which must be the marker. Byte `j` of the `k` data
+//! shards together is one Reed–Solomon message word, so shard length =
+//! coded-element length = `L`: the paper's `⌈|v|/k⌉` ("each coded element
+//! has size 1/k") unless `k` divides `|v|`, when the marker costs one more
+//! byte per element. Splitting and reassembly are slice copies, never
+//! per-byte work, and the encoder and decoder never build the padded buffer.
+//! A data shard that lies wholly inside the value (every shard but the ones
+//! holding the marker and padding: only the last one once `L ≥ k`) is read
+//! in place: parity rows borrow it, and its data element is a view of the
+//! value's buffer when the encoder is given one, or else one copy. Only the
+//! edge shards are assembled, each once. The decoder computes the payload's
+//! last `k` bytes to find the marker, then writes each data shard's value
+//! bytes straight into the decoded value.
 
 use crate::{Bytes, Payload};
 use std::fmt;
@@ -67,8 +70,13 @@ impl fmt::Debug for CodedElement {
     }
 }
 
-/// Length of the length header prepended to every value before splitting.
-pub const LENGTH_HEADER: usize = 8;
+/// Bytes the framing adds to a value before it is split: the one end-marker
+/// byte. A value `v` becomes `k` data shards, and so coded elements, of
+/// `⌈(|v| + LENGTH_HEADER)/k⌉` bytes each.
+pub const LENGTH_HEADER: usize = 1;
+
+/// The byte that ends the value in the padded payload; only zeros follow it.
+const END_MARKER: u8 = 0x80;
 
 /// Why [`reassemble`] rejected its input. Every variant indicates corruption
 /// (or a protocol bug): honestly encoded shards always reassemble.
@@ -78,20 +86,9 @@ pub enum ReassembleError {
     NoShards,
     /// The shards do not all have the same length.
     RaggedShards,
-    /// The combined shards are shorter than the 8-byte length header, so no
-    /// length can even be read.
-    TruncatedHeader {
-        /// Combined payload bytes available.
-        available: usize,
-    },
-    /// The embedded length header claims more payload bytes than the shards
-    /// can hold (`shards.len() * shard_len − 8`).
-    LengthOutOfBounds {
-        /// The length the header claims.
-        claimed: usize,
-        /// Maximum payload the shards could carry.
-        capacity: usize,
-    },
+    /// The payload's last `k` bytes hold no end marker: they are all zero,
+    /// or their last non-zero byte is not `0x80`.
+    MissingEndMarker,
 }
 
 impl fmt::Display for ReassembleError {
@@ -99,14 +96,9 @@ impl fmt::Display for ReassembleError {
         match self {
             ReassembleError::NoShards => write!(f, "no shards to reassemble"),
             ReassembleError::RaggedShards => write!(f, "shards have unequal lengths"),
-            ReassembleError::TruncatedHeader { available } => write!(
+            ReassembleError::MissingEndMarker => write!(
                 f,
-                "shards too short for the {LENGTH_HEADER}-byte length header \
-                 ({available} bytes available)"
-            ),
-            ReassembleError::LengthOutOfBounds { claimed, capacity } => write!(
-                f,
-                "length header claims {claimed} bytes but shards hold at most {capacity}"
+                "the payload's last non-zero byte is not the {END_MARKER:#04x} end marker"
             ),
         }
     }
@@ -120,39 +112,36 @@ fn shard_len(value_len: usize, k: usize) -> usize {
     (value_len + LENGTH_HEADER).div_ceil(k)
 }
 
-/// The padded payload: the length header, the value, then zeros up to a
+/// The padded payload: the value, the end marker, then zeros up to a
 /// multiple of `k` — `k` data shards of [`shard_len`] bytes back to back.
 fn pad(value: &[u8], k: usize) -> Vec<u8> {
     let padded_len = shard_len(value.len(), k) * k;
     let mut padded = Vec::with_capacity(padded_len);
-    padded.extend_from_slice(&(value.len() as u64).to_le_bytes());
     padded.extend_from_slice(value);
+    padded.push(END_MARKER);
     padded.resize(padded_len, 0);
     padded
 }
 
 /// Writes data shard `i` of `value` — bytes `[i·L, (i+1)·L)` of [`pad`]'s
-/// output, `L = out.len()` — into `out`, without padding the rest of the
-/// value: its part of the length header, its part of the value, then zeros.
+/// output, `L = out.len()` — into the zeroed `out`, without padding the rest
+/// of the value: its part of the value, then the marker if it falls there.
 fn fill_data_shard(value: &[u8], i: usize, out: &mut [u8]) {
-    let (start, end) = (i * out.len(), (i + 1) * out.len());
-    let header = (value.len() as u64).to_le_bytes();
-    let header = &header[start.min(LENGTH_HEADER)..end.min(LENGTH_HEADER)];
-    let body = |at: usize| at.saturating_sub(LENGTH_HEADER).min(value.len());
-    let body = &value[body(start)..body(end)];
-    let (head, rest) = out.split_at_mut(header.len());
-    head.copy_from_slice(header);
-    let (middle, padding) = rest.split_at_mut(body.len());
-    middle.copy_from_slice(body);
-    padding.fill(0);
+    let start = (i * out.len()).min(value.len());
+    let body = &value[start..value.len().min(start + out.len())];
+    out[..body.len()].copy_from_slice(body);
+    let marker = value.len().checked_sub(i * out.len());
+    if let Some(slot) = marker.and_then(|at| out.get_mut(at)) {
+        *slot = END_MARKER;
+    }
 }
 
 /// Data shard `i` of a value, as the encoder reads it.
 pub(crate) enum DataShard {
     /// The shard lies wholly inside the value: bytes `range` of it.
     Inside(Range<usize>),
-    /// The shard holds length-header or padding bytes, assembled into a
-    /// buffer of its own.
+    /// The shard holds the end marker or padding, assembled into a buffer of
+    /// its own.
     Edge(Bytes),
 }
 
@@ -162,8 +151,8 @@ impl DataShard {
     pub(crate) fn of(value: &[u8], k: usize, i: usize) -> Self {
         let len = shard_len(value.len(), k);
         let start = i * len;
-        if start >= LENGTH_HEADER && start + len <= LENGTH_HEADER + value.len() {
-            DataShard::Inside(start - LENGTH_HEADER..start + len - LENGTH_HEADER)
+        if start + len <= value.len() {
+            DataShard::Inside(start..start + len)
         } else {
             DataShard::Edge(Bytes::filled(len, |out| fill_data_shard(value, i, out)))
         }
@@ -189,8 +178,8 @@ impl DataShard {
     }
 }
 
-/// Prefixes the value with its length, pads it to a multiple of `k`, and
-/// splits it into `k` equal-length data shards.
+/// Appends the end marker to the value, pads it with zeros to a multiple of
+/// `k`, and splits it into `k` equal-length data shards.
 ///
 /// The split is *contiguous*: shard `i` is bytes `[i·L, (i+1)·L)` of the
 /// padded payload, so byte `j` of every shard together is one codeword
@@ -203,90 +192,75 @@ pub fn pad_and_split(value: &[u8], k: usize) -> Vec<Vec<u8>> {
         .collect()
 }
 
-/// The value length a length header claims, checked against the `capacity`
-/// payload bytes the shards hold after the header.
-fn claimed_len(header: [u8; LENGTH_HEADER], capacity: usize) -> Result<usize, ReassembleError> {
-    let claimed = u64::from_le_bytes(header);
-    // Compare in u64: a header claiming close to 2^64 must not wrap when cast
-    // to usize on 32-bit targets.
-    if claimed > capacity as u64 {
-        return Err(ReassembleError::LengthOutOfBounds {
-            claimed: claimed.min(usize::MAX as u64) as usize,
-            capacity,
-        });
+/// Where the value ends in `tail`, the padded payload's last `k` bytes (or
+/// all of it, if shorter): at its last non-zero byte, which must be the end
+/// marker. An honest payload ends in fewer than `k` zeros, so its marker
+/// always lies there.
+fn marker_at(tail: &[u8]) -> Result<usize, ReassembleError> {
+    match tail.iter().rposition(|&byte| byte != 0) {
+        Some(at) if tail[at] == END_MARKER => Ok(at),
+        _ => Err(ReassembleError::MissingEndMarker),
     }
-    Ok(claimed as usize)
 }
 
 /// Inverse of [`pad_and_split`]: reassembles the original value from the `k`
-/// data shards, validating the 8-byte length header against the shard
-/// capacity before trusting it.
+/// data shards, cutting it at the end marker among the payload's last `k`
+/// bytes.
 pub fn reassemble(shards: &[Vec<u8>]) -> Result<Vec<u8>, ReassembleError> {
     let k = shards.len();
     if k == 0 {
         return Err(ReassembleError::NoShards);
     }
-    let shard_len = shards[0].len();
-    if shards.iter().any(|s| s.len() != shard_len) {
+    if shards.iter().any(|s| s.len() != shards[0].len()) {
         return Err(ReassembleError::RaggedShards);
     }
-    let padded_len = shard_len * k;
-    if padded_len < LENGTH_HEADER {
-        return Err(ReassembleError::TruncatedHeader {
-            available: padded_len,
-        });
-    }
-    let mut len_bytes = [0u8; LENGTH_HEADER];
-    for (slot, &byte) in len_bytes.iter_mut().zip(shards.iter().flatten()) {
-        *slot = byte;
-    }
-    let claimed = claimed_len(len_bytes, padded_len - LENGTH_HEADER)?;
-    // Concatenate the shards' bytes in `[8, 8 + claimed)` of the padded
-    // payload: one slice copy per shard.
-    let (start, end) = (LENGTH_HEADER, LENGTH_HEADER + claimed);
-    let mut value = Vec::with_capacity(end - start);
-    for (i, shard) in shards.iter().enumerate() {
-        let at = i * shard_len;
-        let from = start.clamp(at, at + shard_len) - at;
-        let to = end.clamp(at, at + shard_len) - at;
-        value.extend_from_slice(&shard[from..to]);
-    }
-    Ok(value)
+    let mut payload = shards.concat();
+    let tail = payload.len() - k.min(payload.len());
+    payload.truncate(tail + marker_at(&payload[tail..])?);
+    Ok(payload)
 }
 
-/// The value carried by `k` data shards of `shard_len` bytes each, which
-/// `shard(i, cols, out)` computes on demand: it adds columns `cols` of data
-/// shard `i` into the zeroed `out`. The 8 header bytes are computed first
-/// and checked against the shards' capacity, then each shard's value bytes
-/// once, straight into the value's one buffer; no shard is materialized
-/// whole. Fails exactly where [`reassemble`] fails on the same shards.
+/// Adds bytes `range` of the padded payload into the zeroed `out`, asking
+/// `shard` for each data shard's part of it.
+fn payload_range(
+    shard_len: usize,
+    range: Range<usize>,
+    out: &mut [u8],
+    shard: &mut impl FnMut(usize, Range<usize>, &mut [u8]),
+) {
+    let mut at = range.start;
+    while at < range.end {
+        let (i, col) = (at / shard_len, at % shard_len);
+        let to = range.end.min((i + 1) * shard_len);
+        shard(
+            i,
+            col..col + to - at,
+            &mut out[at - range.start..to - range.start],
+        );
+        at = to;
+    }
+}
+
+/// The value carried by `k ≤ 255` data shards of `shard_len` bytes each,
+/// which `shard(i, cols, out)` computes on demand: it adds columns `cols` of
+/// data shard `i` into the zeroed `out`. The payload's last `k` bytes are
+/// computed first, onto the stack, to find the end marker; then each shard's
+/// value bytes once, straight into the value's one buffer. No shard is
+/// materialized whole. Fails exactly where [`reassemble`] fails on the same
+/// shards.
 pub(crate) fn value_from_shards(
     k: usize,
     shard_len: usize,
     mut shard: impl FnMut(usize, Range<usize>, &mut [u8]),
 ) -> Result<Bytes, ReassembleError> {
     let padded_len = shard_len * k;
-    if padded_len < LENGTH_HEADER {
-        return Err(ReassembleError::TruncatedHeader {
-            available: padded_len,
-        });
-    }
-    // Header byte `j` is column `j mod L` of shard `j / L`.
-    let mut header = [0u8; LENGTH_HEADER];
-    for (i, part) in header.chunks_mut(shard_len).enumerate() {
-        shard(i, 0..part.len(), part);
-    }
-    let len = claimed_len(header, padded_len - LENGTH_HEADER)?;
-    let (start, end) = (LENGTH_HEADER, LENGTH_HEADER + len);
+    let tail_start = padded_len - k.min(padded_len);
+    let mut tail = [0u8; 255];
+    let tail = &mut tail[..padded_len - tail_start];
+    payload_range(shard_len, tail_start..padded_len, tail, &mut shard);
+    let len = tail_start + marker_at(tail)?;
     Ok(Bytes::filled(len, |value| {
-        for i in 0..k {
-            let at = i * shard_len;
-            let from = start.clamp(at, at + shard_len);
-            let to = end.clamp(at, at + shard_len);
-            if from < to {
-                shard(i, from - at..to - at, &mut value[from - start..to - start]);
-            }
-        }
+        payload_range(shard_len, 0..len, value, &mut shard)
     }))
 }
 
@@ -337,42 +311,12 @@ mod tests {
         assert_eq!(reassemble(&[]), Err(ReassembleError::NoShards));
     }
 
-    #[test]
-    fn reassemble_rejects_truncated_header() {
-        // 3 shards of 2 bytes = 6 bytes total, shorter than the 8-byte header.
-        let shards = vec![vec![0u8; 2]; 3];
-        assert_eq!(
-            reassemble(&shards),
-            Err(ReassembleError::TruncatedHeader { available: 6 })
-        );
-        // Zero-length shards: 0 bytes available.
-        let shards = vec![Vec::new(); 4];
-        assert_eq!(
-            reassemble(&shards),
-            Err(ReassembleError::TruncatedHeader { available: 0 })
-        );
-    }
-
-    #[test]
-    fn reassemble_rejects_oversized_length_header() {
-        let mut shards = pad_and_split(b"abc", 2);
-        // Overwrite the length header with an absurd value.
-        shards[0][0] = 0xff;
-        shards[1][0] = 0xff;
-        shards[0][1] = 0xff;
-        let err = reassemble(&shards).unwrap_err();
-        assert!(
-            matches!(err, ReassembleError::LengthOutOfBounds { claimed, capacity }
-                if claimed > capacity),
-            "got {err:?}"
-        );
-    }
-
-    /// `shards` with their length header replaced by `claimed`: bytes `0..8`
-    /// of the padded payload are overwritten, then the payload is split again.
-    fn with_header(shards: &[Vec<u8>], claimed: u64) -> Vec<Vec<u8>> {
+    /// `shards` with the padded payload's last `tail.len()` bytes replaced
+    /// by `tail`, split again.
+    fn with_tail(shards: &[Vec<u8>], tail: &[u8]) -> Vec<Vec<u8>> {
         let mut padded = shards.concat();
-        padded[..LENGTH_HEADER].copy_from_slice(&claimed.to_le_bytes());
+        let at = padded.len() - tail.len();
+        padded[at..].copy_from_slice(tail);
         padded
             .chunks_exact(shards[0].len())
             .map(<[u8]>::to_vec)
@@ -380,35 +324,65 @@ mod tests {
     }
 
     #[test]
-    fn reassemble_rejects_length_one_past_capacity() {
-        // The tightest off-by-one: header claims exactly capacity + 1. With
-        // 3 shards of 6 bytes the header spans shards 0 and 1.
-        let value = vec![7u8; 10];
-        let shards = pad_and_split(&value, 3);
-        assert!(shards[0].len() < LENGTH_HEADER);
-        let capacity = shards[0].len() * 3 - LENGTH_HEADER;
+    fn reassemble_rejects_truncated_header() {
+        // Shards too short to hold the framing byte, or holding only zeros,
+        // carry no end marker: 3 all-zero shards of 2 bytes, then 4
+        // zero-length shards.
+        let shards = vec![vec![0u8; 2]; 3];
+        assert_eq!(reassemble(&shards), Err(ReassembleError::MissingEndMarker));
+        let shards = vec![Vec::new(); 4];
+        assert_eq!(reassemble(&shards), Err(ReassembleError::MissingEndMarker));
+    }
+
+    #[test]
+    fn reassemble_rejects_oversized_length_header() {
+        // A forged framing byte is an error, never a panic. "abc" over 2
+        // shards pads to `abc ‖ 0x80`; overwrite the marker, then the byte
+        // before it too, with 0xff.
+        let mut shards = pad_and_split(b"abc", 2);
+        assert_eq!(shards, [b"ab".to_vec(), b"c\x80".to_vec()]);
+        shards[1][1] = 0xff;
+        assert_eq!(reassemble(&shards), Err(ReassembleError::MissingEndMarker));
+        shards[1][0] = 0xff;
+        assert_eq!(reassemble(&shards), Err(ReassembleError::MissingEndMarker));
+        // A marker moved earlier, behind a forged non-zero byte, is not the
+        // last non-zero byte and is not taken.
+        shards[1] = vec![0x80, 0xff];
+        assert_eq!(reassemble(&shards), Err(ReassembleError::MissingEndMarker));
+    }
+
+    #[test]
+    fn reassemble_rejects_a_missing_end_marker() {
+        // 3 shards of 4 bytes: the last 3 bytes are searched.
+        let shards = pad_and_split(b"ten bytes!", 3);
+        assert_eq!(shards[0].len(), 4);
+        assert_eq!(reassemble(&shards).unwrap(), b"ten bytes!");
+        for tail in [[0, 0, 0], [0x80, 0, 0x01], [0, 0x7f, 0], [0xff, 0xff, 0xff]] {
+            assert_eq!(
+                reassemble(&with_tail(&shards, &tail)),
+                Err(ReassembleError::MissingEndMarker),
+                "tail {tail:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn only_the_last_k_bytes_are_searched_for_the_marker() {
+        // An honest payload ends in fewer than k zeros, so a marker exactly
+        // k bytes from the end is the furthest one accepted; one byte further
+        // and the last k bytes are all zero.
+        let shards = pad_and_split(&[7u8; 10], 3);
+        let padded_len = shards[0].len() * 3;
+        let whole = reassemble(&with_tail(&shards, &[0x80, 0, 0])).unwrap();
+        assert_eq!(whole.len(), padded_len - 3);
         assert_eq!(
-            reassemble(&with_header(&shards, capacity as u64 + 1)),
-            Err(ReassembleError::LengthOutOfBounds {
-                claimed: capacity + 1,
-                capacity,
-            })
+            reassemble(&with_tail(&shards, &[0x80, 0, 0, 0])),
+            Err(ReassembleError::MissingEndMarker)
         );
-        // A claim whose excess sits in a high header byte — in the second
-        // shard — is caught the same way.
-        let claimed = capacity as u64 | 1 << 56;
-        assert_eq!(
-            reassemble(&with_header(&shards, claimed)),
-            Err(ReassembleError::LengthOutOfBounds {
-                claimed: claimed as usize,
-                capacity,
-            })
-        );
-        // Claiming exactly `capacity` is structurally valid (padding bytes
-        // become payload, but the header is in bounds).
-        let whole = reassemble(&with_header(&shards, capacity as u64)).unwrap();
-        assert_eq!(whole.len(), capacity);
-        assert_eq!(whole[..value.len()], value[..]);
+        // A marker in the last byte keeps every byte before it.
+        let whole = reassemble(&with_tail(&shards, &[0x80])).unwrap();
+        assert_eq!(whole.len(), padded_len - 1);
+        assert_eq!(whole[..10], [7u8; 10]);
     }
 
     #[test]
@@ -417,8 +391,10 @@ mod tests {
             let value: Vec<u8> = (0..len).map(|i| (i * 7 % 253) as u8).collect();
             for k in [1usize, 2, 3, 5, 17] {
                 let padded = pad(&value, k);
-                assert_eq!(&padded[..LENGTH_HEADER], &(len as u64).to_le_bytes());
-                assert_eq!(&padded[LENGTH_HEADER..LENGTH_HEADER + len], &value[..]);
+                assert_eq!(&padded[..len], &value[..]);
+                assert_eq!(padded[len], END_MARKER);
+                assert!(padded[len + 1..].iter().all(|&b| b == 0));
+                assert!(padded.len() - len - 1 < k, "fewer than k zeros");
                 let shards = pad_and_split(&value, k);
                 assert_eq!(shards.concat(), padded, "len={len} k={k}");
                 let shared = Bytes::from(&value[..]);
@@ -428,10 +404,9 @@ mod tests {
                     assert_eq!(&data.payload(&value, None), shard, "len={len} k={k} i={i}");
                     let view = data.payload(&shared, Some(&shared));
                     assert_eq!(&view, shard, "len={len} k={k} i={i}");
-                    // Only the shards holding header or padding bytes are
+                    // Only the shards holding the marker or padding are
                     // assembled; every other one is a range of the value.
-                    let inside = i * shard.len() >= LENGTH_HEADER
-                        && (i + 1) * shard.len() <= LENGTH_HEADER + len;
+                    let inside = (i + 1) * shard.len() <= len;
                     assert_eq!(matches!(data, DataShard::Inside(_)), inside);
                     assert_eq!(view.shares(&shared), inside);
                 }
@@ -441,14 +416,14 @@ mod tests {
 
     #[test]
     fn value_from_shards_matches_reassemble() {
-        // Honest shards, a header spanning shards, and every header that
-        // claims a length around the capacity.
+        // Honest shards, and forged tails: a moved marker, no marker, a
+        // wrong last non-zero byte, and a marker spanning shards' bounds.
         for (len, k) in [(0usize, 1usize), (10, 3), (100, 7), (5, 17), (1000, 4)] {
             let value: Vec<u8> = (0..len).map(|i| (i * 13 % 251) as u8).collect();
             let shards = pad_and_split(&value, k);
-            let capacity = shards[0].len() * k - LENGTH_HEADER;
-            for claimed in [len as u64, capacity as u64, capacity as u64 + 1, u64::MAX] {
-                let shards = with_header(&shards, claimed);
+            let tails: [&[u8]; 6] = [&[], &[0], &[0x80], &[0x80, 0], &[0x80, 0x42], &[0x01]];
+            for tail in tails.into_iter().filter(|t| t.len() <= shards[0].len() * k) {
+                let shards = with_tail(&shards, tail);
                 let computed = value_from_shards(k, shards[0].len(), |i, cols, out| {
                     for (o, &b) in out.iter_mut().zip(&shards[i][cols]) {
                         *o ^= b;
@@ -457,14 +432,14 @@ mod tests {
                 assert_eq!(
                     computed.map(|v| v.to_vec()),
                     reassemble(&shards),
-                    "len={len} k={k} claimed={claimed}"
+                    "len={len} k={k} tail={tail:?}"
                 );
             }
         }
-        // Too few bytes for a header at all.
+        // No bytes at all: no marker, and no shard is asked for.
         assert_eq!(
-            value_from_shards(3, 2, |_, _, _| unreachable!()),
-            Err(ReassembleError::TruncatedHeader { available: 6 })
+            value_from_shards(3, 0, |_, _, _| unreachable!()),
+            Err(ReassembleError::MissingEndMarker)
         );
     }
 
@@ -473,18 +448,12 @@ mod tests {
         let msgs = [
             ReassembleError::NoShards.to_string(),
             ReassembleError::RaggedShards.to_string(),
-            ReassembleError::TruncatedHeader { available: 4 }.to_string(),
-            ReassembleError::LengthOutOfBounds {
-                claimed: 100,
-                capacity: 8,
-            }
-            .to_string(),
+            ReassembleError::MissingEndMarker.to_string(),
         ];
         for m in &msgs {
             assert!(!m.is_empty());
         }
-        assert!(msgs[3].contains("100"));
-        assert!(msgs[3].contains('8'));
+        assert!(msgs[2].contains("0x80"));
     }
 
     #[test]

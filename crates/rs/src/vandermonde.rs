@@ -16,16 +16,16 @@
 //! Every byte is written at most once, straight into the buffer that keeps
 //! it. One private row path serves every encode: the data shards that lie
 //! wholly inside the value are read in place and only the ones holding the
-//! length header or padding are assembled, each once; each parity row is
+//! end marker or padding are assembled, each once; each parity row is
 //! computed into its element's buffer. [`VandermondeCode::encode_shared`]
 //! takes the value's [`Bytes`] and leaves each inside data element in it, a
 //! view that copies nothing; [`MdsCode::encode`] and [`MdsCode::encode_one`]
 //! take a slice and copy such an element once (no padded copy of the whole
 //! value). A re-encode of a decoded value keeps copying, since a `1/k` view
 //! would pin a whole buffer that nothing else holds. [`MdsCode::decode`]
-//! computes the 8-byte length header first, checks it, then writes each
-//! data shard's value bytes straight into the decoded value's one
-//! allocation.
+//! computes the payload's last `k` bytes first to find the end marker, then
+//! writes each data shard's value bytes straight into the decoded value's
+//! one allocation.
 //!
 //! The same code corrects silent corruption: `decode_with_errors` with
 //! `max_errors > 0` runs the Berlekamp–Welch decoder (`bw.rs`).
@@ -126,8 +126,9 @@ impl VandermondeCode {
     /// `Φ(v)` of a value held in `value`: the same `n` elements as
     /// [`MdsCode::encode`], but each data element whose shard lies wholly
     /// inside the value is a view of `value`'s buffer rather than a copy.
-    /// Only data element 0 (it holds the length header), a last data element
-    /// holding padding, and the parity elements get buffers of their own.
+    /// Only the last data element (it holds the end marker and padding; the
+    /// last few when an element is shorter than `k` bytes) and the parity
+    /// elements get buffers of their own.
     pub fn encode_shared(&self, value: &Bytes) -> Vec<CodedElement> {
         self.encode_rows(value, Some(value), 0..self.n)
     }
@@ -227,8 +228,9 @@ impl MdsCode for VandermondeCode {
         }
         let inv = rows.inverse().map_err(|_| CodeError::TooManyErrors)?;
         // Data shard `i` is row `i` of the inverse applied to the chosen
-        // elements; `value_from_shards` asks for the header columns first and
-        // then for each shard's value columns, written into the value.
+        // elements; `value_from_shards` asks for the payload's last `k`
+        // columns first and then for each shard's value columns, written
+        // into the value.
         let value = value_from_shards(self.k, chosen[0].data.len(), |i, cols, out| {
             for (j, element) in chosen.iter().enumerate() {
                 mul_slice_xor(inv[(i, j)], &element.data[cols.clone()], out);

@@ -54,11 +54,33 @@ fn element_sizes_are_value_over_k() {
         let (n, k, value) = code_params(&mut rng);
         let code = VandermondeCode::new(n, k).unwrap();
         let elements = code.encode(&value).unwrap();
-        let expected = (value.len() + 8).div_ceil(k);
+        let expected = (value.len() + 1).div_ceil(k);
         for e in &elements {
             assert_eq!(e.data.len(), expected);
         }
         assert_eq!(elements.len(), n);
+    }
+}
+
+#[test]
+fn element_length_is_the_papers_unless_k_divides_the_value() {
+    // The one end-marker byte costs a byte per element only when `k`
+    // divides `|v|`; otherwise the element is the paper's `⌈|v|/k⌉`.
+    for k in 1..=12usize {
+        let code = VandermondeCode::new(12, k).unwrap();
+        for len in 0..200usize {
+            let element = code.encode_one(&vec![0xA5; len], 0).unwrap().len();
+            assert_eq!(
+                element,
+                (len + LENGTH_HEADER).div_ceil(k),
+                "k={k} |v|={len}"
+            );
+            if len % k != 0 {
+                assert_eq!(element, len.div_ceil(k), "k={k} |v|={len}");
+            } else {
+                assert_eq!(element, len / k + 1, "k={k} |v|={len}");
+            }
+        }
     }
 }
 
@@ -136,8 +158,9 @@ fn encode_one_repair_matches_full_encode() {
 fn encode_shared_views_exactly_the_interior_data_shards() {
     // The value-taking encode computes Φ(v) like the slice encode, but a
     // data element whose shard lies wholly inside the value is a view of
-    // the value's buffer; element 0 (length header), a last data element
-    // holding padding and every parity element own their buffers.
+    // the value's buffer; the data elements holding the end marker or
+    // padding and every parity element own their buffers. Element 0 is a
+    // view whenever an element is no longer than the value.
     let mut rng = rng(8);
     for _ in 0..cases() {
         let (n, k, value) = code_params(&mut rng);
@@ -147,8 +170,7 @@ fn encode_shared_views_exactly_the_interior_data_shards() {
         assert_eq!(viewed, code.encode(&value).unwrap(), "n={n} k={k}");
         let len = (value.len() + LENGTH_HEADER).div_ceil(k);
         for (i, element) in viewed.iter().enumerate() {
-            let interior =
-                i < k && i * len >= LENGTH_HEADER && (i + 1) * len <= LENGTH_HEADER + value.len();
+            let interior = i < k && (i + 1) * len <= value.len();
             let what = format!("n={n} k={k} |v|={} i={i}", value.len());
             assert_eq!(element.index, i, "{what}");
             assert_eq!(element.data.shares(&shared), interior, "{what}");
@@ -236,8 +258,8 @@ fn decode_never_panics_on_garbage() {
 mod reference {
     use super::*;
 
-    /// `Φ(v)` of the `k` data shards `data` (which may carry a forged
-    /// length header).
+    /// `Φ(v)` of the `k` data shards `data` (which may carry a forged end
+    /// marker).
     pub fn encode_shards(code: &VandermondeCode, data: &[Vec<u8>]) -> Vec<CodedElement> {
         let refs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
         code.encoding_matrix()
@@ -301,7 +323,7 @@ fn assert_decodes_like_reference(code: &VandermondeCode, elements: &[CodedElemen
 #[test]
 fn encode_and_decode_match_the_padded_buffer_reference() {
     let mut rng = rng(8);
-    let mut header_spans_shards = 0;
+    let mut tail_spans_shards = 0;
     let large: Vec<u8> = (0..64 * 1024).map(|_| rng.gen()).collect();
     let mut params: Vec<(usize, usize, Vec<u8>)> =
         (0..cases()).map(|_| code_params(&mut rng)).collect();
@@ -310,8 +332,9 @@ fn encode_and_decode_match_the_padded_buffer_reference() {
     for (n, k, value) in params {
         let code = VandermondeCode::new(n, k).unwrap();
         let expected = reference::encode(&code, &value);
-        if expected[0].data.len() < LENGTH_HEADER {
-            header_spans_shards += 1;
+        // The decoder searches the payload's last k bytes for the marker.
+        if expected[0].data.len() < k {
+            tail_spans_shards += 1;
         }
         assert_eq!(code.encode(&value).unwrap(), expected, "n={n} k={k}");
         for (i, element) in expected.iter().enumerate() {
@@ -328,13 +351,26 @@ fn encode_and_decode_match_the_padded_buffer_reference() {
         assert_eq!(code.decode(&subset).unwrap(), value);
     }
     assert!(
-        header_spans_shards > 0,
-        "no case put the header in two shards"
+        tail_spans_shards > 0,
+        "no case put the last k bytes in two shards"
     );
 }
 
+/// The `k` data shards of `value` with the padded payload's last bytes
+/// replaced by `tail`.
+fn with_tail(value: &[u8], k: usize, tail: &[u8]) -> Vec<Vec<u8>> {
+    let mut data = pad_and_split(value, k);
+    let mut padded = data.concat();
+    let at = padded.len() - tail.len();
+    padded[at..].copy_from_slice(tail);
+    for (shard, bytes) in data.iter_mut().zip(padded.chunks_exact(padded.len() / k)) {
+        shard.copy_from_slice(bytes);
+    }
+    data
+}
+
 #[test]
-fn decode_matches_the_reference_on_garbage_and_forged_headers() {
+fn decode_matches_the_reference_on_garbage_and_forged_markers() {
     let mut rng = rng(9);
     let mut forged_outcomes = [0usize; 2];
     for _ in 0..cases() {
@@ -352,34 +388,75 @@ fn decode_matches_the_reference_on_garbage_and_forged_headers() {
             .collect();
         assert_decodes_like_reference(&code, &garbage, "garbage");
 
-        // A consistent codeword whose length header claims a length around
-        // the shards' capacity (or anything at all).
+        // A consistent codeword whose payload ends in a forged tail: the
+        // marker moved (or past the last k bytes), missing, followed by a
+        // non-zero byte, or any bytes at all.
         let (n, k, value) = code_params(&mut rng);
         let code = VandermondeCode::new(n, k).unwrap();
-        let mut data = pad_and_split(&value, k);
-        let shard_len = data[0].len();
-        let capacity = shard_len * k - LENGTH_HEADER;
-        let claimed: u64 = match rng.gen_range(0usize..5) {
-            0 => capacity as u64,
-            1 => capacity as u64 + 1,
-            2 => rng.gen_range(0..=capacity as u64 + 8),
-            // In bounds but for the last header byte.
-            3 => rng.gen_range(0..=capacity as u64) | rng.gen_range(1u64..256) << 56,
-            _ => rng.gen(),
-        };
-        let mut padded = data.concat();
-        padded[..LENGTH_HEADER].copy_from_slice(&claimed.to_le_bytes());
-        for (shard, bytes) in data.iter_mut().zip(padded.chunks_exact(shard_len)) {
-            shard.copy_from_slice(bytes);
+        let padded_len = (value.len() + LENGTH_HEADER).div_ceil(k) * k;
+        let mut tail = vec![0u8; rng.gen_range(1..=padded_len.min(k + 1))];
+        match rng.gen_range(0usize..4) {
+            0 => tail[0] = 0x80,
+            1 => {}
+            2 => {
+                tail[0] = 0x80;
+                *tail.last_mut().unwrap() |= rng.gen::<u8>() | 1;
+            }
+            _ => tail.iter_mut().for_each(|b| *b = rng.gen()),
         }
-        let mut elements = reference::encode_shards(&code, &data);
+        let mut elements = reference::encode_shards(&code, &with_tail(&value, k, &tail));
         rng.shuffle(&mut elements);
         elements.truncate(k);
-        assert_decodes_like_reference(&code, &elements, "forged header");
+        assert_decodes_like_reference(&code, &elements, "forged marker");
         forged_outcomes[usize::from(code.decode(&elements).is_ok())] += 1;
     }
     assert!(
         forged_outcomes.iter().all(|&count| count > 0),
-        "forged headers must be both accepted and refused: {forged_outcomes:?}"
+        "forged markers must be both accepted and refused: {forged_outcomes:?}"
     );
+}
+
+#[test]
+fn a_payload_without_its_end_marker_is_a_corrupt_payload() {
+    // A consistent codeword whose decoded tail holds no marker: all zero, or
+    // a last non-zero byte other than 0x80. Both decoders refuse it, the
+    // correcting one also after correcting a corrupt element.
+    let mut rng = rng(10);
+    let mut checked = 0usize;
+    while checked < cases() {
+        let (n, k, value) = code_params(&mut rng);
+        if k + 2 > n {
+            continue;
+        }
+        checked += 1;
+        let padded_len = (value.len() + LENGTH_HEADER).div_ceil(k) * k;
+        let zeros = vec![0u8; padded_len.min(k)];
+        let wrong = [rng.gen_range(1u8..0x80) | rng.gen_range(0u8..2) << 7];
+        for tail in [&zeros[..], &wrong[..]] {
+            let code = VandermondeCode::new(n, k).unwrap();
+            let mut elements = reference::encode_shards(&code, &with_tail(&value, k, tail));
+            let what = format!("n={n} k={k} |v|={} tail={tail:?}", value.len());
+            assert_eq!(
+                code.decode(&elements),
+                Err(CodeError::CorruptPayload),
+                "{what}"
+            );
+            assert_eq!(
+                code.decode_with_errors(&elements, 1),
+                Err(CodeError::CorruptPayload),
+                "{what}"
+            );
+            let victim = rng.gen_range(0..n);
+            elements[victim]
+                .data
+                .make_mut()
+                .iter_mut()
+                .for_each(|b| *b ^= 0x5A);
+            assert_eq!(
+                code.decode_with_errors(&elements, 1),
+                Err(CodeError::CorruptPayload),
+                "{what}, element {victim} corrupt"
+            );
+        }
+    }
 }

@@ -67,7 +67,7 @@ fn idle_bytes_per_key(kind: ProtocolKind, n: usize, f: usize) -> [isize; 2] {
 #[test]
 fn an_idle_key_keeps_only_its_protocol_state() {
     // (kind, n, f, bound in bytes per key). An idle key measures 7 867,
-    // 9 721, 4 785, 7 944 and 7 937 B. Each bound was set at about 5 % over
+    // 9 721, 4 785, 8 024 and 8 017 B. Each bound was set at about 5 % over
     // the figure of its day. A decoding kind's bound then fell by 32 B, as
     // its key did: its last get holds its put's 64 B value rather than a
     // decoded copy (80 B with the buffer's counts), less the 48 B of the
@@ -81,7 +81,9 @@ fn an_idle_key_keeps_only_its_protocol_state() {
     // from 7 936 and 7 929 B, and their bound stays. A CAS version entry
     // keeps its payload without the element index (always the server's own
     // rank): with the index, each of the five servers' B-tree nodes (room
-    // for 11 entries) would grow by 88 B, about 440 B per key.
+    // for 11 entries) would grow by 88 B, about 440 B per key. CAS and
+    // CASGC then rose 80 B (from 7 944 and 7 937 B): each of the five
+    // servers keeps its stored bytes and versions as two counters.
     // An idle key whose simulation kept a buffer for its handlers' actions
     // measured 8 551, 10 973, 5 353, 8 628 and 8 621 B; each of those is
     // over its bound here.

@@ -19,8 +19,8 @@ use soda_store::StoreBuilder;
 const KEYS: usize = 32;
 
 /// The value size: large enough that a value copy dwarfs a record. With
-/// `k = 3` it fills the data shards exactly (`16 384 + 8 = 3 · 5 464`), so
-/// data shards 1 and 2 both lie inside the value.
+/// `k = 3` each data shard is `⌈16 385 / 3⌉ = 5 462` bytes, so data shards 0
+/// and 1 lie inside the value and shard 2 holds its end marker.
 const VALUE_BYTES: usize = 16 * 1024;
 
 /// Live heap growth, in values per key, of a one-shard store of `kind`
@@ -56,13 +56,14 @@ fn values_per_key(kind: ProtocolKind, n: usize, f: usize) -> [f64; 2] {
 #[test]
 fn a_get_holds_its_puts_value_for_every_decoding_kind() {
     // A put keeps its value in the writer's log beside the servers' coded
-    // elements. Of those, element 0 (it holds the length header) and the
+    // elements. Of those, element 2 (it holds the end marker) and the
     // `n − k` parity elements own their buffers, `(n − k + 1) / k` values;
-    // data elements 1 and 2 are views of the value. With a fresh key's
+    // data elements 0 and 1 are views of the value. With a fresh key's
     // cluster state (about 5.3–6.5 KiB, 0.32–0.40 of a value here) a put
-    // measures 2.323 / 3.064 / 2.395 / 2.391 values per key. Copying every
-    // data element, as the encoder once did, measured 2.989 / 3.729 / 3.063
-    // / 3.060: `(k − 1) / k` of a value more, over the bound below.
+    // measures 2.323 / 3.064 / 2.400 / 2.396 values per key (CAS's and
+    // CASGC's include their servers' 16 B stored-bytes counters). Copying
+    // every data element, as the encoder once did, measured 2.989 / 3.729 /
+    // 3.063 / 3.060: `(k − 1) / k` of a value more, over the bound below.
     //
     // A get that held its own decoded copy would add one value more (1.0 or
     // above per key here), a get that holds the put's buffer adds only its
@@ -80,8 +81,8 @@ fn a_get_holds_its_puts_value_for_every_decoding_kind() {
         .iter()
         .map(|&(kind, n, f)| {
             let k = kind.code_dimension(n, f).expect("a coded kind");
-            // The value, element 0 and the parity elements, plus half a
-            // value for the key's cluster state.
+            // The value, the last data element and the parity elements,
+            // plus half a value for the key's cluster state.
             let put_bound = 1.0 + (n - k + 1) as f64 / k as f64 + 0.5;
             (kind, values_per_key(kind, n, f), put_bound)
         })

@@ -208,7 +208,7 @@ fn crash_budget_is_dynamic_and_validated() {
 #[test]
 fn soda_repair_bandwidth_is_coded_not_replicated() {
     // One SODA shard, n = 5, f = 2 ⇒ k = 3. A repaired server must fetch
-    // k coded elements of ⌈(size + 8) / k⌉ bytes — (n/k)·size + O(metadata)
+    // k coded elements of ⌈(size + 1) / k⌉ bytes — (n/k)·size + O(metadata)
     // spread across survivors — never the n·size of full replication.
     let (n, k, size, num_keys) = (5usize, 3usize, 300usize, 6usize);
     let mut store = StoreBuilder::new(1, ProtocolKind::Soda, n, 2)
@@ -227,7 +227,7 @@ fn soda_repair_bandwidth_is_coded_not_replicated() {
 
     let m = store.metrics();
     assert_eq!(m.aggregate.repairs_completed, num_keys as u64);
-    let elem_len = (size + 8).div_ceil(k) as u64;
+    let elem_len = (size + 1).div_ceil(k) as u64;
     let per_cluster = m.aggregate.repair_traffic_bytes / num_keys as u64;
     assert_eq!(per_cluster, k as u64 * elem_len);
     assert!(

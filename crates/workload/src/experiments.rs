@@ -14,9 +14,9 @@
 //! Storage is claimed *equal* to its closed form, communication and latency
 //! *at most* theirs, except ABD's costs, which are exact: a fault-free ABD
 //! write sends `n` values and a read is charged `2n`. A coded element counts
-//! as the `⌈(|v| + 8)/k⌉` bytes it occupies rather than the model's `|v|/k`
-//! (every element carries its share of the 8-byte length header, rounded
-//! up).
+//! as the `⌈(|v| + 1)/k⌉` bytes it occupies rather than the model's `|v|/k`
+//! (every element carries its share of the one end-marker byte that closes
+//! the value, rounded up: the model's `⌈|v|/k⌉` unless `k` divides `|v|`).
 //!
 //! Every cluster in this module is built and driven through the
 //! [`soda_registry`] facade; the protocol under measurement is just a
@@ -147,11 +147,11 @@ impl Claim {
     }
 }
 
-/// Relative excess of a `⌈(|v| + 8)/k⌉`-byte coded element over `|v|/k`;
+/// Relative excess of a `⌈(|v| + 1)/k⌉`-byte coded element over `|v|/k`;
 /// 0 for replication (`k` is `None`).
 fn padding(k: Option<usize>, value_size: usize) -> f64 {
     k.map_or(0.0, |k| {
-        ((value_size + 8).div_ceil(k) * k) as f64 / value_size as f64 - 1.0
+        ((value_size + 1).div_ceil(k) * k) as f64 / value_size as f64 - 1.0
     })
 }
 
@@ -630,7 +630,7 @@ pub fn md_state_experiment(points: &[(usize, usize)], value_size: usize, seed: u
                 .filter(|op| op.kind.is_read())
                 .filter(overlaps_a_write)
                 .count();
-            let element = (value_size + 8).div_ceil(n - f) as u64;
+            let element = (value_size + 1).div_ceil(n - f) as u64;
             let residual: u64 = cluster
                 .stored_bytes_per_server()
                 .iter()
