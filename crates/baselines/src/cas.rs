@@ -507,12 +507,6 @@ impl CasClient {
         &self.ops
     }
 
-    /// The same operations, mutably, for
-    /// [`ProtocolSpec::client_ops_mut`].
-    pub fn ops_mut(&mut self) -> &mut OpQueue {
-        &mut self.ops
-    }
-
     fn start_next(&mut self, ctx: &mut Context<'_, CasMsg>) {
         let Some((seq, _)) = self.ops.start_next(ctx.now()) else {
             return;
@@ -690,11 +684,6 @@ impl ProtocolSpec for CasSpec {
 
     fn client_ops(sim: &Simulation<CasMsg>, client: ProcessId) -> Option<&OpQueue> {
         sim.process_as::<CasClient>(client).map(CasClient::ops)
-    }
-
-    fn client_ops_mut(sim: &mut Simulation<CasMsg>, client: ProcessId) -> Option<&mut OpQueue> {
-        sim.process_as_mut::<CasClient>(client)
-            .map(CasClient::ops_mut)
     }
 }
 

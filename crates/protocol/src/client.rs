@@ -89,8 +89,8 @@ impl OpQueue {
     /// Completes the operation in flight at `now` with `tag` and appends its
     /// record. `returned` is the value a read returns; a write passes `None`
     /// and its record keeps the value it wrote, without a copy. A read's
-    /// decoded buffer is its own until a cluster harness hands the record
-    /// the buffer of the write it returned ([`share_value`](Self::share_value)).
+    /// record keeps the buffer its decode returned: the write's own when a
+    /// view of it was among the decoded elements, a copy otherwise.
     /// Panics if no operation is in flight.
     pub fn complete(&mut self, now: SimTime, tag: Tag, returned: Option<Value>) {
         let op = self.current.take().expect("no operation in flight");
@@ -103,19 +103,6 @@ impl OpQueue {
             tag,
             value: returned.or(op.value),
         });
-    }
-
-    /// Makes completed record `index` hold `value`'s buffer if the two hold
-    /// equal bytes (pointers first, then one byte compare), and drops the
-    /// record's own, so a read that decoded a copy of the value a write
-    /// carries ends up holding the write's allocation. A record whose bytes
-    /// differ keeps its own. Panics if `index` is not a completed record.
-    pub fn share_value(&mut self, index: usize, value: &Value) {
-        if let Some(held) = self.completed[index].value.as_mut() {
-            if !Value::ptr_eq(held, value) && held == value {
-                *held = value.clone();
-            }
-        }
     }
 
     /// Sequence number of the most recently started operation (0 before the
@@ -196,32 +183,5 @@ mod tests {
         );
         assert_eq!(ops.completed()[1].latency(), 4);
         assert!(ops.in_flight_write().is_none() && ops.start_next(t(9)).is_none());
-    }
-
-    #[test]
-    fn a_record_takes_an_equal_buffer_and_keeps_its_own_otherwise() {
-        let t = SimTime::from_ticks;
-        let mut ops = OpQueue::new(ProcessId(3));
-        let written = value_from(b"written".to_vec());
-        for returned in [b"written".to_vec(), b"differs".to_vec()] {
-            ops.push(Invocation::Read);
-            ops.start_next(t(1));
-            ops.complete(t(2), Tag::new(1, ProcessId(9)), Some(value_from(returned)));
-        }
-        let held = |ops: &OpQueue, i: usize| ops.completed()[i].value.clone().unwrap();
-        let (equal, differing) = (held(&ops, 0), held(&ops, 1));
-        assert!(
-            !Value::ptr_eq(&equal, &written),
-            "decoded into its own buffer"
-        );
-
-        ops.share_value(0, &written);
-        assert!(
-            Value::ptr_eq(&held(&ops, 0), &written),
-            "the write's buffer"
-        );
-        ops.share_value(1, &written);
-        assert!(Value::ptr_eq(&held(&ops, 1), &differing), "keeps its own");
-        assert_eq!(held(&ops, 1), b"differs".to_vec());
     }
 }

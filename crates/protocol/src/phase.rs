@@ -111,13 +111,13 @@ mod tests {
         Put,
     }
 
-    /// Both phases wait for `k` replies.
+    /// Both phases wait for `k + 2e` replies, which is `k` at `e = 0`.
     impl QuorumPhase for Phase {
         const QUORUMS: &'static [(Phase, Quorum)] =
-            &[(Phase::Get, Quorum::K), (Phase::Put, Quorum::K)];
+            &[(Phase::Get, Quorum::KPlus2E), (Phase::Put, Quorum::KPlus2E)];
     }
 
-    /// Quorums in which `k` is `needed`.
+    /// Quorums in which `k + 2e` is `needed`.
     fn sizes(needed: usize) -> QuorumSizes {
         QuorumSizes::new(&Layout::new(vec![ProcessId(0)], 0), needed, 0)
     }

@@ -11,8 +11,9 @@ pub enum Quorum {
     Majority,
     /// `n − f`: every server but the `f` that may crash.
     NMinusF,
-    /// `k`, the code dimension.
-    K,
+    /// `max(k, ⌊n/2⌋ + 1)`: `k` coded elements, and never fewer replies
+    /// than a majority, so that the phase meets every majority.
+    KAtLeastMajority,
     /// `k + 2e`: enough coded elements to decode past `e` corrupted ones.
     KPlus2E,
 }
@@ -39,7 +40,8 @@ impl QuorumSizes {
     /// The quorums on `layout` of a code of dimension `k` with error budget
     /// `e`. Replication is the `k = 1` code.
     pub(crate) fn new(layout: &Layout, k: usize, e: usize) -> Self {
-        QuorumSizes([layout.majority(), layout.n() - layout.f(), k, k + 2 * e])
+        let (majority, n_minus_f) = (layout.majority(), layout.n() - layout.f());
+        QuorumSizes([majority, n_minus_f, k.max(majority), k + 2 * e])
     }
 
     /// How many replies `quorum` is here.
@@ -79,7 +81,10 @@ mod tests {
         let sizes = QuorumSizes::new(&layout, 3, 2);
         let needed = |phase: Phase| sizes.of(phase.quorum());
         assert_eq!((needed(Phase::Get), needed(Phase::Put)), (5, 7));
-        assert_eq!((sizes.of(Quorum::NMinusF), sizes.of(Quorum::K)), (7, 3));
+        // A majority of 9 is 5: above k = 3, below k = 6.
+        let at_least_majority = |k| QuorumSizes::new(&layout, k, 0).of(Quorum::KAtLeastMajority);
+        assert_eq!((at_least_majority(3), at_least_majority(6)), (5, 6));
+        assert_eq!(sizes.of(Quorum::NMinusF), 7);
 
         let unsound = sizes.with_majority(1);
         assert_eq!(unsound.of(Phase::Get.quorum()), 1);

@@ -21,10 +21,10 @@ use std::sync::Arc;
 /// functions over the simulation because a process is only reachable by id
 /// through it. Every protocol's clients keep their operations in an
 /// [`OpQueue`], so one client probe, [`client_ops`](Self::client_ops),
-/// serves both the completed log and the write in flight, and
-/// [`client_ops_mut`](Self::client_ops_mut) lets the harness hand a read the
-/// buffer of the write it returned; the server probes read state that
-/// differs per protocol.
+/// serves both the completed log and the write in flight; the server probes
+/// read state that differs per protocol. The harness reaches no process
+/// mutably: a read's record already holds its write's buffer when its decode
+/// found a view of it among the elements (see `soda_rs_code::Payload`).
 pub trait ProtocolSpec: Send + 'static {
     /// The protocol's message type.
     type Msg: Message;
@@ -75,9 +75,4 @@ pub trait ProtocolSpec: Send + 'static {
     /// The client's operations — the log of those it completed and the one
     /// in flight — or `None` for a process that is not a client.
     fn client_ops(sim: &Simulation<Self::Msg>, client: ProcessId) -> Option<&OpQueue>;
-
-    /// The same queue as [`client_ops`](Self::client_ops), mutably, so the
-    /// harness can swap a completed record's value for an equal buffer
-    /// ([`OpQueue::share_value`]).
-    fn client_ops_mut(sim: &mut Simulation<Self::Msg>, client: ProcessId) -> Option<&mut OpQueue>;
 }

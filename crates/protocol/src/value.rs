@@ -6,12 +6,15 @@
 //! later holder shares that allocation: the network messages that carry it,
 //! the client's completed-operation log ([`OpRecord`](crate::OpRecord),
 //! [`PendingWrite`](crate::PendingWrite)), a sharded store's ticket outcome
-//! and the atomicity checker's history — a read's too. A decoding read
-//! writes the value into a buffer of its own (`MdsCode::decode` fills one
-//! buffer, and the reader completes with it as is); when the run that
-//! completed the read ends, the cluster harness hands the read's record the
-//! buffer of the write whose tag it returned, if the bytes are equal, and
-//! the decoded copy is freed.
+//! and the atomicity checker's history. A decoding read writes the value
+//! into a buffer of its own (`MdsCode::decode` fills one buffer, and the
+//! reader completes with whatever buffer the decode returns). When a view of
+//! the write's buffer (below) is among the elements, the decode returns
+//! that buffer instead and frees its copy, so the read's record holds the
+//! write's allocation. At `k = 1` (replication-coded CAS), with no interior
+//! data element among the elements, or with only repaired or corrupted
+//! ones, no view is there, and the read keeps an equal copy. ABD's reads
+//! return the write's buffer itself.
 //!
 //! A write's coded elements share its buffer too. The writer's encode
 //! (`VandermondeCode::encode_shared`, in SODA's MD-VALUE dispersal and in
@@ -20,8 +23,9 @@
 //! server storing it keeps no bytes beyond the value the writer's log
 //! already holds. The last data element (it holds the end-marker byte and
 //! padding; the last few when an element is shorter than `k` bytes) and the
-//! parity elements own their buffers. A repair's re-encode of a *decoded* value copies, since a view
-//! would pin the whole decoded buffer for a `1/k` part of it.
+//! parity elements own their buffers. A repair's re-encode of a *decoded*
+//! value copies, since a view would pin the whole decoded buffer for a
+//! `1/k` part of it.
 //!
 //! Cost accounting still reports the full byte length of the value for every
 //! message that carries it, matching the paper's model where sending a value

@@ -306,15 +306,27 @@ fn a_handle_beyond_the_built_clients_panics() {
     cluster.invoke_read(2);
 }
 
-/// Once the run that completed it ends, a read holds the buffer of the
-/// write whose tag it returned, whether that write was still in flight or
-/// lay behind later writes in its writer's log. Returns how many reads
-/// found their write each way.
-fn reads_hold_their_writes_buffers(cluster: &dyn RegisterCluster, name: &str) -> [usize; 2] {
+/// How the reads of a run found their writes, and what they hold.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+struct ReadsFound {
+    /// Reads of a write that stayed in flight.
+    in_flight: usize,
+    /// Reads of a write that lay behind a later write of its writer.
+    behind: usize,
+    /// Reads that hold their write's own buffer.
+    shared: usize,
+    /// Reads that hold an equal copy of it.
+    copied: usize,
+}
+
+/// Checks that every read returned the bytes of the write whose tag it
+/// returned, whether that write was still in flight or lay behind later
+/// writes in its writer's log, and counts the reads each way.
+fn reads_hold_their_writes_bytes(cluster: &dyn RegisterCluster, name: &str) -> ReadsFound {
     let ops = cluster.completed_ops();
     let writes: Vec<&OpRecord> = ops.iter().filter(|op| op.kind.is_write()).collect();
     let pending = cluster.pending_writes();
-    let mut found = [0, 0];
+    let mut found = ReadsFound::default();
     let reads = ops
         .iter()
         .filter(|op| op.kind.is_read() && !op.tag.is_initial());
@@ -323,24 +335,35 @@ fn reads_hold_their_writes_buffers(cluster: &dyn RegisterCluster, name: &str) ->
             Some(at) => {
                 let client = writes[at].client;
                 let later = writes[at + 1..].iter().any(|write| write.client == client);
-                found[1] += usize::from(later);
+                found.behind += usize::from(later);
                 writes[at].value.as_ref()
             }
             None => {
-                found[0] += 1;
+                found.in_flight += 1;
                 (pending.iter())
                     .find(|write| write.tag == Some(read.tag))
                     .map(|write| &write.value)
             }
         };
         let (written, returned) = (written.expect("a write"), read.value.as_ref().unwrap());
-        assert!(Value::ptr_eq(written, returned), "{name}: {:?}", read.tag);
+        assert_eq!(written, returned, "{name}: {:?}", read.tag);
+        if Value::ptr_eq(written, returned) {
+            found.shared += 1;
+        } else {
+            found.copied += 1;
+        }
     }
     found
 }
 
+/// A read holds its write's buffer when its decode was given a data element
+/// that is a view of it (ABD's reads return the write's value itself). At
+/// `k = 1`, as CAS and CASGC have at `(5, 2)`, the one data element carries
+/// the end marker, so it is a buffer of its own and no read shares; a SODA
+/// read decoded from the last data element and the parity elements alone
+/// keeps a copy.
 #[test]
-fn every_read_holds_the_buffer_of_the_write_it_returned_for_every_kind() {
+fn every_read_returns_the_bytes_of_the_write_it_returned_for_every_kind() {
     let t = SimTime::from_ticks;
     for (kind, n, f) in matrix() {
         let name = kind.name();
@@ -357,20 +380,43 @@ fn every_read_holds_the_buffer_of_the_write_it_returned_for_every_kind() {
             cluster.invoke_read_at(t(at), at as usize % 40 / 20);
         }
         cluster.run_to_quiescence();
-        let behind = reads_hold_their_writes_buffers(&*cluster, name)[1];
-        assert!(behind > 0, "{name}: no read returned an overwritten value");
+        let burst = reads_hold_their_writes_bytes(&*cluster, name);
+        assert!(
+            burst.behind > 0,
+            "{name}: no read returned an overwritten value"
+        );
         // Reads after a writer crashed mid-write: once its value reached the
         // servers, they return a write that stays in flight.
-        let mut in_flight = 0;
+        let mut crashed = ReadsFound::default();
         for crash_at in 1..=30 {
             let mut cluster = builder.clone().build().unwrap();
             cluster.invoke_write(0, vec![7; 512]);
             cluster.crash_writer_at(t(crash_at), 0);
             cluster.invoke_read_at(t(60), 0);
             cluster.run_to_quiescence();
-            in_flight += reads_hold_their_writes_buffers(&*cluster, name)[0];
+            let found = reads_hold_their_writes_bytes(&*cluster, name);
+            crashed.in_flight += found.in_flight;
+            crashed.shared += found.shared;
+            crashed.copied += found.copied;
         }
-        assert!(in_flight > 0, "{name}: no read returned a write in flight");
+        assert!(
+            crashed.in_flight > 0,
+            "{name}: no read returned a write in flight"
+        );
+        let counts = [burst.shared, burst.copied, crashed.shared, crashed.copied];
+        assert_eq!(counts, shared_and_copied_reads(kind), "{name}");
+    }
+}
+
+/// Reads that share their write's buffer and reads that copy it: in the
+/// burst, then over the 30 crashed-writer runs.
+fn shared_and_copied_reads(kind: ProtocolKind) -> [usize; 4] {
+    match kind {
+        // Two burst reads decoded from elements 2–4.
+        ProtocolKind::Soda => [28, 2, 22, 0],
+        ProtocolKind::SodaErr { .. } => [30, 0, 19, 0],
+        ProtocolKind::Abd => [30, 0, 22, 0],
+        ProtocolKind::Cas | ProtocolKind::Casgc { .. } => [0, 29, 0, 17],
     }
 }
 

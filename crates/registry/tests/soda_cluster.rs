@@ -89,20 +89,20 @@ fn sodaerr_cluster_reads_correctly_with_a_byzantine_server() {
     assert_eq!(cluster.decode_failures(), 0);
 }
 
-/// A SODAerr read that Berlekamp–Welch corrects around an in-budget
-/// byzantine rank decodes its own copy of the write's bytes; once the run
-/// ends it holds the write's buffer instead.
-#[test]
-fn a_corrected_sodaerr_read_holds_its_writes_buffer() {
+/// Writes once and reads once on a SODAerr `(7, 2)` cluster whose rank 2
+/// is byzantine and whose ranks `down` crashed at the start, so rank 2's
+/// corrupted element is one of the k + 2e = 5 the read decodes from. Checks
+/// that Berlekamp–Welch corrected it and returns whether the read holds
+/// its write's own buffer.
+fn corrected_sodaerr_read_shares(down: [usize; 2]) -> bool {
     let mut cluster = ClusterBuilder::new(ProtocolKind::SodaErr { e: 1 }, 7, 2)
         .with_seed(5)
         .with_byzantine_servers(vec![2])
         .build_soda()
         .unwrap();
-    // With two ranks down, rank 2's corrupted element is one of the
-    // k + 2e = 5 the read decodes from.
-    cluster.crash_server_at(SimTime::ZERO, 0);
-    cluster.crash_server_at(SimTime::ZERO, 1);
+    for rank in down {
+        cluster.crash_server_at(SimTime::ZERO, rank);
+    }
     let value: Vec<u8> = (0..3000u32).map(|i| (i * 7) as u8).collect();
     cluster.invoke_write(0, value.clone());
     cluster.run_to_quiescence();
@@ -114,9 +114,30 @@ fn a_corrected_sodaerr_read_holds_its_writes_buffer() {
     assert_eq!(read.tag, write.tag);
     let (written, returned) = (write.value.as_ref().unwrap(), read.value.as_ref().unwrap());
     assert_eq!(returned.as_slice(), &value[..]);
-    assert!(Value::ptr_eq(written, returned), "the read keeps a copy");
     assert!(cluster.stats().messages_corrupted > 0);
     assert_eq!(cluster.decode_failures(), 0);
+    Value::ptr_eq(written, returned)
+}
+
+/// A corrected SODAerr read holds its write's buffer when a data element
+/// left in the write's value, a view of it, is among those it decoded: with
+/// ranks 5 and 6 down, ranks 0 and 1 answer with views.
+#[test]
+fn a_corrected_sodaerr_read_holds_its_writes_buffer() {
+    assert!(
+        corrected_sodaerr_read_shares([5, 6]),
+        "the read keeps a copy"
+    );
+}
+
+/// With ranks 0 and 1 down, the only views are gone: every element the
+/// read decodes is a buffer of its own, so it keeps an equal copy.
+#[test]
+fn a_corrected_sodaerr_read_without_a_view_keeps_an_equal_copy() {
+    assert!(
+        !corrected_sodaerr_read_shares([0, 1]),
+        "no view was decoded"
+    );
 }
 
 #[test]

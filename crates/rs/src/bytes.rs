@@ -11,15 +11,13 @@
 //! Whole object values are [`Bytes`] too, and one value is one allocation
 //! for its whole life: the writer's invocation, every network message that
 //! carries it, the client's completed-operation log, the store's ticket
-//! outcome and the checker's history all hold the same buffer, and so does
-//! a read that returned it. A decoded value is one allocation from the
-//! start: the decoder writes each data shard's bytes straight into it (and
-//! the encoder each coded element it computes), so no `Vec` is built and
-//! then copied into an `Arc`; once the read's run ends, the cluster harness
-//! swaps that buffer for the equal one its write carries, and the copy is
-//! freed. The checker crate depends on no protocol crate, so it stores
-//! plain `Arc<[u8]>`, and `Arc::<[u8]>::from(bytes)` hands the buffer over
-//! without a copy.
+//! outcome and the checker's history all hold the same buffer. A decoded
+//! value is one allocation from the start: the decoder writes each data
+//! shard's bytes straight into it (and the encoder each coded element it
+//! computes), so no `Vec` is built and then copied into an `Arc`. The
+//! checker crate depends on no protocol crate, so it stores plain
+//! `Arc<[u8]>`, and `Arc::<[u8]>::from(bytes)` hands the buffer over without
+//! a copy.
 //!
 //! A coded element's payload is a [`Payload`]: a [`Bytes`] and the part of
 //! it the element is. An element computed into a buffer of its own is the
@@ -31,7 +29,17 @@
 //! offset and length, so a value handed to the checker is still the `Arc`
 //! itself.
 //!
+//! A read that returned a write's value shares that write's buffer when a
+//! view is among the elements it decoded: [`MdsCode::decode`] compares the
+//! bytes it rebuilt with the buffer a view is part of, and on a match
+//! returns that buffer and frees its copy. A read keeps an equal copy at
+//! `k = 1`, where the one data element carries the end marker and so is
+//! never a view; when no interior data element is among its elements; and
+//! when the ones it has were repaired or corrupted, since a re-encode of a
+//! decoded value and [`Payload::make_mut`] both copy.
+//!
 //! [`VandermondeCode::encode_shared`]: crate::VandermondeCode::encode_shared
+//! [`MdsCode::decode`]: crate::MdsCode::decode
 //!
 //! Cost accounting is unaffected: every message still reports the full byte
 //! length of the payload it carries, matching the paper's model where sending
@@ -232,6 +240,12 @@ impl Payload {
     /// left in a longer value) rather than a whole buffer.
     pub fn is_view(&self) -> bool {
         self.len as usize != self.buf.len()
+    }
+
+    /// The buffer a view is part of, or `None` for a whole buffer. A decode
+    /// looks here for the value its elements were cut from.
+    pub(crate) fn viewed(&self) -> Option<&Bytes> {
+        self.is_view().then_some(&self.buf)
     }
 
     /// True if the payload's bytes lie in `buf`'s allocation.

@@ -25,7 +25,9 @@
 //! would pin a whole buffer that nothing else holds. [`MdsCode::decode`]
 //! computes the payload's last `k` bytes first to find the end marker, then
 //! writes each data shard's value bytes straight into the decoded value's
-//! one allocation.
+//! one allocation. If a view among its elements is part of a buffer holding
+//! the same bytes, the value they were encoded from, it returns that buffer
+//! and drops its own.
 //!
 //! The same code corrects silent corruption: `decode_with_errors` with
 //! `max_errors > 0` runs the Berlekamp–Welch decoder (`bw.rs`).
@@ -236,7 +238,11 @@ impl MdsCode for VandermondeCode {
                 mul_slice_xor(inv[(i, j)], &element.data[cols.clone()], out);
             }
         })?;
-        Ok(value)
+        // A data element left in its write's value is a view of that
+        // buffer; if the decode rebuilt the same bytes, the write's buffer
+        // is returned and the copy freed.
+        let mut views = elements.iter().filter_map(|e| e.data.viewed());
+        Ok(views.find(|buf| **buf == value).cloned().unwrap_or(value))
     }
 
     fn decode_with_errors(

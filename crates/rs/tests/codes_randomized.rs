@@ -34,16 +34,47 @@ fn code_params(rng: &mut SimRng) -> (usize, usize, Vec<u8>) {
     (n, k, value)
 }
 
+/// A decode returns the buffer its elements were cut from exactly when a
+/// view of it is among them; otherwise, and always at `k = 1` (the one data
+/// element carries the end marker, so it is never a view), a buffer of its
+/// own.
+fn assert_shares_exactly_with_a_view(
+    decoded: &Bytes,
+    source: &Bytes,
+    elements: &[CodedElement],
+    k: usize,
+    what: &str,
+) {
+    let shares = Bytes::ptr_eq(decoded, source);
+    let with_view = elements.iter().any(|e| e.data.is_view());
+    assert_eq!(shares, with_view, "{what}");
+    assert!(k > 1 || !shares, "{what}: shared at k = 1");
+}
+
 #[test]
 fn vandermonde_round_trips_any_k_subset() {
     let mut rng = rng(1);
     for _ in 0..cases() {
         let (n, k, value) = code_params(&mut rng);
         let code = VandermondeCode::new(n, k).unwrap();
-        let mut shuffled = code.encode(&value).unwrap();
-        rng.shuffle(&mut shuffled);
-        shuffled.truncate(k);
-        assert_eq!(code.decode(&shuffled).unwrap(), value);
+        let shared = Bytes::from(value.clone());
+        let mut order: Vec<usize> = (0..n).collect();
+        rng.shuffle(&mut order);
+        order.truncate(k);
+        let what = format!("n={n} k={k} |v|={} rows {order:?}", value.len());
+        // The same rows from the slice encode (every element owned) and from
+        // the value's buffer (interior data elements are views of it).
+        let (owned, viewed) = (code.encode(&value).unwrap(), code.encode_shared(&shared));
+        let pick = |all: &[CodedElement]| -> Vec<CodedElement> {
+            order.iter().map(|&i| all[i].clone()).collect()
+        };
+        let (owned, viewed) = (pick(&owned), pick(&viewed));
+        let decoded = code.decode(&owned).unwrap();
+        assert_eq!(decoded, value, "{what}");
+        assert_shares_exactly_with_a_view(&decoded, &shared, &owned, k, &what);
+        let decoded = code.decode(&viewed).unwrap();
+        assert_eq!(decoded, value, "{what}");
+        assert_shares_exactly_with_a_view(&decoded, &shared, &viewed, k, &what);
     }
 }
 
@@ -97,8 +128,9 @@ fn bw_code_corrects_random_corruption() {
         checked += 1;
         let code = VandermondeCode::new(n, k).unwrap();
         // Keep exactly k + 2e elements (simulating f crashes), corrupt up to
-        // e of them.
-        let mut kept = code.encode(&value).unwrap();
+        // e of them. A corrupted view is copied first, so it stops being one.
+        let shared = Bytes::from(value.clone());
+        let mut kept = code.encode_shared(&shared);
         rng.shuffle(&mut kept);
         kept.truncate(k + 2 * e_budget);
         let corrupt_count = e_budget.min(kept.len());
@@ -111,6 +143,10 @@ fn bw_code_corrects_random_corruption() {
         }
         let decoded = code.decode_with_errors(&kept, e_budget).unwrap();
         assert_eq!(decoded, value);
+        // Every byte of a corrupted element flips, so the first column finds
+        // them all and the corrected decode runs on the intact ones.
+        let what = format!("n={n} k={k} e={e_budget} |v|={}", value.len());
+        assert_shares_exactly_with_a_view(&decoded, &shared, &kept, k, &what);
     }
 }
 
@@ -209,6 +245,15 @@ fn make_mut_on_a_view_copies_and_leaves_the_value_unchanged() {
         if rest.len() >= k {
             assert_eq!(code.decode(&rest).unwrap(), value);
         }
+        // Views made owned with their bytes unchanged still decode to the
+        // value, but never to the buffer they were cut from.
+        let mut owned = code.encode_shared(&shared);
+        for element in &mut owned {
+            element.data.make_mut();
+        }
+        let decoded = code.decode(&owned).unwrap();
+        assert_eq!(decoded, value);
+        assert!(!Bytes::ptr_eq(&decoded, &shared), "n={n} k={k}");
     }
 }
 

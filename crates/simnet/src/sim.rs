@@ -214,12 +214,6 @@ impl<M: Message> Simulation<M> {
         process.downcast_ref::<T>()
     }
 
-    /// Mutable typed access to a process's state.
-    pub fn process_as_mut<T: 'static>(&mut self, id: ProcessId) -> Option<&mut T> {
-        let process: &mut dyn Any = self.processes.get_mut(id.index())?.as_deref_mut()?;
-        process.downcast_mut::<T>()
-    }
-
     fn next_seq(&mut self) -> u64 {
         self.seq += 1;
         self.seq
@@ -1321,12 +1315,10 @@ mod tests {
 
     #[test]
     fn downcast_to_wrong_type_is_none() {
-        let (mut sim, a, _b) = two_process_sim(0);
+        let (sim, a, _b) = two_process_sim(0);
         assert!(sim.process_as::<String>(a).is_none());
         assert!(sim.process_as::<PingPong>(ProcessId(99)).is_none());
-        assert!(sim.process_as_mut::<String>(a).is_none());
-        assert!(sim.process_as_mut::<PingPong>(ProcessId(99)).is_none());
-        assert!(sim.process_as_mut::<PingPong>(a).is_some());
+        assert!(sim.process_as::<PingPong>(a).is_some());
     }
 
     #[test]

@@ -19,13 +19,15 @@ pub enum Phase {
 }
 
 /// SODA's and SODAerr's thresholds: the two gets wait for a majority of
-/// responders and `write-put` for `k` acks. `read-value` waits for `k + 2e`
-/// coded elements *of one tag*, which the read counts per tag beside the
-/// phase driver's count of responders.
+/// responders and `write-put` for `max(k, majority)` acks, so a completed
+/// write meets every later get. That is `k` for SODA (`k = n − f` is at
+/// least a majority); SODAerr's `k = n − f − 2e` may be less. `read-value`
+/// waits for `k + 2e` coded elements *of one tag*, which the read counts per
+/// tag beside the phase driver's count of responders.
 impl QuorumPhase for Phase {
     const QUORUMS: &'static [(Phase, Quorum)] = &[
         (Phase::WriteGet, Quorum::Majority),
-        (Phase::WritePut, Quorum::K),
+        (Phase::WritePut, Quorum::KAtLeastMajority),
         (Phase::ReadGet, Quorum::Majority),
         (Phase::ReadValue, Quorum::KPlus2E),
     ];

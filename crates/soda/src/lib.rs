@@ -21,7 +21,7 @@
 //!
 //! | paper role | type | behaviour |
 //! |---|---|---|
-//! | writer `w ∈ W` | [`WriterProcess`] | `write-get` (majority tag query) then `write-put` (MD-VALUE dispersal, wait for `k` acks) |
+//! | writer `w ∈ W` | [`WriterProcess`] | `write-get` (majority tag query) then `write-put` (MD-VALUE dispersal, wait for `max(k, majority)` acks) |
 //! | reader `r ∈ R` | [`ReaderProcess`] | `read-get` (majority tag query), `read-value` (register + collect coded elements of tags `≥ t_r`, decode the highest tag with `k` / `k + 2e` of them), `read-complete` |
 //! | server `s ∈ S` | [`ServerProcess`] | stores one `(tag, coded element)` pair, relays concurrent writes to registered readers, runs the READ-DISPERSE bookkeeping that eventually unregisters every reader; a replacement repairs by running the reader's read against the survivors and re-encoding its own element |
 //!

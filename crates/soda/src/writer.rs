@@ -50,12 +50,6 @@ impl WriterProcess {
         &self.ops
     }
 
-    /// The same operations, mutably, for
-    /// [`ProtocolSpec::client_ops_mut`](soda_protocol::ProtocolSpec::client_ops_mut).
-    pub fn ops_mut(&mut self) -> &mut OpQueue {
-        &mut self.ops
-    }
-
     /// The id of the operation in flight.
     fn op(&self) -> OpId {
         OpId::new(self.self_id, self.ops.seq())

@@ -32,11 +32,17 @@ use soda_workload::explore::{
 };
 use std::ops::Range;
 
+/// The campaign's protocol and size, which tell apart the two SODAerr
+/// campaigns of [`campaigns`].
+fn label(cfg: &ExploreConfig) -> String {
+    format!("{} n={}", cfg.kind.name(), cfg.n)
+}
+
 /// Runs the campaign and fails the test with its verdict unless it is clean.
 fn expect_clean(cfg: &ExploreConfig, seed_start: u64, schedules: usize) -> Report {
     let report = explore(cfg, seed_start, schedules);
     if let Err(verdict) = report.check() {
-        panic!("{} over {schedules} schedules: {verdict}", cfg.kind.name());
+        panic!("{} over {schedules} schedules: {verdict}", label(cfg));
     }
     report
 }
@@ -53,13 +59,16 @@ fn count_scenarios(
         .count()
 }
 
-/// The five protocol configurations every exploration test sweeps. SODAerr
-/// gets `n = 7` so `k = n − f − 2e = 3` is a real code; CASGC gets a
-/// generous GC depth so garbage collection never blocks reads for liveness
-/// reasons (safety is what exploration checks).
+/// The protocol configurations every exploration test sweeps, all five
+/// protocols. SODAerr runs twice: at `n = 5`, where `k = n − f − 2e = 1`
+/// is below a majority, so `write-put` waits for the majority; and at
+/// `n = 7`, where `k = 3` is a real code. CASGC gets a generous GC depth so
+/// garbage collection never blocks reads for liveness reasons (safety is
+/// what exploration checks).
 fn campaigns() -> Vec<ExploreConfig> {
     vec![
         ExploreConfig::new(ProtocolKind::Soda, 5, 2),
+        ExploreConfig::new(ProtocolKind::SodaErr { e: 1 }, 5, 2),
         ExploreConfig::new(ProtocolKind::SodaErr { e: 1 }, 7, 2),
         ExploreConfig::new(ProtocolKind::Abd, 5, 2),
         ExploreConfig::new(ProtocolKind::Cas, 5, 2),
@@ -259,36 +268,36 @@ fn shrinking_bisects_fault_intensities_to_a_local_minimum() {
     assert_shrinking_reaches_a_local_minimum(&weakened_cluster(), 4, |s| noisy(&s.net));
 }
 
-/// ROADMAP's fix-first item, pinned: under the standard adversary SODAerr and
-/// ABD produce histories in which two writes share a version. The six
-/// recorded seeds must keep reproducing exactly — same violation, same
-/// completed-op count — until that item lands; its fix flips every assertion
-/// here to `violation.is_none()`. A change that moves one of them without
-/// fixing the protocols has moved an RNG draw or a message.
+/// ROADMAP's fix-first seeds under the standard adversary. The five SODAerr
+/// seeds made two writes share a version while SODAerr's `write-put` waited
+/// for `k` acks, fewer than a majority at these points; with
+/// `max(k, majority)` they are clean. The ABD seed is fix-first (B): a
+/// replacement that rejoins while a write its predecessor acked is in
+/// flight, and it keeps reporting two writes with one version until (B)
+/// lands. The completed-op counts are pinned too: a change that moves one
+/// has moved an RNG draw or a message.
 #[test]
-fn the_six_fix_first_seeds_still_report_duplicate_write_versions() {
+fn the_fix_first_seeds_are_clean_for_sodaerr_and_still_fail_for_abd() {
     let sodaerr = |n| ExploreConfig::new(ProtocolKind::SodaErr { e: 1 }, n, 2);
     let abd = ExploreConfig::new(ProtocolKind::Abd, 5, 2);
     for (cfg, seed, versions, completed) in [
-        (sodaerr(5), 2747, (1, 2), 8),
-        (sodaerr(5), 4650, (1, 4), 5),
-        (sodaerr(5), 5280, (2, 3), 8),
-        (sodaerr(7), 116_046, (2, 3), 5),
-        (sodaerr(7), 158_983, (1, 4), 8),
-        (abd, 982_938_824_570, (3, 6), 8),
+        (sodaerr(5), 2747, None, 6),
+        (sodaerr(5), 4650, None, 3),
+        (sodaerr(5), 5280, None, 8),
+        (sodaerr(7), 116_046, None, 2),
+        (sodaerr(7), 158_983, None, 8),
+        (abd, 982_938_824_570, Some((3, 6)), 8),
     ] {
         let cfg = cfg.with_partitions(0.3, 400);
         let outcome = run_scenario(&cfg, &generate_scenario(&cfg, seed));
         let kind = cfg.kind.name();
         assert_eq!(outcome.completed_ops, completed, "{kind} seed {seed}");
-        match outcome.violation {
-            Some(Violation::DuplicateWriteVersion { first, second, .. }) => {
-                assert_eq!((first, second), versions, "{kind} seed {seed}")
-            }
-            other => {
-                panic!("{kind} seed {seed}: expected a duplicate write version, got {other:?}")
-            }
-        }
+        let duplicate = match outcome.violation {
+            None => None,
+            Some(Violation::DuplicateWriteVersion { first, second, .. }) => Some((first, second)),
+            Some(other) => panic!("{kind} seed {seed}: {other:?}"),
+        };
+        assert_eq!(duplicate, versions, "{kind} seed {seed}");
     }
 }
 
@@ -363,18 +372,18 @@ fn partition_fuzz_smoke() {
         assert!(
             windowed * 2 >= schedules,
             "{}: only {windowed}/{schedules} schedules contain windows",
-            cfg.kind.name()
+            label(&cfg)
         );
         assert!(
             with_chains > 0,
             "{}: no crash → partition → heal → repair chain in {schedules} schedules",
-            cfg.kind.name()
+            label(&cfg)
         );
         let report = expect_clean(&cfg, seed_start, schedules);
         eprintln!(
-            "{:>7}: {schedules} schedules ({windowed} with windows, {with_chains} \
+            "{:>11}: {schedules} schedules ({windowed} with windows, {with_chains} \
              crash→partition→heal→repair), {} ops, all atomic, all live",
-            cfg.kind.name(),
+            label(&cfg),
             report.completed_ops
         );
     }
@@ -402,18 +411,18 @@ fn repair_fuzz_smoke() {
         assert!(
             with_repairs * 4 >= schedules,
             "{}: only {with_repairs}/{schedules} schedules contain repairs",
-            cfg.kind.name()
+            label(&cfg)
         );
         assert!(
             with_follow_up > 0,
             "{}: no crash → repair → crash chain in {schedules} schedules",
-            cfg.kind.name()
+            label(&cfg)
         );
         let report = expect_clean(&cfg, seed_start, schedules);
         eprintln!(
-            "{:>7}: {schedules} schedules ({with_repairs} with repairs, {with_follow_up} \
+            "{:>11}: {schedules} schedules ({with_repairs} with repairs, {with_follow_up} \
              crash→repair→crash), {} ops, all atomic, all live",
-            cfg.kind.name(),
+            label(&cfg),
             report.completed_ops
         );
     }
@@ -429,9 +438,9 @@ fn fuzz_smoke() {
     for cfg in campaigns() {
         let report = expect_clean(&cfg, 1_000, schedules);
         eprintln!(
-            "{:>7}: {schedules} schedules, {} ops completed, {} writes pending, all atomic, \
+            "{:>11}: {schedules} schedules, {} ops completed, {} writes pending, all atomic, \
              all live",
-            cfg.kind.name(),
+            label(&cfg),
             report.completed_ops,
             report.pending
         );

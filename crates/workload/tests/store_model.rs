@@ -47,7 +47,7 @@ mod common;
 mod scenarios;
 
 use scenarios::{build_store, generate_store_scenario, StoreExploreConfig, StoreScenario};
-use soda_consistency::{KeyViolation, Violation};
+use soda_consistency::KeyViolation;
 use soda_registry::ProtocolKind::{Abd, Cas, Casgc, Soda, SodaErr};
 use soda_registry::{PartitionWindow, RegisterCluster};
 use soda_store::{ShardedStore, StoreMetrics, StoreRuntime};
@@ -425,23 +425,23 @@ fn expect_clean(cfg: &StoreExploreConfig, seeds: Range<u64>) -> ((usize, usize),
     (total, coverage)
 }
 
-/// ROADMAP's fix-first (A), pinned at the store layer: SODAerr's writer
-/// completes a write on `k` acks instead of `n − f`, so two back-to-back
-/// writes can share a version. Seed 13 of the second fleet below makes two
-/// writes to `key/8`, which sits on its SODAerr shard, do exactly that,
-/// under every runtime. The pin must keep reproducing until (A) lands; its
-/// fix makes this seed clean and deletes the pin. A change that moves it
-/// without fixing the protocol has moved an RNG draw or a message.
-const FIX_FIRST_A: (usize, u64) = (1, 13);
-
-fn is_fix_first_a(checked: &Result<(usize, usize), Failure>) -> bool {
-    matches!(
-        checked,
-        Err(Failure::NotAtomic(KeyViolation {
-            key,
-            violation: Violation::DuplicateWriteVersion { first: 1, second: 2 },
-        })) if key == b"key/8"
-    )
+/// Two four-shard fleets whose keys reach all five protocols between them.
+/// Four phases rather than three and more repairs, so that repairs leave
+/// room for follow-up crashes and for keys first touched after them. The
+/// store places `key/0` … `key/23` on shards 0, 1 and 2 only, so the second
+/// fleet puts the other protocols there.
+fn five_kind_fleets() -> [StoreExploreConfig; 2] {
+    let fleet = |kinds| StoreExploreConfig {
+        kinds,
+        keys: 24,
+        phases: 4,
+        repair_p: 0.8,
+        ..StoreExploreConfig::mixed(4)
+    };
+    [
+        fleet(vec![Soda, Abd, Cas, Casgc { gc: 2 }]),
+        fleet(vec![Casgc { gc: 2 }, SodaErr { e: 1 }, Soda, Abd]).with_partitions(0.7, 800),
+    ]
 }
 
 #[test]
@@ -451,34 +451,16 @@ fn every_key_runs_as_its_lone_cluster_would_under_every_runtime() {
         StoreRuntime::Threaded,
         StoreRuntime::WorkStealing { workers: 3 },
     ];
-    // Four phases rather than three and more repairs, so that repairs
-    // leave room for follow-up crashes and for keys first touched after
-    // them. The store places `key/0` … `key/23` on shards 0, 1 and 2
-    // only, so the second fleet puts the other protocols there.
-    let fleet = |kinds| StoreExploreConfig {
-        kinds,
-        keys: 24,
-        phases: 4,
-        repair_p: 0.8,
-        ..StoreExploreConfig::mixed(4)
-    };
-    let campaigns = [
-        fleet(vec![Soda, Abd, Cas, Casgc { gc: 2 }]),
-        fleet(vec![Casgc { gc: 2 }, SodaErr { e: 1 }, Soda, Abd]).with_partitions(0.7, 800),
-    ];
     for runtime in runtimes {
         let mut coverage = Coverage::default();
-        for (fleet, cfg) in campaigns.iter().enumerate() {
+        for (fleet, cfg) in five_kind_fleets().iter().enumerate() {
             let cfg = StoreExploreConfig {
                 runtime,
                 ..cfg.clone()
             };
             for seed in 0..16 {
                 let scenario = generate_store_scenario(&cfg, seed);
-                let checked = check_against_lone_clusters(&cfg, &scenario, &mut coverage);
-                if (fleet, seed) == FIX_FIRST_A {
-                    assert!(is_fix_first_a(&checked), "{runtime:?}: {checked:?}");
-                } else if let Err(failure) = checked {
+                if let Err(failure) = check_against_lone_clusters(&cfg, &scenario, &mut coverage) {
                     panic!("fleet {fleet} seed {seed} under {runtime:?}: {failure}\n{scenario}");
                 }
             }
@@ -616,48 +598,56 @@ fn unsound_store_quorum_starvation_is_flagged() {
     }
 }
 
-/// The store's nightly smoke: four campaigns over the `mixed(4)` fleet, each
-/// asserting that every key runs as its lone cluster would, atomic and live.
-/// The general pass; the repair pass, where every shard crash is repaired at
-/// a later phase boundary and half the repairs are followed by a crash of a
-/// different rank; the partition pass, with windows on every shard plus
-/// crash → partition → heal → repair chains; and the scheduling pass, with
-/// every drain on four threads claiming key clusters from one cursor.
-/// `mixed(4)`'s keys reach only its SODA and ABD shards (ROADMAP item
-/// 12(d)), so the smoke prints the keys each protocol served. Ignored in
-/// tier-1; scale with `EXPLORE_SCHEDULES`.
+/// The store's nightly smoke: four campaigns over each of the two
+/// [`five_kind_fleets`], each asserting that every key runs as its lone
+/// cluster would, atomic and live. The general pass; the repair pass, where
+/// every shard crash is repaired at a later phase boundary and half the
+/// repairs are followed by a crash of a different rank; the partition pass,
+/// with windows on every shard plus crash → partition → heal → repair
+/// chains; and the scheduling pass, with every drain on four threads
+/// claiming key clusters from one cursor. Between them the fleets' keys
+/// reach all five protocols (`mixed(4)`'s reach only its SODA and ABD
+/// shards, ROADMAP item 12(d)); the smoke prints the keys each protocol
+/// served. Ignored in tier-1; scale with `EXPLORE_SCHEDULES`.
 #[test]
 #[ignore = "nightly fuzz-smoke budget; run with --ignored (EXPLORE_SCHEDULES to scale)"]
 fn store_model_smoke() {
     let schedules = common::schedules_from_env(100) / 4;
-    let mixed = StoreExploreConfig::mixed;
-    let repairs = |crash_p| StoreExploreConfig {
-        shard_crash_p: crash_p,
-        repair_p: 1.0,
-        ..mixed(4)
-    };
-    // (name, first seed, config, whether repairs and windows must be dense)
-    let campaigns = [
-        ("store", 1_000, mixed(4), false, false),
-        ("store-repair", 9_000, repairs(0.75), true, false),
-        (
-            "store-partition",
-            13_000,
-            repairs(0.75).with_partitions(1.0, 1200),
-            false,
-            true,
-        ),
-        (
-            "store-workstealing",
-            17_000,
-            StoreExploreConfig {
-                runtime: StoreRuntime::WorkStealing { workers: 4 },
-                ..repairs(0.5).with_partitions(0.5, 1000)
-            },
-            false,
-            false,
-        ),
-    ];
+    let campaigns = five_kind_fleets()
+        .into_iter()
+        .enumerate()
+        .flat_map(|(fleet, base)| {
+            let repairs = |crash_p| StoreExploreConfig {
+                shard_crash_p: crash_p,
+                repair_p: 1.0,
+                ..base.clone()
+            };
+            // (name, first seed, config, whether repairs and windows must be dense)
+            [
+                ("store", 1_000, base.clone(), false, false),
+                ("store-repair", 9_000, repairs(0.75), true, false),
+                (
+                    "store-partition",
+                    13_000,
+                    repairs(0.75).with_partitions(1.0, 1200),
+                    false,
+                    true,
+                ),
+                (
+                    "store-workstealing",
+                    17_000,
+                    StoreExploreConfig {
+                        runtime: StoreRuntime::WorkStealing { workers: 4 },
+                        ..repairs(0.5).with_partitions(0.5, 1000)
+                    },
+                    false,
+                    false,
+                ),
+            ]
+            .map(|(name, seed, cfg, repairs, windows)| {
+                (format!("{name}/fleet {fleet}"), seed, cfg, repairs, windows)
+            })
+        });
     for (name, seed_start, cfg, dense_repairs, dense_windows) in campaigns {
         let seeds = seed_start..seed_start + schedules as u64;
         let scenarios: Vec<_> = (seeds.clone())
